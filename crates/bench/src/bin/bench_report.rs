@@ -240,6 +240,16 @@ fn normalize(file: &FamilyFile) -> Vec<(String, Value)> {
                     }
                 }
             }
+            for depth in t.get("depth_axis").and_then(Value::as_arr).unwrap_or(&[]) {
+                let Some(name) = depth.get("name").and_then(Value::as_str) else {
+                    continue;
+                };
+                for key in ["parse_ns", "model_ns", "summary_ns", "callgraph_ns"] {
+                    if let Some(v) = depth.get(key) {
+                        metrics.push((format!("{name}_{key}"), v.clone()));
+                    }
+                }
+            }
         }
         "incremental" => {
             for size in t.get("sizes").and_then(Value::as_arr).unwrap_or(&[]) {

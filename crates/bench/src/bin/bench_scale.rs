@@ -16,16 +16,25 @@
 //! fixed depth and rung count, so per-chain work is constant and the
 //! ideal exponent is exactly 1 — any superlinearity is the engine's own.
 //!
+//! A second axis grows one chain's *depth* (64, 128, 256) instead, so
+//! every dispatch table grows with it, and times each layer on its own:
+//! parse, model, summary extraction (`ProgramSummary::build`, where the
+//! dispatch tables are built) and the call-graph fixpoint
+//! (`CallGraph::build_from_summary`). Each layer's exponent against
+//! depth shows which one a superlinear member lookup lands in.
+//!
 //! ```text
 //! bench_scale [--json] [--samples N] [--smoke] [--emit PATH]
 //! ```
 //!
 //! `--json` writes `BENCH_scale.json`. `--smoke` runs the two smallest
-//! sizes with one sample and fails on a wall-clock ceiling, a scaling
-//! exponent above [`SMOKE_EXPONENT_CEILING`], or an eight-worker run
-//! slower than one worker beyond noise — the CI gates. `--emit PATH`
-//! writes the smallest size's generated source to `PATH` so the CI
-//! trace gate has a program big enough to shard eight ways.
+//! sizes with one sample and the depths 64 and 128, and fails on a
+//! wall-clock ceiling, a scaling exponent above
+//! [`SMOKE_EXPONENT_CEILING`], an extraction depth exponent above
+//! [`SMOKE_DEPTH_EXPONENT_CEILING`], or an eight-worker run slower than
+//! one worker beyond noise — the CI gates. `--emit PATH` writes the
+//! smallest size's generated source to `PATH` so the CI trace gate has a
+//! program big enough to shard eight ways.
 
 use ddm_bench::{effective_jobs, host_meta_json, timing};
 use ddm_benchmarks::generator::{generate_scale, scale_function_count, ScaleConfig};
@@ -43,6 +52,17 @@ const SMOKE_CEILING: Duration = Duration::from_secs(30);
 /// small-size noise while still catching a quadratic regression (~2)
 /// immediately.
 const SMOKE_EXPONENT_CEILING: f64 = 1.4;
+
+/// `--smoke` fails if summary extraction grows faster than this power
+/// of chain depth. With linear-time member lookup each of the chain's
+/// dispatch tables costs O(depth), and extraction measures about 1.3
+/// from depth 64 to 128; the all-pairs hiding filter it replaced
+/// measured about 2.4.
+const SMOKE_DEPTH_EXPONENT_CEILING: f64 = 2.0;
+
+/// Minimum samples per depth-axis layer: each takes well under a
+/// millisecond at depth 64, where a single sample is too noisy to gate.
+const DEPTH_MIN_SAMPLES: usize = 15;
 
 /// `--smoke` fails if an eight-worker run is slower than one worker by
 /// more than this factor. Sharding must pay for itself (or, clamped to
@@ -167,6 +187,112 @@ fn measure(name: &'static str, config: ScaleConfig, samples: usize) -> SizeResul
     }
 }
 
+/// The layers the depth axis times, in pipeline order.
+const DEPTH_LAYERS: [&str; 4] = ["parse", "model", "summary", "callgraph"];
+
+struct DepthResult {
+    config: ScaleConfig,
+    functions: usize,
+    /// Minimum time per layer, in [`DEPTH_LAYERS`] order.
+    layers: [Duration; 4],
+}
+
+fn depths(smoke: bool) -> Vec<usize> {
+    if smoke {
+        vec![64, 128]
+    } else {
+        vec![64, 128, 256]
+    }
+}
+
+/// The minimum time of `f(i)` for each input `i < inputs`, after two
+/// warm-up rounds. The inputs are sampled in turn, so a change in host
+/// speed during the measurement shifts all of them alike instead of
+/// skewing the exponents between them.
+fn interleaved_min<T>(
+    inputs: usize,
+    samples: usize,
+    mut f: impl FnMut(usize) -> T,
+) -> Vec<Duration> {
+    let mut best = vec![Duration::MAX; inputs];
+    for round in 0..samples + 2 {
+        for (i, b) in best.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            std::hint::black_box(f(i));
+            if round >= 2 {
+                *b = (*b).min(t0.elapsed());
+            }
+        }
+    }
+    best
+}
+
+/// One chain per depth, in the `deep_dispatch` shape of the repository
+/// benchmark (two virtual methods, 48 ladder rungs), each layer timed
+/// on its own.
+fn measure_depths(depths: &[usize], samples: usize) -> Vec<DepthResult> {
+    let samples = samples.max(DEPTH_MIN_SAMPLES);
+    let configs: Vec<ScaleConfig> = depths
+        .iter()
+        .map(|&depth| ScaleConfig {
+            chains: 1,
+            depth,
+            methods_per_class: 2,
+            members_per_class: 3,
+            rungs: 48,
+        })
+        .collect();
+    let sources: Vec<String> = configs.iter().map(|c| generate_scale(c, 42)).collect();
+    let tus: Vec<_> = sources
+        .iter()
+        .map(|src| ddm_cppfront::parse(src).expect("depth program parses"))
+        .collect();
+    let programs: Vec<Program> = tus
+        .iter()
+        .map(|tu| Program::build(tu).expect("depth program resolves"))
+        .collect();
+    let summaries: Vec<ProgramSummary> = programs
+        .iter()
+        .map(|p| ProgramSummary::build(p, false, 1))
+        .collect();
+    let options = CallGraphOptions {
+        algorithm: Algorithm::Rta,
+        ..Default::default()
+    };
+    let n = depths.len();
+    let parse = interleaved_min(n, samples, |i| ddm_cppfront::parse(&sources[i]));
+    let model = interleaved_min(n, samples, |i| Program::build(&tus[i]));
+    let summary = interleaved_min(n, samples, |i| {
+        ProgramSummary::build(&programs[i], false, 1)
+    });
+    let callgraph = interleaved_min(n, samples, |i| {
+        CallGraph::build_from_summary(&programs[i], &summaries[i], &options)
+    });
+    (0..n)
+        .map(|i| DepthResult {
+            config: configs[i],
+            functions: programs[i].function_count(),
+            layers: [parse[i], model[i], summary[i], callgraph[i]],
+        })
+        .collect()
+}
+
+/// Per-layer exponents against depth between adjacent depths.
+fn depth_exponents(results: &[DepthResult]) -> Vec<(usize, usize, [f64; 4])> {
+    results
+        .windows(2)
+        .map(|w| {
+            let per_layer = std::array::from_fn(|l| {
+                exponent(
+                    (w[0].config.depth, w[0].layers[l]),
+                    (w[1].config.depth, w[1].layers[l]),
+                )
+            });
+            (w[0].config.depth, w[1].config.depth, per_layer)
+        })
+        .collect()
+}
+
 /// log(t2/t1) / log(n2/n1): the empirical scaling exponent between two
 /// measurements.
 fn exponent(small: (usize, Duration), large: (usize, Duration)) -> f64 {
@@ -175,7 +301,7 @@ fn exponent(small: (usize, Duration), large: (usize, Duration)) -> f64 {
     dt / dn
 }
 
-fn render_json(results: &[SizeResult], samples: usize) -> String {
+fn render_json(results: &[SizeResult], deep: &[DepthResult], samples: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"suite\": \"ddm-benchmarks scale generator\",\n");
@@ -228,11 +354,38 @@ fn render_json(results: &[SizeResult], samples: usize) -> String {
                 if w[1].name == results.last().unwrap().name { "\n" } else { ",\n" }
             ));
         }
-        out.push_str("  ]\n");
-    } else {
-        out.push('\n');
+        out.push_str("  ]");
     }
-    out.push_str("}\n");
+    out.push_str(",\n  \"depth_axis\": [\n");
+    for (i, r) in deep.iter().enumerate() {
+        let c = &r.config;
+        out.push_str(&format!(
+            "    {{\"name\": \"depth{}\", \"functions\": {}, \"config\": {{\"chains\": {}, \"depth\": {}, \"methods_per_class\": {}, \"members_per_class\": {}, \"rungs\": {}}},\n     ",
+            c.depth, r.functions, c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
+        ));
+        let layers: Vec<String> = DEPTH_LAYERS
+            .iter()
+            .zip(r.layers)
+            .map(|(layer, t)| format!("\"{layer}_ns\": {}", t.as_nanos()))
+            .collect();
+        out.push_str(&layers.join(", "));
+        out.push_str(if i + 1 < deep.len() { "},\n" } else { "}\n" });
+    }
+    out.push_str("  ],\n  \"depth_exponents\": [\n");
+    let exponents = depth_exponents(deep);
+    for (i, (from, to, per_layer)) in exponents.iter().enumerate() {
+        let layers: Vec<String> = DEPTH_LAYERS
+            .iter()
+            .zip(per_layer)
+            .map(|(layer, e)| format!("\"{layer}\": {e:.3}"))
+            .collect();
+        out.push_str(&format!(
+            "    {{\"from\": \"depth{from}\", \"to\": \"depth{to}\", {}}}{}",
+            layers.join(", "),
+            if i + 1 < exponents.len() { ",\n" } else { "\n" }
+        ));
+    }
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -272,6 +425,7 @@ fn main() {
         .into_iter()
         .map(|(name, config)| measure(name, config, samples))
         .collect();
+    let deep = measure_depths(&depths(smoke), samples);
 
     println!(
         "{:<8} {:>8} {:>8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9}",
@@ -308,6 +462,25 @@ fn main() {
         );
     }
 
+    println!(
+        "\n{:<8} {:>8} {:>12} {:>12} {:>12} {:>12}",
+        "depth", "funcs", "parse", "model", "summary", "callgraph"
+    );
+    for r in &deep {
+        let [parse, model, summary, callgraph] = r.layers;
+        println!(
+            "{:<8} {:>8} {parse:>12.1?} {model:>12.1?} {summary:>12.1?} {callgraph:>12.1?}",
+            r.config.depth, r.functions
+        );
+    }
+    let mut worst_extraction: f64 = 0.0;
+    for (from, to, [parse, model, summary, callgraph]) in depth_exponents(&deep) {
+        worst_extraction = worst_extraction.max(summary);
+        println!(
+            "depth exponent {from} -> {to}: parse {parse:.3}, model {model:.3}, summary {summary:.3}, callgraph {callgraph:.3}"
+        );
+    }
+
     if json {
         // The smoke run measures the two smallest sizes only — keep it
         // away from the committed full-sweep BENCH_scale.json.
@@ -316,7 +489,7 @@ fn main() {
         } else {
             "BENCH_scale.json"
         };
-        std::fs::write(path, render_json(&results, samples)).expect("write scale JSON");
+        std::fs::write(path, render_json(&results, &deep, samples)).expect("write scale JSON");
         println!("wrote {path}");
     }
 
@@ -329,6 +502,10 @@ fn main() {
         assert!(
             worst_exponent <= SMOKE_EXPONENT_CEILING,
             "scaling exponent regressed: {worst_exponent:.3} > {SMOKE_EXPONENT_CEILING}"
+        );
+        assert!(
+            worst_extraction <= SMOKE_DEPTH_EXPONENT_CEILING,
+            "summary extraction grows as depth^{worst_extraction:.3} > depth^{SMOKE_DEPTH_EXPONENT_CEILING}"
         );
         for r in &results {
             for (label, j1, j8) in [
@@ -343,7 +520,7 @@ fn main() {
             }
         }
         println!(
-            "smoke OK in {elapsed:.1?} (ceiling {SMOKE_CEILING:?}, worst exponent {worst_exponent:.3})"
+            "smoke OK in {elapsed:.1?} (ceiling {SMOKE_CEILING:?}, worst exponent {worst_exponent:.3}, extraction depth exponent {worst_extraction:.3})"
         );
     }
 }

@@ -66,6 +66,8 @@ pub enum ParseErrorKind {
     Duplicate(String),
     /// A construct the subset deliberately does not support.
     Unsupported(String),
+    /// Statements or expressions nested deeper than the given limit.
+    NestingTooDeep(usize),
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -81,6 +83,9 @@ impl fmt::Display for ParseErrorKind {
             }
             ParseErrorKind::Duplicate(name) => write!(f, "duplicate definition of `{name}`"),
             ParseErrorKind::Unsupported(what) => write!(f, "unsupported construct: {what}"),
+            ParseErrorKind::NestingTooDeep(limit) => {
+                write!(f, "nesting exceeds the maximum depth of {limit}")
+            }
         }
     }
 }

@@ -41,6 +41,6 @@ pub mod token;
 
 pub use ast::TranslationUnit;
 pub use diag::{ParseError, ParseErrorKind};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING_DEPTH};
 pub use pretty::{print_expr, print_stmt, print_unit};
 pub use span::{LineCol, SourceMap, SourceSet, Span};

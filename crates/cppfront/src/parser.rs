@@ -30,10 +30,20 @@ pub fn parse(src: &str) -> Result<TranslationUnit, ParseError> {
     Parser::new(tokens).parse_unit()
 }
 
+/// The deepest nesting the parser accepts, clang's default
+/// `-fbracket-depth`. One level is a statement, an assignment expression
+/// (so each parenthesis, call argument and `?:` branch), or a prefix
+/// operator, cast, `sizeof` or `delete` applied to an operand. Deeper
+/// input fails with [`ParseErrorKind::NestingTooDeep`] instead of
+/// exhausting the stack of the recursive descent.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     type_names: HashSet<String>,
+    /// Current nesting level, bounded by [`MAX_NESTING_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -54,7 +64,25 @@ impl Parser {
             tokens,
             pos: 0,
             type_names,
+            depth: 0,
         }
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(ParseError::new(
+                ParseErrorKind::NestingTooDeep(MAX_NESTING_DEPTH),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     // ----- token helpers -------------------------------------------------
@@ -856,6 +884,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::parse_stmt_here)
+    }
+
+    fn parse_stmt_here(&mut self) -> Result<Stmt, ParseError> {
         let start = self.span();
         let kind = match self.peek() {
             TokenKind::Punct(Punct::LBrace) => StmtKind::Block(self.parse_block()?),
@@ -1094,6 +1126,10 @@ impl Parser {
     }
 
     fn parse_assign_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::parse_assign_expr_here)
+    }
+
+    fn parse_assign_expr_here(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.parse_cond_expr()?;
         let op = match self.peek() {
             TokenKind::Punct(Punct::Eq) => AssignOp::Assign,
@@ -1246,7 +1282,7 @@ impl Parser {
                     }
                 }
             }
-            let operand = self.parse_unary_expr()?;
+            let operand = self.nested(Self::parse_unary_expr)?;
             let span = start.to(operand.span);
             return Ok(Expr::new(
                 ExprKind::Unary {
@@ -1268,7 +1304,7 @@ impl Parser {
                         start.to(self.prev_span()),
                     ))
                 } else {
-                    let operand = self.parse_unary_expr()?;
+                    let operand = self.nested(Self::parse_unary_expr)?;
                     let span = start.to(operand.span);
                     Ok(Expr::new(ExprKind::SizeofExpr(Box::new(operand)), span))
                 }
@@ -1318,7 +1354,7 @@ impl Parser {
                 } else {
                     false
                 };
-                let operand = self.parse_unary_expr()?;
+                let operand = self.nested(Self::parse_unary_expr)?;
                 let span = start.to(operand.span);
                 Ok(Expr::new(
                     ExprKind::Delete {
@@ -1362,7 +1398,7 @@ impl Parser {
                 self.bump();
                 let ty = self.parse_type()?;
                 self.expect_punct(Punct::RParen)?;
-                let operand = self.parse_unary_expr()?;
+                let operand = self.nested(Self::parse_unary_expr)?;
                 let span = start.to(operand.span);
                 Ok(Expr::new(
                     ExprKind::Cast {
@@ -2072,5 +2108,64 @@ mod out_of_line_tests {
         )
         .expect("parse");
         assert!(tu.class("Node").unwrap().methods[0].body.is_some());
+    }
+
+    /// One statement per nesting shape, each nested `depth` levels.
+    fn nested_statements(depth: usize) -> Vec<String> {
+        let rep = |s: &str| s.repeat(depth);
+        vec![
+            format!("return {}1{};", rep("("), rep(")")),
+            format!("{};{}", rep("{ "), rep(" }")),
+            format!("{};", rep("while (a) ")),
+            format!("return {}a;", rep("-")),
+            format!("return {}a;", rep("!")),
+            format!("return {}a;", rep("(int)")),
+            format!("return {}a;", rep("sizeof ")),
+            format!("{}1;", rep("a = ")),
+            format!("return {}2;", rep("a ? 1 : ")),
+            format!("return {}1{};", rep("f("), rep(")")),
+            format!("return {}0{};", rep("p["), rep("]")),
+        ]
+    }
+
+    fn in_main(stmt: &str) -> String {
+        format!(
+            "int f(int x) {{ return x; }}\n\
+             int main() {{ int a = 0; int* p = &a; {stmt} return 0; }}"
+        )
+    }
+
+    fn assert_too_deep(src: &str) {
+        let err = parse(src).expect_err("nesting past the limit is rejected");
+        assert_eq!(
+            err.kind(),
+            &ParseErrorKind::NestingTooDeep(MAX_NESTING_DEPTH),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn nesting_below_the_limit_parses() {
+        for stmt in nested_statements(200) {
+            parse(&in_main(&stmt)).unwrap_or_else(|e| panic!("{e}: {}", &stmt[..40]));
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        for stmt in nested_statements(10_000) {
+            assert_too_deep(&in_main(&stmt));
+        }
+        // The limit is exact. The statement and its expression take two
+        // levels, each parenthesis one more.
+        let parens = |n: usize| {
+            format!(
+                "int main() {{ return {}1{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(parse(&parens(MAX_NESTING_DEPTH - 2)).is_ok());
+        assert_too_deep(&parens(MAX_NESTING_DEPTH - 1));
     }
 }

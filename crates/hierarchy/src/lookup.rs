@@ -12,7 +12,7 @@
 use crate::ids::{ClassId, FuncId, MemberRef};
 use crate::intern::Symbol;
 use crate::model::Program;
-use crate::subobject::SubobjectTree;
+use crate::subobject::{SubobjectId, SubobjectTree};
 use ddm_cppfront::ast::FunctionKind;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -116,48 +116,42 @@ impl<'p> MemberLookup<'p> {
     /// Looks up member `name` in `class` and its bases, applying the C++
     /// hiding (dominance) rule.
     ///
+    /// A name `class` declares itself is answered without building the
+    /// subobject tree; otherwise the cost is linear in the tree's size.
+    ///
     /// # Errors
     ///
     /// [`LookupError::NotFound`] if no subobject declares `name`;
     /// [`LookupError::Ambiguous`] if hiding leaves more than one candidate.
     pub fn member(&self, class: ClassId, name: &str) -> Result<Found, LookupError> {
+        // The most-derived subobject is the root of the tree, so a
+        // declaration there hides every other candidate.
+        if let Some(own) = self.declared_in(class, name) {
+            return Ok(own);
+        }
         let tree = self.tree(class);
         // Collect subobjects whose class directly declares `name`.
-        let mut found = Vec::new();
-        for (sid, node) in tree.iter() {
-            let info = self.program.class(node.class);
-            if let Some(idx) = info.members.iter().position(|m| m.name == name) {
-                found.push((sid, Found::Data(MemberRef::new(node.class, idx))));
-                continue;
+        let found: Vec<(SubobjectId, Found)> = tree
+            .iter()
+            .filter_map(|(sid, node)| self.declared_in(node.class, name).map(|f| (sid, f)))
+            .collect();
+        match found.as_slice() {
+            [] => {
+                return Err(LookupError::NotFound {
+                    class: self.program.class(class).name.clone(),
+                    name: name.to_string(),
+                })
             }
-            if let Some(&fid) = info.methods.iter().find(|&&f| {
-                let fi = self.program.function(f);
-                fi.name == name && fi.kind != FunctionKind::Constructor
-            }) {
-                found.push((
-                    sid,
-                    Found::Method {
-                        declaring: node.class,
-                        func: fid,
-                    },
-                ));
-            }
-        }
-        if found.is_empty() {
-            return Err(LookupError::NotFound {
-                class: self.program.class(class).name.clone(),
-                name: name.to_string(),
-            });
+            [(_, single)] => return Ok(*single),
+            _ => {}
         }
         // Hiding: drop a candidate if it lives in a base subobject of
-        // another candidate.
-        let survivors: Vec<&(crate::subobject::SubobjectId, Found)> = found
+        // another candidate. The tree is acyclic, so no candidate is a
+        // base subobject of itself and one pass over all of them suffices.
+        let hidden = tree.proper_bases_of(found.iter().map(|(sid, _)| *sid));
+        let survivors: Vec<&(SubobjectId, Found)> = found
             .iter()
-            .filter(|(sid, _)| {
-                !found
-                    .iter()
-                    .any(|(other, _)| other != sid && tree.is_base_subobject(*sid, *other))
-            })
+            .filter(|(sid, _)| !hidden.contains(sid.index() as u32))
             .collect();
         match survivors.as_slice() {
             [] => unreachable!("hiding cannot remove every candidate"),
@@ -180,6 +174,25 @@ impl<'p> MemberLookup<'p> {
                 }
             }
         }
+    }
+
+    /// The declaration of `name` that `class` itself makes, if any: a data
+    /// member first, then a method other than a constructor.
+    fn declared_in(&self, class: ClassId, name: &str) -> Option<Found> {
+        let info = self.program.class(class);
+        if let Some(idx) = info.members.iter().position(|m| m.name == name) {
+            return Some(Found::Data(MemberRef::new(class, idx)));
+        }
+        info.methods
+            .iter()
+            .find(|&&f| {
+                let fi = self.program.function(f);
+                fi.name == name && fi.kind != FunctionKind::Constructor
+            })
+            .map(|&func| Found::Method {
+                declaring: class,
+                func,
+            })
     }
 
     /// Looks up a data member specifically.

@@ -741,11 +741,10 @@ impl<'p> SymResolver<'p> {
                 } => {
                     let decl = self.func(decl);
                     let receiver = self.class(receiver);
-                    let name = &self.program.function(decl).name;
                     CgStep::VirtualCall(VirtualSite {
                         decl,
                         receiver,
-                        candidates: self.lookup.dispatch_candidates(receiver, name).to_vec(),
+                        candidates: self.lookup.dispatch_candidates_for(receiver, decl).to_vec(),
                         refined: refined
                             .as_ref()
                             .map(|fs| fs.iter().map(|f| self.func(f)).collect()),

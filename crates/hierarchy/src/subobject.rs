@@ -6,6 +6,7 @@
 //! per virtual base. Both member lookup (C++ dominance/hiding) and object
 //! layout are defined over this tree, so it is built once and shared.
 
+use crate::bitset::DenseBitSet;
 use crate::ids::ClassId;
 use crate::model::Program;
 use std::collections::HashMap;
@@ -157,6 +158,25 @@ impl SubobjectTree {
         }
         false
     }
+
+    /// Every subobject that is a proper base subobject of at least one of
+    /// `derived`: one DFS from all their direct bases over a single
+    /// visited set, so the cost is linear in the tree however many
+    /// sources there are. `proper_bases_of(ds).contains(b)` holds exactly
+    /// when `is_base_subobject(b, d)` holds for some `d` in `ds`.
+    pub fn proper_bases_of(&self, derived: impl IntoIterator<Item = SubobjectId>) -> DenseBitSet {
+        let mut seen = DenseBitSet::with_capacity(self.nodes.len());
+        let mut stack: Vec<SubobjectId> = derived
+            .into_iter()
+            .flat_map(|d| self.nodes[d.index()].bases.iter().copied())
+            .collect();
+        while let Some(n) = stack.pop() {
+            if seen.insert(n.0) {
+                stack.extend(self.nodes[n.index()].bases.iter().copied());
+            }
+        }
+        seen
+    }
 }
 
 #[cfg(test)]
@@ -264,5 +284,32 @@ mod tests {
             .count();
         assert_eq!(tops, 2);
         assert_eq!(t.virtual_bases().len(), 1);
+    }
+
+    #[test]
+    fn proper_bases_of_matches_pairwise_reachability() {
+        let p = program(
+            "class Top { }; class L : public virtual Top { };\n\
+             class M : public virtual Top { }; class R : public Top { };\n\
+             class D : public L, public M, public R { };\n\
+             int main() { return 0; }",
+        );
+        let t = tree_for(&p, "D");
+        let ids: Vec<SubobjectId> = t.iter().map(|(id, _)| id).collect();
+        // Every subset of sources, including the empty one.
+        for mask in 0u32..(1 << ids.len()) {
+            let sources: Vec<SubobjectId> = ids
+                .iter()
+                .copied()
+                .filter(|id| mask & (1 << id.index()) != 0)
+                .collect();
+            let marked = t.proper_bases_of(sources.iter().copied());
+            for &b in &ids {
+                let expected = sources.iter().any(|&d| t.is_base_subobject(b, d));
+                assert_eq!(marked.contains(b.0), expected, "mask {mask:b}, node {b:?}");
+            }
+        }
+        assert!(t.proper_bases_of([]).is_empty());
+        assert!(!t.proper_bases_of([t.root()]).contains(t.root().0));
     }
 }

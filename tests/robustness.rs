@@ -65,6 +65,120 @@ fn garbage_bytes_are_rejected_cleanly() {
     }
 }
 
+fn deep_parens(depth: usize) -> String {
+    format!(
+        "int main() {{ return {}1{}; }}\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    )
+}
+
+fn deep_blocks(depth: usize) -> String {
+    format!(
+        "int main() {{ int x = 1; {}x = 2;{} return x; }}\n",
+        "{ ".repeat(depth),
+        " }".repeat(depth)
+    )
+}
+
+#[test]
+fn deep_nesting_is_a_typed_parse_error_not_a_stack_overflow() {
+    use dead_data_members::cppfront::{ParseErrorKind, MAX_NESTING_DEPTH};
+    for src in [deep_parens(10_000), deep_blocks(10_000)] {
+        let err = parse(&src).expect_err("10,000 levels exceed the nesting limit");
+        assert_eq!(
+            err.kind(),
+            &ParseErrorKind::NestingTooDeep(MAX_NESTING_DEPTH)
+        );
+        let err = AnalysisPipeline::from_source(&src).expect_err("the pipeline reports it");
+        assert!(err.to_string().contains("nesting exceeds"), "{err}");
+    }
+    // Well inside the limit both shapes still analyze.
+    for src in [deep_parens(100), deep_blocks(100)] {
+        AnalysisPipeline::from_source(&src).expect("100 levels analyze");
+    }
+}
+
+#[test]
+fn serve_answers_a_deeply_nested_file_with_an_analysis_error_and_keeps_serving() {
+    use dead_data_members::analysis::{serve, ServeOptions};
+    use dead_data_members::telemetry::json;
+    let dir = std::env::temp_dir().join(format!("ddm-robust-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let write = |name: &str, src: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, src).expect("write source");
+        json::escape(&path.to_string_lossy())
+    };
+    let good = write(
+        "good.cpp",
+        "class P { public: int x; int tag; };\nint main() { P p; p.x = 1; p.tag = 2; return p.x; }\n",
+    );
+    let parens = write("parens.cpp", &deep_parens(10_000));
+    let blocks = write("blocks.cpp", &deep_blocks(10_000));
+    let analyze = |file: &str| format!("{{\"cmd\":\"analyze\",\"files\":[\"{file}\"]}}");
+    let requests = [
+        analyze(&good),
+        analyze(&parens),
+        "{\"cmd\":\"report\"}".to_string(),
+        analyze(&blocks),
+        "{\"cmd\":\"epoch\"}".to_string(),
+        "{\"cmd\":\"report\"}".to_string(),
+        "{\"cmd\":\"shutdown\"}".to_string(),
+    ];
+    let opts = ServeOptions {
+        config: AnalysisConfig::default(),
+        algorithm: Algorithm::Rta,
+        jobs: 2,
+        engine: Engine::Summary,
+        cache_dir: None,
+        log_out: None,
+        log_filter: None,
+    };
+    let mut out: Vec<u8> = Vec::new();
+    serve(
+        &opts,
+        std::io::Cursor::new(requests.join("\n") + "\n"),
+        &mut out,
+    )
+    .expect("serve");
+    let _ = std::fs::remove_dir_all(&dir);
+    let responses: Vec<json::Value> = String::from_utf8(out)
+        .expect("utf8")
+        .lines()
+        .map(|l| json::parse(l).expect("response json"))
+        .collect();
+    assert_eq!(responses.len(), requests.len());
+    let get = |i: usize, key: &str| responses[i].get(key).cloned();
+    assert_eq!(get(0, "ok").and_then(|v| v.as_bool()), Some(true));
+    for failed in [1, 3] {
+        let r = &responses[failed];
+        assert_eq!(
+            r.get("error").and_then(|v| v.as_str()),
+            Some("analysis"),
+            "{}",
+            r.render()
+        );
+        let message = r
+            .get("message")
+            .and_then(|v| v.as_str())
+            .unwrap_or_default();
+        assert!(
+            message.contains("nesting exceeds the maximum depth of 256"),
+            "{message}"
+        );
+    }
+    // The failed builds keep epoch 1 published and answerable.
+    for query in [2, 5] {
+        assert_eq!(get(query, "ok").and_then(|v| v.as_bool()), Some(true));
+        assert_eq!(get(query, "epoch").and_then(|v| v.as_int()), Some(1));
+        let report = get(query, "output").and_then(|v| v.as_str().map(str::to_string));
+        assert!(report.unwrap_or_default().contains("DEAD tag"));
+    }
+    assert_eq!(get(4, "epoch").and_then(|v| v.as_int()), Some(1));
+    assert_eq!(get(6, "ok").and_then(|v| v.as_bool()), Some(true));
+}
+
 #[test]
 fn execution_is_deterministic_across_runs() {
     for b in dead_data_members::benchmarks::suite() {

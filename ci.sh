@@ -233,6 +233,14 @@ exec 9>&-
 wait "$serve_pid"
 rm -rf "$serve_src" "$serve_tmp"
 
+echo "== repository benchmark: perfbench builds and passes its tiny workload pass =="
+# perfbench is a package of its own (perfbench/Cargo.toml) that builds
+# against ProjectPipeline::run, serve/ServeOptions, TuModule's JSON codec
+# and AnalysisSnapshot. Its tests run a tiny pass of every workload,
+# serve_mixed included, and check the committed verdicts, so a library
+# change that breaks the benchmark fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench report: counter-baseline regression gate (hard-fail on drift) =="
 # Recomputes the 11 suite programs' deterministic counters in-process
 # and diffs them against the committed golden baselines; timings are

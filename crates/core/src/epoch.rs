@@ -4,16 +4,17 @@
 //! analysis run: the linked program, call graph, liveness, used-class
 //! set, and the run's deterministic counters, stamped with a
 //! monotonically increasing epoch id. Snapshots are plain data behind
-//! an `Arc` — no locks, no interior mutability — so any number of
-//! reader threads can answer `report`/`explain`/`stats` queries from
-//! one concurrently, and cloning the handle is a refcount bump.
+//! an `Arc` — no locks, no interior mutability — so they are
+//! `Send + Sync`: the thread that answers `report`/`explain`/`stats`
+//! queries reads one while another thread builds the next, and cloning
+//! the handle is a refcount bump.
 //!
 //! [`EpochCell`] is the single mutable point in serve mode: an
 //! `ArcSwap`-style slot (hand-rolled over `Mutex<Option<Arc<_>>>`)
 //! holding the current epoch. The builder thread constructs the next
 //! snapshot entirely off to the side and publishes it with one
-//! [`EpochCell::store`]; readers that loaded the previous `Arc` keep a
-//! fully consistent world until they drop it. No reader can ever
+//! [`EpochCell::store`]; a reader that loaded the previous `Arc` keeps a
+//! fully consistent world until it drops it. No reader can ever
 //! observe a half-built epoch, because the only shared state is the
 //! slot and the slot only ever holds finished snapshots.
 

@@ -11,7 +11,7 @@
 use crate::liveness::{LiveReason, Liveness, Origin};
 use ddm_callgraph::CallGraph;
 use ddm_hierarchy::{FuncId, MemberRef, Program};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// Why an `--explain` spec could not be answered. The two variants are
@@ -68,23 +68,26 @@ pub fn witness_path(program: &Program, callgraph: &CallGraph, target: FuncId) ->
     if !callgraph.is_reachable(target) {
         return None;
     }
-    let mut pred: HashMap<FuncId, FuncId> = HashMap::new();
+    // `pred[f]` is the function whose callees first reached `f`; `main`
+    // is its own, so `Some` also marks a function as seen.
+    let mut pred: Vec<Option<FuncId>> = vec![None; program.function_count()];
+    pred[main.index()] = Some(main);
     let mut queue = VecDeque::from([main]);
-    let mut seen: HashSet<FuncId> = HashSet::from([main]);
     while let Some(f) = queue.pop_front() {
         if f == target {
             let mut path = vec![target];
             let mut cur = target;
-            while let Some(&p) = pred.get(&cur) {
-                path.push(p);
-                cur = p;
+            while cur != main {
+                cur = pred[cur.index()].expect("a queued function has a predecessor");
+                path.push(cur);
             }
             path.reverse();
             return Some(path);
         }
         for callee in callgraph.callees(f) {
-            if seen.insert(callee) {
-                pred.insert(callee, f);
+            let slot = &mut pred[callee.index()];
+            if slot.is_none() {
+                *slot = Some(f);
                 queue.push_back(callee);
             }
         }

@@ -86,8 +86,9 @@ impl Error for ProjectError {
 /// Since the epoch refactor this is a thin handle over an immutable
 /// [`EpochSnapshot`] behind an `Arc`: one-shot callers keep the same
 /// accessor surface they always had, while serve mode takes the
-/// snapshot itself ([`ProjectPipeline::snapshot`]) and shares it across
-/// reader threads.
+/// snapshot itself ([`ProjectPipeline::snapshot`]) and publishes it
+/// from the builder thread to the protocol thread that answers
+/// queries.
 #[derive(Debug)]
 pub struct ProjectPipeline {
     snapshot: Arc<EpochSnapshot>,

@@ -25,16 +25,21 @@
 //! from; a query that lands during a background rebuild is served from
 //! the previous epoch and tagged with that epoch's id.
 //!
-//! Threading: N reader threads answer queries from the current
-//! [`EpochSnapshot`](crate::EpochSnapshot) via the [`EpochCell`] swap
-//! cell (the only shared
-//! mutable point, locked for a refcount bump only); one builder thread
-//! consumes change notifications, re-reads the files, runs the
-//! incremental [`ProjectPipeline`] path (snapshot probe → link delta →
-//! fixpoint replay or re-solve) with a **fresh telemetry handle per
-//! epoch**, and publishes the next epoch atomically. Readers are never
-//! blocked by a rebuild. A writer thread reorders responses by request
-//! sequence number so concurrent readers cannot interleave output.
+//! Threading: two threads. The protocol thread reads a request, answers
+//! it, and writes and flushes the response line before it reads the
+//! next one; queries render on it from the current
+//! [`EpochSnapshot`](crate::EpochSnapshot), loaded from the
+//! [`EpochCell`] swap cell (the only shared mutable point, locked for a
+//! refcount bump only). The builder thread consumes change
+//! notifications, re-reads the files, runs the incremental
+//! [`ProjectPipeline`] path (snapshot probe → link delta → fixpoint
+//! replay or re-solve) with a **fresh telemetry handle per epoch**, and
+//! publishes the next epoch atomically, so queries are never blocked by
+//! a background rebuild. A rebuild that panics is caught on the builder
+//! thread and reported like a failed one; the previous epoch stays
+//! published. Because a response is written before the next request is
+//! read, a client that pipelines requests must read responses as it
+//! writes them.
 //!
 //! Each epoch's flight-recorder events are drained to `--log-out`
 //! (appended, with an `epoch_published` marker per epoch) when the
@@ -48,12 +53,12 @@ use crate::pipeline::Engine;
 use crate::project::ProjectPipeline;
 use ddm_callgraph::Algorithm;
 use ddm_telemetry::{json, EventClass, Telemetry};
-use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Configuration for one [`serve`] session (the analysis knobs the CLI
@@ -64,8 +69,7 @@ pub struct ServeOptions {
     pub config: AnalysisConfig,
     /// Call-graph builder.
     pub algorithm: Algorithm,
-    /// Worker count: sizes the analysis pool *and* the query reader
-    /// pool.
+    /// Worker count of each rebuild's analysis pool.
     pub jobs: usize,
     /// Analysis engine (only [`Engine::Summary`] consults the cache).
     pub engine: Engine,
@@ -80,13 +84,13 @@ pub struct ServeOptions {
 }
 
 /// A query answerable from the published snapshot alone.
-enum Query {
+enum Query<'r> {
     Report,
-    Explain(String),
+    Explain(&'r str),
     Stats,
 }
 
-impl Query {
+impl Query<'_> {
     fn cmd(&self) -> &'static str {
         match self {
             Query::Report => "report",
@@ -97,8 +101,8 @@ impl Query {
 }
 
 /// One rebuild request for the builder thread. `done` is present for
-/// synchronous requests (`analyze`, `notify` with `wait`): the main
-/// loop blocks on it so the response carries the new epoch.
+/// synchronous requests (`analyze`, `notify` with `wait`): the protocol
+/// thread blocks on it so the response carries the new epoch.
 struct BuildJob {
     files: Vec<String>,
     done: Option<Sender<Result<u64, String>>>,
@@ -114,8 +118,7 @@ struct BuildInfo {
     error: Option<String>,
 }
 
-/// State shared between the main loop, the reader pool, and the
-/// builder.
+/// State shared between the protocol thread and the builder thread.
 struct Shared {
     cell: EpochCell,
     /// Last published epoch id (0 = nothing published).
@@ -186,6 +189,10 @@ fn run_build(opts: &ServeOptions, files: &[String], shared: &Shared) -> Result<u
             std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
         inputs.push((file.clone(), source));
     }
+    #[cfg(test)]
+    if inputs.iter().any(|(_, source)| source.contains(tests::PANIC_MARKER)) {
+        panic!("source contains {}", tests::PANIC_MARKER);
+    }
     let telemetry = Telemetry::configured(opts.log_out.is_some(), false);
     let epoch = shared.epoch.load(Ordering::SeqCst) + 1;
     let started = Instant::now();
@@ -231,6 +238,24 @@ fn run_build(opts: &ServeOptions, files: &[String], shared: &Shared) -> Result<u
     Ok(epoch)
 }
 
+/// [`run_build`], with a panic turned into an error. Nothing is
+/// published until the build has finished, so a panic leaves the
+/// previous epoch in place.
+fn run_build_isolated(
+    opts: &ServeOptions,
+    files: &[String],
+    shared: &Shared,
+) -> Result<u64, String> {
+    catch_unwind(AssertUnwindSafe(|| run_build(opts, files, shared))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err(format!("rebuild panicked: {message}"))
+    })
+}
+
 /// Whether a request's `wait` field asks for a synchronous rebuild
 /// (`"wait":1` and `"wait":true` both count).
 fn wants_wait(request: &json::Value) -> bool {
@@ -240,13 +265,47 @@ fn wants_wait(request: &json::Value) -> bool {
     }
 }
 
+/// The error response for a `notify` that cannot be queued, or `None`
+/// when every file it names is part of the analyzed set.
+fn notify_rejection(shared: &Shared, files: &[String], request: &json::Value) -> Option<String> {
+    if shared.epoch.load(Ordering::SeqCst) == 0 {
+        return Some(error_line("notify", "no_epoch", NO_EPOCH_MSG));
+    }
+    let Some(changed) = request.get("changed").and_then(json::Value::as_arr) else {
+        return Some(error_line(
+            "notify",
+            "bad_request",
+            "notify needs a changed array",
+        ));
+    };
+    let unknown = changed.iter().find_map(|v| match v.as_str() {
+        Some(name) if files.iter().any(|f| f == name) => None,
+        Some(name) => Some(name.to_string()),
+        None => Some("<non-string entry>".to_string()),
+    })?;
+    Some(error_line(
+        "notify",
+        "bad_request",
+        &format!("changed file '{unknown}' is not part of the analyzed set"),
+    ))
+}
+
+/// Writes one response line and flushes it to the client.
+fn respond(output: &mut impl Write, mut line: String) -> Result<(), String> {
+    line.push('\n');
+    output
+        .write_all(line.as_bytes())
+        .and_then(|()| output.flush())
+        .map_err(|e| format!("response write failed: {e}"))
+}
+
 /// Runs the daemon until `shutdown` or EOF on `input`. See the module
 /// docs for the protocol.
 ///
 /// # Errors
 ///
-/// Only transport failures (a read error on `input`, every response
-/// consumer gone) — protocol-level problems are answered as
+/// Only transport failures (a read error on `input`, a write error on
+/// `output`) — protocol-level problems are answered as
 /// `{"ok":false,...}` response lines, and build failures leave the
 /// previous epoch published.
 pub fn serve(
@@ -265,58 +324,15 @@ pub fn serve(
         last_build: Mutex::new(BuildInfo::default()),
     };
     let shared = &shared;
-
-    let (write_tx, write_rx) = channel::<(u64, String)>();
-    let (query_tx, query_rx) = channel::<(u64, Query)>();
     let (build_tx, build_rx) = channel::<BuildJob>();
-    let query_rx = Arc::new(Mutex::new(query_rx));
 
     std::thread::scope(|scope| -> Result<(), String> {
-        // Writer: reorders responses by sequence number so the output
-        // order is the request order no matter which reader finished
-        // first.
-        scope.spawn(move || {
-            let mut output = output;
-            let mut next = 0u64;
-            let mut pending: BTreeMap<u64, String> = BTreeMap::new();
-            while let Ok((seq, line)) = write_rx.recv() {
-                pending.insert(seq, line);
-                let mut wrote = false;
-                while let Some(line) = pending.remove(&next) {
-                    let _ = output.write_all(line.as_bytes());
-                    let _ = output.write_all(b"\n");
-                    next += 1;
-                    wrote = true;
-                }
-                if wrote {
-                    let _ = output.flush();
-                }
-            }
-            let _ = output.flush();
-        });
-
-        // Reader pool: pull queries off the shared channel, answer from
-        // the published snapshot, never touch the builder.
-        for _ in 0..opts.jobs.max(1) {
-            let query_rx = Arc::clone(&query_rx);
-            let write_tx = write_tx.clone();
-            scope.spawn(move || loop {
-                let job = query_rx.lock().expect("query channel poisoned").recv();
-                let Ok((seq, query)) = job else {
-                    break;
-                };
-                if write_tx.send((seq, answer_query(shared, &query))).is_err() {
-                    break;
-                }
-            });
-        }
-
         // Builder: the only thread that runs the pipeline or stores the
         // cell. Processes jobs in order; each success publishes the
         // next epoch.
         scope.spawn(move || {
             while let Ok(job) = build_rx.recv() {
-                let result = run_build(opts, &job.files, shared);
+                let result = run_build_isolated(opts, &job.files, shared);
                 if let Err(e) = &result {
                     shared.last_build.lock().expect("build info poisoned").error =
                         Some(e.clone());
@@ -328,22 +344,20 @@ pub fn serve(
             }
         });
 
-        let mut seq = 0u64;
+        let mut output = output;
         let mut files: Vec<String> = Vec::new();
-        let respond = |seq: u64, line: String| -> Result<(), String> {
-            write_tx
-                .send((seq, line))
-                .map_err(|_| "response writer gone".to_string())
-        };
-        let build = |files: Vec<String>| -> Result<Result<u64, String>, String> {
-            let (done_tx, done_rx) = channel();
+        let queue = |files: &[String], done: Option<Sender<Result<u64, String>>>| {
             shared.pending_builds.fetch_add(1, Ordering::SeqCst);
             build_tx
                 .send(BuildJob {
-                    files,
-                    done: Some(done_tx),
+                    files: files.to_vec(),
+                    done,
                 })
-                .map_err(|_| "builder gone".to_string())?;
+                .map_err(|_| "builder gone".to_string())
+        };
+        let build = |files: &[String]| -> Result<Result<u64, String>, String> {
+            let (done_tx, done_rx) = channel();
+            queue(files, Some(done_tx))?;
             done_rx.recv().map_err(|_| "builder gone".to_string())
         };
 
@@ -353,26 +367,20 @@ pub fn serve(
             if trimmed.is_empty() {
                 continue;
             }
-            let this_seq = seq;
-            seq += 1;
             let request = match json::parse(trimmed) {
                 Ok(v) => v,
                 Err(e) => {
-                    respond(
-                        this_seq,
-                        error_line("?", "bad_request", &format!("invalid request JSON: {e}")),
-                    )?;
+                    let message = format!("invalid request JSON: {e}");
+                    respond(&mut output, error_line("?", "bad_request", &message))?;
                     continue;
                 }
             };
             let Some(cmd) = request.get("cmd").and_then(json::Value::as_str) else {
-                respond(
-                    this_seq,
-                    error_line("?", "bad_request", "request needs a string cmd field"),
-                )?;
+                let message = "request needs a string cmd field";
+                respond(&mut output, error_line("?", "bad_request", message))?;
                 continue;
             };
-            match cmd {
+            let response = match cmd {
                 "analyze" => {
                     let listed: Option<Vec<String>> =
                         request.get("files").and_then(json::Value::as_arr).map(|arr| {
@@ -380,136 +388,65 @@ pub fn serve(
                                 .filter_map(|v| v.as_str().map(str::to_string))
                                 .collect()
                         });
-                    let new_files = match listed {
-                        Some(f) if !f.is_empty() => f,
-                        _ => {
-                            respond(
-                                this_seq,
-                                error_line(
-                                    "analyze",
-                                    "bad_request",
-                                    "analyze needs a non-empty files array of strings",
+                    match listed {
+                        Some(new_files) if !new_files.is_empty() => {
+                            files = new_files;
+                            match build(&files)? {
+                                Ok(epoch) => format!(
+                                    "{{\"ok\":true,\"cmd\":\"analyze\",\"epoch\":{epoch},\"tus\":{}}}",
+                                    files.len()
                                 ),
-                            )?;
-                            continue;
+                                Err(msg) => error_line("analyze", "analysis", &msg),
+                            }
                         }
-                    };
-                    files = new_files;
-                    let response = match build(files.clone())? {
-                        Ok(epoch) => format!(
-                            "{{\"ok\":true,\"cmd\":\"analyze\",\"epoch\":{epoch},\"tus\":{}}}",
-                            files.len()
+                        _ => error_line(
+                            "analyze",
+                            "bad_request",
+                            "analyze needs a non-empty files array of strings",
                         ),
-                        Err(msg) => error_line("analyze", "analysis", &msg),
-                    };
-                    respond(this_seq, response)?;
+                    }
                 }
                 "notify" => {
-                    if shared.epoch.load(Ordering::SeqCst) == 0 {
-                        respond(this_seq, error_line("notify", "no_epoch", NO_EPOCH_MSG))?;
-                        continue;
-                    }
-                    let Some(changed) = request.get("changed").and_then(json::Value::as_arr)
-                    else {
-                        respond(
-                            this_seq,
-                            error_line("notify", "bad_request", "notify needs a changed array"),
-                        )?;
-                        continue;
-                    };
-                    let unknown = changed.iter().find_map(|v| match v.as_str() {
-                        Some(name) if files.iter().any(|f| f == name) => None,
-                        Some(name) => Some(name.to_string()),
-                        None => Some("<non-string entry>".to_string()),
-                    });
-                    if let Some(name) = unknown {
-                        respond(
-                            this_seq,
-                            error_line(
-                                "notify",
-                                "bad_request",
-                                &format!("changed file '{name}' is not part of the analyzed set"),
-                            ),
-                        )?;
-                        continue;
-                    }
-                    if wants_wait(&request) {
-                        let response = match build(files.clone())? {
+                    if let Some(rejection) = notify_rejection(shared, &files, &request) {
+                        rejection
+                    } else if wants_wait(&request) {
+                        match build(&files)? {
                             Ok(epoch) => format!(
                                 "{{\"ok\":true,\"cmd\":\"notify\",\"epoch\":{epoch},\"building\":false}}"
                             ),
                             Err(msg) => error_line("notify", "analysis", &msg),
-                        };
-                        respond(this_seq, response)?;
+                        }
                     } else {
-                        shared.pending_builds.fetch_add(1, Ordering::SeqCst);
-                        build_tx
-                            .send(BuildJob {
-                                files: files.clone(),
-                                done: None,
-                            })
-                            .map_err(|_| "builder gone".to_string())?;
+                        queue(&files, None)?;
                         let epoch = shared.epoch.load(Ordering::SeqCst);
-                        respond(
-                            this_seq,
-                            format!(
-                                "{{\"ok\":true,\"cmd\":\"notify\",\"epoch\":{epoch},\"building\":true}}"
-                            ),
-                        )?;
+                        format!("{{\"ok\":true,\"cmd\":\"notify\",\"epoch\":{epoch},\"building\":true}}")
                     }
                 }
-                "report" => {
-                    query_tx
-                        .send((this_seq, Query::Report))
-                        .map_err(|_| "reader pool gone".to_string())?;
-                }
-                "explain" => {
-                    let Some(member) = request.get("member").and_then(json::Value::as_str) else {
-                        respond(
-                            this_seq,
-                            error_line(
-                                "explain",
-                                "bad_request",
-                                "explain needs a member field (\"Class::member\")",
-                            ),
-                        )?;
-                        continue;
-                    };
-                    query_tx
-                        .send((this_seq, Query::Explain(member.to_string())))
-                        .map_err(|_| "reader pool gone".to_string())?;
-                }
-                "stats" => {
-                    query_tx
-                        .send((this_seq, Query::Stats))
-                        .map_err(|_| "reader pool gone".to_string())?;
-                }
-                "epoch" => {
-                    respond(this_seq, epoch_response(shared))?;
-                }
+                "report" => answer_query(shared, &Query::Report),
+                "stats" => answer_query(shared, &Query::Stats),
+                "explain" => match request.get("member").and_then(json::Value::as_str) {
+                    Some(member) => answer_query(shared, &Query::Explain(member)),
+                    None => error_line(
+                        "explain",
+                        "bad_request",
+                        "explain needs a member field (\"Class::member\")",
+                    ),
+                },
+                "epoch" => epoch_response(shared),
                 "shutdown" => {
                     let epoch = shared.epoch.load(Ordering::SeqCst);
-                    respond(
-                        this_seq,
-                        format!("{{\"ok\":true,\"cmd\":\"shutdown\",\"epoch\":{epoch}}}"),
-                    )?;
+                    let ack = format!("{{\"ok\":true,\"cmd\":\"shutdown\",\"epoch\":{epoch}}}");
+                    respond(&mut output, ack)?;
                     break;
                 }
-                other => {
-                    respond(
-                        this_seq,
-                        error_line(other, "bad_request", &format!("unknown cmd '{other}'")),
-                    )?;
-                }
-            }
+                other => error_line(other, "bad_request", &format!("unknown cmd '{other}'")),
+            };
+            respond(&mut output, response)?;
         }
 
-        // Closing the channels retires the pool, the builder, and then
-        // the writer (whose last sender is a reader's clone); the scope
-        // joins them all before returning.
-        drop(query_tx);
+        // Closing the channel retires the builder once its queue is
+        // empty; the scope joins it before returning.
         drop(build_tx);
-        drop(write_tx);
         Ok(())
     })
 }
@@ -517,7 +454,10 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
+
+    /// A source containing this text makes [`run_build`] panic.
+    pub(super) const PANIC_MARKER: &str = "ddm-serve-test-panic";
 
     fn temp_project(tag: &str) -> (std::path::PathBuf, Vec<String>) {
         let dir = std::env::temp_dir().join(format!("ddm-serve-{tag}-{}", std::process::id()));
@@ -723,6 +663,66 @@ mod tests {
             Some(1),
             "the rebuild must warm-start from the analysis snapshot"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_rebuild_is_an_analysis_error_and_keeps_the_previous_epoch() {
+        let (dir, files) = temp_project("panic");
+        let opts = default_opts();
+        let file_list = files
+            .iter()
+            .map(|f| format!("\"{}\"", json::escape(f)))
+            .collect::<Vec<_>>()
+            .join(",");
+        let notify = format!(
+            "{{\"cmd\":\"notify\",\"changed\":[\"{}\"],\"wait\":1}}",
+            json::escape(&files[1])
+        );
+        let clean = std::fs::read_to_string(&files[1]).expect("read lib");
+        // The pipes live inside the scope, so a failed assertion closes
+        // the request pipe and the daemon exits before the scope joins it.
+        std::thread::scope(|scope| {
+            let (req_rx, mut req_tx) = std::io::pipe().expect("request pipe");
+            let (resp_rx, resp_tx) = std::io::pipe().expect("response pipe");
+            let daemon = scope.spawn(|| serve(&opts, BufReader::new(req_rx), resp_tx));
+            let mut responses = BufReader::new(resp_rx);
+            let mut call = |request: &str| -> json::Value {
+                writeln!(req_tx, "{request}").expect("send request");
+                let mut line = String::new();
+                responses.read_line(&mut line).expect("read response");
+                json::parse(line.trim()).expect("response json")
+            };
+
+            let analyzed = call(&format!("{{\"cmd\":\"analyze\",\"files\":[{file_list}]}}"));
+            assert_eq!(field(&analyzed, "epoch").as_int(), Some(1));
+            let report = call("{\"cmd\":\"report\"}");
+            let epoch1_report = field(&report, "output").as_str().expect("output").to_string();
+
+            std::fs::write(&files[1], format!("{clean}// {PANIC_MARKER}\n")).expect("mark");
+            let failed = call(&notify);
+            assert_eq!(field(&failed, "ok").as_bool(), Some(false), "{}", failed.render());
+            assert_eq!(field(&failed, "error").as_str(), Some("analysis"));
+            let message = field(&failed, "message").as_str().expect("message");
+            assert!(message.starts_with("rebuild panicked: "), "{message}");
+            let status = call("{\"cmd\":\"epoch\"}");
+            assert_eq!(field(&status, "epoch").as_int(), Some(1));
+            assert_eq!(field(&status, "building").as_bool(), Some(false));
+            assert_eq!(field(&status, "last_error").as_str(), Some(message));
+            let report = call("{\"cmd\":\"report\"}");
+            assert_eq!(field(&report, "epoch").as_int(), Some(1));
+            assert_eq!(field(&report, "output").as_str(), Some(epoch1_report.as_str()));
+
+            std::fs::write(&files[1], &clean).expect("unmark");
+            let rebuilt = call(&notify);
+            assert_eq!(field(&rebuilt, "ok").as_bool(), Some(true), "{}", rebuilt.render());
+            assert_eq!(field(&rebuilt, "epoch").as_int(), Some(2));
+            let status = call("{\"cmd\":\"epoch\"}");
+            assert!(status.get("last_error").is_none(), "{}", status.render());
+
+            call("{\"cmd\":\"shutdown\"}");
+            daemon.join().expect("daemon thread").expect("serve");
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

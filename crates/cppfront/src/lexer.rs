@@ -31,7 +31,7 @@ impl<'a> Lexer<'a> {
     ///
     /// Returns a [`ParseError`] for unterminated comments/literals and
     /// unrecognised characters.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, ParseError> {
+    pub fn tokenize(mut self) -> Result<Vec<Token<'a>>, ParseError> {
         let mut out = Vec::new();
         loop {
             let tok = self.next_token()?;
@@ -94,7 +94,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Token, ParseError> {
+    fn next_token(&mut self) -> Result<Token<'a>, ParseError> {
         self.skip_trivia()?;
         let lo = self.pos as u32;
         if self.pos >= self.bytes.len() {
@@ -121,7 +121,7 @@ impl<'a> Lexer<'a> {
         })
     }
 
-    fn lex_ident_or_keyword(&mut self) -> TokenKind {
+    fn lex_ident_or_keyword(&mut self) -> TokenKind<'a> {
         let start = self.pos;
         while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' {
             self.pos += 1;
@@ -129,11 +129,11 @@ impl<'a> Lexer<'a> {
         let text = &self.src[start..self.pos];
         match Keyword::from_str(text) {
             Some(kw) => TokenKind::Keyword(kw),
-            None => TokenKind::Ident(text.to_string()),
+            None => TokenKind::Ident(text),
         }
     }
 
-    fn lex_number(&mut self, lo: u32) -> Result<TokenKind, ParseError> {
+    fn lex_number(&mut self, lo: u32) -> Result<TokenKind<'a>, ParseError> {
         let start = self.pos;
         if self.peek() == b'0' && (self.peek2() == b'x' || self.peek2() == b'X') {
             self.pos += 2;
@@ -225,7 +225,7 @@ impl<'a> Lexer<'a> {
         })
     }
 
-    fn lex_char(&mut self, lo: u32) -> Result<TokenKind, ParseError> {
+    fn lex_char(&mut self, lo: u32) -> Result<TokenKind<'a>, ParseError> {
         self.pos += 1; // opening quote
         let c = match self.peek() {
             0 => {
@@ -250,7 +250,7 @@ impl<'a> Lexer<'a> {
         Ok(TokenKind::CharLit(c))
     }
 
-    fn lex_string(&mut self, lo: u32) -> Result<TokenKind, ParseError> {
+    fn lex_string(&mut self, lo: u32) -> Result<TokenKind<'a>, ParseError> {
         self.pos += 1; // opening quote
         let mut out = String::new();
         loop {
@@ -274,7 +274,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_punct(&mut self, lo: u32) -> Result<TokenKind, ParseError> {
+    fn lex_punct(&mut self, lo: u32) -> Result<TokenKind<'a>, ParseError> {
         use Punct::*;
         let (p, len) = match (self.peek(), self.peek2(), self.peek3()) {
             (b'<', b'<', b'=') => (ShlEq, 3),
@@ -342,7 +342,7 @@ impl<'a> Lexer<'a> {
 /// # Errors
 ///
 /// Propagates any lexical error (see [`Lexer::tokenize`]).
-pub fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
+pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
     Lexer::new(src).tokenize()
 }
 
@@ -350,7 +350,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         tokenize(src)
             .expect("lex failure")
             .into_iter()
@@ -364,7 +364,7 @@ mod tests {
             kinds("class Foo"),
             vec![
                 TokenKind::Keyword(Keyword::Class),
-                TokenKind::Ident("Foo".into()),
+                TokenKind::Ident("Foo"),
                 TokenKind::Eof
             ]
         );
@@ -391,9 +391,9 @@ mod tests {
         assert_eq!(
             kinds("a.b"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Punct(Punct::Dot),
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Eof
             ]
         );
@@ -435,8 +435,8 @@ mod tests {
         assert_eq!(
             kinds("a // comment\n/* block\nmore */ b"),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
                 TokenKind::Eof
             ]
         );

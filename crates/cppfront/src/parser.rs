@@ -38,16 +38,16 @@ pub fn parse(src: &str) -> Result<TranslationUnit, ParseError> {
 /// exhausting the stack of the recursive descent.
 pub const MAX_NESTING_DEPTH: usize = 256;
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
-    type_names: HashSet<String>,
+    type_names: HashSet<&'a str>,
     /// Current nesting level, bounded by [`MAX_NESTING_DEPTH`].
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Token<'a>>) -> Self {
         let mut type_names = HashSet::new();
         // Pre-scan so classes may reference each other regardless of order.
         for w in tokens.windows(2) {
@@ -55,8 +55,8 @@ impl Parser {
                 Keyword::Class | Keyword::Struct | Keyword::Union | Keyword::Enum,
             ) = w[0].kind
             {
-                if let TokenKind::Ident(name) = &w[1].kind {
-                    type_names.insert(name.clone());
+                if let TokenKind::Ident(name) = w[1].kind {
+                    type_names.insert(name);
                 }
             }
         }
@@ -87,11 +87,11 @@ impl Parser {
 
     // ----- token helpers -------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
     }
 
-    fn peek_at(&self, n: usize) -> &TokenKind {
+    fn peek_at(&self, n: usize) -> &TokenKind<'a> {
         &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
     }
 
@@ -103,7 +103,7 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
-    fn bump(&mut self) -> TokenKind {
+    fn bump(&mut self) -> TokenKind<'a> {
         let kind = self.tokens[self.pos.min(self.tokens.len() - 1)]
             .kind
             .clone();
@@ -147,8 +147,8 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
+        match *self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
                 Ok(name)
@@ -255,7 +255,7 @@ impl Parser {
             _ => unreachable!("caller checked the keyword"),
         };
         let name = self.expect_ident()?;
-        self.type_names.insert(name.clone());
+        self.type_names.insert(name);
         if self.eat_punct(Punct::Semi) {
             return Ok(None); // forward declaration
         }
@@ -286,7 +286,7 @@ impl Parser {
                 }
                 let base_name = self.expect_ident()?;
                 bases.push(BaseSpecifier {
-                    name: base_name,
+                    name: base_name.to_string(),
                     is_virtual,
                     access,
                     span: base_start.to(self.prev_span()),
@@ -314,13 +314,13 @@ impl Parser {
                 self.expect_punct(Punct::Colon)?;
                 access = Access::Private;
             } else {
-                self.parse_member(&name, access, &mut data_members, &mut methods)?;
+                self.parse_member(name, access, &mut data_members, &mut methods)?;
             }
         }
         self.expect_punct(Punct::RBrace)?;
         self.expect_punct(Punct::Semi)?;
         Ok(Some(ClassDecl {
-            name,
+            name: name.to_string(),
             kind,
             bases,
             data_members,
@@ -367,7 +367,7 @@ impl Parser {
 
         // Constructor: `ClassName ( ... )`.
         if let TokenKind::Ident(id) = self.peek() {
-            if id == class_name && self.peek_at(1).is_punct(Punct::LParen) {
+            if *id == class_name && self.peek_at(1).is_punct(Punct::LParen) {
                 self.bump();
                 let params = self.parse_params()?;
                 let mut inits = Vec::new();
@@ -387,7 +387,7 @@ impl Parser {
                         }
                         self.expect_punct(Punct::RParen)?;
                         inits.push(CtorInit {
-                            name: init_name,
+                            name: init_name.to_string(),
                             args,
                             span: init_start.to(self.prev_span()),
                         });
@@ -465,7 +465,7 @@ impl Parser {
         let start = self.span();
         self.bump(); // `enum`
         let name = self.expect_ident()?;
-        self.type_names.insert(name.clone());
+        self.type_names.insert(name);
         self.expect_punct(Punct::LBrace)?;
         let mut variants = Vec::new();
         let mut next_value = 0i64;
@@ -478,7 +478,7 @@ impl Parser {
                     _ => return Err(self.unexpected("integer enumerator value")),
                 }
             }
-            variants.push((vname, next_value));
+            variants.push((vname.to_string(), next_value));
             next_value += 1;
             if !self.eat_punct(Punct::Comma) {
                 break;
@@ -487,7 +487,7 @@ impl Parser {
         self.expect_punct(Punct::RBrace)?;
         self.expect_punct(Punct::Semi)?;
         Ok(EnumDecl {
-            name,
+            name: name.to_string(),
             variants,
             span: start.to(self.prev_span()),
         })
@@ -508,7 +508,7 @@ impl Parser {
             if self.peek_at(1).is_punct(Punct::ColonColon)
                 && matches!(self.peek_at(2), TokenKind::Ident(_))
             {
-                let class_name = class_name.clone();
+                let class_name = class_name.to_string();
                 self.bump();
                 self.bump();
                 let method_name = self.expect_ident()?;
@@ -518,7 +518,7 @@ impl Parser {
                 out_of_line.push((
                     class_name,
                     FunctionDecl {
-                        name: method_name,
+                        name: method_name.to_string(),
                         kind: FunctionKind::Method,
                         is_virtual: false,
                         ret: base_ty,
@@ -706,7 +706,7 @@ impl Parser {
                 }
                 _ => TypeKind::Int,
             },
-            TokenKind::Ident(name) => TypeKind::Named(name),
+            TokenKind::Ident(name) => TypeKind::Named(name.to_string()),
             _ => {
                 return Err(ParseError::new(
                     ParseErrorKind::Unexpected {
@@ -764,7 +764,7 @@ impl Parser {
                 if self.peek_at(1).is_punct(Punct::ColonColon)
                     && self.peek_at(2).is_punct(Punct::Star)
                 {
-                    let cls = cls.clone();
+                    let cls = cls.to_string();
                     self.bump();
                     self.bump();
                     self.bump();
@@ -812,10 +812,10 @@ impl Parser {
         if self.at_punct(Punct::LParen) && self.peek_at(1).is_punct(Punct::Star) {
             self.bump();
             self.bump();
-            let name = match self.peek().clone() {
+            let name = match *self.peek() {
                 TokenKind::Ident(n) => {
                     self.bump();
-                    Some(n)
+                    Some(n.to_string())
                 }
                 _ => None,
             };
@@ -844,10 +844,10 @@ impl Parser {
             let fn_ty = Type::plain(TypeKind::Function(Box::new(FnType { ret: base, params })));
             return Ok((name, fn_ty.pointer_to(), true));
         }
-        let name = match self.peek().clone() {
+        let name = match *self.peek() {
             TokenKind::Ident(n) => {
                 self.bump();
-                Some(n)
+                Some(n.to_string())
             }
             _ => None,
         };
@@ -1271,10 +1271,10 @@ impl Parser {
                 if let TokenKind::Ident(cls) = self.peek() {
                     if self.type_names.contains(cls) && self.peek_at(1).is_punct(Punct::ColonColon)
                     {
-                        let class = cls.clone();
+                        let class = cls.to_string();
                         self.bump();
                         self.bump();
-                        let member = self.expect_ident()?;
+                        let member = self.expect_ident()?.to_string();
                         return Ok(Expr::new(
                             ExprKind::PtrToMember { class, member },
                             start.to(self.prev_span()),
@@ -1481,10 +1481,10 @@ impl Parser {
                 TokenKind::Punct(Punct::Dot | Punct::Arrow) => {
                     let arrow = self.at_punct(Punct::Arrow);
                     self.bump();
-                    let first = self.expect_ident()?;
+                    let first = self.expect_ident()?.to_string();
                     let (qualifier, name) = if self.at_punct(Punct::ColonColon) {
                         self.bump();
-                        let m = self.expect_ident()?;
+                        let m = self.expect_ident()?.to_string();
                         (Some(first), m)
                     } else {
                         (None, first)
@@ -1572,7 +1572,7 @@ impl Parser {
             TokenKind::Keyword(Keyword::False) => ExprKind::BoolLit(false),
             TokenKind::Keyword(Keyword::Nullptr) => ExprKind::Null,
             TokenKind::Keyword(Keyword::This) => ExprKind::This,
-            TokenKind::Ident(name) => ExprKind::Ident(name),
+            TokenKind::Ident(name) => ExprKind::Ident(name.to_string()),
             TokenKind::Punct(Punct::LParen) => {
                 let inner = self.parse_expr()?;
                 self.expect_punct(Punct::RParen)?;

@@ -3,20 +3,21 @@
 use crate::span::Span;
 use std::fmt;
 
-/// A lexical token: a kind plus the source span it covers.
+/// A lexical token: a kind plus the source span it covers. Identifier
+/// text borrows from the source the token was lexed from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// What kind of token this is (including any literal payload).
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where in the source the token appears.
     pub span: Span,
 }
 
 /// The different kinds of tokens produced by the [lexer](crate::lexer::Lexer).
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// An identifier that is not a keyword, e.g. `foo`.
-    Ident(String),
+    Ident(&'a str),
     /// An integer literal, e.g. `42` or `0x1f`.
     IntLit(i64),
     /// A floating-point literal, e.g. `3.14`.
@@ -33,7 +34,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// True if this token is the given keyword.
     pub fn is_keyword(&self, kw: Keyword) -> bool {
         matches!(self, TokenKind::Keyword(k) if *k == kw)
@@ -253,7 +254,7 @@ mod tests {
 
     #[test]
     fn describe_is_informative() {
-        assert_eq!(TokenKind::Ident("x".into()).describe(), "identifier `x`");
+        assert_eq!(TokenKind::Ident("x").describe(), "identifier `x`");
         assert_eq!(TokenKind::Punct(Punct::Semi).describe(), "`;`");
         assert_eq!(TokenKind::Eof.describe(), "end of input");
     }

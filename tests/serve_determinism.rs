@@ -5,9 +5,9 @@
 //!
 //! The daemon is driven over real pipes: requests written one line at a
 //! time, file edits interleaved between requests, responses read back
-//! in request order (the seq-reordering writer makes that order part of
-//! the protocol). The oracle for each epoch is a fresh CLI run made at
-//! that epoch's file state:
+//! in request order (the daemon answers each request before it reads
+//! the next, so that order is part of the protocol). The oracle for
+//! each epoch is a fresh CLI run made at that epoch's file state:
 //!
 //! * `report` ↔ one-shot stdout;
 //! * `explain` ↔ one-shot `--explain` stdout;
@@ -249,9 +249,9 @@ fn serve_responses_are_byte_identical_to_oneshot_runs_across_epochs() {
             assert!(analyzed.contains("\"ok\":true"), "analyze failed: {analyzed}");
             assert_eq!(epoch_of(&analyzed), 1);
 
-            // Epoch-1 queries, including a concurrent burst: write the
-            // whole batch before reading a single response, so with
-            // jobs=8 the reader pool genuinely overlaps on one epoch.
+            // Epoch-1 queries, including a pipelined burst: write the
+            // whole batch before reading a single response, so the
+            // daemon answers it from one epoch in request order.
             let batch: Vec<String> = (0..4)
                 .flat_map(|_| {
                     [

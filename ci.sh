@@ -34,7 +34,8 @@ echo "== flight recorder: det-class byte-identity + zero-alloc when off =="
 cargo test --release --test flight_recorder
 cargo test --release --test recorder_zero_alloc
 # CLI surface: the deterministic event stream and the metrics document
-# must be byte-identical across engines x jobs, and both outputs must
+# must be byte-identical across engines (and `--jobs`, which a single TU
+# accepts and ignores), and both outputs must
 # pass the in-tree JSON validator (bench_report --validate FILE...).
 cargo run --release --bin ddm -- crates/benchmarks/programs/richards.cpp \
     --engine walk --jobs 1 --log-out /tmp/ddm_ci_w1.ndjson --log-filter det \
@@ -49,17 +50,36 @@ cargo run --release -p ddm-bench --bin bench_report -- --validate \
 rm -f /tmp/ddm_ci_w1.ndjson /tmp/ddm_ci_s8.ndjson \
     /tmp/ddm_ci_w1_metrics.json /tmp/ddm_ci_s8_metrics.json
 
-echo "== telemetry: chrome trace export (--jobs 8, one lane per worker) =="
-# The suite programs sit below the 256-function sharding thresholds and
-# run sequentially at any --jobs, so the lane check needs a generated
-# program big enough to shard eight ways (the smallest scale size).
-cargo run --release -p ddm-bench --bin bench_scale -- --emit /tmp/ddm_ci_scale.cpp \
-    > /dev/null
-cargo run --release --bin ddm -- /tmp/ddm_ci_scale.cpp \
+echo "== telemetry: chrome trace export (--jobs 8, one worker-lane span per TU) =="
+# The per-TU front end is the only step that runs on worker lanes, so
+# trace a 12-TU project: every TU must get exactly one `tu <file>` span,
+# on a lane with tid 1-8. Workers take TUs from a shared counter, so
+# which lanes end up busy is up to the scheduler and is not checked.
+trace_src=/tmp/ddm_ci_trace_src
+rm -rf "$trace_src"
+mkdir -p "$trace_src"
+protos=""
+for i in $(seq 1 11); do
+    printf 'class T%d { public: int a; int b; };\nint t%d() { T%d o; o.b = 1; return o.a; }\n' \
+        "$i" "$i" "$i" > "$trace_src/tu$(printf '%02d' "$i").cpp"
+    protos="$protos int t$i();"
+done
+printf '%s\nint main() { return t1() + t11(); }\n' "$protos" > "$trace_src/main.cpp"
+cargo run --release --bin ddm -- "$trace_src"/*.cpp \
     --jobs 8 --trace-out /tmp/ddm_ci_trace.json > /dev/null
-test -s /tmp/ddm_ci_trace.json
-grep -q '"worker-8"' /tmp/ddm_ci_trace.json
-rm -f /tmp/ddm_ci_trace.json /tmp/ddm_ci_scale.cpp
+python3 - /tmp/ddm_ci_trace.json "$trace_src"/*.cpp <<'PY'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+spans = [(e["name"], e["tid"]) for e in events
+         if e.get("ph") == "X" and e["name"].startswith("tu ")
+         and not e["name"].startswith("tu front end")]
+files = sys.argv[2:]
+assert len(spans) == len(files), f"want one tu span per TU, got {spans}"
+for f in files:
+    lanes = [tid for name, tid in spans if name == "tu " + f]
+    assert len(lanes) == 1 and 1 <= lanes[0] <= 8, f"{f}: lanes {lanes}"
+PY
+rm -rf "$trace_src" /tmp/ddm_ci_trace.json
 
 echo "== telemetry: --explain witness chains =="
 # A known-live member: the chain must reach the livening access from main.
@@ -72,10 +92,10 @@ cargo run --release --bin ddm -- crates/benchmarks/programs/idl.cpp \
 echo "== delta worklist: equivalence with the pre-change sweep =="
 cargo test --release --test worklist_equivalence
 
-echo "== delta worklist: counter determinism across jobs x engines =="
+echo "== delta worklist: counter determinism across engines =="
 # Full-counter bit-equality (includes cg_worklist_pops / cg_ready_drains)
 # is part of telemetry_determinism above; this pins the worklist-specific
-# invariants (pops > 0, per-round delta sizes engine/jobs-invariant).
+# invariants (pops > 0, per-round delta sizes engine-invariant).
 cargo test --release --test worklist_equivalence worklist_telemetry_is_identical_across_engines_and_jobs
 
 echo "== project cache: equivalence and invalidation =="

@@ -230,7 +230,6 @@ fn normalize(file: &FamilyFile) -> Vec<(String, Value)> {
                 for key in [
                     "walk_callgraph_ns",
                     "summary_callgraph_ns",
-                    "summary_callgraph_jobs8_ns",
                     "rounds",
                     "worklist_pops",
                     "ready_drains",
@@ -597,11 +596,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!(
-        "bench_report on {} cpu(s), jobs8_effective {}",
-        host_cpus(),
-        ddm_bench::effective_jobs(8)
-    );
+    println!("bench_report on {} cpu(s)", host_cpus());
 
     let mut ok = true;
     if opts.validate {

@@ -1,50 +1,60 @@
-//! Scaling benchmark for the delta-driven call-graph fixpoint: generated
-//! programs far beyond the paper suite's 31 functions (up to ~131k), with
-//! deep virtual hierarchies and long call ladders that force the fixpoint
-//! through dozens of park/release rounds.
+//! Scaling benchmark for the delta-driven call-graph fixpoint and for
+//! each layer of the analysis.
 //!
-//! For each size the driver times call-graph construction under both
-//! engines (walk and summary replay) at one worker and at eight, captures
-//! the delta-worklist telemetry (rounds, per-round delta sizes, worklist
-//! pops, readied-site drains), and fits the scaling exponent between
-//! consecutive sizes: `ln(t2/t1) / ln(n2/n1)`. A full-set round sweep is
-//! Θ(rounds × n); the delta worklist pops each function once and the
-//! interned dense hot loops do no per-pop hashing, so the exponent stays
-//! near 1.
+//! The ladder axis runs generated programs far beyond the paper suite's
+//! 31 functions (up to ~131k), with deep virtual hierarchies and long
+//! call ladders that force the fixpoint through dozens of park/release
+//! rounds. For each size the driver times call-graph construction under
+//! both engines (walk and summary replay), captures the delta-worklist
+//! telemetry (rounds, per-round delta sizes, worklist pops, readied-site
+//! drains), and fits the scaling exponent between consecutive sizes:
+//! `ln(t2/t1) / ln(n2/n1)`. A full-set round sweep is Θ(rounds × n); the
+//! delta worklist pops each function once and the interned dense hot
+//! loops do no per-pop hashing, so the exponent stays near 1. The ladder
+//! grows by adding *chains* (independent hierarchies) at a fixed depth
+//! and rung count, so per-chain work is constant and the ideal exponent
+//! is exactly 1 — any superlinearity is the engine's own.
 //!
-//! The ladder grows by adding *chains* (independent hierarchies) at a
-//! fixed depth and rung count, so per-chain work is constant and the
-//! ideal exponent is exactly 1 — any superlinearity is the engine's own.
+//! Three per-layer axes time parse, model, summary extraction
+//! (`ProgramSummary::build`), the call-graph fixpoint
+//! (`CallGraph::build_from_summary`) and the liveness replay
+//! (`DeadMemberAnalysis::run_summary`) each on its own, and fit each
+//! layer's exponent against the swept quantity:
 //!
-//! A second axis grows one chain's *depth* (64, 128, 256) instead, so
-//! every dispatch table grows with it, and times each layer on its own:
-//! parse, model, summary extraction (`ProgramSummary::build`, where the
-//! dispatch tables are built) and the call-graph fixpoint
-//! (`CallGraph::build_from_summary`). Each layer's exponent against
-//! depth shows which one a superlinear member lookup lands in.
+//! * `depth` grows one chain's depth (64, 128, 256), so every dispatch
+//!   table grows with it; the exponent is against depth and shows which
+//!   layer a superlinear member lookup lands in;
+//! * `n` sweeps statements per method (2 → 128) at 8 classes — the `N`
+//!   of the paper's `O(N + C×M)` (§3.4); the exponent is against source
+//!   bytes;
+//! * `cxm` sweeps the class count (4 → 64) with members per class fixed
+//!   and the objects exercised in `main` scaled along, so reachable code
+//!   covers every class — the `C×M` term; the exponent is against the
+//!   class count.
 //!
 //! ```text
-//! bench_scale [--json] [--samples N] [--smoke] [--emit PATH]
+//! bench_scale [--json] [--samples N] [--smoke]
 //! ```
 //!
 //! `--json` writes `BENCH_scale.json`. `--smoke` runs the two smallest
-//! sizes with one sample and the depths 64 and 128, and fails on a
-//! wall-clock ceiling, a scaling exponent above
-//! [`SMOKE_EXPONENT_CEILING`], an extraction depth exponent above
-//! [`SMOKE_DEPTH_EXPONENT_CEILING`], or an eight-worker run slower than
-//! one worker beyond noise — the CI gates. `--emit PATH` writes the
-//! smallest size's generated source to `PATH` so the CI trace gate has a
-//! program big enough to shard eight ways.
+//! ladder sizes with one sample and the depths 64 and 128, and fails on a
+//! wall-clock ceiling, a ladder scaling exponent above
+//! [`SMOKE_EXPONENT_CEILING`], or an extraction depth exponent above
+//! [`SMOKE_DEPTH_EXPONENT_CEILING`] — the CI gates. The `n` and `cxm`
+//! axes are measured, never gated.
 
-use ddm_bench::{effective_jobs, host_meta_json, timing};
-use ddm_benchmarks::generator::{generate_scale, scale_function_count, ScaleConfig};
+use ddm_bench::{host_meta_json, timing};
+use ddm_benchmarks::generator::{
+    generate, generate_scale, scale_function_count, GeneratorConfig, ScaleConfig,
+};
 use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
+use ddm_core::{AnalysisConfig, DeadMemberAnalysis};
 use ddm_hierarchy::{MemberLookup, Program, ProgramSummary};
 use ddm_telemetry::Telemetry;
 use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for `--smoke` (generation + parse + both engines
-/// at both worker counts, two sizes).
+/// Wall-clock ceiling for `--smoke` (generation + parse + both engines,
+/// two ladder sizes, and every per-layer axis).
 const SMOKE_CEILING: Duration = Duration::from_secs(30);
 
 /// `--smoke` fails if any adjacent-size scaling exponent exceeds this.
@@ -60,24 +70,17 @@ const SMOKE_EXPONENT_CEILING: f64 = 1.4;
 /// measured about 2.4.
 const SMOKE_DEPTH_EXPONENT_CEILING: f64 = 2.0;
 
-/// Minimum samples per depth-axis layer: each takes well under a
-/// millisecond at depth 64, where a single sample is too noisy to gate.
-const DEPTH_MIN_SAMPLES: usize = 15;
-
-/// `--smoke` fails if an eight-worker run is slower than one worker by
-/// more than this factor. Sharding must pay for itself (or, clamped to
-/// one worker on a single-CPU host, be the identical schedule), so
-/// anything past noise is a regression.
-const SMOKE_JOBS_TOLERANCE: f64 = 1.15;
+/// Minimum samples per layer on the per-layer axes: each layer takes
+/// well under a millisecond on the smaller programs, where a single
+/// sample is too noisy to gate.
+const LAYER_MIN_SAMPLES: usize = 15;
 
 struct SizeResult {
     name: &'static str,
     config: ScaleConfig,
     functions: usize,
     walk_cg: Duration,
-    walk_cg_j8: Duration,
     summary_cg: Duration,
-    summary_cg_j8: Duration,
     rounds: u64,
     worklist_pops: u64,
     ready_drains: u64,
@@ -112,58 +115,33 @@ fn measure(name: &'static str, config: ScaleConfig, samples: usize) -> SizeResul
         algorithm: Algorithm::Rta,
         ..Default::default()
     };
-    let jobs8 = effective_jobs(8);
-    let options_j8 = CallGraphOptions {
-        algorithm: Algorithm::Rta,
-        jobs: jobs8,
-        ..Default::default()
-    };
 
     let (walk_cg, _) = timing::time(samples, || {
         let lookup = MemberLookup::new(&program);
         CallGraph::build(&program, &lookup, &options).unwrap()
     });
-    let (walk_cg_j8, _) = timing::time(samples, || {
-        let lookup = MemberLookup::new(&program);
-        CallGraph::build(&program, &lookup, &options_j8).unwrap()
-    });
     let (summary_cg, _) = timing::time(samples, || {
         let summary = ProgramSummary::build(&program, false, 1);
         CallGraph::build_from_summary(&program, &summary, &options).unwrap()
     });
-    let (summary_cg_j8, _) = timing::time(samples, || {
-        let summary = ProgramSummary::build(&program, false, jobs8);
-        CallGraph::build_from_summary(&program, &summary, &options_j8).unwrap()
-    });
 
     // Deterministic worklist telemetry: capture once per engine and
     // insist the two engines agree — the delta schedule is shared, so
-    // pops, drains, and per-round delta sizes must be identical. The
-    // eight-worker walk must also produce the identical graph and
-    // counters: parallel rounds only pre-extract, never reschedule.
+    // pops, drains, and per-round delta sizes must be identical.
     let walk_tel = Telemetry::enabled();
     let lookup = MemberLookup::new(&program);
     let walked = CallGraph::build_with(&program, &lookup, &options, &walk_tel).unwrap();
-    let walk8_tel = Telemetry::enabled();
-    let walked8 = CallGraph::build_with(&program, &lookup, &options_j8, &walk8_tel).unwrap();
-    assert_eq!(walked, walked8, "{name}: jobs=8 walk diverged from jobs=1");
     let summary_tel = Telemetry::enabled();
     let summary = ProgramSummary::build(&program, false, 1);
     let replayed =
         CallGraph::build_from_summary_with(&program, &summary, &options, &summary_tel).unwrap();
     assert_eq!(walked, replayed, "{name}: engines disagree on the graph");
     let wc = walk_tel.counters();
-    let w8c = walk8_tel.counters();
     let sc = summary_tel.counters();
     assert_eq!(
         (wc.cg_worklist_pops, wc.cg_ready_drains),
         (sc.cg_worklist_pops, sc.cg_ready_drains),
         "{name}: worklist counters differ across engines"
-    );
-    assert_eq!(
-        (wc.cg_worklist_pops, wc.cg_ready_drains),
-        (w8c.cg_worklist_pops, w8c.cg_ready_drains),
-        "{name}: worklist counters differ across worker counts"
     );
     let ws = walk_tel.stats();
     let ss = summary_tel.stats();
@@ -177,9 +155,7 @@ fn measure(name: &'static str, config: ScaleConfig, samples: usize) -> SizeResul
         config,
         functions: program.function_count(),
         walk_cg,
-        walk_cg_j8,
         summary_cg,
-        summary_cg_j8,
         rounds: ss.callgraph_rounds,
         worklist_pops: sc.cg_worklist_pops,
         ready_drains: sc.cg_ready_drains,
@@ -187,22 +163,27 @@ fn measure(name: &'static str, config: ScaleConfig, samples: usize) -> SizeResul
     }
 }
 
-/// The layers the depth axis times, in pipeline order.
-const DEPTH_LAYERS: [&str; 4] = ["parse", "model", "summary", "callgraph"];
+/// The layers every per-layer axis times, in pipeline order.
+const LAYERS: [&str; 5] = ["parse", "model", "summary", "callgraph", "liveness"];
 
-struct DepthResult {
-    config: ScaleConfig,
+/// One generated program on a per-layer axis.
+struct LayerPoint {
+    name: String,
+    /// The swept quantity the exponents are fitted against.
+    x: usize,
     functions: usize,
-    /// Minimum time per layer, in [`DEPTH_LAYERS`] order.
-    layers: [Duration; 4],
+    /// The generator configuration, rendered as a JSON object.
+    config: String,
+    /// Minimum time per layer, in [`LAYERS`] order.
+    layers: [Duration; 5],
 }
 
-fn depths(smoke: bool) -> Vec<usize> {
-    if smoke {
-        vec![64, 128]
-    } else {
-        vec![64, 128, 256]
-    }
+/// A per-layer axis: its JSON key (`<key>_axis`, `<key>_exponents`) and
+/// what its `x` counts.
+struct Axis {
+    key: &'static str,
+    x_label: &'static str,
+    points: Vec<LayerPoint>,
 }
 
 /// The minimum time of `f(i)` for each input `i < inputs`, after two
@@ -227,11 +208,58 @@ fn interleaved_min<T>(
     best
 }
 
+/// Times each layer of each source on its own, the sources interleaved:
+/// `(function count, per-layer minimum)` per source.
+fn measure_layers(sources: &[String], samples: usize) -> Vec<(usize, [Duration; 5])> {
+    let samples = samples.max(LAYER_MIN_SAMPLES);
+    let tus: Vec<_> = sources
+        .iter()
+        .map(|src| ddm_cppfront::parse(src).expect("axis program parses"))
+        .collect();
+    let programs: Vec<Program> = tus
+        .iter()
+        .map(|tu| Program::build(tu).expect("axis program resolves"))
+        .collect();
+    let summaries: Vec<ProgramSummary> = programs
+        .iter()
+        .map(|p| ProgramSummary::build(p, false, 1))
+        .collect();
+    let options = CallGraphOptions {
+        algorithm: Algorithm::Rta,
+        ..Default::default()
+    };
+    let graphs: Vec<CallGraph> = programs
+        .iter()
+        .zip(&summaries)
+        .map(|(p, s)| CallGraph::build_from_summary(p, s, &options).expect("axis graph"))
+        .collect();
+    let n = sources.len();
+    let parse = interleaved_min(n, samples, |i| ddm_cppfront::parse(&sources[i]));
+    let model = interleaved_min(n, samples, |i| Program::build(&tus[i]));
+    let summary = interleaved_min(n, samples, |i| {
+        ProgramSummary::build(&programs[i], false, 1)
+    });
+    let callgraph = interleaved_min(n, samples, |i| {
+        CallGraph::build_from_summary(&programs[i], &summaries[i], &options)
+    });
+    let liveness = interleaved_min(n, samples, |i| {
+        DeadMemberAnalysis::new(&programs[i], AnalysisConfig::default())
+            .run_summary(&summaries[i], &graphs[i])
+    });
+    (0..n)
+        .map(|i| {
+            (
+                programs[i].function_count(),
+                [parse[i], model[i], summary[i], callgraph[i], liveness[i]],
+            )
+        })
+        .collect()
+}
+
 /// One chain per depth, in the `deep_dispatch` shape of the repository
-/// benchmark (two virtual methods, 48 ladder rungs), each layer timed
-/// on its own.
-fn measure_depths(depths: &[usize], samples: usize) -> Vec<DepthResult> {
-    let samples = samples.max(DEPTH_MIN_SAMPLES);
+/// benchmark (two virtual methods, 48 ladder rungs).
+fn depth_axis(smoke: bool, samples: usize) -> Axis {
+    let depths: &[usize] = if smoke { &[64, 128] } else { &[64, 128, 256] };
     let configs: Vec<ScaleConfig> = depths
         .iter()
         .map(|&depth| ScaleConfig {
@@ -243,52 +271,109 @@ fn measure_depths(depths: &[usize], samples: usize) -> Vec<DepthResult> {
         })
         .collect();
     let sources: Vec<String> = configs.iter().map(|c| generate_scale(c, 42)).collect();
-    let tus: Vec<_> = sources
-        .iter()
-        .map(|src| ddm_cppfront::parse(src).expect("depth program parses"))
-        .collect();
-    let programs: Vec<Program> = tus
-        .iter()
-        .map(|tu| Program::build(tu).expect("depth program resolves"))
-        .collect();
-    let summaries: Vec<ProgramSummary> = programs
-        .iter()
-        .map(|p| ProgramSummary::build(p, false, 1))
-        .collect();
-    let options = CallGraphOptions {
-        algorithm: Algorithm::Rta,
-        ..Default::default()
-    };
-    let n = depths.len();
-    let parse = interleaved_min(n, samples, |i| ddm_cppfront::parse(&sources[i]));
-    let model = interleaved_min(n, samples, |i| Program::build(&tus[i]));
-    let summary = interleaved_min(n, samples, |i| {
-        ProgramSummary::build(&programs[i], false, 1)
-    });
-    let callgraph = interleaved_min(n, samples, |i| {
-        CallGraph::build_from_summary(&programs[i], &summaries[i], &options)
-    });
-    (0..n)
-        .map(|i| DepthResult {
-            config: configs[i],
-            functions: programs[i].function_count(),
-            layers: [parse[i], model[i], summary[i], callgraph[i]],
+    let points = measure_layers(&sources, samples)
+        .into_iter()
+        .zip(&configs)
+        .map(|((functions, layers), c)| LayerPoint {
+            name: format!("depth{}", c.depth),
+            x: c.depth,
+            functions,
+            config: format!(
+                "{{\"chains\": {}, \"depth\": {}, \"methods_per_class\": {}, \"members_per_class\": {}, \"rungs\": {}}}",
+                c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
+            ),
+            layers,
         })
-        .collect()
+        .collect();
+    Axis {
+        key: "depth",
+        x_label: "depth",
+        points,
+    }
 }
 
-/// Per-layer exponents against depth between adjacent depths.
-fn depth_exponents(results: &[DepthResult]) -> Vec<(usize, usize, [f64; 4])> {
-    results
+/// A §3.4 axis over the base generator: one program per configuration,
+/// named `<key><swept value>`, with `x` taken from its source.
+fn generator_axis(
+    key: &'static str,
+    x_label: &'static str,
+    configs: &[(usize, GeneratorConfig)],
+    seed: u64,
+    x_of: impl Fn(&str, &GeneratorConfig) -> usize,
+    samples: usize,
+) -> Axis {
+    let sources: Vec<String> = configs.iter().map(|(_, c)| generate(c, seed)).collect();
+    let points = measure_layers(&sources, samples)
+        .into_iter()
+        .zip(configs.iter().zip(&sources))
+        .map(|((functions, layers), ((swept, c), src))| LayerPoint {
+            name: format!("{key}{swept}"),
+            x: x_of(src, c),
+            functions,
+            config: format!(
+                "{{\"classes\": {}, \"members_per_class\": {}, \"methods_per_class\": {}, \"stmts_per_method\": {}, \"objects_in_main\": {}, \"seed\": {seed}}}",
+                c.classes, c.members_per_class, c.methods_per_class, c.stmts_per_method, c.objects_in_main
+            ),
+            layers,
+        })
+        .collect();
+    Axis {
+        key,
+        x_label,
+        points,
+    }
+}
+
+/// `N`: statements per method swept at a fixed class count.
+fn n_axis(samples: usize) -> Axis {
+    let configs: Vec<(usize, GeneratorConfig)> = [2usize, 8, 32, 128]
+        .into_iter()
+        .map(|stmts| {
+            let config = GeneratorConfig {
+                classes: 8,
+                stmts_per_method: stmts,
+                ..Default::default()
+            };
+            (stmts, config)
+        })
+        .collect();
+    generator_axis(
+        "n",
+        "source bytes",
+        &configs,
+        11,
+        |src, _| src.len(),
+        samples,
+    )
+}
+
+/// `C×M`: classes swept, members per class fixed, and the objects `main`
+/// exercises scaled with the class count (a constant number would leave
+/// most classes unreachable and the analysis cost flat).
+fn cxm_axis(samples: usize) -> Axis {
+    let configs: Vec<(usize, GeneratorConfig)> = [4usize, 16, 64]
+        .into_iter()
+        .map(|classes| {
+            let config = GeneratorConfig {
+                classes,
+                objects_in_main: classes * 2,
+                ..Default::default()
+            };
+            (classes, config)
+        })
+        .collect();
+    generator_axis("cxm", "classes", &configs, 13, |_, c| c.classes, samples)
+}
+
+/// Per-layer exponents against `x` between adjacent points.
+fn axis_exponents(axis: &Axis) -> Vec<(&str, &str, [f64; 5])> {
+    axis.points
         .windows(2)
         .map(|w| {
             let per_layer = std::array::from_fn(|l| {
-                exponent(
-                    (w[0].config.depth, w[0].layers[l]),
-                    (w[1].config.depth, w[1].layers[l]),
-                )
+                exponent((w[0].x, w[0].layers[l]), (w[1].x, w[1].layers[l]))
             });
-            (w[0].config.depth, w[1].config.depth, per_layer)
+            (w[0].name.as_str(), w[1].name.as_str(), per_layer)
         })
         .collect()
 }
@@ -301,13 +386,48 @@ fn exponent(small: (usize, Duration), large: (usize, Duration)) -> f64 {
     dt / dn
 }
 
-fn render_json(results: &[SizeResult], deep: &[DepthResult], samples: usize) -> String {
+fn render_axis(out: &mut String, axis: &Axis) {
+    out.push_str(&format!(",\n  \"{}_axis\": [\n", axis.key));
+    for (i, p) in axis.points.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"x\": {}, \"functions\": {}, \"config\": {},\n     ",
+            p.name, p.x, p.functions, p.config
+        ));
+        let layers: Vec<String> = LAYERS
+            .iter()
+            .zip(p.layers)
+            .map(|(layer, t)| format!("\"{layer}_ns\": {}", t.as_nanos()))
+            .collect();
+        out.push_str(&layers.join(", "));
+        out.push_str(if i + 1 < axis.points.len() {
+            "},\n"
+        } else {
+            "}\n"
+        });
+    }
+    out.push_str(&format!("  ],\n  \"{}_exponents\": [\n", axis.key));
+    let exponents = axis_exponents(axis);
+    for (i, (from, to, per_layer)) in exponents.iter().enumerate() {
+        let layers: Vec<String> = LAYERS
+            .iter()
+            .zip(per_layer)
+            .map(|(layer, e)| format!("\"{layer}\": {e:.3}"))
+            .collect();
+        out.push_str(&format!(
+            "    {{\"from\": \"{from}\", \"to\": \"{to}\", {}}}{}",
+            layers.join(", "),
+            if i + 1 < exponents.len() { ",\n" } else { "\n" }
+        ));
+    }
+    out.push_str("  ]");
+}
+
+fn render_json(results: &[SizeResult], axes: &[Axis], samples: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"suite\": \"ddm-benchmarks scale generator\",\n");
     out.push_str("  \"algorithm\": \"rta\",\n");
     out.push_str(&format!("  \"samples\": {samples},\n"));
-    out.push_str(&format!("  \"jobs8_effective\": {},\n", effective_jobs(8)));
     out.push_str(&format!("  \"host\": {},\n", host_meta_json()));
     out.push_str("  \"sizes\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -317,11 +437,9 @@ fn render_json(results: &[SizeResult], deep: &[DepthResult], samples: usize) -> 
             r.name, r.functions, c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
         ));
         out.push_str(&format!(
-            "     \"walk_callgraph_ns\": {}, \"walk_callgraph_jobs8_ns\": {}, \"summary_callgraph_ns\": {}, \"summary_callgraph_jobs8_ns\": {},\n",
+            "     \"walk_callgraph_ns\": {}, \"summary_callgraph_ns\": {},\n",
             r.walk_cg.as_nanos(),
-            r.walk_cg_j8.as_nanos(),
-            r.summary_cg.as_nanos(),
-            r.summary_cg_j8.as_nanos()
+            r.summary_cg.as_nanos()
         ));
         let max_delta = r.deltas.iter().copied().max().unwrap_or(0);
         let sum_delta: u64 = r.deltas.iter().sum();
@@ -334,7 +452,7 @@ fn render_json(results: &[SizeResult], deep: &[DepthResult], samples: usize) -> 
     out.push_str("  ]");
     if results.len() >= 2 {
         out.push_str(",\n  \"scaling_exponents\": [\n");
-        for w in results.windows(2) {
+        for (i, w) in results.windows(2).enumerate() {
             let walk = exponent(
                 (w[0].functions, w[0].walk_cg),
                 (w[1].functions, w[1].walk_cg),
@@ -343,63 +461,46 @@ fn render_json(results: &[SizeResult], deep: &[DepthResult], samples: usize) -> 
                 (w[0].functions, w[0].summary_cg),
                 (w[1].functions, w[1].summary_cg),
             );
-            let summary_j8 = exponent(
-                (w[0].functions, w[0].summary_cg_j8),
-                (w[1].functions, w[1].summary_cg_j8),
-            );
             out.push_str(&format!(
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"walk\": {walk:.3}, \"summary\": {summary:.3}, \"summary_jobs8\": {summary_j8:.3}}}{}",
+                "    {{\"from\": \"{}\", \"to\": \"{}\", \"walk\": {walk:.3}, \"summary\": {summary:.3}}}{}",
                 w[0].name,
                 w[1].name,
-                if w[1].name == results.last().unwrap().name { "\n" } else { ",\n" }
+                if i + 2 < results.len() { ",\n" } else { "\n" }
             ));
         }
         out.push_str("  ]");
     }
-    out.push_str(",\n  \"depth_axis\": [\n");
-    for (i, r) in deep.iter().enumerate() {
-        let c = &r.config;
-        out.push_str(&format!(
-            "    {{\"name\": \"depth{}\", \"functions\": {}, \"config\": {{\"chains\": {}, \"depth\": {}, \"methods_per_class\": {}, \"members_per_class\": {}, \"rungs\": {}}},\n     ",
-            c.depth, r.functions, c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
-        ));
-        let layers: Vec<String> = DEPTH_LAYERS
-            .iter()
-            .zip(r.layers)
-            .map(|(layer, t)| format!("\"{layer}_ns\": {}", t.as_nanos()))
-            .collect();
-        out.push_str(&layers.join(", "));
-        out.push_str(if i + 1 < deep.len() { "},\n" } else { "}\n" });
+    for axis in axes {
+        render_axis(&mut out, axis);
     }
-    out.push_str("  ],\n  \"depth_exponents\": [\n");
-    let exponents = depth_exponents(deep);
-    for (i, (from, to, per_layer)) in exponents.iter().enumerate() {
-        let layers: Vec<String> = DEPTH_LAYERS
-            .iter()
-            .zip(per_layer)
-            .map(|(layer, e)| format!("\"{layer}\": {e:.3}"))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"from\": \"depth{from}\", \"to\": \"depth{to}\", {}}}{}",
-            layers.join(", "),
-            if i + 1 < exponents.len() { ",\n" } else { "\n" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("\n}\n");
     out
+}
+
+fn print_axis(axis: &Axis) {
+    println!(
+        "\n{:<10} {:>12} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        axis.key, axis.x_label, "funcs", "parse", "model", "summary", "callgraph", "liveness"
+    );
+    for p in &axis.points {
+        let [parse, model, summary, callgraph, liveness] = p.layers;
+        println!(
+            "{:<10} {:>12} {:>8} {parse:>12.1?} {model:>12.1?} {summary:>12.1?} {callgraph:>12.1?} {liveness:>12.1?}",
+            p.name, p.x, p.functions
+        );
+    }
+    for (from, to, [parse, model, summary, callgraph, liveness]) in axis_exponents(axis) {
+        println!(
+            "{} exponent {from} -> {to}: parse {parse:.3}, model {model:.3}, summary {summary:.3}, callgraph {callgraph:.3}, liveness {liveness:.3}",
+            axis.key
+        );
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let emit = args
-        .iter()
-        .position(|a| a == "--emit")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: --emit needs a path");
-            std::process::exit(2);
-        }));
     let samples = args
         .iter()
         .position(|a| a == "--samples")
@@ -408,41 +509,25 @@ fn main() {
         .filter(|&n| n >= 1)
         .unwrap_or(if smoke { 1 } else { 3 });
 
-    if let Some(path) = &emit {
-        let (_, config) = sizes(true).remove(0);
-        std::fs::write(path, generate_scale(&config, 42)).expect("write emitted source");
-        println!(
-            "emitted {path} ({} functions)",
-            scale_function_count(&config)
-        );
-        if !json && !smoke {
-            return; // emit-only invocation: no measurement requested
-        }
-    }
-
     let started = Instant::now();
     let results: Vec<SizeResult> = sizes(smoke)
         .into_iter()
         .map(|(name, config)| measure(name, config, samples))
         .collect();
-    let deep = measure_depths(&depths(smoke), samples);
+    let axes = [
+        depth_axis(smoke, samples),
+        n_axis(samples),
+        cxm_axis(samples),
+    ];
 
     println!(
-        "{:<8} {:>8} {:>8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "size", "funcs", "rounds", "walk", "walk j8", "summary", "summary j8", "pops", "drains"
+        "{:<8} {:>8} {:>8} {:>12} {:>12} {:>9} {:>9}",
+        "size", "funcs", "rounds", "walk", "summary", "pops", "drains"
     );
     for r in &results {
         println!(
-            "{:<8} {:>8} {:>8} {:>12.1?} {:>12.1?} {:>12.1?} {:>12.1?} {:>9} {:>9}",
-            r.name,
-            r.functions,
-            r.rounds,
-            r.walk_cg,
-            r.walk_cg_j8,
-            r.summary_cg,
-            r.summary_cg_j8,
-            r.worklist_pops,
-            r.ready_drains
+            "{:<8} {:>8} {:>8} {:>12.1?} {:>12.1?} {:>9} {:>9}",
+            r.name, r.functions, r.rounds, r.walk_cg, r.summary_cg, r.worklist_pops, r.ready_drains
         );
     }
     let mut worst_exponent: f64 = 0.0;
@@ -461,25 +546,14 @@ fn main() {
             w[0].name, w[1].name,
         );
     }
-
-    println!(
-        "\n{:<8} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "depth", "funcs", "parse", "model", "summary", "callgraph"
-    );
-    for r in &deep {
-        let [parse, model, summary, callgraph] = r.layers;
-        println!(
-            "{:<8} {:>8} {parse:>12.1?} {model:>12.1?} {summary:>12.1?} {callgraph:>12.1?}",
-            r.config.depth, r.functions
-        );
+    for axis in &axes {
+        print_axis(axis);
     }
-    let mut worst_extraction: f64 = 0.0;
-    for (from, to, [parse, model, summary, callgraph]) in depth_exponents(&deep) {
-        worst_extraction = worst_extraction.max(summary);
-        println!(
-            "depth exponent {from} -> {to}: parse {parse:.3}, model {model:.3}, summary {summary:.3}, callgraph {callgraph:.3}"
-        );
-    }
+    // The summary layer is the third in `LAYERS`.
+    let worst_extraction = axis_exponents(&axes[0])
+        .iter()
+        .map(|(_, _, per_layer)| per_layer[2])
+        .fold(0.0_f64, f64::max);
 
     if json {
         // The smoke run measures the two smallest sizes only — keep it
@@ -489,7 +563,7 @@ fn main() {
         } else {
             "BENCH_scale.json"
         };
-        std::fs::write(path, render_json(&results, &deep, samples)).expect("write scale JSON");
+        std::fs::write(path, render_json(&results, &axes, samples)).expect("write scale JSON");
         println!("wrote {path}");
     }
 
@@ -507,18 +581,6 @@ fn main() {
             worst_extraction <= SMOKE_DEPTH_EXPONENT_CEILING,
             "summary extraction grows as depth^{worst_extraction:.3} > depth^{SMOKE_DEPTH_EXPONENT_CEILING}"
         );
-        for r in &results {
-            for (label, j1, j8) in [
-                ("walk", r.walk_cg, r.walk_cg_j8),
-                ("summary", r.summary_cg, r.summary_cg_j8),
-            ] {
-                assert!(
-                    j8 <= j1.mul_f64(SMOKE_JOBS_TOLERANCE),
-                    "{} {label}: jobs=8 ({j8:.1?}) slower than jobs=1 ({j1:.1?}) beyond {SMOKE_JOBS_TOLERANCE}x",
-                    r.name
-                );
-            }
-        }
         println!(
             "smoke OK in {elapsed:.1?} (ceiling {SMOKE_CEILING:?}, worst exponent {worst_exponent:.3}, extraction depth exponent {worst_extraction:.3})"
         );

@@ -1,11 +1,13 @@
 //! Engine comparison over the whole benchmark suite: per-program wall
-//! time for call-graph construction and the liveness analysis, for both
-//! engines (walk vs. summary) at 1 and 8 workers.
+//! time for each analysis layer, for both engines (walk vs. summary).
 //!
-//! For the walk engine the call-graph phase is `MemberLookup` + the
-//! re-walking fixpoint; for the summary engine it is summary extraction
-//! (the only AST traversal of the run) + worklist replay, so the
-//! comparison charges extraction where it actually happens.
+//! The walk engine has two layers: call-graph construction
+//! (`MemberLookup` + the re-walking fixpoint) and the liveness scan,
+//! which walks the reachable bodies again. The summary engine has three:
+//! summary extraction (the only AST traversal of its run), the call-graph
+//! worklist replay and the liveness replay. Extraction gets its own
+//! column, so each engine's call-graph column times the fixpoint alone;
+//! the walk engine's extraction column is zero.
 //!
 //! ```text
 //! bench_suite [--json] [--samples N]
@@ -16,91 +18,81 @@
 //! samples (default 9) — the least noisy estimator for deterministic
 //! CPU-bound work.
 
-use ddm_bench::{capture_counters, effective_jobs, host_meta_json, suite_analysis_config, timing};
+use ddm_bench::{capture_counters, host_meta_json, suite_analysis_config, timing};
 use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
-use ddm_core::{AnalysisConfig, DeadMemberAnalysis};
+use ddm_core::DeadMemberAnalysis;
 use ddm_hierarchy::{MemberLookup, Program, ProgramSummary};
 use ddm_telemetry::Counters;
 use std::time::Duration;
 
 struct Cell {
+    extraction: Duration,
     callgraph: Duration,
     analysis: Duration,
 }
 
 impl Cell {
     fn total(&self) -> Duration {
-        self.callgraph + self.analysis
+        self.extraction + self.callgraph + self.analysis
     }
 }
 
 struct Row {
     name: &'static str,
     functions: usize,
-    // [engine][jobs-index]: engines are [walk, summary], jobs are [1, 8].
-    cells: [[Cell; 2]; 2],
-    /// Deterministic analysis counters — identical for every engine and
-    /// jobs value, so one capture per program is exact, not sampled.
+    /// One cell per engine, in [`ENGINES`] order.
+    cells: [Cell; 2],
+    /// Deterministic analysis counters — identical for both engines, so
+    /// one capture per program is exact, not sampled.
     counters: Counters,
 }
 
-const JOBS: [usize; 2] = [1, 8];
 const ENGINES: [&str; 2] = ["walk", "summary"];
 
-fn suite_config() -> AnalysisConfig {
-    suite_analysis_config()
-}
-
-fn measure(program: &Program, samples: usize) -> [[Cell; 2]; 2] {
+fn measure(program: &Program, samples: usize) -> [Cell; 2] {
     let options = CallGraphOptions {
         algorithm: Algorithm::Rta,
         ..Default::default()
     };
-    // Worker counts are clamped to the machine's parallelism: the
-    // "jobs8" column measures the sharded schedule, not thread
-    // oversubscription on a smaller host (the artifacts are identical
-    // either way).
-    let walk = JOBS.map(|jobs| {
-        let jobs = effective_jobs(jobs);
-        let (callgraph, _) = timing::time(samples, || {
-            let lookup = MemberLookup::new(program);
-            CallGraph::build(program, &lookup, &options).unwrap()
-        });
+    let analysis = DeadMemberAnalysis::new(program, suite_analysis_config());
+
+    let (callgraph, _) = timing::time(samples, || {
         let lookup = MemberLookup::new(program);
-        let graph = CallGraph::build(program, &lookup, &options).unwrap();
-        let analysis = DeadMemberAnalysis::new(program, suite_config());
-        let (liveness, _) = timing::time(samples, || analysis.run_jobs(&graph, jobs).unwrap());
-        Cell {
-            callgraph,
-            analysis: liveness,
-        }
+        CallGraph::build(program, &lookup, &options).unwrap()
     });
-    let summary_cells = JOBS.map(|jobs| {
-        let jobs = effective_jobs(jobs);
-        let (callgraph, _) = timing::time(samples, || {
-            let summary = ProgramSummary::build(program, false, jobs);
-            CallGraph::build_from_summary(program, &summary, &options).unwrap()
-        });
-        let summary = ProgramSummary::build(program, false, jobs);
-        let graph = CallGraph::build_from_summary(program, &summary, &options).unwrap();
-        let analysis = DeadMemberAnalysis::new(program, suite_config());
-        let (liveness, _) = timing::time(samples, || analysis.run_summary(&summary, &graph).unwrap());
-        Cell {
-            callgraph,
-            analysis: liveness,
-        }
+    let lookup = MemberLookup::new(program);
+    let graph = CallGraph::build(program, &lookup, &options).unwrap();
+    let (scan, _) = timing::time(samples, || analysis.run(&graph).unwrap());
+    let walk = Cell {
+        extraction: Duration::ZERO,
+        callgraph,
+        analysis: scan,
+    };
+
+    let (extraction, _) = timing::time(samples, || ProgramSummary::build(program, false, 1));
+    let summary = ProgramSummary::build(program, false, 1);
+    let (callgraph, _) = timing::time(samples, || {
+        CallGraph::build_from_summary(program, &summary, &options).unwrap()
     });
-    [walk, summary_cells]
+    let graph = CallGraph::build_from_summary(program, &summary, &options).unwrap();
+    let (replay, _) = timing::time(samples, || analysis.run_summary(&summary, &graph).unwrap());
+    let summary = Cell {
+        extraction,
+        callgraph,
+        analysis: replay,
+    };
+    [walk, summary]
 }
 
-fn total_for(rows: &[Row], engine: usize, jobs_ix: usize) -> Duration {
-    rows.iter().map(|r| r.cells[engine][jobs_ix].total()).sum()
+fn total_for(rows: &[Row], engine: usize, layer: fn(&Cell) -> Duration) -> Duration {
+    rows.iter().map(|r| layer(&r.cells[engine])).sum()
 }
 
 fn json_escape_free(name: &str) -> &str {
     // Benchmark names are ASCII identifiers; assert rather than escape.
     assert!(
-        name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'),
+        name.chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'),
         "benchmark name {name:?} needs JSON escaping"
     );
     name
@@ -112,7 +104,6 @@ fn render_json(rows: &[Row], samples: usize) -> String {
     out.push_str("  \"suite\": \"ddm-benchmarks\",\n");
     out.push_str("  \"algorithm\": \"rta\",\n");
     out.push_str(&format!("  \"samples\": {samples},\n"));
-    out.push_str(&format!("  \"jobs8_effective\": {},\n", effective_jobs(8)));
     out.push_str(&format!("  \"host\": {},\n", host_meta_json()));
     out.push_str("  \"programs\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -121,51 +112,41 @@ fn render_json(rows: &[Row], samples: usize) -> String {
             json_escape_free(row.name),
             row.functions
         ));
-        for (e, engine) in ENGINES.iter().enumerate() {
-            out.push_str(&format!("\"{engine}\": {{"));
-            for (j, jobs) in JOBS.iter().enumerate() {
-                let c = &row.cells[e][j];
-                out.push_str(&format!(
-                    "\"jobs{jobs}\": {{\"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}}}",
+        let engines: Vec<String> = ENGINES
+            .iter()
+            .zip(&row.cells)
+            .map(|(engine, c)| {
+                format!(
+                    "\"{engine}\": {{\"extraction_ns\": {}, \"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}}}",
+                    c.extraction.as_nanos(),
                     c.callgraph.as_nanos(),
                     c.analysis.as_nanos(),
                     c.total().as_nanos()
-                ));
-                if j + 1 < JOBS.len() {
-                    out.push_str(", ");
-                }
-            }
-            out.push('}');
-            if e + 1 < ENGINES.len() {
-                out.push_str(", ");
-            }
-        }
+                )
+            })
+            .collect();
+        out.push_str(&engines.join(", "));
         out.push_str("}, \"counters\": {");
-        let counter_rows = row.counters.rows();
-        for (k, (key, value)) in counter_rows.iter().enumerate() {
-            out.push_str(&format!("\"{key}\": {value}"));
-            if k + 1 < counter_rows.len() {
-                out.push_str(", ");
-            }
-        }
+        let counters: Vec<String> = row
+            .counters
+            .rows()
+            .iter()
+            .map(|(key, value)| format!("\"{key}\": {value}"))
+            .collect();
+        out.push_str(&counters.join(", "));
         out.push_str("}}");
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    out.push_str("  \"totals\": {\n");
-    for (j, jobs) in JOBS.iter().enumerate() {
-        let walk = total_for(rows, 0, j);
-        let summary = total_for(rows, 1, j);
-        let speedup = walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON);
-        out.push_str(&format!(
-            "    \"walk_jobs{jobs}_ns\": {}, \"summary_jobs{jobs}_ns\": {}, \"speedup_jobs{jobs}\": {:.2}",
-            walk.as_nanos(),
-            summary.as_nanos(),
-            speedup
-        ));
-        out.push_str(if j + 1 < JOBS.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
+    let walk = total_for(rows, 0, Cell::total);
+    let summary = total_for(rows, 1, Cell::total);
+    out.push_str(&format!(
+        "  \"totals\": {{\n    \"walk_ns\": {}, \"summary_ns\": {}, \"summary_extraction_ns\": {}, \"speedup\": {:.2}\n  }}\n}}\n",
+        walk.as_nanos(),
+        summary.as_nanos(),
+        total_for(rows, 1, |c| c.extraction).as_nanos(),
+        walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON)
+    ));
     out
 }
 
@@ -194,31 +175,39 @@ fn main() {
     }
 
     println!(
-        "{:<12} {:>6}  {:>22}  {:>22}  {:>8}",
-        "program", "funcs", "walk cg+analysis (j1)", "summary cg+analysis (j1)", "speedup"
+        "{:<12} {:>6}  {:>12} {:>12}  {:>12} {:>12} {:>12}  {:>8}",
+        "program",
+        "funcs",
+        "walk cg",
+        "walk scan",
+        "sum extract",
+        "sum cg",
+        "sum replay",
+        "speedup"
     );
     for row in &rows {
-        let walk = row.cells[0][0].total();
-        let summary = row.cells[1][0].total();
+        let [walk, summary] = &row.cells;
         println!(
-            "{:<12} {:>6}  {:>22.1?}  {:>22.1?}  {:>7.2}x",
+            "{:<12} {:>6}  {:>12.1?} {:>12.1?}  {:>12.1?} {:>12.1?} {:>12.1?}  {:>7.2}x",
             row.name,
             row.functions,
-            walk,
-            summary,
-            walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON)
+            walk.callgraph,
+            walk.analysis,
+            summary.extraction,
+            summary.callgraph,
+            summary.analysis,
+            walk.total().as_secs_f64() / summary.total().as_secs_f64().max(f64::EPSILON)
         );
     }
-    for (j, jobs) in JOBS.iter().enumerate() {
-        let walk = total_for(&rows, 0, j);
-        let summary = total_for(&rows, 1, j);
-        println!(
-            "total (jobs={jobs}): walk {:.1?}  summary {:.1?}  speedup {:.2}x",
-            walk,
-            summary,
-            walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON)
-        );
-    }
+    let walk = total_for(&rows, 0, Cell::total);
+    let summary = total_for(&rows, 1, Cell::total);
+    println!(
+        "total: walk {:.1?}  summary {:.1?} (extraction {:.1?})  speedup {:.2}x",
+        walk,
+        summary,
+        total_for(&rows, 1, |c| c.extraction),
+        walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON)
+    );
 
     if json {
         let path = "BENCH_suite.json";

@@ -10,7 +10,6 @@
 //! | `table2` | Table 2 — execution characteristics (bytes) |
 //! | `figure4` | Figure 4 — % object space occupied by dead members |
 //! | `ablation_callgraph` | §3.1 — call-graph precision ablation |
-//! | `ddm_run` | ad-hoc driver: analyze + execute one source file |
 //!
 //! Absolute byte counts differ from the paper (the originals ran real
 //! 1990s workloads; the suite runs scaled-down deterministic ones), but
@@ -145,21 +144,6 @@ pub fn measure_suite_jobs(jobs: usize) -> Result<Vec<Measured>, MeasureError> {
         .collect()
 }
 
-/// Clamps a requested worker count to the machine's available
-/// parallelism. Timing `--jobs 8` on one hardware thread measures
-/// oversubscription overhead, not the sharded schedule, so the bench
-/// binaries run `min(requested, available)` workers and report both
-/// numbers. Analysis artifacts are jobs-invariant, so the clamp never
-/// changes *what* is measured — only how it is scheduled. The `ddm`
-/// CLI deliberately does not clamp: its trace output must show every
-/// requested worker lane.
-pub fn effective_jobs(requested: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    requested.min(available).max(1)
-}
-
 /// The logical CPU count the kernel reports (1 if unknowable).
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism()
@@ -168,16 +152,11 @@ pub fn host_cpus() -> usize {
 }
 
 /// Renders the uniform host-metadata object every BENCH_*.json header
-/// embeds: logical CPU count and the clamped `--jobs 8` width. Timing
-/// entries are only comparable across runs when this context rides
-/// along with the numbers, so every writer — and the `bench_report`
-/// history — uses this one renderer.
+/// embeds: the logical CPU count. Timing entries are only comparable
+/// across runs when this context rides along with the numbers, so every
+/// writer — and the `bench_report` history — uses this one renderer.
 pub fn host_meta_json() -> String {
-    format!(
-        "{{\"cpus\": {}, \"jobs8_effective\": {}}}",
-        host_cpus(),
-        effective_jobs(8)
-    )
+    format!("{{\"cpus\": {}}}", host_cpus())
 }
 
 /// The analysis configuration the benchmark suite is measured under —
@@ -192,7 +171,7 @@ pub fn suite_analysis_config() -> AnalysisConfig {
 }
 
 /// The deterministic counters of one end-to-end analysis of `source`
-/// under [`suite_analysis_config`]. Engine and jobs never change the
+/// under [`suite_analysis_config`]. The engine never changes the
 /// counters (pinned by the equivalence suites), so one capture is
 /// exact, not sampled.
 pub fn capture_counters(source: &str) -> Counters {
@@ -201,7 +180,6 @@ pub fn capture_counters(source: &str) -> Counters {
         source,
         suite_analysis_config(),
         Algorithm::Rta,
-        1,
         Engine::Summary,
         &telemetry,
     )
@@ -244,24 +222,13 @@ pub fn bar(pct: f64, scale: f64) -> String {
 
 /// Minimal wall-clock benchmark harness.
 ///
-/// The registry is unreachable from the build environment, so the
-/// `benches/` targets time with `std::time::Instant` instead of an
-/// external framework: warm up, take `samples` single-shot samples, and
-/// report the minimum and median (the minimum is the least noisy
-/// estimator for deterministic CPU-bound work).
+/// The workspace has no external dependencies, so the bench drivers time
+/// with `std::time::Instant` instead of an external framework: warm up,
+/// take `samples` single-shot samples, and report the minimum and median
+/// (the minimum is the least noisy estimator for deterministic CPU-bound
+/// work).
 pub mod timing {
     use std::time::{Duration, Instant};
-
-    /// One measured benchmark case.
-    #[derive(Debug, Clone)]
-    pub struct Sample {
-        /// `group/id` label.
-        pub label: String,
-        /// Fastest observed run.
-        pub min: Duration,
-        /// Median observed run.
-        pub median: Duration,
-    }
 
     /// Times `f` with two warm-up runs and `samples` measured runs.
     pub fn time<T>(samples: usize, mut f: impl FnMut() -> T) -> (Duration, Duration) {
@@ -277,21 +244,6 @@ pub mod timing {
             .collect();
         runs.sort();
         (runs[0], runs[runs.len() / 2])
-    }
-
-    /// Times `f` and prints one aligned result line.
-    pub fn report<T>(group: &str, id: &str, samples: usize, f: impl FnMut() -> T) -> Sample {
-        let (min, median) = time(samples, f);
-        let label = format!("{group}/{id}");
-        println!(
-            "{label:<28} min {:>12.1?}   median {:>12.1?}   ({samples} samples)",
-            min, median
-        );
-        Sample {
-            label,
-            min,
-            median,
-        }
     }
 }
 

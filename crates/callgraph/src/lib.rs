@@ -36,25 +36,13 @@
 pub use ddm_hierarchy::pta;
 
 use ddm_hierarchy::{
-    extract_function, resolve_ctor, walk_function, walk_globals, CallEvent, CallTarget, CgStep,
-    ClassBitSet, ClassId, DeleteEvent, EventVisitor, FnSummary, FuncBitSet, FuncId,
-    InstantiationEvent, MemberLookup, Program, ProgramSummary, TypeError,
+    resolve_ctor, walk_function, walk_globals, CallEvent, CallTarget, CgStep, ClassBitSet, ClassId,
+    DeleteEvent, EventVisitor, FnSummary, FuncBitSet, FuncId, InstantiationEvent, MemberLookup,
+    Program, ProgramSummary, TypeError,
 };
 use ddm_telemetry::{Counters, EventClass, Histogram, Telemetry, LANE_MAIN};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
-
-/// Minimum number of *unprocessed* functions in one delta batch before
-/// the walking builder pre-extracts their bodies on worker threads. A
-/// round below the cut is processed inline: forking the pool for a
-/// handful of bodies costs more than walking them, which is exactly the
-/// small-input regression the extraction threshold
-/// ([`ddm_hierarchy::EXTRACTION_SHARD_THRESHOLD`]) fixed for summaries.
-/// Like that threshold, this is a fixed cut — not CPU-count derived — so
-/// the execution shape is reproducible across machines, and the merged
-/// result is bit-identical either way (see DESIGN.md §5g).
-pub const PARALLEL_ROUND_THRESHOLD: usize = 256;
 
 /// Which call-graph construction algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -92,10 +80,8 @@ pub struct CallGraphOptions {
     /// their virtual methods become call-graph roots, because library code
     /// may call back into them.
     pub library_classes: HashSet<ClassId>,
-    /// Worker threads for the walking builder's per-round body
-    /// pre-extraction. `0` and `1` both mean fully sequential; any value
-    /// produces the same graph (rounds below
-    /// [`PARALLEL_ROUND_THRESHOLD`] stay inline regardless).
+    /// Ignored: every builder runs on the calling thread. Kept so that
+    /// existing struct literals that name it still compile.
     pub jobs: usize,
 }
 
@@ -162,8 +148,8 @@ pub struct CallGraphParts {
 /// sorted id vectors for the reachable/instantiated/address-taken sets
 /// (with bitsets retained for O(1) membership) and a CSR adjacency for
 /// the edges. All iteration orders match the historical tree-based
-/// representation (ascending ids), so downstream reports, shard
-/// assignments, and `--explain` witness paths are byte-identical.
+/// representation (ascending ids), so downstream reports and
+/// `--explain` witness paths are byte-identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallGraph {
     algorithm: Algorithm,
@@ -281,89 +267,17 @@ impl CallGraph {
             walk_globals(program, lookup, &mut visitor)?;
         }
 
-        // Parallel rounds: when a delta batch is wide enough, the batch's
-        // unprocessed bodies are extracted into summaries on worker
-        // threads (shard-ordered, one walk per body — the same walk this
-        // loop would do inline) and replayed sequentially in slot order.
-        // Replaying an extracted summary makes propagation calls
-        // identical to walking the body (the PR-2 walk-once property),
-        // so the schedule, the graph, and every counter are bit-for-bit
-        // the same at any job count.
-        let jobs = options.jobs;
-        let prefetched: RefCell<HashMap<FuncId, Result<FnSummary, TypeError>>> =
-            RefCell::new(HashMap::new());
-        let rounds = run_fixpoint(
-            &mut state,
-            telemetry,
-            "callgraph",
-            |st, batch| {
-                if jobs <= 1 {
-                    return;
-                }
-                let todo: Vec<FuncId> = batch
-                    .iter()
-                    .copied()
-                    .filter(|&f| !st.processed.contains(f))
-                    .collect();
-                if todo.len() < PARALLEL_ROUND_THRESHOLD {
-                    return;
-                }
-                let per_shard = todo.len().div_ceil(jobs);
-                // Shard activation depends on --jobs, so it is obs class.
-                telemetry.event(EventClass::Observational, "cg_round_sharded", || {
-                    vec![
-                        ("fns", todo.len().into()),
-                        ("shards", todo.len().div_ceil(per_shard).into()),
-                        ("jobs", jobs.into()),
-                    ]
-                });
-                let extracted: Vec<(FuncId, Result<FnSummary, TypeError>)> =
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = todo
-                            .chunks(per_shard)
-                            .enumerate()
-                            .map(|(shard_ix, chunk)| {
-                                scope.spawn(move || {
-                                    let lane = u32::try_from(shard_ix + 1).unwrap_or(u32::MAX);
-                                    let _span = telemetry.span(lane, || {
-                                        format!(
-                                            "callgraph round shard {shard_ix} ({} fns)",
-                                            chunk.len()
-                                        )
-                                    });
-                                    let lookup = MemberLookup::new(program);
-                                    chunk
-                                        .iter()
-                                        .map(|&f| (f, extract_function(program, &lookup, f, pta)))
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("callgraph round worker panicked"))
-                            .collect()
-                    });
-                prefetched.borrow_mut().extend(extracted);
-            },
-            |st, fid| {
-                if let Some(summary) = prefetched.borrow_mut().remove(&fid) {
-                    // A stored walk error surfaces at this pop — the same
-                    // slot the inline walk would have failed at.
-                    replay_summary(st, Some(fid), &summary?, true);
-                    return Ok(());
-                }
-                let mut visitor = EventSink {
-                    caller: Some(fid),
-                    register: true,
-                    lookup,
-                    pta,
-                    pointee_cache: &mut pointee_cache,
-                    state: st,
-                };
-                walk_function(program, lookup, fid, &mut visitor)
-            },
-        )?;
+        let rounds = run_fixpoint(&mut state, telemetry, "callgraph", |st, fid| {
+            let mut visitor = EventSink {
+                caller: Some(fid),
+                register: true,
+                lookup,
+                pta,
+                pointee_cache: &mut pointee_cache,
+                state: st,
+            };
+            walk_function(program, lookup, fid, &mut visitor)
+        })?;
 
         #[cfg(debug_assertions)]
         verify_full_sweep(&mut state, |st, fid| {
@@ -392,7 +306,7 @@ impl CallGraph {
     /// the class-indexed pending-dispatch worklist when their candidate
     /// receiver classes become instantiated. For PTA graphs the summaries
     /// must have been built with receiver refinement enabled
-    /// (`ProgramSummary::build(program, true, jobs)`).
+    /// (`ProgramSummary::build(program, true, 1)`).
     ///
     /// # Errors
     ///
@@ -450,20 +364,11 @@ impl CallGraph {
         let mut replays: u64 = 1;
         replay_summary(&mut state, None, summary.globals()?, false);
 
-        // Replay pops are a few index operations each — there is no body
-        // walk left to farm out (extraction already ran sharded inside
-        // `ProgramSummary::build`), so rounds need no prepare step.
-        let rounds = run_fixpoint(
-            &mut state,
-            telemetry,
-            "callgraph replay",
-            |_, _| {},
-            |st, fid| {
-                replays += 1;
-                replay_summary(st, Some(fid), summary.function(fid)?, true);
-                Ok(())
-            },
-        )?;
+        let rounds = run_fixpoint(&mut state, telemetry, "callgraph replay", |st, fid| {
+            replays += 1;
+            replay_summary(st, Some(fid), summary.function(fid)?, true);
+            Ok(())
+        })?;
 
         #[cfg(debug_assertions)]
         verify_full_sweep(&mut state, |st, fid| {
@@ -600,26 +505,6 @@ impl CallGraph {
     /// Number of reachable functions.
     pub fn reachable_count(&self) -> usize {
         self.reachable.len()
-    }
-
-    /// Splits the reachable functions into at most `n` contiguous shards
-    /// for parallel scanning.
-    ///
-    /// The shards partition [`CallGraph::reachable`] and **preserve its
-    /// order**: concatenating the shards yields the reachable list in
-    /// `FuncId` order. This contiguity is what lets the analysis merge
-    /// per-shard deltas in shard order and reproduce the sequential
-    /// first-mark-wins results bit for bit — a round-robin split would
-    /// interleave the order and scramble recorded reasons.
-    pub fn reachable_shards(&self, n: usize) -> Vec<Vec<FuncId>> {
-        if self.reachable.is_empty() {
-            return Vec::new();
-        }
-        let per_shard = self.reachable.len().div_ceil(n.max(1));
-        self.reachable
-            .chunks(per_shard)
-            .map(<[FuncId]>::to_vec)
-            .collect()
     }
 
     /// Classes considered instantiated (for `Everything` and `Cha`, all of
@@ -1079,18 +964,10 @@ impl<'p> PropState<'p> {
 /// function processed, every readied site drained) replaces the old
 /// recount-everything convergence triple, which `verify_full_sweep`
 /// re-checks under `cfg(debug_assertions)`.
-///
-/// `prepare` sees each round's batch before any slot runs. A round-start
-/// batch fully determines which functions get their first processing
-/// this round (parking happens only inside `process`, so every mid-round
-/// heap push is a drain slot for an already-processed owner) — that is
-/// what lets the walking builder pre-extract batch bodies in parallel
-/// without changing the schedule.
 fn run_fixpoint<'p, E>(
     state: &mut PropState<'p>,
     telemetry: &Telemetry,
     label: &str,
-    mut prepare: impl FnMut(&PropState<'p>, &[FuncId]),
     mut process: impl FnMut(&mut PropState<'p>, FuncId) -> Result<(), E>,
 ) -> Result<u64, E> {
     let mut rounds: u64 = 0;
@@ -1103,7 +980,6 @@ fn run_fixpoint<'p, E>(
         telemetry.metrics(|m| m.hist_record("callgraph/round_delta_fns", batch.len() as u64));
         let (pops_before, drains_before) = (state.pops, state.drains);
         let delta_fns = batch.len() as u64;
-        prepare(state, &batch);
         for f in batch {
             state.in_next.remove(f);
             state.schedule_current(f);
@@ -1625,32 +1501,6 @@ mod tests {
     }
 
     #[test]
-    fn reachable_shards_partition_and_preserve_order() {
-        let (_, g) = graph(
-            "int a() { return 1; } int b() { return a(); } int c() { return b(); }\n\
-             int d() { return c(); } int e() { return d(); }\n\
-             int main() { return e(); }",
-            Algorithm::Rta,
-        );
-        let sequential: Vec<FuncId> = g.reachable().collect();
-        for n in [1usize, 2, 3, 4, 100] {
-            let shards = g.reachable_shards(n);
-            assert!(shards.len() <= n.max(1));
-            assert!(shards.iter().all(|s| !s.is_empty()));
-            let flat: Vec<FuncId> = shards.into_iter().flatten().collect();
-            assert_eq!(flat, sequential, "n={n} must preserve order");
-        }
-    }
-
-    #[test]
-    fn reachable_shards_of_empty_graph() {
-        // No main function: nothing reachable under RTA.
-        let (_, g) = graph("int lonely() { return 1; }", Algorithm::Rta);
-        assert_eq!(g.reachable_count(), 0);
-        assert!(g.reachable_shards(4).is_empty());
-    }
-
-    #[test]
     fn summary_replay_matches_walking_builder() {
         // Exercises every step kind: static calls, virtual dispatch that
         // widens across rounds, fn-pointer calls, address-taken
@@ -1732,69 +1582,6 @@ mod tests {
             Algorithm::Rta,
         );
         assert_eq!(g2.callees(p2.free_function("lonely").unwrap()).count(), 0);
-    }
-
-    #[test]
-    fn parallel_rounds_are_bit_identical_to_sequential() {
-        // One wide delta round: main's batch fans out to well over
-        // PARALLEL_ROUND_THRESHOLD unprocessed functions, so jobs > 1
-        // takes the pre-extraction path. No class is instantiated until
-        // a leaf in the middle of the round runs, so the early leaves'
-        // dispatch sites park (and take the schedule-sensitive
-        // static-decl fallback) and are released mid-round — the
-        // hardest case for schedule equivalence.
-        let n = PARALLEL_ROUND_THRESHOLD + 44;
-        let mut src = String::from(
-            "class A { public: virtual int f() { return 0; } virtual ~A() { } };\n\
-             class B : public A { public: virtual int f() { return 1; } ~B() { } };\n\
-             class C : public A { public: virtual int f() { return 2; } };\n",
-        );
-        for i in 0..n {
-            if i == n / 2 {
-                src.push_str(&format!(
-                    "int leaf{i}(A* a) {{ B b; return a->f() + b.f() + {i}; }}\n"
-                ));
-            } else {
-                src.push_str(&format!("int leaf{i}(A* a) {{ return a->f() + {i}; }}\n"));
-            }
-        }
-        src.push_str("int main() { A* p = 0; int acc = 0;\n");
-        for i in 0..n {
-            src.push_str(&format!("    acc = acc + leaf{i}(p);\n"));
-        }
-        src.push_str("    return acc; }\n");
-
-        let tu = parse(&src).expect("parse");
-        let p = Program::build(&tu).expect("sema");
-        let lk = MemberLookup::new(&p);
-        let mut baseline = None;
-        for jobs in [1usize, 2, 8] {
-            let options = CallGraphOptions {
-                algorithm: Algorithm::Rta,
-                jobs,
-                ..Default::default()
-            };
-            let tel = Telemetry::enabled();
-            let g = CallGraph::build_with(&p, &lk, &options, &tel).expect("build");
-            let counters = tel.counters();
-            let fingerprint = (
-                g,
-                counters.cg_worklist_pops,
-                counters.cg_ready_drains,
-                tel.stats().cg_round_deltas.clone(),
-            );
-            match &baseline {
-                None => baseline = Some(fingerprint),
-                Some(b) => {
-                    assert_eq!(b.0, fingerprint.0, "graph diverged at jobs={jobs}");
-                    assert_eq!(
-                        (b.1, b.2, &b.3),
-                        (fingerprint.1, fingerprint.2, &fingerprint.3),
-                        "schedule diverged at jobs={jobs}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -26,18 +26,6 @@ use ddm_hierarchy::{
 };
 use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashSet;
-use std::sync::mpsc;
-
-/// Minimum reachable-function count before
-/// [`DeadMemberAnalysis::run_jobs`] shards the scan across worker
-/// threads. Below it, per-round thread and channel traffic exceeds the
-/// microsecond-scale scan itself — `BENCH_suite.json` showed every suite
-/// program (16–85 reachable functions) running 2–8× *slower* at
-/// `--jobs 8` than sequentially. Results are bit-identical on both
-/// paths, so the cut is purely an execution-shape decision; like the
-/// extraction threshold it is a fixed count, not CPU-derived, to keep
-/// runs reproducible across machines.
-pub const SEQUENTIAL_SCAN_THRESHOLD: usize = 256;
 
 /// How uses of `sizeof` are treated (§3.2).
 ///
@@ -144,20 +132,8 @@ impl<'p> DeadMemberAnalysis<'p> {
             walk_function(self.program, &lookup, func, &mut sink)?;
         }
         drop(scan_span);
-        telemetry.update_stats(|s| {
-            s.scan_rounds += 1;
-            s.scan_shards = s.scan_shards.max(1);
-        });
+        telemetry.update_stats(|s| s.scan_rounds += 1);
 
-        Self::union_post_pass(&mut marker, telemetry);
-        telemetry.add_counters(&marker.counters);
-        Ok(marker.liveness)
-    }
-
-    /// The shared tail of every engine: the union fixpoint, spanned, with
-    /// the expansion counters derived from the merged visited set (so
-    /// they are independent of how the scan was sharded).
-    fn union_post_pass(marker: &mut Marker<'_, '_>, telemetry: &Telemetry) {
         let union_span = telemetry.span(LANE_MAIN, || "union post-pass".into());
         marker.counters.markall_classes_expanded = marker.visited.len() as u64;
         marker.propagate_unions();
@@ -165,205 +141,6 @@ impl<'p> DeadMemberAnalysis<'p> {
             marker.visited.len() as u64 - marker.counters.markall_classes_expanded;
         drop(union_span);
         emit_liveness_events(telemetry, &marker.counters);
-    }
-
-    /// Runs the algorithm with the reachable-function scan sharded across
-    /// `jobs` worker threads.
-    ///
-    /// The result — live set, unclassifiable set, *and* recorded
-    /// [`LiveReason`]s — is bit-identical to [`DeadMemberAnalysis::run`]
-    /// for any worker count:
-    ///
-    /// * per-function marking is a pure function of the body (the
-    ///   paper's rules never consult the current liveness state), so
-    ///   every worker produces the same delta regardless of what the
-    ///   others have found;
-    /// * [`CallGraph::reachable_shards`] hands each worker a contiguous,
-    ///   order-preserving slice, and deltas are [`Liveness::merge`]d in
-    ///   shard order, which reproduces the sequential scan's
-    ///   first-mark-wins reason for every member;
-    /// * the scan follows the same delta discipline as the call-graph
-    ///   fixpoint: its worklist is the newly reachable frontier, which —
-    ///   the call graph being final before the scan starts — is the whole
-    ///   reachable set in round 0 and empty ever after, so a single
-    ///   productive round is the fixpoint (a confirming round asserts
-    ///   this under `cfg(debug_assertions)`), and the union-propagation
-    ///   fixpoint then runs on the merged state exactly as in the
-    ///   sequential path.
-    ///
-    /// `jobs <= 1` — and, since the sharded machinery costs more than it
-    /// saves on small programs, any graph with fewer than
-    /// [`SEQUENTIAL_SCAN_THRESHOLD`] reachable functions — falls back to
-    /// the sequential implementation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TypeError`]s from walking reachable function bodies;
-    /// when several shards fail, the error from the earliest function in
-    /// scan order is returned, matching the sequential path.
-    pub fn run_jobs(&self, callgraph: &CallGraph, jobs: usize) -> Result<Liveness, TypeError> {
-        self.run_jobs_with(callgraph, jobs, &Telemetry::disabled())
-    }
-
-    /// [`DeadMemberAnalysis::run_jobs`] with telemetry.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DeadMemberAnalysis::run_jobs`].
-    pub fn run_jobs_with(
-        &self,
-        callgraph: &CallGraph,
-        jobs: usize,
-        telemetry: &Telemetry,
-    ) -> Result<Liveness, TypeError> {
-        if jobs <= 1 || callgraph.reachable_count() < SEQUENTIAL_SCAN_THRESHOLD {
-            telemetry.update_stats(|s| s.scan_sequential_fastpath = jobs > 1);
-            return self.run_with(callgraph, telemetry);
-        }
-        self.run_jobs_sharded(callgraph, jobs, telemetry)
-    }
-
-    /// The sharded scan, unconditionally: persistent workers, shard-order
-    /// reduction, re-scan rounds to a fixpoint. [`run_jobs`] routes here
-    /// above the size threshold; tests call it directly to exercise the
-    /// worker machinery (and its counter determinism) on programs of any
-    /// size.
-    ///
-    /// [`run_jobs`]: DeadMemberAnalysis::run_jobs
-    ///
-    /// # Errors
-    ///
-    /// As for [`DeadMemberAnalysis::run_jobs`].
-    pub fn run_jobs_sharded(
-        &self,
-        callgraph: &CallGraph,
-        jobs: usize,
-        telemetry: &Telemetry,
-    ) -> Result<Liveness, TypeError> {
-        let mut marker = self.base_marker()?;
-        let shards = callgraph.reachable_shards(jobs);
-        let program = self.program;
-        let config = &self.config;
-        let mut rounds: u64 = 0;
-        let mut merges: u64 = 0;
-        let mut busy: u64 = 0;
-
-        // Persistent workers, one per shard, that live across scan
-        // rounds: each builds its `MemberLookup` (whose subobject cache
-        // is neither Sync nor Send) exactly once, inside its own thread,
-        // and re-scans its slice on command. Channels are unbounded, so
-        // neither side ever blocks on a send.
-        let scan_result: Result<(), TypeError> = std::thread::scope(|scope| {
-            type Delta = Result<(Liveness, HashSet<ClassId>, Counters), TypeError>;
-            let workers: Vec<(mpsc::Sender<()>, mpsc::Receiver<Delta>)> = shards
-                .iter()
-                .enumerate()
-                .map(|(shard_ix, shard)| {
-                    let (cmd_tx, cmd_rx) = mpsc::channel::<()>();
-                    let (out_tx, out_rx) = mpsc::channel::<Delta>();
-                    scope.spawn(move || {
-                        let lane = u32::try_from(shard_ix + 1).unwrap_or(u32::MAX);
-                        let lookup = MemberLookup::new(program);
-                        let mut round = 0u64;
-                        while cmd_rx.recv().is_ok() {
-                            // One round: walk the slice into a private
-                            // delta (own liveness, own
-                            // MarkAllContainedMembers visited set).
-                            let round_span = telemetry.span(lane, || {
-                                format!("scan round {round} shard {shard_ix} ({} fns)", shard.len())
-                            });
-                            round += 1;
-                            let mut worker = Marker {
-                                program,
-                                liveness: Liveness::new(),
-                                visited: HashSet::new(),
-                                config,
-                                current: None,
-                                counters: Counters::default(),
-                            };
-                            let delta = (|| {
-                                for &func in shard {
-                                    worker.current = Some(func);
-                                    let mut sink = Sink {
-                                        marker: &mut worker,
-                                    };
-                                    walk_function(program, &lookup, func, &mut sink)?;
-                                }
-                                Ok((worker.liveness, worker.visited, worker.counters))
-                            })();
-                            drop(round_span);
-                            if out_tx.send(delta).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    (cmd_tx, out_rx)
-                })
-                .collect();
-
-            // Delta discipline: the scan worklist is the newly reachable
-            // frontier, and the call graph is final before the scan
-            // starts, so round 0's frontier is the entire reachable set
-            // and every later frontier is empty. Marking is a pure
-            // function of the body (never of the current liveness), so
-            // the single productive round reaches the fixpoint — the
-            // worklist-empty condition replaces the old
-            // re-scan-until-nothing-changes loop.
-            for (cmd, _) in &workers {
-                cmd.send(()).expect("analysis worker alive");
-            }
-            // Deterministic reduction: fold the deltas in shard order, so
-            // an earlier shard's mark always wins — exactly the
-            // sequential scan order. The visited sets union into the
-            // shared marker for the union-propagation stage (the union of
-            // per-worker closures equals the sequential closure). An
-            // error likewise surfaces in shard order, matching the
-            // sequential path.
-            for (_, out) in &workers {
-                let (liveness, visited, counters) = out.recv().expect("analysis worker delta")?;
-                marker.liveness.merge(&liveness);
-                marker.visited.extend(visited);
-                merges += 1;
-                busy += 1;
-                marker.counters.add(&counters);
-            }
-            rounds = 1;
-
-            // Debug cross-check of the worklist-empty condition: one
-            // confirming round must contribute nothing new. Excluded
-            // from the stats so debug and release report the same
-            // execution shape.
-            #[cfg(debug_assertions)]
-            {
-                for (cmd, _) in &workers {
-                    cmd.send(()).expect("analysis worker alive");
-                }
-                let mut changed = false;
-                for (_, out) in &workers {
-                    let (liveness, visited, _counters) =
-                        out.recv().expect("analysis worker delta")?;
-                    changed |= marker.liveness.merge(&liveness);
-                    marker.visited.extend(visited);
-                }
-                assert!(
-                    !changed,
-                    "a confirming scan round found new marks after the productive round"
-                );
-            }
-
-            // Dropping `workers` closes the command channels and the
-            // workers exit before the scope joins them.
-            Ok(())
-        });
-        scan_result?;
-        telemetry.update_stats(|s| {
-            s.scan_rounds += rounds;
-            s.scan_shards = s.scan_shards.max(shards.len() as u64);
-            s.liveness_merges += merges;
-            s.worker_busy_transitions += busy;
-        });
-
-        Self::union_post_pass(&mut marker, telemetry);
         telemetry.add_counters(&marker.counters);
         Ok(marker.liveness)
     }
@@ -463,7 +240,6 @@ impl<'p> DeadMemberAnalysis<'p> {
         drop(scan_span);
         telemetry.update_stats(|s| {
             s.scan_rounds += 1;
-            s.scan_shards = s.scan_shards.max(1);
             s.summary_replays += replays;
         });
 
@@ -478,7 +254,7 @@ impl<'p> DeadMemberAnalysis<'p> {
         Ok((marker.liveness, marker.counters))
     }
 
-    /// The shared pre-scan state: everything dead, library members
+    /// The pre-scan state: everything dead, library members
     /// unclassifiable, global initializers walked (they run
     /// unconditionally before `main`).
     fn base_marker(&self) -> Result<Marker<'p, '_>, TypeError> {
@@ -531,7 +307,6 @@ pub fn replay_liveness_telemetry(
 ) {
     telemetry.update_stats(|s| {
         s.scan_rounds += 1;
-        s.scan_shards = s.scan_shards.max(1);
         s.summary_replays += 1 + reachable_count as u64;
     });
     emit_liveness_events(telemetry, counters);
@@ -539,9 +314,9 @@ pub fn replay_liveness_telemetry(
 }
 
 /// Flight-recorder tail of every liveness engine: the scan totals and
-/// the union post-pass outcome, read from the merged counters (which are
-/// jobs- and engine-invariant at this point), so both events are det
-/// class no matter which engine or shard count produced them.
+/// the union post-pass outcome, read from the final counters (which are
+/// engine-invariant at this point), so both events are det class no
+/// matter which engine produced them.
 fn emit_liveness_events(telemetry: &Telemetry, counters: &Counters) {
     telemetry.event(EventClass::Deterministic, "liveness_scan", || {
         vec![

@@ -352,7 +352,6 @@ mod tests {
                 src,
                 AnalysisConfig::default(),
                 Algorithm::Rta,
-                1,
                 engine,
             )
             .expect("pipeline");

@@ -33,10 +33,7 @@ pub mod report;
 pub mod serve;
 pub mod snapshot;
 
-pub use analysis::{
-    replay_liveness_telemetry, AnalysisConfig, DeadMemberAnalysis, SizeofPolicy,
-    SEQUENTIAL_SCAN_THRESHOLD,
-};
+pub use analysis::{replay_liveness_telemetry, AnalysisConfig, DeadMemberAnalysis, SizeofPolicy};
 pub use eliminate::{eliminate, eliminate_with, Elimination, KeepReason};
 pub use epoch::{EpochCell, EpochSnapshot};
 pub use explain::{explain, witness_path, ExplainError};

@@ -190,36 +190,6 @@ impl Liveness {
         self.unclassifiable.insert(member);
     }
 
-    /// Merges another classification into this one; the reduction step of
-    /// the sharded analysis. Returns true if anything changed.
-    ///
-    /// Liveness marking is a monotone union: the merged live and
-    /// unclassifiable sets are the set unions of both sides, so `merge`
-    /// is **commutative and idempotent on the classification** (which
-    /// members are live / dead / unclassifiable) and **monotone** (it
-    /// never un-livens a member). Recorded [`LiveReason`]s keep the
-    /// paper's first-reason-wins rule: when both sides marked the same
-    /// member, the *receiver's* reason is kept, so merging worker deltas
-    /// in shard order reproduces exactly the reasons the sequential scan
-    /// records.
-    pub fn merge(&mut self, other: &Liveness) -> bool {
-        let mut changed = false;
-        for (&m, &r) in &other.live {
-            if self.mark_live(m, r) {
-                changed = true;
-                // The first shard to mark a member also contributes its
-                // provenance, keeping origins first-wins like reasons.
-                if let Some(&o) = other.origins.get(&m) {
-                    self.origins.insert(m, o);
-                }
-            }
-        }
-        for &m in &other.unclassifiable {
-            changed |= self.unclassifiable.insert(m);
-        }
-        changed
-    }
-
     /// Whether `member` was marked live.
     pub fn is_live(&self, member: MemberRef) -> bool {
         if let Some(d) = &self.dense {
@@ -352,78 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_commutative_on_the_classification() {
-        let mut a = Liveness::new();
-        a.mark_live(mref(0, 0), LiveReason::Read);
-        a.mark_live(mref(0, 1), LiveReason::Sizeof);
-        a.mark_unclassifiable(mref(3, 0));
-        let mut b = Liveness::new();
-        b.mark_live(mref(0, 1), LiveReason::UnsafeCast);
-        b.mark_live(mref(2, 0), LiveReason::AddressTaken);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        // Same classification either way...
-        for m in [mref(0, 0), mref(0, 1), mref(2, 0), mref(3, 0), mref(9, 9)] {
-            assert_eq!(ab.is_live(m), ba.is_live(m), "{m:?}");
-            assert_eq!(ab.is_dead(m), ba.is_dead(m), "{m:?}");
-            assert_eq!(ab.is_unclassifiable(m), ba.is_unclassifiable(m), "{m:?}");
-        }
-        assert_eq!(ab.live_count(), ba.live_count());
-        // ...while the recorded reason keeps the receiver's (first) mark.
-        assert_eq!(ab.reason(mref(0, 1)), Some(LiveReason::Sizeof));
-        assert_eq!(ba.reason(mref(0, 1)), Some(LiveReason::UnsafeCast));
-    }
-
-    #[test]
-    fn merge_is_idempotent() {
-        let mut a = Liveness::new();
-        a.mark_live(mref(1, 0), LiveReason::Read);
-        a.mark_live(mref(1, 1), LiveReason::VolatileWrite);
-        a.mark_unclassifiable(mref(2, 0));
-        let snapshot = a.clone();
-        assert!(!a.merge(&snapshot), "self-merge must be a no-op");
-        assert_eq!(a, snapshot);
-        // A second application of the same delta changes nothing either.
-        let mut target = Liveness::new();
-        assert!(target.merge(&snapshot));
-        assert!(!target.merge(&snapshot));
-        assert_eq!(target, snapshot);
-    }
-
-    #[test]
-    fn merge_is_monotone_never_unlivens() {
-        let mut a = Liveness::new();
-        a.mark_live(mref(0, 0), LiveReason::Read);
-        a.mark_live(mref(4, 2), LiveReason::PointerToMember);
-        let before: Vec<_> = a.live_members().collect();
-        a.merge(&Liveness::new()); // empty delta
-        let mut b = Liveness::new();
-        b.mark_live(mref(5, 0), LiveReason::UnionPropagation);
-        a.merge(&b);
-        for (m, r) in before {
-            assert!(a.is_live(m), "merge un-livened {m:?}");
-            assert_eq!(a.reason(m), Some(r), "merge rewrote the reason of {m:?}");
-        }
-        assert!(a.is_live(mref(5, 0)));
-    }
-
-    #[test]
-    fn merge_reports_whether_anything_changed() {
-        let mut a = Liveness::new();
-        let mut b = Liveness::new();
-        b.mark_live(mref(0, 0), LiveReason::Read);
-        assert!(a.merge(&b));
-        assert!(!a.merge(&b));
-        let mut c = Liveness::new();
-        c.mark_unclassifiable(mref(0, 1));
-        assert!(a.merge(&c));
-        assert!(!a.merge(&c));
-    }
-
-    #[test]
     fn dense_backed_liveness_is_indistinguishable_from_map_backed() {
         let tu = ddm_cppfront::parse(
             "class A { public: int a0; int a1; };\n\
@@ -453,16 +351,10 @@ mod tests {
             map.live_members().collect::<Vec<_>>()
         );
         assert_eq!(dense.dead_members(&program), map.dead_members(&program));
-        // Merging into a dense-backed set keeps both views in sync.
-        let mut delta = Liveness::new();
-        delta.mark_live(mref(0, 1), LiveReason::VolatileWrite);
-        assert!(dense.merge(&delta));
-        assert!(dense.is_live(mref(0, 1)));
-        assert!(!dense.merge(&delta));
     }
 
     #[test]
-    fn origin_is_first_wins_and_survives_merge() {
+    fn origin_is_first_wins() {
         let f = FuncId::from_index(3);
         let mut a = Liveness::new();
         assert!(a.mark_live_from(mref(0, 0), LiveReason::Read, Origin::Access { func: Some(f) }));
@@ -475,18 +367,6 @@ mod tests {
             }
         ));
         assert_eq!(a.origin(mref(0, 0)), Some(Origin::Access { func: Some(f) }));
-        // Merge carries provenance for fresh members, keeps it for known
-        // ones.
-        let mut b = Liveness::new();
-        b.mark_live_from(mref(0, 0), LiveReason::Read, Origin::Access { func: None });
-        b.mark_live_from(mref(1, 0), LiveReason::Read, Origin::Access { func: None });
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(
-            merged.origin(mref(0, 0)),
-            Some(Origin::Access { func: Some(f) })
-        );
-        assert_eq!(merged.origin(mref(1, 0)), Some(Origin::Access { func: None }));
         // Plain mark_live records no origin; classification-equality
         // ignores origins either way.
         let mut plain = Liveness::new();

@@ -140,24 +140,7 @@ impl AnalysisPipeline {
         config: AnalysisConfig,
         algorithm: Algorithm,
     ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_jobs(source, config, algorithm, 1)
-    }
-
-    /// Runs the full pipeline, sharding the liveness scan across `jobs`
-    /// worker threads (see [`DeadMemberAnalysis::run_jobs`]). Results are
-    /// bit-identical for every `jobs` value; `jobs <= 1` is the
-    /// sequential reference path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] for parse, semantic, or type failures.
-    pub fn with_config_jobs(
-        source: &str,
-        config: AnalysisConfig,
-        algorithm: Algorithm,
-        jobs: usize,
-    ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_engine(source, config, algorithm, jobs, Engine::default())
+        Self::with_config_engine(source, config, algorithm, Engine::default())
     }
 
     /// Runs the full pipeline on an explicit [`Engine`].
@@ -169,16 +152,18 @@ impl AnalysisPipeline {
         source: &str,
         config: AnalysisConfig,
         algorithm: Algorithm,
-        jobs: usize,
         engine: Engine,
     ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_telemetry(source, config, algorithm, jobs, engine, &Telemetry::disabled())
+        Self::with_config_telemetry(source, config, algorithm, engine, &Telemetry::disabled())
     }
 
     /// [`AnalysisPipeline::with_config_engine`] with telemetry: every
-    /// pipeline phase is spanned on the main lane (workers record their
-    /// own lanes), the deterministic counters are accumulated, and the
-    /// execution-stats snapshot is filled in.
+    /// pipeline phase is spanned on the main lane, the deterministic
+    /// counters are accumulated, and the execution-stats snapshot is
+    /// filled in.
+    ///
+    /// The whole run stays on the calling thread: one TU has one
+    /// front-end job, so the stats record `jobs 1`.
     ///
     /// Telemetry observes the run but never steers it: the pipeline's
     /// analysis artifacts are byte-identical whether the collector is
@@ -191,7 +176,6 @@ impl AnalysisPipeline {
         source: &str,
         config: AnalysisConfig,
         algorithm: Algorithm,
-        jobs: usize,
         engine: Engine,
         telemetry: &Telemetry,
     ) -> Result<AnalysisPipeline, PipelineError> {
@@ -212,7 +196,7 @@ impl AnalysisPipeline {
                 .iter()
                 .filter_map(|n| program.class_by_name(n))
                 .collect(),
-            jobs,
+            ..CallGraphOptions::default()
         };
         let (callgraph, liveness, used) = match engine {
             Engine::Walk => {
@@ -220,22 +204,19 @@ impl AnalysisPipeline {
                 let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
                 let callgraph = CallGraph::build_with(&program, &lookup, &cg_options, telemetry)?;
                 drop(cg_span);
-                let liveness = DeadMemberAnalysis::new(&program, config.clone()).run_jobs_with(
-                    &callgraph,
-                    jobs,
-                    telemetry,
-                )?;
+                let liveness =
+                    DeadMemberAnalysis::new(&program, config.clone()).run_with(&callgraph, telemetry)?;
                 let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
                 let used = used_classes(&program, &lookup)?;
                 drop(used_span);
                 (callgraph, liveness, used)
             }
             Engine::Summary => {
-                // Walk once: extract summaries (sharded across `jobs`
-                // workers), then every downstream phase propagates over
-                // them without touching an AST again.
+                // Walk once: extract summaries, then every downstream
+                // phase propagates over them without touching an AST
+                // again.
                 let summary =
-                    ProgramSummary::build_with(&program, algorithm == Algorithm::Pta, jobs, telemetry);
+                    ProgramSummary::build_with(&program, algorithm == Algorithm::Pta, telemetry);
                 let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
                 let callgraph =
                     CallGraph::build_from_summary_with(&program, &summary, &cg_options, telemetry)?;
@@ -254,7 +235,7 @@ impl AnalysisPipeline {
 
         telemetry.update_stats(|s| {
             s.engine = engine.to_string();
-            s.jobs = jobs as u64;
+            s.jobs = 1;
             s.bodies_walked += body_walk_count() - walks_before;
         });
         let mut tail = Counters::default();

@@ -2,11 +2,12 @@
 //!
 //! [`ProjectPipeline`] accepts N named sources, runs the per-TU front
 //! end (parse → model → walk-once summary → [`TuModule`] extraction)
-//! sharded across the worker pool, links the modules into one program
-//! ([`ddm_hierarchy::link`]), and drives the existing delta-fixpoint
-//! call graph and liveness over the linked result. Both engines produce
-//! bit-identical artifacts for every worker count, exactly like the
-//! single-TU [`AnalysisPipeline`](crate::AnalysisPipeline).
+//! on up to `jobs` worker threads, one TU at a time per worker, links
+//! the modules into one program ([`ddm_hierarchy::link`]), and drives
+//! the existing delta-fixpoint call graph and liveness over the linked
+//! result on the calling thread. Both engines produce bit-identical
+//! artifacts for every worker count, exactly like the single-TU
+//! [`AnalysisPipeline`](crate::AnalysisPipeline).
 //!
 //! With a cache directory, per-TU modules persist across runs keyed by
 //! the FNV-1a content hash of the TU source (plus a format version and
@@ -285,6 +286,10 @@ fn fixpoint_reusable(snap: &AnalysisSnapshot, delta: &LinkDelta, program: &Progr
 
 impl ProjectPipeline {
     /// Runs the multi-TU pipeline over `inputs` (name, source) pairs.
+    ///
+    /// `jobs` is how many TUs the front end parses at once. The
+    /// whole-program steps after it (link, call graph, liveness) run on
+    /// the calling thread.
     ///
     /// `cache_dir`, when set and the engine is [`Engine::Summary`],
     /// enables the persistent module cache: entries are looked up by
@@ -680,7 +685,7 @@ impl ProjectPipeline {
                 .iter()
                 .filter_map(|n| program.class_by_name(n))
                 .collect(),
-            jobs,
+            ..CallGraphOptions::default()
         };
         let attribute = |e: TypeError| -> ProjectError {
             let file = linked
@@ -735,7 +740,7 @@ impl ProjectPipeline {
                 callgraph_ns = cg_start.elapsed().as_nanos() as u64;
                 let live_start = Instant::now();
                 let liveness = DeadMemberAnalysis::new(program, config.clone())
-                    .run_jobs_with(&callgraph, jobs, telemetry)
+                    .run_with(&callgraph, telemetry)
                     .map_err(attribute)?;
                 liveness_ns = live_start.elapsed().as_nanos() as u64;
                 let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());

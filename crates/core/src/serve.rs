@@ -35,11 +35,13 @@
 //! [`ProjectPipeline`] path (snapshot probe → link delta → fixpoint
 //! replay or re-solve) with a **fresh telemetry handle per epoch**, and
 //! publishes the next epoch atomically, so queries are never blocked by
-//! a background rebuild. A rebuild that panics is caught on the builder
-//! thread and reported like a failed one; the previous epoch stays
-//! published. Because a response is written before the next request is
-//! read, a client that pipelines requests must read responses as it
-//! writes them.
+//! a background rebuild. A rebuild's per-TU front end parses up to
+//! `jobs` changed TUs at once on scoped worker threads; everything after
+//! it runs on the builder thread. A rebuild that panics is caught on the
+//! builder thread and reported like a failed one; the previous epoch
+//! stays published. Because a response is written before the next
+//! request is read, a client that pipelines requests must read
+//! responses as it writes them.
 //!
 //! Each epoch's flight-recorder events are drained to `--log-out`
 //! (appended, with an `epoch_published` marker per epoch) when the
@@ -69,7 +71,8 @@ pub struct ServeOptions {
     pub config: AnalysisConfig,
     /// Call-graph builder.
     pub algorithm: Algorithm,
-    /// Worker count of each rebuild's analysis pool.
+    /// How many TUs each rebuild's per-TU front end parses at once. The
+    /// whole-program steps of a rebuild run on the builder thread.
     pub jobs: usize,
     /// Analysis engine (only [`Engine::Summary`] consults the cache).
     pub engine: Engine,

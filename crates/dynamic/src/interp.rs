@@ -103,6 +103,7 @@ impl<'p> Interpreter<'p> {
             fuel: config.fuel,
             start_fuel: config.fuel,
             members_observed: BTreeSet::new(),
+            cdtor_class: HashMap::new(),
         };
         m.init_globals()?;
         let exit = m.call_function(main, Vec::new(), None)?;
@@ -208,6 +209,12 @@ struct Machine<'p> {
     fuel: u64,
     start_fuel: u64,
     members_observed: BTreeSet<MemberRef>,
+    /// For each object under construction or destruction, the class
+    /// whose constructor or destructor is running. A method call on such
+    /// an object dispatches as if that class were its dynamic type
+    /// ([class.cdtor]); the object itself — and so the space profile —
+    /// keeps its allocated, most-derived class.
+    cdtor_class: HashMap<ObjId, ClassId>,
 }
 
 impl<'p> Machine<'p> {
@@ -278,9 +285,44 @@ impl<'p> Machine<'p> {
         })
     }
 
+    /// The class a method call on `obj` dispatches through: the class of
+    /// a running constructor or destructor, else the allocated class.
+    fn dispatch_class(&self, obj: ObjId) -> ClassId {
+        self.cdtor_class
+            .get(&obj)
+            .copied()
+            .unwrap_or_else(|| self.store.object(obj).class)
+    }
+
+    /// Runs `f` with `obj` under construction or destruction as `class`,
+    /// then restores the enclosing constructor's or destructor's class.
+    fn in_cdtor<T>(
+        &mut self,
+        obj: ObjId,
+        class: ClassId,
+        f: impl FnOnce(&mut Self) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
+        let outer = self.cdtor_class.insert(obj, class);
+        let result = f(self);
+        match outer {
+            Some(c) => self.cdtor_class.insert(obj, c),
+            None => self.cdtor_class.remove(&obj),
+        };
+        result
+    }
+
     /// Runs constructors for `obj` viewed as `class`: base constructors
     /// (init-list args or default), member initializers, then the body.
     fn construct(
+        &mut self,
+        obj: ObjId,
+        class: ClassId,
+        args: Vec<Value>,
+    ) -> Result<Value, RuntimeError> {
+        self.in_cdtor(obj, class, |m| m.run_constructor(obj, class, args))
+    }
+
+    fn run_constructor(
         &mut self,
         obj: ObjId,
         class: ClassId,
@@ -375,6 +417,10 @@ impl<'p> Machine<'p> {
     /// Runs destructors for `obj`, starting from its dynamic class: the
     /// body, then member destructors, then base destructors.
     fn destruct(&mut self, obj: ObjId, class: ClassId) -> Result<(), RuntimeError> {
+        self.in_cdtor(obj, class, |m| m.run_destructor(obj, class))
+    }
+
+    fn run_destructor(&mut self, obj: ObjId, class: ClassId) -> Result<(), RuntimeError> {
         self.step()?;
         if let Some(dtor) = self.program.destructor(class) {
             if let Some(body) = self.program.function(dtor).body.clone() {
@@ -1415,7 +1461,7 @@ impl<'p> Machine<'p> {
                 }
                 // Implicit this->method(...).
                 if let Some(this) = env.this_obj {
-                    let class = self.store.object(this).class;
+                    let class = self.dispatch_class(this);
                     if let Ok(Found::Method { func, .. }) = self.lookup.member(class, name) {
                         let argv = self.eval_args(func, args, env)?;
                         return self.call_function(func, argv, Some(this));
@@ -1437,7 +1483,7 @@ impl<'p> Machine<'p> {
             } => {
                 let base_v = self.eval(base, env)?;
                 let obj = self.expect_object(base_v, *arrow)?;
-                let dynamic_class = self.store.object(obj).class;
+                let dynamic_class = self.dispatch_class(obj);
                 let lookup_class = match qualifier {
                     Some(q) => self
                         .program
@@ -2184,6 +2230,42 @@ mod inheritance_runtime_tests {
              int main() { { Whole w; } return 0; }",
         );
         assert_eq!(e.output, "1\n2\n3\n");
+    }
+
+    #[test]
+    fn virtual_calls_in_ctor_and_dtor_dispatch_to_the_running_class() {
+        // [class.cdtor]: inside A::A and A::~A the object behaves as an
+        // A, so f() and g() reach A's overrides, not B's — which would
+        // read B's members before B::B set them and after B::~B ran.
+        let e = run(
+            "class A { public: int a_only;\n\
+               A() { a_only = 5; print_int(f()); }  ~A() { print_int(g()); }\n\
+               virtual int f() { return a_only; }  virtual int g() { return 10; } };\n\
+             class B : public A { public: int b_unset; int b_dtor;\n\
+               B() : A() { b_unset = 7; b_dtor = 3; }  ~B() { b_dtor = 0; }\n\
+               virtual int f() { return b_unset; }  virtual int g() { return b_dtor; } };\n\
+             int main() { B* p = new B(); delete p; return 0; }",
+        );
+        assert_eq!(e.output, "5\n10\n");
+    }
+
+    #[test]
+    fn cdtor_dispatch_reaches_helpers_and_the_explicit_this() {
+        // The rule covers calls made indirectly from the constructor and
+        // through an explicit `this->`; once construction finishes the
+        // object dispatches to B again, and B's space is still charged
+        // to B.
+        let src = "class A { public: A() { print_int(probe()); print_int(this->id()); }\n\
+               int probe() { return id(); }  virtual int id() { return 1; } };\n\
+             class B : public A { public: int pad; B() : A() { print_int(id()); }\n\
+               virtual int id() { return 2; } };\n\
+             int main() { B b; A* p = &b; print_int(p->id()); return 0; }";
+        let e = run(src);
+        assert_eq!(e.output, "1\n1\n2\n2\n");
+        let p = Program::build(&parse(src).unwrap()).unwrap();
+        let b = p.class_by_name("B").unwrap();
+        assert!(!e.trace.events().is_empty());
+        assert!(e.trace.events().iter().all(|ev| ev.class == b));
     }
 
     #[test]

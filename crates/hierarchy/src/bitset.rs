@@ -7,8 +7,8 @@
 //! pointer-chasing tree: membership is one shift and mask, insertion
 //! reports freshness for worklist seeding, and ascending iteration falls
 //! out of the word order — which is exactly the deterministic id order
-//! every downstream consumer (shard assignment, reports, `--explain`
-//! witness search) sorts by.
+//! every downstream consumer (reports, `--explain` witness search) sorts
+//! by.
 //!
 //! [`DenseBitSet`] is the untyped core; [`FuncBitSet`] and
 //! [`ClassBitSet`] wrap it with the id newtypes so a function set cannot

@@ -60,9 +60,8 @@ pub use module::{
 };
 pub use subobject::{Subobject, SubobjectId, SubobjectTree};
 pub use summary::{
-    classify_cast, extract_function, strip_indirections, CastSafety, CgStep, DeleteSite, FnSummary,
-    LiveStep, MarkAllCause, MemberAccessKind, MemberBitSet, MemberIndex, ProgramSummary,
-    VirtualSite, EXTRACTION_SHARD_THRESHOLD,
+    classify_cast, strip_indirections, CastSafety, CgStep, DeleteSite, FnSummary, LiveStep,
+    MarkAllCause, MemberAccessKind, MemberBitSet, MemberIndex, ProgramSummary, VirtualSite,
 };
 pub use typewalk::{
     body_walk_count, resolve_ctor, walk_function, walk_globals, Builtin, CallEvent, CallTarget,

@@ -39,17 +39,6 @@ use ddm_cppfront::Span;
 use ddm_telemetry::{Telemetry, LANE_MAIN};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Minimum function count before [`ProgramSummary::build`] shards
-/// extraction across worker threads. Below it, thread spawn and join
-/// overhead exceeds the walk itself (the suite's programs are 16–85
-/// functions; spawning eight workers for them is where the `--jobs 8`
-/// regression in `BENCH_suite.json` came from — at 64 the suite's
-/// larger programs still sharded and still lost, so the cut sits above
-/// the whole suite). The threshold is deliberately *not* tied to the
-/// host's CPU count: extraction results are identical either way, and a
-/// fixed cut keeps the execution shape reproducible across machines.
-pub const EXTRACTION_SHARD_THRESHOLD: usize = 256;
-
 /// Dense program-wide numbering of every data member.
 ///
 /// Members are numbered in declaration order: classes in id order, and
@@ -373,73 +362,33 @@ pub struct ProgramSummary {
 
 impl ProgramSummary {
     /// Extracts summaries for every function of `program`, walking each
-    /// body exactly once, sharded across `jobs` worker threads.
+    /// body exactly once.
     ///
     /// `refine_receivers` enables the §3.1 points-to refinement at
     /// virtual call sites (used by the PTA call graph); it costs one
     /// extra body scan per analysable receiver variable, so only enable
     /// it when the refinement is consumed.
     ///
-    /// Extraction is a pure function of each body, so the result is
-    /// identical for every `jobs` value.
-    pub fn build(program: &Program, refine_receivers: bool, jobs: usize) -> ProgramSummary {
-        Self::build_with(program, refine_receivers, jobs, &Telemetry::disabled())
+    /// `_jobs` is ignored: extraction runs on the calling thread. The
+    /// parameter stays until the repository benchmark, which passes it,
+    /// is next changed.
+    pub fn build(program: &Program, refine_receivers: bool, _jobs: usize) -> ProgramSummary {
+        Self::build_with(program, refine_receivers, &Telemetry::disabled())
     }
 
     /// [`ProgramSummary::build`] with telemetry: the extraction phase is
-    /// spanned on the main lane, and each worker records its shard on its
-    /// own lane (shard index + 1).
+    /// spanned on the main lane.
     pub fn build_with(
         program: &Program,
         refine_receivers: bool,
-        jobs: usize,
         telemetry: &Telemetry,
     ) -> ProgramSummary {
         let n = program.function_count();
         let _extraction = telemetry.span(LANE_MAIN, || format!("summary extraction ({n} fns)"));
-        let functions: Vec<Result<FnSummary, TypeError>> = if jobs <= 1
-            || n < EXTRACTION_SHARD_THRESHOLD
-        {
-            let lookup = MemberLookup::new(program);
-            (0..n)
-                .map(|i| extract_function(program, &lookup, FuncId::from_index(i), refine_receivers))
-                .collect()
-        } else {
-            // Contiguous shards, results concatenated in shard order: the
-            // summary vector is indexed by FuncId regardless of which
-            // worker produced which slice.
-            let per_shard = n.div_ceil(jobs);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .step_by(per_shard)
-                    .enumerate()
-                    .map(|(shard_ix, start)| {
-                        let end = (start + per_shard).min(n);
-                        scope.spawn(move || {
-                            let lane = u32::try_from(shard_ix + 1).unwrap_or(u32::MAX);
-                            let _shard = telemetry.span(lane, || {
-                                format!("extract shard {shard_ix} ({} fns)", end - start)
-                            });
-                            let lookup = MemberLookup::new(program);
-                            (start..end)
-                                .map(|i| {
-                                    extract_function(
-                                        program,
-                                        &lookup,
-                                        FuncId::from_index(i),
-                                        refine_receivers,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("summary extraction worker panicked"))
-                    .collect()
-            })
-        };
+        let lookup = MemberLookup::new(program);
+        let functions: Vec<Result<FnSummary, TypeError>> = (0..n)
+            .map(|i| extract_function(program, &lookup, FuncId::from_index(i), refine_receivers))
+            .collect();
         let globals = {
             let lookup = MemberLookup::new(program);
             let mut ex = Extractor::new(program, &lookup, None, false);
@@ -566,17 +515,11 @@ fn containment_closure(program: &Program, class: ClassId) -> Vec<ClassId> {
 
 /// Extracts the summary of one function body, walking it exactly once.
 ///
-/// Public because the call-graph fixpoint's parallel rounds pre-extract
-/// the bodies of a round's batch on worker threads and replay the
-/// summaries in slot order — the PR-2 walk-once equivalence (replaying
-/// an extracted summary observes the same events as walking the body)
-/// is what keeps that bit-identical to the sequential walk.
-///
 /// # Errors
 ///
 /// Returns the [`TypeError`] the walk produced, exactly as the walk
 /// engine would surface it at this body.
-pub fn extract_function(
+fn extract_function(
     program: &Program,
     lookup: &MemberLookup<'_>,
     func: FuncId,
@@ -920,26 +863,6 @@ mod tests {
             ],
             "store to w dropped, volatile write kept, order preserved"
         );
-    }
-
-    #[test]
-    fn extraction_is_identical_at_any_worker_count() {
-        let p = program(
-            "class A { public: virtual int f() { return x; } int x; };\n\
-             class B : public A { public: virtual int f() { return y; } int y; };\n\
-             int helper(A* a) { return a->f(); }\n\
-             int main() { B b; return helper(&b); }",
-        );
-        let one = ProgramSummary::build(&p, false, 1);
-        let eight = ProgramSummary::build(&p, false, 8);
-        for (fid, _) in p.functions() {
-            assert_eq!(
-                one.function(fid).unwrap(),
-                eight.function(fid).unwrap(),
-                "{fid}"
-            );
-        }
-        assert_eq!(one.globals().unwrap(), eight.globals().unwrap());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   bit-identical across `--jobs 1..N` and across both engines
 //!   (walk/summary), so tests can assert them.
 //! * **Timing spans** ([`SpanRecord`]) and **execution stats**
-//!   ([`ExecStats`]) are observational — wall-clock phase timings, worker
-//!   lanes, round counts, whether the sequential fast path fired. They
+//!   ([`ExecStats`]) are observational — wall-clock phase timings, the
+//!   per-TU front end's worker lanes, round counts, cache hits. They
 //!   describe *how* a particular run executed and are never asserted for
 //!   equality across configurations.
 //!
@@ -37,16 +37,14 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// The span lane of the coordinating thread. Worker lanes are `1..=N`
-/// (shard index + 1).
+/// (front-end worker index + 1).
 pub const LANE_MAIN: u32 = 0;
 
 /// Deterministic event counts: identical for every `--jobs` value and
 /// both engines on the same input and configuration.
 ///
 /// Scan counters count *marking attempts* (events the paper's rules
-/// fire on), not fresh marks: attempts partition across shards, so their
-/// sum is independent of how the reachable set is sliced, while fresh
-/// marks would depend on which shard saw a member first.
+/// fire on), not fresh marks.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Counters {
     /// Functions reachable in the call graph.
@@ -92,8 +90,7 @@ pub struct Counters {
 impl Counters {
     /// Adds `other` into `self`, field-wise. Contributions come from
     /// disjoint phases (scan counters from the analysis, graph and
-    /// classification totals from the pipeline), merged in a fixed order
-    /// like `Liveness::merge`.
+    /// classification totals from the pipeline), merged in a fixed order.
     pub fn add(&mut self, other: &Counters) {
         for ((_, a), (_, b)) in self.rows_mut().into_iter().zip(other.rows()) {
             *a += b;
@@ -167,7 +164,7 @@ impl Counters {
 pub struct ExecStats {
     /// Engine name ("walk" / "summary").
     pub engine: String,
-    /// Requested worker count.
+    /// Requested front-end worker count (single-TU runs: 1).
     pub jobs: u64,
     /// Function/global bodies traversed (AST walks).
     pub bodies_walked: u64,
@@ -175,20 +172,11 @@ pub struct ExecStats {
     pub summary_replays: u64,
     /// Call-graph fixpoint rounds.
     pub callgraph_rounds: u64,
-    /// Liveness scan rounds (sequential scan: 1).
+    /// Liveness scan rounds (one per scan).
     pub scan_rounds: u64,
-    /// Shards the scan was split into (sequential scan: 1).
-    pub scan_shards: u64,
-    /// Whether `run_jobs` fell back to the sequential scan because the
-    /// program is below the function-count threshold.
-    pub scan_sequential_fastpath: bool,
-    /// `Liveness::merge` reductions performed by the coordinator.
-    pub liveness_merges: u64,
     /// Pending-dispatch worklist registrations in the summary call-graph
     /// builder.
     pub worklist_pushes: u64,
-    /// Worker idle→busy transitions (one per scan command processed).
-    pub worker_busy_transitions: u64,
     /// Translation units in the project (multi-TU runs; single-TU: 0).
     pub tu_modules: u64,
     /// Per-TU summary modules served from the persistent cache.
@@ -236,17 +224,14 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Stable (key, value) view of the numeric fields, in rendering order.
-    pub fn rows(&self) -> [(&'static str, u64); 25] {
+    pub fn rows(&self) -> [(&'static str, u64); 22] {
         [
             ("jobs", self.jobs),
             ("bodies_walked", self.bodies_walked),
             ("summary_replays", self.summary_replays),
             ("callgraph_rounds", self.callgraph_rounds),
             ("scan_rounds", self.scan_rounds),
-            ("scan_shards", self.scan_shards),
-            ("liveness_merges", self.liveness_merges),
             ("worklist_pushes", self.worklist_pushes),
-            ("worker_busy_transitions", self.worker_busy_transitions),
             ("tu_modules", self.tu_modules),
             ("tu_cache_hits", self.tu_cache_hits),
             ("tu_cache_misses", self.tu_cache_misses),
@@ -272,7 +257,7 @@ impl ExecStats {
 /// trace model).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Phase name, e.g. `"parse"` or `"scan round 0 shard 2 (11 fns)"`.
+    /// Phase name, e.g. `"parse"` or `"tu src/a.cpp"`.
     pub name: String,
     /// 0 = coordinator, `1..=N` = worker lanes.
     pub lane: u32,
@@ -615,8 +600,7 @@ impl Telemetry {
             out.push_str(&format!("\"{key}\": {value}, "));
         }
         out.push_str(&format!(
-            "\"scan_sequential_fastpath\": {}, \"cg_round_deltas\": [{}]}},\n",
-            stats.scan_sequential_fastpath,
+            "\"cg_round_deltas\": [{}]}},\n",
             stats
                 .cg_round_deltas
                 .iter()
@@ -681,10 +665,6 @@ impl Telemetry {
         for (key, value) in stats.rows() {
             out.push_str(&format!("{key:<44} {value:>12}\n"));
         }
-        out.push_str(&format!(
-            "{:<44} {:>12}\n",
-            "scan_sequential_fastpath", stats.scan_sequential_fastpath
-        ));
         let deltas = stats
             .cg_round_deltas
             .iter()

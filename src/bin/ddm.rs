@@ -31,7 +31,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--jobs",
         "<N>",
-        "shard the liveness scan across N worker threads (deterministic; default 1)",
+        "parse up to N TUs at once in project and serve runs (deterministic; default 1)",
     ),
     (
         "--library",
@@ -501,7 +501,6 @@ fn run(opts: &Options, telemetry: &Telemetry) -> ExitCode {
         &source,
         analysis_config(opts),
         opts.algorithm,
-        opts.jobs,
         opts.engine,
         telemetry,
     ) {

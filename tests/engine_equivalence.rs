@@ -6,7 +6,7 @@
 //! reasons, unclassifiable set), the call graph (reachable set,
 //! instantiated set, edges), and the byte-for-byte rendered report.
 //! The comparison runs across every bundled benchmark program, every
-//! call-graph algorithm, both worker counts, every configuration gate
+//! call-graph algorithm, every configuration gate
 //! the engines resolve at different times (down-casts, `sizeof`,
 //! library classes), and a seeded sweep of generated programs.
 
@@ -51,41 +51,34 @@ fn suite_config() -> AnalysisConfig {
 }
 
 /// Asserts that the walk and summary engines agree on every observable
-/// for one (source, config, algorithm) triple, at both worker counts.
+/// for one (source, config, algorithm) triple.
 fn assert_engines_agree(label: &str, source: &str, config: &AnalysisConfig, algorithm: Algorithm) {
-    let reference =
-        AnalysisPipeline::with_config_engine(source, config.clone(), algorithm, 1, Engine::Walk)
+    let walk =
+        AnalysisPipeline::with_config_engine(source, config.clone(), algorithm, Engine::Walk)
             .unwrap_or_else(|e| panic!("{label}: walk engine failed: {e}"));
-    let reference_report = reference.report().to_string();
-    for (engine, jobs) in [
-        (Engine::Walk, 8),
-        (Engine::Summary, 1),
-        (Engine::Summary, 8),
-    ] {
-        let run =
-            AnalysisPipeline::with_config_engine(source, config.clone(), algorithm, jobs, engine)
-                .unwrap_or_else(|e| panic!("{label}: {engine} jobs={jobs} failed: {e}"));
-        assert_eq!(
-            reference.liveness(),
-            run.liveness(),
-            "{label}: liveness diverged ({engine}, jobs={jobs}, {algorithm})"
-        );
-        assert_eq!(
-            reference.callgraph(),
-            run.callgraph(),
-            "{label}: call graph diverged ({engine}, jobs={jobs}, {algorithm})"
-        );
-        assert_eq!(
-            reference.used(),
-            run.used(),
-            "{label}: used-class set diverged ({engine}, jobs={jobs}, {algorithm})"
-        );
-        assert_eq!(
-            reference_report,
-            run.report().to_string(),
-            "{label}: rendered report diverged ({engine}, jobs={jobs}, {algorithm})"
-        );
-    }
+    let summary =
+        AnalysisPipeline::with_config_engine(source, config.clone(), algorithm, Engine::Summary)
+            .unwrap_or_else(|e| panic!("{label}: summary engine failed: {e}"));
+    assert_eq!(
+        walk.liveness(),
+        summary.liveness(),
+        "{label}: liveness diverged ({algorithm})"
+    );
+    assert_eq!(
+        walk.callgraph(),
+        summary.callgraph(),
+        "{label}: call graph diverged ({algorithm})"
+    );
+    assert_eq!(
+        walk.used(),
+        summary.used(),
+        "{label}: used-class set diverged ({algorithm})"
+    );
+    assert_eq!(
+        walk.report().to_string(),
+        summary.report().to_string(),
+        "{label}: rendered report diverged ({algorithm})"
+    );
 }
 
 #[test]

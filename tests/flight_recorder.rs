@@ -1,5 +1,6 @@
 //! The flight recorder's core contract: the deterministic event class
-//! is byte-identical across worker counts, engines, and cache state —
+//! is byte-identical across engines, cache state, and the project front
+//! end's worker count —
 //! the same discipline `Counters` already obeys — while turning the
 //! recorder (and the metrics registry) on changes no analysis output.
 
@@ -54,13 +55,12 @@ fn multi_tu_inputs() -> Vec<(String, String)> {
 
 /// Runs the single-file pipeline with the full recorder on and returns
 /// (deterministic NDJSON, metrics JSON).
-fn record_single(source: &str, jobs: usize, engine: Engine) -> (String, String) {
+fn record_single(source: &str, engine: Engine) -> (String, String) {
     let telemetry = Telemetry::recording();
     AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
-        jobs,
         engine,
         &telemetry,
     )
@@ -100,20 +100,18 @@ fn temp_cache(tag: &str) -> PathBuf {
 #[test]
 fn det_stream_identical_across_jobs_and_engines_on_the_suite() {
     for (name, source) in bundled_programs() {
-        let (reference, _) = record_single(&source, 1, Engine::Summary);
+        let (reference, _) = record_single(&source, Engine::Summary);
         assert!(
             reference.contains("\"event\":\"classification\""),
             "{name}: no classification event recorded"
         );
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 8] {
-                let (stream, _) = record_single(&source, jobs, engine);
-                assert_eq!(
-                    stream, reference,
-                    "{name}: det stream diverged at engine={engine} jobs={jobs}"
-                );
-            }
-        }
+        // One TU runs on one thread, so only the engine varies; the
+        // multi-TU test below keeps the jobs dimension.
+        let (stream, _) = record_single(&source, Engine::Walk);
+        assert_eq!(
+            stream, reference,
+            "{name}: det stream diverged between engines"
+        );
     }
 }
 
@@ -124,20 +122,16 @@ fn histogram_bucket_counts_identical_across_jobs_and_engines() {
     // so the whole rendered document — histogram buckets included — is
     // pinned byte-for-byte.
     for (name, source) in bundled_programs() {
-        let (_, reference) = record_single(&source, 1, Engine::Summary);
+        let (_, reference) = record_single(&source, Engine::Summary);
         assert!(
             reference.contains("callgraph/round_delta_fns"),
             "{name}: no round-delta histogram in metrics"
         );
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 8] {
-                let (_, metrics) = record_single(&source, jobs, engine);
-                assert_eq!(
-                    metrics, reference,
-                    "{name}: metrics diverged at engine={engine} jobs={jobs}"
-                );
-            }
-        }
+        let (_, metrics) = record_single(&source, Engine::Walk);
+        assert_eq!(
+            metrics, reference,
+            "{name}: metrics diverged between engines"
+        );
     }
 }
 
@@ -227,7 +221,6 @@ fn recording_changes_no_output_and_no_counters() {
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            2,
             Engine::Summary,
         )
         .expect("pipeline");
@@ -236,7 +229,6 @@ fn recording_changes_no_output_and_no_counters() {
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            2,
             Engine::Summary,
             &baseline,
         )
@@ -246,7 +238,6 @@ fn recording_changes_no_output_and_no_counters() {
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            2,
             Engine::Summary,
             &recording,
         )
@@ -315,7 +306,6 @@ fn event_classes_are_cleanly_tagged_and_filterable() {
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
-        1,
         Engine::Summary,
         &telemetry,
     )

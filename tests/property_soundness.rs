@@ -10,6 +10,8 @@
 //! an external property-testing crate (the build environment is
 //! offline), so every run exercises the identical deterministic sweep.
 
+use ddm_bench::fuzz::chunk_top_level;
+use dead_data_members::analysis::ProjectPipeline;
 use dead_data_members::benchmarks::generator::{generate, GeneratorConfig};
 use dead_data_members::benchmarks::rng::Rng;
 use dead_data_members::prelude::*;
@@ -84,23 +86,45 @@ fn pta_refinement_is_also_sound() {
     }
 }
 
+/// Splits a generated program into a project: the class definitions
+/// form a header that every TU repeats, and each free function (the
+/// never-called reader and `main`) gets a TU of its own.
+fn split_into_tus(src: &str) -> Vec<(String, String)> {
+    let (header, functions): (Vec<String>, Vec<String>) = chunk_top_level(src)
+        .into_iter()
+        .partition(|chunk| chunk.lines().any(|l| l.starts_with("class ")));
+    let header = header.concat();
+    functions
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (format!("tu{i}.cpp"), format!("{header}{f}")))
+        .collect()
+}
+
 #[test]
 fn parallel_analysis_matches_sequential_on_generated_programs() {
-    // Differential property over random programs: the sharded engine
-    // must agree with the sequential reference bit-for-bit, for every
-    // worker count.
+    // Differential property over random programs: split into TUs and
+    // run through the parallel per-TU front end, every worker count must
+    // reproduce the sequential single-TU pipeline's report bit-for-bit.
     for (config, seed) in cases(24, 0x7A12) {
         let src = generate(&config, seed);
         let sequential = AnalysisPipeline::from_source(&src).expect("pipeline");
-        for jobs in [2, 3, 8] {
-            let parallel =
-                AnalysisPipeline::with_config_jobs(&src, Default::default(), Algorithm::Rta, jobs)
-                    .expect("parallel pipeline");
-            assert_eq!(
-                sequential.liveness(),
-                parallel.liveness(),
-                "jobs={jobs} diverged\n{src}"
-            );
+        let inputs = split_into_tus(&src);
+        assert!(
+            inputs.len() >= 2,
+            "a generated program has two free functions"
+        );
+        for jobs in [1, 2, 3, 8] {
+            let parallel = ProjectPipeline::run(
+                &inputs,
+                AnalysisConfig::default(),
+                Algorithm::Rta,
+                jobs,
+                Engine::Summary,
+                None,
+                &Telemetry::disabled(),
+            )
+            .expect("project pipeline");
             assert_eq!(
                 sequential.report().to_string(),
                 parallel.report().to_string(),

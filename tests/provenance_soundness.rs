@@ -26,14 +26,8 @@ fn bundled_programs() -> Vec<(String, String)> {
 }
 
 fn pipeline(source: &str, engine: Engine) -> AnalysisPipeline {
-    AnalysisPipeline::with_config_engine(
-        source,
-        AnalysisConfig::default(),
-        Algorithm::Rta,
-        1,
-        engine,
-    )
-    .expect("pipeline")
+    AnalysisPipeline::with_config_engine(source, AnalysisConfig::default(), Algorithm::Rta, engine)
+        .expect("pipeline")
 }
 
 /// Every live member of every benchmark program has an origin whose

@@ -1,7 +1,9 @@
 //! The telemetry layer's core contract: deterministic counters are
-//! bit-identical across worker counts and engines, enabling telemetry
-//! changes no analysis output, and `--explain` renders the same witness
-//! text whichever engine produced the liveness.
+//! bit-identical across engines, enabling telemetry changes no analysis
+//! output, and `--explain` renders the same witness text whichever
+//! engine produced the liveness. One TU runs on one thread, so the
+//! jobs dimension of these contracts is pinned by the project-level
+//! matrices (`flight_recorder`, `project_cache`).
 
 use dead_data_members::prelude::*;
 
@@ -29,13 +31,12 @@ fn bundled_programs() -> Vec<(String, String)> {
         .collect()
 }
 
-fn run_counters(source: &str, jobs: usize, engine: Engine) -> Counters {
+fn run_counters(source: &str, engine: Engine) -> Counters {
     let telemetry = Telemetry::enabled();
     AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
-        jobs,
         engine,
         &telemetry,
     )
@@ -46,48 +47,12 @@ fn run_counters(source: &str, jobs: usize, engine: Engine) -> Counters {
 #[test]
 fn counters_identical_across_jobs_and_engines() {
     for (name, source) in bundled_programs() {
-        let reference = run_counters(&source, 1, Engine::Summary);
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 2, 8] {
-                let counters = run_counters(&source, jobs, engine);
-                assert_eq!(
-                    counters, reference,
-                    "{name}: counters diverged at engine={engine} jobs={jobs}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_scan_counters_match_sequential() {
-    // The pipeline's size threshold routes small programs to the
-    // sequential path, so exercise the worker machinery directly: the
-    // sharded scan must count the identical event totals.
-    for (name, source) in bundled_programs() {
-        let tu = parse(&source).expect("parse");
-        let program = Program::build(&tu).expect("sema");
-        let lookup = MemberLookup::new(&program);
-        let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-        let analysis = DeadMemberAnalysis::new(&program, AnalysisConfig::default());
-
-        let sequential = Telemetry::enabled();
-        let reference = analysis.run(&graph).unwrap();
-        analysis
-            .run_jobs_with(&graph, 1, &sequential)
-            .expect("sequential scan");
-        for jobs in [2, 8] {
-            let telemetry = Telemetry::enabled();
-            let liveness = analysis
-                .run_jobs_sharded(&graph, jobs, &telemetry)
-                .expect("sharded scan");
-            assert_eq!(liveness, reference, "{name}: liveness diverged at jobs={jobs}");
-            assert_eq!(
-                telemetry.counters(),
-                sequential.counters(),
-                "{name}: sharded counters diverged at jobs={jobs}"
-            );
-        }
+        let reference = run_counters(&source, Engine::Summary);
+        assert_eq!(
+            run_counters(&source, Engine::Walk),
+            reference,
+            "{name}: counters diverged between engines"
+        );
     }
 }
 
@@ -98,7 +63,6 @@ fn enabling_telemetry_changes_no_analysis_output() {
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            2,
             Engine::Summary,
         )
         .expect("pipeline");
@@ -107,7 +71,6 @@ fn enabling_telemetry_changes_no_analysis_output() {
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            2,
             Engine::Summary,
             &telemetry,
         )
@@ -132,7 +95,6 @@ fn explain_is_byte_identical_across_engines() {
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            1,
             Engine::Walk,
         )
         .expect("walk pipeline");
@@ -140,7 +102,6 @@ fn explain_is_byte_identical_across_engines() {
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            1,
             Engine::Summary,
         )
         .expect("summary pipeline");
@@ -174,17 +135,12 @@ fn stats_record_engine_and_fastpath_routing() {
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
-        8,
         Engine::Walk,
         &telemetry,
     )
     .expect("pipeline");
     let stats = telemetry.stats();
     assert_eq!(stats.engine, "walk");
-    assert_eq!(stats.jobs, 8);
-    assert!(
-        stats.scan_sequential_fastpath,
-        "benchmark programs sit below SEQUENTIAL_SCAN_THRESHOLD, so jobs=8 must fall back"
-    );
+    assert_eq!(stats.jobs, 1, "one TU has one front-end job");
     assert!(stats.bodies_walked > 0);
 }

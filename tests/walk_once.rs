@@ -42,9 +42,9 @@ fn suite_config() -> AnalysisConfig {
 }
 
 /// Runs one pipeline and returns how many body walks it performed.
-fn walks_for(source: &str, engine: Engine, jobs: usize) -> u64 {
+fn walks_for(source: &str, engine: Engine) -> u64 {
     let before = body_walk_count();
-    AnalysisPipeline::with_config_engine(source, suite_config(), Algorithm::Rta, jobs, engine)
+    AnalysisPipeline::with_config_engine(source, suite_config(), Algorithm::Rta, engine)
         .expect("pipeline");
     body_walk_count() - before
 }
@@ -58,19 +58,17 @@ fn summary_engine_walks_each_body_exactly_once() {
 
         // Extraction walks every function body once plus the global
         // initialisers once; no downstream phase touches an AST again.
-        for jobs in [1u64, 8] {
-            let walked = walks_for(&source, Engine::Summary, jobs as usize);
-            assert_eq!(
-                walked,
-                function_count + 1,
-                "{name}: summary engine (jobs={jobs}) walked {walked} bodies, \
-                 expected {function_count} functions + 1 globals pass"
-            );
-        }
+        let walked = walks_for(&source, Engine::Summary);
+        assert_eq!(
+            walked,
+            function_count + 1,
+            "{name}: summary engine walked {walked} bodies, \
+             expected {function_count} functions + 1 globals pass"
+        );
 
         // The retained engine re-walks per call-graph round and again in
         // the liveness scan, so it must always do strictly more work.
-        let rewalked = walks_for(&source, Engine::Walk, 1);
+        let rewalked = walks_for(&source, Engine::Walk);
         assert!(
             rewalked > function_count + 1,
             "{name}: walk engine did {rewalked} walks, \

@@ -9,7 +9,7 @@
 //! delta fixpoint reproduces it bit for bit: the reachable set, the
 //! instantiated set, every edge list, the address-taken set, and every
 //! downstream byte (reports, `--explain` transcripts) across both
-//! engines and worker counts.
+//! engines.
 //!
 //! The oracle is intentionally the *naive* algorithm: correctness by
 //! construction, quadratic be damned. DESIGN.md §5d argues the schedule
@@ -292,23 +292,6 @@ fn assert_matches_oracle(label: &str, source: &str, algorithm: Algorithm) {
     let replayed = CallGraph::build_from_summary(&program, &summary, &options)
         .unwrap_or_else(|e| panic!("{label}: replay build: {e}"));
     assert_eq!(walked, replayed, "{label}: engines disagree");
-    // The parallel round path must be invisible in the artifact: any
-    // worker count, same graph (rounds below the parallel threshold
-    // take the sequential path and are trivially identical; the wide
-    // shapes below cross it).
-    for jobs in [2, 8] {
-        let options_jobs = CallGraphOptions {
-            algorithm,
-            jobs,
-            ..Default::default()
-        };
-        let walked_jobs = CallGraph::build(&program, &lookup, &options_jobs)
-            .unwrap_or_else(|e| panic!("{label}: walk build (jobs={jobs}): {e}"));
-        assert_eq!(
-            walked, walked_jobs,
-            "{label}: jobs={jobs} walk diverged from sequential"
-        );
-    }
 
     if algorithm == Algorithm::Everything {
         // The oracle only reimplements the propagating builders; the
@@ -468,11 +451,10 @@ int main() { int a = early(); a = a + late(); return a; }
 
 #[test]
 fn wide_rounds_match_the_prechange_sweep() {
-    // One round wider than PARALLEL_ROUND_THRESHOLD, so the jobs={2,8}
-    // builds inside assert_matches_oracle actually take the parallel
-    // pre-extraction path — with an instantiation landing mid-round so
-    // readied drain slots interleave with first processings.
-    let n = dead_data_members::callgraph::PARALLEL_ROUND_THRESHOLD + 44;
+    // One delta round 300 functions wide, with an instantiation landing
+    // mid-round so readied drain slots interleave with first
+    // processings.
+    let n = 300;
     let mut source = String::from(
         "class A { public: int f; virtual int m() { return f; } };\n\
          class B : public A { public: int g; virtual int m() { return g + f; } };\n",
@@ -503,7 +485,6 @@ fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
             &source,
             suite_config(),
             Algorithm::Rta,
-            1,
             Engine::Walk,
         )
         .unwrap_or_else(|e| panic!("{name}: reference run: {e}"));
@@ -522,33 +503,33 @@ fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
             })
             .collect();
 
+        // One TU runs on one thread whatever `--jobs` says, so only the
+        // engine varies here; the project-level matrices (project_cache,
+        // flight_recorder, serve_determinism) cover the front end's jobs.
         for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 2, 8] {
-                let run = AnalysisPipeline::with_config_engine(
-                    &source,
-                    suite_config(),
-                    Algorithm::Rta,
-                    jobs,
-                    engine,
-                )
-                .unwrap_or_else(|e| panic!("{name}: {engine} jobs={jobs}: {e}"));
+            let run = AnalysisPipeline::with_config_engine(
+                &source,
+                suite_config(),
+                Algorithm::Rta,
+                engine,
+            )
+            .unwrap_or_else(|e| panic!("{name}: {engine}: {e}"));
+            assert_eq!(
+                reference.callgraph(),
+                run.callgraph(),
+                "{name}: call graph diverged ({engine})"
+            );
+            assert_eq!(
+                reference_report,
+                run.report().to_string(),
+                "{name}: report bytes diverged ({engine})"
+            );
+            for (spec, expected) in specs.iter().zip(&reference_explains) {
+                let got = explain(run.program(), run.callgraph(), run.liveness(), spec);
                 assert_eq!(
-                    reference.callgraph(),
-                    run.callgraph(),
-                    "{name}: call graph diverged ({engine}, jobs={jobs})"
+                    *expected, got,
+                    "{name}: explain({spec}) diverged ({engine})"
                 );
-                assert_eq!(
-                    reference_report,
-                    run.report().to_string(),
-                    "{name}: report bytes diverged ({engine}, jobs={jobs})"
-                );
-                for (spec, expected) in specs.iter().zip(&reference_explains) {
-                    let got = explain(run.program(), run.callgraph(), run.liveness(), spec);
-                    assert_eq!(
-                        *expected, got,
-                        "{name}: explain({spec}) diverged ({engine}, jobs={jobs})"
-                    );
-                }
             }
         }
     }
@@ -559,35 +540,29 @@ fn worklist_telemetry_is_identical_across_engines_and_jobs() {
     for (name, source) in bundled_programs() {
         let mut baseline: Option<(Counters, Vec<u64>)> = None;
         for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 8] {
-                let telemetry = Telemetry::enabled();
-                AnalysisPipeline::with_config_telemetry(
-                    &source,
-                    suite_config(),
-                    Algorithm::Rta,
-                    jobs,
-                    engine,
-                    &telemetry,
-                )
-                .unwrap_or_else(|e| panic!("{name}: {engine} jobs={jobs}: {e}"));
-                let counters = telemetry.counters();
-                let deltas = telemetry.stats().cg_round_deltas;
-                assert!(
-                    counters.cg_worklist_pops > 0,
-                    "{name}: the fixpoint must pop work"
-                );
-                match &baseline {
-                    None => baseline = Some((counters, deltas)),
-                    Some((c0, d0)) => {
-                        assert_eq!(
-                            *c0, counters,
-                            "{name}: counters diverged ({engine}, jobs={jobs})"
-                        );
-                        assert_eq!(
-                            *d0, deltas,
-                            "{name}: per-round delta sizes diverged ({engine}, jobs={jobs})"
-                        );
-                    }
+            let telemetry = Telemetry::enabled();
+            AnalysisPipeline::with_config_telemetry(
+                &source,
+                suite_config(),
+                Algorithm::Rta,
+                engine,
+                &telemetry,
+            )
+            .unwrap_or_else(|e| panic!("{name}: {engine}: {e}"));
+            let counters = telemetry.counters();
+            let deltas = telemetry.stats().cg_round_deltas;
+            assert!(
+                counters.cg_worklist_pops > 0,
+                "{name}: the fixpoint must pop work"
+            );
+            match &baseline {
+                None => baseline = Some((counters, deltas)),
+                Some((c0, d0)) => {
+                    assert_eq!(*c0, counters, "{name}: counters diverged ({engine})");
+                    assert_eq!(
+                        *d0, deltas,
+                        "{name}: per-round delta sizes diverged ({engine})"
+                    );
                 }
             }
         }

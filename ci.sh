@@ -17,13 +17,10 @@ cargo test --release --test parallel_determinism -- --nocapture
 cargo test --release --test parallel_special_cases
 cargo run --release --bin ddm -- crates/benchmarks/programs/richards.cpp --jobs 8 > /dev/null
 
-echo "== engine equivalence (summary vs walk) =="
+echo "== oracle: the product against the ddm-oracle reference analysis =="
+cargo test --release -p ddm-oracle
 cargo test --release --test engine_equivalence
 cargo test --release --test walk_once
-# The summary engine is the default; gate its --jobs 8 determinism the
-# same way, and the retained walk engine explicitly.
-cargo run --release --bin ddm -- crates/benchmarks/programs/richards.cpp --engine summary --jobs 8 > /dev/null
-cargo run --release --bin ddm -- crates/benchmarks/programs/richards.cpp --engine walk --jobs 8 > /dev/null
 
 echo "== telemetry: deterministic counters and provenance =="
 cargo test --release --test telemetry_determinism
@@ -33,22 +30,22 @@ cargo test --release --test cli_smoke
 echo "== flight recorder: det-class byte-identity + zero-alloc when off =="
 cargo test --release --test flight_recorder
 cargo test --release --test recorder_zero_alloc
-# CLI surface: the deterministic event stream and the metrics document
-# must be byte-identical across engines (and `--jobs`, which a single TU
-# accepts and ignores), and both outputs must
-# pass the in-tree JSON validator (bench_report --validate FILE...).
-cargo run --release --bin ddm -- crates/benchmarks/programs/richards.cpp \
-    --engine walk --jobs 1 --log-out /tmp/ddm_ci_w1.ndjson --log-filter det \
-    --metrics-out /tmp/ddm_ci_w1_metrics.json > /dev/null
-cargo run --release --bin ddm -- crates/benchmarks/programs/richards.cpp \
-    --engine summary --jobs 8 --log-out /tmp/ddm_ci_s8.ndjson --log-filter det \
-    --metrics-out /tmp/ddm_ci_s8_metrics.json > /dev/null
-cmp /tmp/ddm_ci_w1.ndjson /tmp/ddm_ci_s8.ndjson
-cmp /tmp/ddm_ci_w1_metrics.json /tmp/ddm_ci_s8_metrics.json
+# CLI surface: on a multi-TU project the deterministic event stream and
+# the metrics document must be byte-identical across `--jobs`, and both
+# outputs must pass the in-tree JSON validator (bench_report --validate
+# FILE...).
+cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
+    --jobs 1 --log-out /tmp/ddm_ci_j1.ndjson --log-filter det \
+    --metrics-out /tmp/ddm_ci_j1_metrics.json > /dev/null
+cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
+    --jobs 8 --log-out /tmp/ddm_ci_j8.ndjson --log-filter det \
+    --metrics-out /tmp/ddm_ci_j8_metrics.json > /dev/null
+cmp /tmp/ddm_ci_j1.ndjson /tmp/ddm_ci_j8.ndjson
+cmp /tmp/ddm_ci_j1_metrics.json /tmp/ddm_ci_j8_metrics.json
 cargo run --release -p ddm-bench --bin bench_report -- --validate \
-    /tmp/ddm_ci_w1.ndjson /tmp/ddm_ci_w1_metrics.json
-rm -f /tmp/ddm_ci_w1.ndjson /tmp/ddm_ci_s8.ndjson \
-    /tmp/ddm_ci_w1_metrics.json /tmp/ddm_ci_s8_metrics.json
+    /tmp/ddm_ci_j1.ndjson /tmp/ddm_ci_j1_metrics.json
+rm -f /tmp/ddm_ci_j1.ndjson /tmp/ddm_ci_j8.ndjson \
+    /tmp/ddm_ci_j1_metrics.json /tmp/ddm_ci_j8_metrics.json
 
 echo "== telemetry: chrome trace export (--jobs 8, one worker-lane span per TU) =="
 # The per-TU front end is the only step that runs on worker lanes, so
@@ -92,10 +89,11 @@ cargo run --release --bin ddm -- crates/benchmarks/programs/idl.cpp \
 echo "== delta worklist: equivalence with the pre-change sweep =="
 cargo test --release --test worklist_equivalence
 
-echo "== delta worklist: counter determinism across engines =="
+echo "== delta worklist: counter determinism across fresh and replayed solves =="
 # Full-counter bit-equality (includes cg_worklist_pops / cg_ready_drains)
 # is part of telemetry_determinism above; this pins the worklist-specific
-# invariants (pops > 0, per-round delta sizes engine-invariant).
+# invariants (pops > 0, per-round delta sizes identical whether the
+# fixpoint is solved or replayed from the snapshot, at jobs 1 and 8).
 cargo test --release --test worklist_equivalence worklist_telemetry_is_identical_across_engines_and_jobs
 
 echo "== project cache: equivalence and invalidation =="
@@ -107,10 +105,10 @@ cargo test --release --test incremental_retraction
 echo "== project cache: cold-vs-warm CLI smoke (byte-identical, zero warm work) =="
 rm -rf /tmp/ddm_ci_cache
 cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
-    --engine summary --cache-dir /tmp/ddm_ci_cache --stats \
+    --cache-dir /tmp/ddm_ci_cache --stats \
     > /tmp/ddm_ci_cold.out 2> /tmp/ddm_ci_cold.err
 cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
-    --engine summary --cache-dir /tmp/ddm_ci_cache --stats \
+    --cache-dir /tmp/ddm_ci_cache --stats \
     --log-out /tmp/ddm_ci_warm.ndjson \
     > /tmp/ddm_ci_warm.out 2> /tmp/ddm_ci_warm.err
 cmp /tmp/ddm_ci_cold.out /tmp/ddm_ci_warm.out
@@ -134,12 +132,12 @@ rm -rf /tmp/ddm_ci_incr /tmp/ddm_ci_incr_src
 mkdir -p /tmp/ddm_ci_incr_src
 cp crates/benchmarks/programs/multi/*.cpp /tmp/ddm_ci_incr_src/
 cargo run --release --bin ddm -- /tmp/ddm_ci_incr_src/*.cpp \
-    --engine summary --cache-dir /tmp/ddm_ci_incr \
+    --cache-dir /tmp/ddm_ci_incr \
     > /tmp/ddm_ci_incr_cold.out
 first_tu=$(ls /tmp/ddm_ci_incr_src/*.cpp | head -1)
 printf 'int ci_incremental_pad() { return 42; }\n' >> "$first_tu"
 cargo run --release --bin ddm -- /tmp/ddm_ci_incr_src/*.cpp \
-    --engine summary --cache-dir /tmp/ddm_ci_incr \
+    --cache-dir /tmp/ddm_ci_incr \
     --log-out /tmp/ddm_ci_incr.ndjson \
     > /tmp/ddm_ci_incr_warm.out
 cmp /tmp/ddm_ci_incr_cold.out /tmp/ddm_ci_incr_warm.out
@@ -195,11 +193,11 @@ for i in $(seq 1 23); do
 done
 printf '%s\nint main() { return 0%s; }\n' "$protos" "$calls" > "$serve_src/main.cpp"
 
-cargo run --release --bin ddm -- "$serve_src"/*.cpp --engine summary --jobs 8 \
+cargo run --release --bin ddm -- "$serve_src"/*.cpp --jobs 8 \
     > "$serve_tmp/oneshot_a.out"
 
 mkfifo "$serve_tmp/requests"
-target/release/ddm serve --engine summary --jobs 8 \
+target/release/ddm serve --jobs 8 \
     --cache-dir "$serve_tmp/cache" --log-out "$serve_tmp/epochs.ndjson" \
     < "$serve_tmp/requests" > "$serve_tmp/responses" &
 serve_pid=$!
@@ -234,7 +232,7 @@ cold_ns=$(response_field 3 build_ns)
 # Edit one TU of 24 (livens C01::b), oracle the new state, notify.
 printf 'class C01 { public: C01() : a(0), b(0) { } int get() { return a; } int a; int b; };\nint f1() { C01 o; return o.get() + o.b; }\n' \
     > "$serve_src/tu01.cpp"
-cargo run --release --bin ddm -- "$serve_src"/*.cpp --engine summary --jobs 8 \
+cargo run --release --bin ddm -- "$serve_src"/*.cpp --jobs 8 \
     > "$serve_tmp/oneshot_b.out"
 printf '{"cmd":"notify","changed":["%s/tu01.cpp"],"wait":1}\n' "$serve_src" >&9
 printf '{"cmd":"report"}\n{"cmd":"epoch"}\n{"cmd":"shutdown"}\n' >&9

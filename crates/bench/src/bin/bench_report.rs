@@ -227,13 +227,7 @@ fn normalize(file: &FamilyFile) -> Vec<(String, Value)> {
                 let Some(name) = size.get("name").and_then(Value::as_str) else {
                     continue;
                 };
-                for key in [
-                    "walk_callgraph_ns",
-                    "summary_callgraph_ns",
-                    "rounds",
-                    "worklist_pops",
-                    "ready_drains",
-                ] {
+                for key in ["callgraph_ns", "rounds", "worklist_pops", "ready_drains"] {
                     if let Some(v) = size.get(key) {
                         metrics.push((format!("{name}_{key}"), v.clone()));
                     }
@@ -370,7 +364,7 @@ fn write_baseline(opts: &Options) -> Result<(), String> {
 /// The counter gate: recomputes the 11 suite programs in-process and
 /// diffs them against the committed baseline, key by key. Any drift —
 /// changed value, missing program, missing or extra key — is a hard
-/// failure, because these numbers are engine-, jobs-, and
+/// failure, because these numbers are jobs- and
 /// cache-invariant by construction.
 fn check_counters(baseline: &Value, failures: &mut Vec<String>) {
     let Some(programs) = baseline.get("programs").and_then(Value::as_arr) else {

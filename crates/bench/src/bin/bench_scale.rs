@@ -4,10 +4,11 @@
 //! The ladder axis runs generated programs far beyond the paper suite's
 //! 31 functions (up to ~131k), with deep virtual hierarchies and long
 //! call ladders that force the fixpoint through dozens of park/release
-//! rounds. For each size the driver times call-graph construction under
-//! both engines (walk and summary replay), captures the delta-worklist
-//! telemetry (rounds, per-round delta sizes, worklist pops, readied-site
-//! drains), and fits the scaling exponent between consecutive sizes:
+//! rounds. For each size the driver times call-graph construction from
+//! source (summary extraction plus the worklist replay), captures the
+//! delta-worklist telemetry (rounds, per-round delta sizes, worklist
+//! pops, readied-site drains), and fits the scaling exponent between
+//! consecutive sizes:
 //! `ln(t2/t1) / ln(n2/n1)`. A full-set round sweep is Θ(rounds × n); the
 //! delta worklist pops each function once and the interned dense hot
 //! loops do no per-pop hashing, so the exponent stays near 1. The ladder
@@ -17,8 +18,8 @@
 //!
 //! Three per-layer axes time parse, model, summary extraction
 //! (`ProgramSummary::build`), the call-graph fixpoint
-//! (`CallGraph::build_from_summary`) and the liveness replay
-//! (`DeadMemberAnalysis::run_summary`) each on its own, and fit each
+//! (`CallGraph::build_from_summary_schedule`) and the liveness replay
+//! (`DeadMemberAnalysis::run_summary_counted`) each on its own, and fit each
 //! layer's exponent against the swept quantity:
 //!
 //! * `depth` grows one chain's depth (64, 128, 256), so every dispatch
@@ -47,13 +48,13 @@ use ddm_bench::{host_meta_json, timing};
 use ddm_benchmarks::generator::{
     generate, generate_scale, scale_function_count, GeneratorConfig, ScaleConfig,
 };
-use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
+use ddm_callgraph::{CallGraph, CallGraphOptions};
 use ddm_core::{AnalysisConfig, DeadMemberAnalysis};
-use ddm_hierarchy::{MemberLookup, Program, ProgramSummary};
+use ddm_hierarchy::{Program, ProgramSummary};
 use ddm_telemetry::Telemetry;
 use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for `--smoke` (generation + parse + both engines,
+/// Wall-clock ceiling for `--smoke` (generation + parse + call graph,
 /// two ladder sizes, and every per-layer axis).
 const SMOKE_CEILING: Duration = Duration::from_secs(30);
 
@@ -79,8 +80,7 @@ struct SizeResult {
     name: &'static str,
     config: ScaleConfig,
     functions: usize,
-    walk_cg: Duration,
-    summary_cg: Duration,
+    callgraph: Duration,
     rounds: u64,
     worklist_pops: u64,
     ready_drains: u64,
@@ -111,55 +111,28 @@ fn measure(name: &'static str, config: ScaleConfig, samples: usize) -> SizeResul
     let tu = ddm_cppfront::parse(&src).expect("scale program parses");
     let program = Program::build(&tu).expect("scale program resolves");
     assert_eq!(program.function_count(), scale_function_count(&config));
-    let options = CallGraphOptions {
-        algorithm: Algorithm::Rta,
-        ..Default::default()
-    };
-
-    let (walk_cg, _) = timing::time(samples, || {
-        let lookup = MemberLookup::new(&program);
-        CallGraph::build(&program, &lookup, &options).unwrap()
-    });
-    let (summary_cg, _) = timing::time(samples, || {
+    let options = CallGraphOptions::default();
+    let build = |telemetry: &Telemetry| {
         let summary = ProgramSummary::build(&program, false, 1);
-        CallGraph::build_from_summary(&program, &summary, &options).unwrap()
-    });
+        CallGraph::build_from_summary_schedule(&program, &summary, &options, telemetry).unwrap()
+    };
+    let quiet = Telemetry::disabled();
+    let (callgraph, _) = timing::time(samples, || build(&quiet));
 
-    // Deterministic worklist telemetry: capture once per engine and
-    // insist the two engines agree — the delta schedule is shared, so
-    // pops, drains, and per-round delta sizes must be identical.
-    let walk_tel = Telemetry::enabled();
-    let lookup = MemberLookup::new(&program);
-    let walked = CallGraph::build_with(&program, &lookup, &options, &walk_tel).unwrap();
-    let summary_tel = Telemetry::enabled();
-    let summary = ProgramSummary::build(&program, false, 1);
-    let replayed =
-        CallGraph::build_from_summary_with(&program, &summary, &options, &summary_tel).unwrap();
-    assert_eq!(walked, replayed, "{name}: engines disagree on the graph");
-    let wc = walk_tel.counters();
-    let sc = summary_tel.counters();
-    assert_eq!(
-        (wc.cg_worklist_pops, wc.cg_ready_drains),
-        (sc.cg_worklist_pops, sc.cg_ready_drains),
-        "{name}: worklist counters differ across engines"
-    );
-    let ws = walk_tel.stats();
-    let ss = summary_tel.stats();
-    assert_eq!(
-        ws.cg_round_deltas, ss.cg_round_deltas,
-        "{name}: per-round delta sizes differ across engines"
-    );
-
+    // Deterministic worklist telemetry, captured once.
+    let telemetry = Telemetry::enabled();
+    build(&telemetry);
+    let counters = telemetry.counters();
+    let stats = telemetry.stats();
     SizeResult {
         name,
         config,
         functions: program.function_count(),
-        walk_cg,
-        summary_cg,
-        rounds: ss.callgraph_rounds,
-        worklist_pops: sc.cg_worklist_pops,
-        ready_drains: sc.cg_ready_drains,
-        deltas: ss.cg_round_deltas,
+        callgraph,
+        rounds: stats.callgraph_rounds,
+        worklist_pops: counters.cg_worklist_pops,
+        ready_drains: counters.cg_ready_drains,
+        deltas: stats.cg_round_deltas,
     }
 }
 
@@ -224,27 +197,26 @@ fn measure_layers(sources: &[String], samples: usize) -> Vec<(usize, [Duration; 
         .iter()
         .map(|p| ProgramSummary::build(p, false, 1))
         .collect();
-    let options = CallGraphOptions {
-        algorithm: Algorithm::Rta,
-        ..Default::default()
+    let options = CallGraphOptions::default();
+    let quiet = Telemetry::disabled();
+    let build = |i: usize| {
+        CallGraph::build_from_summary_schedule(&programs[i], &summaries[i], &options, &quiet)
+            .expect("axis graph")
     };
-    let graphs: Vec<CallGraph> = programs
-        .iter()
-        .zip(&summaries)
-        .map(|(p, s)| CallGraph::build_from_summary(p, s, &options).expect("axis graph"))
-        .collect();
+    let graphs: Vec<CallGraph> = (0..sources.len()).map(|i| build(i).0).collect();
     let n = sources.len();
     let parse = interleaved_min(n, samples, |i| ddm_cppfront::parse(&sources[i]));
     let model = interleaved_min(n, samples, |i| Program::build(&tus[i]));
     let summary = interleaved_min(n, samples, |i| {
         ProgramSummary::build(&programs[i], false, 1)
     });
-    let callgraph = interleaved_min(n, samples, |i| {
-        CallGraph::build_from_summary(&programs[i], &summaries[i], &options)
-    });
+    let callgraph = interleaved_min(n, samples, build);
     let liveness = interleaved_min(n, samples, |i| {
-        DeadMemberAnalysis::new(&programs[i], AnalysisConfig::default())
-            .run_summary(&summaries[i], &graphs[i])
+        DeadMemberAnalysis::new(&programs[i], AnalysisConfig::default()).run_summary_counted(
+            &summaries[i],
+            &graphs[i],
+            &quiet,
+        )
     });
     (0..n)
         .map(|i| {
@@ -378,6 +350,14 @@ fn axis_exponents(axis: &Axis) -> Vec<(&str, &str, [f64; 5])> {
         .collect()
 }
 
+/// The call-graph scaling exponent between two adjacent ladder sizes.
+fn ladder_exponent(w: &[SizeResult]) -> f64 {
+    exponent(
+        (w[0].functions, w[0].callgraph),
+        (w[1].functions, w[1].callgraph),
+    )
+}
+
 /// log(t2/t1) / log(n2/n1): the empirical scaling exponent between two
 /// measurements.
 fn exponent(small: (usize, Duration), large: (usize, Duration)) -> f64 {
@@ -437,9 +417,8 @@ fn render_json(results: &[SizeResult], axes: &[Axis], samples: usize) -> String 
             r.name, r.functions, c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
         ));
         out.push_str(&format!(
-            "     \"walk_callgraph_ns\": {}, \"summary_callgraph_ns\": {},\n",
-            r.walk_cg.as_nanos(),
-            r.summary_cg.as_nanos()
+            "     \"callgraph_ns\": {},\n",
+            r.callgraph.as_nanos()
         ));
         let max_delta = r.deltas.iter().copied().max().unwrap_or(0);
         let sum_delta: u64 = r.deltas.iter().sum();
@@ -453,18 +432,11 @@ fn render_json(results: &[SizeResult], axes: &[Axis], samples: usize) -> String 
     if results.len() >= 2 {
         out.push_str(",\n  \"scaling_exponents\": [\n");
         for (i, w) in results.windows(2).enumerate() {
-            let walk = exponent(
-                (w[0].functions, w[0].walk_cg),
-                (w[1].functions, w[1].walk_cg),
-            );
-            let summary = exponent(
-                (w[0].functions, w[0].summary_cg),
-                (w[1].functions, w[1].summary_cg),
-            );
             out.push_str(&format!(
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"walk\": {walk:.3}, \"summary\": {summary:.3}}}{}",
+                "    {{\"from\": \"{}\", \"to\": \"{}\", \"callgraph\": {:.3}}}{}",
                 w[0].name,
                 w[1].name,
+                ladder_exponent(w),
                 if i + 2 < results.len() { ",\n" } else { "\n" }
             ));
         }
@@ -521,28 +493,21 @@ fn main() {
     ];
 
     println!(
-        "{:<8} {:>8} {:>8} {:>12} {:>12} {:>9} {:>9}",
-        "size", "funcs", "rounds", "walk", "summary", "pops", "drains"
+        "{:<8} {:>8} {:>8} {:>12} {:>9} {:>9}",
+        "size", "funcs", "rounds", "callgraph", "pops", "drains"
     );
     for r in &results {
         println!(
-            "{:<8} {:>8} {:>8} {:>12.1?} {:>12.1?} {:>9} {:>9}",
-            r.name, r.functions, r.rounds, r.walk_cg, r.summary_cg, r.worklist_pops, r.ready_drains
+            "{:<8} {:>8} {:>8} {:>12.1?} {:>9} {:>9}",
+            r.name, r.functions, r.rounds, r.callgraph, r.worklist_pops, r.ready_drains
         );
     }
     let mut worst_exponent: f64 = 0.0;
     for w in results.windows(2) {
-        let walk = exponent(
-            (w[0].functions, w[0].walk_cg),
-            (w[1].functions, w[1].walk_cg),
-        );
-        let summary = exponent(
-            (w[0].functions, w[0].summary_cg),
-            (w[1].functions, w[1].summary_cg),
-        );
-        worst_exponent = worst_exponent.max(walk).max(summary);
+        let e = ladder_exponent(w);
+        worst_exponent = worst_exponent.max(e);
         println!(
-            "exponent {} -> {}: walk {walk:.3}, summary {summary:.3}  (full-sweep baseline ~2)",
+            "exponent {} -> {}: {e:.3}  (full-sweep baseline ~2)",
             w[0].name, w[1].name,
         );
     }

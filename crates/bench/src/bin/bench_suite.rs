@@ -1,13 +1,6 @@
-//! Engine comparison over the whole benchmark suite: per-program wall
-//! time for each analysis layer, for both engines (walk vs. summary).
-//!
-//! The walk engine has two layers: call-graph construction
-//! (`MemberLookup` + the re-walking fixpoint) and the liveness scan,
-//! which walks the reachable bodies again. The summary engine has three:
-//! summary extraction (the only AST traversal of its run), the call-graph
-//! worklist replay and the liveness replay. Extraction gets its own
-//! column, so each engine's call-graph column times the fixpoint alone;
-//! the walk engine's extraction column is zero.
+//! Per-program wall time of each analysis layer over the whole
+//! benchmark suite: summary extraction (the only AST traversal of a
+//! run), the call-graph worklist replay, and the liveness replay.
 //!
 //! ```text
 //! bench_suite [--json] [--samples N]
@@ -19,10 +12,10 @@
 //! CPU-bound work.
 
 use ddm_bench::{capture_counters, host_meta_json, suite_analysis_config, timing};
-use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
+use ddm_callgraph::{CallGraph, CallGraphOptions};
 use ddm_core::DeadMemberAnalysis;
-use ddm_hierarchy::{MemberLookup, Program, ProgramSummary};
-use ddm_telemetry::Counters;
+use ddm_hierarchy::{Program, ProgramSummary};
+use ddm_telemetry::{Counters, Telemetry};
 use std::time::Duration;
 
 struct Cell {
@@ -40,52 +33,35 @@ impl Cell {
 struct Row {
     name: &'static str,
     functions: usize,
-    /// One cell per engine, in [`ENGINES`] order.
-    cells: [Cell; 2],
-    /// Deterministic analysis counters — identical for both engines, so
-    /// one capture per program is exact, not sampled.
+    cell: Cell,
+    /// Deterministic analysis counters: one capture per program is
+    /// exact, not sampled.
     counters: Counters,
 }
 
-const ENGINES: [&str; 2] = ["walk", "summary"];
-
-fn measure(program: &Program, samples: usize) -> [Cell; 2] {
-    let options = CallGraphOptions {
-        algorithm: Algorithm::Rta,
-        ..Default::default()
-    };
+fn measure(program: &Program, samples: usize) -> Cell {
+    let options = CallGraphOptions::default();
     let analysis = DeadMemberAnalysis::new(program, suite_analysis_config());
-
-    let (callgraph, _) = timing::time(samples, || {
-        let lookup = MemberLookup::new(program);
-        CallGraph::build(program, &lookup, &options).unwrap()
-    });
-    let lookup = MemberLookup::new(program);
-    let graph = CallGraph::build(program, &lookup, &options).unwrap();
-    let (scan, _) = timing::time(samples, || analysis.run(&graph).unwrap());
-    let walk = Cell {
-        extraction: Duration::ZERO,
-        callgraph,
-        analysis: scan,
-    };
-
+    let quiet = Telemetry::disabled();
     let (extraction, _) = timing::time(samples, || ProgramSummary::build(program, false, 1));
     let summary = ProgramSummary::build(program, false, 1);
-    let (callgraph, _) = timing::time(samples, || {
-        CallGraph::build_from_summary(program, &summary, &options).unwrap()
+    let build = || CallGraph::build_from_summary_schedule(program, &summary, &options, &quiet);
+    let (callgraph, _) = timing::time(samples, || build().unwrap());
+    let (graph, _) = build().unwrap();
+    let (analysis, _) = timing::time(samples, || {
+        analysis
+            .run_summary_counted(&summary, &graph, &quiet)
+            .unwrap()
     });
-    let graph = CallGraph::build_from_summary(program, &summary, &options).unwrap();
-    let (replay, _) = timing::time(samples, || analysis.run_summary(&summary, &graph).unwrap());
-    let summary = Cell {
+    Cell {
         extraction,
         callgraph,
-        analysis: replay,
-    };
-    [walk, summary]
+        analysis,
+    }
 }
 
-fn total_for(rows: &[Row], engine: usize, layer: fn(&Cell) -> Duration) -> Duration {
-    rows.iter().map(|r| layer(&r.cells[engine])).sum()
+fn total_for(rows: &[Row], layer: fn(&Cell) -> Duration) -> Duration {
+    rows.iter().map(|r| layer(&r.cell)).sum()
 }
 
 fn json_escape_free(name: &str) -> &str {
@@ -107,26 +83,16 @@ fn render_json(rows: &[Row], samples: usize) -> String {
     out.push_str(&format!("  \"host\": {},\n", host_meta_json()));
     out.push_str("  \"programs\": [\n");
     for (i, row) in rows.iter().enumerate() {
+        let c = &row.cell;
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"functions\": {}, \"engines\": {{",
+            "    {{\"name\": \"{}\", \"functions\": {}, \"extraction_ns\": {}, \"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}, \"counters\": {{",
             json_escape_free(row.name),
-            row.functions
+            row.functions,
+            c.extraction.as_nanos(),
+            c.callgraph.as_nanos(),
+            c.analysis.as_nanos(),
+            c.total().as_nanos()
         ));
-        let engines: Vec<String> = ENGINES
-            .iter()
-            .zip(&row.cells)
-            .map(|(engine, c)| {
-                format!(
-                    "\"{engine}\": {{\"extraction_ns\": {}, \"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}}}",
-                    c.extraction.as_nanos(),
-                    c.callgraph.as_nanos(),
-                    c.analysis.as_nanos(),
-                    c.total().as_nanos()
-                )
-            })
-            .collect();
-        out.push_str(&engines.join(", "));
-        out.push_str("}, \"counters\": {");
         let counters: Vec<String> = row
             .counters
             .rows()
@@ -138,14 +104,12 @@ fn render_json(rows: &[Row], samples: usize) -> String {
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    let walk = total_for(rows, 0, Cell::total);
-    let summary = total_for(rows, 1, Cell::total);
     out.push_str(&format!(
-        "  \"totals\": {{\n    \"walk_ns\": {}, \"summary_ns\": {}, \"summary_extraction_ns\": {}, \"speedup\": {:.2}\n  }}\n}}\n",
-        walk.as_nanos(),
-        summary.as_nanos(),
-        total_for(rows, 1, |c| c.extraction).as_nanos(),
-        walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON)
+        "  \"totals\": {{\n    \"extraction_ns\": {}, \"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}\n  }}\n}}\n",
+        total_for(rows, |c| c.extraction).as_nanos(),
+        total_for(rows, |c| c.callgraph).as_nanos(),
+        total_for(rows, |c| c.analysis).as_nanos(),
+        total_for(rows, Cell::total).as_nanos()
     ));
     out
 }
@@ -165,48 +129,37 @@ fn main() {
     for b in ddm_benchmarks::suite() {
         let tu = ddm_cppfront::parse(b.source).unwrap();
         let program = Program::build(&tu).unwrap();
-        let cells = measure(&program, samples);
+        let cell = measure(&program, samples);
         rows.push(Row {
             name: b.name,
             functions: program.functions().count(),
-            cells,
+            cell,
             counters: capture_counters(b.source),
         });
     }
 
     println!(
-        "{:<12} {:>6}  {:>12} {:>12}  {:>12} {:>12} {:>12}  {:>8}",
-        "program",
-        "funcs",
-        "walk cg",
-        "walk scan",
-        "sum extract",
-        "sum cg",
-        "sum replay",
-        "speedup"
+        "{:<12} {:>6}  {:>12} {:>12} {:>12} {:>12}",
+        "program", "funcs", "extract", "callgraph", "scan", "total"
     );
     for row in &rows {
-        let [walk, summary] = &row.cells;
+        let c = &row.cell;
         println!(
-            "{:<12} {:>6}  {:>12.1?} {:>12.1?}  {:>12.1?} {:>12.1?} {:>12.1?}  {:>7.2}x",
+            "{:<12} {:>6}  {:>12.1?} {:>12.1?} {:>12.1?} {:>12.1?}",
             row.name,
             row.functions,
-            walk.callgraph,
-            walk.analysis,
-            summary.extraction,
-            summary.callgraph,
-            summary.analysis,
-            walk.total().as_secs_f64() / summary.total().as_secs_f64().max(f64::EPSILON)
+            c.extraction,
+            c.callgraph,
+            c.analysis,
+            c.total()
         );
     }
-    let walk = total_for(&rows, 0, Cell::total);
-    let summary = total_for(&rows, 1, Cell::total);
     println!(
-        "total: walk {:.1?}  summary {:.1?} (extraction {:.1?})  speedup {:.2}x",
-        walk,
-        summary,
-        total_for(&rows, 1, |c| c.extraction),
-        walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON)
+        "total: {:.1?} (extraction {:.1?}, call graph {:.1?}, scan {:.1?})",
+        total_for(&rows, Cell::total),
+        total_for(&rows, |c| c.extraction),
+        total_for(&rows, |c| c.callgraph),
+        total_for(&rows, |c| c.analysis)
     );
 
     if json {

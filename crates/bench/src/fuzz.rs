@@ -1,15 +1,18 @@
 //! Corpus-scale differential fuzzing rig.
 //!
-//! The reproduction has two independent engines (walk and summary), a
-//! deterministic generator, and byte-identical artifacts across worker
-//! counts and cache states — a ready-made differential-testing oracle.
-//! This module sweeps seeded adversarial generator configurations
+//! The product's artifacts are byte-identical across worker counts and
+//! cache states, and `ddm-oracle` holds an independent reference
+//! analysis — together a ready-made differential-testing oracle. This
+//! module sweeps seeded adversarial generator configurations
 //! ([`ddm_benchmarks::generator::generate_fuzz`]) through the full
 //! oracle matrix:
 //!
-//! * engines `{walk, summary}` × jobs `{1, 8}`, cacheless;
-//! * the summary engine against a persistent cache: cold, warm, and
-//!   1-changed (one TU's content perturbed), each at jobs `{1, 8}`;
+//! * the product at jobs `{1, 8}`, cacheless;
+//! * the reference analysis over the jobs-1 run's linked program,
+//!   compared on everything it computes (all but the two worklist
+//!   counters);
+//! * the product against a persistent cache: cold, warm, and 1-changed
+//!   (one TU's content perturbed), each at jobs `{1, 8}`;
 //! * a multi-step edit script: three further random single-TU edits
 //!   replayed against one warm cache directory, each step compared to
 //!   a cacheless run over the same inputs;
@@ -17,7 +20,7 @@
 //! byte-comparing the rendered report, the `--explain` text of every
 //! member, and the deterministic counters. A program the pipeline
 //! *rejects* (e.g. the deliberate ODR-conflict shape) must be rejected
-//! with the byte-identical diagnostic in every cell — error
+//! with the byte-identical diagnostic in every product cell — error
 //! determinism is part of the oracle.
 //!
 //! Any divergence (or panic) is shrunk to a minimal repro: config
@@ -32,8 +35,9 @@ use ddm_benchmarks::generator::{
 };
 use ddm_benchmarks::rng::Rng;
 use ddm_callgraph::Algorithm;
-use ddm_core::{explain, AnalysisConfig, Engine, ProjectPipeline};
-use ddm_telemetry::Telemetry;
+use ddm_core::{explain, AnalysisConfig, Engine, ExplainError, ProjectPipeline};
+use ddm_hierarchy::Program;
+use ddm_telemetry::{Counters, Telemetry};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,9 +108,10 @@ pub fn algorithm_flag(algorithm: Algorithm) -> &'static str {
 /// invocation, and the canonical artifact text it produced.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
-    /// e.g. `summary jobs=8 cache=warm`.
+    /// e.g. `jobs=8 cache=warm`.
     pub label: String,
-    /// `ddm <files> --callgraph ... --engine ... --jobs ...` suffix.
+    /// `ddm <files> --callgraph ... --jobs ...` suffix; empty for the
+    /// reference analysis, which has no command line.
     pub cli: String,
     /// Report + explains + counters, or `error: ...` for rejections.
     pub artifact: String,
@@ -115,7 +120,7 @@ pub struct CellOutcome {
 /// A pair of oracle cells that disagreed on the same inputs.
 #[derive(Debug, Clone)]
 pub struct Divergence {
-    /// The reference cell (walk, jobs 1, cacheless — or the cacheless
+    /// The reference cell (jobs 1, cacheless — or the cacheless
     /// baseline over edited inputs for 1-changed cells).
     pub baseline: CellOutcome,
     /// The disagreeing cell.
@@ -153,53 +158,117 @@ pub enum CaseResult {
     Diverged(Box<Divergence>),
 }
 
-/// Runs one oracle cell and renders its canonical artifact: the report,
-/// the `--explain` text of every member (capped at [`EXPLAIN_CAP`]),
-/// and the deterministic counters — or the error text for rejected
-/// programs. Every byte of this artifact is pinned to be identical
-/// across engines, worker counts, and cache states.
-pub fn oracle_artifact(
+/// Runs one product cell and renders its canonical artifact: the
+/// report, the `--explain` text of every member (capped at
+/// [`EXPLAIN_CAP`]), and the deterministic counters — or the error text
+/// for rejected programs. Every byte of this artifact is pinned to be
+/// identical across worker counts and cache states.
+pub fn cell_artifact(
     inputs: &[(String, String)],
     algorithm: Algorithm,
-    engine: Engine,
     jobs: usize,
     cache: Option<&Path>,
 ) -> String {
+    product_cell(inputs, algorithm, jobs, cache).0
+}
+
+/// [`cell_artifact`], also handing back the run and its counters.
+fn product_cell(
+    inputs: &[(String, String)],
+    algorithm: Algorithm,
+    jobs: usize,
+    cache: Option<&Path>,
+) -> (String, Option<(ProjectPipeline, Counters)>) {
     let telemetry = Telemetry::enabled();
     match ProjectPipeline::run(
         inputs,
         AnalysisConfig::default(),
         algorithm,
         jobs,
-        engine,
+        Engine::Summary,
         cache,
         &telemetry,
     ) {
         Ok(p) => {
-            let mut out = p.report().to_string();
+            let counters = telemetry.counters();
             let program = p.program();
-            let mut specs = Vec::new();
-            'classes: for (_, class) in program.classes() {
-                for member in &class.members {
-                    if specs.len() >= EXPLAIN_CAP {
-                        break 'classes;
-                    }
-                    specs.push(format!("{}::{}", class.name, member.name));
-                }
-            }
-            for spec in &specs {
-                match explain(program, p.callgraph(), p.liveness(), spec) {
-                    Ok(text) => out.push_str(&text),
-                    Err(e) => {
-                        let _ = writeln!(out, "explain {spec}: error: {e}");
-                    }
-                }
-            }
-            let _ = writeln!(out, "counters: {:?}", telemetry.counters().rows());
-            out
+            let text = render_artifact(
+                program,
+                p.report().to_string(),
+                |spec| explain(program, p.callgraph(), p.liveness(), spec),
+                &counters,
+            );
+            (text, Some((p, counters)))
         }
-        Err(e) => format!("error: {e}\n"),
+        Err(e) => (format!("error: {e}\n"), None),
     }
+}
+
+/// The artifact text of one analysed program: `report`, then the
+/// `--explain` text of every member (capped at [`EXPLAIN_CAP`]), then
+/// `counters`.
+fn render_artifact(
+    program: &Program,
+    report: String,
+    explain: impl Fn(&str) -> Result<String, ExplainError>,
+    counters: &Counters,
+) -> String {
+    let mut out = report;
+    let specs = program
+        .classes()
+        .flat_map(|(_, class)| {
+            class
+                .members
+                .iter()
+                .map(move |m| format!("{}::{}", class.name, m.name))
+        })
+        .take(EXPLAIN_CAP);
+    for spec in specs {
+        match explain(&spec) {
+            Ok(text) => out.push_str(&text),
+            Err(e) => {
+                let _ = writeln!(out, "explain {spec}: error: {e}");
+            }
+        }
+    }
+    let _ = writeln!(out, "counters: {:?}", counters.rows());
+    out
+}
+
+/// The reference cell over `run`'s linked program, and the product
+/// cell it must equal: `run`'s artifact with the two worklist counters
+/// the reference cannot compute zeroed.
+fn oracle_cells(
+    run: &ProjectPipeline,
+    counters: &Counters,
+    algorithm: Algorithm,
+) -> (CellOutcome, CellOutcome) {
+    let program = run.program();
+    let product = CellOutcome {
+        label: "jobs=1 (worklist counters masked)".to_string(),
+        cli: cli_for(algorithm, 1, None),
+        artifact: render_artifact(
+            program,
+            run.report().to_string(),
+            |spec| explain(program, run.callgraph(), run.liveness(), spec),
+            &ddm_oracle::comparable(counters),
+        ),
+    };
+    let artifact = match ddm_oracle::analyze(program, &AnalysisConfig::default(), algorithm) {
+        Ok(oracle) => render_artifact(
+            program,
+            oracle.report(program).to_string(),
+            |spec| oracle.explain(program, spec),
+            &oracle.counters,
+        ),
+        Err(e) => format!("error: {e}\n"),
+    };
+    let oracle = CellOutcome {
+        label: "oracle".to_string(),
+        cli: String::new(),
+        artifact,
+    };
+    (product, oracle)
 }
 
 /// Serial number for scratch cache directories, so concurrent sweep
@@ -211,16 +280,8 @@ fn fresh_dir(scratch_root: &Path, tag: &str) -> PathBuf {
     scratch_root.join(format!("{tag}-{n}"))
 }
 
-fn cli_for(
-    algorithm: Algorithm,
-    engine: Engine,
-    jobs: usize,
-    cache: Option<&str>,
-) -> String {
-    let mut cli = format!(
-        "--callgraph {} --engine {engine} --jobs {jobs}",
-        algorithm_flag(algorithm)
-    );
+fn cli_for(algorithm: Algorithm, jobs: usize, cache: Option<&str>) -> String {
+    let mut cli = format!("--callgraph {} --jobs {jobs}", algorithm_flag(algorithm));
     if let Some(state) = cache {
         let _ = write!(cli, " --cache-dir <{state} dir>");
     }
@@ -228,12 +289,13 @@ fn cli_for(
 }
 
 /// Runs the oracle matrix over `inputs` and compares every cell to the
-/// walk/jobs=1 baseline; with `full`, also exercises the persistent
-/// cache (cold, warm, and 1-changed at jobs 1 and 8, where the
-/// 1-changed cells are compared against a cacheless baseline over the
-/// same edited inputs), then replays a three-step random single-TU
-/// edit script against the jobs=1 directory, comparing every step to
-/// its own cacheless baseline. Returns the first divergence found.
+/// jobs=1 cacheless baseline, and the reference analysis to that
+/// baseline's run; with `full`, also exercises the persistent cache
+/// (cold, warm, and 1-changed at jobs 1 and 8, where the 1-changed
+/// cells are compared against a cacheless baseline over the same edited
+/// inputs), then replays a three-step random single-TU edit script
+/// against the jobs=1 directory, comparing every step to its own
+/// cacheless baseline. Returns the first divergence found.
 ///
 /// Scratch cache directories are created under `scratch_root` and
 /// removed before returning.
@@ -243,31 +305,45 @@ pub fn check_inputs(
     scratch_root: &Path,
     full: bool,
 ) -> Option<Box<Divergence>> {
-    let run = |engine: Engine, jobs: usize, cache: Option<&Path>, state: Option<&str>| {
-        CellOutcome {
-            label: match state {
-                Some(s) => format!("{engine} jobs={jobs} cache={s}"),
-                None => format!("{engine} jobs={jobs}"),
-            },
-            cli: cli_for(algorithm, engine, jobs, state),
-            artifact: oracle_artifact(inputs, algorithm, engine, jobs, cache),
-        }
+    let cell = |inputs: &[(String, String)],
+                jobs: usize,
+                cache: Option<&Path>,
+                label: String,
+                state: Option<&str>| CellOutcome {
+        label,
+        cli: cli_for(algorithm, jobs, state),
+        artifact: cell_artifact(inputs, algorithm, jobs, cache),
     };
-    let baseline = run(Engine::Walk, 1, None, None);
-    let check = |other: CellOutcome| -> Option<Box<Divergence>> {
-        if other.artifact != baseline.artifact {
-            Some(Box::new(Divergence {
-                baseline: baseline.clone(),
+    let run = |jobs: usize, cache: Option<&Path>, state: Option<&str>| {
+        let label = match state {
+            Some(s) => format!("jobs={jobs} cache={s}"),
+            None => format!("jobs={jobs}"),
+        };
+        cell(inputs, jobs, cache, label, state)
+    };
+    let (artifact, baseline_run) = product_cell(inputs, algorithm, 1, None);
+    let baseline = CellOutcome {
+        label: "jobs=1".to_string(),
+        cli: cli_for(algorithm, 1, None),
+        artifact,
+    };
+    let diverged = |baseline: CellOutcome, other: CellOutcome, inputs: &[(String, String)]| {
+        (other.artifact != baseline.artifact).then(|| {
+            Box::new(Divergence {
+                baseline,
                 other,
                 inputs: inputs.to_vec(),
-            }))
-        } else {
-            None
-        }
+            })
+        })
     };
+    let check = |other: CellOutcome| diverged(baseline.clone(), other, inputs);
 
-    for (engine, jobs) in [(Engine::Walk, 8), (Engine::Summary, 1), (Engine::Summary, 8)] {
-        if let Some(d) = check(run(engine, jobs, None, None)) {
+    if let Some(d) = check(run(8, None, None)) {
+        return Some(d);
+    }
+    if let Some((p, counters)) = &baseline_run {
+        let (product, oracle) = oracle_cells(p, counters, algorithm);
+        if let Some(d) = diverged(product, oracle, inputs) {
             return Some(d);
         }
     }
@@ -284,8 +360,7 @@ pub fn check_inputs(
         let dir = fresh_dir(scratch_root, "cache");
         dirs.push(dir.clone());
         for state in ["cold", "warm"] {
-            let cell = run(Engine::Summary, jobs, Some(&dir), Some(state));
-            if let Some(d) = check(cell) {
+            if let Some(d) = check(run(jobs, Some(&dir), Some(state))) {
                 found = Some(d);
                 break 'matrix;
             }
@@ -300,23 +375,12 @@ pub fn check_inputs(
         last.1.push_str("int fuzz_pad_edit() { return 1; }\n");
     }
     if found.is_none() {
-        let edited_baseline = CellOutcome {
-            label: "summary jobs=1 (edited, cacheless)".to_string(),
-            cli: cli_for(algorithm, Engine::Summary, 1, None),
-            artifact: oracle_artifact(&edited, algorithm, Engine::Summary, 1, None),
-        };
+        let edited_baseline = cell(&edited, 1, None, "jobs=1 (edited, cacheless)".into(), None);
         for (jobs, dir) in [1usize, 8].iter().zip(&dirs) {
-            let cell = CellOutcome {
-                label: format!("summary jobs={jobs} cache=1-changed"),
-                cli: cli_for(algorithm, Engine::Summary, *jobs, Some("1-changed")),
-                artifact: oracle_artifact(&edited, algorithm, Engine::Summary, *jobs, Some(dir)),
-            };
-            if cell.artifact != edited_baseline.artifact {
-                found = Some(Box::new(Divergence {
-                    baseline: edited_baseline.clone(),
-                    other: cell,
-                    inputs: edited.clone(),
-                }));
+            let label = format!("jobs={jobs} cache=1-changed");
+            let other = cell(&edited, *jobs, Some(dir), label, Some("1-changed"));
+            found = diverged(edited_baseline.clone(), other, &edited);
+            if found.is_some() {
                 break;
             }
         }
@@ -345,22 +409,12 @@ pub fn check_inputs(
                 current[t].1,
                 "int fuzz_step{step}_edit() {{ return {step}; }}"
             );
-            let step_baseline = CellOutcome {
-                label: format!("summary jobs=1 (edit step {step}, cacheless)"),
-                cli: cli_for(algorithm, Engine::Summary, 1, None),
-                artifact: oracle_artifact(&current, algorithm, Engine::Summary, 1, None),
-            };
-            let cell = CellOutcome {
-                label: format!("summary jobs=1 cache=edit-step-{step}"),
-                cli: cli_for(algorithm, Engine::Summary, 1, Some("edit script")),
-                artifact: oracle_artifact(&current, algorithm, Engine::Summary, 1, Some(dir)),
-            };
-            if cell.artifact != step_baseline.artifact {
-                found = Some(Box::new(Divergence {
-                    baseline: step_baseline,
-                    other: cell,
-                    inputs: current.clone(),
-                }));
+            let label = format!("jobs=1 (edit step {step}, cacheless)");
+            let step_baseline = cell(&current, 1, None, label, None);
+            let label = format!("jobs=1 cache=edit-step-{step}");
+            let other = cell(&current, 1, Some(dir), label, Some("edit script"));
+            found = diverged(step_baseline, other, &current);
+            if found.is_some() {
                 break;
             }
         }
@@ -378,8 +432,7 @@ pub fn run_case(case: &FuzzCase, scratch_root: &Path, full: bool) -> CaseResult 
     match check_inputs(&inputs, case.algorithm, scratch_root, full) {
         Some(d) => CaseResult::Diverged(d),
         None => CaseResult::Agree {
-            error_outcome: oracle_artifact(&inputs, case.algorithm, Engine::Summary, 1, None)
-                .starts_with("error:"),
+            error_outcome: cell_artifact(&inputs, case.algorithm, 1, None).starts_with("error:"),
         },
     }
 }
@@ -664,16 +717,17 @@ impl ShrunkRepro {
         );
         let _ = writeln!(note, "# first difference: {}", self.divergence.first_difference());
         let _ = writeln!(note, "# disagreeing cells:");
-        let _ = writeln!(
-            note,
-            "ddm {files} {}   # {}",
-            self.divergence.baseline.cli, self.divergence.baseline.label
-        );
-        let _ = writeln!(
-            note,
-            "ddm {files} {}   # {}",
-            self.divergence.other.cli, self.divergence.other.label
-        );
+        for cell in [&self.divergence.baseline, &self.divergence.other] {
+            if cell.cli.is_empty() {
+                let _ = writeln!(
+                    note,
+                    "# {}: ddm_oracle::analyze over the linked program",
+                    cell.label
+                );
+            } else {
+                let _ = writeln!(note, "ddm {files} {}   # {}", cell.cli, cell.label);
+            }
+        }
         let path = dir.join(format!("{stem}.txt"));
         std::fs::write(&path, note)?;
         Ok(path)

@@ -22,7 +22,7 @@ pub mod fuzz;
 
 use ddm_benchmarks::Benchmark;
 use ddm_callgraph::Algorithm;
-use ddm_core::{AnalysisConfig, AnalysisPipeline, Engine, PipelineError, SizeofPolicy};
+use ddm_core::{AnalysisConfig, AnalysisPipeline, PipelineError, SizeofPolicy};
 use ddm_dynamic::{profile_trace, HeapProfile, Interpreter, RunConfig, RuntimeError};
 use ddm_telemetry::{Counters, Telemetry};
 
@@ -171,16 +171,14 @@ pub fn suite_analysis_config() -> AnalysisConfig {
 }
 
 /// The deterministic counters of one end-to-end analysis of `source`
-/// under [`suite_analysis_config`]. The engine never changes the
-/// counters (pinned by the equivalence suites), so one capture is
-/// exact, not sampled.
+/// under [`suite_analysis_config`]. The counters are deterministic, so
+/// one capture is exact, not sampled.
 pub fn capture_counters(source: &str) -> Counters {
     let telemetry = Telemetry::enabled();
     AnalysisPipeline::with_config_telemetry(
         source,
         suite_analysis_config(),
         Algorithm::Rta,
-        Engine::Summary,
         &telemetry,
     )
     .expect("suite program analyses cleanly");

@@ -21,28 +21,26 @@
 //! are reachable, and application overrides of virtual methods declared in
 //! user-designated *library classes* are reachable (callbacks).
 //!
-//! Both propagating builders (the AST-walking one and the summary
-//! replayer) run the same **delta-driven worklist fixpoint**
-//! ([`run_fixpoint`]): each round processes only the functions made newly
-//! reachable in the previous round plus the dispatch sites readied by
-//! newly instantiated receiver classes, instead of re-sweeping the whole
-//! reachable set. The schedule reproduces the historical full-sweep round
-//! structure exactly (see DESIGN.md §5d), so the resulting graphs — and
-//! every schedule-sensitive decision such as the no-candidate
-//! static-declaration fallback — are bit-identical to the old engines and
-//! to each other. Fixpoint state is dense: [`FuncBitSet`]/[`ClassBitSet`]
-//! membership, per-function sorted edge rows frozen into a CSR adjacency.
-
-pub use ddm_hierarchy::pta;
+//! The propagating algorithms replay walk-once function summaries
+//! ([`ProgramSummary`]) through a **delta-driven worklist fixpoint**
+//! ([`run_fixpoint`]): each round processes only the functions made
+//! newly reachable in the previous round plus the dispatch sites readied
+//! by newly instantiated receiver classes, instead of re-sweeping the
+//! whole reachable set. The schedule reproduces the historical full-sweep
+//! round structure exactly (see DESIGN.md §5d), so the resulting graphs —
+//! and every schedule-sensitive decision such as the no-candidate
+//! static-declaration fallback — are bit-identical to that sweep, which
+//! the `ddm-oracle` test crate keeps as the reference. Fixpoint state is
+//! dense: [`FuncBitSet`]/[`ClassBitSet`] membership, per-function sorted
+//! edge rows frozen into a CSR adjacency.
 
 use ddm_hierarchy::{
-    resolve_ctor, walk_function, walk_globals, CallEvent, CallTarget, CgStep, ClassBitSet, ClassId,
-    DeleteEvent, EventVisitor, FnSummary, FuncBitSet, FuncId, InstantiationEvent, MemberLookup,
-    Program, ProgramSummary, TypeError,
+    resolve_ctor, CgStep, ClassBitSet, ClassId, FnSummary, FuncBitSet, FuncId, Program,
+    ProgramSummary, TypeError,
 };
 use ddm_telemetry::{Counters, EventClass, Histogram, Telemetry, LANE_MAIN};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashSet};
 
 /// Which call-graph construction algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -100,7 +98,7 @@ pub struct CgRound {
 }
 
 /// The complete, deterministic schedule of one converged fixpoint run:
-/// everything [`CallGraph::build_from_summary_with`] feeds into
+/// everything [`CallGraph::build_from_summary_schedule`] feeds into
 /// telemetry beyond the graph itself. Persisting this next to the graph
 /// is what makes a snapshot warm start *observationally* identical to a
 /// cold run — same `cg_round`/`cg_fixpoint` events, same counters, same
@@ -165,17 +163,33 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds a call graph for `program` using `options`.
+    /// Builds the call graph of `program` under `options` from its
+    /// walk-once function summaries, and returns it with the converged
+    /// [`CgSchedule`] so the caller can persist it.
+    ///
+    /// Each reachable function's [`CgStep`]s are replayed exactly once;
+    /// an already-replayed virtual call or `delete` site widens through
+    /// the class-indexed pending-dispatch worklist when one of its
+    /// candidate receiver classes becomes instantiated. For PTA graphs
+    /// the summaries must have been built with receiver refinement
+    /// enabled (`ProgramSummary::build(program, true, 1)`).
+    ///
+    /// With an enabled `telemetry`, each delta batch is spanned, per-round
+    /// delta sizes and the round count land in the execution stats, and
+    /// worklist pops/drains in the deterministic counters. The schedule
+    /// is captured either way.
     ///
     /// # Errors
     ///
-    /// Propagates [`TypeError`]s from walking reachable bodies.
+    /// Surfaces the [`TypeError`]s recorded in the summaries of reachable
+    /// functions, in the order the fixpoint reaches them.
     ///
     /// # Examples
     ///
     /// ```
     /// use ddm_callgraph::{CallGraph, CallGraphOptions};
-    /// use ddm_hierarchy::{Program, MemberLookup};
+    /// use ddm_hierarchy::{Program, ProgramSummary};
+    /// use ddm_telemetry::Telemetry;
     ///
     /// let tu = ddm_cppfront::parse(
     ///     "int helper() { return 1; }\n\
@@ -183,38 +197,50 @@ impl CallGraph {
     ///      int main() { return helper(); }",
     /// ).unwrap();
     /// let program = Program::build(&tu).unwrap();
-    /// let lookup = MemberLookup::new(&program);
-    /// let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
+    /// let summary = ProgramSummary::build(&program, false, 1);
+    /// let (graph, _schedule) = CallGraph::build_from_summary_schedule(
+    ///     &program,
+    ///     &summary,
+    ///     &CallGraphOptions::default(),
+    ///     &Telemetry::disabled(),
+    /// )
+    /// .unwrap();
     /// assert!(graph.is_reachable(program.free_function("helper").unwrap()));
     /// assert!(!graph.is_reachable(program.free_function("unused").unwrap()));
     /// ```
-    pub fn build(
+    pub fn build_from_summary_schedule(
         program: &Program,
-        lookup: &MemberLookup<'_>,
-        options: &CallGraphOptions,
-    ) -> Result<CallGraph, TypeError> {
-        Self::build_with(program, lookup, options, &Telemetry::disabled())
-    }
-
-    /// [`CallGraph::build`] with telemetry: each delta batch is spanned,
-    /// per-round delta sizes and the round count land in the execution
-    /// stats, and worklist pops/drains in the deterministic counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TypeError`]s from walking reachable bodies.
-    pub fn build_with(
-        program: &Program,
-        lookup: &MemberLookup<'_>,
+        summary: &ProgramSummary,
         options: &CallGraphOptions,
         telemetry: &Telemetry,
-    ) -> Result<CallGraph, TypeError> {
-        match options.algorithm {
-            Algorithm::Everything => Ok(Self::build_everything(program)),
-            Algorithm::Cha | Algorithm::Rta | Algorithm::Pta => {
-                Self::build_propagating(program, lookup, options, telemetry)
-            }
+    ) -> Result<(CallGraph, CgSchedule), TypeError> {
+        if options.algorithm == Algorithm::Everything {
+            return Ok((Self::build_everything(program), CgSchedule::default()));
         }
+        let roots = propagation_roots(program, options);
+        let mut state = PropState::new(program, options.algorithm == Algorithm::Cha, roots);
+
+        // Global initializers replay once, before the rounds — their
+        // dispatch decisions are frozen at this point, so they never
+        // register pending candidates.
+        let mut replays: u64 = 1;
+        replay_summary(&mut state, None, summary.globals()?, false);
+
+        let rounds = run_fixpoint(&mut state, telemetry, |st, fid| {
+            replays += 1;
+            replay_summary(st, Some(fid), summary.function(fid)?, true);
+            Ok(())
+        })?;
+
+        #[cfg(debug_assertions)]
+        verify_full_sweep(&mut state, |st, fid| {
+            replay_summary(st, Some(fid), summary.function(fid)?, false);
+            Ok(())
+        })?;
+
+        state.flush_telemetry(telemetry, rounds, replays);
+        let schedule = state.schedule(replays);
+        Ok((state.freeze(options.algorithm), schedule))
     }
 
     fn build_everything(program: &Program) -> CallGraph {
@@ -240,145 +266,6 @@ impl CallGraph {
             edge_targets: Vec::new(),
             address_taken: Vec::new(),
         }
-    }
-
-    fn build_propagating(
-        program: &Program,
-        lookup: &MemberLookup<'_>,
-        options: &CallGraphOptions,
-        telemetry: &Telemetry,
-    ) -> Result<CallGraph, TypeError> {
-        let roots = propagation_roots(program, options);
-        let mut state = PropState::new(program, options.algorithm == Algorithm::Cha, roots);
-        let pta = options.algorithm == Algorithm::Pta;
-        let mut pointee_cache = HashMap::new();
-
-        // Global initializers always run; their dispatch decisions are
-        // frozen here (register = false), before any function round.
-        {
-            let mut visitor = EventSink {
-                caller: None,
-                register: false,
-                lookup,
-                pta,
-                pointee_cache: &mut pointee_cache,
-                state: &mut state,
-            };
-            walk_globals(program, lookup, &mut visitor)?;
-        }
-
-        let rounds = run_fixpoint(&mut state, telemetry, "callgraph", |st, fid| {
-            let mut visitor = EventSink {
-                caller: Some(fid),
-                register: true,
-                lookup,
-                pta,
-                pointee_cache: &mut pointee_cache,
-                state: st,
-            };
-            walk_function(program, lookup, fid, &mut visitor)
-        })?;
-
-        #[cfg(debug_assertions)]
-        verify_full_sweep(&mut state, |st, fid| {
-            let mut visitor = EventSink {
-                caller: Some(fid),
-                register: false,
-                lookup,
-                pta,
-                pointee_cache: &mut pointee_cache,
-                state: st,
-            };
-            walk_function(program, lookup, fid, &mut visitor)
-        })?;
-
-        state.flush_telemetry(telemetry, rounds, None);
-        Ok(state.freeze(options.algorithm))
-    }
-
-    /// Builds a call graph from precomputed walk-once function summaries
-    /// instead of traversing ASTs.
-    ///
-    /// Produces a graph identical to [`CallGraph::build`] for the same
-    /// program and options: both builders drive the same delta worklist
-    /// schedule, replaying each function's [`CgStep`]s exactly once and
-    /// widening already-replayed virtual call and `delete` sites through
-    /// the class-indexed pending-dispatch worklist when their candidate
-    /// receiver classes become instantiated. For PTA graphs the summaries
-    /// must have been built with receiver refinement enabled
-    /// (`ProgramSummary::build(program, true, 1)`).
-    ///
-    /// # Errors
-    ///
-    /// Surfaces the [`TypeError`]s recorded in the summaries of reachable
-    /// functions, in the same order the walking builder would hit them.
-    pub fn build_from_summary(
-        program: &Program,
-        summary: &ProgramSummary,
-        options: &CallGraphOptions,
-    ) -> Result<CallGraph, TypeError> {
-        Self::build_from_summary_with(program, summary, options, &Telemetry::disabled())
-    }
-
-    /// [`CallGraph::build_from_summary`] with telemetry: delta batches
-    /// are spanned, and replay / worklist activity lands in the execution
-    /// stats and deterministic counters.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces the [`TypeError`]s recorded in the summaries of reachable
-    /// functions, in the same order the walking builder would hit them.
-    pub fn build_from_summary_with(
-        program: &Program,
-        summary: &ProgramSummary,
-        options: &CallGraphOptions,
-        telemetry: &Telemetry,
-    ) -> Result<CallGraph, TypeError> {
-        Self::build_from_summary_schedule(program, summary, options, telemetry).map(|(g, _)| g)
-    }
-
-    /// [`CallGraph::build_from_summary_with`], also returning the
-    /// converged [`CgSchedule`] so the caller can persist it (the
-    /// telemetry handle may be disabled — the schedule is captured
-    /// either way).
-    ///
-    /// # Errors
-    ///
-    /// Surfaces the [`TypeError`]s recorded in the summaries of reachable
-    /// functions, in the same order the walking builder would hit them.
-    pub fn build_from_summary_schedule(
-        program: &Program,
-        summary: &ProgramSummary,
-        options: &CallGraphOptions,
-        telemetry: &Telemetry,
-    ) -> Result<(CallGraph, CgSchedule), TypeError> {
-        if options.algorithm == Algorithm::Everything {
-            return Ok((Self::build_everything(program), CgSchedule::default()));
-        }
-        let roots = propagation_roots(program, options);
-        let mut state = PropState::new(program, options.algorithm == Algorithm::Cha, roots);
-
-        // Global initializers replay once, before the rounds — their
-        // dispatch decisions are frozen at this point, exactly as in the
-        // walking builder, so they never register pending candidates.
-        let mut replays: u64 = 1;
-        replay_summary(&mut state, None, summary.globals()?, false);
-
-        let rounds = run_fixpoint(&mut state, telemetry, "callgraph replay", |st, fid| {
-            replays += 1;
-            replay_summary(st, Some(fid), summary.function(fid)?, true);
-            Ok(())
-        })?;
-
-        #[cfg(debug_assertions)]
-        verify_full_sweep(&mut state, |st, fid| {
-            replay_summary(st, Some(fid), summary.function(fid)?, false);
-            Ok(())
-        })?;
-
-        state.flush_telemetry(telemetry, rounds, Some(replays));
-        let schedule = state.schedule(replays);
-        Ok((state.freeze(options.algorithm), schedule))
     }
 
     /// Decomposes the graph into its dense storage for serialization.
@@ -543,7 +430,7 @@ impl CallGraph {
     }
 }
 
-/// Shared fixpoint state of both propagating builders, kept dense: bitset
+/// The propagating builder's fixpoint state, kept dense: bitset
 /// membership keyed by the program's `FuncId`/`ClassId` indices, sorted
 /// per-function edge rows (frozen into CSR at the end), and the delta
 /// worklist — `next` (functions to process in the following round),
@@ -892,15 +779,13 @@ impl<'p> PropState<'p> {
         }
     }
 
-    fn flush_telemetry(&self, telemetry: &Telemetry, rounds: u64, replays: Option<u64>) {
+    fn flush_telemetry(&self, telemetry: &Telemetry, rounds: u64, replays: u64) {
         telemetry.update_stats(|s| {
             s.callgraph_rounds = rounds;
             s.worklist_pushes += self.parked;
             s.cg_interned_symbols = self.program.interner().len() as u64;
             s.cg_arena_bytes = self.program.interner().arena_bytes() as u64;
-            if let Some(r) = replays {
-                s.summary_replays += r;
-            }
+            s.summary_replays += replays;
         });
         telemetry.add_counters(&Counters {
             cg_worklist_pops: self.pops,
@@ -908,7 +793,7 @@ impl<'p> PropState<'p> {
             ..Counters::default()
         });
         // Fixpoint summary event. Every field is schedule-equivalent
-        // across engines and job counts (the same invariant the
+        // across job counts and cache states (the same invariant the
         // deterministic counters are under), so this is det class.
         telemetry.event(EventClass::Deterministic, "cg_fixpoint", || {
             vec![
@@ -957,24 +842,23 @@ impl<'p> PropState<'p> {
 
 /// Runs the delta worklist to its fixpoint: each round moves the pending
 /// `next` batch into the id-ordered heap and pops slots until the round
-/// is empty — a first pop of a function runs `process` (full walk or
-/// summary replay), a repeat pop drains the function's readied widenings
-/// — then resolves the round's function-pointer delta. Terminates when no
-/// next batch exists: the worklist-empty condition (every reachable
-/// function processed, every readied site drained) replaces the old
+/// is empty — a first pop of a function runs `process` (its summary
+/// replay), a repeat pop drains the function's readied widenings — then
+/// resolves the round's function-pointer delta. Terminates when no next
+/// batch exists: the worklist-empty condition (every reachable function
+/// processed, every readied site drained) replaces the old
 /// recount-everything convergence triple, which `verify_full_sweep`
 /// re-checks under `cfg(debug_assertions)`.
-fn run_fixpoint<'p, E>(
+fn run_fixpoint<'p>(
     state: &mut PropState<'p>,
     telemetry: &Telemetry,
-    label: &str,
-    mut process: impl FnMut(&mut PropState<'p>, FuncId) -> Result<(), E>,
-) -> Result<u64, E> {
+    mut process: impl FnMut(&mut PropState<'p>, FuncId) -> Result<(), TypeError>,
+) -> Result<u64, TypeError> {
     let mut rounds: u64 = 0;
     while !state.next.is_empty() {
         let batch = std::mem::take(&mut state.next);
         let round_span = telemetry.span(LANE_MAIN, || {
-            format!("{label} delta {rounds} ({} fns)", batch.len())
+            format!("callgraph replay delta {rounds} ({} fns)", batch.len())
         });
         telemetry.update_stats(|s| s.cg_round_deltas.push(batch.len() as u64));
         telemetry.metrics(|m| m.hist_record("callgraph/round_delta_fns", batch.len() as u64));
@@ -996,10 +880,8 @@ fn run_fixpoint<'p, E>(
         }
         state.resolve_fp_delta();
         // The round's delta size and slot mix are schedule-equivalent
-        // across engines and job counts (pinned by the worklist
-        // equivalence suite), so the round event is det class. The label
-        // is NOT a field: it names the engine ("callgraph" vs "callgraph
-        // replay") and would break cross-engine byte-identity.
+        // across job counts and cache states, so the round event is det
+        // class.
         telemetry.event(EventClass::Deterministic, "cg_round", || {
             vec![
                 ("round", rounds.into()),
@@ -1029,10 +911,10 @@ fn run_fixpoint<'p, E>(
 /// function-pointer product must leave the old convergence triple —
 /// (reachable count, instantiated count, edge total) — unchanged.
 #[cfg(debug_assertions)]
-fn verify_full_sweep<'p, E>(
+fn verify_full_sweep<'p>(
     state: &mut PropState<'p>,
-    mut process: impl FnMut(&mut PropState<'p>, FuncId) -> Result<(), E>,
-) -> Result<(), E> {
+    mut process: impl FnMut(&mut PropState<'p>, FuncId) -> Result<(), TypeError>,
+) -> Result<(), TypeError> {
     let before = (
         state.reachable.count(),
         state.instantiated.count(),
@@ -1065,8 +947,7 @@ fn verify_full_sweep<'p, E>(
 }
 
 /// Replays one summary's call-graph steps in body order against the
-/// shared propagation ops, mirroring [`EventSink`]'s handling of the
-/// corresponding walk events.
+/// propagation ops.
 fn replay_summary(st: &mut PropState<'_>, caller: Option<FuncId>, summary: &FnSummary, register: bool) {
     for step in &summary.cg_steps {
         match step {
@@ -1092,7 +973,7 @@ fn replay_summary(st: &mut PropState<'_>, caller: Option<FuncId>, summary: &FnSu
 
 /// Re-emits a persisted converged run's telemetry — the deterministic
 /// `cg_round` / `cg_fixpoint` events, the counters, the metrics, and
-/// the execution stats — exactly as [`CallGraph::build_from_summary_with`]
+/// the execution stats — exactly as [`CallGraph::build_from_summary_schedule`]
 /// would have while computing `graph` under `schedule`. A snapshot warm
 /// start that reuses a stored graph calls this instead of re-running
 /// the fixpoint, keeping the deterministic event stream byte-identical
@@ -1140,120 +1021,6 @@ pub fn replay_schedule(graph: &CallGraph, schedule: &CgSchedule, telemetry: &Tel
     });
 }
 
-/// The walking builder's event adapter: resolves each walk event to the
-/// same pre-filtered form the summary extractor records (unfiltered
-/// candidate lists, PTA-refined target sets), then feeds the shared
-/// [`PropState`] ops — so both engines make identical propagation calls.
-struct EventSink<'a, 'p> {
-    caller: Option<FuncId>,
-    /// Whether uninstantiated dispatch candidates may be parked in the
-    /// pending-dispatch worklist (true only during a reachable function's
-    /// first processing; global initializers are frozen).
-    register: bool,
-    lookup: &'a MemberLookup<'p>,
-    pta: bool,
-    /// Memoized points-to results per (function, receiver variable).
-    pointee_cache: &'a mut HashMap<(FuncId, String), Option<BTreeSet<ClassId>>>,
-    state: &'a mut PropState<'p>,
-}
-
-impl EventSink<'_, '_> {
-    /// Cached §3.1 points-to query for `var` in `func`.
-    fn pointees_of(&mut self, func: FuncId, var: &str) -> Option<BTreeSet<ClassId>> {
-        let key = (func, var.to_string());
-        if let Some(cached) = self.pointee_cache.get(&key) {
-            return cached.clone();
-        }
-        let result = pta::local_pointees(self.state.program, func, var);
-        self.pointee_cache.insert(key, result.clone());
-        result
-    }
-}
-
-impl EventVisitor for EventSink<'_, '_> {
-    fn call(&mut self, ev: &CallEvent) {
-        match &ev.target {
-            CallTarget::Free(f) => self.state.add_edge(self.caller, *f),
-            CallTarget::Builtin(_) => {}
-            CallTarget::Method {
-                func,
-                receiver_class,
-                is_virtual_dispatch,
-                receiver_var,
-            } => {
-                if *is_virtual_dispatch {
-                    // §3.1 refinement: a points-to set for the receiver
-                    // variable narrows dispatch to the classes it can
-                    // actually reference.
-                    let refined = match (self.pta, receiver_var, self.caller) {
-                        (true, Some(var), Some(caller)) => self.pointees_of(caller, var),
-                        _ => None,
-                    };
-                    match refined {
-                        Some(classes) => {
-                            let program = self.state.program;
-                            let name: &str = &program.function(*func).name;
-                            let mut out = BTreeSet::new();
-                            for c in classes {
-                                if let Some(f) = self.lookup.resolve_virtual(c, name) {
-                                    out.insert(f);
-                                }
-                            }
-                            let targets: Vec<FuncId> = out.into_iter().collect();
-                            self.state.op_virtual_refined(self.caller, *func, &targets);
-                        }
-                        None => {
-                            let candidates =
-                                self.lookup.dispatch_candidates_for(*receiver_class, *func);
-                            self.state
-                                .op_virtual_site(self.caller, *func, &candidates, self.register);
-                        }
-                    }
-                } else {
-                    self.state.add_edge(self.caller, *func);
-                }
-            }
-            CallTarget::FunctionPointer => self.state.op_fn_pointer_call(self.caller),
-        }
-    }
-
-    fn address_of_function(&mut self, func: FuncId, _span: ddm_cppfront::Span) {
-        self.state.op_take_address(func);
-    }
-
-    fn instantiation(&mut self, ev: &InstantiationEvent) {
-        self.state.op_instantiate(self.caller, ev.class, ev.ctor);
-    }
-
-    fn delete_of(&mut self, ev: &DeleteEvent) {
-        let Some(class) = ev.pointee_class else {
-            return;
-        };
-        let dtor = self.state.program.destructor(class);
-        let virtual_dtor = dtor.is_some_and(|d| self.state.program.function(d).is_virtual);
-        let candidates = if virtual_dtor {
-            self.lookup.destructor_candidates(class)
-        } else {
-            std::rc::Rc::new(Vec::new())
-        };
-        let ancestor_dtors: Vec<FuncId> = self
-            .state
-            .program
-            .ancestors_of(class)
-            .into_iter()
-            .filter_map(|a| self.state.program.destructor(a))
-            .collect();
-        self.state.op_delete(
-            self.caller,
-            dtor,
-            virtual_dtor,
-            &candidates,
-            &ancestor_dtors,
-            self.register,
-        );
-    }
-}
-
 /// The roots of the propagating builders: `main`, plus application
 /// overrides (with bodies) of virtual methods declared in library
 /// classes, which library code may call back into (§3.3).
@@ -1286,20 +1053,21 @@ mod tests {
     use ddm_cppfront::parse;
 
     fn graph(src: &str, algorithm: Algorithm) -> (Program, CallGraph) {
-        let tu = parse(src).expect("parse");
-        let p = Program::build(&tu).expect("sema");
-        let g = {
-            let lk = MemberLookup::new(&p);
-            CallGraph::build(
-                &p,
-                &lk,
-                &CallGraphOptions {
-                    algorithm,
-                    ..Default::default()
-                },
-            )
-            .expect("callgraph")
-        };
+        graph_with(
+            src,
+            CallGraphOptions {
+                algorithm,
+                ..Default::default()
+            },
+        )
+    }
+
+    fn graph_with(src: &str, options: CallGraphOptions) -> (Program, CallGraph) {
+        let p = Program::build(&parse(src).expect("parse")).expect("sema");
+        let summary = ProgramSummary::build(&p, options.algorithm == Algorithm::Pta, 1);
+        let (g, _) =
+            CallGraph::build_from_summary_schedule(&p, &summary, &options, &Telemetry::disabled())
+                .expect("callgraph");
         (p, g)
     }
 
@@ -1433,20 +1201,16 @@ mod tests {
         let src = "class Widget { public: virtual void on_click(); int id; };\n\
                    class MyButton : public Widget { public: virtual void on_click() { count = count + 1; } int count; };\n\
                    int main() { MyButton b; return 0; }";
-        let tu = parse(src).unwrap();
-        let p = Program::build(&tu).unwrap();
-        let lk = MemberLookup::new(&p);
+        let (p, without) = graph(src, Algorithm::Rta);
         let widget = p.class_by_name("Widget").unwrap();
-        let with_lib = CallGraph::build(
-            &p,
-            &lk,
-            &CallGraphOptions {
+        let (_, with_lib) = graph_with(
+            src,
+            CallGraphOptions {
                 algorithm: Algorithm::Rta,
                 library_classes: [widget].into_iter().collect(),
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let on_click = p
             .direct_method(p.class_by_name("MyButton").unwrap(), "on_click")
             .unwrap();
@@ -1454,7 +1218,6 @@ mod tests {
             with_lib.is_reachable(on_click),
             "library callbacks must be call-graph roots"
         );
-        let without = CallGraph::build(&p, &lk, &CallGraphOptions::default()).unwrap();
         assert!(!without.is_reachable(on_click));
     }
 
@@ -1501,57 +1264,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_replay_matches_walking_builder() {
-        // Exercises every step kind: static calls, virtual dispatch that
-        // widens across rounds, fn-pointer calls, address-taken
-        // functions, instantiation closures, and virtual deletes.
-        let src = "
-            class A { public: virtual int f() { return 0; } virtual ~A() { } };
-            class B : public A { public: virtual int f() { return make(); } ~B() { } };
-            class C : public A { public: virtual int f() { return 2; } };
-            int ind() { return 7; }
-            int make() { B* b = new B(); A* a = b; int r = a->f(); delete b; return r; }
-            int main() { A a; int (*fp)() = ind; return a.f() + fp() + make(); }";
-        let tu = parse(src).expect("parse");
-        let p = Program::build(&tu).expect("sema");
-        let lk = MemberLookup::new(&p);
-        for algorithm in [
-            Algorithm::Everything,
-            Algorithm::Cha,
-            Algorithm::Rta,
-            Algorithm::Pta,
-        ] {
-            let options = CallGraphOptions {
-                algorithm,
-                ..Default::default()
-            };
-            let walked = CallGraph::build(&p, &lk, &options).expect("walked");
-            let summary = ProgramSummary::build(&p, algorithm == Algorithm::Pta, 1);
-            let replayed = CallGraph::build_from_summary(&p, &summary, &options).expect("replayed");
-            assert_eq!(walked, replayed, "{algorithm} diverged");
-        }
-    }
-
-    #[test]
-    fn summary_replay_honours_library_roots() {
-        let src = "class Widget { public: virtual void on_click(); int id; };\n\
-                   class MyButton : public Widget { public: virtual void on_click() { count = count + 1; } int count; };\n\
-                   int main() { MyButton b; return 0; }";
-        let tu = parse(src).unwrap();
-        let p = Program::build(&tu).unwrap();
-        let lk = MemberLookup::new(&p);
-        let options = CallGraphOptions {
-            algorithm: Algorithm::Rta,
-            library_classes: [p.class_by_name("Widget").unwrap()].into_iter().collect(),
-            ..Default::default()
-        };
-        let walked = CallGraph::build(&p, &lk, &options).unwrap();
-        let summary = ProgramSummary::build(&p, false, 1);
-        let replayed = CallGraph::build_from_summary(&p, &summary, &options).unwrap();
-        assert_eq!(walked, replayed);
-    }
-
-    #[test]
     fn callees_lists_direct_edges() {
         let (p, g) = graph(
             "int f() { return 1; } int main() { return f() + f(); }",
@@ -1593,15 +1305,8 @@ mod tests {
             int ind() { return 7; }
             int make() { B* b = new B(); A* a = b; int r = a->f(); delete b; return r; }
             int main() { A a; int (*fp)() = ind; return a.f() + fp() + make(); }";
-        let tu = parse(src).expect("parse");
-        let p = Program::build(&tu).expect("sema");
-        let lk = MemberLookup::new(&p);
         for algorithm in [Algorithm::Cha, Algorithm::Rta, Algorithm::Pta] {
-            let options = CallGraphOptions {
-                algorithm,
-                ..Default::default()
-            };
-            let g = CallGraph::build(&p, &lk, &options).expect("build");
+            let (p, g) = graph(src, algorithm);
             let back =
                 CallGraph::from_parts(g.to_parts(), p.function_count(), p.class_count())
                     .expect("from_parts");
@@ -1696,38 +1401,6 @@ mod tests {
             fresh_tel.events_ndjson(Some(ddm_telemetry::EventClass::Deterministic)),
             replay_tel.events_ndjson(Some(ddm_telemetry::EventClass::Deterministic)),
             "deterministic event stream must be byte-identical"
-        );
-    }
-
-    #[test]
-    fn worklist_counters_identical_across_engines() {
-        // The delta schedule is shared by construction, so pops and
-        // drains — not just the resulting graph — must agree.
-        let src = "
-            class A { public: virtual int f() { return 0; } virtual ~A() { } };
-            class B : public A { public: virtual int f() { return make(); } ~B() { } };
-            class C : public A { public: virtual int f() { return 2; } };
-            int ind() { return 7; }
-            int make() { B* b = new B(); A* a = b; int r = a->f(); delete b; return r; }
-            int main() { A a; int (*fp)() = ind; return a.f() + fp() + make(); }";
-        let tu = parse(src).expect("parse");
-        let p = Program::build(&tu).expect("sema");
-        let lk = MemberLookup::new(&p);
-        let options = CallGraphOptions::default();
-        let walk_tel = Telemetry::enabled();
-        CallGraph::build_with(&p, &lk, &options, &walk_tel).unwrap();
-        let summary = ProgramSummary::build(&p, false, 1);
-        let replay_tel = Telemetry::enabled();
-        CallGraph::build_from_summary_with(&p, &summary, &options, &replay_tel).unwrap();
-        let walked = walk_tel.counters();
-        let replayed = replay_tel.counters();
-        assert!(walked.cg_worklist_pops > 0);
-        assert_eq!(walked.cg_worklist_pops, replayed.cg_worklist_pops);
-        assert_eq!(walked.cg_ready_drains, replayed.cg_ready_drains);
-        assert_eq!(
-            walk_tel.stats().cg_round_deltas,
-            replay_tel.stats().cg_round_deltas,
-            "delta batches must line up round for round"
         );
     }
 }

@@ -11,21 +11,22 @@
 //!    writes, and `sizeof`;
 //! 4. propagate liveness through unions.
 //!
-//! The traversal itself is provided by
-//! [`ddm_hierarchy::walk_function`]; this module supplies the liveness
-//! rules and the `MarkAllContainedMembers` closure.
+//! Each function body was walked once into a [`FnSummary`]; the scan
+//! replays the summaries' [`LiveStep`]s, which already carry the
+//! per-access rules, and this module supplies the configuration gates,
+//! the `MarkAllContainedMembers` expansion and the union fixpoint.
 
 use crate::liveness::{LiveReason, Liveness, Origin};
-use ddm_callgraph::CallGraph;
-use ddm_cppfront::ast::{ClassKind, Type};
+use crate::snapshot::AnalysisSnapshot;
+use ddm_callgraph::{replay_schedule, Algorithm, CallGraph, CallGraphOptions, CgSchedule};
+use ddm_cppfront::ast::ClassKind;
 use ddm_hierarchy::{
-    by_value_class, classify_cast, strip_indirections, walk_function, walk_globals, CastEvent,
-    CastSafety, ClassId, EventVisitor, FnSummary, FuncId, LiveStep, MarkAllCause,
-    MemberAccessEvent, MemberAccessKind, MemberLookup, MemberRef, Program, ProgramSummary,
-    TypeError,
+    ClassId, FnSummary, FuncId, LiveStep, MarkAllCause, MemberAccessKind, MemberRef, Program,
+    ProgramSummary, TypeError,
 };
 use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashSet;
+use std::time::Instant;
 
 /// How uses of `sizeof` are treated (§3.2).
 ///
@@ -64,17 +65,21 @@ pub struct AnalysisConfig {
 /// ```
 /// use ddm_core::{AnalysisConfig, DeadMemberAnalysis};
 /// use ddm_callgraph::{CallGraph, CallGraphOptions};
-/// use ddm_hierarchy::{MemberLookup, Program};
+/// use ddm_hierarchy::{Program, ProgramSummary};
+/// use ddm_telemetry::Telemetry;
 ///
 /// let tu = ddm_cppfront::parse(
 ///     "class A { public: int used; int written_only; };\n\
 ///      int main() { A a; a.written_only = 4; return a.used; }",
 /// ).unwrap();
 /// let program = Program::build(&tu).unwrap();
-/// let lookup = MemberLookup::new(&program);
-/// let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
+/// let summary = ProgramSummary::build(&program, false, 1);
+/// let quiet = Telemetry::disabled();
+/// let (graph, _) =
+///     CallGraph::build_from_summary_schedule(&program, &summary, &CallGraphOptions::default(), &quiet)
+///         .unwrap();
 /// let analysis = DeadMemberAnalysis::new(&program, AnalysisConfig::default());
-/// let liveness = analysis.run(&graph).unwrap();
+/// let (liveness, _counters) = analysis.run_summary_counted(&summary, &graph, &quiet).unwrap();
 /// let a = program.class_by_name("A").unwrap();
 /// assert!(liveness.is_live(ddm_hierarchy::MemberRef::new(a, 0)));
 /// assert!(liveness.is_dead(ddm_hierarchy::MemberRef::new(a, 1)));
@@ -96,102 +101,19 @@ impl<'p> DeadMemberAnalysis<'p> {
         &self.config
     }
 
-    /// Runs the algorithm against a previously built call graph.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TypeError`]s from walking reachable function bodies.
-    pub fn run(&self, callgraph: &CallGraph) -> Result<Liveness, TypeError> {
-        self.run_with(callgraph, &Telemetry::disabled())
-    }
-
-    /// [`DeadMemberAnalysis::run`] with telemetry: the scan and the union
-    /// post-pass are spanned, and the scan's deterministic counters are
-    /// recorded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TypeError`]s from walking reachable function bodies.
-    pub fn run_with(
-        &self,
-        callgraph: &CallGraph,
-        telemetry: &Telemetry,
-    ) -> Result<Liveness, TypeError> {
-        let scan_span = telemetry.span(LANE_MAIN, || {
-            format!("liveness scan ({} fns)", callgraph.reachable_count())
-        });
-        let mut marker = self.base_marker()?;
-
-        // Every statement of every function reachable in the call graph.
-        let lookup = MemberLookup::new(self.program);
-        for func in callgraph.reachable() {
-            marker.current = Some(func);
-            let mut sink = Sink {
-                marker: &mut marker,
-            };
-            walk_function(self.program, &lookup, func, &mut sink)?;
-        }
-        drop(scan_span);
-        telemetry.update_stats(|s| s.scan_rounds += 1);
-
-        let union_span = telemetry.span(LANE_MAIN, || "union post-pass".into());
-        marker.counters.markall_classes_expanded = marker.visited.len() as u64;
-        marker.propagate_unions();
-        marker.counters.union_classes_livened =
-            marker.visited.len() as u64 - marker.counters.markall_classes_expanded;
-        drop(union_span);
-        emit_liveness_events(telemetry, &marker.counters);
-        telemetry.add_counters(&marker.counters);
-        Ok(marker.liveness)
-    }
-
-    /// Runs the algorithm over precomputed walk-once summaries instead of
-    /// re-walking ASTs: replays each reachable function's [`LiveStep`]s in
-    /// the sequential scan order, resolves configuration-gated steps
-    /// (down-casts, `sizeof`) at replay time, and expands
-    /// `MarkAllContainedMembers` and the union fixpoint over the
-    /// summaries' precomputed containment closures. The result is
-    /// bit-identical to [`DeadMemberAnalysis::run`] on the same call
-    /// graph.
+    /// Runs the algorithm over the walk-once summaries: replays each
+    /// reachable function's [`LiveStep`]s in id order, resolves the
+    /// configuration-gated steps (down-casts, `sizeof`) as it goes, and
+    /// expands `MarkAllContainedMembers` and the union fixpoint over the
+    /// summaries' precomputed containment closures. Returns the
+    /// classification with the scan's deterministic counters, which are
+    /// also recorded on `telemetry` (a disabled handle drops them, so
+    /// callers that persist the scan need the returned copy).
     ///
     /// # Errors
     ///
     /// Surfaces the [`TypeError`]s recorded in the summaries of reachable
-    /// functions, in the order the walking scan would hit them.
-    pub fn run_summary(
-        &self,
-        summary: &ProgramSummary,
-        callgraph: &CallGraph,
-    ) -> Result<Liveness, TypeError> {
-        self.run_summary_with(summary, callgraph, &Telemetry::disabled())
-    }
-
-    /// [`DeadMemberAnalysis::run_summary`] with telemetry: the replay and
-    /// union post-pass are spanned, and the replay's deterministic
-    /// counters — bit-identical to the walking engine's — are recorded.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DeadMemberAnalysis::run_summary`].
-    pub fn run_summary_with(
-        &self,
-        summary: &ProgramSummary,
-        callgraph: &CallGraph,
-        telemetry: &Telemetry,
-    ) -> Result<Liveness, TypeError> {
-        self.run_summary_counted(summary, callgraph, telemetry)
-            .map(|(liveness, _)| liveness)
-    }
-
-    /// [`DeadMemberAnalysis::run_summary_with`], also returning the
-    /// scan's deterministic counters. The telemetry handle may be
-    /// disabled (it drops counters); callers persisting the converged
-    /// state need the counter values regardless, so they are returned
-    /// directly.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DeadMemberAnalysis::run_summary`].
+    /// functions, in id order.
     pub fn run_summary_counted(
         &self,
         summary: &ProgramSummary,
@@ -208,7 +130,7 @@ impl<'p> DeadMemberAnalysis<'p> {
             .filter_map(|n| self.program.class_by_name(n))
             .collect();
 
-        let mut marker = SummaryMarker {
+        let mut marker = Marker {
             program: self.program,
             summary,
             liveness: Liveness::with_member_index(summary.member_index().clone()),
@@ -253,70 +175,222 @@ impl<'p> DeadMemberAnalysis<'p> {
         telemetry.add_counters(&marker.counters);
         Ok((marker.liveness, marker.counters))
     }
+}
 
-    /// The pre-scan state: everything dead, library members
-    /// unclassifiable, global initializers walked (they run
-    /// unconditionally before `main`).
-    fn base_marker(&self) -> Result<Marker<'p, '_>, TypeError> {
-        let library: HashSet<ClassId> = self
-            .config
+/// The solve stage's result: the converged call graph and liveness, the
+/// used classes, and what a snapshot persists of them.
+pub(crate) struct Solved {
+    pub(crate) callgraph: CallGraph,
+    pub(crate) schedule: CgSchedule,
+    pub(crate) liveness: Liveness,
+    pub(crate) scan_counters: Counters,
+    pub(crate) used: HashSet<ClassId>,
+    /// Whether the call graph and scan were replayed from the snapshot.
+    pub(crate) replayed: bool,
+}
+
+/// The solve stage both pipelines run after the front end: the call
+/// graph over `summary` (with `config`'s library classes as callback
+/// roots), the liveness scan, the used classes, and the classification
+/// counters and event. The wall time of the call graph and of the scan
+/// lands in the execution stats.
+///
+/// With `stored` — a snapshot whose fixpoint the caller proved
+/// unaffected by the edit — the call graph and the scan are replayed
+/// from it, telemetry included, instead of solved; a stored graph that
+/// does not fit `program` falls back to a fresh solve.
+pub(crate) fn solve(
+    program: &Program,
+    summary: &ProgramSummary,
+    config: &AnalysisConfig,
+    algorithm: Algorithm,
+    stored: Option<&AnalysisSnapshot>,
+    telemetry: &Telemetry,
+) -> Result<Solved, TypeError> {
+    let cg_options = CallGraphOptions {
+        algorithm,
+        library_classes: config
             .library_classes
             .iter()
-            .filter_map(|n| self.program.class_by_name(n))
-            .collect();
+            .filter_map(|n| program.class_by_name(n))
+            .collect(),
+        ..CallGraphOptions::default()
+    };
+    let analysis = DeadMemberAnalysis::new(program, config.clone());
+    let replay = stored.and_then(|snap| replay_fixpoint(program, summary, snap, telemetry));
+    let replayed = replay.is_some();
+    let (callgraph, schedule, liveness, scan_counters) = match replay {
+        Some(fixpoint) => fixpoint,
+        None => {
+            let cg_start = Instant::now();
+            let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
+            let (callgraph, schedule) =
+                CallGraph::build_from_summary_schedule(program, summary, &cg_options, telemetry)?;
+            drop(cg_span);
+            let callgraph_ns = cg_start.elapsed().as_nanos() as u64;
+            let live_start = Instant::now();
+            let (liveness, counters) = analysis.run_summary_counted(summary, &callgraph, telemetry)?;
+            let liveness_ns = live_start.elapsed().as_nanos() as u64;
+            telemetry.update_stats(|s| {
+                s.callgraph_ns += callgraph_ns;
+                s.liveness_ns += liveness_ns;
+            });
+            (callgraph, schedule, liveness, counters)
+        }
+    };
 
-        let mut marker = Marker {
-            program: self.program,
-            liveness: Liveness::new(),
-            visited: HashSet::new(),
-            config: &self.config,
-            current: None,
-            counters: Counters::default(),
-        };
+    // Debug builds cross-check every replayed fixpoint against a fresh
+    // one, bit for bit: graph, schedule, classification, origins, and
+    // scan counters must all agree, or the reuse gate let an unsound
+    // edit through.
+    #[cfg(debug_assertions)]
+    if replayed {
+        let quiet = Telemetry::disabled();
+        let (fresh_cg, mut fresh_schedule) =
+            CallGraph::build_from_summary_schedule(program, summary, &cg_options, &quiet)?;
+        debug_assert_eq!(
+            fresh_cg, callgraph,
+            "replayed call graph diverged from a fresh fixpoint"
+        );
+        // The interner digests the whole program — unreachable and
+        // freshly added functions included — so its size may
+        // legitimately drift under a gate-passing edit. It feeds exec
+        // stats only, never the deterministic stream.
+        fresh_schedule.interned_symbols = schedule.interned_symbols;
+        fresh_schedule.arena_bytes = schedule.arena_bytes;
+        debug_assert_eq!(
+            fresh_schedule, schedule,
+            "replayed schedule diverged from a fresh fixpoint"
+        );
+        let (fresh_liveness, fresh_counters) =
+            analysis.run_summary_counted(summary, &fresh_cg, &quiet)?;
+        debug_assert_eq!(
+            fresh_liveness, liveness,
+            "replayed liveness diverged from a fresh scan"
+        );
+        debug_assert_eq!(
+            fresh_liveness.to_parts().origins,
+            liveness.to_parts().origins,
+            "replayed origins diverged from a fresh scan"
+        );
+        debug_assert_eq!(
+            fresh_counters, scan_counters,
+            "replayed scan counters diverged from a fresh scan"
+        );
+    }
 
-        // Library members are unclassifiable from the start.
-        for (cid, class) in self.program.classes() {
-            if library.contains(&cid) {
-                for idx in 0..class.members.len() {
-                    marker
-                        .liveness
-                        .mark_unclassifiable(MemberRef::new(cid, idx));
-                }
+    let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
+    let used = summary.used_classes(program)?;
+    drop(used_span);
+
+    let mut tail = Counters {
+        reachable_functions: callgraph.reachable_count() as u64,
+        callgraph_edges: callgraph.edge_count() as u64,
+        instantiated_classes: callgraph.instantiated().len() as u64,
+        ..Counters::default()
+    };
+    for (cid, class) in program.classes() {
+        for idx in 0..class.members.len() {
+            let m = MemberRef::new(cid, idx);
+            // Mirror the report's precedence: unclassifiable trumps the
+            // live/dead verdict.
+            if liveness.is_unclassifiable(m) {
+                tail.members_unclassifiable += 1;
+            } else if liveness.is_live(m) {
+                tail.members_live += 1;
+            } else {
+                tail.members_dead += 1;
             }
         }
-
-        let lookup = MemberLookup::new(self.program);
-        let mut sink = Sink {
-            marker: &mut marker,
-        };
-        walk_globals(self.program, &lookup, &mut sink)?;
-        Ok(marker)
     }
+    telemetry.add_counters(&tail);
+    emit_classification_event(telemetry, &tail);
+
+    Ok(Solved {
+        callgraph,
+        schedule,
+        liveness,
+        scan_counters,
+        used,
+        replayed,
+    })
 }
 
-/// Re-emits a persisted liveness scan's telemetry — the deterministic
-/// `liveness_scan` / `liveness_union` events, the counters, the
-/// metrics, and the scan stats — exactly as
-/// [`DeadMemberAnalysis::run_summary_with`] over `reachable_count`
-/// reachable functions would. Snapshot warm starts that reuse a stored
-/// [`Liveness`] call this instead of re-scanning.
-pub fn replay_liveness_telemetry(
+/// Replays `snap`'s converged call graph and liveness scan, re-emitting
+/// their telemetry exactly as a fresh solve would have. `None`, after a
+/// `snapshot_rejected` event, when the stored graph does not fit
+/// `program` — structurally impossible after the caller's reuse gate.
+fn replay_fixpoint(
+    program: &Program,
+    summary: &ProgramSummary,
+    snap: &AnalysisSnapshot,
     telemetry: &Telemetry,
-    reachable_count: usize,
-    counters: &Counters,
-) {
+) -> Option<(CallGraph, CgSchedule, Liveness, Counters)> {
+    let cg_start = Instant::now();
+    let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
+    let graph = CallGraph::from_parts(
+        snap.callgraph.clone(),
+        program.function_count(),
+        program.class_count(),
+    );
+    let callgraph = match graph {
+        Ok(callgraph) => callgraph,
+        Err(reason) => {
+            drop(cg_span);
+            telemetry.event(EventClass::Observational, "snapshot_rejected", || {
+                vec![("reason", reason.as_str().into())]
+            });
+            return None;
+        }
+    };
+    replay_schedule(&callgraph, &snap.schedule, telemetry);
+    drop(cg_span);
+    let callgraph_ns = cg_start.elapsed().as_nanos() as u64;
+
+    let live_start = Instant::now();
+    let liveness = Liveness::from_parts(&snap.liveness, Some(summary.member_index().clone()));
+    let counters = snap.liveness_counters;
     telemetry.update_stats(|s| {
         s.scan_rounds += 1;
-        s.summary_replays += 1 + reachable_count as u64;
+        s.summary_replays += 1 + callgraph.reachable_count() as u64;
     });
-    emit_liveness_events(telemetry, counters);
-    telemetry.add_counters(counters);
+    emit_liveness_events(telemetry, &counters);
+    telemetry.add_counters(&counters);
+    let liveness_ns = live_start.elapsed().as_nanos() as u64;
+    telemetry.update_stats(|s| {
+        s.callgraph_ns += callgraph_ns;
+        s.liveness_ns += liveness_ns;
+    });
+    Some((callgraph, snap.schedule.clone(), liveness, counters))
 }
 
-/// Flight-recorder tail of every liveness engine: the scan totals and
-/// the union post-pass outcome, read from the final counters (which are
-/// engine-invariant at this point), so both events are det class no
-/// matter which engine produced them.
+/// Flight-recorder tail of the solve: the final classification verdict
+/// alongside the graph totals that scoped it — all deterministic-counter
+/// fields, so det class.
+fn emit_classification_event(telemetry: &Telemetry, tail: &Counters) {
+    telemetry.event(EventClass::Deterministic, "classification", || {
+        vec![
+            ("reachable_functions", tail.reachable_functions.into()),
+            ("callgraph_edges", tail.callgraph_edges.into()),
+            ("instantiated_classes", tail.instantiated_classes.into()),
+            ("live", tail.members_live.into()),
+            ("dead", tail.members_dead.into()),
+            ("unclassifiable", tail.members_unclassifiable.into()),
+        ]
+    });
+    telemetry.metrics(|m| {
+        m.gauge_set("classify/members_live", tail.members_live as i64);
+        m.gauge_set("classify/members_dead", tail.members_dead as i64);
+        m.gauge_set(
+            "classify/members_unclassifiable",
+            tail.members_unclassifiable as i64,
+        );
+    });
+}
+
+/// Flight-recorder tail of the liveness scan: the scan totals and the
+/// union post-pass outcome, read from the final counters, so a fresh
+/// scan and a replayed one emit identical det-class events.
 fn emit_liveness_events(telemetry: &Telemetry, counters: &Counters) {
     telemetry.event(EventClass::Deterministic, "liveness_scan", || {
         vec![
@@ -345,125 +419,13 @@ fn emit_liveness_events(telemetry: &Telemetry, counters: &Counters) {
     });
 }
 
-struct Marker<'p, 'c> {
-    program: &'p Program,
-    liveness: Liveness,
-    /// The paper's per-class "visited" marking for
-    /// `MarkAllContainedMembers` (line 4 / line 38).
-    visited: HashSet<ClassId>,
-    config: &'c AnalysisConfig,
-    /// The function whose body is being scanned, stamped into each mark's
-    /// [`Origin`]. `None` during the global-initializer walk.
-    current: Option<FuncId>,
-    /// Deterministic event counts for this marker's slice of the scan.
-    counters: Counters,
-}
-
-impl Marker<'_, '_> {
-    /// `MarkAllContainedMembers` (Figure 2, lines 36–50): marks every data
-    /// member of `class` live, recursing into by-value member classes and
-    /// direct base classes, with duplicate suppression via the visited set.
-    /// Every mark in the expansion carries the triggering `origin`.
-    fn mark_all_contained(&mut self, class: ClassId, reason: LiveReason, origin: Origin) {
-        if !self.visited.insert(class) {
-            return;
-        }
-        let info = self.program.class(class);
-        for (idx, m) in info.members.iter().enumerate() {
-            self.liveness
-                .mark_live_from(MemberRef::new(class, idx), reason, origin);
-            if let Some(name) = by_value_class(&m.ty) {
-                if let Some(id) = self.program.class_by_name(name) {
-                    self.mark_all_contained(id, reason, origin);
-                }
-            }
-        }
-        let bases: Vec<ClassId> = info.bases.iter().map(|b| b.id).collect();
-        for b in bases {
-            self.mark_all_contained(b, reason, origin);
-        }
-    }
-
-    /// The smallest live [`MemberRef`] directly or indirectly contained in
-    /// `class`, or `None` when none is live (the union rule's trigger).
-    /// Taking the *minimum* — rather than the first hit of some traversal —
-    /// makes the witness recorded in [`Origin::Union`] independent of the
-    /// walk order, so both engines agree on it.
-    fn min_live_contained(&self, class: ClassId) -> Option<MemberRef> {
-        let mut seen = HashSet::new();
-        let mut stack = vec![class];
-        let mut min: Option<MemberRef> = None;
-        while let Some(c) = stack.pop() {
-            if !seen.insert(c) {
-                continue;
-            }
-            let info = self.program.class(c);
-            for (idx, m) in info.members.iter().enumerate() {
-                let r = MemberRef::new(c, idx);
-                if self.liveness.is_live(r) && min.map_or(true, |cur| r < cur) {
-                    min = Some(r);
-                }
-                if let Some(name) = by_value_class(&m.ty) {
-                    if let Some(id) = self.program.class_by_name(name) {
-                        stack.push(id);
-                    }
-                }
-            }
-            stack.extend(info.bases.iter().map(|b| b.id));
-        }
-        min
-    }
-
-    /// Union propagation (Figure 2, lines 9–11), to a fixpoint since
-    /// marking a union's contents may liven members of another union.
-    /// Counts every fixpoint iteration — including the final, confirming
-    /// one — into `union_rounds`.
-    fn propagate_unions(&mut self) {
-        loop {
-            self.counters.union_rounds += 1;
-            let mut changed = false;
-            for (cid, class) in self.program.classes() {
-                if class.kind != ClassKind::Union {
-                    continue;
-                }
-                if self.visited.contains(&cid) {
-                    continue;
-                }
-                if let Some(via) = self.min_live_contained(cid) {
-                    self.mark_all_contained(
-                        cid,
-                        LiveReason::UnionPropagation,
-                        Origin::Union { root: cid, via },
-                    );
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    /// Classifies a cast as unsafe per §3, resolving the shared static
-    /// classification ([`classify_cast`]) against this run's down-cast
-    /// policy.
-    fn cast_is_unsafe(&self, ev: &CastEvent) -> bool {
-        match classify_cast(self.program, ev) {
-            CastSafety::Safe => false,
-            CastSafety::Unsafe => true,
-            CastSafety::UnsafeDowncast => !self.config.assume_safe_downcasts,
-        }
-    }
-}
-
-/// The summary engine's counterpart of [`Marker`]: the same liveness
-/// rules, driven by recorded [`LiveStep`]s instead of AST events, with
-/// `MarkAllContainedMembers` flattened over the precomputed containment
-/// closures. The flat expansion marks exactly the classes the recursive
-/// walk would: any visited class already has its entire closure visited,
-/// so each call marks `closure(class)` minus the previously visited set
-/// either way.
-struct SummaryMarker<'p, 's, 'c> {
+/// The scan state: the liveness rules driven by recorded [`LiveStep`]s,
+/// with `MarkAllContainedMembers` flattened over the precomputed
+/// containment closures. The flat expansion marks exactly the classes
+/// the paper's recursion would: any visited class already has its entire
+/// closure visited, so each call marks `closure(class)` minus the
+/// previously visited set either way.
+struct Marker<'p, 's, 'c> {
     program: &'p Program,
     summary: &'s ProgramSummary,
     liveness: Liveness,
@@ -472,12 +434,10 @@ struct SummaryMarker<'p, 's, 'c> {
     counters: Counters,
 }
 
-impl SummaryMarker<'_, '_, '_> {
+impl Marker<'_, '_, '_> {
     /// Replays one function's liveness facts in body order, stamping
     /// `func` into each mark's [`Origin`] (`None` for the global
-    /// initializers). The counters increment exactly where the walking
-    /// engine's [`Sink`] increments them — one per surviving step — so the
-    /// totals are engine-independent.
+    /// initializers). Each surviving step increments its counter once.
     fn replay(&mut self, func: Option<FuncId>, s: &FnSummary) {
         for step in &s.live_steps {
             match step {
@@ -542,9 +502,10 @@ impl SummaryMarker<'_, '_, '_> {
         }
     }
 
-    /// The smallest live [`MemberRef`] contained in `class` — over the
-    /// same closure set [`Marker::min_live_contained`] walks, so both
-    /// engines pick the same union witness.
+    /// The smallest live [`MemberRef`] contained in `class`, or `None`
+    /// when none is live (the union rule's trigger). Taking the minimum
+    /// makes the witness recorded in [`Origin::Union`] independent of
+    /// the closure's order.
     fn min_live_contained(&self, class: ClassId) -> Option<MemberRef> {
         let mut min: Option<MemberRef> = None;
         for &c in self.summary.contained_classes(class) {
@@ -558,9 +519,10 @@ impl SummaryMarker<'_, '_, '_> {
         min
     }
 
-    /// Union propagation (Figure 2, lines 9–11) to a fixpoint, iterating
-    /// classes in the same order — and counting the same `union_rounds` —
-    /// as [`Marker::propagate_unions`].
+    /// Union propagation (Figure 2, lines 9–11), to a fixpoint since
+    /// marking a union's contents may liven members of another union.
+    /// Counts every fixpoint iteration — including the final, confirming
+    /// one — into `union_rounds`.
     fn propagate_unions(&mut self) {
         loop {
             self.counters.union_rounds += 1;
@@ -588,122 +550,39 @@ impl SummaryMarker<'_, '_, '_> {
     }
 }
 
-struct Sink<'a, 'p, 'c> {
-    marker: &'a mut Marker<'p, 'c>,
-}
-
-impl EventVisitor for Sink<'_, '_, '_> {
-    fn member_access(&mut self, ev: &MemberAccessEvent) {
-        let member = &self.marker.program.class(ev.member.class).members[ev.member.index as usize];
-        let origin = Origin::Access {
-            func: self.marker.current,
-        };
-        if ev.is_store_target {
-            // "The act of storing a value into a data member cannot affect
-            // the program's observable behavior by itself" — except for
-            // volatile members (footnote 1).
-            if member.is_volatile {
-                self.marker.counters.scan_volatile_writes += 1;
-                self.marker
-                    .liveness
-                    .mark_live_from(ev.member, LiveReason::VolatileWrite, origin);
-            }
-            return;
-        }
-        if ev.is_delete_operand {
-            // "A data member whose address is passed to the delete or free
-            // system functions does not have to be marked as live."
-            return;
-        }
-        let reason = if ev.address_taken {
-            self.marker.counters.scan_address_taken += 1;
-            LiveReason::AddressTaken
-        } else {
-            self.marker.counters.scan_reads += 1;
-            LiveReason::Read
-        };
-        self.marker.liveness.mark_live_from(ev.member, reason, origin);
-    }
-
-    fn ptr_to_member(&mut self, member: MemberRef, _span: ddm_cppfront::Span) {
-        // "&Z::m ... we simply assume that any member whose offset is
-        // computed may be accessed somewhere in the program."
-        self.marker.counters.scan_ptr_to_member += 1;
-        let origin = Origin::Access {
-            func: self.marker.current,
-        };
-        self.marker
-            .liveness
-            .mark_live_from(member, LiveReason::PointerToMember, origin);
-    }
-
-    fn cast(&mut self, ev: &CastEvent) {
-        if !self.marker.cast_is_unsafe(ev) {
-            return;
-        }
-        // "let S be the type of e'; call MarkAllContainedMembers(S)".
-        let operand = strip_indirections(&ev.operand);
-        if let Some(name) = operand.named() {
-            if let Some(id) = self.marker.program.class_by_name(name) {
-                self.marker.counters.markall_triggers += 1;
-                let origin = Origin::MarkAll {
-                    func: self.marker.current,
-                    root: id,
-                };
-                self.marker
-                    .mark_all_contained(id, LiveReason::UnsafeCast, origin);
-            }
-        }
-    }
-
-    fn sizeof_of(&mut self, ty: &Type, _span: ddm_cppfront::Span) {
-        if self.marker.config.sizeof_policy == SizeofPolicy::Ignore {
-            return;
-        }
-        let ty = strip_indirections(ty);
-        if let Some(name) = ty.named() {
-            if let Some(id) = self.marker.program.class_by_name(name) {
-                self.marker.counters.markall_triggers += 1;
-                let origin = Origin::MarkAll {
-                    func: self.marker.current,
-                    root: id,
-                };
-                self.marker
-                    .mark_all_contained(id, LiveReason::Sizeof, origin);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddm_callgraph::{Algorithm, CallGraphOptions};
     use ddm_cppfront::parse;
 
     fn run(src: &str) -> (Program, Liveness) {
         run_with(src, AnalysisConfig::default(), Algorithm::Rta)
     }
 
-    fn run_with(src: &str, config: AnalysisConfig, algorithm: Algorithm) -> (Program, Liveness) {
-        let tu = parse(src).expect("parse");
-        let program = Program::build(&tu).expect("sema");
-        let liveness = {
-            let lookup = MemberLookup::new(&program);
-            let cg_options = CallGraphOptions {
-                algorithm,
-                library_classes: config
-                    .library_classes
-                    .iter()
-                    .filter_map(|n| program.class_by_name(n))
-                    .collect(),
-                ..Default::default()
-            };
-            let graph = CallGraph::build(&program, &lookup, &cg_options).expect("callgraph");
-            DeadMemberAnalysis::new(&program, config)
-                .run(&graph)
-                .expect("analysis")
+    /// The product path: summaries, the call graph over them, the scan.
+    pub(super) fn run_with(
+        src: &str,
+        config: AnalysisConfig,
+        algorithm: Algorithm,
+    ) -> (Program, Liveness) {
+        let program = Program::build(&parse(src).expect("parse")).expect("sema");
+        let summary = ProgramSummary::build(&program, algorithm == Algorithm::Pta, 1);
+        let cg_options = CallGraphOptions {
+            algorithm,
+            library_classes: config
+                .library_classes
+                .iter()
+                .filter_map(|n| program.class_by_name(n))
+                .collect(),
+            ..Default::default()
         };
+        let quiet = Telemetry::disabled();
+        let (graph, _) =
+            CallGraph::build_from_summary_schedule(&program, &summary, &cg_options, &quiet)
+                .expect("callgraph");
+        let (liveness, _) = DeadMemberAnalysis::new(&program, config)
+            .run_summary_counted(&summary, &graph, &quiet)
+            .expect("analysis");
         (program, liveness)
     }
 
@@ -990,20 +869,9 @@ mod tests {
 #[cfg(test)]
 mod union_edge_tests {
     use super::*;
-    use ddm_callgraph::{CallGraph, CallGraphOptions};
-    use ddm_cppfront::parse;
 
     fn liveness(src: &str) -> (Program, Liveness) {
-        let tu = parse(src).expect("parse");
-        let program = Program::build(&tu).expect("sema");
-        let l = {
-            let lookup = MemberLookup::new(&program);
-            let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-            DeadMemberAnalysis::new(&program, AnalysisConfig::default())
-                .run(&graph)
-                .unwrap()
-        };
-        (program, l)
+        tests::run_with(src, AnalysisConfig::default(), Algorithm::Rta)
     }
 
     fn member(p: &Program, class: &str, name: &str) -> MemberRef {

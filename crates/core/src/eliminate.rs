@@ -104,8 +104,8 @@ pub fn eliminate(pipeline: &AnalysisPipeline) -> Elimination {
 
 /// [`eliminate`] with telemetry: every removal and every keep-with-reason
 /// decision lands in the flight recorder. Elimination reads only the
-/// analysed program and its liveness verdicts — all of them engine- and
-/// jobs-invariant — and its own output is sorted, so every elimination
+/// analysed program and its liveness verdicts — all of them jobs- and
+/// cache-invariant — and its own output is sorted, so every elimination
 /// event is deterministic class.
 pub fn eliminate_with(pipeline: &AnalysisPipeline, telemetry: &Telemetry) -> Elimination {
     let program = pipeline.program();

@@ -21,7 +21,6 @@
 use crate::analysis::AnalysisConfig;
 use crate::explain::{explain, ExplainError};
 use crate::liveness::Liveness;
-use crate::pipeline::Engine;
 use crate::report::{render_analysis, Report};
 use ddm_callgraph::CallGraph;
 use ddm_cppfront::SourceSet;
@@ -43,7 +42,6 @@ pub struct EpochSnapshot {
     pub(crate) liveness: Liveness,
     pub(crate) used: HashSet<ClassId>,
     pub(crate) config: AnalysisConfig,
-    pub(crate) engine: Engine,
     pub(crate) counters: Counters,
 }
 
@@ -93,11 +91,6 @@ impl EpochSnapshot {
         &self.config
     }
 
-    /// The engine the run used.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// The deterministic counters the run accumulated on its telemetry
     /// handle. Meaningful when the build used a fresh enabled handle
     /// (serve mode builds one per epoch); all-zero under a disabled
@@ -138,7 +131,7 @@ impl EpochSnapshot {
     /// The `== deterministic counters ==` section of `--stats`,
     /// byte-identical to the same section of a one-shot run's stderr
     /// (the deterministic-counter contract makes the section identical
-    /// across jobs, engines, and cache states, so it is the one part of
+    /// across jobs and cache states, so it is the one part of
     /// `--stats` a byte-equality oracle can pin).
     pub fn render_counters(&self) -> String {
         format!(
@@ -193,7 +186,6 @@ mod tests {
             AnalysisConfig::default(),
             Algorithm::Rta,
             1,
-            Engine::Summary,
             None,
             &Telemetry::enabled(),
             epoch,

@@ -5,8 +5,8 @@
 //! at its first (winning) mark, plus the shortest call-graph path from
 //! `main` to the function containing the inducing access. Every input to
 //! the rendering — origins, reasons, the call graph — is bit-identical
-//! across the walking and summary engines and across `--jobs` values, so
-//! the explanation text is too.
+//! across `--jobs` values and cache states, so the explanation text is
+//! too.
 
 use crate::liveness::{LiveReason, Liveness, Origin};
 use ddm_callgraph::CallGraph;
@@ -154,7 +154,7 @@ fn explain_origin(
 ) {
     let pad = "  ".repeat(depth);
     let Some(origin) = liveness.origin(member) else {
-        // Unreachable for members marked by this crate's engines, but a
+        // Unreachable for members marked by this crate's analysis, but a
         // hand-built Liveness may lack provenance.
         out.push_str(&format!("{pad}(no provenance recorded)\n"));
         return;
@@ -341,49 +341,30 @@ mod tests {
     }
 
     #[test]
-    fn malformed_and_unknown_specs_are_distinct_stable_errors_in_both_engines() {
-        use crate::analysis::AnalysisConfig;
-        use crate::pipeline::Engine;
-        use ddm_callgraph::Algorithm;
+    fn malformed_and_unknown_specs_are_distinct_stable_errors() {
+        let run = run("class A { public: int m; }; int main() { A a; return a.m; }");
+        let at =
+            |spec: &str| explain(run.program(), run.callgraph(), run.liveness(), spec).unwrap_err();
 
-        let src = "class A { public: int m; }; int main() { A a; return a.m; }";
-        for engine in [Engine::Walk, Engine::Summary] {
-            let run = AnalysisPipeline::with_config_engine(
-                src,
-                AnalysisConfig::default(),
-                Algorithm::Rta,
-                engine,
-            )
-            .expect("pipeline");
-            let at = |spec: &str| {
-                explain(run.program(), run.callgraph(), run.liveness(), spec).unwrap_err()
-            };
+        let malformed = at("plain");
+        assert_eq!(malformed.kind(), "bad_request");
+        assert_eq!(
+            malformed.to_string(),
+            "invalid member spec 'plain': expected Class::member"
+        );
 
-            let malformed = at("plain");
-            assert_eq!(malformed.kind(), "bad_request", "engine={engine}");
-            assert_eq!(
-                malformed.to_string(),
-                "invalid member spec 'plain': expected Class::member",
-                "engine={engine}"
-            );
+        let no_class = at("Nope::m");
+        assert_eq!(no_class.kind(), "not_found");
+        assert_eq!(no_class.to_string(), "unknown class 'Nope'");
 
-            let no_class = at("Nope::m");
-            assert_eq!(no_class.kind(), "not_found", "engine={engine}");
-            assert_eq!(no_class.to_string(), "unknown class 'Nope'", "engine={engine}");
+        let no_member = at("A::nope");
+        assert_eq!(no_member.kind(), "not_found");
+        assert_eq!(no_member.to_string(), "class 'A' has no data member 'nope'");
 
-            let no_member = at("A::nope");
-            assert_eq!(no_member.kind(), "not_found", "engine={engine}");
-            assert_eq!(
-                no_member.to_string(),
-                "class 'A' has no data member 'nope'",
-                "engine={engine}"
-            );
-
-            assert_ne!(
-                malformed.to_string(),
-                no_member.to_string(),
-                "clients must be able to tell bad request from not found"
-            );
-        }
+        assert_ne!(
+            malformed.to_string(),
+            no_member.to_string(),
+            "clients must be able to tell bad request from not found"
+        );
     }
 }

@@ -39,9 +39,8 @@ impl fmt::Display for LiveReason {
 }
 
 /// The provenance of one live mark: which step of the analysis induced
-/// it. Like [`LiveReason`], the *first* origin is recorded, so the walk
-/// and summary engines — which fire marks in the same order — record
-/// identical origins.
+/// it. Like [`LiveReason`], the *first* origin is recorded, so any two
+/// scans that fire marks in the same order record identical origins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Origin {
     /// A direct access (read / address-taken / volatile write /

@@ -1,47 +1,30 @@
 //! End-to-end convenience pipeline: source → parse → model → call graph →
 //! dead-member analysis → report.
 
-use crate::analysis::{AnalysisConfig, DeadMemberAnalysis};
+use crate::analysis::{solve, AnalysisConfig, Solved};
 use crate::liveness::Liveness;
 use crate::report::Report;
-use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
+use ddm_callgraph::{Algorithm, CallGraph};
 use ddm_cppfront::{parse, ParseError};
-use ddm_hierarchy::{
-    body_walk_count, used_classes, ClassId, MemberLookup, Program, ProgramSummary, SemaError,
-    TypeError,
-};
-use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
+use ddm_hierarchy::{body_walk_count, ClassId, Program, ProgramSummary, SemaError, TypeError};
+use ddm_telemetry::{Telemetry, LANE_MAIN};
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-/// Which analysis engine drives the pipeline.
+/// The analysis engine. It has one variant: each function body is
+/// walked exactly once into a summary, and the call graph and the
+/// liveness scan propagate over the summaries.
 ///
-/// Both engines produce bit-identical results (liveness, reasons,
-/// call graph, used classes, and rendered report); they differ only in
-/// how often function bodies are traversed.
+/// The type stays because public signatures still name it —
+/// [`ProjectPipeline::run`](crate::ProjectPipeline::run) and
+/// [`ServeOptions::engine`](crate::ServeOptions::engine), which the
+/// repository benchmark passes — and both ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// The AST-walking engine: the delta call-graph fixpoint walks each
-    /// newly reachable function body once (widening parked dispatch
-    /// sites without re-walking), and the liveness scan walks the
-    /// reachable set again. Retained as the differential-testing
-    /// reference.
-    Walk,
-    /// The walk-once engine (default): each function body is traversed
-    /// exactly once to extract a summary; call-graph construction and the
-    /// liveness scan then propagate over summaries.
+    /// The walk-once summary engine.
     #[default]
     Summary,
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Engine::Walk => "walk",
-            Engine::Summary => "summary",
-        })
-    }
 }
 
 /// Any error the pipeline can produce.
@@ -115,7 +98,6 @@ pub struct AnalysisPipeline {
     liveness: Liveness,
     used: HashSet<ClassId>,
     config: AnalysisConfig,
-    engine: Engine,
 }
 
 impl AnalysisPipeline {
@@ -140,24 +122,10 @@ impl AnalysisPipeline {
         config: AnalysisConfig,
         algorithm: Algorithm,
     ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_engine(source, config, algorithm, Engine::default())
+        Self::with_config_telemetry(source, config, algorithm, &Telemetry::disabled())
     }
 
-    /// Runs the full pipeline on an explicit [`Engine`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] for parse, semantic, or type failures.
-    pub fn with_config_engine(
-        source: &str,
-        config: AnalysisConfig,
-        algorithm: Algorithm,
-        engine: Engine,
-    ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_telemetry(source, config, algorithm, engine, &Telemetry::disabled())
-    }
-
-    /// [`AnalysisPipeline::with_config_engine`] with telemetry: every
+    /// [`AnalysisPipeline::with_config`] with telemetry: every
     /// pipeline phase is spanned on the main lane, the deterministic
     /// counters are accumulated, and the execution-stats snapshot is
     /// filled in.
@@ -176,7 +144,6 @@ impl AnalysisPipeline {
         source: &str,
         config: AnalysisConfig,
         algorithm: Algorithm,
-        engine: Engine,
         telemetry: &Telemetry,
     ) -> Result<AnalysisPipeline, PipelineError> {
         let walks_before = body_walk_count();
@@ -189,75 +156,20 @@ impl AnalysisPipeline {
         let program = Program::build(&tu)?;
         drop(sema_span);
 
-        let cg_options = CallGraphOptions {
-            algorithm,
-            library_classes: config
-                .library_classes
-                .iter()
-                .filter_map(|n| program.class_by_name(n))
-                .collect(),
-            ..CallGraphOptions::default()
-        };
-        let (callgraph, liveness, used) = match engine {
-            Engine::Walk => {
-                let lookup = MemberLookup::new(&program);
-                let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                let callgraph = CallGraph::build_with(&program, &lookup, &cg_options, telemetry)?;
-                drop(cg_span);
-                let liveness =
-                    DeadMemberAnalysis::new(&program, config.clone()).run_with(&callgraph, telemetry)?;
-                let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
-                let used = used_classes(&program, &lookup)?;
-                drop(used_span);
-                (callgraph, liveness, used)
-            }
-            Engine::Summary => {
-                // Walk once: extract summaries, then every downstream
-                // phase propagates over them without touching an AST
-                // again.
-                let summary =
-                    ProgramSummary::build_with(&program, algorithm == Algorithm::Pta, telemetry);
-                let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                let callgraph =
-                    CallGraph::build_from_summary_with(&program, &summary, &cg_options, telemetry)?;
-                drop(cg_span);
-                let liveness = DeadMemberAnalysis::new(&program, config.clone()).run_summary_with(
-                    &summary,
-                    &callgraph,
-                    telemetry,
-                )?;
-                let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
-                let used = summary.used_classes(&program)?;
-                drop(used_span);
-                (callgraph, liveness, used)
-            }
-        };
+        // Walk once: extract summaries, then every downstream phase
+        // propagates over them without touching an AST again.
+        let summary = ProgramSummary::build_with(&program, algorithm == Algorithm::Pta, telemetry);
+        let Solved {
+            callgraph,
+            liveness,
+            used,
+            ..
+        } = solve(&program, &summary, &config, algorithm, None, telemetry)?;
 
         telemetry.update_stats(|s| {
-            s.engine = engine.to_string();
             s.jobs = 1;
             s.bodies_walked += body_walk_count() - walks_before;
         });
-        let mut tail = Counters::default();
-        tail.reachable_functions = callgraph.reachable_count() as u64;
-        tail.callgraph_edges = callgraph.edge_count() as u64;
-        tail.instantiated_classes = callgraph.instantiated().len() as u64;
-        for (cid, class) in program.classes() {
-            for idx in 0..class.members.len() {
-                let m = ddm_hierarchy::MemberRef::new(cid, idx);
-                // Mirror the report's precedence: unclassifiable trumps
-                // the live/dead verdict.
-                if liveness.is_unclassifiable(m) {
-                    tail.members_unclassifiable += 1;
-                } else if liveness.is_live(m) {
-                    tail.members_live += 1;
-                } else {
-                    tail.members_dead += 1;
-                }
-            }
-        }
-        telemetry.add_counters(&tail);
-        emit_classification_event(telemetry, &tail);
 
         Ok(AnalysisPipeline {
             tu,
@@ -266,7 +178,6 @@ impl AnalysisPipeline {
             liveness,
             used,
             config,
-            engine,
         })
     }
 
@@ -348,39 +259,10 @@ impl AnalysisPipeline {
         &self.config
     }
 
-    /// The engine the run used.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Builds the report.
     pub fn report(&self) -> Report {
         Report::new(&self.program, &self.liveness, &self.used)
     }
-}
-
-/// Flight-recorder tail shared by the single-TU and project pipelines:
-/// the final classification verdict alongside the graph totals that
-/// scoped it — all deterministic-counter fields, so det class.
-pub(crate) fn emit_classification_event(telemetry: &Telemetry, tail: &Counters) {
-    telemetry.event(EventClass::Deterministic, "classification", || {
-        vec![
-            ("reachable_functions", tail.reachable_functions.into()),
-            ("callgraph_edges", tail.callgraph_edges.into()),
-            ("instantiated_classes", tail.instantiated_classes.into()),
-            ("live", tail.members_live.into()),
-            ("dead", tail.members_dead.into()),
-            ("unclassifiable", tail.members_unclassifiable.into()),
-        ]
-    });
-    telemetry.metrics(|m| {
-        m.gauge_set("classify/members_live", tail.members_live as i64);
-        m.gauge_set("classify/members_dead", tail.members_dead as i64);
-        m.gauge_set(
-            "classify/members_unclassifiable",
-            tail.members_unclassifiable as i64,
-        );
-    });
 }
 
 #[cfg(test)]

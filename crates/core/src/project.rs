@@ -5,8 +5,8 @@
 //! on up to `jobs` worker threads, one TU at a time per worker, links
 //! the modules into one program ([`ddm_hierarchy::link`]), and drives
 //! the existing delta-fixpoint call graph and liveness over the linked
-//! result on the calling thread. Both engines produce bit-identical
-//! artifacts for every worker count, exactly like the single-TU
+//! result on the calling thread. The artifacts are bit-identical for
+//! every worker count, and to those of the single-TU
 //! [`AnalysisPipeline`](crate::AnalysisPipeline).
 //!
 //! With a cache directory, per-TU modules persist across runs keyed by
@@ -16,9 +16,7 @@
 //! byte-identical reports, `--explain` output, and deterministic
 //! counters versus a cold cacheless run: the linked model is always
 //! assembled from module records, so a summary resolved from cache
-//! cannot drift from one extracted fresh. Only the summary engine
-//! consults the cache — the walk engine re-walks bodies and therefore
-//! always needs every parse.
+//! cannot drift from one extracted fresh.
 //!
 //! Entries are published atomically (write to a process-unique temp
 //! file, then rename), so concurrent writers sharing one cache
@@ -27,20 +25,19 @@
 //! directory is opened. The `DDM_CACHE_FAULT` environment variable
 //! injects crashes into the write path for the torture tests.
 
-use crate::analysis::{replay_liveness_telemetry, AnalysisConfig, DeadMemberAnalysis};
+use crate::analysis::{solve, AnalysisConfig, Solved};
 use crate::epoch::EpochSnapshot;
 use crate::liveness::Liveness;
-use crate::pipeline::{emit_classification_event, Engine, PipelineError};
+use crate::pipeline::{Engine, PipelineError};
 use crate::report::Report;
 use crate::snapshot::{snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE};
-use ddm_callgraph::{replay_schedule, Algorithm, CallGraph, CallGraphOptions, CgSchedule};
+use ddm_callgraph::{Algorithm, CallGraph};
 use ddm_cppfront::{parse, SourceMap, SourceSet};
 use ddm_hierarchy::{
-    body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, used_classes, ClassId, FuncId,
-    LinkDelta, LinkError, LinkedProgram, MemberLookup, Program, ProgramSummary, TuModule,
-    TypeError,
+    body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, ClassId, FuncId, LinkDelta,
+    LinkError, LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
 };
-use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
+use ddm_telemetry::{EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
@@ -291,30 +288,32 @@ impl ProjectPipeline {
     /// whole-program steps after it (link, call graph, liveness) run on
     /// the calling thread.
     ///
-    /// `cache_dir`, when set and the engine is [`Engine::Summary`],
-    /// enables the persistent module cache: entries are looked up by
-    /// content hash before the per-TU front end runs, and every freshly
-    /// computed module is written back. Cache I/O is best-effort — an
-    /// unreadable, corrupt, version-mismatched, or fingerprint-mismatched
-    /// entry counts as an invalidation and is recomputed (and
-    /// overwritten), never trusted.
+    /// `cache_dir`, when set, enables the persistent module cache:
+    /// entries are looked up by content hash before the per-TU front end
+    /// runs, and every freshly computed module is written back. Cache
+    /// I/O is best-effort — an unreadable, corrupt, version-mismatched,
+    /// or fingerprint-mismatched entry counts as an invalidation and is
+    /// recomputed (and overwritten), never trusted.
+    ///
+    /// `engine` is ignored: [`Engine`] has one variant. The argument
+    /// stays so that existing callers, the repository benchmark among
+    /// them, keep compiling.
     ///
     /// # Errors
     ///
     /// [`ProjectError::Tu`] for the first failing TU (by input order,
     /// independent of worker scheduling), [`ProjectError::Link`] for
     /// cross-TU definition conflicts.
-    #[allow(clippy::too_many_arguments)]
     pub fn run(
         inputs: &[(String, String)],
         config: AnalysisConfig,
         algorithm: Algorithm,
         jobs: usize,
-        engine: Engine,
+        _engine: Engine,
         cache_dir: Option<&Path>,
         telemetry: &Telemetry,
     ) -> Result<ProjectPipeline, ProjectError> {
-        Self::run_epoch(inputs, config, algorithm, jobs, engine, cache_dir, telemetry, 0)
+        Self::run_epoch(inputs, config, algorithm, jobs, cache_dir, telemetry, 0)
             .map(|snapshot| ProjectPipeline { snapshot })
     }
 
@@ -331,26 +330,18 @@ impl ProjectPipeline {
     /// # Errors
     ///
     /// Exactly as [`ProjectPipeline::run`].
-    #[allow(clippy::too_many_arguments)]
     pub fn run_epoch(
         inputs: &[(String, String)],
         config: AnalysisConfig,
         algorithm: Algorithm,
         jobs: usize,
-        engine: Engine,
-        cache_dir: Option<&Path>,
+        cache: Option<&Path>,
         telemetry: &Telemetry,
         epoch: u64,
     ) -> Result<Arc<EpochSnapshot>, ProjectError> {
         let walks_before = body_walk_count();
         let fingerprint = config_fingerprint(algorithm);
         let refine = algorithm == Algorithm::Pta;
-        let cache = match engine {
-            Engine::Summary => cache_dir,
-            // The walk engine re-walks every body, so it needs every
-            // parse regardless; it neither reads nor writes the cache.
-            Engine::Walk => None,
-        };
 
         // --- Cache probe: content-hash every input, load what we can.
         // A valid analysis snapshot short-circuits the per-TU JSON probe
@@ -659,7 +650,7 @@ impl ProjectPipeline {
         let link_ns = link_start.elapsed().as_nanos() as u64;
 
         #[cfg(debug_assertions)]
-        if engine == Engine::Summary && hits == 0 {
+        if hits == 0 {
             // A cold link must resolve to exactly the summary a fresh
             // walk of the linked program would extract; the cache layer
             // then inherits this identity byte for byte.
@@ -678,15 +669,6 @@ impl ProjectPipeline {
         // --- Whole-program phases on the linked model, identical to the
         // single-TU pipeline. ---
         let program = linked.program();
-        let cg_options = CallGraphOptions {
-            algorithm,
-            library_classes: config
-                .library_classes
-                .iter()
-                .filter_map(|n| program.class_by_name(n))
-                .collect(),
-            ..CallGraphOptions::default()
-        };
         let attribute = |e: TypeError| -> ProjectError {
             let file = linked
                 .locate_error(&e)
@@ -703,9 +685,7 @@ impl ProjectPipeline {
         // `Everything` builds no schedule (and is trivial to rebuild),
         // so it never replays. ---
         let reusable = match (&snapshot, &delta) {
-            (Some(snap), Some(delta))
-                if engine == Engine::Summary && algorithm != Algorithm::Everything =>
-            {
+            (Some(snap), Some(delta)) if algorithm != Algorithm::Everything => {
                 fixpoint_reusable(snap, delta, program)
             }
             _ => false,
@@ -722,166 +702,25 @@ impl ProjectPipeline {
             });
         }
 
-        let mut callgraph_ns = 0u64;
-        let mut liveness_ns = 0u64;
-        let mut fixpoint_reused = false;
-        // The converged schedule and scan counters of whichever path
-        // ran, kept for the snapshot write-back.
-        let mut schedule: Option<CgSchedule> = None;
-        let mut scan_counters: Option<Counters> = None;
-        let (callgraph, liveness, used) = match engine {
-            Engine::Walk => {
-                let lookup = MemberLookup::new(program);
-                let cg_start = Instant::now();
-                let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                let callgraph = CallGraph::build_with(program, &lookup, &cg_options, telemetry)
-                    .map_err(attribute)?;
-                drop(cg_span);
-                callgraph_ns = cg_start.elapsed().as_nanos() as u64;
-                let live_start = Instant::now();
-                let liveness = DeadMemberAnalysis::new(program, config.clone())
-                    .run_with(&callgraph, telemetry)
-                    .map_err(attribute)?;
-                liveness_ns = live_start.elapsed().as_nanos() as u64;
-                let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
-                let used = used_classes(program, &lookup).map_err(attribute)?;
-                drop(used_span);
-                (callgraph, liveness, used)
-            }
-            Engine::Summary => {
-                let mut replayed: Option<(CallGraph, Liveness)> = None;
-                if reusable {
-                    let snap = snapshot.as_ref().expect("the gate implies a snapshot");
-                    let cg_start = Instant::now();
-                    let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                    match CallGraph::from_parts(
-                        snap.callgraph.clone(),
-                        program.function_count(),
-                        program.class_count(),
-                    ) {
-                        Ok(callgraph) => {
-                            replay_schedule(&callgraph, &snap.schedule, telemetry);
-                            drop(cg_span);
-                            callgraph_ns = cg_start.elapsed().as_nanos() as u64;
-                            let live_start = Instant::now();
-                            let liveness = Liveness::from_parts(
-                                &snap.liveness,
-                                Some(linked.summary().member_index().clone()),
-                            );
-                            replay_liveness_telemetry(
-                                telemetry,
-                                callgraph.reachable_count(),
-                                &snap.liveness_counters,
-                            );
-                            liveness_ns = live_start.elapsed().as_nanos() as u64;
-                            schedule = Some(snap.schedule.clone());
-                            scan_counters = Some(snap.liveness_counters);
-                            fixpoint_reused = true;
-                            replayed = Some((callgraph, liveness));
-                        }
-                        Err(reason) => {
-                            // Structurally impossible after the gate; if
-                            // it ever fires, fall back to a fresh run.
-                            drop(cg_span);
-                            telemetry.event(
-                                EventClass::Observational,
-                                "snapshot_rejected",
-                                || vec![("reason", reason.as_str().into())],
-                            );
-                        }
-                    }
-                }
-                let (callgraph, liveness) = match replayed {
-                    Some(pair) => pair,
-                    None => {
-                        let cg_start = Instant::now();
-                        let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                        let (callgraph, fresh_schedule) = CallGraph::build_from_summary_schedule(
-                            program,
-                            linked.summary(),
-                            &cg_options,
-                            telemetry,
-                        )
-                        .map_err(attribute)?;
-                        drop(cg_span);
-                        callgraph_ns = cg_start.elapsed().as_nanos() as u64;
-                        let live_start = Instant::now();
-                        let (liveness, fresh_counters) =
-                            DeadMemberAnalysis::new(program, config.clone())
-                                .run_summary_counted(linked.summary(), &callgraph, telemetry)
-                                .map_err(attribute)?;
-                        liveness_ns = live_start.elapsed().as_nanos() as u64;
-                        schedule = Some(fresh_schedule);
-                        scan_counters = Some(fresh_counters);
-                        (callgraph, liveness)
-                    }
-                };
-                let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
-                let used = linked.summary().used_classes(program).map_err(attribute)?;
-                drop(used_span);
-                (callgraph, liveness, used)
-            }
-        };
-
-        // Debug builds cross-check every replayed fixpoint against a
-        // fresh one, bit for bit: graph, schedule, classification,
-        // origins, and scan counters must all agree, or the reuse gate
-        // let an unsound edit through.
-        #[cfg(debug_assertions)]
-        if fixpoint_reused {
-            let quiet = Telemetry::disabled();
-            let (fresh_cg, mut fresh_schedule) = CallGraph::build_from_summary_schedule(
-                program,
-                linked.summary(),
-                &cg_options,
-                &quiet,
-            )
+        let stored = snapshot.as_ref().filter(|_| reusable);
+        let Solved {
+            callgraph,
+            schedule,
+            liveness,
+            scan_counters,
+            used,
+            replayed,
+        } = solve(program, linked.summary(), &config, algorithm, stored, telemetry)
             .map_err(attribute)?;
-            debug_assert_eq!(
-                fresh_cg, callgraph,
-                "replayed call graph diverged from a fresh fixpoint"
-            );
-            // The interner digests the whole program — unreachable and
-            // freshly added functions included — so its size may
-            // legitimately drift under a gate-passing edit. It feeds
-            // exec stats only, never the deterministic stream.
-            if let Some(stored) = schedule.as_ref() {
-                fresh_schedule.interned_symbols = stored.interned_symbols;
-                fresh_schedule.arena_bytes = stored.arena_bytes;
-            }
-            debug_assert_eq!(
-                Some(&fresh_schedule),
-                schedule.as_ref(),
-                "replayed schedule diverged from a fresh fixpoint"
-            );
-            let (fresh_liveness, fresh_counters) = DeadMemberAnalysis::new(program, config.clone())
-                .run_summary_counted(linked.summary(), &fresh_cg, &quiet)
-                .map_err(attribute)?;
-            debug_assert_eq!(
-                fresh_liveness, liveness,
-                "replayed liveness diverged from a fresh scan"
-            );
-            debug_assert_eq!(
-                fresh_liveness.to_parts().origins,
-                liveness.to_parts().origins,
-                "replayed origins diverged from a fresh scan"
-            );
-            debug_assert_eq!(
-                Some(fresh_counters),
-                scan_counters,
-                "replayed scan counters diverged from a fresh scan"
-            );
-        }
 
         let snapshot_warm = u64::from(snapshot.is_some());
-        let reused_fns = if fixpoint_reused {
+        let reused_fns = if replayed {
             callgraph.reachable_count() as u64
         } else {
             0
         };
         let frontier_fns = delta.as_ref().map_or(0, |d| d.frontier_len() as u64);
         telemetry.update_stats(|s| {
-            s.engine = engine.to_string();
             s.jobs = jobs as u64;
             s.bodies_walked += body_walk_count() - walks_before;
             s.tu_modules = inputs.len() as u64;
@@ -892,73 +731,47 @@ impl ProjectPipeline {
             s.tus_summarized = todo.len() as u64;
             s.frontend_ns += frontend_ns;
             s.link_ns += link_ns;
-            s.callgraph_ns += callgraph_ns;
-            s.liveness_ns += liveness_ns;
             s.snapshot_warm_starts += snapshot_warm;
             s.snapshot_reused_fns += reused_fns;
             s.snapshot_frontier_fns += frontier_fns;
         });
-        let mut tail = Counters::default();
-        tail.reachable_functions = callgraph.reachable_count() as u64;
-        tail.callgraph_edges = callgraph.edge_count() as u64;
-        tail.instantiated_classes = callgraph.instantiated().len() as u64;
-        for (cid, class) in program.classes() {
-            for idx in 0..class.members.len() {
-                let m = ddm_hierarchy::MemberRef::new(cid, idx);
-                if liveness.is_unclassifiable(m) {
-                    tail.members_unclassifiable += 1;
-                } else if liveness.is_live(m) {
-                    tail.members_live += 1;
-                } else {
-                    tail.members_dead += 1;
-                }
-            }
-        }
-        telemetry.add_counters(&tail);
-        emit_classification_event(telemetry, &tail);
-
         // --- Snapshot write-back (best-effort, atomic). Skipped when
         // nothing changed and the fixpoint was replayed: the published
         // snapshot is already byte-identical to what we would write. ---
         if let Some(dir) = cache {
             let unchanged = delta.as_ref().is_some_and(|d| d.is_empty());
-            if !(unchanged && fixpoint_reused) {
-                if let (Some(schedule), Some(scan_counters)) = (&schedule, &scan_counters) {
-                    let _snap_span =
-                        telemetry.span(LANE_MAIN, || "snapshot write".to_string());
-                    let snap = AnalysisSnapshot {
-                        fingerprint: snap_fingerprint.clone(),
-                        source_hashes: hashes.clone(),
-                        summary_bytes: modules
-                            .iter()
-                            .zip(&byte_lens)
-                            .map(|(m, len)| {
-                                len.unwrap_or_else(|| m.to_json(&fingerprint).len() as u64)
-                            })
-                            .collect(),
-                        // The module list is dead after this point, so
-                        // the snapshot takes it instead of cloning it.
-                        modules: std::mem::take(&mut modules),
-                        reachable_names: callgraph
-                            .reachable()
-                            .map(|f| (f.index() as u32, program.func_display_name(f)))
-                            .collect(),
-                        class_count: program.class_count() as u32,
-                        function_count: program.function_count() as u32,
-                        callgraph: callgraph.to_parts(),
-                        schedule: schedule.clone(),
-                        liveness: liveness.to_parts(),
-                        liveness_counters: *scan_counters,
-                    };
-                    let _ = std::fs::create_dir_all(dir);
-                    snap.save(dir);
-                    telemetry.event(EventClass::Observational, "snapshot_publish", || {
-                        vec![
-                            ("tus", snap.source_hashes.len().into()),
-                            ("functions", u64::from(snap.function_count).into()),
-                        ]
-                    });
-                }
+            if !(unchanged && replayed) {
+                let _snap_span = telemetry.span(LANE_MAIN, || "snapshot write".to_string());
+                let snap = AnalysisSnapshot {
+                    fingerprint: snap_fingerprint.clone(),
+                    source_hashes: hashes.clone(),
+                    summary_bytes: modules
+                        .iter()
+                        .zip(&byte_lens)
+                        .map(|(m, len)| len.unwrap_or_else(|| m.to_json(&fingerprint).len() as u64))
+                        .collect(),
+                    // The module list is dead after this point, so the
+                    // snapshot takes it instead of cloning it.
+                    modules: std::mem::take(&mut modules),
+                    reachable_names: callgraph
+                        .reachable()
+                        .map(|f| (f.index() as u32, program.func_display_name(f)))
+                        .collect(),
+                    class_count: program.class_count() as u32,
+                    function_count: program.function_count() as u32,
+                    callgraph: callgraph.to_parts(),
+                    schedule,
+                    liveness: liveness.to_parts(),
+                    liveness_counters: scan_counters,
+                };
+                let _ = std::fs::create_dir_all(dir);
+                snap.save(dir);
+                telemetry.event(EventClass::Observational, "snapshot_publish", || {
+                    vec![
+                        ("tus", snap.source_hashes.len().into()),
+                        ("functions", u64::from(snap.function_count).into()),
+                    ]
+                });
             }
         }
 
@@ -975,7 +788,6 @@ impl ProjectPipeline {
             liveness,
             used,
             config,
-            engine,
             counters: telemetry.counters(),
         }))
     }
@@ -1026,11 +838,6 @@ impl ProjectPipeline {
         self.snapshot.config()
     }
 
-    /// The engine the run used.
-    pub fn engine(&self) -> Engine {
-        self.snapshot.engine()
-    }
-
     /// Builds the report over the linked program.
     pub fn report(&self) -> Report {
         self.snapshot.report()
@@ -1065,18 +872,13 @@ public:
         ]
     }
 
-    fn run(
-        inputs: &[(String, String)],
-        engine: Engine,
-        jobs: usize,
-        cache: Option<&Path>,
-    ) -> ProjectPipeline {
+    fn run(inputs: &[(String, String)], jobs: usize, cache: Option<&Path>) -> ProjectPipeline {
         ProjectPipeline::run(
             inputs,
             AnalysisConfig::default(),
             Algorithm::Rta,
             jobs,
-            engine,
+            Engine::Summary,
             cache,
             &Telemetry::disabled(),
         )
@@ -1084,16 +886,12 @@ public:
     }
 
     #[test]
-    fn engines_and_worker_counts_agree_on_the_linked_report() {
+    fn worker_counts_agree_on_the_linked_report() {
         let inputs = inputs();
-        let reference = run(&inputs, Engine::Summary, 1, None).report().to_string();
+        let reference = run(&inputs, 1, None).report().to_string();
         assert!(reference.contains("Sensor"));
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 4] {
-                let got = run(&inputs, engine, jobs, None).report().to_string();
-                assert_eq!(got, reference, "engine={engine} jobs={jobs}");
-            }
-        }
+        let got = run(&inputs, 4, None).report().to_string();
+        assert_eq!(got, reference, "jobs=4");
     }
 
     #[test]
@@ -1103,14 +901,9 @@ public:
             .unwrap()
             .report()
             .to_string();
-        let project = run(
-            &[("one.cpp".to_string(), src)],
-            Engine::Summary,
-            1,
-            None,
-        )
-        .report()
-        .to_string();
+        let project = run(&[("one.cpp".to_string(), src)], 1, None)
+            .report()
+            .to_string();
         assert_eq!(project, single);
     }
 

@@ -281,25 +281,18 @@ impl fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{AnalysisConfig, DeadMemberAnalysis};
-    use ddm_callgraph::{CallGraph, CallGraphOptions};
-    use ddm_cppfront::parse;
-    use ddm_hierarchy::{used_classes, MemberLookup};
+    use crate::analysis::AnalysisConfig;
+    use crate::pipeline::AnalysisPipeline;
+    use ddm_callgraph::Algorithm;
 
     fn report(src: &str) -> Report {
         report_with(src, AnalysisConfig::default())
     }
 
     fn report_with(src: &str, config: AnalysisConfig) -> Report {
-        let tu = parse(src).expect("parse");
-        let program = Program::build(&tu).expect("sema");
-        let lookup = MemberLookup::new(&program);
-        let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-        let liveness = DeadMemberAnalysis::new(&program, config)
-            .run(&graph)
-            .unwrap();
-        let used = used_classes(&program, &lookup).unwrap();
-        Report::new(&program, &liveness, &used)
+        AnalysisPipeline::with_config(src, config, Algorithm::Rta)
+            .expect("pipeline")
+            .report()
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub struct ServeOptions {
     /// How many TUs each rebuild's per-TU front end parses at once. The
     /// whole-program steps of a rebuild run on the builder thread.
     pub jobs: usize,
-    /// Analysis engine (only [`Engine::Summary`] consults the cache).
+    /// Ignored: [`Engine`] has one variant. The field stays so that
+    /// existing struct literals, the repository benchmark's among them,
+    /// keep compiling.
     pub engine: Engine,
     /// Persistent cache directory; enables the PR-9 incremental path
     /// (per-TU summary cache + `analysis.snap` warm starts).
@@ -204,7 +206,6 @@ fn run_build(opts: &ServeOptions, files: &[String], shared: &Shared) -> Result<u
         opts.config.clone(),
         opts.algorithm,
         opts.jobs.max(1),
-        opts.engine,
         opts.cache_dir.as_deref(),
         &telemetry,
         epoch,

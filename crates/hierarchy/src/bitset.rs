@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn equal_capacity_sets_with_equal_content_compare_equal() {
-        // The call-graph builders rely on this: two engines build their
+        // Call-graph equality relies on this: every builder sizes its
         // sets with the same `with_capacity`, so word lengths agree and
         // derived equality is semantic equality.
         let mut a = FuncBitSet::with_capacity(100);

@@ -3,9 +3,9 @@
 //! Semantic layer for the dead-data-member study: a resolved program
 //! model ([`Program`]), subobject trees, C++ member lookup with the
 //! dominance rule ([`MemberLookup`]), a 32-bit object-layout engine
-//! ([`LayoutEngine`]), a typed body walker ([`walk_function`]) that both
-//! the call-graph builders and the dead-member analysis consume, and the
-//! used-class computation ([`used_classes`]).
+//! ([`LayoutEngine`]), a typed body walker ([`walk_function`]), and the
+//! walk-once function summaries ([`ProgramSummary`]) that the call-graph
+//! builder and the dead-member analysis consume.
 //!
 //! # Examples
 //!
@@ -37,7 +37,6 @@ pub mod pta;
 pub mod subobject;
 pub mod summary;
 pub mod typewalk;
-pub mod used;
 
 pub use binmod::{
     decode_module, decode_modules, encode_module, encode_modules, ByteReader, ByteWriter,
@@ -68,4 +67,3 @@ pub use typewalk::{
     CastEvent, DeleteEvent, EventVisitor, InstantiationEvent, InstantiationKind, MemberAccessEvent,
     TypeError, TypeErrorKind,
 };
-pub use used::{data_members_in_used_classes, used_classes};

@@ -16,7 +16,7 @@
 //! from the linked hierarchy), never re-walked. Function bodies are
 //! injected from per-TU parses when available and synthesized as
 //! analysis-equivalent stand-ins otherwise, so a cache-warm link (no
-//! parses at all) drives the summary engine to byte-identical output.
+//! parses at all) drives the analysis to byte-identical output.
 
 use crate::ids::{ClassId, FuncId};
 use crate::model::{BaseInfo, ClassInfo, FunctionInfo, GlobalInfo, MemberInfo, Program};
@@ -142,10 +142,10 @@ fn pair(a: String, b: String) -> (String, String) {
 /// Links `modules` into one program. `parsed[t]`, when present, is the
 /// per-TU [`Program`] that `modules[t]` was extracted from; its function
 /// bodies and global initializers are injected into the linked model
-/// (the walk engine needs them). For cache-warm TUs pass `None`:
-/// analysis-equivalent stand-ins are synthesized (same arity, same
-/// body-presence, same initializer-presence — everything the summary
-/// engine observes).
+/// (the interpreter and the AST-walking reference analysis need them).
+/// For cache-warm TUs pass `None`: analysis-equivalent stand-ins are
+/// synthesized (same arity, same body-presence, same
+/// initializer-presence — everything the analysis observes).
 ///
 /// # Errors
 ///
@@ -553,7 +553,7 @@ pub fn link_with(
 /// function: same name/kind/virtualness, `arity` placeholder parameters
 /// (constructor overloads resolve by arity), a placeholder body iff the
 /// real one had a body, one placeholder initializer iff the real one had
-/// any. The summary engine reads nothing else from a `FunctionInfo`.
+/// any. The analysis reads nothing else from a `FunctionInfo`.
 fn synth_function(
     name: &str,
     kind: ddm_cppfront::ast::FunctionKind,

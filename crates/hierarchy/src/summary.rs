@@ -19,7 +19,7 @@
 //! every fact that depends on the evolving call graph (which dispatch
 //! candidates are instantiated, whether a site has any target yet) is
 //! recorded symbolically and replayed by the propagation phase. That
-//! split is what lets the summary engine reproduce the walk engine's
+//! split is what lets the propagation reproduce a re-walking analysis's
 //! results bit for bit without ever touching an AST twice.
 //!
 //! The module also provides the dense program-wide member numbering
@@ -234,9 +234,9 @@ pub struct DeleteSite {
     pub ancestor_dtors: Vec<FuncId>,
 }
 
-/// One call-graph fact, in body order. Order matters: the walk engine
-/// interleaves instantiations and dispatch decisions, and the replay must
-/// observe the instantiated set in the same intermediate states.
+/// One call-graph fact, in body order. Order matters: a body interleaves
+/// instantiations and dispatch decisions, and the replay must observe
+/// the instantiated set in the same intermediate states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CgStep {
     /// A statically bound call (free function, non-virtual method,
@@ -348,8 +348,8 @@ pub fn strip_indirections(ty: &Type) -> &Type {
 /// [`MemberIndex`], and the per-class containment closures.
 ///
 /// Walk errors are stored per function rather than failing the build, so
-/// each consuming phase surfaces the same error the walk engine would
-/// surface at the same point in its own schedule.
+/// each consuming phase surfaces the error when its schedule reaches the
+/// function, as a walk at that point would.
 #[derive(Debug, Clone)]
 pub struct ProgramSummary {
     functions: Vec<Result<FnSummary, TypeError>>,
@@ -460,14 +460,16 @@ impl ProgramSummary {
         &self.closures[class.index()]
     }
 
-    /// The used-class set (Table 1), derived from summaries instead of
-    /// re-walking every body: a class is used iff some function or global
-    /// instantiates it, or it is contained in a used class.
+    /// The used-class set of the paper's Table 1: "classes for which a
+    /// constructor is called in user code". A class is used iff some
+    /// function or global instantiates it — reachable or not — or it is
+    /// contained in a used class (bases and by-value members are
+    /// constructed implicitly). Members of unused classes are left out
+    /// of the static percentages (§4.2).
     ///
     /// # Errors
     ///
-    /// Surfaces stored walk errors in the same order the walking
-    /// [`crate::used_classes`] would: functions in id order, then
+    /// Surfaces stored walk errors: functions in id order, then
     /// globals.
     pub fn used_classes(&self, program: &Program) -> Result<HashSet<ClassId>, TypeError> {
         let mut seeds: HashSet<ClassId> = HashSet::new();
@@ -517,8 +519,7 @@ fn containment_closure(program: &Program, class: ClassId) -> Vec<ClassId> {
 ///
 /// # Errors
 ///
-/// Returns the [`TypeError`] the walk produced, exactly as the walk
-/// engine would surface it at this body.
+/// Returns the [`TypeError`] the walk produced.
 fn extract_function(
     program: &Program,
     lookup: &MemberLookup<'_>,
@@ -531,14 +532,14 @@ fn extract_function(
 }
 
 /// The extraction visitor: transcribes one body's events into a
-/// [`FnSummary`]. Mirrors the event handling of the call-graph builder's
-/// sink and the analysis's marking sink, minus everything that depends on
+/// [`FnSummary`] — what the call-graph propagation and the liveness
+/// scan need from each event, minus everything that depends on
 /// propagation state.
 struct Extractor<'p, 'l> {
     program: &'p Program,
     lookup: &'l MemberLookup<'p>,
     /// The function being summarized; `None` for global initializers
-    /// (whose sites the walk engine never revisits or refines).
+    /// (whose sites are never revisited or refined).
     func: Option<FuncId>,
     refine: bool,
     /// Memoized §3.1 points-to queries per receiver variable.
@@ -877,18 +878,51 @@ mod tests {
         assert!(s.function(p.main_function().unwrap()).is_ok());
     }
 
-    #[test]
-    fn used_classes_match_the_walking_computation() {
-        let src = "class L { }; class H { }; class G { }; class U { };\n\
-             class Base { public: int b; }; class Derived : public Base { };\n\
-             G g;\n\
-             void never_called() { Derived d; }\n\
-             int main() { L l; H* h = new H(); delete h; return 0; }";
+    fn used(src: &str) -> (Program, HashSet<ClassId>) {
         let p = program(src);
-        let s = ProgramSummary::build(&p, false, 1);
-        let from_summary = s.used_classes(&p).unwrap();
-        let lookup = MemberLookup::new(&p);
-        let from_walk = crate::used::used_classes(&p, &lookup).unwrap();
-        assert_eq!(from_summary, from_walk);
+        let used = ProgramSummary::build(&p, false, 1)
+            .used_classes(&p)
+            .unwrap();
+        (p, used)
+    }
+
+    #[test]
+    fn locals_heap_and_globals_seed_usage() {
+        let (p, used) = used(
+            "class L { }; class H { }; class G { }; class U { };\n\
+             G g;\n\
+             int main() { L l; H* h = new H(); delete h; return 0; }",
+        );
+        for name in ["L", "H", "G"] {
+            assert!(used.contains(&p.class_by_name(name).unwrap()), "{name}");
+        }
+        assert!(!used.contains(&p.class_by_name("U").unwrap()));
+    }
+
+    #[test]
+    fn bases_and_by_value_members_of_used_classes_are_used() {
+        let (p, used) = used(
+            "class Base { public: int b; }; class Derived : public Base { };\n\
+             class OtherBase { };\n\
+             class Embedded { public: int e; }; class Pointed { public: int p; };\n\
+             class Holder { public: Embedded em; Pointed* pp; };\n\
+             int main() { Derived d; Holder h; return 0; }",
+        );
+        for name in ["Base", "Derived", "Embedded", "Holder"] {
+            assert!(used.contains(&p.class_by_name(name).unwrap()), "{name}");
+        }
+        assert!(!used.contains(&p.class_by_name("OtherBase").unwrap()));
+        assert!(!used.contains(&p.class_by_name("Pointed").unwrap()));
+    }
+
+    #[test]
+    fn instantiation_in_unreachable_function_still_counts_as_used() {
+        // "Used" is a static, whole-program-text notion in Table 1.
+        let (p, used) = used(
+            "class OnlyInDeadCode { };\n\
+             void never_called() { OnlyInDeadCode x; }\n\
+             int main() { return 0; }",
+        );
+        assert!(used.contains(&p.class_by_name("OnlyInDeadCode").unwrap()));
     }
 }

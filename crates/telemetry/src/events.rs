@@ -11,7 +11,7 @@
 //!   They are emitted only from the coordinating thread at
 //!   schedule-invariant points, carry no timestamps in their NDJSON
 //!   form, and their rendered stream is byte-identical across
-//!   `--jobs 1..N`, both engines, and cache cold/warm — the same
+//!   `--jobs 1..N` and cache cold/warm — the same
 //!   discipline as [`Counters`](crate::Counters), extended from totals
 //!   to an ordered decision trail.
 //! * [`EventClass::Observational`] events describe *how this run
@@ -33,8 +33,8 @@ use crate::json;
 /// Which determinism contract an event is under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventClass {
-    /// Semantic decision: byte-identical across jobs × engines × cache
-    /// states for the same input and configuration.
+    /// Semantic decision: byte-identical across jobs × cache states for
+    /// the same input and configuration.
     Deterministic,
     /// Execution shape: timings, cache luck, scheduling. Never asserted
     /// for cross-configuration equality.

@@ -6,8 +6,8 @@
 //! * **Deterministic counters** ([`Counters`]) are semantic event counts —
 //!   how many members the scan read, how many `MarkAllContainedMembers`
 //!   expansions fired, how many union-fixpoint rounds ran. They are
-//!   bit-identical across `--jobs 1..N` and across both engines
-//!   (walk/summary), so tests can assert them.
+//!   bit-identical across `--jobs 1..N` and across cache states, so
+//!   tests can assert them.
 //! * **Timing spans** ([`SpanRecord`]) and **execution stats**
 //!   ([`ExecStats`]) are observational — wall-clock phase timings, the
 //!   per-TU front end's worker lanes, round counts, cache hits. They
@@ -41,7 +41,7 @@ use std::time::Instant;
 pub const LANE_MAIN: u32 = 0;
 
 /// Deterministic event counts: identical for every `--jobs` value and
-/// both engines on the same input and configuration.
+/// cache state on the same input and configuration.
 ///
 /// Scan counters count *marking attempts* (events the paper's rules
 /// fire on), not fresh marks.
@@ -54,8 +54,8 @@ pub struct Counters {
     /// Classes in the instantiated set.
     pub instantiated_classes: u64,
     /// Call-graph delta-worklist pops (first processings + readied-site
-    /// drain slots). Both builders drive the same schedule, so the count
-    /// is engine- and jobs-independent.
+    /// drain slots). A snapshot warm start replays the stored schedule,
+    /// so the count is jobs- and cache-independent.
     pub cg_worklist_pops: u64,
     /// Widened dispatch edges drained from readied sites after their
     /// receiver classes became instantiated.
@@ -158,12 +158,10 @@ impl Counters {
 }
 
 /// Observational execution shape: how *this* run happened to execute.
-/// Varies with `--jobs`, the engine, and scheduling; never asserted for
-/// cross-configuration equality.
+/// Varies with `--jobs`, the cache state, and scheduling; never asserted
+/// for cross-configuration equality.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Engine name ("walk" / "summary").
-    pub engine: String,
     /// Requested front-end worker count (single-TU runs: 1).
     pub jobs: u64,
     /// Function/global bodies traversed (AST walks).
@@ -199,9 +197,10 @@ pub struct ExecStats {
     pub frontend_ns: u64,
     /// Link phase wall time in nanoseconds (project runs only).
     pub link_ns: u64,
-    /// Call-graph phase wall time in nanoseconds (project runs only).
+    /// Call-graph phase wall time in nanoseconds (a replayed fixpoint's
+    /// replay time on a snapshot warm start).
     pub callgraph_ns: u64,
-    /// Liveness phase wall time in nanoseconds (project runs only).
+    /// Liveness phase wall time in nanoseconds (likewise).
     pub liveness_ns: u64,
     /// Warm starts served by the persisted analysis snapshot (0 or 1).
     pub snapshot_warm_starts: u64,
@@ -579,12 +578,8 @@ impl Telemetry {
     pub fn render_stats_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"ddm-stats/1\",\n");
+        out.push_str("  \"schema\": \"ddm-stats/2\",\n");
         let stats = self.stats();
-        out.push_str(&format!(
-            "  \"engine\": \"{}\",\n",
-            json::escape(&stats.engine)
-        ));
         out.push_str("  \"counters\": {");
         let counter_rows = self.counters().rows();
         for (i, (key, value)) in counter_rows.iter().enumerate() {
@@ -661,7 +656,6 @@ impl Telemetry {
         out.push_str(&self.counters().render_table());
         out.push_str("== execution stats ==\n");
         let stats = self.stats();
-        out.push_str(&format!("{:<44} {:>12}\n", "engine", stats.engine));
         for (key, value) in stats.rows() {
             out.push_str(&format!("{key:<44} {value:>12}\n"));
         }
@@ -859,17 +853,14 @@ mod tests {
             members_dead: 3,
             ..Default::default()
         });
-        t.update_stats(|s| {
-            s.engine = "summary".into();
-            s.jobs = 8;
-        });
+        t.update_stats(|s| s.jobs = 8);
         let table = t.render_stats();
         for needle in [
             "phase spans",
             "deterministic counters",
             "execution stats",
             "members_dead",
-            "summary",
+            "jobs",
             "parse",
         ] {
             assert!(table.contains(needle), "missing {needle:?} in:\n{table}");

@@ -6,7 +6,7 @@
 //! Because the bounds never depend on the data, the bucket *counts* of
 //! deterministic quantities — fixpoint round delta sizes, dispatch
 //! candidate-set sizes, TU summary sizes — are themselves deterministic
-//! across jobs × engines × cache states, so tests can assert them the
+//! across jobs × cache states, so tests can assert them the
 //! same way they assert [`Counters`](crate::Counters). A quantile
 //! sketch or data-dependent bucketing would destroy that property.
 //!

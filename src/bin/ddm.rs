@@ -24,11 +24,6 @@ const FLAGS: &[(&str, &str, &str)] = &[
         "call-graph builder (default rta)",
     ),
     (
-        "--engine",
-        "<summary|walk>",
-        "analysis engine: walk-once summaries (default) or the re-walking reference",
-    ),
-    (
         "--jobs",
         "<N>",
         "parse up to N TUs at once in project and serve runs (deterministic; default 1)",
@@ -73,7 +68,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--stats-json",
         "<stats.json>",
-        "write the machine-readable twin of --stats (schema ddm-stats/1)",
+        "write the machine-readable twin of --stats (schema ddm-stats/2)",
     ),
     (
         "--log-out",
@@ -133,7 +128,6 @@ struct Options {
     serve: bool,
     files: Vec<String>,
     algorithm: Algorithm,
-    engine: Engine,
     jobs: usize,
     library: Vec<String>,
     sizeof_conservative: bool,
@@ -173,7 +167,6 @@ fn parse_args() -> Result<Options, String> {
         serve: false,
         files: Vec::new(),
         algorithm: Algorithm::Rta,
-        engine: Engine::default(),
         jobs: 1,
         library: Vec::new(),
         sizeof_conservative: false,
@@ -201,14 +194,6 @@ fn parse_args() -> Result<Options, String> {
                     "cha" => Algorithm::Cha,
                     "everything" => Algorithm::Everything,
                     other => return Err(format!("unknown call-graph builder `{other}`")),
-                };
-            }
-            "--engine" => {
-                let v = take_value(&mut args, "--engine")?;
-                opts.engine = match v.as_str() {
-                    "summary" => Engine::Summary,
-                    "walk" => Engine::Walk,
-                    other => return Err(format!("unknown engine `{other}`")),
                 };
             }
             "--jobs" => {
@@ -396,7 +381,7 @@ fn run_serve(opts: &Options) -> ExitCode {
         config: analysis_config(opts),
         algorithm: opts.algorithm,
         jobs: opts.jobs,
-        engine: opts.engine,
+        engine: Engine::Summary,
         cache_dir: opts.cache_dir.as_ref().map(PathBuf::from),
         log_out: opts.log_out.as_ref().map(PathBuf::from),
         log_filter: opts.log_filter,
@@ -441,7 +426,7 @@ fn run_project(opts: &Options, telemetry: &Telemetry) -> ExitCode {
         analysis_config(opts),
         opts.algorithm,
         opts.jobs,
-        opts.engine,
+        Engine::Summary,
         opts.cache_dir.as_deref().map(std::path::Path::new),
         telemetry,
     ) {
@@ -501,7 +486,6 @@ fn run(opts: &Options, telemetry: &Telemetry) -> ExitCode {
         &source,
         analysis_config(opts),
         opts.algorithm,
-        opts.engine,
         telemetry,
     ) {
         Ok(p) => p,

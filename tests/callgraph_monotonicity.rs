@@ -39,23 +39,23 @@ fn dead_sets_are_monotone_across_the_suite() {
 #[test]
 fn reachability_is_antitone_across_the_suite() {
     use dead_data_members::callgraph::{CallGraph, CallGraphOptions};
-    use dead_data_members::hierarchy::{MemberLookup, Program};
+    use dead_data_members::hierarchy::{Program, ProgramSummary};
+    use dead_data_members::telemetry::Telemetry;
 
     for b in dead_data_members::benchmarks::suite() {
         let tu = dead_data_members::cppfront::parse(b.source).unwrap();
         let program = Program::build(&tu).unwrap();
-        let lookup = MemberLookup::new(&program);
+        let summary = ProgramSummary::build(&program, false, 1);
         let count = |alg| {
-            CallGraph::build(
-                &program,
-                &lookup,
-                &CallGraphOptions {
-                    algorithm: alg,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .reachable_count()
+            let options = CallGraphOptions {
+                algorithm: alg,
+                ..Default::default()
+            };
+            let quiet = Telemetry::disabled();
+            CallGraph::build_from_summary_schedule(&program, &summary, &options, &quiet)
+                .unwrap()
+                .0
+                .reachable_count()
         };
         let everything = count(Algorithm::Everything);
         let cha = count(Algorithm::Cha);

@@ -102,7 +102,6 @@ fn help_lists_every_flag_from_the_table() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     for flag in [
         "--callgraph",
-        "--engine",
         "--jobs",
         "--library",
         "--sizeof-conservative",
@@ -330,7 +329,8 @@ fn metrics_out_and_stats_json_write_versioned_documents() {
     let stats = std::fs::read_to_string(&stats_path).expect("read stats");
     dead_data_members::telemetry::json::validate(&stats)
         .unwrap_or_else(|e| panic!("stats are not valid JSON: {e}"));
-    assert!(stats.contains("ddm-stats/1"), "{stats}");
+    assert!(stats.contains("ddm-stats/2"), "{stats}");
+    assert!(!stats.contains("\"engine\""), "{stats}");
     assert!(stats.contains("\"counters\""), "{stats}");
     let _ = std::fs::remove_file(&metrics_path);
     let _ = std::fs::remove_file(&stats_path);
@@ -392,7 +392,6 @@ fn value_flags_reject_a_following_flag_as_their_value() {
         "--explain",
         "--library",
         "--callgraph",
-        "--engine",
         "--jobs",
         "--cache-dir",
         "--stats-json",
@@ -426,6 +425,25 @@ fn unknown_flags_suggest_help() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag `--frobnicate`"), "{stderr}");
     assert!(stderr.contains("--help"), "{stderr}");
+}
+
+#[test]
+fn engine_flag_is_an_unknown_flag() {
+    // The analysis has one engine; `--engine` is gone, not ignored.
+    let src = write_temp("engine_flag", SAMPLE);
+    let out = ddm()
+        .arg(&src)
+        .arg("--engine")
+        .arg("walk")
+        .output()
+        .expect("run ddm");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--engine`"), "{stderr}");
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("dead data members"),
+        "no analysis may run"
+    );
 }
 
 const MULTI_HEADER: &str = "class Gauge {\n\
@@ -470,8 +488,6 @@ fn warm_cli_run_is_byte_identical_to_cold_and_skips_summarization() {
         ddm()
             .arg(&main)
             .arg(&lib)
-            .arg("--engine")
-            .arg("summary")
             .arg("--cache-dir")
             .arg(&cache)
             .arg("--stats")
@@ -519,24 +535,30 @@ fn project_mode_rejects_single_file_only_flags() {
     assert!(stderr.contains("--run needs single-file mode"), "{stderr}");
 }
 
+/// `ddm --explain` prints, for every member, exactly what the
+/// `ddm-oracle` reference analysis explains under the CLI's default
+/// configuration.
 #[test]
 fn explain_is_identical_across_engines_via_cli() {
+    use dead_data_members::prelude::*;
+
     let src = write_temp("explain_engines", SAMPLE);
-    let mut outputs = Vec::new();
-    for engine in ["walk", "summary"] {
+    let run = AnalysisPipeline::from_source(SAMPLE).expect("pipeline");
+    let program = run.program();
+    let config = ddm_bench::suite_analysis_config();
+    let oracle = ddm_oracle::analyze(program, &config, Algorithm::Rta).expect("oracle");
+    for spec in ["A::live", "A::dead"] {
         let out = ddm()
             .arg(&src)
-            .arg("--engine")
-            .arg(engine)
             .arg("--explain")
-            .arg("A::live")
+            .arg(spec)
             .output()
             .expect("run ddm");
         assert!(out.status.success(), "{out:?}");
-        outputs.push(out.stdout);
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            oracle.explain(program, spec).expect("known member"),
+            "explain {spec} differs from the oracle"
+        );
     }
-    assert_eq!(
-        outputs[0], outputs[1],
-        "explain output differs between engines"
-    );
 }

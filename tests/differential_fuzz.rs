@@ -1,10 +1,10 @@
 //! Capped in-process differential fuzz sweep — the `cargo test -q`
 //! slice of the `bench_fuzz` corpus. Sweeps 200+ seeds across the full
-//! adversarial shape matrix, asserting that walk/summary engines,
-//! jobs 1/8, and the persistent cache (cold/warm/1-changed, on every
-//! third seed) agree byte-for-byte on report, `--explain` output, and
-//! deterministic counters. A failure shrinks the divergence and prints
-//! the minimal repro.
+//! adversarial shape matrix, asserting that jobs 1/8, the persistent
+//! cache (cold/warm/1-changed, on every third seed) and the `ddm-oracle`
+//! reference analysis agree byte-for-byte on report, `--explain` output,
+//! and deterministic counters. A failure shrinks the divergence and
+//! prints the minimal repro.
 
 use ddm_bench::fuzz::{
     case_for_seed, chunk_top_level, function_definition_count, run_case, shrink_config,
@@ -75,7 +75,7 @@ fn capped_sweep_agrees_on_every_cell() {
 /// The shrinker must reduce a seeded synthetic divergence to ≤ 2
 /// function definitions. The "divergence" here is a predicate chosen
 /// to need only a heap allocation and a matching delete — exactly the
-/// kind of small core a real engine disagreement has — over a config
+/// kind of small core a real disagreement has — over a config
 /// big enough that the raw program carries dozens of functions.
 #[test]
 fn shrinker_reduces_synthetic_divergence_to_two_functions() {
@@ -100,14 +100,8 @@ fn shrinker_reduces_synthetic_divergence_to_two_functions() {
         if !text.contains("new K") || !text.contains("delete ") {
             return false;
         }
-        !ddm_bench::fuzz::oracle_artifact(
-            inputs,
-            ddm_callgraph::Algorithm::Rta,
-            ddm_core::Engine::Summary,
-            1,
-            None,
-        )
-        .starts_with("error:")
+        !ddm_bench::fuzz::cell_artifact(inputs, ddm_callgraph::Algorithm::Rta, 1, None)
+            .starts_with("error:")
     };
 
     // Config bisection first, exactly as shrink_divergence does.

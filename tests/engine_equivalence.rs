@@ -1,105 +1,130 @@
-//! Differential harness for the two analysis engines.
+//! Differential harness: the product against the `ddm-oracle` reference.
 //!
-//! The summary engine (walk-once extraction + propagation over
-//! [`ProgramSummary`]) must be bit-identical to the retained walk engine
-//! on every observable: the liveness classification (live set, recorded
-//! reasons, unclassifiable set), the call graph (reachable set,
-//! instantiated set, edges), and the byte-for-byte rendered report.
-//! The comparison runs across every bundled benchmark program, every
-//! call-graph algorithm, every configuration gate
-//! the engines resolve at different times (down-casts, `sizeof`,
-//! library classes), and a seeded sweep of generated programs.
+//! The product walks each function body once into a summary and
+//! propagates over summaries; the oracle walks the AST for every fact
+//! it needs (full-set call-graph sweeps, an AST liveness scan, an AST
+//! used-class pass). The two must agree on every observable: the
+//! liveness classification (live set, recorded reasons, unclassifiable
+//! set), the call graph (reachable set, instantiated set, edges), the
+//! used classes, the rendered report, every `--explain` text, and the
+//! deterministic counters the oracle can compute. The comparison runs
+//! across every bundled benchmark program, every call-graph algorithm,
+//! every configuration gate the product resolves at replay time
+//! (down-casts, `sizeof`, library classes), and a seeded sweep of
+//! generated programs.
 
+use ddm_bench::suite_analysis_config;
 use dead_data_members::analysis::Engine;
 use dead_data_members::benchmarks::generator::{generate, GeneratorConfig};
 use dead_data_members::benchmarks::rng::Rng;
 use dead_data_members::prelude::*;
 
-/// Every `.cpp` program shipped with the benchmark suite, in a fixed
-/// (sorted) order, read from the source tree.
-fn bundled_programs() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/benchmarks/programs");
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .expect("benchmark programs directory")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "cpp"))
-        .collect();
-    paths.sort();
-    assert!(
-        paths.len() >= 11,
-        "expected the paper's eleven programs, found {}",
-        paths.len()
-    );
-    paths
-        .into_iter()
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
-            let source = std::fs::read_to_string(&p).expect("readable program");
-            (name, source)
-        })
-        .collect()
-}
+const ALGORITHMS: [Algorithm; 4] = [
+    Algorithm::Everything,
+    Algorithm::Cha,
+    Algorithm::Rta,
+    Algorithm::Pta,
+];
 
-/// The suite's analysis configuration (down-casts verified safe,
-/// `sizeof` ignorable — matching `Benchmark::analyze`).
-fn suite_config() -> AnalysisConfig {
-    AnalysisConfig {
-        assume_safe_downcasts: true,
-        sizeof_policy: SizeofPolicy::Ignore,
-        ..Default::default()
-    }
-}
-
-/// Asserts that the walk and summary engines agree on every observable
+/// Asserts that the product and the oracle agree on every observable
 /// for one (source, config, algorithm) triple.
 fn assert_engines_agree(label: &str, source: &str, config: &AnalysisConfig, algorithm: Algorithm) {
-    let walk =
-        AnalysisPipeline::with_config_engine(source, config.clone(), algorithm, Engine::Walk)
-            .unwrap_or_else(|e| panic!("{label}: walk engine failed: {e}"));
-    let summary =
-        AnalysisPipeline::with_config_engine(source, config.clone(), algorithm, Engine::Summary)
-            .unwrap_or_else(|e| panic!("{label}: summary engine failed: {e}"));
+    let telemetry = Telemetry::enabled();
+    let product =
+        AnalysisPipeline::with_config_telemetry(source, config.clone(), algorithm, &telemetry)
+            .unwrap_or_else(|e| panic!("{label}: product failed: {e}"));
+    let program = product.program();
+    let oracle = ddm_oracle::analyze(program, config, algorithm)
+        .unwrap_or_else(|e| panic!("{label}: oracle failed: {e}"));
     assert_eq!(
-        walk.liveness(),
-        summary.liveness(),
+        *product.liveness(),
+        oracle.liveness,
         "{label}: liveness diverged ({algorithm})"
     );
     assert_eq!(
-        walk.callgraph(),
-        summary.callgraph(),
+        *product.callgraph(),
+        oracle.callgraph,
         "{label}: call graph diverged ({algorithm})"
     );
     assert_eq!(
-        walk.used(),
-        summary.used(),
+        *product.used(),
+        oracle.used,
         "{label}: used-class set diverged ({algorithm})"
     );
     assert_eq!(
-        walk.report().to_string(),
-        summary.report().to_string(),
+        product.report().to_string(),
+        oracle.report(program).to_string(),
         "{label}: rendered report diverged ({algorithm})"
     );
+    for (_, class) in program.classes() {
+        for member in &class.members {
+            let spec = format!("{}::{}", class.name, member.name);
+            assert_eq!(
+                explain(program, product.callgraph(), product.liveness(), &spec),
+                oracle.explain(program, &spec),
+                "{label}: explanation of {spec} diverged ({algorithm})"
+            );
+        }
+    }
+    assert_eq!(
+        ddm_oracle::comparable(&telemetry.counters()),
+        oracle.counters,
+        "{label}: counters diverged ({algorithm})"
+    );
+}
+
+/// The configuration gates: the default (conservative `sizeof`, unsafe
+/// down-casts), the suite's, each gate flipped on its own, and the
+/// suite's with `library` as a library class.
+fn gate_configs(library: &str) -> Vec<(&'static str, AnalysisConfig)> {
+    vec![
+        ("default", AnalysisConfig::default()),
+        ("suite", suite_analysis_config()),
+        (
+            "safe-downcasts-only",
+            AnalysisConfig {
+                assume_safe_downcasts: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "ignore-sizeof-only",
+            AnalysisConfig {
+                sizeof_policy: SizeofPolicy::Ignore,
+                ..Default::default()
+            },
+        ),
+        (
+            "library",
+            AnalysisConfig {
+                library_classes: [library.to_string()].into_iter().collect(),
+                ..suite_analysis_config()
+            },
+        ),
+    ]
 }
 
 #[test]
 fn engines_agree_on_all_bundled_programs_and_algorithms() {
-    for algorithm in [
-        Algorithm::Everything,
-        Algorithm::Cha,
-        Algorithm::Rta,
-        Algorithm::Pta,
-    ] {
-        for (name, source) in bundled_programs() {
-            assert_engines_agree(&name, &source, &suite_config(), algorithm);
+    for b in dead_data_members::benchmarks::suite() {
+        let program = Program::build(&parse(b.source).expect("parse")).expect("sema");
+        let (_, first_class) = program
+            .classes()
+            .next()
+            .expect("suite programs have classes");
+        for (gate, config) in gate_configs(&first_class.name) {
+            for algorithm in ALGORITHMS {
+                assert_engines_agree(&format!("{}/{gate}", b.name), b.source, &config, algorithm);
+            }
         }
     }
 }
 
-/// Exercises every configuration-dependent rule the summary engine
-/// resolves at replay time rather than extraction time: down-cast
-/// safety, `sizeof` policy, and library-class unclassifiability — plus
-/// the extraction-time rules (volatile writes, unions, reinterpret
-/// casts) for completeness.
+/// Exercises every configuration-dependent rule the product resolves
+/// at replay time rather than extraction time: down-cast safety,
+/// `sizeof` policy, and library-class unclassifiability — plus the
+/// extraction-time rules (volatile writes, unions, reinterpret casts)
+/// for completeness.
 const GATE_SOURCE: &str = "class LibString { public: char* data; int len; };\n\
      class S { public: int s1; int s2; };\n\
      class T : public S { public: int t1; };\n\
@@ -122,34 +147,9 @@ const GATE_SOURCE: &str = "class LibString { public: char* data; int len; };\n\
 
 #[test]
 fn engines_agree_on_every_configuration_gate() {
-    let configs: Vec<(&str, AnalysisConfig)> = vec![
-        ("default", AnalysisConfig::default()),
-        ("suite", suite_config()),
-        (
-            "safe-downcasts-only",
-            AnalysisConfig {
-                assume_safe_downcasts: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "ignore-sizeof-only",
-            AnalysisConfig {
-                sizeof_policy: SizeofPolicy::Ignore,
-                ..Default::default()
-            },
-        ),
-        (
-            "library",
-            AnalysisConfig {
-                library_classes: ["LibString".to_string()].into_iter().collect(),
-                ..Default::default()
-            },
-        ),
-    ];
-    for (label, config) in &configs {
-        for algorithm in [Algorithm::Everything, Algorithm::Cha, Algorithm::Rta, Algorithm::Pta] {
-            assert_engines_agree(label, GATE_SOURCE, config, algorithm);
+    for (gate, config) in gate_configs("LibString") {
+        for algorithm in ALGORITHMS {
+            assert_engines_agree(gate, GATE_SOURCE, &config, algorithm);
         }
     }
 }
@@ -187,10 +187,70 @@ fn engines_agree_on_generated_programs() {
     }
 }
 
+/// Every kind of call-graph step: static calls, virtual dispatch that
+/// widens across rounds, fn-pointer calls, address-taken functions,
+/// instantiation closures, and virtual deletes.
+const STEP_KINDS: &str = "
+    class A { public: virtual int f() { return 0; } virtual ~A() { } };
+    class B : public A { public: virtual int f() { return make(); } ~B() { } };
+    class C : public A { public: virtual int f() { return 2; } };
+    int ind() { return 7; }
+    int make() { B* b = new B(); A* a = b; int r = a->f(); delete b; return r; }
+    int main() { A a; int (*fp)() = ind; return a.f() + fp() + make(); }";
+
+#[test]
+fn engines_agree_on_every_call_graph_step_kind() {
+    for algorithm in ALGORITHMS {
+        assert_engines_agree(
+            "step kinds",
+            STEP_KINDS,
+            &AnalysisConfig::default(),
+            algorithm,
+        );
+    }
+}
+
+#[test]
+fn engines_agree_on_library_callback_roots() {
+    let src = "class Widget { public: virtual void on_click(); int id; };\n\
+               class MyButton : public Widget { public: virtual void on_click() { count = count + 1; } int count; };\n\
+               int main() { MyButton b; return 0; }";
+    let config = AnalysisConfig {
+        library_classes: ["Widget".to_string()].into_iter().collect(),
+        ..Default::default()
+    };
+    for algorithm in ALGORITHMS {
+        assert_engines_agree("library roots", src, &config, algorithm);
+    }
+    let run = AnalysisPipeline::with_config(src, config, Algorithm::Rta).expect("pipeline");
+    let p = run.program();
+    let on_click = p
+        .direct_method(p.class_by_name("MyButton").unwrap(), "on_click")
+        .unwrap();
+    assert!(
+        run.callgraph().is_reachable(on_click),
+        "library callbacks must be call-graph roots"
+    );
+}
+
+#[test]
+fn used_classes_match_the_walking_computation() {
+    // Instantiations in reachable and unreachable code, on the heap, in
+    // globals, and through bases.
+    let src = "class L { }; class H { }; class G { }; class U { };\n\
+         class Base { public: int b; }; class Derived : public Base { };\n\
+         G g;\n\
+         void never_called() { Derived d; }\n\
+         int main() { L l; H* h = new H(); delete h; return 0; }";
+    let run = AnalysisPipeline::from_source(src).expect("pipeline");
+    let walked = ddm_oracle::used_classes(run.program()).expect("walk");
+    assert_eq!(*run.used(), walked);
+    assert_eq!(walked.len(), 5, "L, H, G, Base and Derived are used");
+}
+
 #[test]
 fn summary_engine_is_the_default() {
-    let run = AnalysisPipeline::from_source("int main() { return 0; }").expect("pipeline");
-    assert_eq!(run.engine(), Engine::Summary);
-    assert_eq!(Engine::Summary.to_string(), "summary");
-    assert_eq!(Engine::Walk.to_string(), "walk");
+    // `Engine` keeps its one variant for the signatures that still name
+    // it; every run is a summary-engine run.
+    assert_eq!(Engine::default(), Engine::Summary);
 }

@@ -1,37 +1,14 @@
 //! The flight recorder's core contract: the deterministic event class
-//! is byte-identical across engines, cache state, and the project front
-//! end's worker count —
-//! the same discipline `Counters` already obeys — while turning the
-//! recorder (and the metrics registry) on changes no analysis output.
+//! is byte-identical across cache state and the project front end's
+//! worker count — the same discipline `Counters` already obeys — while
+//! turning the recorder (and the metrics registry) on changes no
+//! analysis output.
 
-use dead_data_members::analysis::{ProjectError, ProjectPipeline};
+use dead_data_members::analysis::{Engine, ProjectError, ProjectPipeline};
+use dead_data_members::benchmarks::suite;
 use dead_data_members::prelude::*;
 use dead_data_members::telemetry::EventClass;
 use std::path::PathBuf;
-
-/// Every `.cpp` program bundled with the benchmark suite, in sorted order.
-fn bundled_programs() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/benchmarks/programs");
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .expect("benchmark programs directory")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "cpp"))
-        .collect();
-    paths.sort();
-    assert!(
-        paths.len() >= 11,
-        "expected the paper's eleven programs, found {}",
-        paths.len()
-    );
-    paths
-        .into_iter()
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
-            let source = std::fs::read_to_string(&p).expect("read benchmark program");
-            (name, source)
-        })
-        .collect()
-}
 
 /// The committed multi-TU sample project, in sorted file order.
 fn multi_tu_inputs() -> Vec<(String, String)> {
@@ -53,29 +30,10 @@ fn multi_tu_inputs() -> Vec<(String, String)> {
         .collect()
 }
 
-/// Runs the single-file pipeline with the full recorder on and returns
-/// (deterministic NDJSON, metrics JSON).
-fn record_single(source: &str, engine: Engine) -> (String, String) {
-    let telemetry = Telemetry::recording();
-    AnalysisPipeline::with_config_telemetry(
-        source,
-        AnalysisConfig::default(),
-        Algorithm::Rta,
-        engine,
-        &telemetry,
-    )
-    .expect("pipeline");
-    (
-        telemetry.events_ndjson(Some(EventClass::Deterministic)),
-        telemetry.metrics_json(),
-    )
-}
-
 /// Runs the project pipeline with the full recorder on.
 fn record_project(
     inputs: &[(String, String)],
     jobs: usize,
-    engine: Engine,
     cache: Option<&std::path::Path>,
 ) -> Result<(Telemetry, ProjectPipeline), ProjectError> {
     let telemetry = Telemetry::recording();
@@ -84,7 +42,7 @@ fn record_project(
         AnalysisConfig::default(),
         Algorithm::Rta,
         jobs,
-        engine,
+        Engine::Summary,
         cache,
         &telemetry,
     )?;
@@ -98,39 +56,45 @@ fn temp_cache(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn det_stream_identical_across_jobs_and_engines_on_the_suite() {
-    for (name, source) in bundled_programs() {
-        let (reference, _) = record_single(&source, Engine::Summary);
+fn det_stream_identical_across_jobs_on_the_suite() {
+    for b in suite() {
+        let name = b.name;
+        let inputs = vec![(format!("{name}.cpp"), b.source.to_string())];
+        let (one, _) = record_project(&inputs, 1, None).unwrap();
+        let reference = one.events_ndjson(Some(EventClass::Deterministic));
         assert!(
             reference.contains("\"event\":\"classification\""),
             "{name}: no classification event recorded"
         );
-        // One TU runs on one thread, so only the engine varies; the
-        // multi-TU test below keeps the jobs dimension.
-        let (stream, _) = record_single(&source, Engine::Walk);
+        let (eight, _) = record_project(&inputs, 8, None).unwrap();
         assert_eq!(
-            stream, reference,
-            "{name}: det stream diverged between engines"
+            eight.events_ndjson(Some(EventClass::Deterministic)),
+            reference,
+            "{name}: det stream diverged between jobs 1 and 8"
         );
     }
 }
 
 #[test]
-fn histogram_bucket_counts_identical_across_jobs_and_engines() {
-    // The registry only holds deterministic quantities in single-file
-    // mode (round delta sizes, candidate-set sizes, liveness counts),
-    // so the whole rendered document — histogram buckets included — is
-    // pinned byte-for-byte.
-    for (name, source) in bundled_programs() {
-        let (_, reference) = record_single(&source, Engine::Summary);
+fn histogram_bucket_counts_identical_across_jobs() {
+    // A cacheless run's registry only holds deterministic quantities
+    // (round delta sizes, candidate-set sizes, summary sizes, liveness
+    // counts), so the whole rendered document — histogram buckets
+    // included — is pinned byte-for-byte.
+    for b in suite() {
+        let name = b.name;
+        let inputs = vec![(format!("{name}.cpp"), b.source.to_string())];
+        let (one, _) = record_project(&inputs, 1, None).unwrap();
+        let reference = one.metrics_json();
         assert!(
             reference.contains("callgraph/round_delta_fns"),
             "{name}: no round-delta histogram in metrics"
         );
-        let (_, metrics) = record_single(&source, Engine::Walk);
+        let (eight, _) = record_project(&inputs, 8, None).unwrap();
         assert_eq!(
-            metrics, reference,
-            "{name}: metrics diverged between engines"
+            eight.metrics_json(),
+            reference,
+            "{name}: metrics diverged between jobs 1 and 8"
         );
     }
 }
@@ -140,11 +104,12 @@ fn det_stream_identical_across_cache_states_on_the_suite() {
     // Cold/warm cache runs are observably different (probe outcomes are
     // observational-class), but the deterministic stream may not move:
     // the linked model is rebuilt from module records either way.
-    for (name, source) in bundled_programs().into_iter().take(4) {
-        let inputs = vec![(format!("{name}.cpp"), source)];
-        let cache = temp_cache(&name);
-        let (cold, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
-        let (warm, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
+    for b in suite().into_iter().take(4) {
+        let name = b.name;
+        let cache = temp_cache(name);
+        let inputs = vec![(format!("{name}.cpp"), b.source.to_string())];
+        let (cold, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
+        let (warm, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
         assert!(
             warm.events_ndjson(Some(EventClass::Observational))
                 .contains("tu_cache_hit"),
@@ -160,30 +125,28 @@ fn det_stream_identical_across_cache_states_on_the_suite() {
 }
 
 #[test]
-fn multi_tu_det_stream_identical_across_jobs_engines_and_cache() {
+fn multi_tu_det_stream_identical_across_jobs_and_cache() {
     let inputs = multi_tu_inputs();
     let cache = temp_cache("multi");
-    let (cold, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
+    let (cold, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
     let reference = cold.events_ndjson(Some(EventClass::Deterministic));
     assert!(
         reference.contains("\"event\":\"link_done\""),
         "no link event in the project det stream"
     );
-    // Warm cache, both worker counts, then the cacheless walk engine.
+    // Warm cache and cacheless, both worker counts.
     for jobs in [1, 8] {
-        let (warm, _) = record_project(&inputs, jobs, Engine::Summary, Some(&cache)).unwrap();
+        let (warm, _) = record_project(&inputs, jobs, Some(&cache)).unwrap();
         assert_eq!(
             warm.events_ndjson(Some(EventClass::Deterministic)),
             reference,
-            "warm summary det stream diverged at jobs={jobs}"
+            "warm det stream diverged at jobs={jobs}"
         );
-    }
-    for jobs in [1, 8] {
-        let (walk, _) = record_project(&inputs, jobs, Engine::Walk, None).unwrap();
+        let (cacheless, _) = record_project(&inputs, jobs, None).unwrap();
         assert_eq!(
-            walk.events_ndjson(Some(EventClass::Deterministic)),
+            cacheless.events_ndjson(Some(EventClass::Deterministic)),
             reference,
-            "walk det stream diverged at jobs={jobs}"
+            "cacheless det stream diverged at jobs={jobs}"
         );
     }
     let _ = std::fs::remove_dir_all(&cache);
@@ -203,8 +166,8 @@ fn tu_summary_size_histogram_is_cache_invariant() {
             .expect("summary-size histogram present")
             .to_string()
     };
-    let (cold, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
-    let (warm, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
+    let (cold, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
+    let (warm, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
     assert!(warm.stats().tu_cache_hits > 0, "warm run must hit");
     assert_eq!(
         hist_line(&cold.metrics_json()),
@@ -216,29 +179,24 @@ fn tu_summary_size_histogram_is_cache_invariant() {
 
 #[test]
 fn recording_changes_no_output_and_no_counters() {
-    for (name, source) in bundled_programs() {
-        let plain = AnalysisPipeline::with_config_engine(
-            &source,
-            AnalysisConfig::default(),
-            Algorithm::Rta,
-            Engine::Summary,
-        )
-        .expect("pipeline");
+    for b in suite() {
+        let (name, source) = (b.name, b.source);
+        let plain =
+            AnalysisPipeline::with_config(source, AnalysisConfig::default(), Algorithm::Rta)
+                .expect("pipeline");
         let baseline = Telemetry::enabled();
         AnalysisPipeline::with_config_telemetry(
-            &source,
+            source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            Engine::Summary,
             &baseline,
         )
         .expect("pipeline");
         let recording = Telemetry::recording();
         let observed = AnalysisPipeline::with_config_telemetry(
-            &source,
+            source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            Engine::Summary,
             &recording,
         )
         .expect("pipeline");
@@ -280,7 +238,7 @@ fn recording_changes_no_output_and_no_counters() {
 fn chrome_trace_names_lanes_and_logs_cache_probes() {
     let inputs = multi_tu_inputs();
     let cache = temp_cache("trace");
-    let (cold, _) = record_project(&inputs, 2, Engine::Summary, Some(&cache)).unwrap();
+    let (cold, _) = record_project(&inputs, 2, Some(&cache)).unwrap();
     let trace = cold.chrome_trace_json();
     dead_data_members::telemetry::json::validate(&trace)
         .unwrap_or_else(|e| panic!("trace is not valid JSON: {e}"));
@@ -290,7 +248,7 @@ fn chrome_trace_names_lanes_and_logs_cache_probes() {
         trace.contains("tu_cache_miss"),
         "cold project trace lacks cache-probe instants"
     );
-    let (warm, _) = record_project(&inputs, 2, Engine::Summary, Some(&cache)).unwrap();
+    let (warm, _) = record_project(&inputs, 2, Some(&cache)).unwrap();
     assert!(
         warm.chrome_trace_json().contains("tu_cache_hit"),
         "warm project trace lacks cache-hit instants"
@@ -300,13 +258,12 @@ fn chrome_trace_names_lanes_and_logs_cache_probes() {
 
 #[test]
 fn event_classes_are_cleanly_tagged_and_filterable() {
-    let (_, source) = &bundled_programs()[0];
+    let source = suite()[0].source;
     let telemetry = Telemetry::recording();
     AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
-        Engine::Summary,
         &telemetry,
     )
     .expect("pipeline");

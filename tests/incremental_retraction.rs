@@ -3,8 +3,8 @@
 //! reaching the reading function, or the member access itself — must
 //! flip that member to dead on the very next warm run over the same
 //! cache directory, and the incremental result must stay byte-identical
-//! to a cacheless run over the edited sources for both engines and
-//! worker counts. Liveness retraction is the hard direction for an
+//! to a cacheless run over the edited sources at any worker count, and
+//! the cacheless run must match the `ddm-oracle` reference analysis. Liveness retraction is the hard direction for an
 //! incremental analysis: stale call-graph or liveness state leaking
 //! from the previous edition would keep the member alive.
 
@@ -89,7 +89,6 @@ impl Drop for Scratch {
 
 fn run(
     inputs: &[(String, String)],
-    engine: Engine,
     jobs: usize,
     cache: Option<&Path>,
     telemetry: &Telemetry,
@@ -99,7 +98,7 @@ fn run(
         AnalysisConfig::default(),
         Algorithm::Rta,
         jobs,
-        engine,
+        Engine::Summary,
         cache,
         telemetry,
     )
@@ -137,59 +136,57 @@ fn is_dead(p: &ProjectPipeline, class: &str, member: &str) -> bool {
 /// replays the edit incrementally (cold baseline run, warm edited run
 /// over the same cache) at jobs {1, 8}, asserting the warm run hit the
 /// cache for the two unchanged TUs and produced artifacts
-/// byte-identical to the cacheless edited run — under both engines.
+/// byte-identical to the cacheless edited run, which the reference
+/// analysis must reproduce.
 fn check_retraction(tag: &str, edited: &[(String, String)], class: &str, member: &str) {
-    let before = run(
-        &baseline_inputs(),
-        Engine::Summary,
-        1,
-        None,
-        &Telemetry::enabled(),
-    );
+    let before = run(&baseline_inputs(), 1, None, &Telemetry::enabled());
     assert!(
         !is_dead(&before, class, member),
         "{tag}: `{class}::{member}` must be live before the edit"
     );
 
     let tel = Telemetry::enabled();
-    let after = run(edited, Engine::Summary, 1, None, &tel);
+    let after = run(edited, 1, None, &tel);
     assert!(
         is_dead(&after, class, member),
         "{tag}: `{class}::{member}` must be dead after the edit (cacheless)"
     );
     let want = artifacts(&after, &tel);
+    let program = after.program();
+    let oracle =
+        ddm_oracle::analyze(program, &AnalysisConfig::default(), Algorithm::Rta).expect("oracle");
+    assert_eq!(
+        oracle.report(program).to_string(),
+        after.report().to_string(),
+        "{tag}: the reference analysis disagrees on the edited program"
+    );
 
-    for engine in [Engine::Summary, Engine::Walk] {
-        for jobs in [1usize, 8] {
-            let scratch = Scratch::new(&format!("{tag}-{engine}-{jobs}"));
-            run(
-                &baseline_inputs(),
-                engine,
-                jobs,
-                Some(scratch.path()),
-                &Telemetry::enabled(),
-            );
+    for jobs in [1usize, 8] {
+        let scratch = Scratch::new(&format!("{tag}-{jobs}"));
+        run(
+            &baseline_inputs(),
+            jobs,
+            Some(scratch.path()),
+            &Telemetry::enabled(),
+        );
 
-            let tel = Telemetry::enabled();
-            let p = run(edited, engine, jobs, Some(scratch.path()), &tel);
-            if engine == Engine::Summary {
-                let stats = tel.stats();
-                assert_eq!(
-                    (stats.tu_cache_hits, stats.tu_cache_misses),
-                    (2, 1),
-                    "{tag} {engine} jobs={jobs}: the edit touches exactly one TU"
-                );
-            }
-            assert_eq!(
-                artifacts(&p, &tel),
-                want,
-                "{tag} {engine} jobs={jobs}: incremental run drifted from cacheless"
-            );
-            assert!(
-                is_dead(&p, class, member),
-                "{tag} {engine} jobs={jobs}: `{class}::{member}` still live incrementally"
-            );
-        }
+        let tel = Telemetry::enabled();
+        let p = run(edited, jobs, Some(scratch.path()), &tel);
+        let stats = tel.stats();
+        assert_eq!(
+            (stats.tu_cache_hits, stats.tu_cache_misses),
+            (2, 1),
+            "{tag} jobs={jobs}: the edit touches exactly one TU"
+        );
+        assert_eq!(
+            artifacts(&p, &tel),
+            want,
+            "{tag} jobs={jobs}: incremental run drifted from cacheless"
+        );
+        assert!(
+            is_dead(&p, class, member),
+            "{tag} jobs={jobs}: `{class}::{member}` still live incrementally"
+        );
     }
 }
 

@@ -3,9 +3,9 @@
 //! The contract under test: a cached run — cold, fully warm, or warm
 //! with one modified TU — produces the byte-identical report, the
 //! byte-identical `--explain` text, and the byte-identical deterministic
-//! counters as a cacheless run over the same sources, for both engines
-//! and any worker count. The cache may only change *wall-clock*, never
-//! *output*. Damaged or version-skewed cache entries are detected,
+//! counters as a cacheless run over the same sources, at any worker
+//! count, and the cacheless run matches the `ddm-oracle` reference
+//! analysis. The cache may only change *wall-clock*, never *output*. Damaged or version-skewed cache entries are detected,
 //! discarded, recomputed, and overwritten.
 
 use dead_data_members::analysis::{explain, AnalysisConfig, Engine, ProjectPipeline};
@@ -78,7 +78,6 @@ impl Drop for Scratch {
 
 fn run(
     inputs: &[(String, String)],
-    engine: Engine,
     jobs: usize,
     cache: Option<&Path>,
     telemetry: &Telemetry,
@@ -88,18 +87,20 @@ fn run(
         AnalysisConfig::default(),
         Algorithm::Rta,
         jobs,
-        engine,
+        Engine::Summary,
         cache,
         telemetry,
     )
     .expect("project run")
 }
 
+const SPECS: [&str; 4] = ["Shape::kind", "Shape::tag", "Circle::radius", "Circle::cached"];
+
 /// Every observable artifact of a run, as rendered text.
 fn artifacts(p: &ProjectPipeline, telemetry: &Telemetry) -> (String, String, String) {
     let report = p.report().to_string();
     let mut explained = String::new();
-    for spec in ["Shape::kind", "Shape::tag", "Circle::radius", "Circle::cached"] {
+    for spec in SPECS {
         explained.push_str(&explain(p.program(), p.callgraph(), p.liveness(), spec).unwrap());
     }
     let counters = format!("{:?}", telemetry.counters().rows());
@@ -109,63 +110,68 @@ fn artifacts(p: &ProjectPipeline, telemetry: &Telemetry) -> (String, String, Str
 #[test]
 fn cached_runs_match_cacheless_runs_for_every_engine_and_worker_count() {
     let inputs = inputs();
-    for engine in [Engine::Walk, Engine::Summary] {
-        for jobs in [1usize, 8] {
-            let scratch = Scratch::new(&format!("matrix-{engine}-{jobs}"));
+    for jobs in [1usize, 8] {
+        let scratch = Scratch::new(&format!("matrix-{jobs}"));
 
-            let bare_tel = Telemetry::enabled();
-            let bare = run(&inputs, engine, jobs, None, &bare_tel);
-            let reference = artifacts(&bare, &bare_tel);
+        let bare_tel = Telemetry::enabled();
+        let bare = run(&inputs, jobs, None, &bare_tel);
+        let reference = artifacts(&bare, &bare_tel);
 
-            let cold_tel = Telemetry::enabled();
-            let cold = run(&inputs, engine, jobs, Some(scratch.path()), &cold_tel);
-            assert_eq!(
-                artifacts(&cold, &cold_tel),
-                reference,
-                "cold cached vs cacheless: engine={engine} jobs={jobs}"
-            );
-
-            let warm_tel = Telemetry::enabled();
-            let warm = run(&inputs, engine, jobs, Some(scratch.path()), &warm_tel);
-            assert_eq!(
-                artifacts(&warm, &warm_tel),
-                reference,
-                "warm cached vs cacheless: engine={engine} jobs={jobs}"
-            );
-            if engine == Engine::Summary {
-                assert_eq!(warm_tel.stats().tu_cache_hits, 3);
-                assert_eq!(warm_tel.stats().tus_summarized, 0);
-            } else {
-                // The walk engine re-walks bodies, so it never uses the
-                // cache — and must not populate it either.
-                assert!(!scratch.path().exists() || dir_is_empty(scratch.path()));
-            }
+        // The reference analysis over the linked program agrees on
+        // everything it computes.
+        let program = bare.program();
+        let oracle = ddm_oracle::analyze(program, &AnalysisConfig::default(), Algorithm::Rta)
+            .expect("oracle");
+        let mut explained = String::new();
+        for spec in SPECS {
+            explained.push_str(&oracle.explain(program, spec).unwrap());
         }
-    }
-}
+        assert_eq!(
+            (
+                oracle.report(program).to_string(),
+                explained,
+                format!("{:?}", oracle.counters.rows())
+            ),
+            (
+                reference.0.clone(),
+                reference.1.clone(),
+                format!("{:?}", ddm_oracle::comparable(&bare_tel.counters()).rows())
+            ),
+            "oracle vs cacheless: jobs={jobs}"
+        );
 
-fn dir_is_empty(dir: &Path) -> bool {
-    std::fs::read_dir(dir).map(|mut d| d.next().is_none()).unwrap_or(true)
+        let cold_tel = Telemetry::enabled();
+        let cold = run(&inputs, jobs, Some(scratch.path()), &cold_tel);
+        assert_eq!(
+            artifacts(&cold, &cold_tel),
+            reference,
+            "cold cached vs cacheless: jobs={jobs}"
+        );
+
+        let warm_tel = Telemetry::enabled();
+        let warm = run(&inputs, jobs, Some(scratch.path()), &warm_tel);
+        assert_eq!(
+            artifacts(&warm, &warm_tel),
+            reference,
+            "warm cached vs cacheless: jobs={jobs}"
+        );
+        assert_eq!(warm_tel.stats().tu_cache_hits, 3);
+        assert_eq!(warm_tel.stats().tus_summarized, 0);
+    }
 }
 
 #[test]
 fn one_changed_tu_reanalyzes_exactly_that_tu() {
     let scratch = Scratch::new("one-changed");
     let inputs = inputs();
-    run(
-        &inputs,
-        Engine::Summary,
-        8,
-        Some(scratch.path()),
-        &Telemetry::enabled(),
-    );
+    run(&inputs, 8, Some(scratch.path()), &Telemetry::enabled());
 
     // Edit one TU: classify now also reads `tag`, livening it.
     let mut edited = inputs.clone();
     edited[2].1 = format!("{HEADER}int classify(Shape* s) {{ s->tag = 1; return s->kind + s->tag; }}");
 
     let warm_tel = Telemetry::enabled();
-    let warm = run(&edited, Engine::Summary, 8, Some(scratch.path()), &warm_tel);
+    let warm = run(&edited, 8, Some(scratch.path()), &warm_tel);
     let stats = warm_tel.stats();
     assert_eq!(stats.tu_cache_hits, 2, "unchanged TUs must hit");
     assert_eq!(stats.tu_cache_misses, 1, "the edited TU must miss");
@@ -175,7 +181,7 @@ fn one_changed_tu_reanalyzes_exactly_that_tu() {
     // The warm partial recomputation must be indistinguishable from a
     // from-scratch cacheless run over the edited sources.
     let fresh_tel = Telemetry::enabled();
-    let fresh = run(&edited, Engine::Summary, 8, None, &fresh_tel);
+    let fresh = run(&edited, 8, None, &fresh_tel);
     assert_eq!(artifacts(&warm, &warm_tel), artifacts(&fresh, &fresh_tel));
     assert!(warm.report().to_string().contains("live tag"));
 }
@@ -184,18 +190,12 @@ fn one_changed_tu_reanalyzes_exactly_that_tu() {
 fn renamed_file_with_identical_content_still_hits() {
     let scratch = Scratch::new("renamed");
     let inputs = inputs();
-    run(
-        &inputs,
-        Engine::Summary,
-        1,
-        Some(scratch.path()),
-        &Telemetry::enabled(),
-    );
+    run(&inputs, 1, Some(scratch.path()), &Telemetry::enabled());
 
     let mut renamed = inputs.clone();
     renamed[1].0 = "geometry_v2.cpp".to_string();
     let tel = Telemetry::enabled();
-    run(&renamed, Engine::Summary, 1, Some(scratch.path()), &tel);
+    run(&renamed, 1, Some(scratch.path()), &tel);
     assert_eq!(tel.stats().tu_cache_hits, 3, "cache keys are content, not paths");
 }
 
@@ -205,7 +205,7 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
     let scratch = Scratch::new(test);
     let inputs = inputs();
     let cold_tel = Telemetry::enabled();
-    let cold = run(&inputs, Engine::Summary, 1, Some(scratch.path()), &cold_tel);
+    let cold = run(&inputs, 1, Some(scratch.path()), &cold_tel);
     let cold_art = artifacts(&cold, &cold_tel);
 
     // Damage the per-TU summary entries and drop the analysis snapshot:
@@ -225,7 +225,7 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
     }
 
     let warm_tel = Telemetry::enabled();
-    let warm = run(&inputs, Engine::Summary, 1, Some(scratch.path()), &warm_tel);
+    let warm = run(&inputs, 1, Some(scratch.path()), &warm_tel);
     let stats = warm_tel.stats();
     assert_eq!(stats.tu_cache_hits, 0, "damaged entries must not hit");
     assert_eq!(stats.tu_cache_invalidations, 3);
@@ -234,7 +234,7 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
 
     // The damaged entries were overwritten with valid ones.
     let again_tel = Telemetry::enabled();
-    run(&inputs, Engine::Summary, 1, Some(scratch.path()), &again_tel);
+    run(&inputs, 1, Some(scratch.path()), &again_tel);
     assert_eq!(again_tel.stats().tu_cache_hits, 3);
     assert_eq!(again_tel.stats().tu_cache_invalidations, 0);
 }
@@ -262,13 +262,7 @@ fn version_mismatched_cache_entries_are_discarded_and_recomputed() {
 fn fingerprint_changes_invalidate_cached_entries() {
     let scratch = Scratch::new("fingerprint");
     let inputs = inputs();
-    run(
-        &inputs,
-        Engine::Summary,
-        1,
-        Some(scratch.path()),
-        &Telemetry::enabled(),
-    );
+    run(&inputs, 1, Some(scratch.path()), &Telemetry::enabled());
 
     // PTA refinement changes what per-TU summaries contain, so its
     // fingerprint must not accept RTA-era entries.

@@ -10,9 +10,11 @@
 //! an external property-testing crate (the build environment is
 //! offline), so every run exercises the identical deterministic sweep.
 
-use ddm_bench::fuzz::chunk_top_level;
-use dead_data_members::analysis::ProjectPipeline;
-use dead_data_members::benchmarks::generator::{generate, GeneratorConfig};
+use ddm_bench::fuzz::{case_for_seed, chunk_top_level};
+use dead_data_members::analysis::{Engine, ProjectError, ProjectPipeline};
+use dead_data_members::benchmarks::generator::{
+    generate, generate_fuzz, FuzzShape, GeneratorConfig,
+};
 use dead_data_members::benchmarks::rng::Rng;
 use dead_data_members::prelude::*;
 
@@ -84,6 +86,71 @@ fn pta_refinement_is_also_sound() {
             );
         }
     }
+}
+
+/// Stack for the interpreter thread: it recurses once per C++ call, and
+/// the deep-ladder shape dispatches down long override chains.
+const INTERPRETER_STACK_BYTES: usize = 256 << 20;
+
+/// Seeds swept by [`every_fuzz_shape_is_sound_against_the_interpreter`]:
+/// 50 cycles of the 8 fuzz shapes.
+const FUZZ_SOUNDNESS_SEEDS: u64 = 400;
+
+#[test]
+fn every_fuzz_shape_is_sound_against_the_interpreter() {
+    let mut executed = std::collections::BTreeMap::<&str, u64>::new();
+    for seed in 0..FUZZ_SOUNDNESS_SEEDS {
+        let case = case_for_seed(seed);
+        let shape = case.config.shape;
+        let inputs = generate_fuzz(&case.config, seed);
+        let label = format!("seed {seed} shape {}", shape.name());
+        let run = ProjectPipeline::run(
+            &inputs,
+            AnalysisConfig::default(),
+            case.algorithm,
+            1,
+            Engine::Summary,
+            None,
+            &Telemetry::disabled(),
+        );
+        let run = match (shape, run) {
+            // Two TUs define one class differently: rejected at link.
+            (FuzzShape::OdrConflict, Err(ProjectError::Link(_))) => continue,
+            (FuzzShape::OdrConflict, other) => {
+                panic!("{label}: expected a link error, got {other:?}")
+            }
+            (_, run) => run.unwrap_or_else(|e| panic!("{label}: pipeline failed: {e}")),
+        };
+        // A cacheless run's linked program carries every body.
+        let exec = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(INTERPRETER_STACK_BYTES)
+                .spawn_scoped(scope, || {
+                    Interpreter::new(run.program()).run(&RunConfig::default())
+                })
+                .expect("interpreter thread")
+                .join()
+                .unwrap_or_else(|_| panic!("{label}: the interpreter panicked"))
+        });
+        let exec = match (shape, exec) {
+            // The interpreter does not model the casts' pointer-integer
+            // arithmetic: a typed runtime error, never a panic.
+            (FuzzShape::CastStorm, Err(_)) => continue,
+            (FuzzShape::CastStorm, Ok(_)) => panic!("{label}: expected a runtime error"),
+            (_, exec) => exec.unwrap_or_else(|e| panic!("{label}: execution failed: {e}")),
+        };
+        for m in &exec.members_observed {
+            assert!(
+                run.liveness().is_live(*m),
+                "{label}: member {m} observed at run time but statically dead"
+            );
+        }
+        *executed.entry(shape.name()).or_default() += 1;
+    }
+    // Every shape but the two rejected ones executed in every cycle.
+    let cycles = FUZZ_SOUNDNESS_SEEDS / 8;
+    assert_eq!(executed.len(), 6, "{executed:?}");
+    assert!(executed.values().all(|&n| n == cycles), "{executed:?}");
 }
 
 /// Splits a generated program into a project: the class definitions

@@ -1,146 +1,124 @@
 //! The telemetry layer's core contract: deterministic counters are
-//! bit-identical across engines, enabling telemetry changes no analysis
-//! output, and `--explain` renders the same witness text whichever
-//! engine produced the liveness. One TU runs on one thread, so the
-//! jobs dimension of these contracts is pinned by the project-level
-//! matrices (`flight_recorder`, `project_cache`).
+//! bit-identical across worker counts and match the `ddm-oracle`
+//! reference analysis, enabling telemetry changes no analysis output,
+//! and `--explain` renders the same witness text from the oracle's
+//! liveness as from the product's. One TU runs on one thread, so the
+//! jobs dimension runs the program as a one-TU project; the multi-TU
+//! matrices (`flight_recorder`, `project_cache`) cover the rest.
 
+use dead_data_members::analysis::{Engine, ProjectPipeline};
 use dead_data_members::prelude::*;
 
-/// Every `.cpp` program bundled with the benchmark suite, in sorted order.
-fn bundled_programs() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/benchmarks/programs");
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .expect("benchmark programs directory")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "cpp"))
-        .collect();
-    paths.sort();
-    assert!(
-        paths.len() >= 11,
-        "expected the paper's eleven programs, found {}",
-        paths.len()
-    );
-    paths
-        .into_iter()
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
-            let source = std::fs::read_to_string(&p).expect("read benchmark program");
-            (name, source)
-        })
-        .collect()
-}
-
-fn run_counters(source: &str, engine: Engine) -> Counters {
+fn run_counters(source: &str) -> (AnalysisPipeline, Counters) {
     let telemetry = Telemetry::enabled();
-    AnalysisPipeline::with_config_telemetry(
+    let run = AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
-        engine,
         &telemetry,
     )
     .expect("pipeline");
-    telemetry.counters()
+    (run, telemetry.counters())
 }
 
 #[test]
 fn counters_identical_across_jobs_and_engines() {
-    for (name, source) in bundled_programs() {
-        let reference = run_counters(&source, Engine::Summary);
+    for b in dead_data_members::benchmarks::suite() {
+        let (run, reference) = run_counters(b.source);
+        let oracle = ddm_oracle::analyze(run.program(), &AnalysisConfig::default(), Algorithm::Rta)
+            .expect("oracle");
         assert_eq!(
-            run_counters(&source, Engine::Walk),
-            reference,
-            "{name}: counters diverged between engines"
+            oracle.counters,
+            ddm_oracle::comparable(&reference),
+            "{}: counters diverged from the oracle",
+            b.name
         );
+        let inputs = vec![(format!("{}.cpp", b.name), b.source.to_string())];
+        for jobs in [1, 8] {
+            let telemetry = Telemetry::enabled();
+            ProjectPipeline::run(
+                &inputs,
+                AnalysisConfig::default(),
+                Algorithm::Rta,
+                jobs,
+                Engine::Summary,
+                None,
+                &telemetry,
+            )
+            .expect("project");
+            assert_eq!(
+                telemetry.counters(),
+                reference,
+                "{}: counters diverged at jobs={jobs}",
+                b.name
+            );
+        }
     }
 }
 
 #[test]
 fn enabling_telemetry_changes_no_analysis_output() {
-    for (name, source) in bundled_programs() {
-        let plain = AnalysisPipeline::with_config_engine(
-            &source,
-            AnalysisConfig::default(),
-            Algorithm::Rta,
-            Engine::Summary,
-        )
-        .expect("pipeline");
-        let telemetry = Telemetry::enabled();
-        let observed = AnalysisPipeline::with_config_telemetry(
-            &source,
-            AnalysisConfig::default(),
-            Algorithm::Rta,
-            Engine::Summary,
-            &telemetry,
-        )
-        .expect("pipeline");
+    for b in dead_data_members::benchmarks::suite() {
+        let plain =
+            AnalysisPipeline::with_config(b.source, AnalysisConfig::default(), Algorithm::Rta)
+                .expect("pipeline");
+        let (observed, _) = run_counters(b.source);
         assert_eq!(
             plain.report().to_string(),
             observed.report().to_string(),
-            "{name}: telemetry changed the report"
+            "{}: telemetry changed the report",
+            b.name
         );
         assert_eq!(
             plain.liveness(),
             observed.liveness(),
-            "{name}: telemetry changed the liveness"
+            "{}: telemetry changed the liveness",
+            b.name
         );
     }
 }
 
 #[test]
 fn explain_is_byte_identical_across_engines() {
-    for (name, source) in bundled_programs() {
-        let walk = AnalysisPipeline::with_config_engine(
-            &source,
-            AnalysisConfig::default(),
-            Algorithm::Rta,
-            Engine::Walk,
-        )
-        .expect("walk pipeline");
-        let summary = AnalysisPipeline::with_config_engine(
-            &source,
-            AnalysisConfig::default(),
-            Algorithm::Rta,
-            Engine::Summary,
-        )
-        .expect("summary pipeline");
-        for (_, class) in walk.program().classes() {
+    for b in dead_data_members::benchmarks::suite() {
+        let (run, _) = run_counters(b.source);
+        let program = run.program();
+        let oracle = ddm_oracle::analyze(program, &AnalysisConfig::default(), Algorithm::Rta)
+            .expect("oracle");
+        for (_, class) in program.classes() {
             for member in &class.members {
                 let spec = format!("{}::{}", class.name, member.name);
-                let from_walk =
-                    explain(walk.program(), walk.callgraph(), walk.liveness(), &spec)
-                        .expect("known member");
-                let from_summary = explain(
-                    summary.program(),
-                    summary.callgraph(),
-                    summary.liveness(),
-                    &spec,
-                )
-                .expect("known member");
+                let from_product =
+                    explain(program, run.callgraph(), run.liveness(), &spec).expect("known member");
+                let from_oracle = oracle.explain(program, &spec).expect("known member");
                 assert_eq!(
-                    from_walk, from_summary,
-                    "{name}: explanation of {spec} diverged between engines"
+                    from_product, from_oracle,
+                    "{}: explanation of {spec} diverged from the oracle",
+                    b.name
                 );
             }
         }
     }
 }
 
+/// The execution stats record how the engine ran: one front-end job for
+/// one TU, the bodies it walked, the summaries it replayed, and one
+/// fixpoint and one scan.
 #[test]
 fn stats_record_engine_and_fastpath_routing() {
-    let (_, source) = &bundled_programs()[0];
+    let source = dead_data_members::benchmarks::suite()[0].source;
     let telemetry = Telemetry::enabled();
     AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
-        Engine::Walk,
         &telemetry,
     )
     .expect("pipeline");
     let stats = telemetry.stats();
-    assert_eq!(stats.engine, "walk");
     assert_eq!(stats.jobs, 1, "one TU has one front-end job");
     assert!(stats.bodies_walked > 0);
+    assert!(stats.summary_replays > 0);
+    assert!(stats.callgraph_rounds > 0);
+    assert_eq!(stats.scan_rounds, 1);
 }

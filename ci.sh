@@ -1,7 +1,7 @@
 #!/bin/sh
-# Offline tier-1 gate: build, full test suite, and the parallel
-# determinism harness at 8 workers. No network access required — the
-# workspace has no external dependencies.
+# Offline tier-1 gate: build, full test suite, and the release-mode
+# gates below. No network access required — the workspace has no
+# external dependencies.
 set -eu
 
 cd "$(dirname "$0")"
@@ -12,8 +12,10 @@ cargo build --release
 echo "== test suite =="
 cargo test -q
 
-echo "== parallel determinism (--jobs 8) =="
-cargo test --release --test parallel_determinism -- --nocapture
+echo "== robustness at release sizes (a 4,000-term flat expression in every CLI mode) =="
+cargo test --release --test robustness
+
+echo "== worker counts (--jobs 8) =="
 cargo test --release --test parallel_special_cases
 cargo run --release --bin ddm -- crates/benchmarks/programs/richards.cpp --jobs 8 > /dev/null
 

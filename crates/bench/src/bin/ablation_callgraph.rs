@@ -8,10 +8,10 @@
 //! counts are monotone: everything ≤ CHA ≤ RTA ≤ PTA.
 
 use ddm_callgraph::Algorithm;
-use ddm_core::{AnalysisConfig, AnalysisPipeline, SizeofPolicy};
+use ddm_core::{AnalysisConfig, ProjectPipeline, SizeofPolicy};
 
 fn dead_count(source: &str, algorithm: Algorithm) -> (usize, usize, f64) {
-    let run = AnalysisPipeline::with_config(
+    let run = ProjectPipeline::with_config(
         source,
         AnalysisConfig {
             assume_safe_downcasts: true,

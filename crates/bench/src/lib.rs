@@ -22,7 +22,7 @@ pub mod fuzz;
 
 use ddm_benchmarks::Benchmark;
 use ddm_callgraph::Algorithm;
-use ddm_core::{AnalysisConfig, AnalysisPipeline, PipelineError, SizeofPolicy};
+use ddm_core::{AnalysisConfig, Engine, ProjectError, ProjectPipeline, SizeofPolicy};
 use ddm_dynamic::{profile_trace, HeapProfile, Interpreter, RunConfig, RuntimeError};
 use ddm_telemetry::{Counters, Telemetry};
 
@@ -54,7 +54,7 @@ pub struct Measured {
 #[derive(Debug)]
 pub enum MeasureError {
     /// The static pipeline failed.
-    Pipeline(PipelineError),
+    Pipeline(ProjectError),
     /// Execution failed.
     Runtime(RuntimeError),
 }
@@ -175,10 +175,13 @@ pub fn suite_analysis_config() -> AnalysisConfig {
 /// one capture is exact, not sampled.
 pub fn capture_counters(source: &str) -> Counters {
     let telemetry = Telemetry::enabled();
-    AnalysisPipeline::with_config_telemetry(
-        source,
+    ProjectPipeline::run(
+        &[("program.cpp".to_string(), source.to_string())],
         suite_analysis_config(),
         Algorithm::Rta,
+        1,
+        Engine::Summary,
+        None,
         &telemetry,
     )
     .expect("suite program analyses cleanly");

@@ -404,7 +404,7 @@ const ODR_HOLE: &str = "@ODR@";
 /// equal inputs produce byte-identical files). Returns `(file, source)`
 /// pairs; TU 0 holds `main` plus prototypes for every function defined
 /// by the other TUs. With `tus == 1` the whole program lands in one
-/// file, so single-TU and project pipelines see the same shapes.
+/// file, so one-file and several-file runs see the same shapes.
 ///
 /// Generated programs always parse; the `OdrConflict` shape (and
 /// nothing else) links with a deliberate ODR violation, so the
@@ -914,7 +914,7 @@ fn shape_functions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddm_core::AnalysisPipeline;
+    use ddm_core::ProjectPipeline;
     use ddm_dynamic::{Interpreter, RunConfig};
 
     #[test]
@@ -928,7 +928,7 @@ mod tests {
     fn generated_programs_parse_analyze_and_run() {
         for seed in 0..20 {
             let src = generate(&GeneratorConfig::default(), seed);
-            let run = AnalysisPipeline::from_source(&src)
+            let run = ProjectPipeline::from_source(&src)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
             let exec = Interpreter::new(run.program())
                 .run(&RunConfig::default())
@@ -943,7 +943,7 @@ mod tests {
         // be classified live by the static analysis.
         for seed in 0..30 {
             let src = generate(&GeneratorConfig::default(), seed);
-            let run = AnalysisPipeline::from_source(&src).expect("pipeline");
+            let run = ProjectPipeline::from_source(&src).expect("pipeline");
             let exec = Interpreter::new(run.program())
                 .run(&RunConfig::default())
                 .expect("run");
@@ -998,7 +998,7 @@ mod tests {
             rungs: 20,
         };
         let src = generate_scale(&c, 11);
-        let run = AnalysisPipeline::from_source(&src)
+        let run = ProjectPipeline::from_source(&src)
             .unwrap_or_else(|e| panic!("scale program rejected: {e}"));
         assert_eq!(
             run.program().function_count(),

@@ -21,7 +21,7 @@
 pub mod generator;
 pub mod rng;
 
-use ddm_core::{AnalysisConfig, AnalysisPipeline, PipelineError};
+use ddm_core::{AnalysisConfig, ProjectError, ProjectPipeline};
 use ddm_cppfront::SourceMap;
 
 /// The paper's published numbers for one benchmark (Table 1, Figure 3,
@@ -75,9 +75,9 @@ impl Benchmark {
     ///
     /// # Errors
     ///
-    /// Propagates [`PipelineError`]s; the shipped suite always succeeds.
-    pub fn analyze(&self) -> Result<AnalysisPipeline, PipelineError> {
-        AnalysisPipeline::with_config(
+    /// Propagates [`ProjectError`]s; the shipped suite always succeeds.
+    pub fn analyze(&self) -> Result<ProjectPipeline, ProjectError> {
+        ProjectPipeline::with_config(
             self.source,
             AnalysisConfig {
                 assume_safe_downcasts: true,

@@ -84,9 +84,9 @@ pub struct CallGraphOptions {
 }
 
 /// One fixpoint round's schedule record: the delta batch size and the
-/// pop/drain activity it generated. What [`run_fixpoint`] emits as the
-/// deterministic `cg_round` event, captured so a snapshot warm start
-/// can replay the identical event stream without re-running the round.
+/// pop/drain activity it generated. [`replay_schedule`] emits it as the
+/// deterministic `cg_round` event, for a fresh fixpoint and a snapshot
+/// warm start alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CgRound {
     /// Functions in the round's delta batch.
@@ -174,10 +174,11 @@ impl CallGraph {
     /// the summaries must have been built with receiver refinement
     /// enabled (`ProgramSummary::build(program, true, 1)`).
     ///
-    /// With an enabled `telemetry`, each delta batch is spanned, per-round
-    /// delta sizes and the round count land in the execution stats, and
-    /// worklist pops/drains in the deterministic counters. The schedule
-    /// is captured either way.
+    /// With an enabled `telemetry`, each delta batch is spanned; once the
+    /// graph is frozen, [`replay_schedule`] emits the schedule — per-round
+    /// delta sizes and the round count in the execution stats, worklist
+    /// pops/drains in the deterministic counters, the `cg_round` and
+    /// `cg_fixpoint` events. The schedule is captured either way.
     ///
     /// # Errors
     ///
@@ -226,7 +227,7 @@ impl CallGraph {
         let mut replays: u64 = 1;
         replay_summary(&mut state, None, summary.globals()?, false);
 
-        let rounds = run_fixpoint(&mut state, telemetry, |st, fid| {
+        run_fixpoint(&mut state, telemetry, |st, fid| {
             replays += 1;
             replay_summary(st, Some(fid), summary.function(fid)?, true);
             Ok(())
@@ -238,9 +239,10 @@ impl CallGraph {
             Ok(())
         })?;
 
-        state.flush_telemetry(telemetry, rounds, replays);
         let schedule = state.schedule(replays);
-        Ok((state.freeze(options.algorithm), schedule))
+        let graph = state.freeze(options.algorithm);
+        replay_schedule(&graph, &schedule, telemetry);
+        Ok((graph, schedule))
     }
 
     fn build_everything(program: &Program) -> CallGraph {
@@ -490,7 +492,7 @@ struct PropState<'p> {
     /// Distribution of unrefined virtual-site candidate-set sizes. A
     /// fixed inline array (no allocation, no branch on telemetry state):
     /// recording is one array increment, and the buckets only reach the
-    /// metrics registry in [`PropState::flush_telemetry`].
+    /// metrics registry through [`replay_schedule`].
     dispatch_candidates: Histogram,
 }
 
@@ -779,40 +781,6 @@ impl<'p> PropState<'p> {
         }
     }
 
-    fn flush_telemetry(&self, telemetry: &Telemetry, rounds: u64, replays: u64) {
-        telemetry.update_stats(|s| {
-            s.callgraph_rounds = rounds;
-            s.worklist_pushes += self.parked;
-            s.cg_interned_symbols = self.program.interner().len() as u64;
-            s.cg_arena_bytes = self.program.interner().arena_bytes() as u64;
-            s.summary_replays += replays;
-        });
-        telemetry.add_counters(&Counters {
-            cg_worklist_pops: self.pops,
-            cg_ready_drains: self.drains,
-            ..Counters::default()
-        });
-        // Fixpoint summary event. Every field is schedule-equivalent
-        // across job counts and cache states (the same invariant the
-        // deterministic counters are under), so this is det class.
-        telemetry.event(EventClass::Deterministic, "cg_fixpoint", || {
-            vec![
-                ("rounds", rounds.into()),
-                ("pops", self.pops.into()),
-                ("drains", self.drains.into()),
-                ("parked", self.parked.into()),
-                ("reachable", self.reachable.count().into()),
-                ("instantiated", self.instantiated.count().into()),
-                ("edges", self.edge_total.into()),
-            ]
-        });
-        telemetry.metrics(|m| {
-            m.counter_add("callgraph/worklist_pops", self.pops);
-            m.counter_add("callgraph/ready_drains", self.drains);
-            m.hist_merge("callgraph/dispatch_candidates", &self.dispatch_candidates);
-        });
-    }
-
     /// Freezes the grow-phase state into the dense public representation:
     /// sorted id vectors plus the CSR adjacency (the per-caller rows are
     /// already sorted and deduplicated; freezing just concatenates them).
@@ -853,15 +821,13 @@ fn run_fixpoint<'p>(
     state: &mut PropState<'p>,
     telemetry: &Telemetry,
     mut process: impl FnMut(&mut PropState<'p>, FuncId) -> Result<(), TypeError>,
-) -> Result<u64, TypeError> {
-    let mut rounds: u64 = 0;
+) -> Result<(), TypeError> {
     while !state.next.is_empty() {
         let batch = std::mem::take(&mut state.next);
+        let round = state.rounds_log.len();
         let round_span = telemetry.span(LANE_MAIN, || {
-            format!("callgraph replay delta {rounds} ({} fns)", batch.len())
+            format!("callgraph replay delta {round} ({} fns)", batch.len())
         });
-        telemetry.update_stats(|s| s.cg_round_deltas.push(batch.len() as u64));
-        telemetry.metrics(|m| m.hist_record("callgraph/round_delta_fns", batch.len() as u64));
         let (pops_before, drains_before) = (state.pops, state.drains);
         let delta_fns = batch.len() as u64;
         for f in batch {
@@ -879,30 +845,18 @@ fn run_fixpoint<'p>(
             }
         }
         state.resolve_fp_delta();
-        // The round's delta size and slot mix are schedule-equivalent
-        // across job counts and cache states, so the round event is det
-        // class.
-        telemetry.event(EventClass::Deterministic, "cg_round", || {
-            vec![
-                ("round", rounds.into()),
-                ("delta_fns", delta_fns.into()),
-                ("pops", (state.pops - pops_before).into()),
-                ("drains", (state.drains - drains_before).into()),
-            ]
-        });
         state.rounds_log.push(CgRound {
             delta_fns,
             pops: state.pops - pops_before,
             drains: state.drains - drains_before,
         });
         drop(round_span);
-        rounds += 1;
     }
     debug_assert!(
         state.ready.iter().all(Vec::is_empty),
         "every readied widening is drained before the fixpoint settles"
     );
-    Ok(rounds)
+    Ok(())
 }
 
 /// Debug-build cross-check of the worklist-empty convergence condition
@@ -971,14 +925,17 @@ fn replay_summary(st: &mut PropState<'_>, caller: Option<FuncId>, summary: &FnSu
     }
 }
 
-/// Re-emits a persisted converged run's telemetry — the deterministic
-/// `cg_round` / `cg_fixpoint` events, the counters, the metrics, and
-/// the execution stats — exactly as [`CallGraph::build_from_summary_schedule`]
-/// would have while computing `graph` under `schedule`. A snapshot warm
-/// start that reuses a stored graph calls this instead of re-running
-/// the fixpoint, keeping the deterministic event stream byte-identical
-/// to a cold run.
+/// Emits a converged run's telemetry — the deterministic `cg_round` /
+/// `cg_fixpoint` events, the counters, the metrics, and the execution
+/// stats — from `graph` and its `schedule`. It is the one emitter:
+/// [`CallGraph::build_from_summary_schedule`] calls it once the fixpoint
+/// converges, and a snapshot warm start that reuses a stored graph calls
+/// it instead of re-running the fixpoint, so the deterministic event
+/// stream is byte-identical either way.
 pub fn replay_schedule(graph: &CallGraph, schedule: &CgSchedule, telemetry: &Telemetry) {
+    // Every field below is schedule-equivalent across job counts and
+    // cache states (the invariant the deterministic counters are under),
+    // so the round and fixpoint events are det class.
     for (round, r) in schedule.rounds.iter().enumerate() {
         telemetry.update_stats(|s| s.cg_round_deltas.push(r.delta_fns));
         telemetry.metrics(|m| m.hist_record("callgraph/round_delta_fns", r.delta_fns));

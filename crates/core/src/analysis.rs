@@ -189,10 +189,10 @@ pub(crate) struct Solved {
     pub(crate) replayed: bool,
 }
 
-/// The solve stage both pipelines run after the front end: the call
-/// graph over `summary` (with `config`'s library classes as callback
-/// roots), the liveness scan, the used classes, and the classification
-/// counters and event. The wall time of the call graph and of the scan
+/// The solve stage the pipeline runs after link: the call graph over
+/// `summary` (with `config`'s library classes as callback roots), the
+/// liveness scan, the used classes, and the classification counters
+/// and event. The wall time of the call graph and of the scan
 /// lands in the execution stats.
 ///
 /// With `stored` — a snapshot whose fixpoint the caller proved

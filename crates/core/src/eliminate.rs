@@ -18,11 +18,11 @@
 //! simply kept — dropping an optimization opportunity is always sound.
 
 use crate::liveness::Liveness;
-use crate::pipeline::AnalysisPipeline;
+use crate::project::ProjectPipeline;
 use ddm_cppfront::ast::{
     Block, Expr, ExprKind, LocalInit, Stmt, StmtKind, TranslationUnit, Type, TypeKind,
 };
-use ddm_cppfront::print_unit;
+use ddm_cppfront::{parse, print_unit};
 use ddm_hierarchy::{MemberRef, Program};
 use ddm_telemetry::{EventClass, Telemetry};
 
@@ -71,19 +71,22 @@ impl std::fmt::Display for KeepReason {
 
 /// Eliminates eligible dead members from the analysed program.
 ///
+/// The pipeline keeps no syntax tree, so its one source is parsed
+/// again; only elimination pays for that second parse.
+///
 /// # Examples
 ///
 /// ```
-/// use ddm_core::{eliminate, AnalysisPipeline};
+/// use ddm_core::{eliminate, ProjectPipeline};
 ///
-/// let run = AnalysisPipeline::from_source(
+/// let run = ProjectPipeline::from_source(
 ///     "class A { public: int keep; int drop; };\n\
 ///      int main() { A a; a.drop = 9; return a.keep; }",
 /// )?;
 /// let result = eliminate(&run);
 /// assert_eq!(result.removed, vec!["A::drop"]);
 /// assert!(!result.source.contains("drop"));
-/// # Ok::<(), ddm_core::PipelineError>(())
+/// # Ok::<(), ddm_core::ProjectError>(())
 /// ```
 ///
 /// Eligibility rules (all must hold for a dead member `C::m`):
@@ -98,7 +101,12 @@ impl std::fmt::Display for KeepReason {
 /// 4. every assignment whose target accesses `m` is a statement by
 ///    itself (so it can be reduced to its right-hand side);
 /// 5. no pointer-to-member expression names `m`.
-pub fn eliminate(pipeline: &AnalysisPipeline) -> Elimination {
+///
+/// # Panics
+///
+/// If the run analysed more than one translation unit: elimination
+/// rewrites one source.
+pub fn eliminate(pipeline: &ProjectPipeline) -> Elimination {
     eliminate_with(pipeline, &Telemetry::disabled())
 }
 
@@ -107,13 +115,21 @@ pub fn eliminate(pipeline: &AnalysisPipeline) -> Elimination {
 /// analysed program and its liveness verdicts — all of them jobs- and
 /// cache-invariant — and its own output is sorted, so every elimination
 /// event is deterministic class.
-pub fn eliminate_with(pipeline: &AnalysisPipeline, telemetry: &Telemetry) -> Elimination {
+///
+/// # Panics
+///
+/// As [`eliminate`].
+pub fn eliminate_with(pipeline: &ProjectPipeline, telemetry: &Telemetry) -> Elimination {
     let program = pipeline.program();
-    let tu = pipeline.translation_unit();
     let liveness = pipeline.liveness();
+    let sources = pipeline.sources();
+    assert_eq!(sources.len(), 1, "elimination rewrites one source");
+    let map = sources.get(0).expect("one source");
+    let tu = parse(map.source())
+        .unwrap_or_else(|e| panic!("{} parsed once, so it reparses: {e}", map.name()));
 
     let mut scan = Scan::default();
-    scan.collect(tu);
+    scan.collect(&tu);
 
     let mut removed = Vec::new();
     let mut kept = Vec::new();
@@ -137,7 +153,7 @@ pub fn eliminate_with(pipeline: &AnalysisPipeline, telemetry: &Telemetry) -> Eli
         }
     }
 
-    let mut transformed = tu.clone();
+    let mut transformed = tu;
     let names: HashSet<String> = eliminable.keys().cloned().collect();
     for class in &mut transformed.classes {
         class.data_members.retain(|m| !names.contains(&m.name));
@@ -659,8 +675,8 @@ fn mutate_children(e: &mut Expr, mut f: impl FnMut(&mut Expr)) {
 mod tests {
     use super::*;
 
-    fn run_elimination(src: &str) -> (AnalysisPipeline, Elimination) {
-        let pipeline = AnalysisPipeline::from_source(src).expect("pipeline");
+    fn run_elimination(src: &str) -> (ProjectPipeline, Elimination) {
+        let pipeline = ProjectPipeline::from_source(src).expect("pipeline");
         let result = eliminate(&pipeline);
         (pipeline, result)
     }
@@ -674,7 +690,7 @@ mod tests {
         assert_eq!(r.removed, vec!["A::dead_field"]);
         assert!(!r.source.contains("dead_field"), "{}", r.source);
         // The transformed program still analyzes and has nothing dead.
-        let again = AnalysisPipeline::from_source(&r.source).expect("re-analyze");
+        let again = ProjectPipeline::from_source(&r.source).expect("re-analyze");
         assert!(again.report().dead_member_names().is_empty());
     }
 
@@ -703,7 +719,7 @@ mod tests {
         );
         assert_eq!(r.removed, vec!["A::ghost"]);
         assert!(!r.source.contains("ghost"), "{}", r.source);
-        assert!(AnalysisPipeline::from_source(&r.source).is_ok());
+        assert!(ProjectPipeline::from_source(&r.source).is_ok());
     }
 
     #[test]
@@ -714,7 +730,7 @@ mod tests {
         );
         assert_eq!(r.removed, vec!["A::drop_me"]);
         assert!(!r.source.contains("drop_me"));
-        let again = AnalysisPipeline::from_source(&r.source).expect("re-analyze");
+        let again = ProjectPipeline::from_source(&r.source).expect("re-analyze");
         assert_eq!(again.program().class_count(), 1);
     }
 
@@ -765,7 +781,7 @@ mod tests {
         );
         assert!(r.removed.contains(&"Node::stale_link".to_string()));
         assert!(r.source.contains("nullptr"), "{}", r.source);
-        assert!(AnalysisPipeline::from_source(&r.source).is_ok());
+        assert!(ProjectPipeline::from_source(&r.source).is_ok());
     }
 
     #[test]

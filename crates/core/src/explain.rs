@@ -280,13 +280,13 @@ fn resolve_spec(program: &Program, spec: &str) -> Result<MemberRef, ExplainError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::AnalysisPipeline;
+    use crate::project::ProjectPipeline;
 
-    fn run(src: &str) -> AnalysisPipeline {
-        AnalysisPipeline::from_source(src).expect("pipeline")
+    fn run(src: &str) -> ProjectPipeline {
+        ProjectPipeline::from_source(src).expect("pipeline")
     }
 
-    fn explain_run(run: &AnalysisPipeline, spec: &str) -> String {
+    fn explain_run(run: &ProjectPipeline, spec: &str) -> String {
         explain(run.program(), run.callgraph(), run.liveness(), spec).expect("explain")
     }
 

@@ -18,8 +18,9 @@
 //! * a union with one live member has all its contents livened;
 //! * `sizeof` is conservative by default and ignorable by policy.
 //!
-//! Use [`AnalysisPipeline`] for the one-call workflow, or compose
-//! [`DeadMemberAnalysis`] with your own
+//! Use [`ProjectPipeline`] for the one-call workflow — one source
+//! ([`ProjectPipeline::from_source`]) or many, optionally cached — or
+//! compose [`DeadMemberAnalysis`] with your own
 //! [`CallGraph`](ddm_callgraph::CallGraph) for ablations.
 
 pub mod analysis;
@@ -38,7 +39,7 @@ pub use eliminate::{eliminate, eliminate_with, Elimination, KeepReason};
 pub use epoch::{EpochCell, EpochSnapshot};
 pub use explain::{explain, witness_path, ExplainError};
 pub use liveness::{LiveReason, Liveness, LivenessParts, Origin};
-pub use pipeline::{AnalysisPipeline, Engine, PipelineError};
+pub use pipeline::{Engine, PipelineError};
 pub use project::{config_fingerprint, ProjectError, ProjectPipeline};
 pub use report::{render_analysis, ClassReport, Report};
 pub use serve::{serve, ServeOptions};

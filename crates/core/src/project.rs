@@ -1,13 +1,14 @@
-//! Multi-TU batch front end with incremental re-analysis.
+//! The analysis pipeline, with incremental re-analysis.
 //!
 //! [`ProjectPipeline`] accepts N named sources, runs the per-TU front
 //! end (parse → model → walk-once summary → [`TuModule`] extraction)
 //! on up to `jobs` worker threads, one TU at a time per worker, links
 //! the modules into one program ([`ddm_hierarchy::link`]), and drives
-//! the existing delta-fixpoint call graph and liveness over the linked
-//! result on the calling thread. The artifacts are bit-identical for
-//! every worker count, and to those of the single-TU
-//! [`AnalysisPipeline`](crate::AnalysisPipeline).
+//! the delta-fixpoint call graph and liveness over the linked result
+//! on the calling thread. The artifacts are bit-identical for every
+//! worker count. A single source is a one-TU project
+//! ([`ProjectPipeline::from_source`]); with one worker the front end
+//! runs on the calling thread too.
 //!
 //! With a cache directory, per-TU modules persist across runs keyed by
 //! the FNV-1a content hash of the TU source (plus a format version and
@@ -79,7 +80,7 @@ impl Error for ProjectError {
     }
 }
 
-/// A completed multi-TU analysis run.
+/// A completed analysis run over one or more translation units.
 ///
 /// Since the epoch refactor this is a thin handle over an immutable
 /// [`EpochSnapshot`] behind an `Arc`: one-shot callers keep the same
@@ -87,6 +88,19 @@ impl Error for ProjectError {
 /// snapshot itself ([`ProjectPipeline::snapshot`]) and publishes it
 /// from the builder thread to the protocol thread that answers
 /// queries.
+///
+/// # Examples
+///
+/// ```
+/// use ddm_core::ProjectPipeline;
+///
+/// let run = ProjectPipeline::from_source(
+///     "class A { public: int live; int dead; };\n\
+///      int main() { A a; a.dead = 1; return a.live; }",
+/// )?;
+/// assert_eq!(run.report().dead_member_names(), vec!["A::dead"]);
+/// # Ok::<(), ddm_core::ProjectError>(())
+/// ```
 #[derive(Debug)]
 pub struct ProjectPipeline {
     snapshot: Arc<EpochSnapshot>,
@@ -101,6 +115,17 @@ pub struct ProjectPipeline {
 pub fn config_fingerprint(algorithm: Algorithm) -> String {
     format!("v1;refine={}", u8::from(algorithm == Algorithm::Pta))
 }
+
+/// The file name a single-source run gives its one TU, which its
+/// errors name.
+const SOURCE_NAME: &str = "<source>";
+
+/// The stack size of every thread that analyses: the front-end workers
+/// and the serve builder. It matches the main thread's 8 MiB, so an
+/// input that analyses on the calling thread analyses on any thread;
+/// a spawned thread's 2 MiB default would overflow on deep recursion
+/// (a long flat expression) sooner.
+pub(crate) const ANALYSIS_STACK_BYTES: usize = 8 << 20;
 
 /// The cache file for a TU with the given source hash.
 fn cache_path(dir: &Path, source_hash: u64) -> PathBuf {
@@ -282,11 +307,46 @@ fn fixpoint_reusable(snap: &AnalysisSnapshot, delta: &LinkDelta, program: &Progr
 }
 
 impl ProjectPipeline {
-    /// Runs the multi-TU pipeline over `inputs` (name, source) pairs.
+    /// Analyses one source with the default configuration (RTA call
+    /// graph, conservative `sizeof`, conservative down-casts).
     ///
-    /// `jobs` is how many TUs the front end parses at once. The
-    /// whole-program steps after it (link, call graph, liveness) run on
-    /// the calling thread.
+    /// # Errors
+    ///
+    /// [`ProjectError::Tu`] for parse, semantic, or type failures.
+    pub fn from_source(source: &str) -> Result<ProjectPipeline, ProjectError> {
+        Self::with_config(source, AnalysisConfig::default(), Algorithm::Rta)
+    }
+
+    /// Analyses one source as a one-TU project: no cache, one front-end
+    /// job on the calling thread, and no telemetry. Call
+    /// [`ProjectPipeline::run`] to observe the run.
+    ///
+    /// # Errors
+    ///
+    /// [`ProjectError::Tu`] for parse, semantic, or type failures.
+    pub fn with_config(
+        source: &str,
+        config: AnalysisConfig,
+        algorithm: Algorithm,
+    ) -> Result<ProjectPipeline, ProjectError> {
+        let inputs = [(SOURCE_NAME.to_string(), source.to_string())];
+        Self::run(
+            &inputs,
+            config,
+            algorithm,
+            1,
+            Engine::Summary,
+            None,
+            &Telemetry::disabled(),
+        )
+    }
+
+    /// Runs the pipeline over `inputs` (name, source) pairs.
+    ///
+    /// `jobs` is how many TUs the front end parses at once; with one
+    /// worker (`min(jobs, TUs to parse) == 1`) it runs on the calling
+    /// thread. The whole-program steps after it (link, call graph,
+    /// liveness) always run on the calling thread.
     ///
     /// `cache_dir`, when set, enables the persistent module cache:
     /// entries are looked up by content hash before the per-TU front end
@@ -503,7 +563,8 @@ impl ProjectPipeline {
 
         // --- Per-TU front end, sharded across the worker pool. Results
         // land in input order; the first error by input index wins, no
-        // matter which worker hit it first. ---
+        // matter which worker hit it first. One worker runs inline on
+        // the calling thread, so a single-file run spawns nothing. ---
         let todo: Vec<usize> = (0..inputs.len()).filter(|&i| modules[i].is_none()).collect();
         let mut parsed: Vec<Option<Program>> = inputs.iter().map(|_| None).collect();
         {
@@ -518,32 +579,38 @@ impl ProjectPipeline {
             type TuOutcome = Result<(TuModule, Program), PipelineError>;
             let slots: Vec<Mutex<Option<TuOutcome>>> =
                 todo.iter().map(|_| Mutex::new(None)).collect();
+            let work = |lane: u32| loop {
+                let n = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&i) = todo.get(n) else {
+                    break;
+                };
+                let (file, source) = &inputs[i];
+                let _tu_span = telemetry.span(lane, || format!("tu {file}"));
+                let outcome = (|| {
+                    let unit = parse(source)?;
+                    let program = Program::build(&unit)?;
+                    let summary = ProgramSummary::build(&program, refine, 1);
+                    let map = SourceMap::new(file.clone(), source.clone());
+                    let module = TuModule::extract(&unit, &program, &summary, &map);
+                    Ok((module, program))
+                })();
+                *slots[n].lock().expect("tu slot poisoned") = Some(outcome);
+            };
 
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let lane = u32::try_from(w + 1).unwrap_or(u32::MAX);
-                    let next = &next;
-                    let slots = &slots;
-                    let todo = &todo;
-                    scope.spawn(move || loop {
-                        let n = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = todo.get(n) else {
-                            break;
-                        };
-                        let (file, source) = &inputs[i];
-                        let _tu_span = telemetry.span(lane, || format!("tu {file}"));
-                        let outcome = (|| {
-                            let unit = parse(source)?;
-                            let program = Program::build(&unit)?;
-                            let summary = ProgramSummary::build(&program, refine, 1);
-                            let map = SourceMap::new(file.clone(), source.clone());
-                            let module = TuModule::extract(&unit, &program, &summary, &map);
-                            Ok((module, program))
-                        })();
-                        *slots[n].lock().expect("tu slot poisoned") = Some(outcome);
-                    });
-                }
-            });
+            if workers == 1 {
+                work(LANE_MAIN);
+            } else {
+                std::thread::scope(|scope| {
+                    for w in 0..workers {
+                        let lane = u32::try_from(w + 1).unwrap_or(u32::MAX);
+                        let work = &work;
+                        std::thread::Builder::new()
+                            .stack_size(ANALYSIS_STACK_BYTES)
+                            .spawn_scoped(scope, move || work(lane))
+                            .expect("spawn a front-end worker");
+                    }
+                });
+            }
 
             for (n, slot) in slots.into_iter().enumerate() {
                 let i = todo[n];
@@ -666,8 +733,7 @@ impl ProjectPipeline {
             debug_assert_eq!(linked.summary().globals().ok(), fresh.globals().ok());
         }
 
-        // --- Whole-program phases on the linked model, identical to the
-        // single-TU pipeline. ---
+        // --- Whole-program phases on the linked model. ---
         let program = linked.program();
         let attribute = |e: TypeError| -> ProjectError {
             let file = linked
@@ -895,16 +961,50 @@ public:
     }
 
     #[test]
-    fn single_tu_project_matches_the_single_tu_pipeline() {
-        let src = format!("{HEADER}int main() {{ Sensor s(4); return s.read(); }}");
-        let single = crate::AnalysisPipeline::from_source(&src)
-            .unwrap()
-            .report()
-            .to_string();
-        let project = run(&[("one.cpp".to_string(), src)], 1, None)
-            .report()
-            .to_string();
-        assert_eq!(project, single);
+    fn one_source_runs_as_a_one_tu_project() {
+        let run = ProjectPipeline::from_source(
+            "class A { public: int live; int dead; };\n\
+             int main() { A a; return a.live; }",
+        )
+        .unwrap();
+        assert_eq!(run.report().dead_member_names(), vec!["A::dead"]);
+        assert!(run.callgraph().reachable_count() >= 1);
+        assert_eq!(run.used().len(), 1);
+        assert_eq!(run.files(), [SOURCE_NAME]);
+    }
+
+    /// The per-TU error of a failing single-source run, which must name
+    /// the one TU.
+    fn single_source_error(source: &str) -> PipelineError {
+        match ProjectPipeline::from_source(source).unwrap_err() {
+            ProjectError::Tu { file, error } => {
+                assert_eq!(file, SOURCE_NAME);
+                error
+            }
+            other => panic!("expected a TU error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn parse_errors_propagate() {
+        let src = "class {";
+        assert!(matches!(single_source_error(src), PipelineError::Parse(_)));
+        let shown = ProjectPipeline::from_source(src).unwrap_err().to_string();
+        let expected = format!("{SOURCE_NAME}: parse error");
+        assert!(shown.starts_with(&expected), "{shown}");
+    }
+
+    #[test]
+    fn sema_errors_propagate() {
+        let src = "class A { public: int x; int x; }; int main() { return 0; }";
+        assert!(matches!(single_source_error(src), PipelineError::Sema(_)));
+    }
+
+    #[test]
+    fn type_errors_propagate() {
+        let err = single_source_error("int main() { return mystery; }");
+        assert!(matches!(err, PipelineError::Type(_)));
+        assert!(err.source().is_some());
     }
 
     #[test]

@@ -95,16 +95,16 @@ pub struct ClassReport {
 /// # Examples
 ///
 /// ```
-/// use ddm_core::AnalysisPipeline;
+/// use ddm_core::ProjectPipeline;
 ///
-/// let run = AnalysisPipeline::from_source(
+/// let run = ProjectPipeline::from_source(
 ///     "class A { public: int live; int dead; };\n\
 ///      int main() { A a; return a.live; }",
 /// )?;
 /// let report = run.report();
 /// assert_eq!(report.dead_percentage(), 50.0);
 /// assert_eq!(report.used_class_count(), 1);
-/// # Ok::<(), ddm_core::PipelineError>(())
+/// # Ok::<(), ddm_core::ProjectError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
@@ -282,7 +282,7 @@ impl fmt::Display for Report {
 mod tests {
     use super::*;
     use crate::analysis::AnalysisConfig;
-    use crate::pipeline::AnalysisPipeline;
+    use crate::project::ProjectPipeline;
     use ddm_callgraph::Algorithm;
 
     fn report(src: &str) -> Report {
@@ -290,7 +290,7 @@ mod tests {
     }
 
     fn report_with(src: &str, config: AnalysisConfig) -> Report {
-        AnalysisPipeline::with_config(src, config, Algorithm::Rta)
+        ProjectPipeline::with_config(src, config, Algorithm::Rta)
             .expect("pipeline")
             .report()
     }
@@ -354,13 +354,13 @@ mod tests {
 
 #[cfg(test)]
 mod weighted_tests {
-    use crate::pipeline::AnalysisPipeline;
+    use crate::project::ProjectPipeline;
 
     #[test]
     fn weighted_percentage_accounts_for_member_sizes() {
         // One dead double (8 bytes) vs one live char (1 byte):
         // unweighted = 50%, weighted = 8/9 ≈ 88.9%.
-        let run = AnalysisPipeline::from_source(
+        let run = ProjectPipeline::from_source(
             "class A { public: double heavy_dead; char light_live; };\n\
              int main() { A a; a.heavy_dead = 1.0; return a.light_live; }",
         )
@@ -373,7 +373,7 @@ mod weighted_tests {
 
     #[test]
     fn weighted_percentage_is_zero_without_members() {
-        let run = AnalysisPipeline::from_source("int main() { return 0; }").unwrap();
+        let run = ProjectPipeline::from_source("int main() { return 0; }").unwrap();
         let report = run.report();
         assert_eq!(
             report.weighted_dead_percentage(run.program(), run.liveness()),

@@ -52,7 +52,7 @@
 use crate::analysis::AnalysisConfig;
 use crate::epoch::EpochCell;
 use crate::pipeline::Engine;
-use crate::project::ProjectPipeline;
+use crate::project::{ProjectPipeline, ANALYSIS_STACK_BYTES};
 use ddm_callgraph::Algorithm;
 use ddm_telemetry::{json, EventClass, Telemetry};
 use std::io::{BufRead, Write};
@@ -333,20 +333,23 @@ pub fn serve(
     std::thread::scope(|scope| -> Result<(), String> {
         // Builder: the only thread that runs the pipeline or stores the
         // cell. Processes jobs in order; each success publishes the
-        // next epoch.
-        scope.spawn(move || {
-            while let Ok(job) = build_rx.recv() {
-                let result = run_build_isolated(opts, &job.files, shared);
-                if let Err(e) = &result {
-                    shared.last_build.lock().expect("build info poisoned").error =
-                        Some(e.clone());
+        // next epoch. It analyses, so it gets the main thread's stack.
+        std::thread::Builder::new()
+            .stack_size(ANALYSIS_STACK_BYTES)
+            .spawn_scoped(scope, move || {
+                while let Ok(job) = build_rx.recv() {
+                    let result = run_build_isolated(opts, &job.files, shared);
+                    if let Err(e) = &result {
+                        shared.last_build.lock().expect("build info poisoned").error =
+                            Some(e.clone());
+                    }
+                    shared.pending_builds.fetch_sub(1, Ordering::SeqCst);
+                    if let Some(done) = job.done {
+                        let _ = done.send(result);
+                    }
                 }
-                shared.pending_builds.fetch_sub(1, Ordering::SeqCst);
-                if let Some(done) = job.done {
-                    let _ = done.send(result);
-                }
-            }
-        });
+            })
+            .map_err(|e| format!("cannot spawn the builder: {e}"))?;
 
         let mut output = output;
         let mut files: Vec<String> = Vec::new();

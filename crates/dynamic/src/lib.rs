@@ -14,12 +14,12 @@
 //! # Examples
 //!
 //! ```
-//! use ddm_core::AnalysisPipeline;
+//! use ddm_core::ProjectPipeline;
 //! use ddm_dynamic::{profile_trace, Interpreter, RunConfig};
 //!
 //! let src = "class Pair { public: int used; int unused; };\n\
 //!            int main() { Pair* p = new Pair(); int v = p->used; delete p; return v; }";
-//! let analysis = AnalysisPipeline::from_source(src)?;
+//! let analysis = ProjectPipeline::from_source(src)?;
 //! let exec = Interpreter::new(analysis.program()).run(&RunConfig::default())?;
 //! let profile = profile_trace(analysis.program(), &exec.trace, analysis.liveness());
 //! assert_eq!(profile.dead_space_percentage(), 50.0);

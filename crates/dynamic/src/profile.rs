@@ -82,11 +82,11 @@ impl HeapProfile {
 ///
 /// ```
 /// use ddm_dynamic::{profile_trace, Interpreter, RunConfig};
-/// use ddm_core::AnalysisPipeline;
+/// use ddm_core::ProjectPipeline;
 ///
 /// let src = "class A { public: int live; int dead; };\n\
 ///            int main() { A* a = new A(); int v = a->live; delete a; return v; }";
-/// let run = AnalysisPipeline::from_source(src)?;
+/// let run = ProjectPipeline::from_source(src)?;
 /// let exec = Interpreter::new(run.program()).run(&RunConfig::default()).unwrap();
 /// let profile = profile_trace(run.program(), &exec.trace, run.liveness());
 /// assert_eq!(profile.object_space, 8);
@@ -131,10 +131,10 @@ pub fn profile_trace(program: &Program, trace: &HeapTrace, liveness: &Liveness) 
 mod tests {
     use super::*;
     use crate::interp::{Interpreter, RunConfig};
-    use ddm_core::AnalysisPipeline;
+    use ddm_core::ProjectPipeline;
 
     fn profile(src: &str) -> HeapProfile {
-        let run = AnalysisPipeline::from_source(src).expect("pipeline");
+        let run = ProjectPipeline::from_source(src).expect("pipeline");
         let exec = Interpreter::new(run.program())
             .run(&RunConfig::default())
             .expect("run");

@@ -36,7 +36,6 @@ use crate::typewalk::{
 };
 use ddm_cppfront::ast::{CastStyle, Type, TypeKind};
 use ddm_cppfront::Span;
-use ddm_telemetry::{Telemetry, LANE_MAIN};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Dense program-wide numbering of every data member.
@@ -373,18 +372,7 @@ impl ProgramSummary {
     /// parameter stays until the repository benchmark, which passes it,
     /// is next changed.
     pub fn build(program: &Program, refine_receivers: bool, _jobs: usize) -> ProgramSummary {
-        Self::build_with(program, refine_receivers, &Telemetry::disabled())
-    }
-
-    /// [`ProgramSummary::build`] with telemetry: the extraction phase is
-    /// spanned on the main lane.
-    pub fn build_with(
-        program: &Program,
-        refine_receivers: bool,
-        telemetry: &Telemetry,
-    ) -> ProgramSummary {
         let n = program.function_count();
-        let _extraction = telemetry.span(LANE_MAIN, || format!("summary extraction ({n} fns)"));
         let lookup = MemberLookup::new(program);
         let functions: Vec<Result<FnSummary, TypeError>> = (0..n)
             .map(|i| extract_function(program, &lookup, FuncId::from_index(i), refine_receivers))

@@ -19,11 +19,11 @@
 //!
 //! ```
 //! use ddm_callgraph::Algorithm;
-//! use ddm_core::{AnalysisConfig, AnalysisPipeline};
+//! use ddm_core::{AnalysisConfig, ProjectPipeline};
 //!
 //! let source = "class A { public: int used; int written_only; };\n\
 //!               int main() { A a; a.written_only = 4; return a.used; }";
-//! let product = AnalysisPipeline::from_source(source).unwrap();
+//! let product = ProjectPipeline::from_source(source).unwrap();
 //! let oracle = ddm_oracle::analyze(product.program(), &AnalysisConfig::default(), Algorithm::Rta)
 //!     .unwrap();
 //! assert_eq!(oracle.liveness, *product.liveness());

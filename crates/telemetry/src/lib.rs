@@ -162,7 +162,7 @@ impl Counters {
 /// for cross-configuration equality.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Requested front-end worker count (single-TU runs: 1).
+    /// Requested front-end worker count.
     pub jobs: u64,
     /// Function/global bodies traversed (AST walks).
     pub bodies_walked: u64,
@@ -175,7 +175,7 @@ pub struct ExecStats {
     /// Pending-dispatch worklist registrations in the summary call-graph
     /// builder.
     pub worklist_pushes: u64,
-    /// Translation units in the project (multi-TU runs; single-TU: 0).
+    /// Translation units in the project.
     pub tu_modules: u64,
     /// Per-TU summary modules served from the persistent cache.
     pub tu_cache_hits: u64,
@@ -192,10 +192,10 @@ pub struct ExecStats {
     pub cg_arena_bytes: u64,
     /// Distinct function-name symbols interned for dispatch caching.
     pub cg_interned_symbols: u64,
-    /// Project front-end wall time (hashing, cache probes, parsing,
-    /// summarizing, write-back) in nanoseconds. Single-TU runs: 0.
+    /// Front-end wall time (hashing, cache probes, parsing,
+    /// summarizing, write-back) in nanoseconds.
     pub frontend_ns: u64,
-    /// Link phase wall time in nanoseconds (project runs only).
+    /// Link phase wall time in nanoseconds.
     pub link_ns: u64,
     /// Call-graph phase wall time in nanoseconds (a replayed fixpoint's
     /// replay time on a snapshot warm start).

@@ -8,7 +8,7 @@
 //! cargo run --example library_audit
 //! ```
 
-use dead_data_members::analysis::{AnalysisConfig, AnalysisPipeline};
+use dead_data_members::analysis::{AnalysisConfig, ProjectPipeline};
 use dead_data_members::callgraph::Algorithm;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             return report_clicks(&w);
         }
     "#;
-    let run = AnalysisPipeline::with_config(
+    let run = ProjectPipeline::with_config(
         source,
         AnalysisConfig {
             library_classes: ["LibWidget".to_string()].into_iter().collect(),

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Re-analyze and re-run the optimized program.
-    let after = AnalysisPipeline::from_source(&result.source)?;
+    let after = ProjectPipeline::from_source(&result.source)?;
     let exec_after = Interpreter::new(after.program()).run(&RunConfig::default())?;
     let profile_after = profile_trace(after.program(), &exec_after.trace, after.liveness());
 

@@ -45,7 +45,7 @@ const FIGURE_1: &str = r#"
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let run = AnalysisPipeline::from_source(FIGURE_1)?;
+    let run = ProjectPipeline::from_source(FIGURE_1)?;
     let report = run.report();
     println!("{report}");
 

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One call runs the whole pipeline: parse -> semantic model -> RTA
     // call graph -> dead-member analysis -> used classes.
-    let run = AnalysisPipeline::from_source(source)?;
+    let run = ProjectPipeline::from_source(source)?;
     let report = run.report();
 
     println!("{report}");

@@ -5,8 +5,8 @@
 //! parser cannot drift apart.
 
 use dead_data_members::analysis::{
-    eliminate_with, explain, render_analysis, serve, AnalysisConfig, AnalysisPipeline, Engine,
-    ProjectPipeline, ServeOptions, SizeofPolicy,
+    eliminate_with, explain, render_analysis, serve, AnalysisConfig, Engine, ProjectPipeline,
+    ServeOptions, SizeofPolicy,
 };
 use dead_data_members::callgraph::Algorithm;
 use dead_data_members::dynamic::{profile_trace, Interpreter, RunConfig};
@@ -26,7 +26,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--jobs",
         "<N>",
-        "parse up to N TUs at once in project and serve runs (deterministic; default 1)",
+        "parse up to N TUs at once (deterministic; default 1)",
     ),
     (
         "--library",
@@ -407,9 +407,13 @@ fn analysis_config(opts: &Options) -> AnalysisConfig {
     }
 }
 
-/// Multi-file (or cached) mode: the batch front end with the persistent
-/// summary cache.
-fn run_project(opts: &Options, telemetry: &Telemetry) -> ExitCode {
+/// Analyses the input files as one project — a single file is a
+/// one-TU project — then prints the report or the `--explain` text and
+/// serves `--run`, `--profile` and `--eliminate`. Those three need the
+/// parsed bodies of one input, so `parse_args` rejects them with
+/// several inputs or a `--cache-dir` (a cache-warm TU's bodies are
+/// stand-ins).
+fn run(opts: &Options, telemetry: &Telemetry) -> ExitCode {
     let mut inputs = Vec::with_capacity(opts.files.len());
     for file in &opts.files {
         match std::fs::read_to_string(file) {
@@ -421,71 +425,13 @@ fn run_project(opts: &Options, telemetry: &Telemetry) -> ExitCode {
         }
     }
 
-    let project = match ProjectPipeline::run(
+    let pipeline = match ProjectPipeline::run(
         &inputs,
         analysis_config(opts),
         opts.algorithm,
         opts.jobs,
         Engine::Summary,
         opts.cache_dir.as_deref().map(std::path::Path::new),
-        telemetry,
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(spec) = &opts.explain_spec {
-        match explain(project.program(), project.callgraph(), project.liveness(), spec) {
-            Ok(text) => {
-                print!("{text}");
-                return ExitCode::SUCCESS;
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let report_span = telemetry.span(dead_data_members::telemetry::LANE_MAIN, || {
-        "report".to_string()
-    });
-    let report = project.report();
-    print!(
-        "{}",
-        render_analysis(
-            project.program(),
-            project.callgraph(),
-            project.liveness(),
-            &report,
-            opts.layout,
-        )
-    );
-    drop(report_span);
-
-    ExitCode::SUCCESS
-}
-
-fn run(opts: &Options, telemetry: &Telemetry) -> ExitCode {
-    if opts.files.len() > 1 || opts.cache_dir.is_some() {
-        return run_project(opts, telemetry);
-    }
-    let file = &opts.files[0];
-    let source = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let pipeline = match AnalysisPipeline::with_config_telemetry(
-        &source,
-        analysis_config(opts),
-        opts.algorithm,
         telemetry,
     ) {
         Ok(p) => p,

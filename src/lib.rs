@@ -33,7 +33,7 @@
 //!     };
 //!     int main() { Point p(3, 4); return p.sum(); }
 //! "#;
-//! let analysis = AnalysisPipeline::from_source(source)?;
+//! let analysis = ProjectPipeline::from_source(source)?;
 //! let report = analysis.report();
 //! assert_eq!(report.dead_member_names(), vec!["Point::tag"]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -51,8 +51,8 @@ pub use ddm_telemetry as telemetry;
 pub mod prelude {
     pub use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
     pub use ddm_core::{
-        explain, AnalysisConfig, AnalysisPipeline, DeadMemberAnalysis, Engine, Liveness, Origin,
-        Report, SizeofPolicy,
+        explain, AnalysisConfig, DeadMemberAnalysis, Engine, Liveness, Origin, ProjectError,
+        ProjectPipeline, Report, SizeofPolicy,
     };
     pub use ddm_cppfront::{parse, TranslationUnit};
     pub use ddm_dynamic::{HeapProfile, Interpreter, RunConfig};

@@ -3,12 +3,12 @@
 //! *increase* the dead-member count, never decrease it:
 //! dead(everything) ⊆ dead(CHA) ⊆ dead(RTA).
 
-use dead_data_members::analysis::{AnalysisConfig, AnalysisPipeline, SizeofPolicy};
+use dead_data_members::analysis::{AnalysisConfig, ProjectPipeline, SizeofPolicy};
 use dead_data_members::callgraph::Algorithm;
 use std::collections::BTreeSet;
 
 fn dead_set(source: &str, algorithm: Algorithm) -> BTreeSet<String> {
-    let run = AnalysisPipeline::with_config(
+    let run = ProjectPipeline::with_config(
         source,
         AnalysisConfig {
             assume_safe_downcasts: true,
@@ -78,7 +78,7 @@ fn rta_beats_cha_when_a_subclass_is_never_instantiated() {
         int main() { B b; A* ap = &b; return ap->f(); }
     "#;
     let m3_of = |algorithm| {
-        let run = dead_data_members::analysis::AnalysisPipeline::with_config(
+        let run = dead_data_members::analysis::ProjectPipeline::with_config(
             source,
             Default::default(),
             algorithm,

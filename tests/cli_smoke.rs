@@ -97,6 +97,19 @@ fn parse_errors_are_reported_not_panicked() {
 }
 
 #[test]
+fn single_file_parse_errors_name_the_file() {
+    // A single file runs as a one-TU project, so its errors name the
+    // file exactly as a several-file run's do.
+    let src = write_temp("bad_named", "class {{{{");
+    let out = ddm().arg(&src).output().expect("run ddm");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let expected = format!("error: {}: parse error: ", src.display());
+    assert!(stderr.starts_with(&expected), "{stderr}");
+    let _ = std::fs::remove_file(&src);
+}
+
+#[test]
 fn help_lists_every_flag_from_the_table() {
     let out = ddm().arg("--help").output().expect("run ddm");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -543,7 +556,7 @@ fn explain_is_identical_across_engines_via_cli() {
     use dead_data_members::prelude::*;
 
     let src = write_temp("explain_engines", SAMPLE);
-    let run = AnalysisPipeline::from_source(SAMPLE).expect("pipeline");
+    let run = ProjectPipeline::from_source(SAMPLE).expect("pipeline");
     let program = run.program();
     let config = ddm_bench::suite_analysis_config();
     let oracle = ddm_oracle::analyze(program, &config, Algorithm::Rta).expect("oracle");

@@ -18,7 +18,7 @@ fn eliminating_dead_members_preserves_suite_behaviour() {
         let profile_before = profile_trace(before.program(), &exec_before.trace, before.liveness());
 
         let result = eliminate(&before);
-        let after = AnalysisPipeline::from_source(&result.source)
+        let after = ProjectPipeline::from_source(&result.source)
             .unwrap_or_else(|e| panic!("{}: transformed source rejected: {e}", b.name));
         let exec_after = Interpreter::new(after.program())
             .run(&RunConfig::default())
@@ -61,7 +61,7 @@ fn elimination_is_idempotent_on_the_suite() {
     for b in dead_data_members::benchmarks::suite() {
         let first = b.analyze().unwrap();
         let r1 = eliminate(&first);
-        let second = AnalysisPipeline::from_source(&r1.source).unwrap();
+        let second = ProjectPipeline::from_source(&r1.source).unwrap();
         let r2 = eliminate(&second);
         for name in &r2.removed {
             assert!(

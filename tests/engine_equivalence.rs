@@ -27,14 +27,24 @@ const ALGORITHMS: [Algorithm; 4] = [
 ];
 
 /// Asserts that the product and the oracle agree on every observable
-/// for one (source, config, algorithm) triple.
+/// for one (source, config, algorithm) triple. The oracle builds its
+/// own model straight from the parse, so the product's link step is
+/// inside the checked path.
 fn assert_engines_agree(label: &str, source: &str, config: &AnalysisConfig, algorithm: Algorithm) {
     let telemetry = Telemetry::enabled();
-    let product =
-        AnalysisPipeline::with_config_telemetry(source, config.clone(), algorithm, &telemetry)
-            .unwrap_or_else(|e| panic!("{label}: product failed: {e}"));
+    let product = ProjectPipeline::run(
+        &[("input.cpp".to_string(), source.to_string())],
+        config.clone(),
+        algorithm,
+        1,
+        Engine::Summary,
+        None,
+        &telemetry,
+    )
+    .unwrap_or_else(|e| panic!("{label}: product failed: {e}"));
     let program = product.program();
-    let oracle = ddm_oracle::analyze(program, config, algorithm)
+    let built = Program::build(&parse(source).expect("parse")).expect("sema");
+    let oracle = ddm_oracle::analyze(&built, config, algorithm)
         .unwrap_or_else(|e| panic!("{label}: oracle failed: {e}"));
     assert_eq!(
         *product.liveness(),
@@ -53,15 +63,15 @@ fn assert_engines_agree(label: &str, source: &str, config: &AnalysisConfig, algo
     );
     assert_eq!(
         product.report().to_string(),
-        oracle.report(program).to_string(),
+        oracle.report(&built).to_string(),
         "{label}: rendered report diverged ({algorithm})"
     );
-    for (_, class) in program.classes() {
+    for (_, class) in built.classes() {
         for member in &class.members {
             let spec = format!("{}::{}", class.name, member.name);
             assert_eq!(
                 explain(program, product.callgraph(), product.liveness(), &spec),
-                oracle.explain(program, &spec),
+                oracle.explain(&built, &spec),
                 "{label}: explanation of {spec} diverged ({algorithm})"
             );
         }
@@ -222,7 +232,7 @@ fn engines_agree_on_library_callback_roots() {
     for algorithm in ALGORITHMS {
         assert_engines_agree("library roots", src, &config, algorithm);
     }
-    let run = AnalysisPipeline::with_config(src, config, Algorithm::Rta).expect("pipeline");
+    let run = ProjectPipeline::with_config(src, config, Algorithm::Rta).expect("pipeline");
     let p = run.program();
     let on_click = p
         .direct_method(p.class_by_name("MyButton").unwrap(), "on_click")
@@ -242,7 +252,7 @@ fn used_classes_match_the_walking_computation() {
          G g;\n\
          void never_called() { Derived d; }\n\
          int main() { L l; H* h = new H(); delete h; return 0; }";
-    let run = AnalysisPipeline::from_source(src).expect("pipeline");
+    let run = ProjectPipeline::from_source(src).expect("pipeline");
     let walked = ddm_oracle::used_classes(run.program()).expect("walk");
     assert_eq!(*run.used(), walked);
     assert_eq!(walked.len(), 5, "L, H, G, Base and Derived are used");

@@ -54,7 +54,7 @@ fn member(p: &Program, class: &str, name: &str) -> MemberRef {
 
 #[test]
 fn paper_walkthrough_classification() {
-    let run = AnalysisPipeline::from_source(FIGURE_1).expect("pipeline");
+    let run = ProjectPipeline::from_source(FIGURE_1).expect("pipeline");
     let p = run.program();
     let l = run.liveness();
 
@@ -94,7 +94,7 @@ fn paper_walkthrough_classification() {
 fn figure1_call_graph_is_the_papers() {
     // "the call graph consists of the methods A::f, B::f, and C::f in
     // addition to main" (§3.1).
-    let run = AnalysisPipeline::from_source(FIGURE_1).expect("pipeline");
+    let run = ProjectPipeline::from_source(FIGURE_1).expect("pipeline");
     let p = run.program();
     let g = run.callgraph();
     assert_eq!(g.reachable_count(), 5); // main, foo, A::f, B::f, C::f
@@ -108,7 +108,7 @@ fn figure1_call_graph_is_the_papers() {
 
 #[test]
 fn figure1_executes_and_oracle_is_consistent() {
-    let run = AnalysisPipeline::from_source(FIGURE_1).expect("pipeline");
+    let run = ProjectPipeline::from_source(FIGURE_1).expect("pipeline");
     let exec = Interpreter::new(run.program())
         .run(&RunConfig::default())
         .expect("runs");

@@ -49,6 +49,21 @@ fn record_project(
     Ok((telemetry, pipeline))
 }
 
+/// Runs one source as a one-TU project under `telemetry`.
+fn run_source(source: &str, telemetry: &Telemetry) -> ProjectPipeline {
+    let inputs = [("input.cpp".to_string(), source.to_string())];
+    ProjectPipeline::run(
+        &inputs,
+        AnalysisConfig::default(),
+        Algorithm::Rta,
+        1,
+        Engine::Summary,
+        None,
+        telemetry,
+    )
+    .expect("pipeline")
+}
+
 fn temp_cache(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ddm_fr_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -181,25 +196,12 @@ fn tu_summary_size_histogram_is_cache_invariant() {
 fn recording_changes_no_output_and_no_counters() {
     for b in suite() {
         let (name, source) = (b.name, b.source);
-        let plain =
-            AnalysisPipeline::with_config(source, AnalysisConfig::default(), Algorithm::Rta)
-                .expect("pipeline");
+        let plain = ProjectPipeline::with_config(source, AnalysisConfig::default(), Algorithm::Rta)
+            .expect("pipeline");
         let baseline = Telemetry::enabled();
-        AnalysisPipeline::with_config_telemetry(
-            source,
-            AnalysisConfig::default(),
-            Algorithm::Rta,
-            &baseline,
-        )
-        .expect("pipeline");
+        run_source(source, &baseline);
         let recording = Telemetry::recording();
-        let observed = AnalysisPipeline::with_config_telemetry(
-            source,
-            AnalysisConfig::default(),
-            Algorithm::Rta,
-            &recording,
-        )
-        .expect("pipeline");
+        let observed = run_source(source, &recording);
         assert_eq!(
             plain.report().to_string(),
             observed.report().to_string(),
@@ -260,13 +262,7 @@ fn chrome_trace_names_lanes_and_logs_cache_probes() {
 fn event_classes_are_cleanly_tagged_and_filterable() {
     let source = suite()[0].source;
     let telemetry = Telemetry::recording();
-    AnalysisPipeline::with_config_telemetry(
-        source,
-        AnalysisConfig::default(),
-        Algorithm::Rta,
-        &telemetry,
-    )
-    .expect("pipeline");
+    run_source(source, &telemetry);
     let det = telemetry.events_ndjson(Some(EventClass::Deterministic));
     let obs = telemetry.events_ndjson(Some(EventClass::Observational));
     let all = telemetry.events_ndjson(None);

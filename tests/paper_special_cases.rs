@@ -1,18 +1,18 @@
 //! Every special case of the paper's algorithm, exercised end-to-end
 //! through the public pipeline (§3, §3.2, §3.3, footnotes included).
 
-use dead_data_members::analysis::{AnalysisConfig, AnalysisPipeline, SizeofPolicy};
+use dead_data_members::analysis::{AnalysisConfig, ProjectPipeline, SizeofPolicy};
 use dead_data_members::callgraph::Algorithm;
 
 fn dead(src: &str) -> Vec<String> {
-    AnalysisPipeline::from_source(src)
+    ProjectPipeline::from_source(src)
         .expect("pipeline")
         .report()
         .dead_member_names()
 }
 
 fn dead_with(src: &str, config: AnalysisConfig) -> Vec<String> {
-    AnalysisPipeline::with_config(src, config, Algorithm::Rta)
+    ProjectPipeline::with_config(src, config, Algorithm::Rta)
         .expect("pipeline")
         .report()
         .dead_member_names()

@@ -42,7 +42,7 @@ fn cases(n: usize, stream_seed: u64) -> Vec<(GeneratorConfig, u64)> {
 fn generated_programs_are_accepted_end_to_end() {
     for (config, seed) in cases(48, 0xE2E) {
         let src = generate(&config, seed);
-        let run = AnalysisPipeline::from_source(&src)
+        let run = ProjectPipeline::from_source(&src)
             .unwrap_or_else(|e| panic!("pipeline failed: {e}\n{src}"));
         let exec = Interpreter::new(run.program())
             .run(&RunConfig::default())
@@ -55,7 +55,7 @@ fn generated_programs_are_accepted_end_to_end() {
 fn analysis_is_sound_against_the_interpreter() {
     for (config, seed) in cases(48, 0x50BE) {
         let src = generate(&config, seed);
-        let run = AnalysisPipeline::from_source(&src).expect("pipeline");
+        let run = ProjectPipeline::from_source(&src).expect("pipeline");
         let exec = Interpreter::new(run.program())
             .run(&RunConfig::default())
             .expect("run");
@@ -74,7 +74,7 @@ fn pta_refinement_is_also_sound() {
     // never prune one the interpreter actually reaches.
     for (config, seed) in cases(48, 0x97A) {
         let src = generate(&config, seed);
-        let run = AnalysisPipeline::with_config(&src, Default::default(), Algorithm::Pta)
+        let run = ProjectPipeline::with_config(&src, Default::default(), Algorithm::Pta)
             .expect("pipeline");
         let exec = Interpreter::new(run.program())
             .run(&RunConfig::default())
@@ -172,10 +172,10 @@ fn split_into_tus(src: &str) -> Vec<(String, String)> {
 fn parallel_analysis_matches_sequential_on_generated_programs() {
     // Differential property over random programs: split into TUs and
     // run through the parallel per-TU front end, every worker count must
-    // reproduce the sequential single-TU pipeline's report bit-for-bit.
+    // reproduce the whole program's one-TU report bit-for-bit.
     for (config, seed) in cases(24, 0x7A12) {
         let src = generate(&config, seed);
-        let sequential = AnalysisPipeline::from_source(&src).expect("pipeline");
+        let sequential = ProjectPipeline::from_source(&src).expect("pipeline");
         let inputs = split_into_tus(&src);
         assert!(
             inputs.len() >= 2,
@@ -254,7 +254,7 @@ fn liveness_is_monotone_in_callgraph_precision() {
         let src = generate(&config, seed);
         let dead = |alg| {
             let run =
-                AnalysisPipeline::with_config(&src, Default::default(), alg).expect("pipeline");
+                ProjectPipeline::with_config(&src, Default::default(), alg).expect("pipeline");
             run.report().dead_member_names().len()
         };
         let everything = dead(Algorithm::Everything);
@@ -269,7 +269,7 @@ fn profile_is_consistent_for_generated_programs() {
     use dead_data_members::dynamic::profile_trace;
     for (config, seed) in cases(48, 0xF00D) {
         let src = generate(&config, seed);
-        let run = AnalysisPipeline::from_source(&src).expect("pipeline");
+        let run = ProjectPipeline::from_source(&src).expect("pipeline");
         let exec = Interpreter::new(run.program())
             .run(&RunConfig::default())
             .expect("run");

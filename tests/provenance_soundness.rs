@@ -11,7 +11,7 @@ use dead_data_members::prelude::*;
 /// then on the `ddm-oracle` reference's over the same program, passing
 /// which of the two it is.
 fn each_engine(source: &str, check: impl Fn(&str, &Program, &CallGraph, &Liveness)) {
-    let run = AnalysisPipeline::from_source(source).expect("pipeline");
+    let run = ProjectPipeline::from_source(source).expect("pipeline");
     let program = run.program();
     let oracle = ddm_oracle::analyze(program, &AnalysisConfig::default(), Algorithm::Rta)
         .expect("oracle");

@@ -3,6 +3,7 @@
 
 use dead_data_members::dynamic::{Interpreter, RunConfig};
 use dead_data_members::prelude::*;
+use dead_data_members::telemetry::json;
 
 #[test]
 fn truncated_sources_never_panic_the_parser() {
@@ -42,7 +43,7 @@ fn mutated_sources_never_panic_the_pipeline() {
             .filter(|(i, _)| *i != skip)
             .map(|(_, l)| format!("{l}\n"))
             .collect();
-        let _ = AnalysisPipeline::from_source(&mutated); // must not panic
+        let _ = ProjectPipeline::from_source(&mutated); // must not panic
     }
 }
 
@@ -90,19 +91,99 @@ fn deep_nesting_is_a_typed_parse_error_not_a_stack_overflow() {
             err.kind(),
             &ParseErrorKind::NestingTooDeep(MAX_NESTING_DEPTH)
         );
-        let err = AnalysisPipeline::from_source(&src).expect_err("the pipeline reports it");
+        let err = ProjectPipeline::from_source(&src).expect_err("the pipeline reports it");
         assert!(err.to_string().contains("nesting exceeds"), "{err}");
     }
     // Well inside the limit both shapes still analyze.
     for src in [deep_parens(100), deep_blocks(100)] {
-        AnalysisPipeline::from_source(&src).expect("100 levels analyze");
+        ProjectPipeline::from_source(&src).expect("100 levels analyze");
     }
+}
+
+/// `int main() { return 1+1+…+1; }` with `terms` terms: a left-deep
+/// chain that the recursive passes descend one frame per term.
+fn flat_sum(terms: usize) -> String {
+    format!("int main() {{ return {}; }}\n", vec!["1"; terms].join("+"))
+}
+
+#[test]
+fn a_long_flat_expression_analyses_in_every_cli_mode() {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+
+    // Every thread that analyses has the main thread's stack, so a
+    // flat expression that analyses as one file analyses in a project
+    // on worker threads, under a cache directory, and on the serve
+    // builder too.
+    let terms = if cfg!(debug_assertions) { 600 } else { 4_000 };
+    let dir = std::env::temp_dir().join(format!("ddm-robust-flat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let flat = dir.join("flat.cpp");
+    std::fs::write(&flat, flat_sum(terms)).expect("write flat.cpp");
+    let other = dir.join("other.cpp");
+    std::fs::write(&other, "int helper() { return 2; }\n").expect("write other.cpp");
+    let flat = flat.to_string_lossy().into_owned();
+    let other = other.to_string_lossy().into_owned();
+    let cache = dir.join("cache").to_string_lossy().into_owned();
+    let ddm = || Command::new(env!("CARGO_BIN_EXE_ddm"));
+
+    for (mode, args) in [
+        ("one file", vec![flat.as_str()]),
+        (
+            "two files at --jobs 2",
+            vec![flat.as_str(), other.as_str(), "--jobs", "2"],
+        ),
+        (
+            "--cache-dir",
+            vec![flat.as_str(), "--cache-dir", cache.as_str()],
+        ),
+    ] {
+        let out = ddm().args(&args).output().expect("run ddm");
+        assert!(
+            out.status.success(),
+            "{mode}: {terms} terms: {:?}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    let mut daemon = ddm()
+        .args(["serve", "--jobs", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ddm serve");
+    let files = [&flat, &other]
+        .map(|f| format!("\"{}\"", json::escape(f)))
+        .join(",");
+    let requests =
+        format!("{{\"cmd\":\"analyze\",\"files\":[{files}]}}\n{{\"cmd\":\"shutdown\"}}\n");
+    daemon
+        .stdin
+        .take()
+        .expect("daemon stdin")
+        .write_all(requests.as_bytes())
+        .expect("write requests");
+    let out = daemon.wait_with_output().expect("wait for ddm serve");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "serve: {terms} terms: {:?}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.starts_with("{\"ok\":true,\"cmd\":\"analyze\""),
+        "serve: {terms} terms: {stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn serve_answers_a_deeply_nested_file_with_an_analysis_error_and_keeps_serving() {
     use dead_data_members::analysis::{serve, ServeOptions};
-    use dead_data_members::telemetry::json;
     let dir = std::env::temp_dir().join(format!("ddm-robust-serve-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let write = |name: &str, src: &str| {

@@ -2,29 +2,34 @@
 //! bit-identical across worker counts and match the `ddm-oracle`
 //! reference analysis, enabling telemetry changes no analysis output,
 //! and `--explain` renders the same witness text from the oracle's
-//! liveness as from the product's. One TU runs on one thread, so the
-//! jobs dimension runs the program as a one-TU project; the multi-TU
-//! matrices (`flight_recorder`, `project_cache`) cover the rest.
+//! liveness as from the product's. Each program runs as a one-TU
+//! project, so `--jobs` changes nothing here by construction; the
+//! multi-TU matrices (`flight_recorder`, `project_cache`) cover the
+//! rest.
 
-use dead_data_members::analysis::{Engine, ProjectPipeline};
+use dead_data_members::analysis::Engine;
 use dead_data_members::prelude::*;
 
-fn run_counters(source: &str) -> (AnalysisPipeline, Counters) {
+/// Runs one source as a one-TU project on `jobs` front-end workers.
+fn run_counters(source: &str, jobs: usize) -> (ProjectPipeline, Counters, ExecStats) {
     let telemetry = Telemetry::enabled();
-    let run = AnalysisPipeline::with_config_telemetry(
-        source,
+    let run = ProjectPipeline::run(
+        &[("input.cpp".to_string(), source.to_string())],
         AnalysisConfig::default(),
         Algorithm::Rta,
+        jobs,
+        Engine::Summary,
+        None,
         &telemetry,
     )
     .expect("pipeline");
-    (run, telemetry.counters())
+    (run, telemetry.counters(), telemetry.stats())
 }
 
 #[test]
 fn counters_identical_across_jobs_and_engines() {
     for b in dead_data_members::benchmarks::suite() {
-        let (run, reference) = run_counters(b.source);
+        let (run, reference, _) = run_counters(b.source, 1);
         let oracle = ddm_oracle::analyze(run.program(), &AnalysisConfig::default(), Algorithm::Rta)
             .expect("oracle");
         assert_eq!(
@@ -33,26 +38,12 @@ fn counters_identical_across_jobs_and_engines() {
             "{}: counters diverged from the oracle",
             b.name
         );
-        let inputs = vec![(format!("{}.cpp", b.name), b.source.to_string())];
-        for jobs in [1, 8] {
-            let telemetry = Telemetry::enabled();
-            ProjectPipeline::run(
-                &inputs,
-                AnalysisConfig::default(),
-                Algorithm::Rta,
-                jobs,
-                Engine::Summary,
-                None,
-                &telemetry,
-            )
-            .expect("project");
-            assert_eq!(
-                telemetry.counters(),
-                reference,
-                "{}: counters diverged at jobs={jobs}",
-                b.name
-            );
-        }
+        let (_, counters, _) = run_counters(b.source, 8);
+        assert_eq!(
+            counters, reference,
+            "{}: counters diverged at jobs=8",
+            b.name
+        );
     }
 }
 
@@ -60,9 +51,9 @@ fn counters_identical_across_jobs_and_engines() {
 fn enabling_telemetry_changes_no_analysis_output() {
     for b in dead_data_members::benchmarks::suite() {
         let plain =
-            AnalysisPipeline::with_config(b.source, AnalysisConfig::default(), Algorithm::Rta)
+            ProjectPipeline::with_config(b.source, AnalysisConfig::default(), Algorithm::Rta)
                 .expect("pipeline");
-        let (observed, _) = run_counters(b.source);
+        let (observed, _, _) = run_counters(b.source, 1);
         assert_eq!(
             plain.report().to_string(),
             observed.report().to_string(),
@@ -81,7 +72,7 @@ fn enabling_telemetry_changes_no_analysis_output() {
 #[test]
 fn explain_is_byte_identical_across_engines() {
     for b in dead_data_members::benchmarks::suite() {
-        let (run, _) = run_counters(b.source);
+        let (run, _, _) = run_counters(b.source, 1);
         let program = run.program();
         let oracle = ddm_oracle::analyze(program, &AnalysisConfig::default(), Algorithm::Rta)
             .expect("oracle");
@@ -107,15 +98,7 @@ fn explain_is_byte_identical_across_engines() {
 #[test]
 fn stats_record_engine_and_fastpath_routing() {
     let source = dead_data_members::benchmarks::suite()[0].source;
-    let telemetry = Telemetry::enabled();
-    AnalysisPipeline::with_config_telemetry(
-        source,
-        AnalysisConfig::default(),
-        Algorithm::Rta,
-        &telemetry,
-    )
-    .expect("pipeline");
-    let stats = telemetry.stats();
+    let (_, _, stats) = run_counters(source, 1);
     assert_eq!(stats.jobs, 1, "one TU has one front-end job");
     assert!(stats.bodies_walked > 0);
     assert!(stats.summary_replays > 0);

@@ -183,7 +183,7 @@ fn wide_rounds_match_the_prechange_sweep() {
     }
 }
 
-/// The single-TU pipeline, the same program as a one-TU project at
+/// A one-TU project built by `with_config`, the same project run at
 /// jobs 1 and 8, and the `ddm-oracle` reference analysis must render
 /// byte-identical reports and `--explain` transcripts.
 #[test]
@@ -191,7 +191,7 @@ fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
     for b in dead_data_members::benchmarks::suite() {
         let name = b.name;
         let config = suite_analysis_config();
-        let reference = AnalysisPipeline::with_config(b.source, config.clone(), Algorithm::Rta)
+        let reference = ProjectPipeline::with_config(b.source, config.clone(), Algorithm::Rta)
             .unwrap_or_else(|e| panic!("{name}: reference run: {e}"));
         let program = reference.program();
         let specs = member_specs(program);
@@ -248,17 +248,21 @@ fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
 
 /// Two paths produce a fixpoint's worklist telemetry: a fresh solve and
 /// a snapshot warm start that replays the stored schedule. Both must
-/// give the single-TU pipeline's counters and per-round delta sizes, at
-/// any worker count.
+/// give a cacheless run's counters and per-round delta sizes, at any
+/// worker count.
 #[test]
 fn worklist_telemetry_is_identical_across_engines_and_jobs() {
     for b in dead_data_members::benchmarks::suite() {
         let name = b.name;
+        let inputs = vec![(format!("{name}.cpp"), b.source.to_string())];
         let telemetry = Telemetry::enabled();
-        AnalysisPipeline::with_config_telemetry(
-            b.source,
+        ProjectPipeline::run(
+            &inputs,
             suite_analysis_config(),
             Algorithm::Rta,
+            1,
+            Engine::Summary,
+            None,
             &telemetry,
         )
         .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -271,7 +275,6 @@ fn worklist_telemetry_is_identical_across_engines_and_jobs() {
 
         let cache = std::env::temp_dir().join(format!("ddm-wl-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache);
-        let inputs = vec![(format!("{name}.cpp"), b.source.to_string())];
         for (jobs, state) in [(1, "cold"), (8, "replayed")] {
             let telemetry = Telemetry::enabled();
             ProjectPipeline::run(

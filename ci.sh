@@ -151,6 +151,54 @@ test -n "$frontier" && test -n "$total" && test "$frontier" -lt "$total"
 rm -rf /tmp/ddm_ci_incr /tmp/ddm_ci_incr_src /tmp/ddm_ci_incr_cold.out \
     /tmp/ddm_ci_incr_warm.out /tmp/ddm_ci_incr.ndjson
 
+echo "== declaration sharing: isolated front end, 12 TUs repeating one header =="
+# Each top-level declaration text is parsed once per run and shared by
+# every TU that repeats it. The oracle compares every fuzz shape's
+# published modules with the isolated per-TU front end. Then twelve TUs
+# repeat one header after comments of different lengths and line
+# counts: stdout, the det stream and the metrics must not depend on
+# --jobs, the header must really be shared, and a warm re-run must
+# invalidate nothing and print the same report.
+cargo test --release --test decl_sharing
+share_src=/tmp/ddm_ci_share_src
+share_tmp=/tmp/ddm_ci_share
+rm -rf "$share_src" "$share_tmp"
+mkdir -p "$share_src" "$share_tmp"
+header='class Base { public: int a; int b; Base() : a(1), b(2) { } virtual int get() { return a; } };
+class Leaf : public Base { public: int c; int get() { return c + a; } };'
+protos=""
+for i in $(seq 1 11); do
+    nn=$(printf '%02d' "$i")
+    {
+        printf '// tu %s%*s\n' "$nn" "$i" ''
+        for _ in $(seq 1 $((i % 3))); do printf '//\n'; done
+        printf '%s\nint f%d() { Leaf l; l.b = %d; return l.get(); }\n' "$header" "$i" "$i"
+    } > "$share_src/tu$nn.cpp"
+    protos="$protos int f$i();"
+done
+printf '%s\n%s\nint main() { return f1() + f11(); }\n' "$header" "$protos" > "$share_src/main.cpp"
+for j in 1 8; do
+    cargo run --release --bin ddm -- "$share_src"/*.cpp --jobs "$j" \
+        --log-out "$share_tmp/det$j.ndjson" --log-filter det \
+        --metrics-out "$share_tmp/metrics$j.json" > "$share_tmp/out$j"
+done
+cmp "$share_tmp/out1" "$share_tmp/out8"
+cmp "$share_tmp/det1.ndjson" "$share_tmp/det8.ndjson"
+cmp "$share_tmp/metrics1.json" "$share_tmp/metrics8.json"
+python3 - "$share_tmp/metrics1.json" <<'PY'
+import json, sys
+metrics = {m["name"]: m for m in json.load(open(sys.argv[1]))["metrics"]}
+shared = metrics["frontend/decls_shared"]["value"]
+assert shared > 0, f"no declaration was shared: {metrics['frontend/decls']}"
+PY
+cargo run --release --bin ddm -- "$share_src"/*.cpp --cache-dir "$share_tmp/cache" \
+    > /dev/null
+cargo run --release --bin ddm -- "$share_src"/*.cpp --cache-dir "$share_tmp/cache" \
+    --stats > "$share_tmp/warm.out" 2> "$share_tmp/warm.err"
+cmp "$share_tmp/out1" "$share_tmp/warm.out"
+grep -Eq 'tu_cache_invalidations +0$' "$share_tmp/warm.err"
+rm -rf "$share_src" "$share_tmp"
+
 echo "== differential fuzz: capped sweep + shrinker =="
 cargo test --release --test differential_fuzz
 

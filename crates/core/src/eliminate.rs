@@ -27,6 +27,7 @@ use ddm_hierarchy::{MemberRef, Program};
 use ddm_telemetry::{EventClass, Telemetry};
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The outcome of a dead-member elimination run.
 #[derive(Debug, Clone)]
@@ -153,25 +154,32 @@ pub fn eliminate_with(pipeline: &ProjectPipeline, telemetry: &Telemetry) -> Elim
         }
     }
 
+    // Declarations and bodies are shared `Arc`s: every write below
+    // copies a shared one first.
     let mut transformed = tu;
     let names: HashSet<String> = eliminable.keys().cloned().collect();
     for class in &mut transformed.classes {
         class.data_members.retain(|m| !names.contains(&m.name));
         for method in &mut class.methods {
-            method.inits.retain(|init| !names.contains(&init.name));
+            method.inits = method
+                .inits
+                .iter()
+                .filter(|init| !names.contains(&init.name))
+                .cloned()
+                .collect();
             if let Some(body) = &mut method.body {
-                rewrite_block(body, &eliminable);
+                rewrite_block(Arc::make_mut(body), &eliminable);
             }
         }
     }
     for func in &mut transformed.functions {
         if let Some(body) = &mut func.body {
-            rewrite_block(body, &eliminable);
+            rewrite_block(Arc::make_mut(body), &eliminable);
         }
     }
     for global in &mut transformed.globals {
         if let Some(init) = &mut global.init {
-            rewrite_expr(init, &eliminable);
+            rewrite_expr(Arc::make_mut(init), &eliminable);
         }
     }
 
@@ -231,7 +239,7 @@ impl Scan {
         for c in &tu.classes {
             for m in &c.methods {
                 self.function(m);
-                for init in &m.inits {
+                for init in m.inits.iter() {
                     if !init.args.iter().all(is_pure) {
                         self.impure_init_names.insert(init.name.clone());
                     }

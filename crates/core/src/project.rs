@@ -33,7 +33,7 @@ use crate::pipeline::{Engine, PipelineError};
 use crate::report::Report;
 use crate::snapshot::{snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE};
 use ddm_callgraph::{Algorithm, CallGraph};
-use ddm_cppfront::{parse, SourceMap, SourceSet};
+use ddm_cppfront::{DeclMemo, SourceMap, SourceSet};
 use ddm_hierarchy::{
     body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, ClassId, FuncId, LinkDelta,
     LinkError, LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
@@ -564,7 +564,9 @@ impl ProjectPipeline {
         // --- Per-TU front end, sharded across the worker pool. Results
         // land in input order; the first error by input index wins, no
         // matter which worker hit it first. One worker runs inline on
-        // the calling thread, so a single-file run spawns nothing. ---
+        // the calling thread, so a single-file run spawns nothing. The
+        // workers share one declaration memo: each top-level item text
+        // (under one set of type names) is parsed once per run. ---
         let todo: Vec<usize> = (0..inputs.len()).filter(|&i| modules[i].is_none()).collect();
         let mut parsed: Vec<Option<Program>> = inputs.iter().map(|_| None).collect();
         {
@@ -575,6 +577,7 @@ impl ProjectPipeline {
                 format!("tu front end ({} of {} TUs)", todo.len(), inputs.len())
             });
             let workers = jobs.max(1).min(todo.len().max(1));
+            let memo = DeclMemo::new();
             let next = AtomicUsize::new(0);
             type TuOutcome = Result<(TuModule, Program), PipelineError>;
             let slots: Vec<Mutex<Option<TuOutcome>>> =
@@ -587,7 +590,7 @@ impl ProjectPipeline {
                 let (file, source) = &inputs[i];
                 let _tu_span = telemetry.span(lane, || format!("tu {file}"));
                 let outcome = (|| {
-                    let unit = parse(source)?;
+                    let unit = memo.parse(i, source)?;
                     let program = Program::build(&unit)?;
                     let summary = ProgramSummary::build(&program, refine, 1);
                     let map = SourceMap::new(file.clone(), source.clone());
@@ -612,6 +615,11 @@ impl ProjectPipeline {
                 });
             }
 
+            telemetry.metrics(|m| {
+                let (decls, shared) = memo.decl_counts();
+                m.counter_add("frontend/decls", decls);
+                m.counter_add("frontend/decls_shared", shared);
+            });
             for (n, slot) in slots.into_iter().enumerate() {
                 let i = todo[n];
                 let outcome = slot

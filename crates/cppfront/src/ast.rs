@@ -1,34 +1,82 @@
 //! Abstract syntax tree for the C++ subset.
 //!
-//! The tree is a plain boxed structure: a [`TranslationUnit`] owns all
-//! classes, enums, global variables and free functions. Every node carries
-//! a [`Span`] so later phases can report locations.
+//! A [`TranslationUnit`] lists its classes, enums, global variables and
+//! free functions as [`Item`]s: one shared parse of a top-level
+//! declaration plus the byte offset where this occurrence starts. Every
+//! node carries a [`Span`] measured from the start of its item, so later
+//! phases can report locations after rebasing with [`Item::at`].
 
 use crate::span::Span;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// A parsed source file: the root of the AST.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TranslationUnit {
     /// All class, struct and union definitions, in source order.
-    pub classes: Vec<ClassDecl>,
+    pub classes: Vec<Item<ClassDecl>>,
     /// All enum definitions, in source order.
-    pub enums: Vec<EnumDecl>,
+    pub enums: Vec<Item<EnumDecl>>,
     /// All global variable definitions, in source order.
-    pub globals: Vec<GlobalDecl>,
+    pub globals: Vec<Item<GlobalDecl>>,
     /// All free functions (including `main`), in source order.
-    pub functions: Vec<FunctionDecl>,
+    pub functions: Vec<Item<FunctionDecl>>,
+}
+
+/// One top-level declaration of a [`TranslationUnit`].
+///
+/// The declaration is shared: every translation unit of a run that
+/// repeats its exact text (under the same set of type names) holds the
+/// same `Arc` (see [`DeclMemo`](crate::DeclMemo)). Its spans are
+/// therefore measured from the item's first byte, and `base` says where
+/// that byte sits in this occurrence's source. Mutable access copies a
+/// shared declaration first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Item<T> {
+    /// Byte offset of the item's first token in its source.
+    pub base: u32,
+    /// The parsed declaration.
+    pub decl: Arc<T>,
+}
+
+impl<T> Item<T> {
+    /// `span`, measured from this item's start, as a byte range of the
+    /// whole source.
+    pub fn at(&self, span: Span) -> Span {
+        span.rebase(self.base)
+    }
+}
+
+impl<T> Deref for Item<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.decl
+    }
+}
+
+impl<T: Clone> DerefMut for Item<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        Arc::make_mut(&mut self.decl)
+    }
 }
 
 impl TranslationUnit {
     /// Finds a class definition by name.
     pub fn class(&self, name: &str) -> Option<&ClassDecl> {
-        self.classes.iter().find(|c| c.name == name)
+        self.classes
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| &*c.decl)
     }
 
     /// Finds a free function by name.
     pub fn function(&self, name: &str) -> Option<&FunctionDecl> {
-        self.functions.iter().find(|f| f.name == name)
+        self.functions
+            .iter()
+            .find(|f| f.name == name)
+            .map(|f| &*f.decl)
     }
 
     /// Total number of data members declared across all classes.
@@ -162,8 +210,8 @@ pub struct GlobalDecl {
     pub name: String,
     /// Declared type.
     pub ty: Type,
-    /// Optional initializer expression.
-    pub init: Option<Expr>,
+    /// Optional initializer expression, shared between occurrences.
+    pub init: Option<Arc<Expr>>,
     /// Source location.
     pub span: Span,
 }
@@ -206,12 +254,19 @@ pub struct FunctionDecl {
     pub ret: Type,
     /// Parameters in declaration order.
     pub params: Vec<Param>,
-    /// Constructor initializer list (empty unless a constructor).
-    pub inits: Vec<CtorInit>,
-    /// The body. `None` marks a pure-virtual declaration (`= 0`).
-    pub body: Option<Block>,
+    /// Constructor initializer list (empty unless a constructor), shared
+    /// between occurrences.
+    pub inits: Arc<[CtorInit]>,
+    /// The body, shared between occurrences. `None` marks a
+    /// pure-virtual declaration (`= 0`).
+    pub body: Option<Arc<Block>>,
     /// Source location of the definition.
     pub span: Span,
+    /// Where the spans of `params`, `inits` and `body` are measured
+    /// from, as an offset from the item's start: 0, except for a method
+    /// whose out-of-line definition elsewhere in the TU supplied them.
+    /// Wraps (modulo 2^32) when that definition precedes its class.
+    pub body_offset: u32,
 }
 
 /// A function parameter.
@@ -863,26 +918,29 @@ mod tests {
     fn unit_counts_members() {
         let mut tu = TranslationUnit::default();
         assert_eq!(tu.data_member_count(), 0);
-        tu.classes.push(ClassDecl {
-            name: "A".into(),
-            kind: ClassKind::Struct,
-            bases: vec![],
-            data_members: vec![
-                DataMemberDecl {
-                    name: "x".into(),
-                    ty: Type::int(),
-                    access: Access::Public,
-                    span: Span::dummy(),
-                },
-                DataMemberDecl {
-                    name: "y".into(),
-                    ty: Type::int(),
-                    access: Access::Public,
-                    span: Span::dummy(),
-                },
-            ],
-            methods: vec![],
-            span: Span::dummy(),
+        tu.classes.push(Item {
+            base: 0,
+            decl: Arc::new(ClassDecl {
+                name: "A".into(),
+                kind: ClassKind::Struct,
+                bases: vec![],
+                data_members: vec![
+                    DataMemberDecl {
+                        name: "x".into(),
+                        ty: Type::int(),
+                        access: Access::Public,
+                        span: Span::dummy(),
+                    },
+                    DataMemberDecl {
+                        name: "y".into(),
+                        ty: Type::int(),
+                        access: Access::Public,
+                        span: Span::dummy(),
+                    },
+                ],
+                methods: vec![],
+                span: Span::dummy(),
+            }),
         });
         assert_eq!(tu.data_member_count(), 2);
         assert!(tu.class("A").is_some());

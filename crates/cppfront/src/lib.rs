@@ -39,8 +39,8 @@ pub mod pretty;
 pub mod span;
 pub mod token;
 
-pub use ast::TranslationUnit;
+pub use ast::{Item, TranslationUnit};
 pub use diag::{ParseError, ParseErrorKind};
-pub use parser::{parse, MAX_NESTING_DEPTH};
+pub use parser::{parse, DeclMemo, MAX_NESTING_DEPTH};
 pub use pretty::{print_expr, print_stmt, print_unit};
 pub use span::{LineCol, SourceMap, SourceSet, Span};

@@ -9,7 +9,10 @@ use crate::diag::{ParseError, ParseErrorKind};
 use crate::lexer::tokenize;
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
-use std::collections::HashSet;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
+use std::sync::{Arc, Mutex};
 
 /// Parses a complete source file into a [`TranslationUnit`].
 ///
@@ -26,8 +29,7 @@ use std::collections::HashSet;
 /// # Ok::<(), ddm_cppfront::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<TranslationUnit, ParseError> {
-    let tokens = tokenize(src)?;
-    Parser::new(tokens).parse_unit()
+    DeclMemo::new().parse(0, src)
 }
 
 /// The deepest nesting the parser accepts, clang's default
@@ -38,9 +40,322 @@ pub fn parse(src: &str) -> Result<TranslationUnit, ParseError> {
 /// exhausting the stack of the recursive descent.
 pub const MAX_NESTING_DEPTH: usize = 256;
 
+/// The top-level declarations parsed so far in one run, shared by every
+/// translation unit the run parses (possibly from several threads).
+///
+/// A top-level item (class, enum, global, function, out-of-line method
+/// definition) is parsed once per distinct pair of exact item text and
+/// TU type-name set; every later occurrence shares that parse, whose
+/// spans are measured from the item's first byte. The key is sound
+/// because an item's parse reads nothing but its own tokens and the
+/// type-name set: it runs on the item's tokens alone, followed by end of
+/// input, and is kept only if it consumes exactly them. Merging an item
+/// into its TU (duplicate checks, prototype replacement, out-of-line
+/// attachment) runs for every occurrence.
+///
+/// # Examples
+///
+/// ```
+/// use ddm_cppfront::DeclMemo;
+///
+/// let header = "class A { public: int x; int get() { return x; } };\n";
+/// let a = format!("{header}int main() {{ A a; return a.get(); }}");
+/// let b = format!("// another TU\n{header}int helper() {{ return 1; }}");
+/// let memo = DeclMemo::new();
+/// let (ta, tb) = (memo.parse(0, &a)?, memo.parse(1, &b)?);
+/// assert!(std::sync::Arc::ptr_eq(&ta.classes[0].decl, &tb.classes[0].decl));
+/// assert_eq!(tb.classes[0].base, 14);
+/// assert_eq!(memo.decl_counts(), (4, 1));
+/// # Ok::<(), ddm_cppfront::ParseError>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct DeclMemo<'a> {
+    /// Hashes each item key once, outside the lock.
+    hasher: RandomState,
+    state: Mutex<MemoState<'a>>,
+}
+
+/// `(type-name set, exact item text)`.
+type Key<'a> = (u32, &'a str);
+
+#[derive(Debug, Default)]
+struct MemoState<'a> {
+    /// Each distinct type-name set (sorted), interned once per TU.
+    name_sets: HashMap<Vec<&'a str>, u32>,
+    /// Key hash → the newest entry with that hash (a collision costs a
+    /// text comparison, never a wrong hit).
+    index: HashMap<u64, usize>,
+    entries: Vec<Entry<'a>>,
+    /// Items in the TUs parsed so far, and `(TU, entry)` per memoized one.
+    decls: u64,
+    uses: Vec<(usize, usize)>,
+}
+
+/// One shared parse.
+#[derive(Debug)]
+struct Entry<'a> {
+    key: Key<'a>,
+    decl: Decl,
+    /// The lowest TU index whose parse used it.
+    first_tu: usize,
+    /// The previous entry whose key has the same hash.
+    next: Option<usize>,
+}
+
+impl MemoState<'_> {
+    /// The entry for `key`, compared exactly.
+    fn find(&self, hash: u64, key: Key<'_>) -> Option<usize> {
+        let mut at = self.index.get(&hash).copied();
+        while let Some(entry) = at.filter(|&entry| self.entries[entry].key != key) {
+            at = self.entries[entry].next;
+        }
+        at
+    }
+}
+
+/// One top-level item's parse, relative to the item's first byte.
+#[derive(Debug, Clone)]
+enum Decl {
+    /// A class definition, or `None` for a forward declaration.
+    Class(Option<Arc<ClassDecl>>),
+    Enum(Arc<EnumDecl>),
+    Global(Arc<GlobalDecl>),
+    /// A free function: a prototype (no body) or a definition.
+    Function(Arc<FunctionDecl>),
+    /// `T C::m(...) { ... }`: the body of method `m` of class `C`.
+    OutOfLine(Arc<str>, Arc<FunctionDecl>),
+}
+
+/// A TU under construction: the merged items so far.
+#[derive(Default)]
+struct UnitBuilder {
+    tu: TranslationUnit,
+    out_of_line: Vec<(Arc<str>, Item<FunctionDecl>)>,
+}
+
+impl<'a> DeclMemo<'a> {
+    /// An empty memo.
+    pub fn new() -> Self {
+        DeclMemo::default()
+    }
+
+    /// Parses translation unit number `tu` of the run, sharing every item
+    /// whose text an earlier parse of this memo already saw under the same
+    /// type names. Spans and errors come out exactly as from a parse with
+    /// an empty memo.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first lexical or syntactic error encountered.
+    pub fn parse(&self, tu: usize, src: &'a str) -> Result<TranslationUnit, ParseError> {
+        let mut parser = Parser::new(tokenize(src)?);
+        let names = {
+            let mut set: Vec<&'a str> = parser.type_names.iter().copied().collect();
+            set.sort_unstable();
+            let mut state = self.lock();
+            let next = state.name_sets.len() as u32;
+            *state.name_sets.entry(set).or_insert(next)
+        };
+        let mut unit = UnitBuilder::default();
+        let mut used = Vec::new();
+        let mut items = 0u64;
+        while !matches!(parser.peek(), TokenKind::Eof) {
+            let first = parser.pos;
+            let last = parser.item_end();
+            let start = parser.tokens[first].span;
+            let text = &src[start.lo as usize..parser.tokens[last].span.hi as usize];
+            let key = (names, text);
+            let hash = self.hasher.hash_one(key);
+            let hit = {
+                let state = self.lock();
+                let entry = state.find(hash, key);
+                entry.map(|entry| (entry, state.entries[entry].decl.clone()))
+            };
+            let shared = match hit {
+                Some(hit) => {
+                    parser.pos = last + 1;
+                    Some(hit)
+                }
+                None => parser
+                    .parse_alone(first, last)
+                    .map(|decl| self.insert(hash, key, decl)),
+            };
+            let (decl, base) = match shared {
+                Some((entry, decl)) => {
+                    used.push(entry);
+                    (decl, start.lo)
+                }
+                // The item does not parse on its own tokens: parse it in
+                // context, for exactly the result or error of a whole-TU
+                // parse.
+                None => {
+                    parser.pos = first;
+                    (parser.parse_item()?, 0)
+                }
+            };
+            items += 1;
+            unit.merge(decl, base, start)?;
+        }
+        let unit = unit.finish()?;
+        let mut state = self.lock();
+        state.decls += items;
+        for &entry in &used {
+            let first_tu = &mut state.entries[entry].first_tu;
+            *first_tu = (*first_tu).min(tu);
+            state.uses.push((tu, entry));
+        }
+        Ok(unit)
+    }
+
+    /// `(items, shared items)` over the TUs this memo parsed: every
+    /// top-level item, and those whose key an item of a TU earlier in
+    /// input order also had. Both are independent of the order in which
+    /// the TUs were parsed.
+    pub fn decl_counts(&self) -> (u64, u64) {
+        let state = self.lock();
+        let shared = state
+            .uses
+            .iter()
+            .filter(|&&(tu, entry)| state.entries[entry].first_tu < tu)
+            .count();
+        (state.decls, shared as u64)
+    }
+
+    /// Records `decl` as the parse of `key`, whose hash is `hash`, unless
+    /// another thread got there first; returns the entry and the
+    /// declaration it holds.
+    fn insert(&self, hash: u64, key: Key<'a>, decl: Decl) -> (usize, Decl) {
+        let mut state = self.lock();
+        let entry = match state.find(hash, key) {
+            Some(entry) => entry,
+            None => {
+                let fresh = state.entries.len();
+                let next = state.index.insert(hash, fresh);
+                state.entries.push(Entry {
+                    key,
+                    decl,
+                    first_tu: usize::MAX,
+                    next,
+                });
+                fresh
+            }
+        };
+        (entry, state.entries[entry].decl.clone())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, MemoState<'a>> {
+        self.state.lock().expect("declaration memo poisoned")
+    }
+}
+
+impl UnitBuilder {
+    /// Adds one item, found at `base` and starting with the token at
+    /// `start`, to the TU.
+    fn merge(&mut self, decl: Decl, base: u32, start: Span) -> Result<(), ParseError> {
+        let tu = &mut self.tu;
+        match decl {
+            Decl::Class(None) => {}
+            Decl::Class(Some(class)) => {
+                let class = Item { base, decl: class };
+                if tu.class(&class.name).is_some() {
+                    return Err(ParseError::new(
+                        ParseErrorKind::Duplicate(class.name.clone()),
+                        class.at(class.span),
+                    ));
+                }
+                tu.classes.push(class);
+            }
+            Decl::Enum(decl) => tu.enums.push(Item { base, decl }),
+            Decl::Global(decl) => tu.globals.push(Item { base, decl }),
+            // A prototype is recorded only if the function is not
+            // defined yet; a body replaces an earlier prototype.
+            Decl::Function(decl) if decl.body.is_none() => {
+                if tu.function(&decl.name).is_none() {
+                    tu.functions.push(Item { base, decl });
+                }
+            }
+            Decl::Function(decl) => {
+                tu.functions
+                    .retain(|f| !(f.name == decl.name && f.body.is_none()));
+                if tu.function(&decl.name).is_some() {
+                    return Err(ParseError::new(
+                        ParseErrorKind::Duplicate(decl.name.clone()),
+                        start,
+                    ));
+                }
+                tu.functions.push(Item { base, decl });
+            }
+            Decl::OutOfLine(class, decl) => self.out_of_line.push((class, Item { base, decl })),
+        }
+        Ok(())
+    }
+
+    /// Attaches out-of-line method bodies to their in-class declarations.
+    fn finish(mut self) -> Result<TranslationUnit, ParseError> {
+        for (class_name, def) in self.out_of_line {
+            let span = def.at(def.span);
+            let class = self
+                .tu
+                .classes
+                .iter_mut()
+                .find(|c| *c.name == *class_name)
+                .ok_or_else(|| {
+                    ParseError::new(
+                        ParseErrorKind::Unexpected {
+                            expected: format!("class `{class_name}`"),
+                            found: "out-of-line definition for an undefined class".to_string(),
+                        },
+                        span,
+                    )
+                })?;
+            let index = class
+                .methods
+                .iter()
+                .position(|m| m.name == def.name && m.kind == FunctionKind::Method)
+                .ok_or_else(|| {
+                    ParseError::new(
+                        ParseErrorKind::Unexpected {
+                            expected: format!(
+                                "declaration of `{}` inside class `{class_name}`",
+                                def.name
+                            ),
+                            found: "out-of-line definition without one".to_string(),
+                        },
+                        span,
+                    )
+                })?;
+            if class.methods[index].body.is_some() {
+                return Err(ParseError::new(
+                    ParseErrorKind::Duplicate(format!("{class_name}::{}", def.name)),
+                    span,
+                ));
+            }
+            // The merged span is computed in absolute terms; the body and
+            // parameters stay measured from the definition's own start.
+            let class_base = class.base;
+            let decl = &mut class.methods[index];
+            decl.body = def.body.clone();
+            decl.params = def.params.clone();
+            decl.body_offset = def.base.wrapping_sub(class_base);
+            decl.span = decl
+                .span
+                .rebase(class_base)
+                .to(span)
+                .rebase(class_base.wrapping_neg());
+        }
+        Ok(self.tu)
+    }
+}
+
 struct Parser<'a> {
     tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Index of the token that ends the input: the final `Eof`, or a
+    /// stand-in `Eof` while one item is parsed on its own.
+    end: usize,
+    /// Subtracted (modulo 2^32) from every token offset, so spans come
+    /// out measured from the start of the item being parsed alone.
+    base: u32,
     type_names: HashSet<&'a str>,
     /// Current nesting level, bounded by [`MAX_NESTING_DEPTH`].
     depth: usize,
@@ -49,7 +364,8 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(tokens: Vec<Token<'a>>) -> Self {
         let mut type_names = HashSet::new();
-        // Pre-scan so classes may reference each other regardless of order.
+        // Pre-scan so classes may reference each other regardless of
+        // order. The set never changes afterwards.
         for w in tokens.windows(2) {
             if let TokenKind::Keyword(
                 Keyword::Class | Keyword::Struct | Keyword::Union | Keyword::Enum,
@@ -61,8 +377,10 @@ impl<'a> Parser<'a> {
             }
         }
         Parser {
+            end: tokens.len() - 1,
             tokens,
             pos: 0,
+            base: 0,
             type_names,
             depth: 0,
         }
@@ -88,31 +406,32 @@ impl<'a> Parser<'a> {
     // ----- token helpers -------------------------------------------------
 
     fn peek(&self) -> &TokenKind<'a> {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+        &self.tokens[self.pos.min(self.end)].kind
     }
 
     fn peek_at(&self, n: usize) -> &TokenKind<'a> {
-        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
+        &self.tokens[(self.pos + n).min(self.end)].kind
     }
 
     fn span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.tokens[self.pos.min(self.end)]
+            .span
+            .rebase(self.base.wrapping_neg())
     }
 
     fn prev_span(&self) -> Span {
-        self.tokens[self.pos.saturating_sub(1)].span
+        self.tokens[self.pos.saturating_sub(1)]
+            .span
+            .rebase(self.base.wrapping_neg())
     }
 
     fn bump(&mut self) -> TokenKind<'a> {
-        let kind = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
-        if self.pos < self.tokens.len() - 1 {
+        let kind = self.tokens[self.pos.min(self.end)].kind.clone();
+        if self.pos < self.end {
             self.pos += 1;
         }
         kind
     }
-
     fn at_punct(&self, p: Punct) -> bool {
         self.peek().is_punct(p)
     }
@@ -173,75 +492,63 @@ impl<'a> Parser<'a> {
 
     // ----- top level ------------------------------------------------------
 
-    fn parse_unit(mut self) -> Result<TranslationUnit, ParseError> {
-        let mut tu = TranslationUnit::default();
-        let mut out_of_line: Vec<(String, FunctionDecl)> = Vec::new();
-        while !matches!(self.peek(), TokenKind::Eof) {
-            match self.peek() {
-                TokenKind::Keyword(Keyword::Class | Keyword::Struct | Keyword::Union) => {
-                    if let Some(class) = self.parse_class()? {
-                        if tu.class(&class.name).is_some() {
-                            return Err(ParseError::new(
-                                ParseErrorKind::Duplicate(class.name.clone()),
-                                class.span,
-                            ));
-                        }
-                        tu.classes.push(class);
+    /// The index of the last token of the top-level item that starts at
+    /// the current token: the first `;` outside braces, or for a function
+    /// the `}` that closes its body. Stops early at an unbalanced `}`,
+    /// and at the last token before the end of input.
+    fn item_end(&self) -> usize {
+        let is_type = matches!(
+            self.peek(),
+            TokenKind::Keyword(Keyword::Class | Keyword::Struct | Keyword::Union | Keyword::Enum)
+        );
+        let last = self.end - 1;
+        let mut depth = 0usize;
+        for i in self.pos..=last {
+            match self.tokens[i].kind {
+                TokenKind::Punct(Punct::LBrace) => depth += 1,
+                TokenKind::Punct(Punct::RBrace) => {
+                    if depth <= 1 && (depth == 0 || !is_type) {
+                        return i;
                     }
+                    depth -= 1;
                 }
-                TokenKind::Keyword(Keyword::Enum) => {
-                    let decl = self.parse_enum()?;
-                    tu.enums.push(decl);
-                }
-                TokenKind::Keyword(Keyword::Typedef) => {
-                    return Err(self.unsupported("typedef"));
-                }
-                _ => self.parse_global_or_function(&mut tu, &mut out_of_line)?,
+                TokenKind::Punct(Punct::Semi) if depth == 0 => return i,
+                _ => {}
             }
         }
-        // Attach out-of-line method bodies to their in-class declarations.
-        for (class_name, def) in out_of_line {
-            let span = def.span;
-            let class = tu
-                .classes
-                .iter_mut()
-                .find(|c| c.name == class_name)
-                .ok_or_else(|| {
-                    ParseError::new(
-                        ParseErrorKind::Unexpected {
-                            expected: format!("class `{class_name}`"),
-                            found: "out-of-line definition for an undefined class".to_string(),
-                        },
-                        span,
-                    )
-                })?;
-            let decl = class
-                .methods
-                .iter_mut()
-                .find(|m| m.name == def.name && m.kind == FunctionKind::Method)
-                .ok_or_else(|| {
-                    ParseError::new(
-                        ParseErrorKind::Unexpected {
-                            expected: format!(
-                                "declaration of `{}` inside class `{class_name}`",
-                                def.name
-                            ),
-                            found: "out-of-line definition without one".to_string(),
-                        },
-                        span,
-                    )
-                })?;
-            if decl.body.is_some() {
-                return Err(ParseError::new(
-                    ParseErrorKind::Duplicate(format!("{class_name}::{}", def.name)),
-                    span,
-                ));
+        last
+    }
+
+    /// Parses tokens `first..=last` as one item, as if the input ended
+    /// after `last`, with spans measured from the item's first byte.
+    /// `None` if that fails or stops before `last`.
+    fn parse_alone(&mut self, first: usize, last: usize) -> Option<Decl> {
+        let end = self.tokens[last].span.hi;
+        let stand_in = Token {
+            kind: TokenKind::Eof,
+            span: Span::new(end, end),
+        };
+        let next = std::mem::replace(&mut self.tokens[last + 1], stand_in);
+        let full_end = std::mem::replace(&mut self.end, last + 1);
+        self.base = self.tokens[first].span.lo;
+        self.pos = first;
+        let decl = self.parse_item();
+        self.tokens[last + 1] = next;
+        self.end = full_end;
+        self.base = 0;
+        decl.ok().filter(|_| self.pos == last + 1)
+    }
+
+    /// Parses one top-level item.
+    fn parse_item(&mut self) -> Result<Decl, ParseError> {
+        match self.peek() {
+            TokenKind::Keyword(Keyword::Class | Keyword::Struct | Keyword::Union) => {
+                Ok(Decl::Class(self.parse_class()?.map(Arc::new)))
             }
-            decl.body = def.body;
-            decl.params = def.params;
-            decl.span = decl.span.to(span);
+            TokenKind::Keyword(Keyword::Enum) => Ok(Decl::Enum(Arc::new(self.parse_enum()?))),
+            TokenKind::Keyword(Keyword::Typedef) => Err(self.unsupported("typedef")),
+            _ => self.parse_global_or_function(),
         }
-        Ok(tu)
     }
 
     /// Parses `class C [: bases] { ... };` or a forward declaration
@@ -255,7 +562,6 @@ impl<'a> Parser<'a> {
             _ => unreachable!("caller checked the keyword"),
         };
         let name = self.expect_ident()?;
-        self.type_names.insert(name);
         if self.eat_punct(Punct::Semi) {
             return Ok(None); // forward declaration
         }
@@ -358,9 +664,10 @@ impl<'a> Parser<'a> {
                 is_virtual,
                 ret: Type::void(),
                 params: Vec::new(),
-                inits: Vec::new(),
+                inits: Arc::default(),
                 body,
                 span: start.to(self.prev_span()),
+                body_offset: 0,
             });
             return Ok(());
         }
@@ -403,9 +710,10 @@ impl<'a> Parser<'a> {
                     is_virtual: false,
                     ret: Type::void(),
                     params,
-                    inits,
+                    inits: inits.into(),
                     body,
                     span: start.to(self.prev_span()),
+                    body_offset: 0,
                 });
                 return Ok(());
             }
@@ -425,9 +733,10 @@ impl<'a> Parser<'a> {
                 is_virtual,
                 ret: ty,
                 params,
-                inits: Vec::new(),
+                inits: Arc::default(),
                 body,
                 span: start.to(self.prev_span()),
+                body_offset: 0,
             });
         } else {
             if is_virtual {
@@ -445,7 +754,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `{ body }`, `;` (no body), or `= 0 ;` (pure virtual, no body).
-    fn parse_optional_body(&mut self) -> Result<Option<Block>, ParseError> {
+    fn parse_optional_body(&mut self) -> Result<Option<Arc<Block>>, ParseError> {
         if self.eat_punct(Punct::Semi) {
             return Ok(None);
         }
@@ -458,14 +767,13 @@ impl<'a> Parser<'a> {
             self.expect_punct(Punct::Semi)?;
             return Ok(None);
         }
-        Ok(Some(self.parse_block()?))
+        Ok(Some(Arc::new(self.parse_block()?)))
     }
 
     fn parse_enum(&mut self) -> Result<EnumDecl, ParseError> {
         let start = self.span();
         self.bump(); // `enum`
         let name = self.expect_ident()?;
-        self.type_names.insert(name);
         self.expect_punct(Punct::LBrace)?;
         let mut variants = Vec::new();
         let mut next_value = 0i64;
@@ -493,11 +801,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_global_or_function(
-        &mut self,
-        tu: &mut TranslationUnit,
-        out_of_line: &mut Vec<(String, FunctionDecl)>,
-    ) -> Result<(), ParseError> {
+    fn parse_global_or_function(&mut self) -> Result<Decl, ParseError> {
         let start = self.span();
         if !self.starts_type() {
             return Err(self.unexpected("declaration"));
@@ -508,84 +812,63 @@ impl<'a> Parser<'a> {
             if self.peek_at(1).is_punct(Punct::ColonColon)
                 && matches!(self.peek_at(2), TokenKind::Ident(_))
             {
-                let class_name = class_name.to_string();
+                let class_name = Arc::from(*class_name);
                 self.bump();
                 self.bump();
                 let method_name = self.expect_ident()?;
                 let params = self.parse_params()?;
                 self.eat_keyword(Keyword::Const);
                 let body = self.parse_block()?;
-                out_of_line.push((
+                return Ok(Decl::OutOfLine(
                     class_name,
-                    FunctionDecl {
+                    Arc::new(FunctionDecl {
                         name: method_name.to_string(),
                         kind: FunctionKind::Method,
                         is_virtual: false,
                         ret: base_ty,
                         params,
-                        inits: Vec::new(),
-                        body: Some(body),
+                        inits: Arc::default(),
+                        body: Some(Arc::new(body)),
                         span: start.to(self.prev_span()),
-                    },
+                        body_offset: 0,
+                    }),
                 ));
-                return Ok(());
             }
         }
         let (name, ty, is_fn_ptr_decl) = self.parse_declarator(base_ty)?;
         if self.at_punct(Punct::LParen) && !is_fn_ptr_decl {
             let params = self.parse_params()?;
-            if self.eat_punct(Punct::Semi) {
-                // Function prototype; body may follow elsewhere. Record as
-                // body-less free function only if not already defined.
-                if tu.function(&name).is_none() {
-                    tu.functions.push(FunctionDecl {
-                        name,
-                        kind: FunctionKind::Free,
-                        is_virtual: false,
-                        ret: ty,
-                        params,
-                        inits: Vec::new(),
-                        body: None,
-                        span: start.to(self.prev_span()),
-                    });
-                }
-                return Ok(());
-            }
-            let body = self.parse_block()?;
-            // A body replaces an earlier prototype.
-            tu.functions
-                .retain(|f| !(f.name == name && f.body.is_none()));
-            if tu.function(&name).is_some() {
-                return Err(ParseError::new(
-                    ParseErrorKind::Duplicate(name.clone()),
-                    start,
-                ));
-            }
-            tu.functions.push(FunctionDecl {
+            // A prototype (`;`) or a definition.
+            let body = if self.eat_punct(Punct::Semi) {
+                None
+            } else {
+                Some(Arc::new(self.parse_block()?))
+            };
+            Ok(Decl::Function(Arc::new(FunctionDecl {
                 name,
                 kind: FunctionKind::Free,
                 is_virtual: false,
                 ret: ty,
                 params,
-                inits: Vec::new(),
-                body: Some(body),
+                inits: Arc::default(),
+                body,
                 span: start.to(self.prev_span()),
-            });
+                body_offset: 0,
+            })))
         } else {
             let init = if self.eat_punct(Punct::Eq) {
-                Some(self.parse_assign_expr()?)
+                Some(Arc::new(self.parse_assign_expr()?))
             } else {
                 None
             };
             self.expect_punct(Punct::Semi)?;
-            tu.globals.push(GlobalDecl {
+            Ok(Decl::Global(Arc::new(GlobalDecl {
                 name,
                 ty,
                 init,
                 span: start.to(self.prev_span()),
-            });
+            })))
         }
-        Ok(())
     }
 
     fn parse_params(&mut self) -> Result<Vec<Param>, ParseError> {
@@ -877,6 +1160,9 @@ impl<'a> Parser<'a> {
             stmts.push(self.parse_stmt()?);
         }
         self.expect_punct(Punct::RBrace)?;
+        // Bodies outlive the parse (programs share them), so they keep no
+        // spare capacity.
+        stmts.shrink_to_fit();
         Ok(Block {
             stmts,
             span: start.to(self.prev_span()),
@@ -1525,6 +1811,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect_punct(Punct::RParen)?;
+                    args.shrink_to_fit();
                     let span = expr.span.to(self.prev_span());
                     expr = Expr::new(
                         ExprKind::Call {

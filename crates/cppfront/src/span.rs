@@ -1,6 +1,7 @@
 //! Source positions, spans, and the source map used for diagnostics.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A half-open byte range `[lo, hi)` into a source buffer.
 ///
@@ -32,6 +33,16 @@ impl Span {
         Span {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
+        }
+    }
+
+    /// The span moved `base` bytes later (modulo 2^32): turns a span
+    /// measured from an item's first byte into a range of the whole
+    /// source, and `rebase(base.wrapping_neg())` turns it back.
+    pub fn rebase(self, base: u32) -> Span {
+        Span {
+            lo: self.lo.wrapping_add(base),
+            hi: self.hi.wrapping_add(base),
         }
     }
 
@@ -72,24 +83,30 @@ impl fmt::Display for LineCol {
 pub struct SourceMap {
     name: String,
     src: String,
-    line_starts: Vec<u32>,
+    /// Byte offset of every line start, scanned on the first lookup.
+    line_starts: OnceLock<Vec<u32>>,
 }
 
 impl SourceMap {
     /// Builds a source map for `src`, remembering `name` for diagnostics.
     pub fn new(name: impl Into<String>, src: impl Into<String>) -> Self {
-        let src = src.into();
-        let mut line_starts = vec![0u32];
-        for (i, b) in src.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
         SourceMap {
             name: name.into(),
-            src,
-            line_starts,
+            src: src.into(),
+            line_starts: OnceLock::new(),
         }
+    }
+
+    fn line_starts(&self) -> &[u32] {
+        self.line_starts.get_or_init(|| {
+            let mut starts = vec![0u32];
+            for (i, b) in self.src.bytes().enumerate() {
+                if b == b'\n' {
+                    starts.push(i as u32 + 1);
+                }
+            }
+            starts
+        })
     }
 
     /// The file name given at construction time.
@@ -111,19 +128,20 @@ impl SourceMap {
 
     /// Converts a byte offset into a 1-based line/column pair.
     pub fn lookup(&self, offset: u32) -> LineCol {
-        let line_idx = match self.line_starts.binary_search(&offset) {
+        let line_starts = self.line_starts();
+        let line_idx = match line_starts.binary_search(&offset) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
         LineCol {
             line: line_idx as u32 + 1,
-            col: offset - self.line_starts[line_idx] + 1,
+            col: offset - line_starts[line_idx] + 1,
         }
     }
 
     /// Number of lines in the file (at least 1, even for empty input).
     pub fn line_count(&self) -> usize {
-        self.line_starts.len()
+        self.line_starts().len()
     }
 
     /// Counts non-blank source lines, the metric used for the paper's

@@ -23,11 +23,12 @@ use crate::model::{BaseInfo, ClassInfo, FunctionInfo, GlobalInfo, MemberInfo, Pr
 use crate::module::{ClassRecord, FreeFnRecord, SymResolver, SymResult, TuModule};
 use crate::summary::{FnSummary, ProgramSummary};
 use crate::typewalk::TypeError;
-use ddm_cppfront::ast::{Block, CtorInit, Param, Type};
+use ddm_cppfront::ast::{CtorInit, Param, Type};
 use ddm_cppfront::Span;
 use ddm_telemetry::{EventClass, Telemetry};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// All definition conflicts found while linking, rendered one per line,
 /// sorted and deduplicated so the diagnostic is deterministic for any
@@ -375,15 +376,8 @@ pub fn link_with(
                 (Some(p), Some(cid)) => {
                     let f = p.function(p.class(cid).methods[i]);
                     FunctionInfo {
-                        name: f.name.clone(),
-                        kind: f.kind,
                         class: Some(linked_cid),
-                        is_virtual: f.is_virtual,
-                        ret: f.ret.clone(),
-                        params: f.params.clone(),
-                        inits: f.inits.clone(),
-                        body: f.body.clone(),
-                        span: f.span,
+                        ..f.clone()
                     }
                 }
                 _ => synth_function(
@@ -436,15 +430,8 @@ pub fn link_with(
                         .expect("a module's free function exists in its own program"),
                 );
                 FunctionInfo {
-                    name: f.name.clone(),
-                    kind: f.kind,
                     class: None,
-                    is_virtual: f.is_virtual,
-                    ret: f.ret.clone(),
-                    params: f.params.clone(),
-                    inits: f.inits.clone(),
-                    body: f.body.clone(),
-                    span: f.span,
+                    ..f.clone()
                 }
             }
             None => synth_function(
@@ -467,17 +454,16 @@ pub fn link_with(
     let mut global_tu: Vec<usize> = Vec::new();
     for (t, m) in modules.iter().enumerate() {
         for g in &m.globals {
-            let init = parsed[t].as_ref().and_then(|p| {
-                p.globals()
-                    .iter()
-                    .find(|pg| pg.name == g.name)
-                    .and_then(|pg| pg.init.clone())
-            });
+            let (init, base) = parsed[t]
+                .as_ref()
+                .and_then(|p| p.globals().iter().find(|pg| pg.name == g.name))
+                .map_or((None, 0), |pg| (pg.init.clone(), pg.base));
             globals.push(GlobalInfo {
                 name: g.name.clone(),
                 ty: g.ty.clone(),
                 init,
                 span: Span::dummy(),
+                base,
             });
             global_tu.push(t);
         }
@@ -577,16 +563,17 @@ fn synth_function(
             })
             .collect(),
         inits: if has_inits {
-            vec![CtorInit {
+            Arc::from([CtorInit {
                 name: String::new(),
                 args: Vec::new(),
                 span: Span::dummy(),
-            }]
+            }])
         } else {
-            Vec::new()
+            Arc::default()
         },
-        body: has_body.then(Block::default),
+        body: has_body.then(Arc::default),
         span: Span::dummy(),
+        base: 0,
     }
 }
 
@@ -819,6 +806,48 @@ public:
             .cg_steps
             .iter()
             .any(|c| matches!(c, crate::summary::CgStep::Call(f) if *f == touch)));
+    }
+
+    #[test]
+    fn a_shared_body_is_one_allocation_from_parse_to_link() {
+        // The header sits at a different offset in each TU.
+        let a = format!("// a\n{HEADER}int touch(Counter* c);\nint main() {{ Counter c(1); return touch(&c); }}");
+        let b = format!("// a longer b\n\n{HEADER}int touch(Counter* c) {{ return c->bump(); }}");
+        let memo = ddm_cppfront::DeclMemo::new();
+        let units = [memo.parse(0, &a).expect("a"), memo.parse(1, &b).expect("b")];
+        let programs: Vec<Program> = units
+            .iter()
+            .map(|u| Program::build(u).expect("sema"))
+            .collect();
+        let modules: Vec<TuModule> = units
+            .iter()
+            .zip(&programs)
+            .zip(["a.cpp", "b.cpp"].iter().zip([&a, &b]))
+            .map(|((u, p), (name, src))| {
+                let summary = ProgramSummary::build(p, false, 1);
+                TuModule::extract(u, p, &summary, &SourceMap::new(*name, src.as_str()))
+            })
+            .collect();
+        let bump_of = |p: &Program| {
+            let cid = p.class_by_name("Counter").unwrap();
+            let fid = p.class(cid).methods[2];
+            assert_eq!(p.function(fid).name, "bump");
+            p.function(fid).clone()
+        };
+        let parsed = units[0].classes[0].methods[2].body.clone().expect("a body");
+        let (in_a, in_b) = (bump_of(&programs[0]), bump_of(&programs[1]));
+        let linked = link(
+            &modules,
+            &programs.into_iter().map(Some).collect::<Vec<_>>(),
+        )
+        .expect("link");
+        let in_linked = bump_of(linked.program());
+        for f in [&in_a, &in_b, &in_linked] {
+            assert!(Arc::ptr_eq(&parsed, f.body.as_ref().unwrap()));
+        }
+        // Each occurrence keeps its own base; the link keeps the first.
+        assert_eq!((in_a.base, in_b.base, in_linked.base), (5, 15, 5));
+        assert_eq!(in_b.span.lo, in_a.span.lo + 10);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use ddm_cppfront::Span;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// A semantic error found while building the model.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,12 +156,17 @@ pub struct FunctionInfo {
     pub ret: Type,
     /// Parameters.
     pub params: Vec<Param>,
-    /// Constructor initializer list (constructors only).
-    pub inits: Vec<CtorInit>,
+    /// Constructor initializer list (constructors only), shared with the
+    /// parsed declaration.
+    pub inits: Arc<[CtorInit]>,
     /// Body; `None` for pure-virtual or library (body-less) declarations.
-    pub body: Option<Block>,
+    /// Shared with the parsed declaration.
+    pub body: Option<Arc<Block>>,
     /// Source location.
     pub span: Span,
+    /// Byte offset in the TU source that the spans inside `inits` and
+    /// `body` are measured from (every other span here is absolute).
+    pub base: u32,
 }
 
 /// A resolved global variable.
@@ -170,10 +176,13 @@ pub struct GlobalInfo {
     pub name: String,
     /// Resolved type.
     pub ty: Type,
-    /// Optional initializer.
-    pub init: Option<ddm_cppfront::ast::Expr>,
+    /// Optional initializer, shared with the parsed declaration.
+    pub init: Option<Arc<ddm_cppfront::ast::Expr>>,
     /// Source location.
     pub span: Span,
+    /// Byte offset in the TU source that the spans inside `init` are
+    /// measured from.
+    pub base: u32,
 }
 
 /// The complete, resolved program.
@@ -199,7 +208,9 @@ pub struct Program {
 }
 
 impl Program {
-    /// Builds a program model from a parsed translation unit.
+    /// Builds a program model from a parsed translation unit. Spans
+    /// come out as byte offsets of the TU source, except inside the
+    /// shared initializers and bodies, which keep their own `base`.
     ///
     /// # Errors
     ///
@@ -243,7 +254,7 @@ impl Program {
                             class: decl.name.clone(),
                             base: b.name.clone(),
                         },
-                        b.span,
+                        decl.at(b.span),
                     )
                 })?;
                 bases.push(BaseInfo {
@@ -254,21 +265,22 @@ impl Program {
             let mut seen = HashSet::new();
             let mut members = Vec::new();
             for m in &decl.data_members {
+                let span = decl.at(m.span);
                 if !seen.insert(m.name.clone()) {
                     return Err(SemaError::new(
                         SemaErrorKind::DuplicateMember {
                             class: decl.name.clone(),
                             member: m.name.clone(),
                         },
-                        m.span,
+                        span,
                     ));
                 }
-                let ty = prog.resolve_type(&m.ty, m.span)?;
+                let ty = prog.resolve_type(&m.ty, span)?;
                 members.push(MemberInfo {
                     name: m.name.clone(),
                     ty,
                     is_volatile: member_is_volatile(m),
-                    span: m.span,
+                    span,
                 });
             }
             prog.classes.push(ClassInfo {
@@ -277,7 +289,7 @@ impl Program {
                 bases,
                 members,
                 methods: Vec::new(),
-                span: decl.span,
+                span: decl.at(decl.span),
             });
         }
 
@@ -291,8 +303,10 @@ impl Program {
         for (ci, decl) in tu.classes.iter().enumerate() {
             let class_id = ClassId(ci as u32);
             for m in &decl.methods {
-                let ret = prog.resolve_type(&m.ret, m.span)?;
-                let params = prog.resolve_params(&m.params)?;
+                let span = decl.at(m.span);
+                let base = decl.base.wrapping_add(m.body_offset);
+                let ret = prog.resolve_type(&m.ret, span)?;
+                let params = prog.resolve_params(&m.params, base)?;
                 let fid = FuncId(prog.functions.len() as u32);
                 prog.functions.push(FunctionInfo {
                     name: m.name.clone(),
@@ -303,7 +317,8 @@ impl Program {
                     params,
                     inits: m.inits.clone(),
                     body: m.body.clone(),
-                    span: m.span,
+                    span,
+                    base,
                 });
                 prog.classes[ci].methods.push(fid);
             }
@@ -311,8 +326,10 @@ impl Program {
 
         // Pass 3: free functions.
         for f in &tu.functions {
-            let ret = prog.resolve_type(&f.ret, f.span)?;
-            let params = prog.resolve_params(&f.params)?;
+            let span = f.at(f.span);
+            let base = f.base.wrapping_add(f.body_offset);
+            let ret = prog.resolve_type(&f.ret, span)?;
+            let params = prog.resolve_params(&f.params, base)?;
             let fid = FuncId(prog.functions.len() as u32);
             prog.free_fn_by_name.insert(f.name.clone(), fid);
             prog.functions.push(FunctionInfo {
@@ -322,20 +339,23 @@ impl Program {
                 is_virtual: false,
                 ret,
                 params,
-                inits: Vec::new(),
+                inits: f.inits.clone(),
                 body: f.body.clone(),
-                span: f.span,
+                span,
+                base,
             });
         }
 
         // Pass 4: globals.
         for g in &tu.globals {
-            let ty = prog.resolve_type(&g.ty, g.span)?;
+            let span = g.at(g.span);
+            let ty = prog.resolve_type(&g.ty, span)?;
             prog.globals.push(GlobalInfo {
                 name: g.name.clone(),
                 ty,
                 init: g.init.clone(),
-                span: g.span,
+                span,
+                base: g.base,
             });
         }
 
@@ -450,14 +470,16 @@ impl Program {
         }
     }
 
-    fn resolve_params(&self, params: &[Param]) -> Result<Vec<Param>, SemaError> {
+    /// Resolves parameters whose spans are measured from `base`.
+    fn resolve_params(&self, params: &[Param], base: u32) -> Result<Vec<Param>, SemaError> {
         params
             .iter()
             .map(|p| {
+                let span = p.span.rebase(base);
                 Ok(Param {
                     name: p.name.clone(),
-                    ty: self.resolve_type(&p.ty, p.span)?,
-                    span: p.span,
+                    ty: self.resolve_type(&p.ty, span)?,
+                    span,
                 })
             })
             .collect()

@@ -379,7 +379,7 @@ impl TuModule {
             .enums
             .iter()
             .map(|e| {
-                let (line, col) = loc(e.span);
+                let (line, col) = loc(e.at(e.span));
                 EnumRecord {
                     name: e.name.clone(),
                     variants: e.variants.clone(),

@@ -300,6 +300,7 @@ pub fn walk_function(
         visitor,
         scopes: vec![HashMap::new()],
         this_class: info.class,
+        base: info.base,
     };
     for p in &info.params {
         walker.declare(&p.name, p.ty.clone());
@@ -309,7 +310,7 @@ pub fn walk_function(
     // entries are constructor calls.
     if info.kind == FunctionKind::Constructor {
         let class = info.class.expect("constructors always have a class");
-        for init in &info.inits {
+        for init in info.inits.iter() {
             for arg in &init.args {
                 walker.expr(arg, Ctx::value())?;
             }
@@ -327,7 +328,7 @@ pub fn walk_function(
                             receiver_var: None,
                         },
                         arg_count: init.args.len(),
-                        span: init.span,
+                        span: init.span.rebase(info.base),
                     });
                 }
             }
@@ -357,8 +358,10 @@ pub fn walk_globals(
         visitor,
         scopes: vec![HashMap::new()],
         this_class: None,
+        base: 0,
     };
     for g in program.globals() {
+        walker.base = g.base;
         if let Some(init) = &g.init {
             walker.expr(init, Ctx::value())?;
         }
@@ -415,6 +418,9 @@ struct Walker<'a> {
     visitor: &'a mut dyn EventVisitor,
     scopes: Vec<HashMap<String, Type>>,
     this_class: Option<ClassId>,
+    /// Byte offset the spans of the walked body are measured from; every
+    /// span an event or error carries is rebased by it.
+    base: u32,
 }
 
 impl<'a> Walker<'a> {
@@ -443,7 +449,7 @@ impl<'a> Walker<'a> {
             StmtKind::Expr(e) => {
                 self.expr(e, Ctx::value())?;
             }
-            StmtKind::Decl(d) => self.local_decl(d, s.span)?,
+            StmtKind::Decl(d) => self.local_decl(d, s.span.rebase(self.base))?,
             StmtKind::If { cond, then, els } => {
                 self.expr(cond, Ctx::value())?;
                 self.stmt(then)?;
@@ -563,6 +569,7 @@ impl<'a> Walker<'a> {
 
     /// Walks `e`, emitting events, and returns its static type.
     fn expr(&mut self, e: &Expr, ctx: Ctx) -> Result<Type, TypeError> {
+        let span = e.span.rebase(self.base);
         match &e.kind {
             ExprKind::IntLit(_) => Ok(Type::int()),
             ExprKind::FloatLit(_) => Ok(Type::plain(TypeKind::Double)),
@@ -574,15 +581,15 @@ impl<'a> Walker<'a> {
                 Some(c) => Ok(
                     Type::plain(TypeKind::Named(self.program.class(c).name.clone())).pointer_to(),
                 ),
-                None => Err(TypeError::new(TypeErrorKind::ThisOutsideMethod, e.span)),
+                None => Err(TypeError::new(TypeErrorKind::ThisOutsideMethod, span)),
             },
-            ExprKind::Ident(name) => self.ident(name, e.span, ctx),
+            ExprKind::Ident(name) => self.ident(name, span, ctx),
             ExprKind::Member {
                 base,
                 arrow,
                 qualifier,
                 name,
-            } => self.member(base, *arrow, qualifier.as_deref(), name, e.span, ctx),
+            } => self.member(base, *arrow, qualifier.as_deref(), name, span, ctx),
             ExprKind::Index { base, index } => {
                 let base_ty = self.expr(base, Ctx::value())?;
                 self.expr(index, Ctx::value())?;
@@ -592,12 +599,12 @@ impl<'a> Walker<'a> {
                     TypeKind::Pointer(p) => Ok((**p).clone()),
                     _ => Err(TypeError::new(
                         TypeErrorKind::NotAPointer(base_ty.to_string()),
-                        e.span,
+                        span,
                     )),
                 }
             }
-            ExprKind::Call { callee, args } => self.call(callee, args, e.span),
-            ExprKind::Unary { op, expr } => self.unary(*op, expr, e.span, ctx),
+            ExprKind::Call { callee, args } => self.call(callee, args, span),
+            ExprKind::Unary { op, expr } => self.unary(*op, expr, span, ctx),
             ExprKind::Postfix { expr, .. } => self.expr(expr, Ctx::value()),
             ExprKind::Binary { op, lhs, rhs } => {
                 let lt = self.expr(lhs, Ctx::value())?;
@@ -628,7 +635,7 @@ impl<'a> Walker<'a> {
                     style: *style,
                     target: target.clone(),
                     operand,
-                    span: e.span,
+                    span,
                 });
                 Ok(target)
             }
@@ -657,7 +664,7 @@ impl<'a> Walker<'a> {
                             class,
                             ctor,
                             kind,
-                            span: e.span,
+                            span,
                         });
                     }
                 }
@@ -678,13 +685,13 @@ impl<'a> Walker<'a> {
                 self.visitor.delete_of(&DeleteEvent {
                     pointee_class,
                     is_array: *is_array,
-                    span: e.span,
+                    span,
                 });
                 Ok(Type::void())
             }
             ExprKind::SizeofType(ty) => {
                 let ty = self.resolve_decl_type(ty);
-                self.visitor.sizeof_of(&ty, e.span);
+                self.visitor.sizeof_of(&ty, span);
                 Ok(Type::int())
             }
             ExprKind::SizeofExpr(inner) => {
@@ -692,16 +699,16 @@ impl<'a> Walker<'a> {
                 // accesses inside it are not livening accesses; only the
                 // resulting type matters.
                 let ty = self.type_only(inner)?;
-                self.visitor.sizeof_of(&ty, e.span);
+                self.visitor.sizeof_of(&ty, span);
                 Ok(Type::int())
             }
             ExprKind::PtrToMember { class, member } => {
                 let class_id = self.program.class_by_name(class).ok_or_else(|| {
-                    TypeError::new(TypeErrorKind::UnknownQualifier(class.clone()), e.span)
+                    TypeError::new(TypeErrorKind::UnknownQualifier(class.clone()), span)
                 })?;
                 match self.lookup.member(class_id, member) {
                     Ok(Found::Data(m)) => {
-                        self.visitor.ptr_to_member(m, e.span);
+                        self.visitor.ptr_to_member(m, span);
                         let mty = self.program.class(m.class).members[m.index as usize]
                             .ty
                             .clone();
@@ -713,16 +720,16 @@ impl<'a> Walker<'a> {
                     Ok(Found::Method { func, .. }) => {
                         // Pointer to member function: the function's address
                         // is taken.
-                        self.visitor.address_of_function(func, e.span);
+                        self.visitor.address_of_function(func, span);
                         Ok(Type::void().pointer_to())
                     }
-                    Err(err) => Err(TypeError::new(err.into(), e.span)),
+                    Err(err) => Err(TypeError::new(err.into(), span)),
                 }
             }
             ExprKind::PtrMemApply { base, arrow, ptr } => {
                 let base_ty = self.expr(base, Ctx::value())?;
                 let ptr_ty = self.expr(ptr, Ctx::value())?;
-                let _ = self.class_of_base(&base_ty, *arrow, e.span)?;
+                let _ = self.class_of_base(&base_ty, *arrow, span)?;
                 match &ptr_ty.kind {
                     TypeKind::MemberPointer { pointee, .. } => Ok((**pointee).clone()),
                     _ => Ok(Type::int()),
@@ -746,6 +753,7 @@ impl<'a> Walker<'a> {
             visitor: &mut silent,
             scopes: std::mem::take(&mut self.scopes),
             this_class: self.this_class,
+            base: self.base,
         };
         let result = sub.expr(e, Ctx::value());
         self.scopes = std::mem::take(&mut sub.scopes);

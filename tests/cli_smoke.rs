@@ -575,3 +575,107 @@ fn explain_is_identical_across_engines_via_cli() {
         );
     }
 }
+
+/// A header every TU of the shared-declaration cases repeats, after a
+/// per-TU comment of a different length, so it sits at a different
+/// offset in each.
+const SHARED_HEADER: &str = "class Shape {
+public:
+    int w;
+    int h;
+    Shape() : w(1), h(2) { }
+    virtual int area() { return w * h; }
+};
+class Square : public Shape {
+public:
+    int side;
+    int area() { return side * side; }
+};
+";
+
+/// Runs `ddm` inside a fresh directory holding `files`, named on the
+/// command line as given; returns (exit code, stderr).
+fn run_project(tag: &str, files: &[(&str, String)], args: &[&str]) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!("ddm_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create project dir");
+    for (name, src) in files {
+        std::fs::write(dir.join(name), src).expect("write TU");
+    }
+    let out = ddm()
+        .current_dir(&dir)
+        .args(args)
+        .output()
+        .expect("run ddm");
+    let _ = std::fs::remove_dir_all(&dir);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_type_error_in_a_shared_method_names_the_winning_tu_and_its_offsets() {
+    let bad = SHARED_HEADER.replace("return side * side;", "return side * sidee;");
+    let files = [
+        (
+            "t1.cpp",
+            format!("// one\n{bad}int helper();\nint main() {{ Square s; return s.area() + helper(); }}\n"),
+        ),
+        (
+            "t2.cpp",
+            format!("// two, a longer comment\n// over two lines\n\n{bad}int helper() {{ Shape s; return s.h; }}\n"),
+        ),
+    ];
+    let (code, stderr) = run_project("shared_type_error", &files, &["t1.cpp", "t2.cpp"]);
+    assert_eq!(code, Some(1));
+    assert_eq!(
+        stderr,
+        "error: t1.cpp: type error: unknown identifier `sidee` at 207..212\n"
+    );
+    let (code, stderr) = run_project(
+        "shared_type_error_rev",
+        &files,
+        &["t2.cpp", "t1.cpp", "--jobs", "2"],
+    );
+    assert_eq!(code, Some(1));
+    assert_eq!(
+        stderr,
+        "error: t2.cpp: type error: unknown identifier `sidee` at 244..249\n"
+    );
+}
+
+#[test]
+fn a_parse_error_in_one_tus_tail_and_a_repeated_class_keep_their_offsets() {
+    let main = (
+        "p1.cpp",
+        format!("// one\n{SHARED_HEADER}int helper();\nint main() {{ Square s; return s.area() + helper(); }}\n"),
+    );
+    let tail = (
+        "p2.cpp",
+        format!("// two, a longer comment\n\n{SHARED_HEADER}int helper() {{ return 1 +; }}\n"),
+    );
+    let (code, stderr) = run_project(
+        "shared_parse_error",
+        &[main.clone(), tail],
+        &["p1.cpp", "p2.cpp"],
+    );
+    assert_eq!(code, Some(1));
+    assert_eq!(
+        stderr,
+        "error: p2.cpp: parse error: expected expression, found `;` at 262..263\n"
+    );
+    let twice = (
+        "d2.cpp",
+        format!("/* two */\n{SHARED_HEADER}{SHARED_HEADER}int helper() {{ return 1; }}\n"),
+    );
+    let (code, stderr) = run_project(
+        "shared_duplicate",
+        &[main, twice],
+        &["p1.cpp", "d2.cpp", "--jobs", "2"],
+    );
+    assert_eq!(code, Some(1));
+    assert_eq!(
+        stderr,
+        "error: d2.cpp: parse error: duplicate definition of `Shape` at 221..337\n"
+    );
+}

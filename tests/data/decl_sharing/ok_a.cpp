@@ -1,0 +1,15 @@
+// tu a
+class Base {
+public:
+    int a;
+    int b;
+    Base() : a(1), b(2) { }
+    virtual int get() { return a; }
+};
+class Derived : public Base {
+public:
+    int c;
+    int get() { return c + a; }
+};
+int helper();
+int main() { Derived d; return d.get() + helper(); }

@@ -1,0 +1,15 @@
+// tu b has a longer comment
+// and two lines
+class Base {
+public:
+    int a;
+    int b;
+    Base() : a(1), b(2) { }
+    virtual int get() { return a; }
+};
+class Derived : public Base {
+public:
+    int c;
+    int get() { return c + a; }
+};
+int helper() { Base b; return b.b; }

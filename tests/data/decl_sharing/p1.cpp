@@ -1,0 +1,2 @@
+class A { public: int x; }
+int main() { return 0; }

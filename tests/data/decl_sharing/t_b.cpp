@@ -1,0 +1,16 @@
+// b, longer
+
+class Base {
+public:
+    int a;
+    int b;
+    Base() : a(1), b(2) { }
+    virtual int get() { return a; }
+};
+class Derived : public Base {
+public:
+    int c;
+    int get() { return c + zzz; }
+};
+int shared_global = 3;
+int other() { return 1; }

@@ -1,0 +1,15 @@
+// bb bb
+
+class Base {
+public:
+    int a;
+    int b;
+    Base() : a(1), b(2) { }
+    virtual int get() { return a; }
+};
+class Derived : public Base {
+public:
+    int c;
+    int get() { return c + zzz; }
+};
+int other() { return 1; }

@@ -10,10 +10,12 @@
 //! ([`ProjectPipeline::from_source`]); with one worker the front end
 //! runs on the calling thread too.
 //!
-//! With a cache directory, per-TU modules persist across runs keyed by
-//! the FNV-1a content hash of the TU source (plus a format version and
-//! a configuration fingerprint in the envelope). A warm run re-parses
-//! and re-summarizes only the TUs whose content changed and produces
+//! With a cache directory, per-TU modules persist across runs as
+//! `tu-<hash>.bin` entries keyed by the FNV-1a content hash of the TU
+//! source: the binary module sealed with a format version, a checksum,
+//! the configuration fingerprint and the source hash
+//! ([`ddm_hierarchy::encode_entry`]). A warm run re-parses and
+//! re-summarizes only the TUs whose content changed and produces
 //! byte-identical reports, `--explain` output, and deterministic
 //! counters versus a cold cacheless run: the linked model is always
 //! assembled from module records, so a summary resolved from cache
@@ -22,7 +24,7 @@
 //! Entries are published atomically (write to a process-unique temp
 //! file, then rename), so concurrent writers sharing one cache
 //! directory and processes killed mid-write can never leave a torn
-//! `tu-<hash>.json` behind; dangling temps are swept the next time the
+//! `tu-<hash>.bin` behind; dangling temps are swept the next time the
 //! directory is opened. The `DDM_CACHE_FAULT` environment variable
 //! injects crashes into the write path for the torture tests.
 
@@ -35,14 +37,15 @@ use crate::snapshot::{snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE};
 use ddm_callgraph::{Algorithm, CallGraph};
 use ddm_cppfront::{DeclMemo, SourceMap, SourceSet};
 use ddm_hierarchy::{
-    body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, ClassId, FuncId, LinkDelta,
-    LinkError, LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
+    body_walk_count, decode_entry, encode_entry, fnv1a64, hash_hex, link_delta_ref, link_with,
+    ClassId, FuncId, LinkDelta, LinkError, LinkedProgram, Program, ProgramSummary, TuModule,
+    TypeError,
 };
 use ddm_telemetry::{EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,24 +130,30 @@ const SOURCE_NAME: &str = "<source>";
 /// (a long flat expression) sooner.
 pub(crate) const ANALYSIS_STACK_BYTES: usize = 8 << 20;
 
-/// The cache file for a TU with the given source hash.
-fn cache_path(dir: &Path, source_hash: u64) -> PathBuf {
-    dir.join(format!("tu-{}.json", hash_hex(source_hash)))
+/// The cache file name of the TU with the given source hash.
+fn entry_name(source_hash: u64) -> String {
+    format!("tu-{}.bin", hash_hex(source_hash))
 }
 
 /// Crash-injection points inside the cache write path, enabled by the
 /// `DDM_CACHE_FAULT` environment variable. Torture tests use these to
 /// prove a process dying mid-publish can never leave a torn
-/// `tu-<hash>.json` behind: the next run must recompute and produce
-/// byte-identical output with zero invalidations.
+/// `tu-<hash>.bin` or `analysis.snap` behind: the next run must
+/// recompute and produce byte-identical output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheFault {
-    /// Abort after writing half of the first entry's bytes to its temp
-    /// file (a torn temp, never a torn final).
+pub(crate) enum CacheFault {
+    /// `kill-mid-write`: abort after writing half of the first entry's
+    /// image to its temp file (a torn temp, never a torn final).
     KillMidWrite,
-    /// Abort after fully writing the first entry's temp file but before
-    /// renaming it over the final name (a complete but unpublished temp).
+    /// `kill-pre-rename`: abort after fully writing the first entry's
+    /// temp file, before renaming it over the final name.
     KillPreRename,
+    /// `snap-kill-mid-write`: the same as `kill-mid-write`, for the
+    /// snapshot.
+    SnapKillMidWrite,
+    /// `snap-kill-pre-rename`: the same as `kill-pre-rename`, for the
+    /// snapshot.
+    SnapKillPreRename,
 }
 
 /// The fault selected by `DDM_CACHE_FAULT`, read once per process.
@@ -154,40 +163,44 @@ fn cache_fault() -> Option<CacheFault> {
     *FAULT.get_or_init(|| match std::env::var("DDM_CACHE_FAULT").as_deref() {
         Ok("kill-mid-write") => Some(CacheFault::KillMidWrite),
         Ok("kill-pre-rename") => Some(CacheFault::KillPreRename),
+        Ok("snap-kill-mid-write") => Some(CacheFault::SnapKillMidWrite),
+        Ok("snap-kill-pre-rename") => Some(CacheFault::SnapKillPreRename),
         _ => None,
     })
 }
 
-/// Atomically publishes one cache entry: the document is written to a
-/// process-unique temp file inside `dir`, then renamed over the final
-/// `tu-<hash>.json`. Readers therefore observe either no entry or a
-/// complete one — a crash between the write and the rename leaves only
-/// a dangling temp, which [`sweep_dangling_temps`] removes on the next
-/// open. Best-effort like all cache I/O: any failure simply means the
-/// entry is recomputed next time.
-fn publish_entry(dir: &Path, source_hash: u64, doc: &str) {
-    let tmp = dir.join(format!(
-        "tu-{}.json.tmp.{}",
-        hash_hex(source_hash),
-        std::process::id()
-    ));
+/// Atomically publishes one cache file: `image` is written to a
+/// process-unique `<name>.tmp.<pid>` inside `dir`, then renamed over
+/// `name`. Readers therefore observe either no file, the previous one
+/// or this one — a crash between the write and the rename leaves only
+/// a dangling temp, which [`sweep_dangling_temps`] removes on a later
+/// open. `mid_write` and `pre_rename` are the faults that abort this
+/// write. Best-effort like all cache I/O: any failure simply means the
+/// file is recomputed next time.
+pub(crate) fn publish(
+    dir: &Path,
+    name: &str,
+    image: &[u8],
+    mid_write: CacheFault,
+    pre_rename: CacheFault,
+) {
+    let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
     let written = (|| -> std::io::Result<()> {
         use std::io::Write as _;
         let mut f = std::fs::File::create(&tmp)?;
-        if cache_fault() == Some(CacheFault::KillMidWrite) {
-            f.write_all(&doc.as_bytes()[..doc.len() / 2])?;
+        if cache_fault() == Some(mid_write) {
+            f.write_all(&image[..image.len() / 2])?;
             let _ = f.sync_all();
             std::process::abort();
         }
-        f.write_all(doc.as_bytes())?;
-        Ok(())
+        f.write_all(image)
     })();
     match written {
         Ok(()) => {
-            if cache_fault() == Some(CacheFault::KillPreRename) {
+            if cache_fault() == Some(pre_rename) {
                 std::process::abort();
             }
-            let _ = std::fs::rename(&tmp, cache_path(dir, source_hash));
+            let _ = std::fs::rename(&tmp, dir.join(name));
         }
         Err(_) => {
             let _ = std::fs::remove_file(&tmp);
@@ -216,7 +229,7 @@ fn temp_old_enough(entry: &std::fs::DirEntry) -> bool {
     }
 }
 
-/// Removes dangling `tu-*.json.tmp.*` and `analysis.snap.tmp.*` files
+/// Removes dangling `tu-*.bin.tmp.*` and `analysis.snap.tmp.*` files
 /// left by a crashed writer. Runs when a cache directory is opened for
 /// probing. Only temps older than [`TEMP_SWEEP_MIN_AGE`] are removed,
 /// so a live concurrent writer's in-flight temp survives the probe and
@@ -230,7 +243,7 @@ fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if (name.starts_with("tu-") && name.contains(".json.tmp")) || name.starts_with(&snap_tmp) {
+        if (name.starts_with("tu-") && name.contains(".bin.tmp.")) || name.starts_with(&snap_tmp) {
             if !temp_old_enough(&entry) {
                 continue;
             }
@@ -239,19 +252,6 @@ fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
                 vec![("temp", name.as_ref().into())]
             });
         }
-    }
-}
-
-/// Classifies a [`TuModule::from_json`] rejection into the cache
-/// invalidation reasons the flight recorder reports. Anything that is
-/// not one of the three envelope mismatches is a corrupt or truncated
-/// document (including torn writes and dangling-reference records).
-fn invalidation_reason(err: &str) -> &'static str {
-    match err {
-        "format version mismatch" => "version_skew",
-        "configuration fingerprint mismatch" => "config_fingerprint",
-        "source hash mismatch" => "source_hash",
-        _ => "corrupt",
     }
 }
 
@@ -404,10 +404,10 @@ impl ProjectPipeline {
         let refine = algorithm == Algorithm::Pta;
 
         // --- Cache probe: content-hash every input, load what we can.
-        // A valid analysis snapshot short-circuits the per-TU JSON probe
+        // A valid analysis snapshot short-circuits the per-TU entry probe
         // for every unchanged TU (its module decodes straight from the
-        // snapshot); changed TUs still go through the JSON probe, so the
-        // summary cache keeps its hit/miss/invalidation semantics. ---
+        // snapshot); changed TUs still read their `tu-<hash>.bin`, so
+        // the entries keep their hit/miss/invalidation semantics. ---
         let frontend_start = Instant::now();
         let snap_fingerprint = snapshot_fingerprint(&config, algorithm);
         let mut hits = 0u64;
@@ -417,10 +417,10 @@ impl ProjectPipeline {
             .map(|(_, source)| fnv1a64(source.as_bytes()))
             .collect();
         let mut snapshot: Option<AnalysisSnapshot> = None;
-        // Rendered summary-entry size per TU, filled by whichever path
-        // first learns it (snapshot, cache entry on disk, or the
-        // write-back render). `None` means nobody rendered it yet; the
-        // metrics histogram renders on demand for those.
+        // Entry size per TU, filled by whichever path first learns it
+        // (snapshot, entry on disk, or the write-back). `None` means
+        // nobody encoded it yet; the metrics histogram encodes on
+        // demand for those.
         let mut byte_lens: Vec<Option<u64>> = vec![None; inputs.len()];
         // The snapshot's stored modules, moved (not cloned) out of the
         // envelope: unchanged TUs take theirs during the probe, leaving
@@ -472,18 +472,36 @@ impl ProjectPipeline {
                 .enumerate()
                 .map(|(i, ((file, _), &hash))| {
                     let dir = cache?;
-                    if let Some(snap) = &snapshot {
-                        if snap.source_hashes[i] == hash {
-                            // Unchanged since the snapshot: its module is
-                            // already in memory and is moved out, not
-                            // cloned. Keyed by content, so a renamed file
-                            // still hits. The entry size was recorded
-                            // when the snapshot was written, so the hit
-                            // costs no JSON render.
-                            let mut module =
-                                snap_modules[i].take().expect("snapshot module taken once");
+                    // A TU unchanged since the snapshot moves its module
+                    // out of it (not cloned), with the entry size the
+                    // snapshot recorded; any other TU reads its entry.
+                    // Both are keyed by content, not by path, so the same
+                    // bytes under a new name hit.
+                    let found = match &snapshot {
+                        Some(snap) if snap.source_hashes[i] == hash => Ok((
+                            snap_modules[i].take().expect("snapshot module taken once"),
+                            snap.summary_bytes[i],
+                        )),
+                        _ => {
+                            let Ok(image) = std::fs::read(dir.join(entry_name(hash))) else {
+                                // Probe outcomes differ cold vs warm, so
+                                // every probe event is obs class.
+                                telemetry.event(EventClass::Observational, "tu_cache_miss", || {
+                                    vec![
+                                        ("file", file.as_str().into()),
+                                        ("hash", hash_hex(hash).into()),
+                                    ]
+                                });
+                                return None;
+                            };
+                            decode_entry(&image, &fingerprint, hash)
+                                .map(|module| (module, image.len() as u64))
+                        }
+                    };
+                    match found {
+                        Ok((mut module, bytes)) => {
                             module.file = file.clone();
-                            let bytes = snap.summary_bytes[i];
+                            hits += 1;
                             byte_lens[i] = Some(bytes);
                             telemetry.event(EventClass::Observational, "tu_cache_hit", || {
                                 vec![
@@ -492,40 +510,9 @@ impl ProjectPipeline {
                                     ("bytes", bytes.into()),
                                 ]
                             });
-                            hits += 1;
-                            return Some(module);
-                        }
-                    }
-                    let doc = match std::fs::read_to_string(cache_path(dir, hash)) {
-                        Ok(doc) => doc,
-                        Err(_) => {
-                            // Cache outcomes differ cold vs warm by
-                            // definition, so every probe event is obs
-                            // class (the det stream must be identical
-                            // across cache states).
-                            telemetry.event(EventClass::Observational, "tu_cache_miss", || {
-                                vec![("file", file.as_str().into()), ("hash", hash_hex(hash).into())]
-                            });
-                            return None;
-                        }
-                    };
-                    match TuModule::from_json(&doc, &fingerprint, hash) {
-                        Ok(mut module) => {
-                            // Entries are keyed by content, not by path:
-                            // the same bytes under a new name hit.
-                            module.file = file.clone();
-                            hits += 1;
-                            byte_lens[i] = Some(doc.len() as u64);
-                            telemetry.event(EventClass::Observational, "tu_cache_hit", || {
-                                vec![
-                                    ("file", file.as_str().into()),
-                                    ("hash", hash_hex(hash).into()),
-                                    ("bytes", doc.len().into()),
-                                ]
-                            });
                             Some(module)
                         }
-                        Err(err) => {
+                        Err(reject) => {
                             invalidations += 1;
                             telemetry.event(
                                 EventClass::Observational,
@@ -534,7 +521,7 @@ impl ProjectPipeline {
                                     vec![
                                         ("file", file.as_str().into()),
                                         ("hash", hash_hex(hash).into()),
-                                        ("reason", invalidation_reason(&err).into()),
+                                        ("reason", reject.to_string().into()),
                                     ]
                                 },
                             );
@@ -652,30 +639,37 @@ impl ProjectPipeline {
             });
             let _ = std::fs::create_dir_all(dir);
             for &i in &todo {
-                let doc = modules[i].to_json(&fingerprint);
-                byte_lens[i] = Some(doc.len() as u64);
-                publish_entry(dir, hashes[i], &doc);
+                let image = encode_entry(&modules[i], &fingerprint);
+                byte_lens[i] = Some(image.len() as u64);
+                publish(
+                    dir,
+                    &entry_name(hashes[i]),
+                    &image,
+                    CacheFault::KillMidWrite,
+                    CacheFault::KillPreRename,
+                );
                 telemetry.event(EventClass::Observational, "tu_cache_publish", || {
                     vec![
                         ("file", inputs[i].0.as_str().into()),
                         ("hash", hash_hex(hashes[i]).into()),
-                        ("bytes", doc.len().into()),
+                        ("bytes", image.len().into()),
                     ]
                 });
             }
         }
 
-        // TU summary sizes, recorded for *every* module (not just the
+        // TU entry sizes, recorded for *every* module (not just the
         // written-back ones) in input order, so the bucket counts are
         // identical cold or warm. Sizes learned during the probe or the
-        // write-back are reused; only modules nobody rendered (the
-        // cacheless run) pay for a render here, and only when metrics
+        // write-back are reused; only modules nobody encoded (the
+        // cacheless run) are encoded here, and only when metrics
         // collection is on.
+        let entry_len = |m: &TuModule, len: &Option<u64>| {
+            len.unwrap_or_else(|| encode_entry(m, &fingerprint).len() as u64)
+        };
         telemetry.metrics(|m| {
             for (module, len) in modules.iter().zip(&byte_lens) {
-                let bytes =
-                    len.unwrap_or_else(|| module.to_json(&fingerprint).len() as u64);
-                m.hist_record("frontend/tu_summary_bytes", bytes);
+                m.hist_record("frontend/tu_summary_bytes", entry_len(module, len));
             }
         });
 
@@ -822,7 +816,7 @@ impl ProjectPipeline {
                     summary_bytes: modules
                         .iter()
                         .zip(&byte_lens)
-                        .map(|(m, len)| len.unwrap_or_else(|| m.to_json(&fingerprint).len() as u64))
+                        .map(|(m, len)| entry_len(m, len))
                         .collect(),
                     // The module list is dead after this point, so the
                     // snapshot takes it instead of cloning it.

@@ -1,78 +1,54 @@
 //! The persisted whole-analysis snapshot.
 //!
-//! A cache directory can hold, next to the per-TU `tu-<hash>.json`
-//! summary entries, one [`AnalysisSnapshot`] (`analysis.snap`): the
-//! binary modules of every TU, the converged call-graph fixpoint with
-//! its deterministic schedule, and the liveness classification. A warm
-//! run that finds a valid snapshot skips the per-TU JSON probe for
-//! unchanged TUs (decoding their modules straight from the snapshot)
-//! and — when the summary diff proves the fixpoint is unaffected —
-//! replays the stored schedule instead of re-running it, while emitting
-//! a deterministic event/counter/metric stream byte-identical to a cold
-//! run.
+//! A cache directory can hold, next to the per-TU `tu-<hash>.bin`
+//! entries, one [`AnalysisSnapshot`] (`analysis.snap`): the binary
+//! modules of every TU, the converged call-graph fixpoint with its
+//! deterministic schedule, and the liveness classification. A warm run
+//! that finds a valid snapshot reads no per-TU entry for unchanged TUs
+//! (decoding their modules straight from the snapshot) and — when the
+//! summary diff proves the fixpoint is unaffected — replays the stored
+//! schedule instead of re-running it, while emitting a deterministic
+//! event/counter/metric stream byte-identical to a cold run.
 //!
-//! The file is a versioned envelope: magic, format version, a
-//! whole-payload FNV-1a checksum, then a single length-framed payload
-//! encoded with the [`ddm_hierarchy::binmod`] primitives. Everything in
-//! the envelope is derived deterministically from the analysis inputs,
-//! so two concurrent writers publishing the same analysis produce
-//! byte-identical files and a rename race is unobservable. Publication
-//! is atomic (temp-then-rename, same scheme as the summary cache), and
+//! The file is sealed like a per-TU entry ([`ddm_hierarchy::binmod`]'s
+//! `seal`/`open`): magic, format version, a whole-payload word-wise
+//! FNV-1a checksum, then one payload encoded with the `binmod`
+//! primitives. Everything in it is derived deterministically from the
+//! analysis inputs, so two concurrent writers publishing the same
+//! analysis produce byte-identical files and a rename race is
+//! unobservable. Publication is atomic (temp-then-rename, the same
+//! scheme as the per-TU entries), and
 //! `DDM_CACHE_FAULT=snap-kill-mid-write` / `snap-kill-pre-rename`
 //! inject crashes into the write path for the torture tests. Any
-//! rejection — bad magic, version skew, checksum mismatch, fingerprint
-//! mismatch, truncation — makes the run fall back to the summary-cache
-//! probe; the snapshot is advisory, never trusted.
+//! rejection — a corrupt or truncated image, version skew, another
+//! configuration — makes the run fall back to the per-TU entries; the
+//! snapshot is advisory, never trusted.
 
 use crate::analysis::AnalysisConfig;
 use crate::liveness::{LiveReason, LivenessParts, Origin};
-use crate::project::config_fingerprint;
+use crate::project::{config_fingerprint, publish, CacheFault};
 use ddm_callgraph::{Algorithm, CallGraphParts, CgRound, CgSchedule};
+use ddm_hierarchy::binmod::{open, seal};
 use ddm_hierarchy::{
-    decode_modules, encode_modules, ByteReader, ByteWriter, ClassId, FuncId, MemberRef, TuModule,
-    BINMOD_FORMAT_VERSION,
+    decode_modules, encode_modules, ByteReader, ByteWriter, ClassId, FuncId, MemberRef, Reject,
+    TuModule, BINMOD_FORMAT_VERSION,
 };
 use ddm_telemetry::{Counters, Histogram};
 use std::path::Path;
 
 /// The snapshot file name inside a cache directory. Deliberately not a
-/// `.json` name: tooling that enumerates `tu-*.json` summary entries
-/// must never confuse the snapshot for one.
+/// `tu-*` name: tooling that enumerates `tu-*.bin` entries must never
+/// confuse the snapshot for one.
 pub const SNAPSHOT_FILE: &str = "analysis.snap";
 
-/// Bumped whenever the envelope or payload encoding changes shape; a
-/// reader that sees any other version rejects the file (version skew)
-/// and the run recomputes from the summary cache.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+/// Bumped whenever the envelope or payload encoding changes shape, or
+/// what a field means; a reader that sees any other version rejects
+/// the file (version skew) and the run recomputes from the per-TU
+/// entries. Version 2: `summary_bytes` holds binary entry sizes.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// The 8-byte magic at the start of every snapshot file.
 const MAGIC: &[u8; 8] = b"DDMSNAP\0";
-
-/// Payload checksum: FNV-1a folded over little-endian 8-byte words
-/// with the tail zero-padded and the length mixed in last. Detects the
-/// same torn/corrupt writes as byte-wise FNV but reads the payload a
-/// word at a time — the snapshot is rewritten on every incremental
-/// run, so the checksum is on the warm path twice. Part of the
-/// snapshot format (a change here must bump
-/// [`SNAPSHOT_FORMAT_VERSION`]).
-fn snap_checksum(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        h = h.wrapping_mul(PRIME);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h ^= u64::from_le_bytes(tail);
-        h = h.wrapping_mul(PRIME);
-    }
-    h ^= bytes.len() as u64;
-    h.wrapping_mul(PRIME)
-}
 
 /// The configuration fingerprint a snapshot is keyed by. Unlike the
 /// per-TU summary fingerprint ([`config_fingerprint`]), the snapshot
@@ -294,7 +270,7 @@ fn get_counters(r: &mut ByteReader) -> Result<Counters, String> {
 
 /// Everything a warm run needs to reproduce a converged analysis
 /// without re-running it: the binary modules of every TU (so unchanged
-/// TUs skip the JSON probe entirely), the display names of the stored
+/// TUs read no per-TU entry), the display names of the stored
 /// reachable functions (the reuse gate's id-stability witness), the
 /// linked program's shape, the frozen call graph with its deterministic
 /// replay schedule, and the liveness classification with the counters
@@ -310,11 +286,10 @@ pub struct AnalysisSnapshot {
     pub fingerprint: String,
     /// FNV-1a content hash of each TU's source, in input order.
     pub source_hashes: Vec<u64>,
-    /// Rendered JSON size of each TU's summary-cache entry, in input
-    /// order. Warm runs report these in hit events and the
-    /// `frontend/tu_summary_bytes` histogram instead of re-rendering
-    /// every unchanged module to JSON just to measure it — that render
-    /// was the single largest cost on the warm path.
+    /// Size of each TU's `tu-<hash>.bin` entry, in input order. Warm
+    /// runs report these in hit events and the
+    /// `frontend/tu_summary_bytes` histogram instead of re-encoding
+    /// every unchanged module just to measure it.
     pub summary_bytes: Vec<u64>,
     /// The extracted module of each TU, in input order.
     pub modules: Vec<TuModule>,
@@ -403,41 +378,20 @@ impl AnalysisSnapshot {
             put_origin(&mut w, o);
         }
         put_counters(&mut w, &self.liveness_counters);
-
-        let payload = w.into_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 20);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&snap_checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        seal(MAGIC, SNAPSHOT_FORMAT_VERSION, w.bytes())
     }
 
     /// Decodes a complete file image.
     ///
     /// # Errors
     ///
-    /// A human-readable rejection reason: bad magic, `format version
-    /// mismatch` (skew), `payload checksum mismatch` (torn or corrupt),
-    /// or any structural decode failure. Callers treat every error the
-    /// same way — recompute.
+    /// A human-readable rejection reason: the envelope's [`Reject`]
+    /// (`corrupt` for a short image, bad magic or checksum mismatch,
+    /// `version_skew`), or any structural decode failure. Callers treat
+    /// every error the same way — recompute.
     pub fn decode(bytes: &[u8]) -> Result<AnalysisSnapshot, String> {
-        if bytes.len() < MAGIC.len() + 12 {
-            return Err("truncated envelope".to_string());
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err("bad magic".to_string());
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != SNAPSHOT_FORMAT_VERSION {
-            return Err("format version mismatch".to_string());
-        }
-        let checksum = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let payload = &bytes[20..];
-        if snap_checksum(payload) != checksum {
-            return Err("payload checksum mismatch".to_string());
-        }
-
+        let payload =
+            open(MAGIC, SNAPSHOT_FORMAT_VERSION, bytes).map_err(|reject| reject.to_string())?;
         let mut r = ByteReader::new(payload);
         let fingerprint = r.get_str()?;
         let n = r.get_len()?;
@@ -559,7 +513,7 @@ impl AnalysisSnapshot {
             std::fs::read(dir.join(SNAPSHOT_FILE)).map_err(|_| "missing".to_string())?;
         let snap = AnalysisSnapshot::decode(&bytes)?;
         if snap.fingerprint != fingerprint {
-            return Err("fingerprint mismatch".to_string());
+            return Err(Reject::ConfigFingerprint.to_string());
         }
         if snap.modules.len() != snap.source_hashes.len()
             || snap.summary_bytes.len() != snap.source_hashes.len()
@@ -569,58 +523,19 @@ impl AnalysisSnapshot {
         Ok(snap)
     }
 
-    /// Atomically publishes the snapshot into `dir`: the image is
-    /// written to a process-unique `analysis.snap.tmp.<pid>`, then
-    /// renamed over [`SNAPSHOT_FILE`]. Readers observe either no
-    /// snapshot, the previous one, or this one — never a torn file.
-    /// Best-effort like all cache I/O; a failure just means the next
-    /// run recomputes.
+    /// Atomically publishes the snapshot into `dir` as [`SNAPSHOT_FILE`]
+    /// (temp, then rename). Readers observe either no snapshot, the
+    /// previous one, or this one — never a torn file. Best-effort like
+    /// all cache I/O; a failure just means the next run recomputes.
     pub fn save(&self, dir: &Path) {
-        let bytes = self.encode();
-        let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp.{}", std::process::id()));
-        let written = (|| -> std::io::Result<()> {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)?;
-            if snap_fault() == Some(SnapFault::KillMidWrite) {
-                f.write_all(&bytes[..bytes.len() / 2])?;
-                let _ = f.sync_all();
-                std::process::abort();
-            }
-            f.write_all(&bytes)?;
-            Ok(())
-        })();
-        match written {
-            Ok(()) => {
-                if snap_fault() == Some(SnapFault::KillPreRename) {
-                    std::process::abort();
-                }
-                let _ = std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE));
-            }
-            Err(_) => {
-                let _ = std::fs::remove_file(&tmp);
-            }
-        }
+        publish(
+            dir,
+            SNAPSHOT_FILE,
+            &self.encode(),
+            CacheFault::SnapKillMidWrite,
+            CacheFault::SnapKillPreRename,
+        );
     }
-}
-
-/// Crash-injection points inside the snapshot write path, selected by
-/// the same `DDM_CACHE_FAULT` environment variable the summary cache
-/// uses (distinct values, so a test can fault either layer alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SnapFault {
-    /// Abort after writing half the image to the temp file.
-    KillMidWrite,
-    /// Abort after fully writing the temp file, before the rename.
-    KillPreRename,
-}
-
-fn snap_fault() -> Option<SnapFault> {
-    static FAULT: std::sync::OnceLock<Option<SnapFault>> = std::sync::OnceLock::new();
-    *FAULT.get_or_init(|| match std::env::var("DDM_CACHE_FAULT").as_deref() {
-        Ok("snap-kill-mid-write") => Some(SnapFault::KillMidWrite),
-        Ok("snap-kill-pre-rename") => Some(SnapFault::KillPreRename),
-        _ => None,
-    })
 }
 
 #[cfg(test)]
@@ -719,19 +634,17 @@ mod tests {
     #[test]
     fn truncation_and_corruption_are_rejected() {
         let bytes = sample_snapshot().encode();
-        assert_eq!(
-            AnalysisSnapshot::decode(&[]).unwrap_err(),
-            "truncated envelope"
-        );
+        assert_eq!(AnalysisSnapshot::decode(&[]).unwrap_err(), "corrupt");
         assert_eq!(
             AnalysisSnapshot::decode(b"NOTASNAP0000000000000000").unwrap_err(),
+            "corrupt",
             "bad magic"
         );
         // Any truncation of the payload breaks the checksum.
         for cut in [bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert_eq!(
                 AnalysisSnapshot::decode(&bytes[..cut.max(20)]).unwrap_err(),
-                "payload checksum mismatch",
+                "corrupt",
                 "cut at {cut}"
             );
         }
@@ -739,10 +652,7 @@ mod tests {
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
-        assert_eq!(
-            AnalysisSnapshot::decode(&flipped).unwrap_err(),
-            "payload checksum mismatch"
-        );
+        assert_eq!(AnalysisSnapshot::decode(&flipped).unwrap_err(), "corrupt");
     }
 
     #[test]
@@ -751,7 +661,7 @@ mod tests {
         bytes[8..12].copy_from_slice(&(SNAPSHOT_FORMAT_VERSION + 1).to_le_bytes());
         assert_eq!(
             AnalysisSnapshot::decode(&bytes).unwrap_err(),
-            "format version mismatch"
+            "version_skew"
         );
     }
 
@@ -771,7 +681,7 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(
             AnalysisSnapshot::load(&dir, "other-config").unwrap_err(),
-            "fingerprint mismatch"
+            "config_fingerprint"
         );
         // No temp left behind after a clean publish.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)

@@ -1,25 +1,26 @@
-//! Compact binary codec for [`TuModule`]s: the payload format of the
+//! Compact binary codec for [`TuModule`]s, and the sealed envelope of
+//! every cache file: the per-TU entries (`tu-<hash>.bin`) and the
 //! persisted analysis snapshot (`analysis.snap`).
 //!
-//! The JSON codec in [`module`](crate::module) stays the per-TU cache
-//! format — it is self-describing and diff-friendly, which is what you
-//! want for individually invalidated entries. The snapshot, by
-//! contrast, is read as one blob on every warm start, and parsing ~64
-//! TU documents of JSON dominated the warm path (the measured probe was
-//! ~17 ms of an ~18.5 ms warm run). This codec decodes the same
-//! modules in about a milliseconde-scale pass: length-prefixed fields,
-//! little-endian fixed-width integers, one tag byte per enum variant.
+//! Fields are length-prefixed, integers little-endian and fixed-width,
+//! and each enum variant is one tag byte. It encodes a module about 40
+//! times faster than the JSON codec in [`module`](crate::module), which
+//! no cache file uses any more, into about a third of the bytes
+//! (DESIGN.md §5e has the measurement).
 //!
-//! Integrity is the *container's* job: the snapshot envelope carries a
-//! version, a configuration fingerprint, and a whole-payload FNV-1a
-//! checksum, so the decoder here only defends against structural
-//! nonsense (truncation, bad tags, non-UTF-8) and does not re-run
-//! [`TuModule::validate`] — a payload that passes the checksum is the
-//! same bytes a validated module produced.
+//! [`seal`] frames a payload as magic, format version and a word-wise
+//! FNV-1a checksum; [`open`] checks all three and names what failed as
+//! a [`Reject`]. A per-TU entry ([`encode_entry`]) seals the
+//! configuration fingerprint, the source hash and one module;
+//! [`decode_entry`] checks, in turn, the envelope, the fingerprint, the
+//! hash, the structure, that no bytes trail and [`TuModule::validate`],
+//! so a damaged, stale or hand-crafted entry is recomputed, never
+//! trusted. The module decoders themselves only defend against
+//! structural nonsense (truncation, bad tags, non-UTF-8).
 //!
 //! Encoding is deterministic: a module encodes to the same bytes on
 //! every run (all containers are ordered `Vec`s), which is what lets
-//! concurrent snapshot writers publish byte-identical files.
+//! concurrent writers publish byte-identical files.
 
 use crate::module::{
     ClassRecord, EnumRecord, FreeFnRecord, GlobalRecord, MemberRecord, MethodRecord, SymCgStep,
@@ -29,11 +30,132 @@ use crate::typewalk::{TypeError, TypeErrorKind};
 use crate::LookupError;
 use ddm_cppfront::ast::{ClassKind, FnType, FunctionKind, Type, TypeKind};
 use ddm_cppfront::Span;
+use std::fmt;
 use std::sync::Arc;
 
-/// Version of the binary module encoding. Part of the snapshot
-/// fingerprint: bumping it invalidates every existing snapshot.
+/// Version of the binary module encoding and of the per-TU entry
+/// layout. Sealed into every entry and part of the snapshot
+/// fingerprint: bumping it invalidates every existing entry and
+/// snapshot.
 pub const BINMOD_FORMAT_VERSION: u32 = 1;
+
+/// The 8-byte magic at the start of every per-TU cache entry.
+const ENTRY_MAGIC: &[u8; 8] = b"DDMTU\0\0\0";
+
+/// Why a sealed cache file was not used. [`fmt::Display`] renders the
+/// reason the flight recorder reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reject {
+    /// Written by another format version (`version_skew`).
+    VersionSkew,
+    /// Written under another configuration (`config_fingerprint`).
+    ConfigFingerprint,
+    /// Keyed by another source text (`source_hash`).
+    SourceHash,
+    /// Torn, truncated, damaged or structurally invalid (`corrupt`).
+    Corrupt,
+}
+
+impl fmt::Display for Reject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Reject::VersionSkew => "version_skew",
+            Reject::ConfigFingerprint => "config_fingerprint",
+            Reject::SourceHash => "source_hash",
+            Reject::Corrupt => "corrupt",
+        })
+    }
+}
+
+/// Payload checksum: FNV-1a folded over little-endian 8-byte words
+/// with the tail zero-padded and the length mixed in last. Detects the
+/// same torn or corrupt writes as byte-wise FNV but reads the payload
+/// a word at a time. Part of every sealed format: a change here must
+/// bump the version of each.
+fn checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        h ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        h = h.wrapping_mul(PRIME);
+    }
+    let rem = chunks.remainder();
+    if !rem.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rem.len()].copy_from_slice(rem);
+        h ^= u64::from_le_bytes(tail);
+        h = h.wrapping_mul(PRIME);
+    }
+    h ^= bytes.len() as u64;
+    h.wrapping_mul(PRIME)
+}
+
+/// Frames `payload` as a cache file image: `magic`, `version` (`u32`),
+/// the payload checksum (`u64`), then the payload. The inverse of
+/// [`open`].
+pub fn seal(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 20);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The payload of a file image written by [`seal`].
+///
+/// # Errors
+///
+/// [`Reject::Corrupt`] for a short image, another magic or a checksum
+/// mismatch; then [`Reject::VersionSkew`] for another version.
+pub fn open<'a>(magic: &[u8; 8], version: u32, image: &'a [u8]) -> Result<&'a [u8], Reject> {
+    if image.len() < 20 || &image[..8] != magic {
+        return Err(Reject::Corrupt);
+    }
+    let payload = &image[20..];
+    if image[12..20] != checksum(payload).to_le_bytes() {
+        return Err(Reject::Corrupt);
+    }
+    if image[8..12] != version.to_le_bytes() {
+        return Err(Reject::VersionSkew);
+    }
+    Ok(payload)
+}
+
+/// Seals one module as a per-TU cache entry: the configuration
+/// `fingerprint`, the module's source hash, then [`encode_module`].
+/// The inverse of [`decode_entry`].
+pub fn encode_entry(m: &TuModule, fingerprint: &str) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_str(fingerprint);
+    w.put_u64(m.source_hash);
+    encode_module(m, &mut w);
+    seal(ENTRY_MAGIC, BINMOD_FORMAT_VERSION, w.bytes())
+}
+
+/// Reads a per-TU cache entry that must have been written under
+/// `fingerprint` for a source hashing to `source_hash`.
+///
+/// # Errors
+///
+/// The first failing check, in this order: the envelope ([`open`]),
+/// the fingerprint, the source hash, then [`Reject::Corrupt`] for a
+/// structural failure, trailing bytes or a module that fails
+/// [`TuModule::validate`].
+pub fn decode_entry(image: &[u8], fingerprint: &str, source_hash: u64) -> Result<TuModule, Reject> {
+    let mut r = ByteReader::new(open(ENTRY_MAGIC, BINMOD_FORMAT_VERSION, image)?);
+    if r.get_blob().map_err(|_| Reject::Corrupt)? != fingerprint.as_bytes() {
+        return Err(Reject::ConfigFingerprint);
+    }
+    if r.get_u64().map_err(|_| Reject::Corrupt)? != source_hash {
+        return Err(Reject::SourceHash);
+    }
+    match decode_module(&mut r) {
+        Ok(m) if r.is_at_end() && m.source_hash == source_hash && m.validate().is_ok() => Ok(m),
+        _ => Err(Reject::Corrupt),
+    }
+}
 
 // ---------------------------------------------------------------------
 // Byte-level writer / reader
@@ -351,7 +473,8 @@ fn encode_module_tail(m: &TuModule, w: &mut ByteWriter) {
 /// # Errors
 ///
 /// Any structural failure (truncation, bad tag, non-UTF-8). Envelope
-/// and integrity checks are the snapshot container's responsibility.
+/// and integrity checks are the container's: [`decode_entry`] or the
+/// snapshot.
 pub fn decode_module(r: &mut ByteReader<'_>) -> Result<TuModule, String> {
     let file = r.get_str()?;
     let source_hash = r.get_u64()?;
@@ -1016,6 +1139,33 @@ int fleet = helper();
         let last = bytes.len() - 1;
         bytes[last] = 0xEE;
         assert!(decode_module(&mut ByteReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn entries_roundtrip_and_name_each_reject() {
+        let m = extract(SRC, false);
+        let image = encode_entry(&m, "fp");
+        assert_eq!(decode_entry(&image, "fp", m.source_hash), Ok(m.clone()));
+        let reject = |image: &[u8], fp: &str, hash: u64| {
+            decode_entry(image, fp, hash).unwrap_err().to_string()
+        };
+        assert_eq!(reject(&image, "other", m.source_hash), "config_fingerprint");
+        assert_eq!(reject(&image, "fp", m.source_hash ^ 1), "source_hash");
+        assert_eq!(
+            reject(&image[..image.len() - 1], "fp", m.source_hash),
+            "corrupt"
+        );
+        let mut skewed = image.clone();
+        skewed[8..12].copy_from_slice(&(BINMOD_FORMAT_VERSION + 1).to_le_bytes());
+        assert_eq!(reject(&skewed, "fp", m.source_hash), "version_skew");
+        // A valid seal around trailing bytes is still corrupt.
+        let payload = open(ENTRY_MAGIC, BINMOD_FORMAT_VERSION, &image).unwrap();
+        let padded = seal(
+            ENTRY_MAGIC,
+            BINMOD_FORMAT_VERSION,
+            &[payload, &[0]].concat(),
+        );
+        assert_eq!(reject(&padded, "fp", m.source_hash), "corrupt");
     }
 
     #[test]

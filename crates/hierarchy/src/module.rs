@@ -11,13 +11,13 @@
 //! *not* stored: the linker re-derives them from the linked hierarchy,
 //! which is exactly what whole-program extraction would have computed.
 //!
-//! Modules serialize to a versioned JSON document (the workspace has no
-//! serde; the codec reuses [`ddm_telemetry::json`]). The envelope
-//! carries a format version, a configuration fingerprint, and the FNV-1a
-//! content hash of the TU source; [`TuModule::from_json`] rejects any
-//! mismatch and validates every symbolic reference against the module's
-//! own records, so a corrupted, truncated, or stale cache entry is
-//! discarded and recomputed rather than trusted.
+//! The cache files hold modules in the binary codec of
+//! [`binmod`](crate::binmod), whose entry reader runs
+//! [`TuModule::validate`] on every module it accepts. The versioned
+//! JSON document of [`TuModule::to_json`]/[`TuModule::from_json`] (the
+//! codec reuses [`ddm_telemetry::json`]) is no longer a cache format;
+//! it stays for the repository benchmark's traced replica, which still
+//! renders and reads it.
 
 use crate::ids::{ClassId, FuncId, MemberRef};
 use crate::model::Program;

@@ -3,12 +3,17 @@
 //! via `DDM_CACHE_FAULT`) and two processes sharing one `--cache-dir`
 //! — in every case ending with output byte-identical to a cacheless
 //! cold run. The atomic temp-then-rename publish protocol guarantees
-//! no reader ever sees a torn `tu-<hash>.json` or `analysis.snap`;
+//! no reader ever sees a torn `tu-<hash>.bin` or `analysis.snap`;
 //! dangling temps are swept on next open *once they are older than the
 //! 60-second age gate* (a younger temp may belong to a live racing
 //! writer and must survive), and a rejected snapshot (torn, version
-//! skew) degrades to a summary-cache-only warm start.
+//! skew) degrades to a warm start from the per-TU entries alone. The
+//! entry decoder itself rejects every truncation and bit flip of a real
+//! entry.
 
+use dead_data_members::analysis::config_fingerprint;
+use dead_data_members::callgraph::Algorithm;
+use dead_data_members::hierarchy::{decode_entry, Reject};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -95,7 +100,7 @@ fn cache_files(dir: &PathBuf, pred: impl Fn(&str) -> bool) -> Vec<String> {
 
 /// Kill-mid-write: the faulted process aborts halfway through writing
 /// its first cache entry. The half-written bytes must be confined to a
-/// temp file — never a published `tu-<hash>.json` — and the next run
+/// temp file — never a published `tu-<hash>.bin` — and the next run
 /// over the same directory must sweep the temp, recompute, and print
 /// the byte-identical report to a cacheless cold run.
 #[test]
@@ -107,13 +112,19 @@ fn kill_mid_write_leaves_no_torn_entry_and_recovers_to_cold() {
     let faulted = run(Some(&scratch.0), Some("kill-mid-write"));
     assert!(!faulted.status.success(), "fault must abort the process");
 
-    let published = cache_files(&scratch.0, |n| n.ends_with(".json"));
+    let published = cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".bin"));
     assert!(
         published.is_empty(),
         "a torn entry was published: {published:?}"
     );
-    let temps = cache_files(&scratch.0, |n| n.contains(".json.tmp."));
-    assert!(!temps.is_empty(), "the fault did not fire inside a write");
+    let temps = cache_files(&scratch.0, |n| {
+        n.starts_with("tu-") && n.contains(".bin.tmp.")
+    });
+    assert_eq!(
+        temps.len(),
+        1,
+        "the fault did not fire inside one entry write"
+    );
 
     age_temps(&scratch.0);
     let recovered = run(Some(&scratch.0), None);
@@ -123,7 +134,7 @@ fn kill_mid_write_leaves_no_torn_entry_and_recovers_to_cold() {
         "recovery after kill-mid-write must match the cacheless cold report"
     );
     assert!(
-        cache_files(&scratch.0, |n| n.contains(".json.tmp.")).is_empty(),
+        cache_files(&scratch.0, |n| n.contains(".bin.tmp.")).is_empty(),
         "dangling temp files were not swept on next open"
     );
 }
@@ -140,8 +151,16 @@ fn kill_pre_rename_recovers_byte_identical_to_cold() {
     let faulted = run(Some(&scratch.0), Some("kill-pre-rename"));
     assert!(!faulted.status.success(), "fault must abort the process");
     assert!(
-        cache_files(&scratch.0, |n| n.ends_with(".json")).is_empty(),
+        cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".bin")).is_empty(),
         "an entry was published despite aborting before rename"
+    );
+    let temps = cache_files(&scratch.0, |n| {
+        n.starts_with("tu-") && n.contains(".bin.tmp.")
+    });
+    assert_eq!(
+        temps.len(),
+        1,
+        "the fault did not fire between one entry's write and its rename"
     );
 
     age_temps(&scratch.0);
@@ -149,7 +168,7 @@ fn kill_pre_rename_recovers_byte_identical_to_cold() {
     assert!(recovered.status.success(), "{recovered:?}");
     assert_eq!(recovered.stdout, cacheless.stdout);
     assert!(
-        cache_files(&scratch.0, |n| n.contains(".json.tmp.")).is_empty(),
+        cache_files(&scratch.0, |n| n.contains(".bin.tmp.")).is_empty(),
         "dangling temp files were not swept"
     );
 
@@ -222,7 +241,7 @@ fn snapshot_kill_mid_write_falls_back_to_summary_cache() {
         !cache_files(&scratch.0, |n| n.starts_with("analysis.snap.tmp.")).is_empty(),
         "the fault did not fire inside the snapshot write"
     );
-    let summaries = cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".json"));
+    let summaries = cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".bin"));
     assert_eq!(
         summaries.len(),
         multi_fixture().len(),
@@ -334,8 +353,8 @@ fn concurrent_writers_never_publish_a_torn_snapshot() {
 fn stale_temps_from_dead_writers_are_swept_on_open() {
     let scratch = Scratch::new("sweep");
     std::fs::create_dir_all(&scratch.0).expect("mkdir");
-    let stale = scratch.0.join("tu-deadbeefdeadbeef.json.tmp.99999");
-    std::fs::write(&stale, "{half-written").expect("plant stale temp");
+    let stale = scratch.0.join("tu-deadbeefdeadbeef.bin.tmp.99999");
+    std::fs::write(&stale, b"DDMTU\0\0\0half-written").expect("plant stale temp");
     age_temps(&scratch.0);
 
     let out = run(Some(&scratch.0), None);
@@ -352,8 +371,8 @@ fn stale_temps_from_dead_writers_are_swept_on_open() {
 fn fresh_temps_from_racing_writers_survive_a_probe() {
     let scratch = Scratch::new("freshtemp");
     std::fs::create_dir_all(&scratch.0).expect("mkdir");
-    let fresh = scratch.0.join("tu-cafecafecafecafe.json.tmp.88888");
-    std::fs::write(&fresh, "{mid-write by a live racer").expect("plant fresh temp");
+    let fresh = scratch.0.join("tu-cafecafecafecafe.bin.tmp.88888");
+    std::fs::write(&fresh, b"DDMTU\0\0\0mid-write by a live racer").expect("plant fresh temp");
 
     let out = run(Some(&scratch.0), None);
     assert!(out.status.success(), "{out:?}");
@@ -361,4 +380,51 @@ fn fresh_temps_from_racing_writers_survive_a_probe() {
         fresh.exists(),
         "a racing writer's fresh temp was swept by the probe"
     );
+    // The same temp, once aged past the gate, is swept: the probe above
+    // spared it for its age, not for its name.
+    age_temps(&scratch.0);
+    let out = run(Some(&scratch.0), None);
+    assert!(out.status.success(), "{out:?}");
+    assert!(!fresh.exists(), "an aged temp survived a cache open");
+}
+
+/// The entry decoder, fed every truncation and every single-bit flip of
+/// a real `tu-*.bin` from the multi-TU fixture, rejects each one
+/// without panicking: a flip in the version word as version skew,
+/// everything else as corrupt (the checksum covers the whole payload,
+/// fingerprint and source hash included).
+#[test]
+fn every_truncation_and_bit_flip_of_a_real_entry_is_rejected() {
+    let scratch = Scratch::new("mutate");
+    let out = run(Some(&scratch.0), None);
+    assert!(out.status.success(), "{out:?}");
+    let mut entries = cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".bin"));
+    entries.sort();
+    let name = entries.first().expect("a published entry");
+    let hash = name
+        .strip_prefix("tu-")
+        .and_then(|n| n.strip_suffix(".bin"))
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .expect("entry names carry the source hash");
+    let image = std::fs::read(scratch.0.join(name)).expect("read entry");
+    let fingerprint = config_fingerprint(Algorithm::Rta);
+    let module = decode_entry(&image, &fingerprint, hash).expect("the real entry decodes");
+    assert_eq!(module.source_hash, hash);
+
+    for len in 0..image.len() {
+        let got = decode_entry(&image[..len], &fingerprint, hash).err();
+        assert_eq!(got, Some(Reject::Corrupt), "truncated to {len} bytes");
+    }
+    let mut mutant = image.clone();
+    for bit in 0..image.len() * 8 {
+        mutant[bit / 8] ^= 1 << (bit % 8);
+        let want = if (8..12).contains(&(bit / 8)) {
+            Reject::VersionSkew
+        } else {
+            Reject::Corrupt
+        };
+        let got = decode_entry(&mutant, &fingerprint, hash).err();
+        assert_eq!(got, Some(want), "bit {bit} flipped");
+        mutant[bit / 8] ^= 1 << (bit % 8);
+    }
 }

@@ -15,7 +15,7 @@ use ddm_core::{
     PipelineError, ProjectError, ProjectPipeline,
 };
 use ddm_cppfront::{parse, DeclMemo, ParseError, SourceMap, Span, TranslationUnit};
-use ddm_hierarchy::{fnv1a64, hash_hex, link, Program, ProgramSummary, TuModule};
+use ddm_hierarchy::{decode_entry, fnv1a64, hash_hex, link, Program, ProgramSummary, TuModule};
 use ddm_telemetry::{Metric, Telemetry};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -69,7 +69,7 @@ fn isolated(
 }
 
 /// What a cold shared run publishes: the module of every TU, read back
-/// from its `tu-*.json` entry and, when the run succeeds, from
+/// from its `tu-*.bin` entry and, when the run succeeds, from
 /// `analysis.snap` too (both must agree). Also returns the shared-item
 /// counter.
 fn shared(
@@ -95,9 +95,8 @@ fn shared(
         .iter()
         .filter_map(|(file, source)| {
             let hash = fnv1a64(source.as_bytes());
-            let doc =
-                std::fs::read_to_string(dir.join(format!("tu-{}.json", hash_hex(hash)))).ok()?;
-            let mut module = TuModule::from_json(&doc, &fingerprint, hash).expect("entry decodes");
+            let image = std::fs::read(dir.join(format!("tu-{}.bin", hash_hex(hash)))).ok()?;
+            let mut module = decode_entry(&image, &fingerprint, hash).expect("entry decodes");
             module.file = file.clone();
             Some(module)
         })

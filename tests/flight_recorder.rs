@@ -7,7 +7,7 @@
 use dead_data_members::analysis::{Engine, ProjectError, ProjectPipeline};
 use dead_data_members::benchmarks::suite;
 use dead_data_members::prelude::*;
-use dead_data_members::telemetry::EventClass;
+use dead_data_members::telemetry::{EventClass, FieldValue};
 use std::path::PathBuf;
 
 /// The committed multi-TU sample project, in sorted file order.
@@ -188,6 +188,74 @@ fn tu_summary_size_histogram_is_cache_invariant() {
         hist_line(&cold.metrics_json()),
         hist_line(&warm.metrics_json()),
         "summary-size buckets moved between cold and warm"
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// The `reason` of every `tu_cache_invalidated` event a run recorded.
+fn invalidation_reasons(telemetry: &Telemetry) -> Vec<String> {
+    telemetry
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "tu_cache_invalidated")
+        .filter_map(|e| match e.fields.iter().find(|(k, _)| *k == "reason") {
+            Some((_, FieldValue::Str(reason))) => Some(reason.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn tu_cache_invalidated_names_each_reject_reason() {
+    // Each way a `tu-*.bin` entry can fail its read renders one fixed
+    // reason; the snapshot is removed so that every TU reads its entry.
+    let inputs = multi_tu_inputs();
+    let damages: [(&str, fn(&mut [Vec<u8>])); 3] = [
+        ("corrupt", |images| {
+            images.iter_mut().for_each(|b| b.truncate(b.len() / 2))
+        }),
+        ("version_skew", |images| {
+            images.iter_mut().for_each(|b| b[8] ^= 1)
+        }),
+        ("source_hash", |images| images.rotate_left(1)),
+    ];
+    for (reason, damage) in damages {
+        let cache = temp_cache(&format!("reason_{reason}"));
+        record_project(&inputs, 1, Some(&cache)).unwrap();
+        std::fs::remove_file(cache.join("analysis.snap")).unwrap();
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&cache)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "bin"))
+            .collect();
+        paths.sort();
+        let mut images: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        damage(&mut images);
+        for (path, image) in paths.iter().zip(&images) {
+            std::fs::write(path, image).unwrap();
+        }
+        let (warm, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
+        assert_eq!(invalidation_reasons(&warm), vec![reason; inputs.len()]);
+        let _ = std::fs::remove_dir_all(&cache);
+    }
+
+    // Entries written under RTA, read under PTA's summary configuration.
+    let cache = temp_cache("reason_config");
+    record_project(&inputs, 1, Some(&cache)).unwrap();
+    let pta = Telemetry::recording();
+    ProjectPipeline::run(
+        &inputs,
+        AnalysisConfig::default(),
+        Algorithm::Pta,
+        1,
+        Engine::Summary,
+        Some(&cache),
+        &pta,
+    )
+    .unwrap();
+    assert_eq!(
+        invalidation_reasons(&pta),
+        vec!["config_fingerprint"; inputs.len()]
     );
     let _ = std::fs::remove_dir_all(&cache);
 }

@@ -5,11 +5,15 @@
 //! byte-identical `--explain` text, and the byte-identical deterministic
 //! counters as a cacheless run over the same sources, at any worker
 //! count, and the cacheless run matches the `ddm-oracle` reference
-//! analysis. The cache may only change *wall-clock*, never *output*. Damaged or version-skewed cache entries are detected,
-//! discarded, recomputed, and overwritten.
+//! analysis. The cache may only change *wall-clock*, never *output*.
+//! Damaged, version-skewed, misplaced and hand-crafted `tu-*.bin`
+//! entries are detected, discarded, recomputed, and overwritten.
 
-use dead_data_members::analysis::{explain, AnalysisConfig, Engine, ProjectPipeline};
+use dead_data_members::analysis::{
+    config_fingerprint, explain, AnalysisConfig, Engine, ProjectPipeline,
+};
 use dead_data_members::callgraph::Algorithm;
+use dead_data_members::hierarchy::{decode_entry, encode_entry, SymCgStep, SymFunc};
 use dead_data_members::telemetry::Telemetry;
 use std::path::{Path, PathBuf};
 
@@ -199,40 +203,73 @@ fn renamed_file_with_identical_content_still_hits() {
     assert_eq!(tel.stats().tu_cache_hits, 3, "cache keys are content, not paths");
 }
 
-/// Damages every cache entry via `f`, then asserts a warm run detects
-/// the damage, recomputes all TUs, and leaves valid entries behind.
-fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
+/// The `tu-*.bin` entries in `dir`, sorted by file name.
+fn entry_paths(dir: &Path) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "bin"))
+        .collect();
+    entries.sort();
+    entries
+}
+
+/// Replaces entry `i` of the three by `damage(i, entries)`, where
+/// `entries` holds each entry's source hash and image, then asserts
+/// that a warm run rejects every entry for `reason`, recomputes all
+/// TUs with the cold artifacts, and writes valid entries back.
+fn damaged_entries_are_recovered(
+    test: &str,
+    reason: &str,
+    damage: impl Fn(usize, &[(u64, Vec<u8>)]) -> Vec<u8>,
+) {
     let scratch = Scratch::new(test);
     let inputs = inputs();
     let cold_tel = Telemetry::enabled();
     let cold = run(&inputs, 1, Some(scratch.path()), &cold_tel);
     let cold_art = artifacts(&cold, &cold_tel);
 
-    // Damage the per-TU summary entries and drop the analysis snapshot:
-    // this test proves the JSON probe's detect-and-recompute path, which
-    // a surviving snapshot would otherwise short-circuit (snapshot
+    // Damage the per-TU entries and drop the analysis snapshot: this
+    // test proves the entry probe's detect-and-recompute path, which a
+    // surviving snapshot would otherwise short-circuit (snapshot
     // damage has its own torture tests).
-    let _ = std::fs::remove_file(scratch.path().join("analysis.snap"));
-    let entries: Vec<PathBuf> = std::fs::read_dir(scratch.path())
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.to_string_lossy().ends_with(".json"))
-        .collect();
+    let snap = scratch.path().join("analysis.snap");
+    std::fs::remove_file(&snap).unwrap();
+    let entries = entry_paths(scratch.path());
     assert_eq!(entries.len(), 3);
-    for path in &entries {
-        let doc = std::fs::read_to_string(path).unwrap();
-        std::fs::write(path, f(&doc)).unwrap();
+    let originals: Vec<(u64, Vec<u8>)> = entries
+        .iter()
+        .map(|p| {
+            let name = p.file_stem().unwrap().to_str().unwrap();
+            let hash = u64::from_str_radix(name.strip_prefix("tu-").unwrap(), 16).unwrap();
+            (hash, std::fs::read(p).unwrap())
+        })
+        .collect();
+    for (i, path) in entries.iter().enumerate() {
+        std::fs::write(path, damage(i, &originals)).unwrap();
     }
 
-    let warm_tel = Telemetry::enabled();
+    let warm_tel = Telemetry::recording();
     let warm = run(&inputs, 1, Some(scratch.path()), &warm_tel);
     let stats = warm_tel.stats();
     assert_eq!(stats.tu_cache_hits, 0, "damaged entries must not hit");
     assert_eq!(stats.tu_cache_invalidations, 3);
     assert_eq!(stats.tus_summarized, 3, "every TU is recomputed");
     assert_eq!(artifacts(&warm, &warm_tel), cold_art);
+    let events = warm_tel.events_ndjson(None);
+    assert_eq!(
+        events.matches(&format!("\"reason\":\"{reason}\"")).count(),
+        3,
+        "every entry is rejected as {reason}:\n{events}"
+    );
 
-    // The damaged entries were overwritten with valid ones.
+    // The damaged entries were overwritten with the cold run's images,
+    // and they alone serve the next run.
+    for (path, (_, original)) in entries.iter().zip(&originals) {
+        let rewritten = std::fs::read(path).unwrap();
+        assert!(rewritten == *original, "write-back must restore {path:?}");
+    }
+    std::fs::remove_file(&snap).unwrap();
     let again_tel = Telemetry::enabled();
     run(&inputs, 1, Some(scratch.path()), &again_tel);
     assert_eq!(again_tel.stats().tu_cache_hits, 3);
@@ -241,20 +278,69 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
 
 #[test]
 fn corrupted_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("corrupt", |_| "{]".to_string());
+    damaged_entries_are_recovered("corrupt", "corrupt", |i, _| {
+        (0..64u8)
+            .map(|b| b.wrapping_mul(37).wrapping_add(i as u8))
+            .collect()
+    });
 }
 
 #[test]
 fn truncated_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("truncate", |doc| doc[..doc.len() / 2].to_string());
+    let cuts: [fn(usize) -> usize; 3] = [|n| n / 4, |n| n / 2, |n| n - 1];
+    for (k, cut) in cuts.into_iter().enumerate() {
+        damaged_entries_are_recovered(&format!("truncate{k}"), "corrupt", |i, entries| {
+            let image = &entries[i].1;
+            image[..cut(image.len())].to_vec()
+        });
+    }
 }
 
 #[test]
 fn version_mismatched_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("version", |doc| {
-        let skewed = doc.replacen("\"version\":1", "\"version\":999", 1);
-        assert_ne!(&skewed, doc, "entry must carry the format version");
-        skewed
+    damaged_entries_are_recovered("version", "version_skew", |i, entries| {
+        // Bytes 8..12 hold the little-endian format version.
+        let mut image = entries[i].1.clone();
+        let version = u32::from_le_bytes(image[8..12].try_into().unwrap());
+        image[8..12].copy_from_slice(&(version + 1).to_le_bytes());
+        image
+    });
+}
+
+#[test]
+fn bit_flipped_cache_entries_are_discarded_and_recomputed() {
+    damaged_entries_are_recovered("bitflip", "corrupt", |i, entries| {
+        let mut image = entries[i].1.clone();
+        let mid = 20 + (image.len() - 20) / 2;
+        image[mid] ^= 0x08;
+        image
+    });
+}
+
+#[test]
+fn entries_copied_under_another_hash_are_discarded_and_recomputed() {
+    damaged_entries_are_recovered("copied", "source_hash", |i, entries| {
+        entries[(i + 1) % entries.len()].1.clone()
+    });
+}
+
+#[test]
+fn resealed_entries_with_dangling_references_are_discarded_and_recomputed() {
+    damaged_entries_are_recovered("dangling", "corrupt", |i, entries| {
+        // Decode the real entry, make one free function call a function
+        // no module defines, and seal it again with a valid checksum:
+        // only `TuModule::validate` can catch it.
+        let (hash, image) = &entries[i];
+        let fingerprint = config_fingerprint(Algorithm::Rta);
+        let mut module = decode_entry(image, &fingerprint, *hash).expect("entry decodes");
+        let summary = module.free_fns[0]
+            .summary
+            .as_mut()
+            .expect("a summarized function");
+        summary
+            .cg_steps
+            .push(SymCgStep::Call(SymFunc::Free("ghost".to_string())));
+        encode_entry(&module, &fingerprint)
     });
 }
 

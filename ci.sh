@@ -12,7 +12,7 @@ cargo build --release
 echo "== test suite =="
 cargo test -q
 
-echo "== robustness at release sizes (a 4,000-term flat expression in every CLI mode) =="
+echo "== robustness at release sizes (a 4,000-term flat expression in every CLI mode, 64 stacked diamonds) =="
 cargo test --release --test robustness
 
 echo "== worker counts (--jobs 8) =="
@@ -23,6 +23,9 @@ echo "== oracle: the product against the ddm-oracle reference analysis =="
 cargo test --release -p ddm-oracle
 cargo test --release --test engine_equivalence
 cargo test --release --test walk_once
+# Member lookup and the class-hierarchy queries against the references
+# they replaced (all-pairs hiding, path enumeration, closure tables).
+cargo test --release --test lookup_equivalence --test hierarchy_queries
 
 echo "== telemetry: deterministic counters and provenance =="
 cargo test --release --test telemetry_determinism
@@ -233,7 +236,7 @@ echo "== bench suite smoke (non-gating on time) =="
 cargo run --release -p ddm-bench --bin bench_suite -- --json --samples 3 > /dev/null
 test -s BENCH_suite.json
 
-echo "== scale bench smoke (gating: wall-clock ceiling enforced in-binary) =="
+echo "== scale bench smoke (gating: wall-clock ceiling and depth exponents enforced in-binary) =="
 cargo run --release -p ddm-bench --bin bench_scale -- --smoke --json > /dev/null
 test -s BENCH_scale_smoke.json
 

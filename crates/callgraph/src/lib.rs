@@ -980,28 +980,20 @@ pub fn replay_schedule(graph: &CallGraph, schedule: &CgSchedule, telemetry: &Tel
 
 /// The roots of the propagating builders: `main`, plus application
 /// overrides (with bodies) of virtual methods declared in library
-/// classes, which library code may call back into (§3.3).
-fn propagation_roots(program: &Program, options: &CallGraphOptions) -> BTreeSet<FuncId> {
-    let mut roots = BTreeSet::new();
-    if let Some(main) = program.main_function() {
-        roots.insert(main);
-    }
-    for (fid, f) in program.functions() {
-        let Some(class) = f.class else { continue };
-        if options.library_classes.contains(&class) {
-            continue;
-        }
-        if f.is_virtual
+/// classes, which library code may call back into (§3.3): every virtual
+/// method with a body of a non-library class that derives from a library
+/// class.
+pub fn propagation_roots(program: &Program, options: &CallGraphOptions) -> BTreeSet<FuncId> {
+    let below_library = program.derived_from_any(options.library_classes.iter().copied());
+    let callbacks = program.functions().filter_map(|(fid, f)| {
+        let class = f.class?;
+        let root = f.is_virtual
             && f.body.is_some()
-            && program
-                .ancestors_of(class)
-                .iter()
-                .any(|a| options.library_classes.contains(a))
-        {
-            roots.insert(fid);
-        }
-    }
-    roots
+            && below_library.contains(class)
+            && !options.library_classes.contains(&class);
+        root.then_some(fid)
+    });
+    program.main_function().into_iter().chain(callbacks).collect()
 }
 
 #[cfg(test)]

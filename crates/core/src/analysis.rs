@@ -21,8 +21,8 @@ use crate::snapshot::AnalysisSnapshot;
 use ddm_callgraph::{replay_schedule, Algorithm, CallGraph, CallGraphOptions, CgSchedule};
 use ddm_cppfront::ast::ClassKind;
 use ddm_hierarchy::{
-    ClassId, FnSummary, FuncId, LiveStep, MarkAllCause, MemberAccessKind, MemberRef, Program,
-    ProgramSummary, TypeError,
+    ClassBitSet, ClassId, FnSummary, FuncId, LiveStep, MarkAllCause, MemberAccessKind, MemberRef,
+    Program, ProgramSummary, TypeError,
 };
 use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashSet;
@@ -104,8 +104,8 @@ impl<'p> DeadMemberAnalysis<'p> {
     /// Runs the algorithm over the walk-once summaries: replays each
     /// reachable function's [`LiveStep`]s in id order, resolves the
     /// configuration-gated steps (down-casts, `sizeof`) as it goes, and
-    /// expands `MarkAllContainedMembers` and the union fixpoint over the
-    /// summaries' precomputed containment closures. Returns the
+    /// expands `MarkAllContainedMembers` and the union fixpoint by walking
+    /// the program's containment graph. Returns the
     /// classification with the scan's deterministic counters, which are
     /// also recorded on `telemetry` (a disabled handle drops them, so
     /// callers that persist the scan need the returned copy).
@@ -134,7 +134,7 @@ impl<'p> DeadMemberAnalysis<'p> {
             program: self.program,
             summary,
             liveness: Liveness::with_member_index(summary.member_index().clone()),
-            visited: HashSet::new(),
+            visited: ClassBitSet::with_capacity(self.program.class_count()),
             config: &self.config,
             counters: Counters::default(),
         };
@@ -166,10 +166,10 @@ impl<'p> DeadMemberAnalysis<'p> {
         });
 
         let union_span = telemetry.span(LANE_MAIN, || "union post-pass".into());
-        marker.counters.markall_classes_expanded = marker.visited.len() as u64;
+        marker.counters.markall_classes_expanded = marker.visited.count() as u64;
         marker.propagate_unions();
         marker.counters.union_classes_livened =
-            marker.visited.len() as u64 - marker.counters.markall_classes_expanded;
+            marker.visited.count() as u64 - marker.counters.markall_classes_expanded;
         drop(union_span);
         emit_liveness_events(telemetry, &marker.counters);
         telemetry.add_counters(&marker.counters);
@@ -420,16 +420,16 @@ fn emit_liveness_events(telemetry: &Telemetry, counters: &Counters) {
 }
 
 /// The scan state: the liveness rules driven by recorded [`LiveStep`]s,
-/// with `MarkAllContainedMembers` flattened over the precomputed
-/// containment closures. The flat expansion marks exactly the classes
-/// the paper's recursion would: any visited class already has its entire
-/// closure visited, so each call marks `closure(class)` minus the
-/// previously visited set either way.
+/// with `MarkAllContainedMembers` as a walk of the containment graph that
+/// stops at visited classes. It marks exactly the classes the paper's
+/// recursion would: any visited class already has its entire closure
+/// visited, so each call marks `closure(class)` minus the previously
+/// visited set either way.
 struct Marker<'p, 's, 'c> {
     program: &'p Program,
     summary: &'s ProgramSummary,
     liveness: Liveness,
-    visited: HashSet<ClassId>,
+    visited: ClassBitSet,
     config: &'c AnalysisConfig,
     counters: Counters,
 }
@@ -488,18 +488,15 @@ impl Marker<'_, '_, '_> {
         }
     }
 
-    /// `MarkAllContainedMembers` as a flat sweep of the precomputed
-    /// closure, each mark carrying the triggering `origin`.
+    /// `MarkAllContainedMembers` over the classes of `class`'s closure not
+    /// yet visited, each mark carrying the triggering `origin`.
     fn mark_all_contained(&mut self, class: ClassId, reason: LiveReason, origin: Origin) {
-        for &c in self.summary.contained_classes(class) {
-            if !self.visited.insert(c) {
-                continue;
+        let (program, liveness) = (self.program, &mut self.liveness);
+        self.summary.containment().walk(class, &mut self.visited, |c| {
+            for idx in 0..program.class(c).members.len() {
+                liveness.mark_live_from(MemberRef::new(c, idx), reason, origin);
             }
-            for idx in 0..self.program.class(c).members.len() {
-                self.liveness
-                    .mark_live_from(MemberRef::new(c, idx), reason, origin);
-            }
-        }
+        });
     }
 
     /// The smallest live [`MemberRef`] contained in `class`, or `None`
@@ -508,14 +505,15 @@ impl Marker<'_, '_, '_> {
     /// the closure's order.
     fn min_live_contained(&self, class: ClassId) -> Option<MemberRef> {
         let mut min: Option<MemberRef> = None;
-        for &c in self.summary.contained_classes(class) {
+        let mut seen = ClassBitSet::default();
+        self.summary.containment().walk(class, &mut seen, |c| {
             for idx in 0..self.program.class(c).members.len() {
                 let r = MemberRef::new(c, idx);
-                if self.liveness.is_live(r) && min.map_or(true, |cur| r < cur) {
+                if self.liveness.is_live(r) && min.is_none_or(|cur| r < cur) {
                     min = Some(r);
                 }
             }
-        }
+        });
         min
     }
 
@@ -531,7 +529,7 @@ impl Marker<'_, '_, '_> {
                 if class.kind != ClassKind::Union {
                     continue;
                 }
-                if self.visited.contains(&cid) {
+                if self.visited.contains(cid) {
                     continue;
                 }
                 if let Some(via) = self.min_live_contained(cid) {

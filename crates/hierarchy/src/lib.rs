@@ -59,8 +59,9 @@ pub use module::{
 };
 pub use subobject::{Subobject, SubobjectId, SubobjectTree};
 pub use summary::{
-    classify_cast, strip_indirections, CastSafety, CgStep, DeleteSite, FnSummary, LiveStep,
-    MarkAllCause, MemberAccessKind, MemberBitSet, MemberIndex, ProgramSummary, VirtualSite,
+    classify_cast, strip_indirections, CastSafety, CgStep, Containment, DeleteSite, FnSummary,
+    LiveStep, MarkAllCause, MemberAccessKind, MemberBitSet, MemberIndex, ProgramSummary,
+    VirtualSite,
 };
 pub use typewalk::{
     body_walk_count, resolve_ctor, walk_function, walk_globals, Builtin, CallEvent, CallTarget,

@@ -6,6 +6,7 @@
 //! call-graph builders, the dead-member analysis, and the interpreter all
 //! share.
 
+use crate::bitset::ClassBitSet;
 use crate::ids::{ClassId, FuncId};
 use crate::intern::{Interner, Symbol};
 use ddm_cppfront::ast::{
@@ -786,39 +787,40 @@ impl Program {
             .find(|&f| self.functions[f.index()].kind == FunctionKind::Destructor)
     }
 
-    /// True if `sub` equals `sup` or transitively derives from it.
+    /// True if `sub` equals `sup` or transitively derives from it. Each
+    /// base is explored once however many inheritance paths reach it, so
+    /// a stack of diamonds costs its size, not its path count.
     pub fn derives_from(&self, sub: ClassId, sup: ClassId) -> bool {
-        if sub == sup {
-            return true;
-        }
-        self.classes[sub.index()]
-            .bases
-            .iter()
-            .any(|b| self.derives_from(b.id, sup))
+        sub == sup || self.ancestors_of(sub).contains(&sup)
     }
 
     /// All transitive subclasses of `class`, including itself, in
     /// ascending id order.
     ///
-    /// Walks the inverted base relation, so the cost is proportional to
-    /// the subtree (plus a sort), not to the whole class table — the
-    /// old scan-every-class form made dispatch-candidate resolution
-    /// quadratic on deep generated hierarchies. The output is exactly
-    /// what the scan produced: reflexive, deduplicated, ascending.
+    /// Walks the inverted base relation, so dispatch-candidate
+    /// resolution does not scan the whole class table per class — the
+    /// old scan-every-class form made it quadratic on deep generated
+    /// hierarchies. The output is exactly what the scan produced:
+    /// reflexive, deduplicated, ascending.
     pub fn subclasses_of(&self, class: ClassId) -> Vec<ClassId> {
-        let mut seen = crate::bitset::DenseBitSet::with_capacity(self.classes.len());
-        let mut out = Vec::new();
-        let mut stack = vec![class];
-        seen.insert(class.0);
+        let mut below = self.derived_from_any([class]);
+        below.insert(class);
+        below.to_vec()
+    }
+
+    /// Every class that transitively derives from one of `bases`, in one
+    /// walk down the inverted base relation. A class of `bases` is in the
+    /// set only when it derives from another one.
+    pub fn derived_from_any(&self, bases: impl IntoIterator<Item = ClassId>) -> ClassBitSet {
+        let mut out = ClassBitSet::with_capacity(self.classes.len());
+        let mut stack: Vec<ClassId> = bases.into_iter().collect();
         while let Some(c) = stack.pop() {
-            out.push(c);
             for &d in &self.children[c.index()] {
-                if seen.insert(d.0) {
+                if out.insert(d) {
                     stack.push(d);
                 }
             }
         }
-        out.sort_unstable_by_key(|c| c.index());
         out
     }
 
@@ -826,7 +828,9 @@ impl Program {
     /// excluding `class` itself).
     pub fn ancestors_of(&self, class: ClassId) -> Vec<ClassId> {
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
+        // Grows on insert, so a query does not clear a set the size of
+        // the class table.
+        let mut seen = ClassBitSet::default();
         let mut stack: Vec<ClassId> = self.classes[class.index()]
             .bases
             .iter()

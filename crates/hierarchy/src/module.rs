@@ -22,7 +22,7 @@
 use crate::ids::{ClassId, FuncId, MemberRef};
 use crate::model::Program;
 use crate::summary::{
-    CgStep, DeleteSite, FnSummary, LiveStep, MarkAllCause, MemberAccessKind, ProgramSummary,
+    delete_site, CgStep, FnSummary, LiveStep, MarkAllCause, MemberAccessKind, ProgramSummary,
     VirtualSite,
 };
 use crate::typewalk::{TypeError, TypeErrorKind};
@@ -757,28 +757,7 @@ impl<'p> SymResolver<'p> {
                     ctor: ctor.as_ref().map(|c| self.func(c)),
                 },
                 SymCgStep::Delete { class } => {
-                    let class = self.class(class);
-                    let dtor = self.program.destructor(class);
-                    let virtual_dtor =
-                        dtor.is_some_and(|d| self.program.function(d).is_virtual);
-                    let candidates = if virtual_dtor {
-                        self.lookup.destructor_candidates(class).to_vec()
-                    } else {
-                        Vec::new()
-                    };
-                    let ancestor_dtors = self
-                        .program
-                        .ancestors_of(class)
-                        .into_iter()
-                        .filter_map(|a| self.program.destructor(a))
-                        .collect();
-                    CgStep::Delete(DeleteSite {
-                        class,
-                        dtor,
-                        virtual_dtor,
-                        candidates,
-                        ancestor_dtors,
-                    })
+                    CgStep::Delete(delete_site(self.program, &self.lookup, self.class(class)))
                 }
             })
             .collect();

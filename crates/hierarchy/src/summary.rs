@@ -24,9 +24,10 @@
 //!
 //! The module also provides the dense program-wide member numbering
 //! ([`MemberIndex`]) and bitset ([`MemberBitSet`]) that back the liveness
-//! scan, and the per-class containment closures that replace the
-//! recursive `MarkAllContainedMembers` walks.
+//! scan, and the [`Containment`] graph that `MarkAllContainedMembers`,
+//! the union rule and the used-class closure walk.
 
+use crate::bitset::ClassBitSet;
 use crate::ids::{ClassId, FuncId, MemberRef};
 use crate::lookup::MemberLookup;
 use crate::model::{by_value_class, Program};
@@ -341,10 +342,59 @@ pub fn strip_indirections(ty: &Type) -> &Type {
     }
 }
 
+/// The containment graph of a program: per class, the classes an object
+/// of it contains directly — the class of each by-value member (through
+/// arrays), then each base — resolved by name once. One edge per
+/// by-value member and base, so building it and each walk over it are
+/// linear in the hierarchy.
+#[derive(Debug, Clone)]
+pub struct Containment {
+    /// CSR row starts: `class` contains `edges[starts[class]..starts[class + 1]]`.
+    starts: Vec<u32>,
+    edges: Vec<ClassId>,
+}
+
+impl Containment {
+    /// The containment graph of `program`.
+    pub fn new(program: &Program) -> Containment {
+        let mut starts = Vec::with_capacity(program.class_count() + 1);
+        let mut edges = Vec::new();
+        for (_, info) in program.classes() {
+            starts.push(edges.len() as u32);
+            let members = info.members.iter().filter_map(|m| by_value_class(&m.ty));
+            edges.extend(members.filter_map(|name| program.class_by_name(name)));
+            edges.extend(info.bases.iter().map(|b| b.id));
+        }
+        starts.push(edges.len() as u32);
+        Containment { starts, edges }
+    }
+
+    /// Calls `visit` on every class contained in `root` (itself included)
+    /// that is not in `seen`, and adds it to `seen`. The walk does not pass
+    /// through a class already in `seen`, so when `seen` holds the whole
+    /// closure of each of its classes, it visits exactly `closure(root)`
+    /// minus `seen`.
+    pub fn walk(&self, root: ClassId, seen: &mut ClassBitSet, mut visit: impl FnMut(ClassId)) {
+        let mut stack = Vec::new();
+        if seen.insert(root) {
+            stack.push(root);
+        }
+        while let Some(c) = stack.pop() {
+            visit(c);
+            let row = self.starts[c.index()] as usize..self.starts[c.index() + 1] as usize;
+            for &d in &self.edges[row] {
+                if seen.insert(d) {
+                    stack.push(d);
+                }
+            }
+        }
+    }
+}
+
 /// The summaries of a whole program: one [`FnSummary`] per function (all
 /// of them, reachable or not, so the call-graph fixpoint can consult any
 /// function it discovers), one for the global initializers, the dense
-/// [`MemberIndex`], and the per-class containment closures.
+/// [`MemberIndex`], and the [`Containment`] graph.
 ///
 /// Walk errors are stored per function rather than failing the build, so
 /// each consuming phase surfaces the error when its schedule reaches the
@@ -354,9 +404,7 @@ pub struct ProgramSummary {
     functions: Vec<Result<FnSummary, TypeError>>,
     globals: Result<FnSummary, TypeError>,
     index: MemberIndex,
-    /// Per class: every class transitively contained in it (itself, its
-    /// by-value member classes, and its base classes).
-    closures: Vec<Vec<ClassId>>,
+    containment: Containment,
 }
 
 impl ProgramSummary {
@@ -377,44 +425,28 @@ impl ProgramSummary {
         let functions: Vec<Result<FnSummary, TypeError>> = (0..n)
             .map(|i| extract_function(program, &lookup, FuncId::from_index(i), refine_receivers))
             .collect();
-        let globals = {
-            let lookup = MemberLookup::new(program);
-            let mut ex = Extractor::new(program, &lookup, None, false);
-            walk_globals(program, &lookup, &mut ex).map(|()| ex.out)
-        };
-        let index = MemberIndex::new(program);
-        let closures = (0..program.class_count())
-            .map(|i| containment_closure(program, ClassId::from_index(i)))
-            .collect();
-        ProgramSummary {
-            functions,
-            globals,
-            index,
-            closures,
-        }
+        let mut ex = Extractor::new(program, &lookup, None, false);
+        let globals = walk_globals(program, &lookup, &mut ex).map(|()| ex.out);
+        ProgramSummary::from_parts(program, functions, globals)
     }
 
     /// Assembles a `ProgramSummary` from already-known parts: the TU
     /// linker builds linked summaries from cached per-TU modules without
     /// re-walking any body. `functions` must be indexed by `FuncId` of
-    /// `program` and the derived tables (member index, containment
-    /// closures) are recomputed from `program` itself, so they cannot
-    /// drift from a cold build.
+    /// `program` and the derived tables (member index, containment graph)
+    /// are computed from `program` itself, so they cannot drift from a
+    /// cold build.
     pub(crate) fn from_parts(
         program: &Program,
         functions: Vec<Result<FnSummary, TypeError>>,
         globals: Result<FnSummary, TypeError>,
     ) -> ProgramSummary {
         debug_assert_eq!(functions.len(), program.function_count());
-        let index = MemberIndex::new(program);
-        let closures = (0..program.class_count())
-            .map(|i| containment_closure(program, ClassId::from_index(i)))
-            .collect();
         ProgramSummary {
             functions,
             globals,
-            index,
-            closures,
+            index: MemberIndex::new(program),
+            containment: Containment::new(program),
         }
     }
 
@@ -441,11 +473,9 @@ impl ProgramSummary {
         &self.index
     }
 
-    /// Every class transitively contained in `class` (itself, by-value
-    /// member classes, bases) — the precomputed footprint of
-    /// `MarkAllContainedMembers`.
-    pub fn contained_classes(&self, class: ClassId) -> &[ClassId] {
-        &self.closures[class.index()]
+    /// The containment graph of the program.
+    pub fn containment(&self) -> &Containment {
+        &self.containment
     }
 
     /// The used-class set of the paper's Table 1: "classes for which a
@@ -460,47 +490,49 @@ impl ProgramSummary {
     /// Surfaces stored walk errors: functions in id order, then
     /// globals.
     pub fn used_classes(&self, program: &Program) -> Result<HashSet<ClassId>, TypeError> {
-        let mut seeds: HashSet<ClassId> = HashSet::new();
+        let mut used = ClassBitSet::with_capacity(program.class_count());
+        let mut seed = |s: &FnSummary| {
+            for class in s.instantiated_classes() {
+                self.containment.walk(class, &mut used, |_| {});
+            }
+        };
         for (fid, f) in program.functions() {
             if f.body.is_some() || !f.inits.is_empty() {
-                seeds.extend(self.function(fid)?.instantiated_classes());
+                seed(self.function(fid)?);
             }
         }
-        seeds.extend(self.globals()?.instantiated_classes());
-        let mut used = HashSet::new();
-        for s in seeds {
-            used.extend(self.contained_classes(s).iter().copied());
-        }
-        Ok(used)
+        seed(self.globals()?);
+        Ok(used.iter().collect())
     }
 }
 
-/// The containment closure of `class`: itself, plus (transitively) its
-/// by-value member classes and base classes. Matches both the recursion
-/// of the analysis's `MarkAllContainedMembers` and the used-class
-/// closure, which traverse the same edges.
-fn containment_closure(program: &Program, class: ClassId) -> Vec<ClassId> {
-    let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    let mut stack = vec![class];
-    while let Some(c) = stack.pop() {
-        if !seen.insert(c) {
-            continue;
-        }
-        out.push(c);
-        let info = program.class(c);
-        for m in &info.members {
-            if let Some(name) = by_value_class(&m.ty) {
-                if let Some(id) = program.class_by_name(name) {
-                    stack.push(id);
-                }
-            }
-        }
-        for b in &info.bases {
-            stack.push(b.id);
-        }
+/// The `delete` site of a pointer to `class`: its destructor, the
+/// dispatch candidates when that destructor is virtual, and the
+/// destructors of its bases, which always run.
+pub(crate) fn delete_site(
+    program: &Program,
+    lookup: &MemberLookup<'_>,
+    class: ClassId,
+) -> DeleteSite {
+    let dtor = program.destructor(class);
+    let virtual_dtor = dtor.is_some_and(|d| program.function(d).is_virtual);
+    let candidates = if virtual_dtor {
+        lookup.destructor_candidates(class).to_vec()
+    } else {
+        Vec::new()
+    };
+    let ancestor_dtors = program
+        .ancestors_of(class)
+        .into_iter()
+        .filter_map(|a| program.destructor(a))
+        .collect();
+    DeleteSite {
+        class,
+        dtor,
+        virtual_dtor,
+        candidates,
+        ancestor_dtors,
     }
-    out
 }
 
 /// Extracts the summary of one function body, walking it exactly once.
@@ -677,29 +709,10 @@ impl EventVisitor for Extractor<'_, '_> {
     }
 
     fn delete_of(&mut self, ev: &DeleteEvent) {
-        let Some(class) = ev.pointee_class else {
-            return;
-        };
-        let dtor = self.program.destructor(class);
-        let virtual_dtor = dtor.is_some_and(|d| self.program.function(d).is_virtual);
-        let candidates = if virtual_dtor {
-            self.lookup.destructor_candidates(class).to_vec()
-        } else {
-            Vec::new()
-        };
-        let ancestor_dtors = self
-            .program
-            .ancestors_of(class)
-            .into_iter()
-            .filter_map(|a| self.program.destructor(a))
-            .collect();
-        self.out.cg_steps.push(CgStep::Delete(DeleteSite {
-            class,
-            dtor,
-            virtual_dtor,
-            candidates,
-            ancestor_dtors,
-        }));
+        if let Some(class) = ev.pointee_class {
+            let site = delete_site(self.program, self.lookup, class);
+            self.out.cg_steps.push(CgStep::Delete(site));
+        }
     }
 }
 
@@ -804,7 +817,7 @@ mod tests {
     }
 
     #[test]
-    fn containment_closure_covers_members_and_bases() {
+    fn containment_walk_covers_members_and_bases_and_stops_at_seen() {
         let p = program(
             "class Inner { public: int deep; };\n\
              class Base { public: int inherited; };\n\
@@ -813,15 +826,26 @@ mod tests {
              int main() { return 0; }",
         );
         let s = ProgramSummary::build(&p, false, 1);
-        let outer = p.class_by_name("Outer").unwrap();
-        let closure: HashSet<ClassId> = s.contained_classes(outer).iter().copied().collect();
-        for name in ["Outer", "Inner", "Base"] {
-            assert!(closure.contains(&p.class_by_name(name).unwrap()), "{name}");
-        }
-        assert!(!closure.contains(&p.class_by_name("Apart").unwrap()));
+        let id = |name| p.class_by_name(name).unwrap();
+        let walk = |root, seen: &mut ClassBitSet| {
+            let mut out = Vec::new();
+            s.containment().walk(root, seen, |c| out.push(c));
+            out.sort();
+            out
+        };
+        // From a fresh set, `Outer` contains its by-value member's class
+        // and its base.
+        assert_eq!(
+            walk(id("Outer"), &mut ClassBitSet::default()),
+            [id("Inner"), id("Base"), id("Outer")]
+        );
+        let mut seen = ClassBitSet::default();
         // A leaf class contains only itself.
-        let inner = p.class_by_name("Inner").unwrap();
-        assert_eq!(s.contained_classes(inner), &[inner]);
+        assert_eq!(walk(id("Inner"), &mut seen), [id("Inner")]);
+        // `Inner` is seen, so the walk from `Outer` skips it.
+        assert_eq!(walk(id("Outer"), &mut seen), [id("Base"), id("Outer")]);
+        assert_eq!(walk(id("Outer"), &mut seen), []);
+        assert!(!seen.contains(id("Apart")));
     }
 
     #[test]

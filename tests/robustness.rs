@@ -260,6 +260,112 @@ fn serve_answers_a_deeply_nested_file_with_an_analysis_error_and_keeps_serving()
     assert_eq!(get(6, "ok").and_then(|v| v.as_bool()), Some(true));
 }
 
+/// `levels` stacked virtual diamonds — `Lk` and `Rk` derive virtually
+/// from `D(k-1)`, `Dk` from both, so `D{levels}` has 2^levels inheritance
+/// paths to `D0` — and a C-style cast of a `D{levels}*` to the unrelated
+/// class `U`, which must be told apart from an up-cast.
+fn diamond_stack_with_unrelated_cast(levels: usize) -> String {
+    let mut src = String::from(
+        "class D0 { public: int x0; virtual int f() { return x0; } };\n\
+         class U { public: int u; };\n",
+    );
+    for k in 1..=levels {
+        let b = k - 1;
+        src.push_str(&format!(
+            "class L{k} : public virtual D{b} {{ public: int l{k}; }};\n\
+             class R{k} : public virtual D{b} {{ public: int r{k}; }};\n\
+             class D{k} : public L{k}, public R{k} {{ public: int x{k}; }};\n"
+        ));
+    }
+    src.push_str(&format!(
+        "int main() {{ D{levels} d; U* p = (U*)&d; return d.x{levels}; }}\n"
+    ));
+    src
+}
+
+/// How long one analysis of the diamond stack may take. It needs
+/// milliseconds; an ancestry test that follows every inheritance path
+/// would need about 2^64 steps, so the bound turns a hang into a
+/// failure.
+const DIAMOND_LIMIT: std::time::Duration = std::time::Duration::from_secs(30);
+
+#[test]
+fn a_cast_across_64_stacked_diamonds_analyses_in_bounded_time() {
+    use dead_data_members::analysis::{serve, ServeOptions};
+    use std::io::Read as _;
+    use std::process::{Command, Stdio};
+    use std::sync::mpsc;
+
+    let dir = std::env::temp_dir().join(format!("ddm-robust-diamonds-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let file = dir.join("diamonds.cpp");
+    std::fs::write(&file, diamond_stack_with_unrelated_cast(64)).expect("write source");
+
+    // The CLI, killed if it overruns.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ddm"))
+        .arg(&file)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ddm");
+    let mut stdout = child.stdout.take().expect("ddm stdout");
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut text = String::new();
+        let _ = stdout.read_to_string(&mut text);
+        let _ = tx.send(text);
+    });
+    let Ok(cli) = rx.recv_timeout(DIAMOND_LIMIT) else {
+        let _ = child.kill();
+        let _ = child.wait();
+        panic!("ddm did not finish within {DIAMOND_LIMIT:?}");
+    };
+    reader.join().expect("stdout reader");
+    assert!(child.wait().expect("wait for ddm").success(), "{cli}");
+    assert!(cli.contains("DEAD u"), "the cast livens D64, not U:\n{cli}");
+
+    // An in-process serve session: the first build, then a rebuild.
+    let name = json::escape(&file.to_string_lossy());
+    let requests = format!(
+        "{{\"cmd\":\"analyze\",\"files\":[\"{name}\"]}}\n\
+         {{\"cmd\":\"notify\",\"changed\":[\"{name}\"],\"wait\":1}}\n\
+         {{\"cmd\":\"report\"}}\n{{\"cmd\":\"shutdown\"}}\n"
+    );
+    // A session that overruns is left running: the test fails, and the
+    // test process exits without it.
+    let (tx, rx) = mpsc::channel();
+    let session = std::thread::spawn(move || {
+        let opts = ServeOptions {
+            config: AnalysisConfig::default(),
+            algorithm: Algorithm::Rta,
+            jobs: 1,
+            engine: Engine::Summary,
+            cache_dir: None,
+            log_out: None,
+            log_filter: None,
+        };
+        let mut out: Vec<u8> = Vec::new();
+        let served = serve(&opts, std::io::Cursor::new(requests), &mut out);
+        let _ = tx.send(served.map(|()| out));
+    });
+    let out = rx
+        .recv_timeout(DIAMOND_LIMIT)
+        .unwrap_or_else(|_| panic!("the serve rebuild did not finish within {DIAMOND_LIMIT:?}"))
+        .expect("serve");
+    session.join().expect("serve session");
+    let _ = std::fs::remove_dir_all(&dir);
+    let responses: Vec<json::Value> = String::from_utf8(out)
+        .expect("utf8")
+        .lines()
+        .map(|l| json::parse(l).expect("response json"))
+        .collect();
+    assert_eq!(responses.len(), 4);
+    assert_eq!(responses[1].get("epoch").and_then(|v| v.as_int()), Some(2));
+    let report = responses[2].get("output").and_then(|v| v.as_str());
+    assert_eq!(report, Some(cli.as_str()));
+}
+
 #[test]
 fn execution_is_deterministic_across_runs() {
     for b in dead_data_members::benchmarks::suite() {

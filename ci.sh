@@ -9,6 +9,9 @@ cd "$(dirname "$0")"
 echo "== build (release) =="
 cargo build --release
 
+echo "== rustdoc: every intra-doc link resolves (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== test suite =="
 cargo test -q
 
@@ -322,8 +325,9 @@ rm -rf "$serve_src" "$serve_tmp"
 
 echo "== repository benchmark: perfbench builds and passes its tiny workload pass =="
 # perfbench is a package of its own (perfbench/Cargo.toml) that builds
-# against ProjectPipeline::run, serve/ServeOptions, TuModule's JSON codec
-# (which only its traced replica still uses) and AnalysisSnapshot. Its tests run a tiny pass of every workload,
+# against ProjectPipeline::run, serve/ServeOptions, TuModule::to_json/
+# from_json (its traced replica's cache files: the binary entry as hex)
+# and AnalysisSnapshot. Its tests run a tiny pass of every workload,
 # serve_mixed included, and check the committed verdicts, so a library
 # change that breaks the benchmark fails here.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

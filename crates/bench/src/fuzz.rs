@@ -160,7 +160,7 @@ pub enum CaseResult {
 
 /// Runs one product cell and renders its canonical artifact: the
 /// report, the `--explain` text of every member (capped at
-/// [`EXPLAIN_CAP`]), and the deterministic counters — or the error text
+/// `EXPLAIN_CAP`), and the deterministic counters — or the error text
 /// for rejected programs. Every byte of this artifact is pinned to be
 /// identical across worker counts and cache states.
 pub fn cell_artifact(

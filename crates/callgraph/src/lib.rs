@@ -23,7 +23,7 @@
 //!
 //! The propagating algorithms replay walk-once function summaries
 //! ([`ProgramSummary`]) through a **delta-driven worklist fixpoint**
-//! ([`run_fixpoint`]): each round processes only the functions made
+//! (`run_fixpoint`): each round processes only the functions made
 //! newly reachable in the previous round plus the dispatch sites readied
 //! by newly instantiated receiver classes, instead of re-sweeping the
 //! whole reachable set. The schedule reproduces the historical full-sweep

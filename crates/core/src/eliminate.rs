@@ -362,7 +362,7 @@ impl Scan {
                 }
                 self.expr(rhs);
             }
-            _ => each_child(e, |child| self.expr(child)),
+            _ => e.each_child(|child| self.expr(child)),
         }
     }
 }
@@ -450,51 +450,6 @@ fn is_pure(e: &Expr) -> bool {
         | ExprKind::Call { .. }
         | ExprKind::New { .. }
         | ExprKind::Delete { .. } => false,
-    }
-}
-
-/// Applies a closure to every direct child expression.
-fn each_child(e: &Expr, mut f: impl FnMut(&Expr)) {
-    match &e.kind {
-        ExprKind::Member { base, .. } => f(base),
-        ExprKind::Index { base, index } => {
-            f(base);
-            f(index);
-        }
-        ExprKind::Call { callee, args } => {
-            f(callee);
-            args.iter().for_each(f);
-        }
-        ExprKind::Unary { expr, .. }
-        | ExprKind::Postfix { expr, .. }
-        | ExprKind::SizeofExpr(expr) => f(expr),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Comma { lhs, rhs } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Assign { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Cond { cond, then, els } => {
-            f(cond);
-            f(then);
-            f(els);
-        }
-        ExprKind::Cast { expr, .. } | ExprKind::Delete { expr, .. } => f(expr),
-        ExprKind::New {
-            args, array_len, ..
-        } => {
-            args.iter().for_each(&mut f);
-            if let Some(len) = array_len {
-                f(len);
-            }
-        }
-        ExprKind::PtrMemApply { base, ptr, .. } => {
-            f(base);
-            f(ptr);
-        }
-        _ => {}
     }
 }
 

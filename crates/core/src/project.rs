@@ -3,7 +3,7 @@
 //! [`ProjectPipeline`] accepts N named sources, runs the per-TU front
 //! end (parse → model → walk-once summary → [`TuModule`] extraction)
 //! on up to `jobs` worker threads, one TU at a time per worker, links
-//! the modules into one program ([`ddm_hierarchy::link`]), and drives
+//! the modules into one program ([`ddm_hierarchy::link()`]), and drives
 //! the delta-fixpoint call graph and liveness over the linked result
 //! on the calling thread. The artifacts are bit-identical for every
 //! worker count. A single source is a one-TU project
@@ -582,6 +582,7 @@ impl ProjectPipeline {
         // (under one set of type names) is parsed once per run. ---
         let todo: Vec<usize> = (0..inputs.len()).filter(|&i| modules[i].is_none()).collect();
         let mut parsed: Vec<Option<Program>> = inputs.iter().map(|_| None).collect();
+        let mut maps: Vec<Option<SourceMap>> = inputs.iter().map(|_| None).collect();
         {
             use std::sync::atomic::{AtomicUsize, Ordering};
             use std::sync::Mutex;
@@ -592,7 +593,7 @@ impl ProjectPipeline {
             let workers = jobs.max(1).min(todo.len().max(1));
             let memo = DeclMemo::new();
             let next = AtomicUsize::new(0);
-            type TuOutcome = Result<(TuModule, Program), PipelineError>;
+            type TuOutcome = Result<(TuModule, Program, SourceMap), PipelineError>;
             let slots: Vec<Mutex<Option<TuOutcome>>> =
                 todo.iter().map(|_| Mutex::new(None)).collect();
             let work = |lane: u32| loop {
@@ -620,7 +621,7 @@ impl ProjectPipeline {
                     let map = SourceMap::new(file.clone(), source.clone());
                     let module =
                         TuModule::extract_hashed(&unit, &program, &summary, &map, hashes[i]);
-                    Ok((module, program))
+                    Ok((module, program, map))
                 })();
                 *slots[n].lock().expect("tu slot poisoned") = Some(outcome);
             };
@@ -652,9 +653,10 @@ impl ProjectPipeline {
                     .expect("tu slot poisoned")
                     .expect("every TU is analysed exactly once");
                 match outcome {
-                    Ok((module, program)) => {
+                    Ok((module, program, map)) => {
                         modules[i] = Some(module);
                         parsed[i] = Some(program);
+                        maps[i] = Some(map);
                     }
                     Err(error) => {
                         return Err(ProjectError::Tu {
@@ -881,11 +883,13 @@ impl ProjectPipeline {
             }
         }
 
+        // The front end's maps move in; only TUs the cache served get
+        // a new one.
         let mut sources = SourceSet::new();
         {
             let _assemble = telemetry.span(LANE_MAIN, || "assemble".to_string());
-            for (file, source) in inputs {
-                sources.push(SourceMap::new(file.clone(), source.clone()));
+            for ((file, source), map) in inputs.iter().zip(maps) {
+                sources.push(map.unwrap_or_else(|| SourceMap::new(file.clone(), source.clone())));
             }
         }
         Ok(Arc::new(EpochSnapshot {

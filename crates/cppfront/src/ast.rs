@@ -414,6 +414,60 @@ impl Expr {
     pub fn new(kind: ExprKind, span: Span) -> Self {
         Expr { kind, span }
     }
+
+    /// Calls `f` on each direct child expression, left to right in
+    /// source order.
+    pub fn each_child(&self, mut f: impl FnMut(&Expr)) {
+        match &self.kind {
+            ExprKind::Member { base, .. } => f(base),
+            ExprKind::Index { base, index } => {
+                f(base);
+                f(index);
+            }
+            ExprKind::Call { callee, args } => {
+                f(callee);
+                args.iter().for_each(f);
+            }
+            ExprKind::Unary { expr, .. }
+            | ExprKind::Postfix { expr, .. }
+            | ExprKind::SizeofExpr(expr)
+            | ExprKind::Cast { expr, .. }
+            | ExprKind::Delete { expr, .. } => f(expr),
+            ExprKind::Binary { lhs, rhs, .. }
+            | ExprKind::Comma { lhs, rhs }
+            | ExprKind::Assign { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            ExprKind::Cond { cond, then, els } => {
+                f(cond);
+                f(then);
+                f(els);
+            }
+            ExprKind::New {
+                args, array_len, ..
+            } => {
+                args.iter().for_each(&mut f);
+                if let Some(len) = array_len {
+                    f(len);
+                }
+            }
+            ExprKind::PtrMemApply { base, ptr, .. } => {
+                f(base);
+                f(ptr);
+            }
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Null
+            | ExprKind::This
+            | ExprKind::Ident(_)
+            | ExprKind::SizeofType(_)
+            | ExprKind::PtrToMember { .. } => {}
+        }
+    }
 }
 
 /// Expression kinds.

@@ -336,6 +336,11 @@ struct UnitBuilder {
     tu: TranslationUnit,
     /// The names of `tu.classes`, for the duplicate check.
     class_names: HashSet<String>,
+    /// The free functions in merge order. A prototype that its
+    /// definition replaced leaves a `None`, which `finish` drops.
+    functions: Vec<Option<Item<FunctionDecl>>>,
+    /// Each free function's slot in `functions`.
+    function_slots: HashMap<String, usize>,
     out_of_line: Vec<(Arc<str>, Item<FunctionDecl>)>,
 }
 
@@ -627,22 +632,29 @@ impl UnitBuilder {
             Decl::Enum(decl) => tu.enums.push(Item { base, decl }),
             Decl::Global(decl) => tu.globals.push(Item { base, decl }),
             // A prototype is recorded only if the function is not
-            // defined yet; a body replaces an earlier prototype.
-            Decl::Function(decl) if decl.body.is_none() => {
-                if tu.function(&decl.name).is_none() {
-                    tu.functions.push(Item { base, decl });
-                }
-            }
+            // declared yet; a body replaces an earlier prototype and
+            // takes the position of the definition.
             Decl::Function(decl) => {
-                tu.functions
-                    .retain(|f| !(f.name == decl.name && f.body.is_none()));
-                if tu.function(&decl.name).is_some() {
-                    return Err(ParseError::new(
-                        ParseErrorKind::Duplicate(decl.name.clone()),
-                        start,
-                    ));
+                let slot = self.functions.len();
+                match self.function_slots.get_mut(&decl.name) {
+                    None => {
+                        self.function_slots.insert(decl.name.clone(), slot);
+                    }
+                    Some(_) if decl.body.is_none() => return Ok(()),
+                    Some(at) => {
+                        if self.functions[*at]
+                            .as_ref()
+                            .is_some_and(|f| f.body.is_some())
+                        {
+                            return Err(ParseError::new(
+                                ParseErrorKind::Duplicate(decl.name.clone()),
+                                start,
+                            ));
+                        }
+                        self.functions[std::mem::replace(at, slot)] = None;
+                    }
                 }
-                tu.functions.push(Item { base, decl });
+                self.functions.push(Some(Item { base, decl }));
             }
             Decl::OutOfLine(class, decl) => self.out_of_line.push((class, Item { base, decl })),
         }
@@ -652,6 +664,7 @@ impl UnitBuilder {
     /// Attaches out-of-line method bodies to their in-class declarations;
     /// `src` is the TU's source.
     fn finish(mut self, src: &str) -> Result<TranslationUnit, ParseError> {
+        self.tu.functions = self.functions.into_iter().flatten().collect();
         for (class_name, def) in self.out_of_line {
             let span = def.at(def.span);
             let class = self
@@ -2570,6 +2583,25 @@ mod tests {
         let tu = parse_ok("int f(int x); int f(int x) { return x; } int main() { return f(1); }");
         assert_eq!(tu.functions.len(), 2);
         assert!(tu.function("f").unwrap().body.is_some());
+    }
+
+    #[test]
+    fn free_functions_merge_in_definition_order() {
+        // A definition replaces its prototype at the definition's
+        // position; a prototype after the definition is dropped.
+        let tu =
+            parse_ok("int f(); int g() { return 1; } int f() { return g(); } int g(); int h();");
+        let order: Vec<(&str, bool)> = tu
+            .functions
+            .iter()
+            .map(|f| (f.name.as_str(), f.body.is_some()))
+            .collect();
+        assert_eq!(order, [("g", true), ("f", true), ("h", false)]);
+        // A second definition is a duplicate at its first token.
+        let src = "int f(); int f() { return 0; }\nint f() { return 1; }";
+        let err = parse(src).unwrap_err();
+        assert!(matches!(err.kind(), ParseErrorKind::Duplicate(name) if name == "f"));
+        assert_eq!(err.span().lo as usize, src.rfind("int f()").unwrap());
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! every cache file: the per-TU entries (`tu-<hash>.bin`) and the
 //! persisted analysis snapshot (`analysis.snap`).
 //!
+//! This is the only serialization of a module:
+//! [`TuModule::to_json`] carries an [`encode_entry`] image as hex.
 //! Fields are length-prefixed, integers little-endian and fixed-width,
-//! and each enum variant is one tag byte. It encodes a module about 40
-//! times faster than the JSON codec in [`module`](crate::module), which
-//! no cache file uses any more, into about a third of the bytes
-//! (DESIGN.md §5e has the measurement).
+//! and each enum variant is one tag byte.
 //!
 //! [`seal`] frames a payload as magic, format version and a word-wise
 //! FNV-1a checksum; [`open`] checks all three and names what failed as

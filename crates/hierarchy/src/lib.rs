@@ -55,7 +55,7 @@ pub use model::{
 pub use module::{
     fnv1a64, fnv1a64_each, hash_hex, ClassRecord, EnumRecord, FreeFnRecord, GlobalRecord, MemberRecord,
     MethodRecord, SymCgStep, SymFnSummary, SymFunc, SymLiveStep, SymMember, SymResolver, SymResult,
-    TuModule, MODULE_FORMAT_VERSION,
+    TuModule,
 };
 pub use subobject::{Subobject, SubobjectId, SubobjectTree};
 pub use summary::{

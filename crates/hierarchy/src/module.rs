@@ -11,31 +11,25 @@
 //! *not* stored: the linker re-derives them from the linked hierarchy,
 //! which is exactly what whole-program extraction would have computed.
 //!
-//! The cache files hold modules in the binary codec of
+//! A module has one serialization, the binary codec of
 //! [`binmod`](crate::binmod), whose entry reader runs
-//! [`TuModule::validate`] on every module it accepts. The versioned
-//! JSON document of [`TuModule::to_json`]/[`TuModule::from_json`] (the
-//! codec reuses [`ddm_telemetry::json`]) is no longer a cache format;
-//! it stays for the repository benchmark's traced replica, which still
-//! renders and reads it.
+//! [`TuModule::validate`] on every module it accepts.
+//! [`TuModule::to_json`]/[`TuModule::from_json`] carry that same entry
+//! as hex inside a JSON document, under the same checks.
 
+use crate::binmod::{decode_entry, encode_entry};
 use crate::ids::{ClassId, FuncId, MemberRef};
 use crate::model::Program;
 use crate::summary::{
     delete_site, CgStep, FnSummary, LiveStep, MarkAllCause, MemberAccessKind, ProgramSummary,
     VirtualSite,
 };
-use crate::typewalk::{TypeError, TypeErrorKind};
-use crate::LookupError;
-use ddm_cppfront::ast::{ClassKind, FnType, FunctionKind, Type, TypeKind};
+use crate::typewalk::TypeError;
+use ddm_cppfront::ast::{ClassKind, FunctionKind, Type};
 use ddm_cppfront::{SourceMap, TranslationUnit};
 use ddm_telemetry::json::{self, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Version of the on-disk module format. Bumped on any incompatible
-/// codec change; entries with a different version are invalidated.
-pub const MODULE_FORMAT_VERSION: i64 = 1;
 
 /// FNV-1a 64-bit hashing (the content hash of the cache key and the
 /// body fingerprints used for ODR comparison).
@@ -418,86 +412,43 @@ impl TuModule {
         }
     }
 
-    /// Serializes the module with its envelope (version, configuration
-    /// fingerprint, source hash).
+    /// The per-TU cache entry of [`encode_entry`] as a JSON document,
+    /// `{"entry":"<hex>"}`.
     pub fn to_json(&self, fingerprint: &str) -> String {
-        Value::Obj(vec![
-            ("version".into(), Value::Int(MODULE_FORMAT_VERSION)),
-            ("fingerprint".into(), Value::Str(fingerprint.to_string())),
-            ("source_hash".into(), Value::Str(hash_hex(self.source_hash))),
-            ("file".into(), Value::Str(self.file.clone())),
-            (
-                "classes".into(),
-                Value::Arr(self.classes.iter().map(|c| class_to_json(c)).collect()),
-            ),
-            (
-                "enums".into(),
-                Value::Arr(self.enums.iter().map(enum_to_json).collect()),
-            ),
-            (
-                "globals".into(),
-                Value::Arr(self.globals.iter().map(global_to_json).collect()),
-            ),
-            (
-                "free_fns".into(),
-                Value::Arr(self.free_fns.iter().map(free_fn_to_json).collect()),
-            ),
-            (
-                "globals_summary".into(),
-                sym_result_to_json(&self.globals_summary),
-            ),
-        ])
-        .render()
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let hex = encode_entry(self, fingerprint)
+            .iter()
+            .flat_map(|&b| [DIGITS[usize::from(b >> 4)], DIGITS[usize::from(b & 15)]])
+            .map(char::from)
+            .collect();
+        Value::Obj(vec![("entry".into(), Value::Str(hex))]).render()
     }
 
-    /// Deserializes a module, rejecting anything that does not match
-    /// `fingerprint` and `source_hash` or fails internal validation.
+    /// Reads a document written by [`TuModule::to_json`], with every
+    /// check of [`decode_entry`].
     ///
     /// # Errors
     ///
-    /// Any parse failure, envelope mismatch, or dangling symbolic
-    /// reference — all of which mean "invalidate and recompute".
+    /// A parse failure, a missing or malformed `entry`, or the entry's
+    /// [`Reject`](crate::binmod::Reject) as its reason string — all of
+    /// which mean "invalidate and recompute".
     pub fn from_json(doc: &str, fingerprint: &str, source_hash: u64) -> Result<TuModule, String> {
         let v = json::parse(doc)?;
-        if v.get("version").and_then(Value::as_int) != Some(MODULE_FORMAT_VERSION) {
-            return Err("format version mismatch".to_string());
-        }
-        if v.get("fingerprint").and_then(Value::as_str) != Some(fingerprint) {
-            return Err("configuration fingerprint mismatch".to_string());
-        }
-        if v.get("source_hash").and_then(Value::as_str) != Some(hash_hex(source_hash).as_str()) {
-            return Err("source hash mismatch".to_string());
-        }
-        let file = req_str(&v, "file")?.to_string();
-        let classes = req_arr(&v, "classes")?
-            .iter()
-            .map(|c| class_from_json(c).map(Arc::new))
-            .collect::<Result<Vec<_>, _>>()?;
-        let enums = req_arr(&v, "enums")?
-            .iter()
-            .map(enum_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let globals = req_arr(&v, "globals")?
-            .iter()
-            .map(global_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let free_fns = req_arr(&v, "free_fns")?
-            .iter()
-            .map(free_fn_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let globals_summary =
-            sym_result_from_json(v.get("globals_summary").ok_or("missing globals_summary")?)?;
-        let module = TuModule {
-            file,
-            source_hash,
-            classes,
-            enums,
-            globals,
-            free_fns,
-            globals_summary,
-        };
-        module.validate()?;
-        Ok(module)
+        let hex = v
+            .get("entry")
+            .and_then(Value::as_str)
+            .ok_or("missing entry")?;
+        let nibble = |d: u8| char::from(d).to_digit(16);
+        let image: Option<Vec<u8>> = hex
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| match *pair {
+                [hi, lo] => Some((nibble(hi)? << 4 | nibble(lo)?) as u8),
+                _ => None,
+            })
+            .collect();
+        let image = image.ok_or("entry is not an even run of hex digits")?;
+        decode_entry(&image, fingerprint, source_hash).map_err(|reject| reject.to_string())
     }
 
     /// Checks that every symbolic reference resolves within this
@@ -774,612 +725,10 @@ impl<'p> SymResolver<'p> {
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON encoding
-// ---------------------------------------------------------------------
-
-fn s(v: &str) -> Value {
-    Value::Str(v.to_string())
-}
-
-fn u(n: u32) -> Value {
-    Value::Int(i64::from(n))
-}
-
-fn class_to_json(c: &ClassRecord) -> Value {
-    Value::Obj(vec![
-        ("name".into(), s(&c.name)),
-        (
-            "kind".into(),
-            s(match c.kind {
-                ClassKind::Class => "class",
-                ClassKind::Struct => "struct",
-                ClassKind::Union => "union",
-            }),
-        ),
-        (
-            "bases".into(),
-            Value::Arr(
-                c.bases
-                    .iter()
-                    .map(|(n, v)| Value::Arr(vec![s(n), Value::Bool(*v)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "members".into(),
-            Value::Arr(
-                c.members
-                    .iter()
-                    .map(|m| {
-                        Value::Obj(vec![
-                            ("name".into(), s(&m.name)),
-                            ("ty".into(), ty_to_json(&m.ty)),
-                            ("vol".into(), Value::Bool(m.is_volatile)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "methods".into(),
-            Value::Arr(c.methods.iter().map(method_to_json).collect()),
-        ),
-        ("line".into(), u(c.line)),
-        ("col".into(), u(c.col)),
-    ])
-}
-
-fn method_to_json(m: &MethodRecord) -> Value {
-    Value::Obj(vec![
-        ("name".into(), s(&m.name)),
-        (
-            "kind".into(),
-            s(match m.kind {
-                FunctionKind::Free => "free",
-                FunctionKind::Method => "method",
-                FunctionKind::Constructor => "ctor",
-                FunctionKind::Destructor => "dtor",
-            }),
-        ),
-        ("virt".into(), Value::Bool(m.is_virtual)),
-        ("arity".into(), u(m.arity)),
-        ("has_body".into(), Value::Bool(m.has_body)),
-        ("fp".into(), Value::Str(hash_hex(m.body_fp))),
-        ("has_inits".into(), Value::Bool(m.has_inits)),
-        ("line".into(), u(m.line)),
-        ("col".into(), u(m.col)),
-        ("summary".into(), sym_result_to_json(&m.summary)),
-    ])
-}
-
-fn free_fn_to_json(f: &FreeFnRecord) -> Value {
-    Value::Obj(vec![
-        ("name".into(), s(&f.name)),
-        ("arity".into(), u(f.arity)),
-        ("has_body".into(), Value::Bool(f.has_body)),
-        ("fp".into(), Value::Str(hash_hex(f.body_fp))),
-        ("line".into(), u(f.line)),
-        ("col".into(), u(f.col)),
-        ("summary".into(), sym_result_to_json(&f.summary)),
-    ])
-}
-
-fn enum_to_json(e: &EnumRecord) -> Value {
-    Value::Obj(vec![
-        ("name".into(), s(&e.name)),
-        (
-            "variants".into(),
-            Value::Arr(
-                e.variants
-                    .iter()
-                    .map(|(n, v)| Value::Arr(vec![s(n), Value::Int(*v)]))
-                    .collect(),
-            ),
-        ),
-        ("line".into(), u(e.line)),
-        ("col".into(), u(e.col)),
-    ])
-}
-
-fn global_to_json(g: &GlobalRecord) -> Value {
-    Value::Obj(vec![
-        ("name".into(), s(&g.name)),
-        ("ty".into(), ty_to_json(&g.ty)),
-        ("line".into(), u(g.line)),
-        ("col".into(), u(g.col)),
-    ])
-}
-
-/// Types encode as tagged arrays with the const/volatile qualifiers at
-/// every level: `["ptr", c, v, <inner>]`, `["named", c, v, "A"]`, …
-fn ty_to_json(ty: &Type) -> Value {
-    let c = Value::Bool(ty.is_const);
-    let v = Value::Bool(ty.is_volatile);
-    let mut items = match &ty.kind {
-        TypeKind::Void => vec![s("void")],
-        TypeKind::Bool => vec![s("bool")],
-        TypeKind::Char => vec![s("char")],
-        TypeKind::Short => vec![s("short")],
-        TypeKind::Int => vec![s("int")],
-        TypeKind::Long => vec![s("long")],
-        TypeKind::Float => vec![s("float")],
-        TypeKind::Double => vec![s("double")],
-        TypeKind::Named(n) => vec![s("named"), s(n)],
-        TypeKind::Pointer(inner) => vec![s("ptr"), ty_to_json(inner)],
-        TypeKind::Reference(inner) => vec![s("ref"), ty_to_json(inner)],
-        TypeKind::Array(inner, n) => {
-            vec![s("arr"), ty_to_json(inner), Value::Int(*n as i64)]
-        }
-        TypeKind::Function(ft) => vec![
-            s("fn"),
-            ty_to_json(&ft.ret),
-            Value::Arr(ft.params.iter().map(ty_to_json).collect()),
-        ],
-        TypeKind::MemberPointer { class, pointee } => {
-            vec![s("mptr"), s(class), ty_to_json(pointee)]
-        }
-    };
-    items.insert(1, c);
-    items.insert(2, v);
-    Value::Arr(items)
-}
-
-fn sym_func_to_json(f: &SymFunc) -> Value {
-    match f {
-        SymFunc::Free(name) => Value::Arr(vec![s("f"), s(name)]),
-        SymFunc::Method { class, index } => Value::Arr(vec![s("m"), s(class), u(*index)]),
-    }
-}
-
-fn sym_result_to_json(r: &SymResult) -> Value {
-    match r {
-        Ok(summary) => Value::Obj(vec![
-            (
-                "live".into(),
-                Value::Arr(summary.live_steps.iter().map(live_step_to_json).collect()),
-            ),
-            (
-                "cg".into(),
-                Value::Arr(summary.cg_steps.iter().map(cg_step_to_json).collect()),
-            ),
-        ]),
-        Err(e) => Value::Obj(vec![("err".into(), type_error_to_json(e))]),
-    }
-}
-
-fn live_step_to_json(step: &SymLiveStep) -> Value {
-    match step {
-        SymLiveStep::Access { member, kind } => Value::Arr(vec![
-            s("acc"),
-            s(&member.class),
-            u(member.index),
-            s(match kind {
-                MemberAccessKind::Read => "read",
-                MemberAccessKind::AddressTaken => "addr",
-                MemberAccessKind::PointerToMember => "pm",
-                MemberAccessKind::VolatileWrite => "vw",
-            }),
-        ]),
-        SymLiveStep::MarkAll { class, cause } => Value::Arr(vec![
-            s("all"),
-            s(class),
-            s(match cause {
-                MarkAllCause::UnsafeCast => "cast",
-                MarkAllCause::UnsafeDowncast => "down",
-                MarkAllCause::Sizeof => "sizeof",
-            }),
-        ]),
-    }
-}
-
-fn cg_step_to_json(step: &SymCgStep) -> Value {
-    match step {
-        SymCgStep::Call(f) => Value::Arr(vec![s("call"), sym_func_to_json(f)]),
-        SymCgStep::VirtualCall {
-            decl,
-            receiver,
-            refined,
-        } => Value::Arr(vec![
-            s("virt"),
-            sym_func_to_json(decl),
-            s(receiver),
-            match refined {
-                None => Value::Null,
-                Some(fs) => Value::Arr(fs.iter().map(sym_func_to_json).collect()),
-            },
-        ]),
-        SymCgStep::FnPointerCall => Value::Arr(vec![s("fp")]),
-        SymCgStep::TakeAddress(f) => Value::Arr(vec![s("addr"), sym_func_to_json(f)]),
-        SymCgStep::Instantiate { class, ctor } => Value::Arr(vec![
-            s("new"),
-            s(class),
-            match ctor {
-                None => Value::Null,
-                Some(c) => sym_func_to_json(c),
-            },
-        ]),
-        SymCgStep::Delete { class } => Value::Arr(vec![s("del"), s(class)]),
-    }
-}
-
-fn type_error_to_json(e: &TypeError) -> Value {
-    let span = e.span();
-    let (tag, payload) = match e.kind() {
-        TypeErrorKind::UnknownIdent(n) => ("unknown_ident", vec![s(n)]),
-        TypeErrorKind::NotAClass(t) => ("not_a_class", vec![s(t)]),
-        TypeErrorKind::NotAPointer(t) => ("not_a_pointer", vec![s(t)]),
-        TypeErrorKind::NotCallable(t) => ("not_callable", vec![s(t)]),
-        TypeErrorKind::Lookup(LookupError::NotFound { class, name }) => {
-            ("lookup_not_found", vec![s(class), s(name)])
-        }
-        TypeErrorKind::Lookup(LookupError::Ambiguous { class, name }) => {
-            ("lookup_ambiguous", vec![s(class), s(name)])
-        }
-        TypeErrorKind::ThisOutsideMethod => ("this_outside_method", vec![]),
-        TypeErrorKind::UnknownQualifier(q) => ("unknown_qualifier", vec![s(q)]),
-    };
-    let mut items = vec![s(tag)];
-    items.extend(payload);
-    items.push(u(span.lo));
-    items.push(u(span.hi));
-    Value::Arr(items)
-}
-
-// ---------------------------------------------------------------------
-// JSON decoding
-// ---------------------------------------------------------------------
-
-fn req<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn req_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    req(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-fn req_arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], String> {
-    req(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
-fn req_bool(v: &Value, key: &str) -> Result<bool, String> {
-    req(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` is not a bool"))
-}
-
-fn req_u32(v: &Value, key: &str) -> Result<u32, String> {
-    let n = req(v, key)?
-        .as_int()
-        .ok_or_else(|| format!("field `{key}` is not an integer"))?;
-    u32::try_from(n).map_err(|_| format!("field `{key}` out of range"))
-}
-
-fn req_hash(v: &Value, key: &str) -> Result<u64, String> {
-    let text = req_str(v, key)?;
-    if text.len() != 16 {
-        return Err(format!("field `{key}` is not a 16-hex hash"));
-    }
-    u64::from_str_radix(text, 16).map_err(|_| format!("field `{key}` is not a 16-hex hash"))
-}
-
-fn arr_str(v: &Value) -> Result<&str, String> {
-    v.as_str().ok_or_else(|| "expected a string".to_string())
-}
-
-fn arr_u32(v: &Value) -> Result<u32, String> {
-    let n = v.as_int().ok_or("expected an integer")?;
-    u32::try_from(n).map_err(|_| "integer out of range".to_string())
-}
-
-fn class_from_json(v: &Value) -> Result<ClassRecord, String> {
-    let kind = match req_str(v, "kind")? {
-        "class" => ClassKind::Class,
-        "struct" => ClassKind::Struct,
-        "union" => ClassKind::Union,
-        other => return Err(format!("unknown class kind `{other}`")),
-    };
-    let bases = req_arr(v, "bases")?
-        .iter()
-        .map(|b| {
-            let items = b.as_arr().ok_or("base is not an array")?;
-            match items {
-                [name, virt] => Ok((
-                    arr_str(name)?.to_string(),
-                    virt.as_bool().ok_or("base virtual flag is not a bool")?,
-                )),
-                _ => Err("base is not a [name, virtual] pair".to_string()),
-            }
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let members = req_arr(v, "members")?
-        .iter()
-        .map(|m| {
-            Ok(MemberRecord {
-                name: req_str(m, "name")?.to_string(),
-                ty: ty_from_json(req(m, "ty")?)?,
-                is_volatile: req_bool(m, "vol")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let methods = req_arr(v, "methods")?
-        .iter()
-        .map(method_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ClassRecord {
-        name: req_str(v, "name")?.to_string(),
-        kind,
-        bases,
-        members,
-        methods,
-        line: req_u32(v, "line")?,
-        col: req_u32(v, "col")?,
-    })
-}
-
-fn fn_kind_from_str(text: &str) -> Result<FunctionKind, String> {
-    match text {
-        "free" => Ok(FunctionKind::Free),
-        "method" => Ok(FunctionKind::Method),
-        "ctor" => Ok(FunctionKind::Constructor),
-        "dtor" => Ok(FunctionKind::Destructor),
-        other => Err(format!("unknown function kind `{other}`")),
-    }
-}
-
-fn method_from_json(v: &Value) -> Result<MethodRecord, String> {
-    Ok(MethodRecord {
-        name: req_str(v, "name")?.to_string(),
-        kind: fn_kind_from_str(req_str(v, "kind")?)?,
-        is_virtual: req_bool(v, "virt")?,
-        arity: req_u32(v, "arity")?,
-        has_body: req_bool(v, "has_body")?,
-        body_fp: req_hash(v, "fp")?,
-        has_inits: req_bool(v, "has_inits")?,
-        line: req_u32(v, "line")?,
-        col: req_u32(v, "col")?,
-        summary: sym_result_from_json(req(v, "summary")?)?,
-    })
-}
-
-fn free_fn_from_json(v: &Value) -> Result<FreeFnRecord, String> {
-    Ok(FreeFnRecord {
-        name: req_str(v, "name")?.to_string(),
-        arity: req_u32(v, "arity")?,
-        has_body: req_bool(v, "has_body")?,
-        body_fp: req_hash(v, "fp")?,
-        line: req_u32(v, "line")?,
-        col: req_u32(v, "col")?,
-        summary: sym_result_from_json(req(v, "summary")?)?,
-    })
-}
-
-fn enum_from_json(v: &Value) -> Result<EnumRecord, String> {
-    let variants = req_arr(v, "variants")?
-        .iter()
-        .map(|e| {
-            let items = e.as_arr().ok_or("variant is not an array")?;
-            match items {
-                [name, value] => Ok((
-                    arr_str(name)?.to_string(),
-                    value.as_int().ok_or("variant value is not an integer")?,
-                )),
-                _ => Err("variant is not a [name, value] pair".to_string()),
-            }
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(EnumRecord {
-        name: req_str(v, "name")?.to_string(),
-        variants,
-        line: req_u32(v, "line")?,
-        col: req_u32(v, "col")?,
-    })
-}
-
-fn global_from_json(v: &Value) -> Result<GlobalRecord, String> {
-    Ok(GlobalRecord {
-        name: req_str(v, "name")?.to_string(),
-        ty: ty_from_json(req(v, "ty")?)?,
-        line: req_u32(v, "line")?,
-        col: req_u32(v, "col")?,
-    })
-}
-
-fn ty_from_json(v: &Value) -> Result<Type, String> {
-    let items = v.as_arr().ok_or("type is not an array")?;
-    let [tag, c, vol, rest @ ..] = items else {
-        return Err("type array too short".to_string());
-    };
-    let tag = arr_str(tag)?;
-    let is_const = c.as_bool().ok_or("type const flag is not a bool")?;
-    let is_volatile = vol.as_bool().ok_or("type volatile flag is not a bool")?;
-    let kind = match (tag, rest) {
-        ("void", []) => TypeKind::Void,
-        ("bool", []) => TypeKind::Bool,
-        ("char", []) => TypeKind::Char,
-        ("short", []) => TypeKind::Short,
-        ("int", []) => TypeKind::Int,
-        ("long", []) => TypeKind::Long,
-        ("float", []) => TypeKind::Float,
-        ("double", []) => TypeKind::Double,
-        ("named", [name]) => TypeKind::Named(arr_str(name)?.to_string()),
-        ("ptr", [inner]) => TypeKind::Pointer(Box::new(ty_from_json(inner)?)),
-        ("ref", [inner]) => TypeKind::Reference(Box::new(ty_from_json(inner)?)),
-        ("arr", [inner, len]) => {
-            let len = len.as_int().ok_or("array length is not an integer")?;
-            let len = usize::try_from(len).map_err(|_| "array length out of range".to_string())?;
-            TypeKind::Array(Box::new(ty_from_json(inner)?), len)
-        }
-        ("fn", [ret, params]) => {
-            let params = params
-                .as_arr()
-                .ok_or("fn params is not an array")?
-                .iter()
-                .map(ty_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            TypeKind::Function(Box::new(FnType {
-                ret: ty_from_json(ret)?,
-                params,
-            }))
-        }
-        ("mptr", [class, pointee]) => TypeKind::MemberPointer {
-            class: arr_str(class)?.to_string(),
-            pointee: Box::new(ty_from_json(pointee)?),
-        },
-        _ => return Err(format!("malformed type `{tag}`")),
-    };
-    Ok(Type {
-        kind,
-        is_const,
-        is_volatile,
-    })
-}
-
-fn sym_func_from_json(v: &Value) -> Result<SymFunc, String> {
-    let items = v.as_arr().ok_or("function ref is not an array")?;
-    match items {
-        [tag, name] if tag.as_str() == Some("f") => Ok(SymFunc::Free(arr_str(name)?.to_string())),
-        [tag, class, index] if tag.as_str() == Some("m") => Ok(SymFunc::Method {
-            class: arr_str(class)?.to_string(),
-            index: arr_u32(index)?,
-        }),
-        _ => Err("malformed function ref".to_string()),
-    }
-}
-
-fn sym_result_from_json(v: &Value) -> Result<SymResult, String> {
-    if let Some(err) = v.get("err") {
-        return Ok(Err(type_error_from_json(err)?));
-    }
-    let live_steps = req_arr(v, "live")?
-        .iter()
-        .map(live_step_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let cg_steps = req_arr(v, "cg")?
-        .iter()
-        .map(cg_step_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Ok(SymFnSummary {
-        live_steps,
-        cg_steps,
-    }))
-}
-
-fn live_step_from_json(v: &Value) -> Result<SymLiveStep, String> {
-    let items = v.as_arr().ok_or("live step is not an array")?;
-    match items {
-        [tag, class, index, kind] if tag.as_str() == Some("acc") => {
-            let kind = match arr_str(kind)? {
-                "read" => MemberAccessKind::Read,
-                "addr" => MemberAccessKind::AddressTaken,
-                "pm" => MemberAccessKind::PointerToMember,
-                "vw" => MemberAccessKind::VolatileWrite,
-                other => return Err(format!("unknown access kind `{other}`")),
-            };
-            Ok(SymLiveStep::Access {
-                member: SymMember {
-                    class: arr_str(class)?.to_string(),
-                    index: arr_u32(index)?,
-                },
-                kind,
-            })
-        }
-        [tag, class, cause] if tag.as_str() == Some("all") => {
-            let cause = match arr_str(cause)? {
-                "cast" => MarkAllCause::UnsafeCast,
-                "down" => MarkAllCause::UnsafeDowncast,
-                "sizeof" => MarkAllCause::Sizeof,
-                other => return Err(format!("unknown mark-all cause `{other}`")),
-            };
-            Ok(SymLiveStep::MarkAll {
-                class: arr_str(class)?.to_string(),
-                cause,
-            })
-        }
-        _ => Err("malformed live step".to_string()),
-    }
-}
-
-fn cg_step_from_json(v: &Value) -> Result<SymCgStep, String> {
-    let items = v.as_arr().ok_or("cg step is not an array")?;
-    let tag = items
-        .first()
-        .and_then(Value::as_str)
-        .ok_or("cg step has no tag")?;
-    match (tag, &items[1..]) {
-        ("call", [f]) => Ok(SymCgStep::Call(sym_func_from_json(f)?)),
-        ("virt", [decl, receiver, refined]) => Ok(SymCgStep::VirtualCall {
-            decl: sym_func_from_json(decl)?,
-            receiver: arr_str(receiver)?.to_string(),
-            refined: match refined {
-                Value::Null => None,
-                Value::Arr(fs) => Some(
-                    fs.iter()
-                        .map(sym_func_from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-                _ => return Err("malformed refined list".to_string()),
-            },
-        }),
-        ("fp", []) => Ok(SymCgStep::FnPointerCall),
-        ("addr", [f]) => Ok(SymCgStep::TakeAddress(sym_func_from_json(f)?)),
-        ("new", [class, ctor]) => Ok(SymCgStep::Instantiate {
-            class: arr_str(class)?.to_string(),
-            ctor: match ctor {
-                Value::Null => None,
-                other => Some(sym_func_from_json(other)?),
-            },
-        }),
-        ("del", [class]) => Ok(SymCgStep::Delete {
-            class: arr_str(class)?.to_string(),
-        }),
-        _ => Err(format!("malformed cg step `{tag}`")),
-    }
-}
-
-fn type_error_from_json(v: &Value) -> Result<TypeError, String> {
-    let items = v.as_arr().ok_or("type error is not an array")?;
-    let tag = items
-        .first()
-        .and_then(Value::as_str)
-        .ok_or("type error has no tag")?;
-    let kind = match (tag, &items[1..]) {
-        ("unknown_ident", [n, _, _]) => TypeErrorKind::UnknownIdent(arr_str(n)?.to_string()),
-        ("not_a_class", [t, _, _]) => TypeErrorKind::NotAClass(arr_str(t)?.to_string()),
-        ("not_a_pointer", [t, _, _]) => TypeErrorKind::NotAPointer(arr_str(t)?.to_string()),
-        ("not_callable", [t, _, _]) => TypeErrorKind::NotCallable(arr_str(t)?.to_string()),
-        ("lookup_not_found", [class, name, _, _]) => {
-            TypeErrorKind::Lookup(LookupError::NotFound {
-                class: arr_str(class)?.to_string(),
-                name: arr_str(name)?.to_string(),
-            })
-        }
-        ("lookup_ambiguous", [class, name, _, _]) => {
-            TypeErrorKind::Lookup(LookupError::Ambiguous {
-                class: arr_str(class)?.to_string(),
-                name: arr_str(name)?.to_string(),
-            })
-        }
-        ("this_outside_method", [_, _]) => TypeErrorKind::ThisOutsideMethod,
-        ("unknown_qualifier", [q, _, _]) => TypeErrorKind::UnknownQualifier(arr_str(q)?.to_string()),
-        _ => return Err(format!("malformed type error `{tag}`")),
-    };
-    let n = items.len();
-    let lo = arr_u32(&items[n - 2])?;
-    let hi = arr_u32(&items[n - 1])?;
-    Ok(TypeError::from_parts(
-        kind,
-        ddm_cppfront::Span::new(lo, hi),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::typewalk::TypeErrorKind;
     use ddm_cppfront::parse;
 
     const SRC: &str = "\
@@ -1456,24 +805,42 @@ int fleet = helper();
     fn envelope_mismatches_are_rejected() {
         let (m, _, _) = extract(SRC, false);
         let doc = m.to_json("v1;refine=0");
-        assert!(TuModule::from_json(&doc, "v1;refine=1", m.source_hash).is_err());
-        assert!(TuModule::from_json(&doc, "v1;refine=0", m.source_hash ^ 1).is_err());
-        let stale = doc.replace("\"version\":1", "\"version\":999");
-        assert!(TuModule::from_json(&stale, "v1;refine=0", m.source_hash).is_err());
+        let reject = |fp: &str, hash: u64| TuModule::from_json(&doc, fp, hash).unwrap_err();
+        assert_eq!(reject("v1;refine=1", m.source_hash), "config_fingerprint");
+        assert_eq!(reject("v1;refine=0", m.source_hash ^ 1), "source_hash");
     }
 
     #[test]
     fn corruption_is_rejected() {
+        let fp = "v1;refine=0";
         let (m, _, _) = extract(SRC, false);
-        let doc = m.to_json("v1;refine=0");
-        // Truncation.
-        assert!(TuModule::from_json(&doc[..doc.len() / 2], "v1;refine=0", m.source_hash).is_err());
-        // A dangling class reference inside a summary.
-        let crafted = doc.replace("[\"new\",\"Derived\"", "[\"new\",\"Ghost\"");
-        assert_ne!(crafted, doc, "test must actually rewrite a step");
-        assert!(TuModule::from_json(&crafted, "v1;refine=0", m.source_hash).is_err());
-        // Not JSON at all.
-        assert!(TuModule::from_json("{]", "v1;refine=0", m.source_hash).is_err());
+        let doc = m.to_json(fp);
+        let hex = doc
+            .strip_prefix("{\"entry\":\"")
+            .and_then(|rest| rest.strip_suffix("\"}"))
+            .expect("the document is one `entry` string");
+        let with_entry = |hex: &str| format!("{{\"entry\":\"{hex}\"}}");
+        let read = |doc: &str| TuModule::from_json(doc, fp, m.source_hash);
+        // One flipped digit in the payload fails the seal's checksum.
+        let (body, last) = hex.split_at(hex.len() - 1);
+        let flipped = format!("{body}{}", if last == "0" { '1' } else { '0' });
+        assert_eq!(read(&with_entry(&flipped)).unwrap_err(), "corrupt");
+        let old_form = format!(
+            "{{\"version\":1,\"fingerprint\":\"{fp}\",\"source_hash\":\"{}\",\
+             \"file\":\"t.cpp\",\"classes\":[],\"enums\":[],\"globals\":[],\
+             \"free_fns\":[],\"globals_summary\":{{\"live\":[],\"cg\":[]}}}}",
+            hash_hex(m.source_hash)
+        );
+        for bad in [
+            &doc[..doc.len() / 2],
+            &with_entry(body),
+            &with_entry(&format!("{body}g")),
+            "{}",
+            &old_form,
+            "{]",
+        ] {
+            assert!(read(bad).is_err(), "accepted {bad:.40}");
+        }
     }
 
     #[test]

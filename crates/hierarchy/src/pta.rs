@@ -261,52 +261,7 @@ fn collect_expr(e: &Expr, facts: &mut FunctionFacts) {
             }
             collect_expr(expr, facts);
         }
-        _ => each_child(e, |child| collect_expr(child, facts)),
-    }
-}
-
-fn each_child(e: &Expr, mut f: impl FnMut(&Expr)) {
-    match &e.kind {
-        ExprKind::Member { base, .. } => f(base),
-        ExprKind::Index { base, index } => {
-            f(base);
-            f(index);
-        }
-        ExprKind::Call { callee, args } => {
-            f(callee);
-            args.iter().for_each(f);
-        }
-        ExprKind::Unary { expr, .. }
-        | ExprKind::Postfix { expr, .. }
-        | ExprKind::SizeofExpr(expr)
-        | ExprKind::Cast { expr, .. }
-        | ExprKind::Delete { expr, .. } => f(expr),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Comma { lhs, rhs } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Assign { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Cond { cond, then, els } => {
-            f(cond);
-            f(then);
-            f(els);
-        }
-        ExprKind::New {
-            args, array_len, ..
-        } => {
-            args.iter().for_each(&mut f);
-            if let Some(len) = array_len {
-                f(len);
-            }
-        }
-        ExprKind::PtrMemApply { base, ptr, .. } => {
-            f(base);
-            f(ptr);
-        }
-        _ => {}
+        _ => e.each_child(|child| collect_expr(child, facts)),
     }
 }
 

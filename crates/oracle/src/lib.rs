@@ -5,8 +5,8 @@
 //! a summary and propagates over summaries from then on; this crate
 //! walks the AST every time it needs a fact:
 //!
-//! * [`sweep`] builds the call graph by full-set sweeps to a fixpoint;
-//! * [`scan`] classifies members by walking every reachable body;
+//! * [`sweep()`] builds the call graph by full-set sweeps to a fixpoint;
+//! * [`scan()`] classifies members by walking every reachable body;
 //! * [`used_classes`] walks every body for instantiations.
 //!
 //! It is written only against the public APIs of the product crates
@@ -69,7 +69,7 @@ impl OracleRun {
     ///
     /// # Errors
     ///
-    /// As for [`ddm_core::explain`].
+    /// As for [`ddm_core::explain()`].
     pub fn explain(&self, program: &Program, spec: &str) -> Result<String, ExplainError> {
         explain(program, &self.callgraph, &self.liveness, spec)
     }

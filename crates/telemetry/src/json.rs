@@ -5,10 +5,12 @@
 //! and the CI gate needs to prove the result actually parses. `validate`
 //! is a full RFC 8259 syntax validator (values, nesting, strings with
 //! escapes, numbers) that accepts or rejects without building a tree.
-//! [`Value`] / [`parse`] / [`Value::render`] add the tree form used by
-//! the persistent summary cache: integers only (the cache codec never
-//! emits floats — `parse` rejects fractions and exponents so a corrupted
-//! entry fails loudly instead of rounding silently).
+//! [`Value`] / [`parse`] / [`Value::render`] add the tree form that
+//! `ddm serve` requests and responses, the repository benchmark, and the
+//! hex envelope of a `TuModule` cache entry use: integers only (none of
+//! those documents carries a float — `parse` rejects fractions and
+//! exponents so a damaged document fails loudly instead of rounding
+//! silently).
 
 /// Escapes `s` for inclusion inside a JSON string literal.
 ///
@@ -58,16 +60,17 @@ pub fn validate(s: &str) -> Result<(), String> {
 
 /// A parsed JSON value.
 ///
-/// Numbers are restricted to `i64`: the summary-cache codec encodes u64
-/// hashes as hex strings and never writes floats, so any fraction or
-/// exponent in an input marks the document as foreign/corrupt.
+/// [`parse`] restricts numbers to `i64`: the documents it reads (serve
+/// requests, the `TuModule` envelope) never carry floats, so any
+/// fraction or exponent in an input marks the document as
+/// foreign/corrupt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer (the only number form the codec reads or writes).
+    /// An integer (the only number form [`parse`] reads).
     Int(i64),
     /// A non-integer number, kept as its source lexeme. Only
     /// [`parse_lenient`] produces this: the BENCH_*.json reports carry
@@ -199,10 +202,10 @@ pub fn parse(s: &str) -> Result<Value, String> {
 /// Parses `s` into a [`Value`] tree, accepting non-integer numbers as
 /// lexeme-preserving [`Value::Num`] nodes.
 ///
-/// The strict [`parse`] guards the summary cache, where a float marks a
-/// foreign document; the BENCH_*.json reports legitimately carry speedup
-/// ratios and scaling exponents, and `bench_report` reads those with
-/// this variant instead.
+/// The strict [`parse`] reads serve requests and the `TuModule`
+/// envelope, where a float marks a foreign document; the BENCH_*.json
+/// reports legitimately carry speedup ratios and scaling exponents, and
+/// `bench_report` reads those with this variant instead.
 ///
 /// # Errors
 ///

@@ -373,7 +373,7 @@ fn main() -> ExitCode {
 }
 
 /// `ddm serve`: hand stdin/stdout to the daemon loop. Each epoch builds
-/// with its own telemetry handle inside [`serve`], so no handle is
+/// with its own telemetry handle inside [`serve()`], so no handle is
 /// created here; `--log-out` (drained per epoch) and `--log-filter` are
 /// forwarded through [`ServeOptions`].
 fn run_serve(opts: &Options) -> ExitCode {

@@ -457,3 +457,61 @@ fn twenty_thousand_items_with_one_long_prefix_split_in_linear_time() {
         .expect("the prototypes analyse");
     assert_eq!(functions, items / 4 + 1);
 }
+
+/// One TU that declares `functions` free functions and then defines
+/// each of them, in the same order.
+fn prototypes_then_definitions(functions: usize) -> String {
+    let mut src = String::new();
+    for i in 0..functions {
+        src.push_str(&format!("int f{i}();\n"));
+    }
+    for i in 0..functions {
+        src.push_str(&format!("int f{i}() {{ return {i}; }}\n"));
+    }
+    src.push_str("int main() { return f0(); }\n");
+    src
+}
+
+#[test]
+fn fifty_thousand_prototypes_then_their_definitions_merge_in_linear_time() {
+    use std::sync::mpsc;
+
+    let functions = if cfg!(debug_assertions) {
+        10_000
+    } else {
+        50_000
+    };
+    let inputs = vec![(
+        "defs.cpp".to_string(),
+        prototypes_then_definitions(functions),
+    )];
+    let (tx, rx) = mpsc::channel();
+    // A run that overruns is left running: the test fails, and the test
+    // process exits without it.
+    std::thread::spawn(move || {
+        let run = ProjectPipeline::run(
+            &inputs,
+            AnalysisConfig::default(),
+            Algorithm::Rta,
+            1,
+            Engine::Summary,
+            None,
+            &Telemetry::disabled(),
+        );
+        let _ = tx.send(run.map(|run| {
+            let program = run.program();
+            let defined = program
+                .functions()
+                .filter(|(_, f)| f.body.is_some())
+                .count();
+            (program.function_count(), defined)
+        }));
+    });
+    let (count, defined) = rx
+        .recv_timeout(DIAMOND_LIMIT)
+        .unwrap_or_else(|_| {
+            panic!("{functions} definitions did not analyse within {DIAMOND_LIMIT:?}")
+        })
+        .expect("the definitions analyse");
+    assert_eq!((count, defined), (functions + 1, functions + 1));
+}

@@ -4,14 +4,14 @@
 //! functions, called from the driver TU through cross-TU prototypes.
 //!
 //! For each project size the driver times the scenarios against the
-//! persistent summary cache and analysis snapshot:
+//! persistent cache file (`analysis.snap`):
 //!
-//! * **cold** — empty cache: every TU is parsed, summarized, and written
-//!   back;
+//! * **cold** — empty cache: every TU is parsed and summarized, and the
+//!   snapshot is published;
 //! * **warm** — populated cache: zero TUs are parsed or summarized
 //!   (asserted in-binary), and the snapshot replays the fixpoint;
 //! * **k-of-N changed** for k ∈ {1, N/4, N} — k TUs' contents are
-//!   modified before each sample, so exactly k TUs miss and are
+//!   modified before each run, so exactly k TUs miss and are
 //!   recomputed while the other N−k hit; k = 1 is the headline
 //!   incremental number, k = N the change-everything floor.
 //!
@@ -24,10 +24,12 @@
 //! bench_incremental [--json] [--samples N] [--smoke]
 //! ```
 //!
-//! `--json` writes `BENCH_incremental.json`. `--smoke` measures every
-//! size with one sample, asserts the 1-changed speedup grows monotonely
-//! with project size, and fails if the sweep exceeds a wall-clock
-//! ceiling — the CI gate.
+//! Every time is a minimum over at least 15 rounds (`--samples` raises
+//! it), and each round runs every scenario of a size once, in turn
+//! ([`timing::interleaved_min`]). `--json` writes
+//! `BENCH_incremental.json`. `--smoke` asserts the 1-changed speedup
+//! grows monotonely with project size and fails if the sweep exceeds a
+//! wall-clock ceiling — the CI gate.
 
 use ddm_bench::{host_meta_json, timing};
 use ddm_callgraph::Algorithm;
@@ -39,6 +41,10 @@ use std::time::{Duration, Instant};
 
 /// Wall-clock ceiling for `--smoke` (generation + all three scenarios).
 const SMOKE_CEILING: Duration = Duration::from_secs(30);
+
+/// Fewest measured rounds behind every minimum, `--smoke` included:
+/// minima over 5 samples did not repeat on a shared host.
+const MIN_ROUNDS: usize = 15;
 
 #[derive(Clone, Copy)]
 struct ProjectConfig {
@@ -65,15 +71,19 @@ struct SizeResult {
     functions: usize,
     cold: Duration,
     warm: Duration,
-    one_changed: Duration,
     /// `(k, wall-clock)` for the k-of-N changed axis, ascending in k.
     k_changed: Vec<(usize, Duration)>,
     phases: PhaseBreakdown,
 }
 
 impl SizeResult {
+    /// The headline k = 1 time (`k_axis` starts with 1).
+    fn one_changed(&self) -> Duration {
+        self.k_changed[0].1
+    }
+
     fn one_changed_speedup(&self) -> f64 {
-        self.cold.as_secs_f64() / self.one_changed.as_secs_f64().max(f64::EPSILON)
+        self.cold.as_secs_f64() / self.one_changed().as_secs_f64().max(f64::EPSILON)
     }
 }
 
@@ -220,19 +230,13 @@ fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeRes
         p.program().function_count()
     };
 
-    // Cold: empty the cache before every sample.
-    let (cold, _) = timing::time(samples, || {
-        let _ = std::fs::remove_dir_all(&cache);
-        run(&inputs, &cache, &Telemetry::disabled())
-    });
-
-    // Warm: the cache is fully populated by the last cold sample.
-    let (warm, _) = timing::time(samples, || run(&inputs, &cache, &Telemetry::disabled()));
-
-    // k-of-N changed: give k TUs per-sample-unique content so exactly k
-    // TUs miss in every sample (an unreachable padding function keeps
-    // the analysed behaviour identical while changing the content hash).
-    // For k < N the driver TU is left alone; k = N edits every TU.
+    // k-of-N changed: give k TUs per-run-unique content so exactly k
+    // TUs miss in every run (an unreachable padding function keeps the
+    // analysed behaviour identical while changing the content hash).
+    // For k < N the driver TU is left alone; k = N edits every TU. The
+    // cache holds the last run's generation, and every k-set contains
+    // the smaller ones, so each k run misses exactly its own k TUs after
+    // the run before it.
     let mut edition = 0usize;
     let edit_k = |edition: usize, k: usize| -> Vec<(String, String)> {
         let mut edited = inputs.clone();
@@ -249,10 +253,11 @@ fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeRes
         }
         edited
     };
-    let mut k_changed = Vec::new();
-    for k in k_axis(inputs.len()) {
-        // Correctness outside the timed region: an instrumented run per
-        // k proves exactly k TUs miss and N-k hit against this cache.
+    let ks = k_axis(inputs.len());
+    // Correctness outside the timed region: an instrumented run per k,
+    // in the order the rounds below take, proves exactly k TUs miss and
+    // N-k hit.
+    for &k in &ks {
         edition += 1;
         let tel = Telemetry::enabled();
         run(&edit_k(edition, k), &cache, &tel);
@@ -262,29 +267,32 @@ fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeRes
             "{name}: expected exactly {k} misses"
         );
         assert_eq!(stats.tu_cache_hits, (inputs.len() - k) as u64);
-
-        // Pre-render one edited input set per invocation (timing::time
-        // adds two warm-ups) so the timed region holds the analysis
-        // alone, under the same disabled telemetry as cold and warm.
-        let editions: Vec<Vec<(String, String)>> = (0..samples.max(1) + 2)
-            .map(|_| {
-                edition += 1;
-                edit_k(edition, k)
-            })
-            .collect();
-        let next = std::cell::Cell::new(0usize);
-        let (elapsed, _) = timing::time(samples, || {
-            let i = next.get();
-            next.set(i + 1);
-            run(&editions[i], &cache, &Telemetry::disabled())
-        });
-        k_changed.push((k, elapsed));
     }
-    let one_changed = k_changed
-        .iter()
-        .find(|&&(k, _)| k == 1)
-        .map(|&(_, d)| d)
-        .expect("k axis always contains 1");
+
+    // One round runs cold (the cache emptied first), warm (over the
+    // cache cold left) and each k in turn; every time is the minimum
+    // over the rounds. The edited inputs are rendered up front, in the
+    // order the rounds take them, so the timed region holds the analysis
+    // alone.
+    let mut editions = (0..(samples + 2) * ks.len())
+        .map(|e| edit_k(edition + 1 + e, ks[e % ks.len()]))
+        .collect::<Vec<_>>()
+        .into_iter();
+    edition += (samples + 2) * ks.len();
+    let times = timing::interleaved_min(2 + ks.len(), samples, |case| {
+        if case == 0 {
+            let _ = std::fs::remove_dir_all(&cache);
+        }
+        let edited = if case < 2 { None } else { editions.next() };
+        run(
+            edited.as_ref().unwrap_or(&inputs),
+            &cache,
+            &Telemetry::disabled(),
+        )
+    });
+    let (cold, warm) = (times[0], times[1]);
+    let k_changed: Vec<(usize, Duration)> =
+        ks.iter().copied().zip(times[2..].iter().copied()).collect();
 
     // Per-phase breakdown of one more (untimed) warm 1-changed run.
     // The k = N pass above left every TU edited, so first re-establish
@@ -312,7 +320,6 @@ fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeRes
         functions,
         cold,
         warm,
-        one_changed,
         k_changed,
         phases,
     }
@@ -342,7 +349,7 @@ fn render_json(results: &[SizeResult], samples: usize) -> String {
             r.functions,
             r.cold.as_nanos(),
             r.warm.as_nanos(),
-            r.one_changed.as_nanos(),
+            r.one_changed().as_nanos(),
             r.cold.as_secs_f64() / r.warm.as_secs_f64().max(f64::EPSILON),
             r.one_changed_speedup(),
         );
@@ -379,7 +386,8 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or(if smoke { 1 } else { 5 });
+        .unwrap_or(MIN_ROUNDS)
+        .max(MIN_ROUNDS);
 
     let started = Instant::now();
     let results: Vec<SizeResult> = sizes()
@@ -399,15 +407,15 @@ fn main() {
             r.functions,
             r.cold,
             r.warm,
-            r.one_changed,
+            r.one_changed(),
             r.cold.as_secs_f64() / r.warm.as_secs_f64().max(f64::EPSILON),
-            r.cold.as_secs_f64() / r.one_changed.as_secs_f64().max(f64::EPSILON),
+            r.one_changed_speedup(),
         );
     }
 
     if json {
-        // The smoke run uses one low-confidence sample — keep it away
-        // from the committed full-sweep BENCH_incremental.json.
+        // A CI smoke run must not overwrite the committed
+        // BENCH_incremental.json.
         let path = if smoke {
             "BENCH_incremental_smoke.json"
         } else {

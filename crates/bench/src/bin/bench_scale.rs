@@ -46,7 +46,7 @@
 //! every axis point is timed as the minimum over at least
 //! [`LAYER_MIN_SAMPLES`] interleaved samples.
 
-use ddm_bench::host_meta_json;
+use ddm_bench::{host_meta_json, timing::interleaved_min};
 use ddm_benchmarks::generator::{
     generate, generate_scale, scale_function_count, GeneratorConfig, ScaleConfig,
 };
@@ -178,28 +178,6 @@ struct Axis {
     key: &'static str,
     x_label: &'static str,
     points: Vec<LayerPoint>,
-}
-
-/// The minimum time of `f(i)` for each input `i < inputs`, after two
-/// warm-up rounds. The inputs are sampled in turn, so a change in host
-/// speed during the measurement shifts all of them alike instead of
-/// skewing the exponents between them.
-fn interleaved_min<T>(
-    inputs: usize,
-    samples: usize,
-    mut f: impl FnMut(usize) -> T,
-) -> Vec<Duration> {
-    let mut best = vec![Duration::MAX; inputs];
-    for round in 0..samples + 2 {
-        for (i, b) in best.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            std::hint::black_box(f(i));
-            if round >= 2 {
-                *b = (*b).min(t0.elapsed());
-            }
-        }
-    }
-    best
 }
 
 /// Times each layer of each source on its own, the sources interleaved:

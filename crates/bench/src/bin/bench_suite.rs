@@ -11,7 +11,7 @@
 //! samples (default 9) — the least noisy estimator for deterministic
 //! CPU-bound work.
 
-use ddm_bench::{capture_counters, host_meta_json, suite_analysis_config, timing};
+use ddm_bench::{capture_counters, host_meta_json, suite_analysis_config, timing::interleaved_min};
 use ddm_callgraph::{CallGraph, CallGraphOptions};
 use ddm_core::DeadMemberAnalysis;
 use ddm_hierarchy::{Program, ProgramSummary};
@@ -43,16 +43,16 @@ fn measure(program: &Program, samples: usize) -> Cell {
     let options = CallGraphOptions::default();
     let analysis = DeadMemberAnalysis::new(program, suite_analysis_config());
     let quiet = Telemetry::disabled();
-    let (extraction, _) = timing::time(samples, || ProgramSummary::build(program, false, 1));
+    let extraction = interleaved_min(1, samples, |_| ProgramSummary::build(program, false, 1))[0];
     let summary = ProgramSummary::build(program, false, 1);
     let build = || CallGraph::build_from_summary_schedule(program, &summary, &options, &quiet);
-    let (callgraph, _) = timing::time(samples, || build().unwrap());
+    let callgraph = interleaved_min(1, samples, |_| build().unwrap())[0];
     let (graph, _) = build().unwrap();
-    let (analysis, _) = timing::time(samples, || {
+    let analysis = interleaved_min(1, samples, |_| {
         analysis
             .run_summary_counted(&summary, &graph, &quiet)
             .unwrap()
-    });
+    })[0];
     Cell {
         extraction,
         callgraph,

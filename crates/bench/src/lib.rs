@@ -225,26 +225,31 @@ pub fn bar(pct: f64, scale: f64) -> String {
 ///
 /// The workspace has no external dependencies, so the bench drivers time
 /// with `std::time::Instant` instead of an external framework: warm up,
-/// take `samples` single-shot samples, and report the minimum and median
-/// (the minimum is the least noisy estimator for deterministic CPU-bound
-/// work).
+/// take `samples` single-shot samples of each case, and report the
+/// minimum (the least noisy estimator for deterministic CPU-bound work).
 pub mod timing {
     use std::time::{Duration, Instant};
 
-    /// Times `f` with two warm-up runs and `samples` measured runs.
-    pub fn time<T>(samples: usize, mut f: impl FnMut() -> T) -> (Duration, Duration) {
-        for _ in 0..2 {
-            std::hint::black_box(f());
-        }
-        let mut runs: Vec<Duration> = (0..samples.max(1))
-            .map(|_| {
+    /// The minimum time of `f(i)` for each case `i < cases`, after two
+    /// warm-up rounds. Each round runs every case once, in turn, so a
+    /// change in host speed during the measurement shifts all of them
+    /// alike instead of skewing the comparison between them.
+    pub fn interleaved_min<T>(
+        cases: usize,
+        samples: usize,
+        mut f: impl FnMut(usize) -> T,
+    ) -> Vec<Duration> {
+        let mut best = vec![Duration::MAX; cases];
+        for round in 0..samples + 2 {
+            for (i, b) in best.iter_mut().enumerate() {
                 let t0 = Instant::now();
-                std::hint::black_box(f());
-                t0.elapsed()
-            })
-            .collect();
-        runs.sort();
-        (runs[0], runs[runs.len() / 2])
+                std::hint::black_box(f(i));
+                if round >= 2 {
+                    *b = (*b).min(t0.elapsed());
+                }
+            }
+        }
+        best
     }
 }
 

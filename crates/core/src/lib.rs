@@ -40,7 +40,7 @@ pub use epoch::{EpochCell, EpochSnapshot};
 pub use explain::{explain, witness_path, ExplainError};
 pub use liveness::{LiveReason, Liveness, LivenessParts, Origin};
 pub use pipeline::{Engine, PipelineError};
-pub use project::{config_fingerprint, ProjectError, ProjectPipeline};
+pub use project::{config_fingerprint, front_end, ProjectError, ProjectPipeline};
 pub use report::{render_analysis, ClassReport, Report};
 pub use serve::{serve, ServeOptions};
 pub use snapshot::{

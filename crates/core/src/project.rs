@@ -1,52 +1,47 @@
 //! The analysis pipeline, with incremental re-analysis.
 //!
 //! [`ProjectPipeline`] accepts N named sources, runs the per-TU front
-//! end (parse → model → walk-once summary → [`TuModule`] extraction)
-//! on up to `jobs` worker threads, one TU at a time per worker, links
-//! the modules into one program ([`ddm_hierarchy::link()`]), and drives
-//! the delta-fixpoint call graph and liveness over the linked result
-//! on the calling thread. The artifacts are bit-identical for every
-//! worker count. A single source is a one-TU project
+//! end ([`front_end`]: parse → model → walk-once summary → [`TuModule`]
+//! extraction) on up to `jobs` worker threads, one TU at a time per
+//! worker, links the modules into one program ([`ddm_hierarchy::link()`]),
+//! and drives the delta-fixpoint call graph and liveness over the linked
+//! result on the calling thread. The artifacts are bit-identical for
+//! every worker count. A single source is a one-TU project
 //! ([`ProjectPipeline::from_source`]); with one worker the front end
 //! runs on the calling thread too.
 //!
-//! With a cache directory, per-TU modules persist across runs as
-//! `tu-<hash>.bin` entries keyed by the FNV-1a content hash of the TU
-//! source: the binary module sealed with a format version, a checksum,
-//! the configuration fingerprint and the source hash
-//! ([`ddm_hierarchy::encode_entry`]). A warm run re-parses and
-//! re-summarizes only the TUs whose content changed and produces
-//! byte-identical reports, `--explain` output, and deterministic
-//! counters versus a cold cacheless run: the linked model is always
-//! assembled from module records, so a summary resolved from cache
-//! cannot drift from one extracted fresh.
-//!
-//! Entries are published atomically (write to a process-unique temp
-//! file, then rename), so concurrent writers sharing one cache
-//! directory and processes killed mid-write can never leave a torn
-//! `tu-<hash>.bin` behind; dangling temps are swept the next time the
-//! directory is opened. The `DDM_CACHE_FAULT` environment variable
-//! injects crashes into the write path for the torture tests.
+//! With a cache directory, the run's modules persist in one file,
+//! [`SNAPSHOT_FILE`](crate::SNAPSHOT_FILE) ([`AnalysisSnapshot`]), keyed by the FNV-1a
+//! content hash of each TU source. A warm run takes the module of every
+//! TU whose text the snapshot holds, re-parses and re-summarizes only
+//! the others, and produces byte-identical reports, `--explain` output,
+//! and deterministic counters versus a cold cacheless run: the linked
+//! model is always assembled from module records, so a summary resolved
+//! from cache cannot drift from one extracted fresh. A successful run
+//! that changed anything replaces the file; a failing one publishes
+//! nothing.
 
 use crate::analysis::{solve, AnalysisConfig, Solved};
 use crate::epoch::EpochSnapshot;
 use crate::liveness::Liveness;
 use crate::pipeline::{Engine, PipelineError};
 use crate::report::Report;
-use crate::snapshot::{snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE};
+use crate::snapshot::{
+    module_fingerprint, snapshot_fingerprint, sweep_dangling_temps, AnalysisSnapshot,
+};
 use ddm_callgraph::{Algorithm, CallGraph};
 use ddm_cppfront::{DeclMemo, SourceMap, SourceSet};
 use ddm_hierarchy::{
-    body_walk_count, decode_entry, encode_entry, fnv1a64_each, hash_hex, link_delta_ref,
-    link_with, ClassId, FuncId, LinkDelta, LinkError, LinkedProgram, Program, ProgramSummary,
-    TuModule, TypeError,
+    body_walk_count, fnv1a64_each, hash_hex, link_delta_ref, link_with, ClassId, FuncId, LinkDelta,
+    LinkError, LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
 };
 use ddm_telemetry::{EventClass, Telemetry, LANE_MAIN};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Any error a project run can produce.
@@ -109,12 +104,13 @@ pub struct ProjectPipeline {
     snapshot: Arc<EpochSnapshot>,
 }
 
-/// The configuration fingerprint stored in every cache envelope. Only
-/// configuration that changes what a *per-TU summary* contains belongs
-/// here (today: whether §3.1 points-to refinement ran, which is implied
-/// by the call-graph algorithm). Options that act at link time or later
-/// — `sizeof` policy, down-cast policy, library classes — deliberately
-/// do not invalidate cached modules.
+/// The per-TU summary configuration, part of the snapshot's
+/// [`module_fingerprint`]. Only configuration that changes what a
+/// *per-TU summary* contains belongs here (today: whether §3.1
+/// points-to refinement ran, which is implied by the call-graph
+/// algorithm). Options that act at link time or later — `sizeof`
+/// policy, down-cast policy, library classes — deliberately do not
+/// invalidate cached modules.
 pub fn config_fingerprint(algorithm: Algorithm) -> String {
     format!("v1;refine={}", u8::from(algorithm == Algorithm::Pta))
 }
@@ -129,153 +125,6 @@ const SOURCE_NAME: &str = "<source>";
 /// a spawned thread's 2 MiB default would overflow on deep recursion
 /// (a long flat expression) sooner.
 pub(crate) const ANALYSIS_STACK_BYTES: usize = 8 << 20;
-
-/// The cache file name of the TU with the given source hash.
-fn entry_name(source_hash: u64) -> String {
-    format!("tu-{}.bin", hash_hex(source_hash))
-}
-
-/// Crash-injection points inside the cache write path, enabled by the
-/// `DDM_CACHE_FAULT` environment variable. Torture tests use these to
-/// prove a process dying mid-publish can never leave a torn
-/// `tu-<hash>.bin` or `analysis.snap` behind: the next run must
-/// recompute and produce byte-identical output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CacheFault {
-    /// `kill-mid-write`: abort after writing half of the first entry's
-    /// image to its temp file (a torn temp, never a torn final).
-    KillMidWrite,
-    /// `kill-pre-rename`: abort after fully writing the first entry's
-    /// temp file, before renaming it over the final name.
-    KillPreRename,
-    /// `snap-kill-mid-write`: the same as `kill-mid-write`, for the
-    /// snapshot.
-    SnapKillMidWrite,
-    /// `snap-kill-pre-rename`: the same as `kill-pre-rename`, for the
-    /// snapshot.
-    SnapKillPreRename,
-}
-
-/// The fault selected by `DDM_CACHE_FAULT`, read once per process.
-/// Unset or unrecognized values disable injection.
-fn cache_fault() -> Option<CacheFault> {
-    static FAULT: std::sync::OnceLock<Option<CacheFault>> = std::sync::OnceLock::new();
-    *FAULT.get_or_init(|| match std::env::var("DDM_CACHE_FAULT").as_deref() {
-        Ok("kill-mid-write") => Some(CacheFault::KillMidWrite),
-        Ok("kill-pre-rename") => Some(CacheFault::KillPreRename),
-        Ok("snap-kill-mid-write") => Some(CacheFault::SnapKillMidWrite),
-        Ok("snap-kill-pre-rename") => Some(CacheFault::SnapKillPreRename),
-        _ => None,
-    })
-}
-
-/// Atomically publishes one cache file: `image` is written to a
-/// process-unique `<name>.tmp.<pid>` inside `dir`, then renamed over
-/// `name`. Readers therefore observe either no file, the previous one
-/// or this one — a crash between the write and the rename leaves only
-/// a dangling temp, which [`sweep_dangling_temps`] removes on a later
-/// open. `mid_write` and `pre_rename` are the faults that abort this
-/// write. Best-effort like all cache I/O: any failure simply means the
-/// file is recomputed next time.
-pub(crate) fn publish(
-    dir: &Path,
-    name: &str,
-    image: &[u8],
-    mid_write: CacheFault,
-    pre_rename: CacheFault,
-) {
-    let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
-    let written = (|| -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&tmp)?;
-        if cache_fault() == Some(mid_write) {
-            f.write_all(&image[..image.len() / 2])?;
-            let _ = f.sync_all();
-            std::process::abort();
-        }
-        f.write_all(image)
-    })();
-    match written {
-        Ok(()) => {
-            if cache_fault() == Some(pre_rename) {
-                std::process::abort();
-            }
-            let _ = std::fs::rename(&tmp, dir.join(name));
-        }
-        Err(_) => {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
-}
-
-/// Minimum age (by mtime) before [`sweep_dangling_temps`] removes a
-/// dangling temp. A temp younger than this may belong to a live sibling
-/// writer mid-publish — deleting it would kill that writer's rename and
-/// force a recompute, which a daemon re-probing every epoch would do
-/// constantly. A crashed writer's temp ages past the gate and is
-/// collected on a later open; until then it is harmless garbage.
-const TEMP_SWEEP_MIN_AGE: std::time::Duration = std::time::Duration::from_secs(60);
-
-/// Whether a dangling temp is old enough to sweep. Falls back to
-/// sweeping (the historical behavior) when the filesystem reports no
-/// mtime; a temp whose mtime sits in the future is treated as fresh.
-fn temp_old_enough(entry: &std::fs::DirEntry) -> bool {
-    let Ok(modified) = entry.metadata().and_then(|m| m.modified()) else {
-        return true;
-    };
-    match std::time::SystemTime::now().duration_since(modified) {
-        Ok(age) => age >= TEMP_SWEEP_MIN_AGE,
-        Err(_) => false,
-    }
-}
-
-/// Removes dangling `tu-*.bin.tmp.*` and `analysis.snap.tmp.*` files
-/// left by a crashed writer. Runs when a cache directory is opened for
-/// probing. Only temps older than [`TEMP_SWEEP_MIN_AGE`] are removed,
-/// so a live concurrent writer's in-flight temp survives the probe and
-/// its rename still publishes; fresh temps are skipped silently and
-/// collected by a later open once they age past the gate.
-///
-/// A process lists each directory at most once per gate interval: a
-/// temp the gate spared survives a relisting that soon anyway, so one
-/// the last listing missed is collected at most one interval later. A
-/// directory only grows (one entry per TU text), so this keeps a `ddm
-/// serve` rebuild from paying for a listing each time; every `ddm` run
-/// is a new process and sweeps on open.
-fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
-    static LISTED: OnceLock<Mutex<HashMap<PathBuf, Instant>>> = OnceLock::new();
-    {
-        let mut listed = LISTED
-            .get_or_init(Mutex::default)
-            .lock()
-            .expect("sweep times poisoned");
-        let now = Instant::now();
-        if listed
-            .get(dir)
-            .is_some_and(|&at| now.duration_since(at) < TEMP_SWEEP_MIN_AGE)
-        {
-            return;
-        }
-        listed.insert(dir.to_path_buf(), now);
-    }
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let snap_tmp = format!("{SNAPSHOT_FILE}.tmp.");
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if (name.starts_with("tu-") && name.contains(".bin.tmp.")) || name.starts_with(&snap_tmp) {
-            if !temp_old_enough(&entry) {
-                continue;
-            }
-            let _ = std::fs::remove_file(entry.path());
-            telemetry.event(EventClass::Observational, "cache_temp_swept", || {
-                vec![("temp", name.as_ref().into())]
-            });
-        }
-    }
-}
 
 /// Decides whether the persisted fixpoint can be replayed verbatim over
 /// the freshly linked program, given the summary diff of the edit.
@@ -328,6 +177,97 @@ fn fixpoint_reusable(snap: &AnalysisSnapshot, delta: &LinkDelta, program: &Progr
     true
 }
 
+/// The per-TU front end: parse → model → walk-once summary →
+/// [`TuModule`] extraction of each TU `todo` names (ascending indices
+/// into `inputs`; `hashes[i]` is the FNV-1a hash of source `i`), in
+/// `todo` order. Up to `jobs` workers share one [`DeclMemo`], so each
+/// top-level item text (under one set of type names) is parsed once;
+/// one worker runs on the calling thread. The result does not depend
+/// on the worker count.
+///
+/// # Errors
+///
+/// [`ProjectError::Tu`] for the first failing TU by input order.
+pub fn front_end(
+    inputs: &[(String, String)],
+    todo: &[usize],
+    hashes: &[u64],
+    algorithm: Algorithm,
+    jobs: usize,
+    telemetry: &Telemetry,
+) -> Result<Vec<(TuModule, Program, SourceMap)>, ProjectError> {
+    let _front = telemetry.span(LANE_MAIN, || {
+        format!("tu front end ({} of {} TUs)", todo.len(), inputs.len())
+    });
+    let refine = algorithm == Algorithm::Pta;
+    let workers = jobs.max(1).min(todo.len().max(1));
+    let memo = DeclMemo::new();
+    let next = AtomicUsize::new(0);
+    type TuOutcome = Result<(TuModule, Program, SourceMap), PipelineError>;
+    let slots: Vec<Mutex<Option<TuOutcome>>> = todo.iter().map(|_| Mutex::new(None)).collect();
+    let work = |lane: u32| loop {
+        let n = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&i) = todo.get(n) else {
+            break;
+        };
+        let (file, source) = &inputs[i];
+        let _tu_span = telemetry.span(lane, || format!("tu {file}"));
+        let layer = |name: &'static str| telemetry.span(lane, || name.to_string());
+        let outcome = (|| {
+            let unit = {
+                let _parse = layer("parse");
+                memo.parse(i, source)?
+            };
+            let program = {
+                let _model = layer("model");
+                Program::build(&unit)?
+            };
+            let summary = {
+                let _summary = layer("summary");
+                ProgramSummary::build(&program, refine, 1)
+            };
+            let _extract = layer("extract");
+            let map = SourceMap::new(file.clone(), source.clone());
+            let module = TuModule::extract_hashed(&unit, &program, &summary, &map, hashes[i]);
+            Ok((module, program, map))
+        })();
+        *slots[n].lock().expect("tu slot poisoned") = Some(outcome);
+    };
+
+    if workers == 1 {
+        work(LANE_MAIN);
+    } else {
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let lane = u32::try_from(w + 1).unwrap_or(u32::MAX);
+                let work = &work;
+                std::thread::Builder::new()
+                    .stack_size(ANALYSIS_STACK_BYTES)
+                    .spawn_scoped(scope, move || work(lane))
+                    .expect("spawn a front-end worker");
+            }
+        });
+    }
+
+    telemetry.metrics(|m| {
+        let (decls, shared) = memo.decl_counts();
+        m.counter_add("frontend/decls", decls);
+        m.counter_add("frontend/decls_shared", shared);
+    });
+    todo.iter()
+        .zip(slots)
+        .map(|(&i, slot)| {
+            slot.into_inner()
+                .expect("tu slot poisoned")
+                .expect("every TU is analysed exactly once")
+                .map_err(|error| ProjectError::Tu {
+                    file: inputs[i].0.clone(),
+                    error,
+                })
+        })
+        .collect()
+}
+
 impl ProjectPipeline {
     /// Analyses one source with the default configuration (RTA call
     /// graph, conservative `sizeof`, conservative down-casts).
@@ -370,12 +310,13 @@ impl ProjectPipeline {
     /// thread. The whole-program steps after it (link, call graph,
     /// liveness) always run on the calling thread.
     ///
-    /// `cache_dir`, when set, enables the persistent module cache:
-    /// entries are looked up by content hash before the per-TU front end
-    /// runs, and every freshly computed module is written back. Cache
-    /// I/O is best-effort — an unreadable, corrupt, version-mismatched,
-    /// or fingerprint-mismatched entry counts as an invalidation and is
-    /// recomputed (and overwritten), never trusted.
+    /// `cache_dir`, when set, enables the persistent cache file
+    /// ([`AnalysisSnapshot`]): each TU's module is looked up there by
+    /// content hash before the per-TU front end runs, and a successful
+    /// run that changed anything replaces the file. Cache I/O is
+    /// best-effort — an unreadable, corrupt, version-mismatched, or
+    /// fingerprint-mismatched snapshot counts as an invalidation of every
+    /// TU, which is recomputed (and the file replaced), never trusted.
     ///
     /// `engine` is ignored: [`Engine`] has one variant. The argument
     /// stays so that existing callers, the repository benchmark among
@@ -422,32 +363,15 @@ impl ProjectPipeline {
         epoch: u64,
     ) -> Result<Arc<EpochSnapshot>, ProjectError> {
         let walks_before = body_walk_count();
-        let fingerprint = config_fingerprint(algorithm);
-        let refine = algorithm == Algorithm::Pta;
+        let n = inputs.len();
 
-        // --- Cache probe: content-hash every input, load what we can.
-        // A valid analysis snapshot short-circuits the per-TU entry probe
-        // for every unchanged TU (its module decodes straight from the
-        // snapshot); changed TUs still read their `tu-<hash>.bin`, so
-        // the entries keep their hit/miss/invalidation semantics. ---
+        // --- Cache probe: content-hash every input and take each TU's
+        // module from the snapshot by hash, wherever it sits there. ---
         let frontend_start = Instant::now();
         let snap_fingerprint = snapshot_fingerprint(&config, algorithm);
-        let mut hits = 0u64;
         let mut invalidations = 0u64;
         let mut snapshot: Option<AnalysisSnapshot> = None;
-        // Entry size per TU, filled by whichever path first learns it
-        // (snapshot, entry on disk, or the write-back). `None` means
-        // nobody encoded it yet; the metrics histogram encodes on
-        // demand for those.
-        let mut byte_lens: Vec<Option<u64>> = vec![None; inputs.len()];
-        // The snapshot's stored modules, moved (not cloned) out of the
-        // envelope: unchanged TUs take theirs during the probe, leaving
-        // `Some` behind exactly at changed positions — the previous-side
-        // modules the summary diff needs.
-        let mut snap_modules: Vec<Option<TuModule>> = Vec::new();
-        let probe = telemetry.span(LANE_MAIN, || {
-            format!("cache probe ({} TUs)", inputs.len())
-        });
+        let probe = telemetry.span(LANE_MAIN, || format!("cache probe ({n} TUs)"));
         // Each source is hashed once per run: for its cache key, and for
         // the module its front end extracts.
         let hashes = {
@@ -455,113 +379,97 @@ impl ProjectPipeline {
             let sources: Vec<&[u8]> = inputs.iter().map(|(_, s)| s.as_bytes()).collect();
             fnv1a64_each(&sources)
         };
-        let mut modules: Vec<Option<TuModule>> = {
-            if let Some(dir) = cache {
-                sweep_dangling_temps(dir, telemetry);
-                // Snapshot outcomes differ cold vs warm, so every
-                // snapshot event is obs class, like the probe events.
-                match AnalysisSnapshot::load(dir, &snap_fingerprint) {
-                    Ok(snap) if snap.source_hashes.len() == inputs.len() => {
-                        telemetry.event(EventClass::Observational, "snapshot_loaded", || {
-                            vec![
-                                ("tus", snap.source_hashes.len().into()),
-                                ("functions", u64::from(snap.function_count).into()),
-                            ]
-                        });
-                        snapshot = Some(snap);
-                        let snap = snapshot.as_mut().expect("just set");
-                        snap_modules =
-                            std::mem::take(&mut snap.modules).into_iter().map(Some).collect();
-                    }
-                    Ok(_) => {
-                        telemetry.event(EventClass::Observational, "snapshot_rejected", || {
-                            vec![("reason", "tu_count".into())]
-                        });
-                    }
-                    Err(reason) => {
-                        // A plainly absent snapshot is the ordinary cold
-                        // case, not worth an event.
-                        if reason != "missing" {
-                            telemetry.event(
-                                EventClass::Observational,
-                                "snapshot_rejected",
-                                || vec![("reason", reason.as_str().into())],
-                            );
-                        }
-                    }
+        if let Some(dir) = cache {
+            sweep_dangling_temps(dir, telemetry);
+            // Snapshot outcomes differ cold vs warm, so every snapshot
+            // event is obs class, like the probe events.
+            match AnalysisSnapshot::load(dir, &module_fingerprint(algorithm)) {
+                Ok(snap) => {
+                    let same_tus = snap.source_hashes.len() == n;
+                    let fixpoint = match (snap.fingerprint == snap_fingerprint, same_tus) {
+                        (false, _) => "config_fingerprint",
+                        (true, false) => "tu_count",
+                        (true, true) => "eligible",
+                    };
+                    telemetry.event(EventClass::Observational, "snapshot_loaded", || {
+                        vec![
+                            ("tus", snap.source_hashes.len().into()),
+                            ("functions", u64::from(snap.function_count).into()),
+                            ("fixpoint", fixpoint.into()),
+                        ]
+                    });
+                    snapshot = Some(snap);
+                }
+                // A plainly absent snapshot is the ordinary cold case,
+                // not worth an event.
+                Err(reason) if reason == "missing" => {}
+                Err(reason) => {
+                    invalidations = n as u64;
+                    telemetry.event(EventClass::Observational, "snapshot_rejected", || {
+                        vec![("reason", reason.as_str().into())]
+                    });
                 }
             }
-            inputs
-                .iter()
-                .zip(&hashes)
-                .enumerate()
-                .map(|(i, ((file, _), &hash))| {
-                    let dir = cache?;
-                    // A TU unchanged since the snapshot moves its module
-                    // out of it (not cloned), with the entry size the
-                    // snapshot recorded; any other TU reads its entry.
-                    // Both are keyed by content, not by path, so the same
-                    // bytes under a new name hit.
-                    let found = match &snapshot {
-                        Some(snap) if snap.source_hashes[i] == hash => Ok((
-                            snap_modules[i].take().expect("snapshot module taken once"),
-                            snap.summary_bytes[i],
-                        )),
-                        _ => {
-                            let Ok(image) = std::fs::read(dir.join(entry_name(hash))) else {
-                                // Probe outcomes differ cold vs warm, so
-                                // every probe event is obs class.
-                                telemetry.event(EventClass::Observational, "tu_cache_miss", || {
-                                    vec![
-                                        ("file", file.as_str().into()),
-                                        ("hash", hash_hex(hash).into()),
-                                    ]
-                                });
-                                return None;
-                            };
-                            decode_entry(&image, &fingerprint, hash)
-                                .map(|module| (module, image.len() as u64))
-                        }
-                    };
-                    match found {
-                        Ok((mut module, bytes)) => {
-                            module.file = file.clone();
-                            hits += 1;
-                            byte_lens[i] = Some(bytes);
-                            telemetry.event(EventClass::Observational, "tu_cache_hit", || {
-                                vec![
-                                    ("file", file.as_str().into()),
-                                    ("hash", hash_hex(hash).into()),
-                                    ("bytes", bytes.into()),
-                                ]
-                            });
-                            Some(module)
-                        }
-                        Err(reject) => {
-                            invalidations += 1;
-                            telemetry.event(
-                                EventClass::Observational,
-                                "tu_cache_invalidated",
-                                || {
-                                    vec![
-                                        ("file", file.as_str().into()),
-                                        ("hash", hash_hex(hash).into()),
-                                        ("reason", reject.to_string().into()),
-                                    ]
-                                },
-                            );
-                            None
-                        }
-                    }
-                })
-                .collect()
-        };
+        }
+        // The snapshot's stored modules, moved out of the envelope: a TU
+        // whose text sits at the same position takes its module (not
+        // cloned), leaving `Some` behind exactly where the text changed —
+        // the previous-side modules the summary diff needs. A TU whose
+        // text sits elsewhere, or twice, gets a clone: slot `j` still
+        // holds its module, or moved it to an earlier TU `j`. Keyed by
+        // content, not by path, so the same bytes under a new name hit.
+        let mut snap_modules: Vec<Option<TuModule>> = snapshot
+            .as_mut()
+            .map(|snap| {
+                std::mem::take(&mut snap.modules)
+                    .into_iter()
+                    .map(Some)
+                    .collect()
+            })
+            .unwrap_or_default();
+        let snap_hashes = snapshot.as_ref().map_or(&[][..], |s| &s.source_hashes[..]);
+        let by_hash: HashMap<u64, usize> = snap_hashes
+            .iter()
+            .enumerate()
+            .map(|(j, &h)| (h, j))
+            .collect();
+        let mut modules: Vec<Option<TuModule>> = Vec::with_capacity(n);
+        let mut hits = 0u64;
+        for (i, ((file, _), &hash)) in inputs.iter().zip(&hashes).enumerate() {
+            let mut module = if snap_hashes.get(i) == Some(&hash) {
+                snap_modules[i].take()
+            } else {
+                by_hash
+                    .get(&hash)
+                    .and_then(|&j| snap_modules[j].clone().or_else(|| modules[j].clone()))
+            };
+            if let Some(module) = &mut module {
+                module.file = file.clone();
+                hits += 1;
+            }
+            // Probe outcomes differ cold vs warm, so every probe event is
+            // obs class.
+            if cache.is_some() {
+                let event = if module.is_some() {
+                    "tu_cache_hit"
+                } else {
+                    "tu_cache_miss"
+                };
+                telemetry.event(EventClass::Observational, event, || {
+                    vec![
+                        ("file", file.as_str().into()),
+                        ("hash", hash_hex(hash).into()),
+                    ]
+                });
+            }
+            modules.push(module);
+        }
         drop(probe);
-        let misses = inputs.len() as u64 - hits;
+        let misses = n as u64 - hits;
         if cache.is_some() {
             telemetry.event(EventClass::Observational, "cache_probe_done", || {
                 vec![
-                    ("tus", inputs.len().into()),
+                    ("tus", n.into()),
                     ("hits", hits.into()),
                     ("misses", misses.into()),
                     ("invalidated", invalidations.into()),
@@ -574,144 +482,26 @@ impl ProjectPipeline {
             });
         }
 
-        // --- Per-TU front end, sharded across the worker pool. Results
-        // land in input order; the first error by input index wins, no
-        // matter which worker hit it first. One worker runs inline on
-        // the calling thread, so a single-file run spawns nothing. The
-        // workers share one declaration memo: each top-level item text
-        // (under one set of type names) is parsed once per run. ---
-        let todo: Vec<usize> = (0..inputs.len()).filter(|&i| modules[i].is_none()).collect();
-        let mut parsed: Vec<Option<Program>> = inputs.iter().map(|_| None).collect();
-        let mut maps: Vec<Option<SourceMap>> = inputs.iter().map(|_| None).collect();
-        {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-
-            let _front = telemetry.span(LANE_MAIN, || {
-                format!("tu front end ({} of {} TUs)", todo.len(), inputs.len())
-            });
-            let workers = jobs.max(1).min(todo.len().max(1));
-            let memo = DeclMemo::new();
-            let next = AtomicUsize::new(0);
-            type TuOutcome = Result<(TuModule, Program, SourceMap), PipelineError>;
-            let slots: Vec<Mutex<Option<TuOutcome>>> =
-                todo.iter().map(|_| Mutex::new(None)).collect();
-            let work = |lane: u32| loop {
-                let n = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = todo.get(n) else {
-                    break;
-                };
-                let (file, source) = &inputs[i];
-                let _tu_span = telemetry.span(lane, || format!("tu {file}"));
-                let layer = |name: &'static str| telemetry.span(lane, || name.to_string());
-                let outcome = (|| {
-                    let unit = {
-                        let _parse = layer("parse");
-                        memo.parse(i, source)?
-                    };
-                    let program = {
-                        let _model = layer("model");
-                        Program::build(&unit)?
-                    };
-                    let summary = {
-                        let _summary = layer("summary");
-                        ProgramSummary::build(&program, refine, 1)
-                    };
-                    let _extract = layer("extract");
-                    let map = SourceMap::new(file.clone(), source.clone());
-                    let module =
-                        TuModule::extract_hashed(&unit, &program, &summary, &map, hashes[i]);
-                    Ok((module, program, map))
-                })();
-                *slots[n].lock().expect("tu slot poisoned") = Some(outcome);
-            };
-
-            if workers == 1 {
-                work(LANE_MAIN);
-            } else {
-                std::thread::scope(|scope| {
-                    for w in 0..workers {
-                        let lane = u32::try_from(w + 1).unwrap_or(u32::MAX);
-                        let work = &work;
-                        std::thread::Builder::new()
-                            .stack_size(ANALYSIS_STACK_BYTES)
-                            .spawn_scoped(scope, move || work(lane))
-                            .expect("spawn a front-end worker");
-                    }
-                });
-            }
-
-            telemetry.metrics(|m| {
-                let (decls, shared) = memo.decl_counts();
-                m.counter_add("frontend/decls", decls);
-                m.counter_add("frontend/decls_shared", shared);
-            });
-            for (n, slot) in slots.into_iter().enumerate() {
-                let i = todo[n];
-                let outcome = slot
-                    .into_inner()
-                    .expect("tu slot poisoned")
-                    .expect("every TU is analysed exactly once");
-                match outcome {
-                    Ok((module, program, map)) => {
-                        modules[i] = Some(module);
-                        parsed[i] = Some(program);
-                        maps[i] = Some(map);
-                    }
-                    Err(error) => {
-                        return Err(ProjectError::Tu {
-                            file: inputs[i].0.clone(),
-                            error,
-                        });
-                    }
-                }
-            }
+        // --- Per-TU front end for the TUs the cache missed. ---
+        let todo: Vec<usize> = (0..n).filter(|&i| modules[i].is_none()).collect();
+        let mut parsed: Vec<Option<Program>> = (0..n).map(|_| None).collect();
+        let mut maps: Vec<Option<SourceMap>> = (0..n).map(|_| None).collect();
+        let fresh = front_end(inputs, &todo, &hashes, algorithm, jobs, telemetry)?;
+        for (&i, (module, program, map)) in todo.iter().zip(fresh) {
+            modules[i] = Some(module);
+            parsed[i] = Some(program);
+            maps[i] = Some(map);
         }
         let mut modules: Vec<TuModule> = modules
             .into_iter()
             .map(|m| m.expect("every TU has a module after the front end"))
             .collect();
 
-        // --- Write back the freshly computed modules (best-effort). ---
-        if let Some(dir) = cache {
-            let _write = telemetry.span(LANE_MAIN, || {
-                format!("cache write ({} entries)", todo.len())
-            });
-            let _ = std::fs::create_dir_all(dir);
-            for &i in &todo {
-                let image = encode_entry(&modules[i], &fingerprint);
-                byte_lens[i] = Some(image.len() as u64);
-                publish(
-                    dir,
-                    &entry_name(hashes[i]),
-                    &image,
-                    CacheFault::KillMidWrite,
-                    CacheFault::KillPreRename,
-                );
-                telemetry.event(EventClass::Observational, "tu_cache_publish", || {
-                    vec![
-                        ("file", inputs[i].0.as_str().into()),
-                        ("hash", hash_hex(hashes[i]).into()),
-                        ("bytes", image.len().into()),
-                    ]
-                });
-            }
-        }
-
-        // TU entry sizes, recorded for *every* module (not just the
-        // written-back ones) in input order, so the bucket counts are
-        // identical cold or warm. Sizes learned during the probe or the
-        // write-back are reused; only modules nobody encoded (the
-        // cacheless run) are encoded here, and only when metrics
-        // collection is on.
-        let entry_len = |m: &TuModule, len: &Option<u64>| {
-            len.unwrap_or_else(|| encode_entry(m, &fingerprint).len() as u64)
-        };
-        telemetry.metrics(|m| {
-            for (module, len) in modules.iter().zip(&byte_lens) {
-                m.hist_record("frontend/tu_summary_bytes", entry_len(module, len));
-            }
-        });
+        // The stored fixpoint is a candidate only under the same TU list
+        // length and the whole configuration; otherwise the snapshot
+        // served modules alone.
+        let snapshot = snapshot
+            .filter(|snap| snap.fingerprint == snap_fingerprint && snap.source_hashes.len() == n);
 
         // --- Summary diff vs the snapshot, over borrowed module lists.
         // An unchanged TU's previous side is the current module itself
@@ -763,6 +553,7 @@ impl ProjectPipeline {
             // A cold link must resolve to exactly the summary a fresh
             // walk of the linked program would extract; the cache layer
             // then inherits this identity byte for byte.
+            let refine = algorithm == Algorithm::Pta;
             let fresh = ProgramSummary::build(linked.program(), refine, 1);
             for i in 0..linked.program().function_count() {
                 let fid = ddm_hierarchy::FuncId::from_index(i);
@@ -851,13 +642,9 @@ impl ProjectPipeline {
             if !(unchanged && replayed) {
                 let _snap_span = telemetry.span(LANE_MAIN, || "snapshot write".to_string());
                 let snap = AnalysisSnapshot {
-                    fingerprint: snap_fingerprint.clone(),
-                    source_hashes: hashes.clone(),
-                    summary_bytes: modules
-                        .iter()
-                        .zip(&byte_lens)
-                        .map(|(m, len)| entry_len(m, len))
-                        .collect(),
+                    fingerprint: snap_fingerprint,
+                    source_hashes: hashes,
+                    summary_bytes: vec![0; n],
                     // The module list is dead after this point, so the
                     // snapshot takes it instead of cloning it.
                     modules: std::mem::take(&mut modules),

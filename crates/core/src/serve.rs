@@ -78,8 +78,8 @@ pub struct ServeOptions {
     /// existing struct literals, the repository benchmark's among them,
     /// keep compiling.
     pub engine: Engine,
-    /// Persistent cache directory; enables the PR-9 incremental path
-    /// (per-TU summary cache + `analysis.snap` warm starts).
+    /// Persistent cache directory; enables the incremental path (the
+    /// cache file `analysis.snap`: cached modules and warm starts).
     pub cache_dir: Option<PathBuf>,
     /// Flight-recorder NDJSON sink, drained once per epoch (appended;
     /// truncated when the session starts).

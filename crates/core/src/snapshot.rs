@@ -1,69 +1,79 @@
-//! The persisted whole-analysis snapshot.
+//! The cache file: one `analysis.snap` per cache directory.
 //!
-//! A cache directory can hold, next to the per-TU `tu-<hash>.bin`
-//! entries, one [`AnalysisSnapshot`] (`analysis.snap`): the binary
-//! modules of every TU, the converged call-graph fixpoint with its
-//! deterministic schedule, and the liveness classification. A warm run
-//! that finds a valid snapshot reads no per-TU entry for unchanged TUs
-//! (decoding their modules straight from the snapshot) and — when the
-//! summary diff proves the fixpoint is unaffected — replays the stored
-//! schedule instead of re-running it, while emitting a deterministic
-//! event/counter/metric stream byte-identical to a cold run.
+//! An [`AnalysisSnapshot`] holds the binary module of every TU of the
+//! last successful run, keyed by source hash, with the converged
+//! call-graph fixpoint, its deterministic schedule and the liveness
+//! classification. A warm run takes each TU's module from it by source
+//! hash, wherever the TU sits, and — under the same TU list and
+//! configuration, when the summary diff proves the fixpoint unaffected —
+//! replays the stored schedule, emitting a deterministic event, counter
+//! and metric stream byte-identical to a cold run. The directory holds
+//! one generation: each run that changes anything replaces the file.
 //!
-//! The file is sealed like a per-TU entry ([`ddm_hierarchy::binmod`]'s
-//! `seal`/`open`): magic, format version, a whole-payload word-wise
-//! FNV-1a checksum, then one payload encoded with the `binmod`
-//! primitives. Everything in it is derived deterministically from the
-//! analysis inputs, so two concurrent writers publishing the same
-//! analysis produce byte-identical files and a rename race is
-//! unobservable. Publication is atomic (temp-then-rename, the same
-//! scheme as the per-TU entries), and
-//! `DDM_CACHE_FAULT=snap-kill-mid-write` / `snap-kill-pre-rename`
-//! inject crashes into the write path for the torture tests. Any
-//! rejection — a corrupt or truncated image, version skew, another
-//! configuration — makes the run fall back to the per-TU entries; the
-//! snapshot is advisory, never trusted.
+//! The file is sealed with [`ddm_hierarchy::binmod`]'s `seal`/`open`
+//! (magic, format version, word-wise FNV-1a checksum) around one
+//! deterministic payload, so concurrent writers of one analysis publish
+//! byte-identical files. Publication is atomic (temp, then rename), and
+//! `DDM_CACHE_FAULT` injects crashes into it. [`AnalysisSnapshot::load`]
+//! checks the envelope, the configuration and every module; any
+//! rejection makes the run recompute every TU. The snapshot is
+//! advisory, never trusted.
 
 use crate::analysis::AnalysisConfig;
 use crate::liveness::{LiveReason, LivenessParts, Origin};
-use crate::project::{config_fingerprint, publish, CacheFault};
+use crate::project::config_fingerprint;
 use ddm_callgraph::{Algorithm, CallGraphParts, CgRound, CgSchedule};
 use ddm_hierarchy::binmod::{open, seal};
 use ddm_hierarchy::{
     decode_modules, encode_modules, ByteReader, ByteWriter, ClassId, FuncId, MemberRef, Reject,
     TuModule, BINMOD_FORMAT_VERSION,
 };
-use ddm_telemetry::{Counters, Histogram};
-use std::path::Path;
+use ddm_telemetry::{Counters, EventClass, Histogram, Telemetry};
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
+use std::time::{Duration, Instant, SystemTime};
 
-/// The snapshot file name inside a cache directory. Deliberately not a
-/// `tu-*` name: tooling that enumerates `tu-*.bin` entries must never
-/// confuse the snapshot for one.
+/// The cache file name inside a cache directory. `tu-*` files that
+/// earlier versions wrote next to it are ignored: never read, never
+/// deleted.
 pub const SNAPSHOT_FILE: &str = "analysis.snap";
 
 /// Bumped whenever the envelope or payload encoding changes shape, or
 /// what a field means; a reader that sees any other version rejects
-/// the file (version skew) and the run recomputes from the per-TU
-/// entries. Version 2: `summary_bytes` holds binary entry sizes.
+/// the file (version skew) and the run recomputes every TU. Version 2
+/// stored entry sizes in `summary_bytes`, which is now written as
+/// zeros and never read.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// The 8-byte magic at the start of every snapshot file.
 const MAGIC: &[u8; 8] = b"DDMSNAP\0";
 
-/// The configuration fingerprint a snapshot is keyed by. Unlike the
-/// per-TU summary fingerprint ([`config_fingerprint`]), the snapshot
-/// captures the *whole* analysis, so every knob that can change the
-/// converged result participates: the call-graph algorithm, the
-/// `sizeof` and down-cast policies, the library-class set (sorted for
-/// determinism), and the binary module format version.
+/// The part of a [`snapshot_fingerprint`] that keys the stored modules:
+/// both format versions and the per-TU summary configuration
+/// ([`config_fingerprint`]). A snapshot whose fingerprint starts with
+/// this part serves its modules, whatever the link-time options.
+pub fn module_fingerprint(algorithm: Algorithm) -> String {
+    format!(
+        "snap-v{};binmod-v{};tu={}",
+        SNAPSHOT_FORMAT_VERSION,
+        BINMOD_FORMAT_VERSION,
+        config_fingerprint(algorithm)
+    )
+}
+
+/// The configuration fingerprint a snapshot is keyed by: the
+/// [`module_fingerprint`], then every option that acts at link time or
+/// later and so can change the converged result — the call-graph
+/// algorithm, the `sizeof` and down-cast policies and the library-class
+/// set (sorted for determinism). The stored fixpoint is replayed only
+/// under the whole fingerprint.
 pub fn snapshot_fingerprint(config: &AnalysisConfig, algorithm: Algorithm) -> String {
     let mut libs: Vec<&str> = config.library_classes.iter().map(String::as_str).collect();
     libs.sort_unstable();
     format!(
-        "snap-v{};binmod-v{};tu={};algo={};sizeof={:?};downcast={};libs={}",
-        SNAPSHOT_FORMAT_VERSION,
-        BINMOD_FORMAT_VERSION,
-        config_fingerprint(algorithm),
+        "{};algo={};sizeof={:?};downcast={};libs={}",
+        module_fingerprint(algorithm),
         algorithm_tag(algorithm),
         config.sizeof_policy,
         u8::from(config.assume_safe_downcasts),
@@ -269,8 +279,8 @@ fn get_counters(r: &mut ByteReader) -> Result<Counters, String> {
 }
 
 /// Everything a warm run needs to reproduce a converged analysis
-/// without re-running it: the binary modules of every TU (so unchanged
-/// TUs read no per-TU entry), the display names of the stored
+/// without re-running it: the binary module of every TU (the module
+/// cache, keyed by `source_hashes`), the display names of the stored
 /// reachable functions (the reuse gate's id-stability witness), the
 /// linked program's shape, the frozen call graph with its deterministic
 /// replay schedule, and the liveness classification with the counters
@@ -286,12 +296,12 @@ pub struct AnalysisSnapshot {
     pub fingerprint: String,
     /// FNV-1a content hash of each TU's source, in input order.
     pub source_hashes: Vec<u64>,
-    /// Size of each TU's `tu-<hash>.bin` entry, in input order. Warm
-    /// runs report these in hit events and the
-    /// `frontend/tu_summary_bytes` histogram instead of re-encoding
-    /// every unchanged module just to measure it.
+    /// One `0` per TU. Nothing reads it; it stays, with its place in
+    /// the payload, only because the repository benchmark builds this
+    /// struct field by field.
     pub summary_bytes: Vec<u64>,
-    /// The extracted module of each TU, in input order.
+    /// The extracted module of each TU, in input order; module `i` has
+    /// source hash `source_hashes[i]`.
     pub modules: Vec<TuModule>,
     /// `(function id, display name)` for every stored-reachable
     /// function, ascending by id. The reuse gate checks these names
@@ -502,23 +512,37 @@ impl AnalysisSnapshot {
         })
     }
 
-    /// Loads and validates the snapshot in `dir` against `fingerprint`.
+    /// Loads the snapshot in `dir` and checks it against `key`: a whole
+    /// [`snapshot_fingerprint`], or its [`module_fingerprint`] part,
+    /// which accepts any link-time options. Every module must pass
+    /// [`TuModule::validate`] and carry its slot's source hash.
     ///
     /// # Errors
     ///
-    /// The rejection reason; `missing` when there is no snapshot file at
-    /// all (the common cold case, which callers usually don't report).
-    pub fn load(dir: &Path, fingerprint: &str) -> Result<AnalysisSnapshot, String> {
+    /// The rejection reason: `corrupt`, `version_skew`, a structural
+    /// decode failure, or `config_fingerprint`; `missing` when there is
+    /// no snapshot file (the common cold case).
+    pub fn load(dir: &Path, key: &str) -> Result<AnalysisSnapshot, String> {
         let bytes =
             std::fs::read(dir.join(SNAPSHOT_FILE)).map_err(|_| "missing".to_string())?;
         let snap = AnalysisSnapshot::decode(&bytes)?;
-        if snap.fingerprint != fingerprint {
+        let keyed = snap
+            .fingerprint
+            .strip_prefix(key)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with(';'));
+        if !keyed {
             return Err(Reject::ConfigFingerprint.to_string());
         }
-        if snap.modules.len() != snap.source_hashes.len()
-            || snap.summary_bytes.len() != snap.source_hashes.len()
-        {
-            return Err("module/hash count mismatch".to_string());
+        let n = snap.source_hashes.len();
+        let sound = snap.modules.len() == n
+            && snap.summary_bytes.len() == n
+            && snap
+                .modules
+                .iter()
+                .zip(&snap.source_hashes)
+                .all(|(m, &hash)| m.source_hash == hash && m.validate().is_ok());
+        if !sound {
+            return Err(Reject::Corrupt.to_string());
         }
         Ok(snap)
     }
@@ -528,13 +552,117 @@ impl AnalysisSnapshot {
     /// previous one, or this one — never a torn file. Best-effort like
     /// all cache I/O; a failure just means the next run recomputes.
     pub fn save(&self, dir: &Path) {
-        publish(
-            dir,
-            SNAPSHOT_FILE,
-            &self.encode(),
-            CacheFault::SnapKillMidWrite,
-            CacheFault::SnapKillPreRename,
-        );
+        publish(dir, SNAPSHOT_FILE, &self.encode());
+    }
+}
+
+/// Whether the `DDM_CACHE_FAULT` environment variable (read once per
+/// process) selects the crash-injection point `point` of [`publish`]:
+/// `kill-mid-write` aborts after writing half of the image to its temp
+/// file (a torn temp, never a torn final), `kill-pre-rename` after
+/// writing all of it, before the rename. Torture tests use these to
+/// prove a process dying mid-publish can never leave a torn
+/// `analysis.snap` behind. Any other value disables injection.
+fn fault(point: &str) -> bool {
+    static FAULT: OnceLock<Option<String>> = OnceLock::new();
+    FAULT
+        .get_or_init(|| std::env::var("DDM_CACHE_FAULT").ok())
+        .as_deref()
+        == Some(point)
+}
+
+/// Atomically publishes one cache file: `image` is written to a
+/// process-unique `<name>.tmp.<pid>` inside `dir`, then renamed over
+/// `name`. Readers therefore observe either no file, the previous one
+/// or this one — a crash between the write and the rename leaves only
+/// a dangling temp, which [`sweep_dangling_temps`] removes on a later
+/// open. Best-effort like all cache I/O: any failure simply means the
+/// file is recomputed next time.
+fn publish(dir: &Path, name: &str, image: &[u8]) {
+    let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
+    let written = (|| -> std::io::Result<()> {
+        use std::io::Write as _;
+        let mut f = std::fs::File::create(&tmp)?;
+        if fault("kill-mid-write") {
+            f.write_all(&image[..image.len() / 2])?;
+            let _ = f.sync_all();
+            std::process::abort();
+        }
+        f.write_all(image)
+    })();
+    match written {
+        Ok(()) => {
+            if fault("kill-pre-rename") {
+                std::process::abort();
+            }
+            let _ = std::fs::rename(&tmp, dir.join(name));
+        }
+        Err(_) => {
+            let _ = std::fs::remove_file(&tmp);
+        }
+    }
+}
+
+/// Minimum age (by mtime) before [`sweep_dangling_temps`] removes a
+/// dangling temp. A temp younger than this may belong to a live sibling
+/// writer mid-publish — deleting it would kill that writer's rename and
+/// force a recompute, which a daemon re-probing every epoch would do
+/// constantly. A crashed writer's temp ages past the gate and is
+/// collected on a later open; until then it is harmless garbage.
+const TEMP_SWEEP_MIN_AGE: Duration = Duration::from_secs(60);
+
+/// Removes dangling `analysis.snap.tmp.*` files left by a crashed
+/// writer. Runs when a cache directory is opened for probing. Only
+/// temps older than [`TEMP_SWEEP_MIN_AGE`] are removed, so a live
+/// concurrent writer's in-flight temp survives the probe and its rename
+/// still publishes; fresh temps are skipped silently and collected by a
+/// later open once they age past the gate.
+///
+/// A process lists each directory at most once per gate interval: a
+/// temp the gate spared survives a relisting that soon anyway, so one
+/// the last listing missed is collected at most one interval later.
+/// This keeps a `ddm serve` rebuild from paying for a listing each
+/// time, however many files an older version left in the directory;
+/// every `ddm` run is a new process and sweeps on open.
+pub(crate) fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
+    static LISTED: OnceLock<Mutex<HashMap<PathBuf, Instant>>> = OnceLock::new();
+    {
+        let mut listed = LISTED
+            .get_or_init(Mutex::default)
+            .lock()
+            .expect("sweep times poisoned");
+        let now = Instant::now();
+        if listed
+            .get(dir)
+            .is_some_and(|&at| now.duration_since(at) < TEMP_SWEEP_MIN_AGE)
+        {
+            return;
+        }
+        listed.insert(dir.to_path_buf(), now);
+    }
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let snap_tmp = format!("{SNAPSHOT_FILE}.tmp.");
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if !name.starts_with(&snap_tmp) {
+            continue;
+        }
+        // A temp whose mtime sits in the future is fresh; one whose
+        // file system reports no mtime is swept.
+        let fresh = entry.metadata().and_then(|m| m.modified()).is_ok_and(|at| {
+            SystemTime::now()
+                .duration_since(at)
+                .map_or(true, |age| age < TEMP_SWEEP_MIN_AGE)
+        });
+        if !fresh {
+            let _ = std::fs::remove_file(entry.path());
+            telemetry.event(EventClass::Observational, "cache_temp_swept", || {
+                vec![("temp", name.as_ref().into())]
+            });
+        }
     }
 }
 
@@ -692,6 +820,76 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "dangling temps: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_serves_modules_under_the_module_part_and_checks_each_one() {
+        let dir = std::env::temp_dir().join(format!("ddm-snap-load-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut snap = sample_snapshot();
+        snap.fingerprint = "mods;algo=1".to_string();
+        snap.save(&dir);
+        assert!(AnalysisSnapshot::load(&dir, "mods;algo=1").is_ok());
+        assert!(
+            AnalysisSnapshot::load(&dir, "mods").is_ok(),
+            "the module part"
+        );
+        assert_eq!(
+            AnalysisSnapshot::load(&dir, "mod").unwrap_err(),
+            "config_fingerprint",
+            "a prefix that is not a whole part"
+        );
+
+        let damages: [fn(&mut AnalysisSnapshot); 3] = [
+            |snap| snap.source_hashes[0] ^= 1,
+            |snap| snap.summary_bytes.clear(),
+            |snap| {
+                snap.modules[0].free_fns[0]
+                    .summary
+                    .as_mut()
+                    .unwrap()
+                    .cg_steps
+                    .push(ddm_hierarchy::SymCgStep::Call(
+                        ddm_hierarchy::SymFunc::Free("ghost".to_string()),
+                    ))
+            },
+        ];
+        for (k, damage) in damages.into_iter().enumerate() {
+            let mut bad = snap.clone();
+            damage(&mut bad);
+            bad.save(&dir);
+            assert_eq!(
+                AnalysisSnapshot::load(&dir, "mods").unwrap_err(),
+                "corrupt",
+                "{k}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_fingerprint_is_the_module_part_then_the_link_options() {
+        let fingerprint = snapshot_fingerprint(&AnalysisConfig::default(), Algorithm::Rta);
+        assert_eq!(
+            fingerprint,
+            "snap-v2;binmod-v1;tu=v1;refine=0;algo=2;sizeof=Conservative;downcast=0;libs="
+        );
+        let modules = module_fingerprint(Algorithm::Rta);
+        assert_eq!(
+            fingerprint.strip_prefix(&modules),
+            Some(";algo=2;sizeof=Conservative;downcast=0;libs=")
+        );
+        assert_eq!(
+            module_fingerprint(Algorithm::Cha),
+            modules,
+            "the algorithm is a link option"
+        );
+        assert_ne!(
+            module_fingerprint(Algorithm::Pta),
+            modules,
+            "refinement changes modules"
+        );
     }
 
     #[test]

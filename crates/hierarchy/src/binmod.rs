@@ -1,21 +1,21 @@
 //! Compact binary codec for [`TuModule`]s, and the sealed envelope of
-//! every cache file: the per-TU entries (`tu-<hash>.bin`) and the
-//! persisted analysis snapshot (`analysis.snap`).
+//! the cache file (`analysis.snap`).
 //!
-//! This is the only serialization of a module:
-//! [`TuModule::to_json`] carries an [`encode_entry`] image as hex.
-//! Fields are length-prefixed, integers little-endian and fixed-width,
-//! and each enum variant is one tag byte.
+//! This is the only serialization of a module. Fields are
+//! length-prefixed, integers little-endian and fixed-width, and each
+//! enum variant is one tag byte.
 //!
 //! [`seal`] frames a payload as magic, format version and a word-wise
 //! FNV-1a checksum; [`open`] checks all three and names what failed as
-//! a [`Reject`]. A per-TU entry ([`encode_entry`]) seals the
+//! a [`Reject`]. A module entry ([`encode_entry`]) seals the
 //! configuration fingerprint, the source hash and one module;
 //! [`decode_entry`] checks, in turn, the envelope, the fingerprint, the
-//! hash, the structure, that no bytes trail and [`TuModule::validate`],
-//! so a damaged, stale or hand-crafted entry is recomputed, never
-//! trusted. The module decoders themselves only defend against
-//! structural nonsense (truncation, bad tags, non-UTF-8).
+//! hash, the structure, that no bytes trail and [`TuModule::validate`].
+//! Entries serve only [`TuModule::to_json`]/[`TuModule::from_json`],
+//! which carry one as hex for the repository benchmark's traced
+//! replica, and tests; no cache file holds them. The module
+//! decoders themselves only defend against structural nonsense
+//! (truncation, bad tags, non-UTF-8).
 //!
 //! Encoding is deterministic: a module encodes to the same bytes on
 //! every run (all containers are ordered `Vec`s), which is what lets
@@ -32,13 +32,12 @@ use ddm_cppfront::Span;
 use std::fmt;
 use std::sync::Arc;
 
-/// Version of the binary module encoding and of the per-TU entry
-/// layout. Sealed into every entry and part of the snapshot
-/// fingerprint: bumping it invalidates every existing entry and
-/// snapshot.
+/// Version of the binary module encoding and of the entry layout.
+/// Sealed into every entry and part of the snapshot fingerprint:
+/// bumping it invalidates every existing snapshot.
 pub const BINMOD_FORMAT_VERSION: u32 = 1;
 
-/// The 8-byte magic at the start of every per-TU cache entry.
+/// The 8-byte magic at the start of every module entry.
 const ENTRY_MAGIC: &[u8; 8] = b"DDMTU\0\0\0";
 
 /// Why a sealed cache file was not used. [`fmt::Display`] renders the
@@ -122,9 +121,9 @@ pub fn open<'a>(magic: &[u8; 8], version: u32, image: &'a [u8]) -> Result<&'a [u
     Ok(payload)
 }
 
-/// Seals one module as a per-TU cache entry: the configuration
-/// `fingerprint`, the module's source hash, then [`encode_module`].
-/// The inverse of [`decode_entry`].
+/// Seals one module as an entry: the configuration `fingerprint`, the
+/// module's source hash, then [`encode_module`]. The inverse of
+/// [`decode_entry`].
 pub fn encode_entry(m: &TuModule, fingerprint: &str) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_str(fingerprint);
@@ -133,8 +132,8 @@ pub fn encode_entry(m: &TuModule, fingerprint: &str) -> Vec<u8> {
     seal(ENTRY_MAGIC, BINMOD_FORMAT_VERSION, w.bytes())
 }
 
-/// Reads a per-TU cache entry that must have been written under
-/// `fingerprint` for a source hashing to `source_hash`.
+/// Reads an entry that must have been written under `fingerprint` for
+/// a source hashing to `source_hash`.
 ///
 /// # Errors
 ///

@@ -12,9 +12,9 @@
 //! which is exactly what whole-program extraction would have computed.
 //!
 //! A module has one serialization, the binary codec of
-//! [`binmod`](crate::binmod), whose entry reader runs
-//! [`TuModule::validate`] on every module it accepts.
-//! [`TuModule::to_json`]/[`TuModule::from_json`] carry that same entry
+//! [`binmod`](crate::binmod). Its readers — the cache file's loader and
+//! the entry reader — run [`TuModule::validate`] on every module they
+//! accept. [`TuModule::to_json`]/[`TuModule::from_json`] carry an entry
 //! as hex inside a JSON document, under the same checks.
 
 use crate::binmod::{decode_entry, encode_entry};

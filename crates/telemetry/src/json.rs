@@ -545,7 +545,7 @@ impl Parser<'_> {
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             if !self.lenient {
                 return Err(format!(
-                    "non-integer number at byte {start} (the cache codec is integer-only)"
+                    "non-integer number at byte {start} (request numbers are integers)"
                 ));
             }
             if self.peek() == Some(b'.') {

@@ -179,10 +179,10 @@ pub struct ExecStats {
     pub tu_modules: u64,
     /// Per-TU summary modules served from the persistent cache.
     pub tu_cache_hits: u64,
-    /// TUs whose cache entry was absent (recomputed and written back).
+    /// TUs the cache did not serve (recomputed).
     pub tu_cache_misses: u64,
-    /// Cache entries discarded as corrupt, version-mismatched, or
-    /// fingerprint-mismatched (a subset of the misses).
+    /// TUs whose cached module went with a rejected snapshot (corrupt,
+    /// version-mismatched or fingerprint-mismatched; a subset of the misses).
     pub tu_cache_invalidations: u64,
     /// TUs actually parsed this run.
     pub tus_parsed: u64,
@@ -192,8 +192,8 @@ pub struct ExecStats {
     pub cg_arena_bytes: u64,
     /// Distinct function-name symbols interned for dispatch caching.
     pub cg_interned_symbols: u64,
-    /// Front-end wall time (hashing, cache probes, parsing,
-    /// summarizing, write-back) in nanoseconds.
+    /// Front-end wall time (hashing, cache probe, parsing, summarizing)
+    /// in nanoseconds.
     pub frontend_ns: u64,
     /// Link phase wall time in nanoseconds.
     pub link_ns: u64,
@@ -202,7 +202,7 @@ pub struct ExecStats {
     pub callgraph_ns: u64,
     /// Liveness phase wall time in nanoseconds (likewise).
     pub liveness_ns: u64,
-    /// Warm starts served by the persisted analysis snapshot (0 or 1).
+    /// Runs whose persisted snapshot could serve the fixpoint (0 or 1).
     pub snapshot_warm_starts: u64,
     /// Reachable functions whose converged fixpoint facts were reused
     /// from the snapshot instead of replayed.

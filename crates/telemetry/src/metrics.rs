@@ -5,15 +5,15 @@
 //! the value 0, bucket *k* (k ≥ 1) holds values in `[2^(k-1), 2^k)`.
 //! Because the bounds never depend on the data, the bucket *counts* of
 //! deterministic quantities — fixpoint round delta sizes, dispatch
-//! candidate-set sizes, TU summary sizes — are themselves deterministic
-//! across jobs × cache states, so tests can assert them the
-//! same way they assert [`Counters`](crate::Counters). A quantile
-//! sketch or data-dependent bucketing would destroy that property.
+//! candidate-set sizes — are themselves deterministic across jobs ×
+//! cache states, so tests can assert them the same way they assert
+//! [`Counters`](crate::Counters). A quantile sketch or data-dependent
+//! bucketing would destroy that property.
 //!
 //! Metric names are `phase/quantity` paths (`callgraph/round_delta_fns`,
-//! `frontend/tu_summary_bytes`); each histogram aggregates over the
-//! phase's per-TU / per-round observations. The registry renders in
-//! sorted name order, so equal registries render byte-identically.
+//! `frontend/decls`); each histogram aggregates over the phase's
+//! per-round observations. The registry renders in sorted name order,
+//! so equal registries render byte-identically.
 
 use std::collections::BTreeMap;
 

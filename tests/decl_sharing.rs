@@ -13,11 +13,11 @@ use ddm_bench::fuzz::case_for_seed_in;
 use ddm_benchmarks::generator::{generate_fuzz, FUZZ_SHAPES};
 use ddm_callgraph::Algorithm;
 use ddm_core::{
-    config_fingerprint, snapshot_fingerprint, AnalysisConfig, AnalysisSnapshot, Engine,
-    PipelineError, ProjectError, ProjectPipeline,
+    front_end, snapshot_fingerprint, AnalysisConfig, AnalysisSnapshot, Engine, PipelineError,
+    ProjectError, ProjectPipeline,
 };
 use ddm_cppfront::{parse, DeclMemo, ParseError, SourceMap, Span, TranslationUnit};
-use ddm_hierarchy::{decode_entry, fnv1a64, hash_hex, link, Program, ProgramSummary, TuModule};
+use ddm_hierarchy::{fnv1a64, link, Program, ProgramSummary, TuModule};
 use ddm_telemetry::{Metric, Telemetry};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -70,9 +70,10 @@ fn isolated(
     Ok((modules, link_error))
 }
 
-/// What a cold shared run publishes: the module of every TU, read back
-/// from its `tu-*.bin` entry and, when the run succeeds, from
-/// `analysis.snap` too (both must agree). Also returns the shared-item
+/// What a cold shared run computes: the module of every TU from the
+/// run's front end ([`front_end`], empty when a TU fails it) and, when
+/// the run succeeds, as `analysis.snap` publishes it (both must agree).
+/// A failing run must publish nothing. Also returns the shared-item
 /// counter.
 fn shared(
     inputs: &[(String, String)],
@@ -83,6 +84,11 @@ fn shared(
     let _ = std::fs::remove_dir_all(dir);
     let config = AnalysisConfig::default();
     let telemetry = Telemetry::configured(false, true);
+    let all: Vec<usize> = (0..inputs.len()).collect();
+    let hashes: Vec<u64> = inputs.iter().map(|(_, s)| fnv1a64(s.as_bytes())).collect();
+    let modules = front_end(inputs, &all, &hashes, algorithm, jobs, &telemetry)
+        .map(|tus| tus.into_iter().map(|(module, _, _)| module).collect())
+        .unwrap_or_default();
     let run = ProjectPipeline::run(
         inputs,
         config.clone(),
@@ -90,30 +96,28 @@ fn shared(
         jobs,
         Engine::Summary,
         Some(dir),
-        &telemetry,
+        &Telemetry::disabled(),
     );
-    let fingerprint = config_fingerprint(algorithm);
-    let entries = inputs
-        .iter()
-        .filter_map(|(file, source)| {
-            let hash = fnv1a64(source.as_bytes());
-            let image = std::fs::read(dir.join(format!("tu-{}.bin", hash_hex(hash)))).ok()?;
-            let mut module = decode_entry(&image, &fingerprint, hash).expect("entry decodes");
-            module.file = file.clone();
-            Some(module)
-        })
-        .collect();
-    let outcome = run.map_err(|e| e.to_string()).map(|_| {
-        AnalysisSnapshot::load(dir, &snapshot_fingerprint(&config, algorithm))
+    let published = AnalysisSnapshot::load(dir, &snapshot_fingerprint(&config, algorithm));
+    let outcome = match run {
+        Ok(_) => Ok(published
             .expect("a successful cold run publishes its snapshot")
-            .modules
-    });
+            .modules),
+        Err(e) => {
+            assert_eq!(
+                published.err().as_deref(),
+                Some("missing"),
+                "a failed run published"
+            );
+            Err(e.to_string())
+        }
+    };
     let shared = match telemetry.metrics_snapshot().get("frontend/decls_shared") {
         Some(Metric::Counter(n)) => *n,
         other => panic!("frontend/decls_shared is not a counter: {other:?}"),
     };
     let _ = std::fs::remove_dir_all(dir);
-    (outcome, entries, shared)
+    (outcome, modules, shared)
 }
 
 /// Asserts that shared runs at `--jobs` 1 and 3 publish the isolated
@@ -132,18 +136,21 @@ fn assert_matches_isolated(
         let (outcome, entries, count) = shared(inputs, algorithm, jobs, &dir);
         let late_error = match &expected {
             // A TU that fails its front end stops the run before any
-            // entry is written.
+            // module is returned.
             Err(want) => {
                 assert_eq!(outcome.as_ref().err(), Some(want), "{label} --jobs {jobs}");
-                assert!(entries.is_empty(), "{label} --jobs {jobs}: entries written");
+                assert!(
+                    entries.is_empty(),
+                    "{label} --jobs {jobs}: modules returned"
+                );
                 None
             }
-            // Entries are written before linking, so they exist for a
+            // The front end returns every module, so they exist for a
             // link or analysis failure too.
             Ok((modules, link_error)) => {
                 assert_eq!(
                     &entries, modules,
-                    "{label} --jobs {jobs}: cache entries differ"
+                    "{label} --jobs {jobs}: front-end modules differ"
                 );
                 match (&outcome, link_error) {
                     (Ok(got), None) => {

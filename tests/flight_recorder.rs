@@ -4,7 +4,7 @@
 //! turning the recorder (and the metrics registry) on changes no
 //! analysis output.
 
-use dead_data_members::analysis::{Engine, ProjectError, ProjectPipeline};
+use dead_data_members::analysis::{AnalysisSnapshot, Engine, ProjectError, ProjectPipeline};
 use dead_data_members::benchmarks::suite;
 use dead_data_members::prelude::*;
 use dead_data_members::telemetry::{EventClass, FieldValue};
@@ -167,37 +167,12 @@ fn multi_tu_det_stream_identical_across_jobs_and_cache() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
-#[test]
-fn tu_summary_size_histogram_is_cache_invariant() {
-    // The summary-size histogram is recorded for every module in input
-    // order, not just the ones written back, so its bucket counts are a
-    // deterministic quantity even though cache hit/miss counters move.
-    let inputs = multi_tu_inputs();
-    let cache = temp_cache("hist");
-    let hist_line = |metrics: &str| -> String {
-        metrics
-            .lines()
-            .find(|l| l.contains("frontend/tu_summary_bytes"))
-            .expect("summary-size histogram present")
-            .to_string()
-    };
-    let (cold, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
-    let (warm, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
-    assert!(warm.stats().tu_cache_hits > 0, "warm run must hit");
-    assert_eq!(
-        hist_line(&cold.metrics_json()),
-        hist_line(&warm.metrics_json()),
-        "summary-size buckets moved between cold and warm"
-    );
-    let _ = std::fs::remove_dir_all(&cache);
-}
-
-/// The `reason` of every `tu_cache_invalidated` event a run recorded.
-fn invalidation_reasons(telemetry: &Telemetry) -> Vec<String> {
+/// The `reason` of every `snapshot_rejected` event a run recorded.
+fn rejection_reasons(telemetry: &Telemetry) -> Vec<String> {
     telemetry
         .events()
         .into_iter()
-        .filter(|e| e.name == "tu_cache_invalidated")
+        .filter(|e| e.name == "snapshot_rejected")
         .filter_map(|e| match e.fields.iter().find(|(k, _)| *k == "reason") {
             Some((_, FieldValue::Str(reason))) => Some(reason.clone()),
             _ => None,
@@ -207,39 +182,35 @@ fn invalidation_reasons(telemetry: &Telemetry) -> Vec<String> {
 
 #[test]
 fn tu_cache_invalidated_names_each_reject_reason() {
-    // Each way a `tu-*.bin` entry can fail its read renders one fixed
-    // reason; the snapshot is removed so that every TU reads its entry.
+    // Each way the snapshot can fail its read renders one fixed reason
+    // on `snapshot_rejected`, and invalidates the cached module of every
+    // TU.
     let inputs = multi_tu_inputs();
-    let damages: [(&str, fn(&mut [Vec<u8>])); 3] = [
-        ("corrupt", |images| {
-            images.iter_mut().for_each(|b| b.truncate(b.len() / 2))
+    let damages: [(&str, fn(&mut Vec<u8>)); 3] = [
+        ("corrupt", |image| image.truncate(image.len() / 2)),
+        ("version_skew", |image| image[8] ^= 1),
+        // Genuine modules, each sealed under another TU's source hash.
+        ("corrupt", |image| {
+            let mut snap = AnalysisSnapshot::decode(image).unwrap();
+            snap.modules.rotate_left(1);
+            *image = snap.encode();
         }),
-        ("version_skew", |images| {
-            images.iter_mut().for_each(|b| b[8] ^= 1)
-        }),
-        ("source_hash", |images| images.rotate_left(1)),
     ];
-    for (reason, damage) in damages {
-        let cache = temp_cache(&format!("reason_{reason}"));
+    for (k, (reason, damage)) in damages.into_iter().enumerate() {
+        let cache = temp_cache(&format!("reason_{k}"));
         record_project(&inputs, 1, Some(&cache)).unwrap();
-        std::fs::remove_file(cache.join("analysis.snap")).unwrap();
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(&cache)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "bin"))
-            .collect();
-        paths.sort();
-        let mut images: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
-        damage(&mut images);
-        for (path, image) in paths.iter().zip(&images) {
-            std::fs::write(path, image).unwrap();
-        }
+        let path = cache.join("analysis.snap");
+        let mut image = std::fs::read(&path).unwrap();
+        damage(&mut image);
+        std::fs::write(&path, image).unwrap();
         let (warm, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
-        assert_eq!(invalidation_reasons(&warm), vec![reason; inputs.len()]);
+        assert_eq!(rejection_reasons(&warm), vec![reason]);
+        assert_eq!(warm.stats().tu_cache_invalidations, inputs.len() as u64);
         let _ = std::fs::remove_dir_all(&cache);
     }
 
-    // Entries written under RTA, read under PTA's summary configuration.
+    // A snapshot written under RTA, read under PTA's summary
+    // configuration.
     let cache = temp_cache("reason_config");
     record_project(&inputs, 1, Some(&cache)).unwrap();
     let pta = Telemetry::recording();
@@ -253,10 +224,8 @@ fn tu_cache_invalidated_names_each_reject_reason() {
         &pta,
     )
     .unwrap();
-    assert_eq!(
-        invalidation_reasons(&pta),
-        vec!["config_fingerprint"; inputs.len()]
-    );
+    assert_eq!(rejection_reasons(&pta), vec!["config_fingerprint"]);
+    assert_eq!(pta.stats().tu_cache_invalidations, inputs.len() as u64);
     let _ = std::fs::remove_dir_all(&cache);
 }
 

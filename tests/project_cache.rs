@@ -6,16 +6,19 @@
 //! counters as a cacheless run over the same sources, at any worker
 //! count, and the cacheless run matches the `ddm-oracle` reference
 //! analysis. The cache may only change *wall-clock*, never *output*.
-//! Damaged, version-skewed, misplaced and hand-crafted `tu-*.bin`
-//! entries are detected, discarded, recomputed, and overwritten.
+//! The cache is one file, `analysis.snap`: a damaged, version-skewed or
+//! hand-crafted one is detected, discarded, recomputed, and replaced,
+//! and after any successful run the directory holds that file alone.
 
 use dead_data_members::analysis::{
-    config_fingerprint, explain, AnalysisConfig, Engine, ProjectPipeline,
+    explain, AnalysisConfig, AnalysisSnapshot, Engine, ProjectError, ProjectPipeline, SizeofPolicy,
 };
 use dead_data_members::callgraph::Algorithm;
-use dead_data_members::hierarchy::{decode_entry, encode_entry, SymCgStep, SymFunc};
+use dead_data_members::hierarchy::{SymCgStep, SymFunc};
 use dead_data_members::telemetry::Telemetry;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 const HEADER: &str = "\
 enum ShapeKind { KindCircle, KindRect };
@@ -86,16 +89,35 @@ fn run(
     cache: Option<&Path>,
     telemetry: &Telemetry,
 ) -> ProjectPipeline {
+    run_with(inputs, AnalysisConfig::default(), jobs, cache, telemetry).expect("project run")
+}
+
+fn run_with(
+    inputs: &[(String, String)],
+    config: AnalysisConfig,
+    jobs: usize,
+    cache: Option<&Path>,
+    telemetry: &Telemetry,
+) -> Result<ProjectPipeline, ProjectError> {
     ProjectPipeline::run(
         inputs,
-        AnalysisConfig::default(),
+        config,
         Algorithm::Rta,
         jobs,
         Engine::Summary,
         cache,
         telemetry,
     )
-    .expect("project run")
+}
+
+/// The names of the files in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 const SPECS: [&str; 4] = ["Shape::kind", "Shape::tag", "Circle::radius", "Circle::cached"];
@@ -203,85 +225,78 @@ fn renamed_file_with_identical_content_still_hits() {
     assert_eq!(tel.stats().tu_cache_hits, 3, "cache keys are content, not paths");
 }
 
-/// The `tu-*.bin` entries in `dir`, sorted by file name.
-fn entry_paths(dir: &Path) -> Vec<PathBuf> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "bin"))
-        .collect();
-    entries.sort();
-    entries
-}
-
-/// Replaces entry `i` of the three by `damage(i, entries)`, where
-/// `entries` holds each entry's source hash and image, then asserts
-/// that a warm run rejects every entry for `reason`, recomputes all
-/// TUs with the cold artifacts, and writes valid entries back.
-fn damaged_entries_are_recovered(
-    test: &str,
-    reason: &str,
-    damage: impl Fn(usize, &[(u64, Vec<u8>)]) -> Vec<u8>,
-) {
+/// Replaces the published snapshot by `damage(snapshot image)`, then
+/// asserts that a warm run rejects it for `reason`, recomputes every
+/// TU with the cold artifacts, and publishes the cold run's snapshot
+/// again, which serves the next run.
+fn damaged_snapshot_is_recovered(test: &str, reason: &str, damage: impl Fn(&[u8]) -> Vec<u8>) {
     let scratch = Scratch::new(test);
     let inputs = inputs();
     let cold_tel = Telemetry::enabled();
     let cold = run(&inputs, 1, Some(scratch.path()), &cold_tel);
     let cold_art = artifacts(&cold, &cold_tel);
 
-    // Damage the per-TU entries and drop the analysis snapshot: this
-    // test proves the entry probe's detect-and-recompute path, which a
-    // surviving snapshot would otherwise short-circuit (snapshot
-    // damage has its own torture tests).
     let snap = scratch.path().join("analysis.snap");
-    std::fs::remove_file(&snap).unwrap();
-    let entries = entry_paths(scratch.path());
-    assert_eq!(entries.len(), 3);
-    let originals: Vec<(u64, Vec<u8>)> = entries
-        .iter()
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_str().unwrap();
-            let hash = u64::from_str_radix(name.strip_prefix("tu-").unwrap(), 16).unwrap();
-            (hash, std::fs::read(p).unwrap())
-        })
-        .collect();
-    for (i, path) in entries.iter().enumerate() {
-        std::fs::write(path, damage(i, &originals)).unwrap();
-    }
+    let original = std::fs::read(&snap).unwrap();
+    std::fs::write(&snap, damage(&original)).unwrap();
 
     let warm_tel = Telemetry::recording();
     let warm = run(&inputs, 1, Some(scratch.path()), &warm_tel);
     let stats = warm_tel.stats();
-    assert_eq!(stats.tu_cache_hits, 0, "damaged entries must not hit");
+    assert_eq!(stats.tu_cache_hits, 0, "a damaged snapshot must not hit");
     assert_eq!(stats.tu_cache_invalidations, 3);
     assert_eq!(stats.tus_summarized, 3, "every TU is recomputed");
     assert_eq!(artifacts(&warm, &warm_tel), cold_art);
     let events = warm_tel.events_ndjson(None);
-    assert_eq!(
-        events.matches(&format!("\"reason\":\"{reason}\"")).count(),
-        3,
-        "every entry is rejected as {reason}:\n{events}"
+    let rejected = format!("\"event\":\"snapshot_rejected\",\"ts_us\":");
+    let line = events
+        .lines()
+        .find(|l| l.contains(&rejected))
+        .unwrap_or_else(|| panic!("no snapshot_rejected event:\n{events}"));
+    assert!(
+        line.ends_with(&format!("\"reason\":\"{reason}\"}}")),
+        "the snapshot is rejected as {reason}: {line}"
     );
 
-    // The damaged entries were overwritten with the cold run's images,
-    // and they alone serve the next run.
-    for (path, (_, original)) in entries.iter().zip(&originals) {
-        let rewritten = std::fs::read(path).unwrap();
-        assert!(rewritten == *original, "write-back must restore {path:?}");
-    }
-    std::fs::remove_file(&snap).unwrap();
+    // The damaged file was replaced with the cold run's image, and it
+    // alone serves the next run.
+    assert!(
+        std::fs::read(&snap).unwrap() == original,
+        "the snapshot was not restored"
+    );
+    assert_eq!(listing(scratch.path()), ["analysis.snap"]);
     let again_tel = Telemetry::enabled();
     run(&inputs, 1, Some(scratch.path()), &again_tel);
     assert_eq!(again_tel.stats().tu_cache_hits, 3);
     assert_eq!(again_tel.stats().tu_cache_invalidations, 0);
 }
 
+/// Decodes a snapshot image, lets `edit` change it, and seals it again
+/// with a valid checksum: only the checks behind the envelope can
+/// catch what `edit` did.
+fn resealed(image: &[u8], edit: impl FnOnce(&mut AnalysisSnapshot)) -> Vec<u8> {
+    let mut snap = AnalysisSnapshot::decode(image).expect("the snapshot decodes");
+    edit(&mut snap);
+    snap.encode()
+}
+
+/// Makes every module's first free function call a function no module
+/// defines.
+fn call_a_ghost(snap: &mut AnalysisSnapshot) {
+    for module in &mut snap.modules {
+        module.free_fns[0]
+            .summary
+            .as_mut()
+            .expect("a summarized function")
+            .cg_steps
+            .push(SymCgStep::Call(SymFunc::Free("ghost".to_string())));
+    }
+}
+
 #[test]
 fn corrupted_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("corrupt", "corrupt", |i, _| {
-        (0..64u8)
-            .map(|b| b.wrapping_mul(37).wrapping_add(i as u8))
-            .collect()
+    damaged_snapshot_is_recovered("corrupt", "corrupt", |_| {
+        (0..64u8).map(|b| b.wrapping_mul(37)).collect()
     });
 }
 
@@ -289,8 +304,7 @@ fn corrupted_cache_entries_are_discarded_and_recomputed() {
 fn truncated_cache_entries_are_discarded_and_recomputed() {
     let cuts: [fn(usize) -> usize; 3] = [|n| n / 4, |n| n / 2, |n| n - 1];
     for (k, cut) in cuts.into_iter().enumerate() {
-        damaged_entries_are_recovered(&format!("truncate{k}"), "corrupt", |i, entries| {
-            let image = &entries[i].1;
+        damaged_snapshot_is_recovered(&format!("truncate{k}"), "corrupt", |image| {
             image[..cut(image.len())].to_vec()
         });
     }
@@ -298,9 +312,9 @@ fn truncated_cache_entries_are_discarded_and_recomputed() {
 
 #[test]
 fn version_mismatched_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("version", "version_skew", |i, entries| {
+    damaged_snapshot_is_recovered("version", "version_skew", |image| {
         // Bytes 8..12 hold the little-endian format version.
-        let mut image = entries[i].1.clone();
+        let mut image = image.to_vec();
         let version = u32::from_le_bytes(image[8..12].try_into().unwrap());
         image[8..12].copy_from_slice(&(version + 1).to_le_bytes());
         image
@@ -309,39 +323,219 @@ fn version_mismatched_cache_entries_are_discarded_and_recomputed() {
 
 #[test]
 fn bit_flipped_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("bitflip", "corrupt", |i, entries| {
-        let mut image = entries[i].1.clone();
+    damaged_snapshot_is_recovered("bitflip", "corrupt", |image| {
+        let mut image = image.to_vec();
         let mid = 20 + (image.len() - 20) / 2;
         image[mid] ^= 0x08;
         image
     });
 }
 
+/// Each module moved into the next TU's slot: every module is genuine,
+/// but none sits under its own source hash.
 #[test]
 fn entries_copied_under_another_hash_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("copied", "source_hash", |i, entries| {
-        entries[(i + 1) % entries.len()].1.clone()
+    damaged_snapshot_is_recovered("copied", "corrupt", |image| {
+        resealed(image, |snap| snap.modules.rotate_left(1))
     });
 }
 
+/// A resealed snapshot whose modules call a function no module defines
+/// passes every envelope check; `TuModule::validate` must reject it
+/// before the link, which would otherwise panic on the dangling
+/// reference.
 #[test]
-fn resealed_entries_with_dangling_references_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("dangling", "corrupt", |i, entries| {
-        // Decode the real entry, make one free function call a function
-        // no module defines, and seal it again with a valid checksum:
-        // only `TuModule::validate` can catch it.
-        let (hash, image) = &entries[i];
-        let fingerprint = config_fingerprint(Algorithm::Rta);
-        let mut module = decode_entry(image, &fingerprint, *hash).expect("entry decodes");
-        let summary = module.free_fns[0]
-            .summary
-            .as_mut()
-            .expect("a summarized function");
-        summary
-            .cg_steps
-            .push(SymCgStep::Call(SymFunc::Free("ghost".to_string())));
-        encode_entry(&module, &fingerprint)
-    });
+fn resealed_snapshot_with_dangling_references_is_discarded_and_recomputed() {
+    damaged_snapshot_is_recovered("dangling", "corrupt", |image| resealed(image, call_a_ghost));
+}
+
+/// The same resealed snapshot under `ddm serve`: the first `analyze`
+/// must publish an epoch whose report equals the one-shot CLI's.
+#[test]
+fn serve_analyzes_over_a_resealed_snapshot() {
+    let scratch = Scratch::new("serve-dangling");
+    let sources = scratch.path().join("src");
+    let cache = scratch.path().join("cache");
+    std::fs::create_dir_all(&sources).unwrap();
+    let files: Vec<String> = inputs()
+        .iter()
+        .map(|(name, source)| {
+            let file = sources.join(name);
+            std::fs::write(&file, source).unwrap();
+            file.to_string_lossy().into_owned()
+        })
+        .collect();
+    let ddm = || Command::new(env!("CARGO_BIN_EXE_ddm"));
+    let cold = ddm()
+        .args(&files)
+        .arg("--cache-dir")
+        .arg(&cache)
+        .output()
+        .expect("run ddm");
+    assert!(cold.status.success(), "{cold:?}");
+    let snap = cache.join("analysis.snap");
+    std::fs::write(
+        &snap,
+        resealed(&std::fs::read(&snap).unwrap(), call_a_ghost),
+    )
+    .unwrap();
+
+    let mut daemon = ddm()
+        .arg("serve")
+        .arg("--cache-dir")
+        .arg(&cache)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn ddm serve");
+    let mut requests = daemon.stdin.take().unwrap();
+    let mut responses = BufReader::new(daemon.stdout.take().unwrap());
+    let mut round_trip = |request: &str| {
+        writeln!(requests, "{request}").unwrap();
+        requests.flush().unwrap();
+        let mut line = String::new();
+        responses.read_line(&mut line).unwrap();
+        line
+    };
+    let list = files
+        .iter()
+        .map(|f| format!("\"{f}\""))
+        .collect::<Vec<_>>()
+        .join(",");
+    let analyzed = round_trip(&format!("{{\"cmd\":\"analyze\",\"files\":[{list}]}}"));
+    assert!(analyzed.contains("\"ok\":true"), "{analyzed}");
+    assert!(analyzed.contains("\"epoch\":1"), "{analyzed}");
+    let report = round_trip("{\"cmd\":\"report\"}");
+    let output = dead_data_members::telemetry::json::parse(report.trim())
+        .expect("response json")
+        .get("output")
+        .and_then(|v| v.as_str().map(str::to_string))
+        .unwrap_or_else(|| panic!("no report output: {report}"));
+    assert_eq!(output, String::from_utf8(cold.stdout).unwrap());
+    round_trip("{\"cmd\":\"shutdown\"}");
+    drop(requests);
+    assert!(daemon.wait().unwrap().success());
+}
+
+/// Every edit replaces the one file: 200 one-TU edits against one
+/// directory leave `analysis.snap` alone, with each edit hitting the
+/// two TUs it left unchanged.
+#[test]
+fn repeated_edits_leave_one_cache_file() {
+    let scratch = Scratch::new("edits");
+    let mut edited = inputs();
+    run(&edited, 1, Some(scratch.path()), &Telemetry::disabled());
+    for k in 0..200 {
+        let t = k % edited.len();
+        edited[t]
+            .1
+            .push_str(&format!("int pad_{k}() {{ return {k}; }}\n"));
+        let tel = Telemetry::enabled();
+        run(&edited, 1, Some(scratch.path()), &tel);
+        assert_eq!(tel.stats().tu_cache_hits, 2, "edit {k}");
+    }
+    assert_eq!(listing(scratch.path()), ["analysis.snap"]);
+}
+
+/// The snapshot serves modules by source hash, whatever the TU count or
+/// order: adding a TU, removing it again, reversing the TU list and
+/// repeating one TU's text under another name each hit every TU whose
+/// text the last run saw, and each run matches a cacheless one.
+#[test]
+fn tu_lists_that_grow_shrink_or_reorder_hit_every_unchanged_tu() {
+    let scratch = Scratch::new("tu-lists");
+    let base = inputs();
+    run(&base, 1, Some(scratch.path()), &Telemetry::disabled());
+    let mut added = base.clone();
+    added.push((
+        "extra.cpp".to_string(),
+        format!("{HEADER}int spare_area(Shape* s) {{ return s->area(); }}"),
+    ));
+    let reversed: Vec<(String, String)> = base.iter().rev().cloned().collect();
+    let mut repeated = reversed.clone();
+    repeated.push(("geom_copy.cpp".to_string(), base[1].1.clone()));
+    for (label, tus, hits) in [
+        ("added", &added, 3),
+        ("removed", &base, 3),
+        ("reversed", &reversed, 3),
+        ("repeated", &repeated, 4),
+    ] {
+        let tel = Telemetry::enabled();
+        let warm = run(tus, 2, Some(scratch.path()), &tel);
+        let stats = tel.stats();
+        assert_eq!(stats.tu_cache_hits, hits, "{label}");
+        assert_eq!(stats.tus_summarized, tus.len() as u64 - hits, "{label}");
+        let bare_tel = Telemetry::enabled();
+        let bare = run(tus, 2, None, &bare_tel);
+        assert_eq!(
+            artifacts(&warm, &tel),
+            artifacts(&bare, &bare_tel),
+            "{label}"
+        );
+        assert_eq!(listing(scratch.path()), ["analysis.snap"], "{label}");
+    }
+}
+
+/// Link-time options key the fixpoint, not the modules: a run under
+/// `SizeofPolicy::Ignore` after a default run takes every module from
+/// the snapshot but solves the fixpoint afresh, and the next run under
+/// the same policy replays it.
+#[test]
+fn a_link_time_option_keeps_the_modules_and_resolves_the_fixpoint() {
+    let scratch = Scratch::new("sizeof");
+    let inputs = inputs();
+    run(&inputs, 1, Some(scratch.path()), &Telemetry::disabled());
+    let ignore = AnalysisConfig {
+        sizeof_policy: SizeofPolicy::Ignore,
+        ..AnalysisConfig::default()
+    };
+    let bare_tel = Telemetry::enabled();
+    let bare = run_with(&inputs, ignore.clone(), 1, None, &bare_tel).unwrap();
+    for (label, warm_starts) in [("after default", 0), ("after ignore", 1)] {
+        let tel = Telemetry::enabled();
+        let warm = run_with(&inputs, ignore.clone(), 1, Some(scratch.path()), &tel).unwrap();
+        let stats = tel.stats();
+        assert_eq!(stats.tu_cache_hits, 3, "{label}");
+        assert_eq!(stats.tus_summarized, 0, "{label}");
+        assert_eq!(stats.snapshot_warm_starts, warm_starts, "{label}");
+        assert_eq!(stats.snapshot_reused_fns > 0, warm_starts > 0, "{label}");
+        assert_eq!(
+            artifacts(&warm, &tel),
+            artifacts(&bare, &bare_tel),
+            "{label}"
+        );
+    }
+}
+
+/// A run that fails at link publishes nothing: the previous snapshot
+/// stays byte for byte.
+#[test]
+fn a_run_that_fails_at_link_leaves_the_snapshot_untouched() {
+    let scratch = Scratch::new("link-error");
+    let inputs = inputs();
+    run(&inputs, 1, Some(scratch.path()), &Telemetry::disabled());
+    let snap = scratch.path().join("analysis.snap");
+    let before = std::fs::read(&snap).unwrap();
+    let mut conflicting = inputs.clone();
+    conflicting.push((
+        "rival.cpp".to_string(),
+        format!("{HEADER}int classify(Shape* s) {{ return 7; }}"),
+    ));
+    let err = run_with(
+        &conflicting,
+        AnalysisConfig::default(),
+        1,
+        Some(scratch.path()),
+        &Telemetry::disabled(),
+    )
+    .err()
+    .expect("conflicting definitions must fail to link");
+    assert!(matches!(err, ProjectError::Link(_)), "{err}");
+    assert!(
+        std::fs::read(&snap).unwrap() == before,
+        "a failed run rewrote the snapshot"
+    );
+    assert_eq!(listing(scratch.path()), ["analysis.snap"]);
 }
 
 #[test]
@@ -377,8 +571,8 @@ fn one_process_lists_a_cache_directory_once_per_sweep_gate() {
     let inputs = inputs();
     run(&inputs, 1, Some(scratch.path()), &Telemetry::disabled());
 
-    let temp = scratch.path().join("tu-deadbeefdeadbeef.bin.tmp.99999");
-    std::fs::write(&temp, b"DDMTU\0\0\0half-written").expect("plant a temp");
+    let temp = scratch.path().join("analysis.snap.tmp.99999");
+    std::fs::write(&temp, b"DDMSNAP\0half-written").expect("plant a temp");
     std::fs::File::options()
         .write(true)
         .open(&temp)

@@ -337,6 +337,12 @@ fn serve_responses_are_byte_identical_to_oneshot_runs_across_epochs() {
         assert!(unknown.contains("\"error\":\"not_found\""), "{unknown}");
         let nonsense = daemon.round_trip("{\"cmd\":\"frobnicate\"}");
         assert!(nonsense.contains("\"error\":\"bad_request\""), "{nonsense}");
+        let float = daemon.round_trip("{\"cmd\":\"notify\",\"changed\":[],\"wait\":1.5}");
+        assert!(float.contains("\"error\":\"bad_request\""), "{float}");
+        assert!(
+            float.contains("non-integer number at byte 36 (request numbers are integers)"),
+            "{float}"
+        );
 
         daemon.shutdown();
     }

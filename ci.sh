@@ -39,20 +39,30 @@ echo "== flight recorder: det-class byte-identity + zero-alloc when off =="
 cargo test --release --test flight_recorder
 cargo test --release --test recorder_zero_alloc
 # CLI surface: on a multi-TU project the deterministic event stream and
-# the metrics document must be byte-identical across `--jobs`, and both
-# outputs must pass the in-tree JSON validator (bench_report --validate
-# FILE...).
+# the metrics document must be byte-identical across `--jobs`, the
+# --stats-json document must hold the metrics document's entries (one
+# store, two views), and every output must pass the in-tree JSON
+# validator (bench_report --validate FILE...).
 cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
     --jobs 1 --log-out /tmp/ddm_ci_j1.ndjson --log-filter det \
-    --metrics-out /tmp/ddm_ci_j1_metrics.json > /dev/null
+    --metrics-out /tmp/ddm_ci_j1_metrics.json \
+    --stats-json /tmp/ddm_ci_j1_stats.json > /dev/null
 cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
     --jobs 8 --log-out /tmp/ddm_ci_j8.ndjson --log-filter det \
     --metrics-out /tmp/ddm_ci_j8_metrics.json > /dev/null
 cmp /tmp/ddm_ci_j1.ndjson /tmp/ddm_ci_j8.ndjson
 cmp /tmp/ddm_ci_j1_metrics.json /tmp/ddm_ci_j8_metrics.json
+python3 - /tmp/ddm_ci_j1_stats.json /tmp/ddm_ci_j1_metrics.json <<'PY'
+import json, sys
+stats, metrics = (json.load(open(path)) for path in sys.argv[1:])
+assert stats["schema"] == "ddm-stats/3", stats["schema"]
+assert metrics["schema"] == "ddm-metrics/2", metrics["schema"]
+assert metrics["metrics"], "empty metrics document"
+assert stats["metrics"] == metrics["metrics"], "--stats-json and --metrics-out disagree"
+PY
 cargo run --release -p ddm-bench --bin bench_report -- --validate \
-    /tmp/ddm_ci_j1.ndjson /tmp/ddm_ci_j1_metrics.json
-rm -f /tmp/ddm_ci_j1.ndjson /tmp/ddm_ci_j8.ndjson \
+    /tmp/ddm_ci_j1.ndjson /tmp/ddm_ci_j1_metrics.json /tmp/ddm_ci_j1_stats.json
+rm -f /tmp/ddm_ci_j1.ndjson /tmp/ddm_ci_j8.ndjson /tmp/ddm_ci_j1_stats.json \
     /tmp/ddm_ci_j1_metrics.json /tmp/ddm_ci_j8_metrics.json
 
 echo "== telemetry: chrome trace export (--jobs 8, one worker-lane span per TU) =="
@@ -121,8 +131,8 @@ cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
     > /tmp/ddm_ci_warm.out 2> /tmp/ddm_ci_warm.err
 cmp /tmp/ddm_ci_cold.out /tmp/ddm_ci_warm.out
 # The warm run must hit the cache for every TU and summarize none.
-grep -Eq 'tus_summarized +0$' /tmp/ddm_ci_warm.err
-grep -Eq 'tu_cache_hits +3$' /tmp/ddm_ci_warm.err
+grep -Eq '^frontend/tus +0$' /tmp/ddm_ci_warm.err
+grep -Eq '^cache/hits +3$' /tmp/ddm_ci_warm.err
 # The flight recorder must log the same story: one tu_cache_hit probe
 # event per TU, and no miss. (`set -e` ignores a command negated with
 # `!`, so absence is checked as a count of 0.)
@@ -136,7 +146,7 @@ cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
     --cache-dir /tmp/ddm_ci_cache --stats \
     > /tmp/ddm_ci_again.out 2> /tmp/ddm_ci_again.err
 cmp /tmp/ddm_ci_cold.out /tmp/ddm_ci_again.out
-grep -Eq 'tus_summarized +3$' /tmp/ddm_ci_again.err
+grep -Eq '^frontend/tus +3$' /tmp/ddm_ci_again.err
 rm -rf /tmp/ddm_ci_cache /tmp/ddm_ci_cold.out /tmp/ddm_ci_cold.err \
     /tmp/ddm_ci_warm.out /tmp/ddm_ci_warm.err /tmp/ddm_ci_warm.ndjson \
     /tmp/ddm_ci_again.out /tmp/ddm_ci_again.err
@@ -212,7 +222,7 @@ cargo run --release --bin ddm -- "$share_src"/*.cpp --cache-dir "$share_tmp/cach
 cargo run --release --bin ddm -- "$share_src"/*.cpp --cache-dir "$share_tmp/cache" \
     --stats > "$share_tmp/warm.out" 2> "$share_tmp/warm.err"
 cmp "$share_tmp/out1" "$share_tmp/warm.out"
-grep -Eq 'tu_cache_invalidations +0$' "$share_tmp/warm.err"
+grep -Eq '^cache/invalidations +0$' "$share_tmp/warm.err"
 rm -rf "$share_src" "$share_tmp"
 
 echo "== differential fuzz: capped sweep + shrinker =="

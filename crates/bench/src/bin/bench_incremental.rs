@@ -18,7 +18,7 @@
 //! Warm runs must also produce the byte-identical report to a cold run —
 //! the cache may only change wall-clock, never output. A per-phase
 //! breakdown (front end / link / call graph / liveness) of a warm
-//! 1-changed run is captured from the pipeline's phase timers.
+//! 1-changed run is summed from the pipeline's phase spans.
 //!
 //! ```text
 //! bench_incremental [--json] [--samples N] [--smoke]
@@ -34,7 +34,7 @@
 use ddm_bench::{host_meta_json, timing};
 use ddm_callgraph::Algorithm;
 use ddm_core::{AnalysisConfig, Engine, ProjectPipeline};
-use ddm_telemetry::Telemetry;
+use ddm_telemetry::{Telemetry, LANE_MAIN};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -56,13 +56,40 @@ struct ProjectConfig {
     fns_per_tu: usize,
 }
 
-/// One warm 1-changed run's per-phase wall-clock, from the pipeline's
-/// phase timers.
+/// One warm 1-changed run's per-phase wall-clock, summed from the
+/// pipeline's lane-0 spans.
+#[derive(Default)]
 struct PhaseBreakdown {
     frontend_ns: u64,
     link_ns: u64,
     callgraph_ns: u64,
     liveness_ns: u64,
+}
+
+impl PhaseBreakdown {
+    /// Sums the spans that time each phase: the cache probe and the
+    /// per-TU front end, the link, the call graph, and the liveness scan
+    /// (a solved scan with its union post-pass, or the replay from the
+    /// snapshot). Spans nested inside them are not counted again.
+    fn of(telemetry: &Telemetry) -> PhaseBreakdown {
+        let mut phases = PhaseBreakdown::default();
+        for span in telemetry.spans().iter().filter(|s| s.lane == LANE_MAIN) {
+            let name = span.name.as_str();
+            let phase = if name.starts_with("cache probe") || name.starts_with("tu front end") {
+                &mut phases.frontend_ns
+            } else if name.starts_with("link (") {
+                &mut phases.link_ns
+            } else if name == "callgraph" {
+                &mut phases.callgraph_ns
+            } else if name.starts_with("liveness ") || name == "union post-pass" {
+                &mut phases.liveness_ns
+            } else {
+                continue;
+            };
+            *phase += span.dur_ns;
+        }
+        phases
+    }
 }
 
 struct SizeResult {
@@ -218,12 +245,15 @@ fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeRes
     // the cold report byte for byte.
     let cold_tel = Telemetry::enabled();
     let cold_report = run(&inputs, &cache, &cold_tel).report().to_string();
-    assert_eq!(cold_tel.stats().tus_summarized, inputs.len() as u64);
+    assert_eq!(cold_tel.counter("frontend/tus"), inputs.len() as u64);
     let warm_tel = Telemetry::enabled();
     let warm_report = run(&inputs, &cache, &warm_tel).report().to_string();
-    let warm_stats = warm_tel.stats();
-    assert_eq!(warm_stats.tus_summarized, 0, "{name}: warm run re-summarized");
-    assert_eq!(warm_stats.tu_cache_hits, inputs.len() as u64);
+    assert_eq!(
+        warm_tel.counter("frontend/tus"),
+        0,
+        "{name}: warm run re-summarized"
+    );
+    assert_eq!(warm_tel.counter("cache/hits"), inputs.len() as u64);
     assert_eq!(warm_report, cold_report, "{name}: warm report drifted");
     let functions = {
         let p = run(&inputs, &cache, &Telemetry::disabled());
@@ -261,12 +291,12 @@ fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeRes
         edition += 1;
         let tel = Telemetry::enabled();
         run(&edit_k(edition, k), &cache, &tel);
-        let stats = tel.stats();
         assert_eq!(
-            stats.tu_cache_misses, k as u64,
+            tel.counter("frontend/tus"),
+            k as u64,
             "{name}: expected exactly {k} misses"
         );
-        assert_eq!(stats.tu_cache_hits, (inputs.len() - k) as u64);
+        assert_eq!(tel.counter("cache/hits"), (inputs.len() - k) as u64);
     }
 
     // One round runs cold (the cache emptied first), warm (over the
@@ -304,13 +334,7 @@ fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeRes
         edition += 1;
         let tel = Telemetry::enabled();
         run(&edit_k(edition, 1), &cache, &tel);
-        let stats = tel.stats();
-        PhaseBreakdown {
-            frontend_ns: stats.frontend_ns,
-            link_ns: stats.link_ns,
-            callgraph_ns: stats.callgraph_ns,
-            liveness_ns: stats.liveness_ns,
-        }
+        PhaseBreakdown::of(&tel)
     };
 
     let _ = std::fs::remove_dir_all(&cache);

@@ -44,7 +44,9 @@
 //! depth exponent above [`SMOKE_DEPTH_EXPONENT_CEILING`] — the CI gates.
 //! The `n` and `cxm` axes are measured, never gated. Every size and
 //! every axis point is timed as the minimum over at least
-//! [`LAYER_MIN_SAMPLES`] interleaved samples.
+//! [`LAYER_MIN_SAMPLES`] interleaved samples; each ladder size is timed
+//! right after an untimed run of itself, never right after a bigger
+//! size.
 
 use ddm_bench::{host_meta_json, timing::interleaved_min};
 use ddm_benchmarks::generator::{
@@ -112,7 +114,9 @@ fn sizes(smoke: bool) -> Vec<(&'static str, ScaleConfig)> {
 }
 
 /// Times the call graph of each ladder size, the sizes interleaved (see
-/// [`interleaved_min`]), and captures its worklist telemetry once.
+/// [`interleaved_min`]), and captures its worklist schedule once. Each
+/// size is timed right after an untimed run of the same size, so no
+/// size is measured in the wake of a bigger one.
 fn measure_ladder(sizes: Vec<(&'static str, ScaleConfig)>, samples: usize) -> Vec<SizeResult> {
     let programs: Vec<Program> = sizes
         .iter()
@@ -125,33 +129,30 @@ fn measure_ladder(sizes: Vec<(&'static str, ScaleConfig)>, samples: usize) -> Ve
         })
         .collect();
     let options = CallGraphOptions::default();
-    let build = |program: &Program, telemetry: &Telemetry| {
-        let summary = ProgramSummary::build(program, false, 1);
-        CallGraph::build_from_summary_schedule(program, &summary, &options, telemetry).unwrap()
-    };
     let quiet = Telemetry::disabled();
-    let times = interleaved_min(programs.len(), samples.max(LAYER_MIN_SAMPLES), |i| {
-        build(&programs[i], &quiet)
+    let build = |program: &Program| {
+        let summary = ProgramSummary::build(program, false, 1);
+        CallGraph::build_from_summary_schedule(program, &summary, &options, &quiet).unwrap()
+    };
+    // Case 2i warms size i up; case 2i + 1 times it.
+    let times = interleaved_min(2 * programs.len(), samples.max(LAYER_MIN_SAMPLES), |case| {
+        build(&programs[case / 2])
     });
     sizes
         .into_iter()
         .zip(&programs)
-        .zip(times)
+        .zip(times.into_iter().skip(1).step_by(2))
         .map(|(((name, config), program), callgraph)| {
-            // Deterministic worklist telemetry, captured once.
-            let telemetry = Telemetry::enabled();
-            build(program, &telemetry);
-            let counters = telemetry.counters();
-            let stats = telemetry.stats();
+            let (_, schedule) = build(program);
             SizeResult {
                 name,
                 config,
                 functions: program.function_count(),
                 callgraph,
-                rounds: stats.callgraph_rounds,
-                worklist_pops: counters.cg_worklist_pops,
-                ready_drains: counters.cg_ready_drains,
-                deltas: stats.cg_round_deltas,
+                rounds: schedule.rounds.len() as u64,
+                worklist_pops: schedule.pops,
+                ready_drains: schedule.drains,
+                deltas: schedule.rounds.iter().map(|r| r.delta_fns).collect(),
             }
         })
         .collect()

@@ -176,9 +176,10 @@ impl CallGraph {
     ///
     /// With an enabled `telemetry`, each delta batch is spanned; once the
     /// graph is frozen, [`replay_schedule`] emits the schedule — per-round
-    /// delta sizes and the round count in the execution stats, worklist
-    /// pops/drains in the deterministic counters, the `cg_round` and
-    /// `cg_fixpoint` events. The schedule is captured either way.
+    /// delta sizes in the `callgraph/round_delta_fns` histogram (its
+    /// count is the round count), worklist pops/drains in the
+    /// deterministic counters, the `cg_round` and `cg_fixpoint` events.
+    /// The schedule is captured either way.
     ///
     /// # Errors
     ///
@@ -926,8 +927,8 @@ fn replay_summary(st: &mut PropState<'_>, caller: Option<FuncId>, summary: &FnSu
 }
 
 /// Emits a converged run's telemetry — the deterministic `cg_round` /
-/// `cg_fixpoint` events, the counters, the metrics, and the execution
-/// stats — from `graph` and its `schedule`. It is the one emitter:
+/// `cg_fixpoint` events, the counters, and the metrics — from `graph`
+/// and its `schedule`. It is the one emitter:
 /// [`CallGraph::build_from_summary_schedule`] calls it once the fixpoint
 /// converges, and a snapshot warm start that reuses a stored graph calls
 /// it instead of re-running the fixpoint, so the deterministic event
@@ -937,7 +938,6 @@ pub fn replay_schedule(graph: &CallGraph, schedule: &CgSchedule, telemetry: &Tel
     // cache states (the invariant the deterministic counters are under),
     // so the round and fixpoint events are det class.
     for (round, r) in schedule.rounds.iter().enumerate() {
-        telemetry.update_stats(|s| s.cg_round_deltas.push(r.delta_fns));
         telemetry.metrics(|m| m.hist_record("callgraph/round_delta_fns", r.delta_fns));
         telemetry.event(EventClass::Deterministic, "cg_round", || {
             vec![
@@ -948,13 +948,6 @@ pub fn replay_schedule(graph: &CallGraph, schedule: &CgSchedule, telemetry: &Tel
             ]
         });
     }
-    telemetry.update_stats(|s| {
-        s.callgraph_rounds = schedule.rounds.len() as u64;
-        s.worklist_pushes += schedule.parked;
-        s.cg_interned_symbols = schedule.interned_symbols;
-        s.cg_arena_bytes = schedule.arena_bytes;
-        s.summary_replays += schedule.replays;
-    });
     telemetry.add_counters(&Counters {
         cg_worklist_pops: schedule.pops,
         cg_ready_drains: schedule.drains,
@@ -972,9 +965,14 @@ pub fn replay_schedule(graph: &CallGraph, schedule: &CgSchedule, telemetry: &Tel
         ]
     });
     telemetry.metrics(|m| {
-        m.counter_add("callgraph/worklist_pops", schedule.pops);
-        m.counter_add("callgraph/ready_drains", schedule.drains);
         m.hist_merge("callgraph/dispatch_candidates", &schedule.dispatch_candidates);
+        m.counter_add("callgraph/worklist_pushes", schedule.parked);
+        m.gauge_set(
+            "callgraph/interned_symbols",
+            schedule.interned_symbols as i64,
+        );
+        m.gauge_set("callgraph/arena_bytes", schedule.arena_bytes as i64);
+        m.counter_add("summary/replays", schedule.replays);
     });
 }
 
@@ -1344,7 +1342,6 @@ mod tests {
         replay_schedule(&reused, &schedule, &replay_tel);
 
         assert_eq!(fresh_tel.counters(), replay_tel.counters());
-        assert_eq!(fresh_tel.stats(), replay_tel.stats());
         assert_eq!(fresh_tel.metrics_snapshot(), replay_tel.metrics_snapshot());
         assert_eq!(
             fresh_tel.events_ndjson(Some(ddm_telemetry::EventClass::Deterministic)),

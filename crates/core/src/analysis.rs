@@ -26,7 +26,6 @@ use ddm_hierarchy::{
 };
 use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// How uses of `sizeof` are treated (§3.2).
 ///
@@ -160,10 +159,7 @@ impl<'p> DeadMemberAnalysis<'p> {
             replays += 1;
         }
         drop(scan_span);
-        telemetry.update_stats(|s| {
-            s.scan_rounds += 1;
-            s.summary_replays += replays;
-        });
+        telemetry.metrics(|m| m.counter_add("summary/replays", replays));
 
         let union_span = telemetry.span(LANE_MAIN, || "union post-pass".into());
         marker.counters.markall_classes_expanded = marker.visited.count() as u64;
@@ -192,8 +188,8 @@ pub(crate) struct Solved {
 /// The solve stage the pipeline runs after link: the call graph over
 /// `summary` (with `config`'s library classes as callback roots), the
 /// liveness scan, the used classes, and the classification counters
-/// and event. The wall time of the call graph and of the scan
-/// lands in the execution stats.
+/// and event. The call graph and the scan each run under their own
+/// span, which times them.
 ///
 /// With `stored` — a snapshot whose fixpoint the caller proved
 /// unaffected by the edit — the call graph and the scan are replayed
@@ -222,19 +218,11 @@ pub(crate) fn solve(
     let (callgraph, schedule, liveness, scan_counters) = match replay {
         Some(fixpoint) => fixpoint,
         None => {
-            let cg_start = Instant::now();
             let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
             let (callgraph, schedule) =
                 CallGraph::build_from_summary_schedule(program, summary, &cg_options, telemetry)?;
             drop(cg_span);
-            let callgraph_ns = cg_start.elapsed().as_nanos() as u64;
-            let live_start = Instant::now();
             let (liveness, counters) = analysis.run_summary_counted(summary, &callgraph, telemetry)?;
-            let liveness_ns = live_start.elapsed().as_nanos() as u64;
-            telemetry.update_stats(|s| {
-                s.callgraph_ns += callgraph_ns;
-                s.liveness_ns += liveness_ns;
-            });
             (callgraph, schedule, liveness, counters)
         }
     };
@@ -254,8 +242,8 @@ pub(crate) fn solve(
         );
         // The interner digests the whole program — unreachable and
         // freshly added functions included — so its size may
-        // legitimately drift under a gate-passing edit. It feeds exec
-        // stats only, never the deterministic stream.
+        // legitimately drift under a gate-passing edit. It feeds the
+        // metrics registry only, never the deterministic stream.
         fresh_schedule.interned_symbols = schedule.interned_symbols;
         fresh_schedule.arena_bytes = schedule.arena_bytes;
         debug_assert_eq!(
@@ -326,7 +314,6 @@ fn replay_fixpoint(
     snap: &AnalysisSnapshot,
     telemetry: &Telemetry,
 ) -> Option<(CallGraph, CgSchedule, Liveness, Counters)> {
-    let cg_start = Instant::now();
     let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
     let graph = CallGraph::from_parts(
         snap.callgraph.clone(),
@@ -345,22 +332,17 @@ fn replay_fixpoint(
     };
     replay_schedule(&callgraph, &snap.schedule, telemetry);
     drop(cg_span);
-    let callgraph_ns = cg_start.elapsed().as_nanos() as u64;
 
-    let live_start = Instant::now();
+    let live_span = telemetry.span(LANE_MAIN, || "liveness from snapshot".to_string());
     let liveness = Liveness::from_parts(&snap.liveness, Some(summary.member_index().clone()));
     let counters = snap.liveness_counters;
-    telemetry.update_stats(|s| {
-        s.scan_rounds += 1;
-        s.summary_replays += 1 + callgraph.reachable_count() as u64;
-    });
+    // The scan a fresh solve would run replays the globals and each
+    // reachable function once.
+    let replays = 1 + callgraph.reachable_count() as u64;
+    telemetry.metrics(|m| m.counter_add("summary/replays", replays));
     emit_liveness_events(telemetry, &counters);
     telemetry.add_counters(&counters);
-    let liveness_ns = live_start.elapsed().as_nanos() as u64;
-    telemetry.update_stats(|s| {
-        s.callgraph_ns += callgraph_ns;
-        s.liveness_ns += liveness_ns;
-    });
+    drop(live_span);
     Some((callgraph, snap.schedule.clone(), liveness, counters))
 }
 
@@ -377,14 +359,6 @@ fn emit_classification_event(telemetry: &Telemetry, tail: &Counters) {
             ("dead", tail.members_dead.into()),
             ("unclassifiable", tail.members_unclassifiable.into()),
         ]
-    });
-    telemetry.metrics(|m| {
-        m.gauge_set("classify/members_live", tail.members_live as i64);
-        m.gauge_set("classify/members_dead", tail.members_dead as i64);
-        m.gauge_set(
-            "classify/members_unclassifiable",
-            tail.members_unclassifiable as i64,
-        );
     });
 }
 
@@ -407,15 +381,6 @@ fn emit_liveness_events(telemetry: &Telemetry, counters: &Counters) {
             ("rounds", counters.union_rounds.into()),
             ("classes_livened", counters.union_classes_livened.into()),
         ]
-    });
-    telemetry.metrics(|m| {
-        m.counter_add("liveness/scan_reads", counters.scan_reads);
-        m.counter_add("liveness/markall_triggers", counters.markall_triggers);
-        m.hist_record("liveness/union_rounds", counters.union_rounds);
-        m.hist_record(
-            "liveness/union_classes_livened",
-            counters.union_classes_livened,
-        );
     });
 }
 

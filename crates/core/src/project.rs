@@ -32,8 +32,8 @@ use crate::snapshot::{
 use ddm_callgraph::{Algorithm, CallGraph};
 use ddm_cppfront::{DeclMemo, SourceMap, SourceSet};
 use ddm_hierarchy::{
-    body_walk_count, fnv1a64_each, hash_hex, link_delta_ref, link_with, ClassId, FuncId, LinkDelta,
-    LinkError, LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
+    fnv1a64_each, hash_hex, link_delta_ref, link_with, ClassId, FuncId, LinkDelta, LinkError,
+    LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
 };
 use ddm_telemetry::{EventClass, Telemetry, LANE_MAIN};
 use std::collections::{HashMap, HashSet};
@@ -42,7 +42,6 @@ use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Any error a project run can produce.
 #[derive(Debug)]
@@ -251,6 +250,7 @@ pub fn front_end(
 
     telemetry.metrics(|m| {
         let (decls, shared) = memo.decl_counts();
+        m.counter_add("frontend/tus", todo.len() as u64);
         m.counter_add("frontend/decls", decls);
         m.counter_add("frontend/decls_shared", shared);
     });
@@ -362,12 +362,10 @@ impl ProjectPipeline {
         telemetry: &Telemetry,
         epoch: u64,
     ) -> Result<Arc<EpochSnapshot>, ProjectError> {
-        let walks_before = body_walk_count();
         let n = inputs.len();
 
         // --- Cache probe: content-hash every input and take each TU's
         // module from the snapshot by hash, wherever it sits there. ---
-        let frontend_start = Instant::now();
         let snap_fingerprint = snapshot_fingerprint(&config, algorithm);
         let mut invalidations = 0u64;
         let mut snapshot: Option<AnalysisSnapshot> = None;
@@ -465,19 +463,9 @@ impl ProjectPipeline {
             modules.push(module);
         }
         drop(probe);
-        let misses = n as u64 - hits;
         if cache.is_some() {
-            telemetry.event(EventClass::Observational, "cache_probe_done", || {
-                vec![
-                    ("tus", n.into()),
-                    ("hits", hits.into()),
-                    ("misses", misses.into()),
-                    ("invalidated", invalidations.into()),
-                ]
-            });
             telemetry.metrics(|m| {
                 m.counter_add("cache/hits", hits);
-                m.counter_add("cache/misses", misses);
                 m.counter_add("cache/invalidations", invalidations);
             });
         }
@@ -510,7 +498,6 @@ impl ProjectPipeline {
         // changed TU's previous side is the module left behind in
         // `snap_modules`. The delta drives the fixpoint-reuse gate
         // below. ---
-        let frontend_ns = frontend_start.elapsed().as_nanos() as u64;
         let delta: Option<LinkDelta> = snapshot.as_ref().map(|_| {
             let previous: Vec<&TuModule> = snap_modules
                 .iter()
@@ -542,11 +529,9 @@ impl ProjectPipeline {
         }
 
         // --- Link. ---
-        let link_start = Instant::now();
         let link_span = telemetry.span(LANE_MAIN, || format!("link ({} TUs)", modules.len()));
         let linked = link_with(&modules, &parsed, telemetry).map_err(ProjectError::Link)?;
         drop(link_span);
-        let link_ns = link_start.elapsed().as_nanos() as u64;
 
         #[cfg(debug_assertions)]
         if hits == 0 {
@@ -612,28 +597,19 @@ impl ProjectPipeline {
         } = solve(program, linked.summary(), &config, algorithm, stored, telemetry)
             .map_err(attribute)?;
 
-        let snapshot_warm = u64::from(snapshot.is_some());
-        let reused_fns = if replayed {
-            callgraph.reachable_count() as u64
-        } else {
-            0
-        };
-        let frontier_fns = delta.as_ref().map_or(0, |d| d.frontier_len() as u64);
-        telemetry.update_stats(|s| {
-            s.jobs = jobs as u64;
-            s.bodies_walked += body_walk_count() - walks_before;
-            s.tu_modules = inputs.len() as u64;
-            s.tu_cache_hits = hits;
-            s.tu_cache_misses = misses;
-            s.tu_cache_invalidations = invalidations;
-            s.tus_parsed = todo.len() as u64;
-            s.tus_summarized = todo.len() as u64;
-            s.frontend_ns += frontend_ns;
-            s.link_ns += link_ns;
-            s.snapshot_warm_starts += snapshot_warm;
-            s.snapshot_reused_fns += reused_fns;
-            s.snapshot_frontier_fns += frontier_fns;
-        });
+        if cache.is_some() {
+            telemetry.metrics(|m| {
+                m.counter_add("snapshot/warm_starts", u64::from(snapshot.is_some()));
+                let reused = if replayed {
+                    callgraph.reachable_count()
+                } else {
+                    0
+                };
+                m.counter_add("snapshot/reused_fns", reused as u64);
+                let frontier = delta.as_ref().map_or(0, LinkDelta::frontier_len);
+                m.counter_add("snapshot/frontier_fns", frontier as u64);
+            });
+        }
         // --- Snapshot write-back (best-effort, atomic). Skipped when
         // nothing changed and the fixpoint was replayed: the published
         // snapshot is already byte-identical to what we would write. ---
@@ -858,9 +834,8 @@ public:
             &cold_tel,
         )
         .unwrap();
-        let cold_stats = cold_tel.stats();
-        assert_eq!(cold_stats.tu_cache_hits, 0);
-        assert_eq!(cold_stats.tus_summarized, 2);
+        assert_eq!(cold_tel.counter("cache/hits"), 0);
+        assert_eq!(cold_tel.counter("frontend/tus"), 2);
 
         let warm_tel = Telemetry::enabled();
         let warm = ProjectPipeline::run(
@@ -873,10 +848,8 @@ public:
             &warm_tel,
         )
         .unwrap();
-        let warm_stats = warm_tel.stats();
-        assert_eq!(warm_stats.tu_cache_hits, 2);
-        assert_eq!(warm_stats.tus_parsed, 0);
-        assert_eq!(warm_stats.tus_summarized, 0);
+        assert_eq!(warm_tel.counter("cache/hits"), 2);
+        assert_eq!(warm_tel.counter("frontend/tus"), 0);
 
         assert_eq!(warm.report().to_string(), cold.report().to_string());
         assert_eq!(

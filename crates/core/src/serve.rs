@@ -198,7 +198,7 @@ fn run_build(opts: &ServeOptions, files: &[String], shared: &Shared) -> Result<u
     if inputs.iter().any(|(_, source)| source.contains(tests::PANIC_MARKER)) {
         panic!("source contains {}", tests::PANIC_MARKER);
     }
-    let telemetry = Telemetry::configured(opts.log_out.is_some(), false);
+    let telemetry = Telemetry::configured(opts.log_out.is_some());
     let epoch = shared.epoch.load(Ordering::SeqCst) + 1;
     let started = Instant::now();
     let snap = ProjectPipeline::run_epoch(
@@ -215,13 +215,12 @@ fn run_build(opts: &ServeOptions, files: &[String], shared: &Shared) -> Result<u
     telemetry.event(EventClass::Observational, "epoch_published", || {
         vec![("epoch", epoch.into()), ("build_ns", build_ns.into())]
     });
-    // Drain before reading the stats so any drop count this epoch
-    // produced is already folded into `events_dropped`.
+    // Drain before reading the registry so any drop count this epoch
+    // produced is already folded into `events/dropped`.
     let drained = opts
         .log_out
         .as_ref()
         .map(|_| telemetry.drain_events_ndjson(opts.log_filter));
-    let stats = telemetry.stats();
     if let (Some(path), Some(payload)) = (&opts.log_out, drained) {
         let appended = std::fs::OpenOptions::new()
             .append(true)
@@ -236,8 +235,8 @@ fn run_build(opts: &ServeOptions, files: &[String], shared: &Shared) -> Result<u
     shared.epoch.store(epoch, Ordering::SeqCst);
     let mut info = shared.last_build.lock().expect("build info poisoned");
     info.build_ns = build_ns;
-    info.snapshot_warm_starts = stats.snapshot_warm_starts;
-    info.events_dropped += stats.events_dropped;
+    info.snapshot_warm_starts = telemetry.counter("snapshot/warm_starts");
+    info.events_dropped += telemetry.counter("events/dropped");
     info.error = None;
     Ok(epoch)
 }

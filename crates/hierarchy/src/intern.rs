@@ -84,7 +84,7 @@ impl Interner {
     }
 
     /// Bytes of string data held by the arena (excluding map overhead);
-    /// reported as `cg_arena_bytes` in `--stats`.
+    /// reported as the `callgraph/arena_bytes` metric.
     pub fn arena_bytes(&self) -> usize {
         self.strings.iter().map(|s| s.len()).sum()
     }

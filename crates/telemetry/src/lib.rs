@@ -8,11 +8,14 @@
 //!   expansions fired, how many union-fixpoint rounds ran. They are
 //!   bit-identical across `--jobs 1..N` and across cache states, so
 //!   tests can assert them.
-//! * **Timing spans** ([`SpanRecord`]) and **execution stats**
-//!   ([`ExecStats`]) are observational — wall-clock phase timings, the
-//!   per-TU front end's worker lanes, round counts, cache hits. They
-//!   describe *how* a particular run executed and are never asserted for
-//!   equality across configurations.
+//! * **Timing spans** ([`SpanRecord`]) and the **metrics registry**
+//!   ([`MetricsRegistry`]) are observational — wall-clock phase timings,
+//!   the per-TU front end's worker lanes, cache hits, TUs parsed,
+//!   snapshot reuse. They describe *how* a particular run executed. The
+//!   registry is the one store of these statistics: each fact is
+//!   recorded there once (or is the span that times it), and `--stats`,
+//!   `--stats-json`, `--metrics-out` and the serve `epoch` reply are
+//!   views of it. No registry entry copies a [`Counters`] field.
 //!
 //! A [`Telemetry`] handle is threaded through the pipeline by reference.
 //! The disabled handle ([`Telemetry::disabled`]) holds no state at all:
@@ -157,98 +160,19 @@ impl Counters {
     }
 }
 
-/// Observational execution shape: how *this* run happened to execute.
-/// Varies with `--jobs`, the cache state, and scheduling; never asserted
-/// for cross-configuration equality.
+/// The three cache facts of one run that the repository benchmark
+/// (`perfbench/`) reads, filled from the metrics registry by
+/// [`Telemetry::stats`]. Kept for perfbench only: every other reader
+/// reads the registry.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Requested front-end worker count.
-    pub jobs: u64,
-    /// Function/global bodies traversed (AST walks).
-    pub bodies_walked: u64,
-    /// `FnSummary` replays (call-graph construction + liveness scan).
-    pub summary_replays: u64,
-    /// Call-graph fixpoint rounds.
-    pub callgraph_rounds: u64,
-    /// Liveness scan rounds (one per scan).
-    pub scan_rounds: u64,
-    /// Pending-dispatch worklist registrations in the summary call-graph
-    /// builder.
-    pub worklist_pushes: u64,
-    /// Translation units in the project.
-    pub tu_modules: u64,
-    /// Per-TU summary modules served from the persistent cache.
+    /// TU modules served from the cache (`cache/hits`).
     pub tu_cache_hits: u64,
-    /// TUs the cache did not serve (recomputed).
+    /// TUs the front end ran (`frontend/tus`).
     pub tu_cache_misses: u64,
-    /// TUs whose cached module went with a rejected snapshot (corrupt,
-    /// version-mismatched or fingerprint-mismatched; a subset of the misses).
-    pub tu_cache_invalidations: u64,
-    /// TUs actually parsed this run.
-    pub tus_parsed: u64,
-    /// TUs actually summarized (walked) this run.
-    pub tus_summarized: u64,
-    /// Bytes held by the call-graph symbol interner's string arena.
-    pub cg_arena_bytes: u64,
-    /// Distinct function-name symbols interned for dispatch caching.
-    pub cg_interned_symbols: u64,
-    /// Front-end wall time (hashing, cache probe, parsing, summarizing)
-    /// in nanoseconds.
-    pub frontend_ns: u64,
-    /// Link phase wall time in nanoseconds.
-    pub link_ns: u64,
-    /// Call-graph phase wall time in nanoseconds (a replayed fixpoint's
-    /// replay time on a snapshot warm start).
-    pub callgraph_ns: u64,
-    /// Liveness phase wall time in nanoseconds (likewise).
-    pub liveness_ns: u64,
-    /// Runs whose persisted snapshot could serve the fixpoint (0 or 1).
-    pub snapshot_warm_starts: u64,
-    /// Reachable functions whose converged fixpoint facts were reused
-    /// from the snapshot instead of replayed.
+    /// Reachable functions whose fixpoint facts a snapshot warm start
+    /// reused (`snapshot/reused_fns`).
     pub snapshot_reused_fns: u64,
-    /// Size of the invalidation frontier the snapshot warm start
-    /// computed from the link delta (added + removed + changed
-    /// functions across changed TUs).
-    pub snapshot_frontier_fns: u64,
-    /// Flight-recorder events lost to the per-class log bound
-    /// ([`events::EVENT_LOG_CAP`]), accumulated across drains. Nonzero
-    /// means the NDJSON stream ended with a `log_truncated` record.
-    pub events_dropped: u64,
-    /// Per-round delta-batch sizes of the call-graph fixpoint: entry `r`
-    /// is how many worklist slots round `r` processed. Empty when no
-    /// propagating build ran (e.g. the `Everything` algorithm).
-    pub cg_round_deltas: Vec<u64>,
-}
-
-impl ExecStats {
-    /// Stable (key, value) view of the numeric fields, in rendering order.
-    pub fn rows(&self) -> [(&'static str, u64); 22] {
-        [
-            ("jobs", self.jobs),
-            ("bodies_walked", self.bodies_walked),
-            ("summary_replays", self.summary_replays),
-            ("callgraph_rounds", self.callgraph_rounds),
-            ("scan_rounds", self.scan_rounds),
-            ("worklist_pushes", self.worklist_pushes),
-            ("tu_modules", self.tu_modules),
-            ("tu_cache_hits", self.tu_cache_hits),
-            ("tu_cache_misses", self.tu_cache_misses),
-            ("tu_cache_invalidations", self.tu_cache_invalidations),
-            ("tus_parsed", self.tus_parsed),
-            ("tus_summarized", self.tus_summarized),
-            ("cg_arena_bytes", self.cg_arena_bytes),
-            ("cg_interned_symbols", self.cg_interned_symbols),
-            ("frontend_ns", self.frontend_ns),
-            ("link_ns", self.link_ns),
-            ("callgraph_ns", self.callgraph_ns),
-            ("liveness_ns", self.liveness_ns),
-            ("snapshot_warm_starts", self.snapshot_warm_starts),
-            ("snapshot_reused_fns", self.snapshot_reused_fns),
-            ("snapshot_frontier_fns", self.snapshot_frontier_fns),
-            ("events_dropped", self.events_dropped),
-        ]
-    }
 }
 
 /// One completed timed phase. `start_ns` is relative to the handle's
@@ -270,7 +194,6 @@ pub struct SpanRecord {
 struct Collected {
     spans: Vec<SpanRecord>,
     counters: Counters,
-    stats: ExecStats,
     events: EventLog,
     metrics: MetricsRegistry,
 }
@@ -279,7 +202,6 @@ struct Collected {
 struct Inner {
     epoch: Instant,
     record_events: bool,
-    record_metrics: bool,
     collected: Mutex<Collected>,
 }
 
@@ -301,28 +223,27 @@ impl Telemetry {
     }
 
     /// A collecting handle; the creation instant is the trace epoch.
-    /// Collects spans, counters, and stats — the flight recorder and the
-    /// metrics registry stay off (see [`Telemetry::configured`]).
+    /// Collects spans, counters, and metrics — the flight recorder stays
+    /// off (see [`Telemetry::configured`]).
     pub fn enabled() -> Telemetry {
-        Telemetry::configured(false, false)
+        Telemetry::configured(false)
     }
 
-    /// A collecting handle with the flight recorder and the metrics
-    /// registry both on — everything the telemetry layer can record.
+    /// A collecting handle with the flight recorder on — everything the
+    /// telemetry layer can record.
     pub fn recording() -> Telemetry {
-        Telemetry::configured(true, true)
+        Telemetry::configured(true)
     }
 
-    /// A collecting handle with the flight recorder (`events`) and the
-    /// metrics registry (`metrics`) individually selectable. Both are
+    /// A collecting handle that records spans, counters and metrics,
+    /// with the flight recorder (`events`) selectable. The recorder is
     /// opt-in so span-only consumers (`--stats`) never pay for decision
     /// logging on hot paths.
-    pub fn configured(events: bool, metrics: bool) -> Telemetry {
+    pub fn configured(events: bool) -> Telemetry {
         Telemetry {
             inner: Some(Inner {
                 epoch: Instant::now(),
                 record_events: events,
-                record_metrics: metrics,
                 collected: Mutex::new(Collected::default()),
             }),
         }
@@ -336,11 +257,6 @@ impl Telemetry {
     /// Whether the flight recorder is collecting events.
     pub fn events_enabled(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.record_events)
-    }
-
-    /// Whether the metrics registry is collecting.
-    pub fn metrics_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.record_metrics)
     }
 
     /// Records one flight-recorder event. The fields closure is only
@@ -364,13 +280,23 @@ impl Telemetry {
         }
     }
 
-    /// Mutates the metrics registry (no-op unless metrics are on).
+    /// Mutates the metrics registry (no-op when disabled).
     pub fn metrics(&self, f: impl FnOnce(&mut MetricsRegistry)) {
         if let Some(inner) = &self.inner {
-            if inner.record_metrics {
-                f(&mut inner.collected.lock().expect(POISONED).metrics);
-            }
+            f(&mut inner.collected.lock().expect(POISONED).metrics);
         }
+    }
+
+    /// The registry counter `name` (0 when disabled or never recorded).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.inner.as_ref().map_or(0, |inner| {
+            inner
+                .collected
+                .lock()
+                .expect(POISONED)
+                .metrics
+                .counter(name)
+        })
     }
 
     /// A snapshot of the metrics registry.
@@ -412,8 +338,8 @@ impl Telemetry {
     /// Renders the flight recorder like [`Telemetry::events_ndjson`],
     /// then clears the log so the next epoch starts from an empty buffer
     /// with fresh per-class sequence numbers. Any events lost to the
-    /// per-class bound are folded into the `events_dropped` execution
-    /// stat before the reset (the rendered text already ends with their
+    /// per-class bound are folded into the `events/dropped` counter
+    /// before the reset (the rendered text already ends with their
     /// `log_truncated` record). This is how long-running consumers keep
     /// `--log-out` complete across arbitrarily many epochs: drain once
     /// per epoch instead of letting one bounded buffer span the process.
@@ -423,20 +349,22 @@ impl Telemetry {
             Some(inner) => {
                 let mut c = inner.collected.lock().expect(POISONED);
                 let text = c.events.render_ndjson(filter);
-                c.stats.events_dropped += c.events.total_dropped();
+                let dropped = c.events.total_dropped();
+                c.metrics.counter_add(EVENTS_DROPPED, dropped);
                 c.events.clear();
                 text
             }
         }
     }
 
-    /// Folds the current dropped-event counts into the `events_dropped`
-    /// stat without rendering or clearing the log — the `--stats`-only
+    /// Folds the current dropped-event counts into the `events/dropped`
+    /// counter without rendering or clearing the log — the `--stats`-only
     /// path, where nobody drains before the table renders.
     pub fn sync_events_dropped(&self) {
         if let Some(inner) = &self.inner {
             let mut c = inner.collected.lock().expect(POISONED);
-            c.stats.events_dropped += c.events.total_dropped();
+            let dropped = c.events.total_dropped();
+            c.metrics.counter_add(EVENTS_DROPPED, dropped);
             c.events.reset_dropped();
         }
     }
@@ -474,18 +402,13 @@ impl Telemetry {
         }
     }
 
-    /// Mutates the execution stats (no-op when disabled).
-    pub fn update_stats(&self, f: impl FnOnce(&mut ExecStats)) {
-        if let Some(inner) = &self.inner {
-            f(&mut inner.collected.lock().expect(POISONED).stats);
-        }
-    }
-
-    /// The execution stats collected so far.
+    /// The three cache facts perfbench reads, from the registry. Kept
+    /// for perfbench only; everything else reads the registry.
     pub fn stats(&self) -> ExecStats {
-        match &self.inner {
-            None => ExecStats::default(),
-            Some(inner) => inner.collected.lock().expect(POISONED).stats.clone(),
+        ExecStats {
+            tu_cache_hits: self.counter("cache/hits"),
+            tu_cache_misses: self.counter("frontend/tus"),
+            snapshot_reused_fns: self.counter("snapshot/reused_fns"),
         }
     }
 
@@ -573,13 +496,13 @@ impl Telemetry {
     }
 
     /// Renders the machine-readable `--stats-json` twin of
-    /// [`Telemetry::render_stats`]: deterministic counters, execution
-    /// stats, and the lane-0 phase spans under a versioned schema.
+    /// [`Telemetry::render_stats`]: deterministic counters, the metrics
+    /// registry (the `--metrics-out` entries), and the phase spans under
+    /// a versioned schema.
     pub fn render_stats_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"ddm-stats/2\",\n");
-        let stats = self.stats();
+        out.push_str("  \"schema\": \"ddm-stats/3\",\n");
         out.push_str("  \"counters\": {");
         let counter_rows = self.counters().rows();
         for (i, (key, value)) in counter_rows.iter().enumerate() {
@@ -589,19 +512,9 @@ impl Telemetry {
             }
         }
         out.push_str("},\n");
-        out.push_str("  \"exec_stats\": {");
-        let stat_rows = stats.rows();
-        for (key, value) in stat_rows.iter() {
-            out.push_str(&format!("\"{key}\": {value}, "));
-        }
         out.push_str(&format!(
-            "\"cg_round_deltas\": [{}]}},\n",
-            stats
-                .cg_round_deltas
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
+            "  \"metrics\": {},\n",
+            self.metrics_snapshot().render_entries()
         ));
         out.push_str("  \"spans\": [\n");
         let spans = self.spans();
@@ -621,7 +534,8 @@ impl Telemetry {
 
     /// Renders the human-readable `--stats` table: phase spans (lane 0
     /// nested by containment, worker lanes summarized), deterministic
-    /// counters, and execution stats.
+    /// counters, and the metrics registry in name order (a histogram as
+    /// its count and sum).
     pub fn render_stats(&self) -> String {
         let mut out = String::new();
         out.push_str("== phase spans ==\n");
@@ -654,25 +568,21 @@ impl Telemetry {
         }
         out.push_str("== deterministic counters ==\n");
         out.push_str(&self.counters().render_table());
-        out.push_str("== execution stats ==\n");
-        let stats = self.stats();
-        for (key, value) in stats.rows() {
-            out.push_str(&format!("{key:<44} {value:>12}\n"));
+        out.push_str("== metrics ==\n");
+        for (name, metric) in self.metrics_snapshot().iter() {
+            let value = match metric {
+                Metric::Counter(v) => v.to_string(),
+                Metric::Gauge(v) => v.to_string(),
+                Metric::Histogram(h) => format!("{} (sum {})", h.count(), h.sum()),
+            };
+            out.push_str(&format!("{name:<44} {value:>12}\n"));
         }
-        let deltas = stats
-            .cg_round_deltas
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "{:<44} {:>12}\n",
-            "cg_round_deltas",
-            format!("[{deltas}]")
-        ));
         out
     }
 }
+
+/// The registry counter the flight recorder's lost events fold into.
+const EVENTS_DROPPED: &str = "events/dropped";
 
 const POISONED: &str = "telemetry state poisoned";
 
@@ -756,9 +666,10 @@ mod tests {
             scan_reads: 5,
             ..Default::default()
         });
-        t.update_stats(|_| unreachable!("stats closure must not run"));
+        t.metrics(|_| unreachable!("metrics closure must not run"));
         assert_eq!(t.counters(), Counters::default());
         assert_eq!(t.stats(), ExecStats::default());
+        assert!(t.metrics_snapshot().is_empty());
         assert!(t.spans().is_empty());
         assert!(t.lanes().is_empty());
     }
@@ -811,30 +722,30 @@ mod tests {
     }
 
     #[test]
-    fn drain_resets_the_log_and_accumulates_the_dropped_stat() {
+    fn drain_resets_the_log_and_accumulates_the_dropped_counter() {
         let t = Telemetry::recording();
         for _ in 0..events::EVENT_LOG_CAP + 5 {
             t.event(EventClass::Observational, "spam", Vec::new);
         }
         let first = t.drain_events_ndjson(None);
         assert!(first.contains("\"event\":\"log_truncated\",\"count\":5"));
-        assert_eq!(t.stats().events_dropped, 5);
+        assert_eq!(t.counter("events/dropped"), 5);
         t.event(EventClass::Observational, "fresh", Vec::new);
         let second = t.drain_events_ndjson(None);
         assert!(second.contains("\"event\":\"fresh\""));
         assert!(second.contains("\"seq\":0"), "sequences restart per drain");
         assert!(!second.contains("log_truncated"));
-        assert_eq!(t.stats().events_dropped, 5, "stat is cumulative, not re-counted");
+        assert_eq!(t.counter("events/dropped"), 5, "cumulative, not re-counted");
     }
 
     #[test]
-    fn sync_events_dropped_updates_the_stat_without_clearing() {
+    fn sync_events_dropped_updates_the_counter_without_clearing() {
         let t = Telemetry::recording();
         for _ in 0..events::EVENT_LOG_CAP + 2 {
             t.event(EventClass::Deterministic, "spam", Vec::new);
         }
         t.sync_events_dropped();
-        assert_eq!(t.stats().events_dropped, 2);
+        assert_eq!(t.counter("events/dropped"), 2);
         assert_eq!(
             t.events().len(),
             events::EVENT_LOG_CAP,
@@ -842,7 +753,7 @@ mod tests {
         );
         // A second sync with no new drops must not double-count.
         t.sync_events_dropped();
-        assert_eq!(t.stats().events_dropped, 2);
+        assert_eq!(t.counter("events/dropped"), 2);
     }
 
     #[test]
@@ -853,17 +764,49 @@ mod tests {
             members_dead: 3,
             ..Default::default()
         });
-        t.update_stats(|s| s.jobs = 8);
+        t.metrics(|m| {
+            m.counter_add("cache/hits", 2);
+            m.hist_record("callgraph/round_delta_fns", 3);
+            m.hist_record("callgraph/round_delta_fns", 4);
+        });
         let table = t.render_stats();
         for needle in [
             "phase spans",
             "deterministic counters",
-            "execution stats",
+            "== metrics ==",
             "members_dead",
-            "jobs",
             "parse",
         ] {
             assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
         }
+        let rows: Vec<&str> = table
+            .split("== metrics ==\n")
+            .nth(1)
+            .unwrap()
+            .lines()
+            .collect();
+        assert_eq!(rows.len(), 2, "one row per metric:\n{table}");
+        assert!(rows[0].starts_with("cache/hits ") && rows[0].ends_with(" 2"));
+        assert!(
+            rows[1].starts_with("callgraph/round_delta_fns ") && rows[1].ends_with(" 2 (sum 7)")
+        );
+    }
+
+    #[test]
+    fn stats_json_embeds_the_metrics_document_entries() {
+        let t = Telemetry::enabled();
+        t.metrics(|m| {
+            m.counter_add("frontend/tus", 3);
+            m.gauge_set("link/tus", 3);
+        });
+        let stats = t.render_stats_json();
+        json::validate(&stats).expect("stats document is valid JSON");
+        assert!(stats.contains("\"schema\": \"ddm-stats/3\""));
+        assert!(stats.contains(&t.metrics_snapshot().render_entries()));
+        assert_eq!(
+            t.stats().tu_cache_misses,
+            3,
+            "frontend/tus is the miss count"
+        );
     }
 }

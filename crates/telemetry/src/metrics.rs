@@ -136,22 +136,31 @@ pub enum Metric {
 }
 
 /// The registry: metric name → metric, rendered in sorted name order.
+///
+/// A name is looked up before it is allocated, so recording into a
+/// metric that already exists allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, Metric>,
 }
 
 /// The schema tag written into every metrics document.
-pub const METRICS_SCHEMA: &str = "ddm-metrics/1";
+pub const METRICS_SCHEMA: &str = "ddm-metrics/2";
 
 impl MetricsRegistry {
+    /// The metric `name`, created as `init()` on first use.
+    fn slot(&mut self, name: &str, init: fn() -> Metric) -> &mut Metric {
+        if !self.metrics.contains_key(name) {
+            self.metrics.insert(name.to_string(), init());
+        }
+        self.metrics
+            .get_mut(name)
+            .expect("the metric was just registered")
+    }
+
     /// Adds `delta` to the counter `name` (created at 0).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+        match self.slot(name, || Metric::Counter(0)) {
             Metric::Counter(v) => *v += delta,
             other => panic!("metric {name} is not a counter: {other:?}"),
         }
@@ -159,17 +168,15 @@ impl MetricsRegistry {
 
     /// Sets the gauge `name`.
     pub fn gauge_set(&mut self, name: &str, value: i64) {
-        self.metrics
-            .insert(name.to_string(), Metric::Gauge(value));
+        match self.slot(name, || Metric::Gauge(0)) {
+            Metric::Gauge(v) => *v = value,
+            other => panic!("metric {name} is not a gauge: {other:?}"),
+        }
     }
 
     /// Records one observation into the histogram `name`.
     pub fn hist_record(&mut self, name: &str, value: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
+        match self.slot(name, || Metric::Histogram(Histogram::default())) {
             Metric::Histogram(h) => h.record(value),
             other => panic!("metric {name} is not a histogram: {other:?}"),
         }
@@ -177,11 +184,7 @@ impl MetricsRegistry {
 
     /// Merges a pre-aggregated histogram into the histogram `name`.
     pub fn hist_merge(&mut self, name: &str, hist: &Histogram) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
+        match self.slot(name, || Metric::Histogram(Histogram::default())) {
             Metric::Histogram(h) => h.merge(hist),
             other => panic!("metric {name} is not a histogram: {other:?}"),
         }
@@ -202,15 +205,29 @@ impl MetricsRegistry {
         self.metrics.get(name)
     }
 
+    /// The value of the counter `name`: 0 when nothing recorded it.
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.metrics.get(name) {
+            Some(Metric::Counter(v)) => *v,
+            _ => 0,
+        }
+    }
+
     /// Renders the registry as a versioned JSON document. Histogram
     /// buckets are emitted as `(bucket index, count)` pairs — the bound
     /// rule is fixed by the schema (`"bucket_bounds": "pow2"`), so no
     /// bucket boundary ever appears as a (potentially 64-bit) number.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{METRICS_SCHEMA}\",\n"));
-        out.push_str("  \"metrics\": [\n");
+        format!(
+            "{{\n  \"schema\": \"{METRICS_SCHEMA}\",\n  \"metrics\": {}\n}}\n",
+            self.render_entries()
+        )
+    }
+
+    /// The document's `metrics` array, one object per metric in name
+    /// order; `--stats-json` embeds the same array.
+    pub fn render_entries(&self) -> String {
+        let mut out = String::from("[\n");
         let total = self.metrics.len();
         for (i, (name, metric)) in self.metrics.iter().enumerate() {
             out.push_str(&format!(
@@ -242,7 +259,7 @@ impl MetricsRegistry {
             }
             out.push_str(if i + 1 < total { ",\n" } else { "\n" });
         }
-        out.push_str("  ]\n}\n");
+        out.push_str("  ]");
         out
     }
 }

@@ -58,7 +58,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--stats",
         "",
-        "print phase spans, deterministic counters, and execution stats to stderr",
+        "print phase spans, deterministic counters, and metrics to stderr",
     ),
     (
         "--trace-out",
@@ -68,7 +68,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--stats-json",
         "<stats.json>",
-        "write the machine-readable twin of --stats (schema ddm-stats/2)",
+        "write the machine-readable twin of --stats (schema ddm-stats/3)",
     ),
     (
         "--log-out",
@@ -83,7 +83,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--metrics-out",
         "<metrics.json>",
-        "write the metrics registry (schema ddm-metrics/1, pow2 histogram buckets)",
+        "write the metrics registry (schema ddm-metrics/2, pow2 histogram buckets)",
     ),
     (
         "--explain",
@@ -321,30 +321,25 @@ fn main() -> ExitCode {
 
     // Telemetry is only collected when something will consume it; the
     // disabled handle adds no allocation to the analysis hot paths. The
-    // flight recorder and the metrics registry are further gated on
-    // their own consumers (the trace exporter renders recorded events as
-    // instants, so --trace-out also turns the recorder on).
+    // flight recorder is further gated on its own consumers (the trace
+    // exporter renders recorded events as instants, so --trace-out also
+    // turns the recorder on).
     let record_events = opts.log_out.is_some() || opts.trace_out.is_some();
-    let record_metrics = opts.metrics_out.is_some();
-    let telemetry = if opts.stats
-        || opts.stats_json.is_some()
-        || opts.trace_out.is_some()
-        || record_events
-        || record_metrics
-    {
-        Telemetry::configured(record_events, record_metrics)
-    } else {
-        Telemetry::disabled()
-    };
+    let telemetry =
+        if opts.stats || opts.stats_json.is_some() || opts.metrics_out.is_some() || record_events {
+            Telemetry::configured(record_events)
+        } else {
+            Telemetry::disabled()
+        };
 
     let code = run(&opts, &telemetry);
 
     // The trace exporter renders recorded events as instants, so it must
     // render before the log drain clears the recorder. The drain folds
-    // any overflow into the events_dropped stat (and ends the NDJSON
+    // any overflow into the events/dropped counter (and ends the NDJSON
     // with a log_truncated record when events were lost); the sync does
-    // the same folding when there is no log sink, so every stats
-    // rendering below sees the final drop count.
+    // the same folding when there is no log sink, so every registry
+    // view below sees the final drop count.
     let trace_payload = opts.trace_out.as_ref().map(|_| telemetry.chrome_trace_json());
     let log_payload = opts
         .log_out

@@ -60,5 +60,5 @@ pub mod prelude {
         body_walk_count, ClassId, FuncId, LayoutEngine, MemberLookup, MemberRef, Program,
         ProgramSummary,
     };
-    pub use ddm_telemetry::{Counters, ExecStats, Telemetry};
+    pub use ddm_telemetry::{Counters, Telemetry};
 }

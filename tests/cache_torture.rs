@@ -265,8 +265,8 @@ fn snapshot_kill_mid_write_falls_back_to_summary_cache() {
         recovered.stdout, cacheless.stdout,
         "the warm start from the previous snapshot must match the cacheless report"
     );
-    assert_eq!(stat(&recovered, "tu_cache_hits"), files.len() as u64 - 1);
-    assert_eq!(stat(&recovered, "tus_summarized"), 1);
+    assert_eq!(stat(&recovered, "cache/hits"), files.len() as u64 - 1);
+    assert_eq!(stat(&recovered, "frontend/tus"), 1);
     assert_eq!(cache_files(&cache, |_| true), ["analysis.snap"]);
 
     // The recovery run republished a snapshot of the edited sources;
@@ -277,7 +277,7 @@ fn snapshot_kill_mid_write_falls_back_to_summary_cache() {
     let warm = run_files(&files, Some(&cache), None, &["--stats"]);
     assert!(warm.status.success(), "{warm:?}");
     assert_eq!(warm.stdout, cacheless.stdout);
-    assert_eq!(stat(&warm, "tus_summarized"), 0);
+    assert_eq!(stat(&warm, "frontend/tus"), 0);
 }
 
 /// Version skew: a snapshot from a different format version is
@@ -307,8 +307,8 @@ fn snapshot_version_skew_recomputes_every_tu() {
         "version-skew fallback must match the cacheless report"
     );
     let tus = multi_fixture().len() as u64;
-    assert_eq!(stat(&skewed, "tu_cache_invalidations"), tus);
-    assert_eq!(stat(&skewed, "tus_summarized"), tus);
+    assert_eq!(stat(&skewed, "cache/invalidations"), tus);
+    assert_eq!(stat(&skewed, "frontend/tus"), tus);
 
     let republished = std::fs::read(&snap_path).expect("republished snapshot");
     AnalysisSnapshot::decode(&republished)

@@ -1,14 +1,56 @@
 //! Smoke tests for the `ddm` command-line driver, exercising the built
 //! binary end-to-end the way a user would.
 
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn ddm() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ddm"))
 }
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("ddm_cli_{name}_{}.cpp", std::process::id()));
+/// A file or directory in the temp directory, `ddm_cli_<stem>_<pid><ext>`,
+/// removed when the guard drops, so a test leaves nothing behind
+/// whether it passes or fails.
+struct TempPath(PathBuf);
+
+impl TempPath {
+    fn new(stem: &str, ext: &str) -> TempPath {
+        TempPath(std::env::temp_dir().join(format!("ddm_cli_{stem}_{}{ext}", std::process::id())))
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        if self.0.is_dir() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        } else {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+}
+
+impl std::ops::Deref for TempPath {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempPath {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<OsStr> for TempPath {
+    fn as_ref(&self) -> &OsStr {
+        self.0.as_os_str()
+    }
+}
+
+fn write_temp(name: &str, contents: &str) -> TempPath {
+    let path = TempPath::new(name, ".cpp");
     std::fs::write(&path, contents).expect("write temp source");
     path
 }
@@ -47,8 +89,7 @@ fn profile_flag_prints_heap_numbers() {
 #[test]
 fn eliminate_flag_writes_transformed_source() {
     let src = write_temp("elim", SAMPLE);
-    let out_path =
-        std::env::temp_dir().join(format!("ddm_cli_elim_out_{}.cpp", std::process::id()));
+    let out_path = TempPath::new("elim_out", ".cpp");
     let out = ddm()
         .arg(&src)
         .arg("--eliminate")
@@ -106,7 +147,6 @@ fn single_file_parse_errors_name_the_file() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     let expected = format!("error: {}: parse error: ", src.display());
     assert!(stderr.starts_with(&expected), "{stderr}");
-    let _ = std::fs::remove_file(&src);
 }
 
 #[test]
@@ -145,7 +185,7 @@ fn stats_flag_prints_sections_on_stderr_only() {
     for section in [
         "== phase spans ==",
         "== deterministic counters ==",
-        "== execution stats ==",
+        "== metrics ==",
     ] {
         assert!(stderr.contains(section), "{stderr}");
     }
@@ -163,7 +203,7 @@ fn trace_out_writes_valid_chrome_json_with_worker_lanes() {
     // trace a 12-TU project at --jobs 8. Workers take TUs from a shared
     // counter, so which lanes end up busy is up to the scheduler; each
     // TU must still get exactly one `tu <file>` span on a worker lane.
-    let dir = std::env::temp_dir().join(format!("ddm_cli_trace_project_{}", std::process::id()));
+    let dir = TempPath::new("trace_project", "");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create project dir");
     let mut files = Vec::new();
@@ -224,7 +264,6 @@ fn trace_out_writes_valid_chrome_json_with_worker_lanes() {
         );
     }
     assert_eq!(tu_spans.len(), files.len(), "stray tu spans: {tu_spans:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 
     // One TU has one front-end job, so a single file records no worker
     // lane whatever --jobs says, however wide the program.
@@ -238,8 +277,7 @@ fn trace_out_writes_valid_chrome_json_with_worker_lanes() {
     }
     wide.push_str("  return t; }\n");
     let src = write_temp("trace", &wide);
-    let trace_path =
-        std::env::temp_dir().join(format!("ddm_cli_trace_{}.json", std::process::id()));
+    let trace_path = TempPath::new("trace", ".json");
     let out = ddm()
         .arg(&src)
         .arg("--jobs")
@@ -264,9 +302,7 @@ fn trace_out_writes_valid_chrome_json_with_worker_lanes() {
 #[test]
 fn log_out_writes_ndjson_and_log_filter_selects_classes() {
     let src = write_temp("logout", SAMPLE);
-    let out_path = |tag: &str| {
-        std::env::temp_dir().join(format!("ddm_cli_log_{tag}_{}.ndjson", std::process::id()))
-    };
+    let out_path = |tag: &str| TempPath::new(&format!("log_{tag}"), ".ndjson");
     let all = out_path("all");
     let out = ddm()
         .arg(&src)
@@ -299,8 +335,6 @@ fn log_out_writes_ndjson_and_log_filter_selects_classes() {
             .all(|l| l.contains("\"class\":\"det\"")),
         "--log-filter det leaked observational events:\n{filtered}"
     );
-    let _ = std::fs::remove_file(&all);
-    let _ = std::fs::remove_file(&det);
 }
 
 #[test]
@@ -320,11 +354,11 @@ fn log_filter_rejects_unknown_event_class_listing_valid_ones() {
 
 #[test]
 fn metrics_out_and_stats_json_write_versioned_documents() {
+    use dead_data_members::telemetry::json;
+
     let src = write_temp("metrics", SAMPLE);
-    let metrics_path =
-        std::env::temp_dir().join(format!("ddm_cli_metrics_{}.json", std::process::id()));
-    let stats_path =
-        std::env::temp_dir().join(format!("ddm_cli_statsjson_{}.json", std::process::id()));
+    let metrics_path = TempPath::new("metrics", ".json");
+    let stats_path = TempPath::new("statsjson", ".json");
     let out = ddm()
         .arg(&src)
         .arg("--metrics-out")
@@ -335,18 +369,19 @@ fn metrics_out_and_stats_json_write_versioned_documents() {
         .expect("run ddm");
     assert!(out.status.success(), "{out:?}");
     let metrics = std::fs::read_to_string(&metrics_path).expect("read metrics");
-    dead_data_members::telemetry::json::validate(&metrics)
-        .unwrap_or_else(|e| panic!("metrics are not valid JSON: {e}"));
-    assert!(metrics.contains("ddm-metrics/1"), "{metrics}");
+    json::validate(&metrics).unwrap_or_else(|e| panic!("metrics are not valid JSON: {e}"));
+    assert!(metrics.contains("ddm-metrics/2"), "{metrics}");
     assert!(metrics.contains("callgraph/round_delta_fns"), "{metrics}");
     let stats = std::fs::read_to_string(&stats_path).expect("read stats");
-    dead_data_members::telemetry::json::validate(&stats)
-        .unwrap_or_else(|e| panic!("stats are not valid JSON: {e}"));
-    assert!(stats.contains("ddm-stats/2"), "{stats}");
+    json::validate(&stats).unwrap_or_else(|e| panic!("stats are not valid JSON: {e}"));
+    assert!(stats.contains("ddm-stats/3"), "{stats}");
     assert!(!stats.contains("\"engine\""), "{stats}");
     assert!(stats.contains("\"counters\""), "{stats}");
-    let _ = std::fs::remove_file(&metrics_path);
-    let _ = std::fs::remove_file(&stats_path);
+    // One store, two views: the stats document holds the metrics
+    // document's entries.
+    let entries = |doc: &str| json::parse(doc).expect("parse").get("metrics").cloned();
+    assert!(entries(&metrics).is_some(), "{metrics}");
+    assert_eq!(entries(&stats), entries(&metrics));
 }
 
 #[test]
@@ -468,7 +503,7 @@ const MULTI_HEADER: &str = "class Gauge {\n\
                             \x20   int spare;\n\
                             };\n";
 
-fn write_multi(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+fn write_multi(test: &str) -> (TempPath, TempPath) {
     let main = write_temp(
         &format!("{test}_main"),
         &format!("{MULTI_HEADER}int sample(Gauge* g);\nint main() {{ Gauge g(3); return sample(&g); }}"),
@@ -493,8 +528,7 @@ fn multiple_positional_files_run_the_project_pipeline() {
 #[test]
 fn warm_cli_run_is_byte_identical_to_cold_and_skips_summarization() {
     let (main, lib) = write_multi("warm");
-    let cache =
-        std::env::temp_dir().join(format!("ddm_cli_cache_{}", std::process::id()));
+    let cache = TempPath::new("cache", "");
     let _ = std::fs::remove_dir_all(&cache);
 
     let run = || {
@@ -515,11 +549,11 @@ fn warm_cli_run_is_byte_identical_to_cold_and_skips_summarization() {
     assert_eq!(cold.stdout, warm.stdout, "warm report must be byte-identical");
 
     // The deterministic-counters section must not see the cache; only
-    // the execution stats (cache hit/parse counts) may differ.
+    // the metrics (cache hit/parse counts) may differ.
     let section = |raw: &[u8]| -> String {
         let text = String::from_utf8_lossy(raw).to_string();
         let start = text.find("== deterministic counters ==").expect("section");
-        let end = text.find("== execution stats ==").expect("section");
+        let end = text.find("== metrics ==").expect("section");
         text[start..end].to_string()
     };
     assert_eq!(section(&cold.stderr), section(&warm.stderr));
@@ -528,10 +562,9 @@ fn warm_cli_run_is_byte_identical_to_cold_and_skips_summarization() {
     assert!(
         warm_stderr
             .lines()
-            .any(|l| l.starts_with("tus_summarized") && l.trim_end().ends_with('0')),
+            .any(|l| l.starts_with("frontend/tus ") && l.trim_end().ends_with(" 0")),
         "warm run should summarize zero TUs:\n{warm_stderr}"
     );
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
@@ -596,7 +629,7 @@ public:
 /// Runs `ddm` inside a fresh directory holding `files`, named on the
 /// command line as given; returns (exit code, stderr).
 fn run_project(tag: &str, files: &[(&str, String)], args: &[&str]) -> (Option<i32>, String) {
-    let dir = std::env::temp_dir().join(format!("ddm_cli_{tag}_{}", std::process::id()));
+    let dir = TempPath::new(tag, "");
     std::fs::create_dir_all(&dir).expect("create project dir");
     for (name, src) in files {
         std::fs::write(dir.join(name), src).expect("write TU");
@@ -606,7 +639,6 @@ fn run_project(tag: &str, files: &[(&str, String)], args: &[&str]) -> (Option<i3
         .args(args)
         .output()
         .expect("run ddm");
-    let _ = std::fs::remove_dir_all(&dir);
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),

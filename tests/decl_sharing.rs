@@ -83,7 +83,7 @@ fn shared(
 ) -> (Result<Vec<TuModule>, String>, Vec<TuModule>, u64) {
     let _ = std::fs::remove_dir_all(dir);
     let config = AnalysisConfig::default();
-    let telemetry = Telemetry::configured(false, true);
+    let telemetry = Telemetry::enabled();
     let all: Vec<usize> = (0..inputs.len()).collect();
     let hashes: Vec<u64> = inputs.iter().map(|(_, s)| fnv1a64(s.as_bytes())).collect();
     let modules = front_end(inputs, &all, &hashes, algorithm, jobs, &telemetry)

@@ -92,10 +92,10 @@ fn det_stream_identical_across_jobs_on_the_suite() {
 
 #[test]
 fn histogram_bucket_counts_identical_across_jobs() {
-    // A cacheless run's registry only holds deterministic quantities
-    // (round delta sizes, candidate-set sizes, summary sizes, liveness
-    // counts), so the whole rendered document — histogram buckets
-    // included — is pinned byte-for-byte.
+    // A cacheless run's registry only holds quantities that do not
+    // depend on the worker count (round delta sizes, candidate-set
+    // sizes, TU and declaration counts), so the whole rendered
+    // document — histogram buckets included — is pinned byte-for-byte.
     for b in suite() {
         let name = b.name;
         let inputs = vec![(format!("{name}.cpp"), b.source.to_string())];
@@ -111,6 +111,43 @@ fn histogram_bucket_counts_identical_across_jobs() {
             reference,
             "{name}: metrics diverged between jobs 1 and 8"
         );
+    }
+}
+
+/// The registry holds no fact that depends on the worker count or on
+/// timing: in a cold, a warm and a 1-changed cached run of a multi-TU
+/// project, `--jobs` 1 and 8 render the same metrics document.
+#[test]
+fn multi_tu_metrics_identical_across_jobs_in_every_cache_state() {
+    let inputs = multi_tu_inputs();
+    let mut edited = inputs.clone();
+    edited[0].1.push_str("\nint recorder_pad() { return 7; }\n");
+    let runs = [
+        ("cold", &inputs, 3),
+        ("warm", &inputs, 0),
+        ("1-changed", &edited, 1),
+    ];
+    let documents = |jobs: usize| -> Vec<String> {
+        let cache = temp_cache(&format!("metrics_j{jobs}"));
+        let docs = runs
+            .iter()
+            .map(|(state, tus, parsed)| {
+                let (telemetry, _) = record_project(tus, jobs, Some(&cache)).unwrap();
+                assert_eq!(
+                    telemetry.counter("frontend/tus"),
+                    *parsed,
+                    "{state} run at jobs={jobs} parsed the wrong TUs"
+                );
+                telemetry.metrics_json()
+            })
+            .collect();
+        let _ = std::fs::remove_dir_all(&cache);
+        docs
+    };
+    let one = documents(1);
+    let eight = documents(8);
+    for ((state, _, _), (a, b)) in runs.iter().zip(one.iter().zip(&eight)) {
+        assert_eq!(a, b, "{state}: metrics diverged between jobs 1 and 8");
     }
 }
 
@@ -205,7 +242,7 @@ fn tu_cache_invalidated_names_each_reject_reason() {
         std::fs::write(&path, image).unwrap();
         let (warm, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
         assert_eq!(rejection_reasons(&warm), vec![reason]);
-        assert_eq!(warm.stats().tu_cache_invalidations, inputs.len() as u64);
+        assert_eq!(warm.counter("cache/invalidations"), inputs.len() as u64);
         let _ = std::fs::remove_dir_all(&cache);
     }
 
@@ -225,7 +262,7 @@ fn tu_cache_invalidated_names_each_reject_reason() {
     )
     .unwrap();
     assert_eq!(rejection_reasons(&pta), vec!["config_fingerprint"]);
-    assert_eq!(pta.stats().tu_cache_invalidations, inputs.len() as u64);
+    assert_eq!(pta.counter("cache/invalidations"), inputs.len() as u64);
     let _ = std::fs::remove_dir_all(&cache);
 }
 

@@ -172,9 +172,8 @@ fn check_retraction(tag: &str, edited: &[(String, String)], class: &str, member:
 
         let tel = Telemetry::enabled();
         let p = run(edited, jobs, Some(scratch.path()), &tel);
-        let stats = tel.stats();
         assert_eq!(
-            (stats.tu_cache_hits, stats.tu_cache_misses),
+            (tel.counter("cache/hits"), tel.counter("frontend/tus")),
             (2, 1),
             "{tag} jobs={jobs}: the edit touches exactly one TU"
         );

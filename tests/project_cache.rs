@@ -181,8 +181,8 @@ fn cached_runs_match_cacheless_runs_for_every_engine_and_worker_count() {
             reference,
             "warm cached vs cacheless: jobs={jobs}"
         );
-        assert_eq!(warm_tel.stats().tu_cache_hits, 3);
-        assert_eq!(warm_tel.stats().tus_summarized, 0);
+        assert_eq!(warm_tel.counter("cache/hits"), 3);
+        assert_eq!(warm_tel.counter("frontend/tus"), 0);
     }
 }
 
@@ -198,11 +198,12 @@ fn one_changed_tu_reanalyzes_exactly_that_tu() {
 
     let warm_tel = Telemetry::enabled();
     let warm = run(&edited, 8, Some(scratch.path()), &warm_tel);
-    let stats = warm_tel.stats();
-    assert_eq!(stats.tu_cache_hits, 2, "unchanged TUs must hit");
-    assert_eq!(stats.tu_cache_misses, 1, "the edited TU must miss");
-    assert_eq!(stats.tus_parsed, 1, "only the edited TU is re-parsed");
-    assert_eq!(stats.tus_summarized, 1, "only the edited TU is re-summarized");
+    assert_eq!(warm_tel.counter("cache/hits"), 2, "unchanged TUs must hit");
+    assert_eq!(
+        warm_tel.counter("frontend/tus"),
+        1,
+        "the edited TU alone misses and is re-parsed and re-summarized"
+    );
 
     // The warm partial recomputation must be indistinguishable from a
     // from-scratch cacheless run over the edited sources.
@@ -222,7 +223,56 @@ fn renamed_file_with_identical_content_still_hits() {
     renamed[1].0 = "geometry_v2.cpp".to_string();
     let tel = Telemetry::enabled();
     run(&renamed, 1, Some(scratch.path()), &tel);
-    assert_eq!(tel.stats().tu_cache_hits, 3, "cache keys are content, not paths");
+    assert_eq!(
+        tel.counter("cache/hits"),
+        3,
+        "cache keys are content, not paths"
+    );
+}
+
+/// `Telemetry::stats()` is the view the repository benchmark's edit
+/// checks read (a leaf edit misses once and replays the fixpoint, a
+/// body edit misses once and re-solves, a header edit misses every TU).
+/// Its three fields are the registry's counters, with the values each
+/// run shape has always had.
+#[test]
+fn the_stats_view_reads_the_registry_on_every_run_shape() {
+    let scratch = Scratch::new("stats-view");
+    let base = inputs();
+    let mut leaf = base.clone();
+    leaf[2].1.push_str("\nint stats_pad() { return 1; }\n");
+    let mut body = leaf.clone();
+    body[2].1 = body[2].1.replace("s->tag = 1;", "s->tag = 2;");
+    let header: Vec<(String, String)> = body
+        .iter()
+        .map(|(name, source)| (name.clone(), source.replace("tag(0)", "tag(3)")))
+        .collect();
+    let cache = Some(scratch.path());
+    // (hits, misses, reused functions); the program reaches 8 functions.
+    for (label, tus, cache, want) in [
+        ("cacheless", &base, None, (0, 3, 0)),
+        ("cold", &base, cache, (0, 3, 0)),
+        ("warm", &base, cache, (3, 0, 8)),
+        ("leaf edit", &leaf, cache, (2, 1, 8)),
+        ("body edit", &body, cache, (2, 1, 0)),
+        ("header edit", &header, cache, (0, 3, 0)),
+    ] {
+        let tel = Telemetry::enabled();
+        run(tus, 1, cache, &tel);
+        let stats = tel.stats();
+        let view = (
+            stats.tu_cache_hits,
+            stats.tu_cache_misses,
+            stats.snapshot_reused_fns,
+        );
+        let registry = (
+            tel.counter("cache/hits"),
+            tel.counter("frontend/tus"),
+            tel.counter("snapshot/reused_fns"),
+        );
+        assert_eq!(view, registry, "{label}");
+        assert_eq!(view, want, "{label}");
+    }
 }
 
 /// Replaces the published snapshot by `damage(snapshot image)`, then
@@ -242,10 +292,17 @@ fn damaged_snapshot_is_recovered(test: &str, reason: &str, damage: impl Fn(&[u8]
 
     let warm_tel = Telemetry::recording();
     let warm = run(&inputs, 1, Some(scratch.path()), &warm_tel);
-    let stats = warm_tel.stats();
-    assert_eq!(stats.tu_cache_hits, 0, "a damaged snapshot must not hit");
-    assert_eq!(stats.tu_cache_invalidations, 3);
-    assert_eq!(stats.tus_summarized, 3, "every TU is recomputed");
+    assert_eq!(
+        warm_tel.counter("cache/hits"),
+        0,
+        "a damaged snapshot must not hit"
+    );
+    assert_eq!(warm_tel.counter("cache/invalidations"), 3);
+    assert_eq!(
+        warm_tel.counter("frontend/tus"),
+        3,
+        "every TU is recomputed"
+    );
     assert_eq!(artifacts(&warm, &warm_tel), cold_art);
     let events = warm_tel.events_ndjson(None);
     let rejected = format!("\"event\":\"snapshot_rejected\",\"ts_us\":");
@@ -267,8 +324,8 @@ fn damaged_snapshot_is_recovered(test: &str, reason: &str, damage: impl Fn(&[u8]
     assert_eq!(listing(scratch.path()), ["analysis.snap"]);
     let again_tel = Telemetry::enabled();
     run(&inputs, 1, Some(scratch.path()), &again_tel);
-    assert_eq!(again_tel.stats().tu_cache_hits, 3);
-    assert_eq!(again_tel.stats().tu_cache_invalidations, 0);
+    assert_eq!(again_tel.counter("cache/hits"), 3);
+    assert_eq!(again_tel.counter("cache/invalidations"), 0);
 }
 
 /// Decodes a snapshot image, lets `edit` change it, and seals it again
@@ -432,7 +489,7 @@ fn repeated_edits_leave_one_cache_file() {
             .push_str(&format!("int pad_{k}() {{ return {k}; }}\n"));
         let tel = Telemetry::enabled();
         run(&edited, 1, Some(scratch.path()), &tel);
-        assert_eq!(tel.stats().tu_cache_hits, 2, "edit {k}");
+        assert_eq!(tel.counter("cache/hits"), 2, "edit {k}");
     }
     assert_eq!(listing(scratch.path()), ["analysis.snap"]);
 }
@@ -462,9 +519,12 @@ fn tu_lists_that_grow_shrink_or_reorder_hit_every_unchanged_tu() {
     ] {
         let tel = Telemetry::enabled();
         let warm = run(tus, 2, Some(scratch.path()), &tel);
-        let stats = tel.stats();
-        assert_eq!(stats.tu_cache_hits, hits, "{label}");
-        assert_eq!(stats.tus_summarized, tus.len() as u64 - hits, "{label}");
+        assert_eq!(tel.counter("cache/hits"), hits, "{label}");
+        assert_eq!(
+            tel.counter("frontend/tus"),
+            tus.len() as u64 - hits,
+            "{label}"
+        );
         let bare_tel = Telemetry::enabled();
         let bare = run(tus, 2, None, &bare_tel);
         assert_eq!(
@@ -494,11 +554,14 @@ fn a_link_time_option_keeps_the_modules_and_resolves_the_fixpoint() {
     for (label, warm_starts) in [("after default", 0), ("after ignore", 1)] {
         let tel = Telemetry::enabled();
         let warm = run_with(&inputs, ignore.clone(), 1, Some(scratch.path()), &tel).unwrap();
-        let stats = tel.stats();
-        assert_eq!(stats.tu_cache_hits, 3, "{label}");
-        assert_eq!(stats.tus_summarized, 0, "{label}");
-        assert_eq!(stats.snapshot_warm_starts, warm_starts, "{label}");
-        assert_eq!(stats.snapshot_reused_fns > 0, warm_starts > 0, "{label}");
+        assert_eq!(tel.counter("cache/hits"), 3, "{label}");
+        assert_eq!(tel.counter("frontend/tus"), 0, "{label}");
+        assert_eq!(tel.counter("snapshot/warm_starts"), warm_starts, "{label}");
+        assert_eq!(
+            tel.counter("snapshot/reused_fns") > 0,
+            warm_starts > 0,
+            "{label}"
+        );
         assert_eq!(
             artifacts(&warm, &tel),
             artifacts(&bare, &bare_tel),
@@ -557,8 +620,8 @@ fn fingerprint_changes_invalidate_cached_entries() {
         &tel,
     )
     .expect("pta project run");
-    assert_eq!(tel.stats().tu_cache_hits, 0);
-    assert_eq!(tel.stats().tu_cache_invalidations, 3);
+    assert_eq!(tel.counter("cache/hits"), 0);
+    assert_eq!(tel.counter("cache/invalidations"), 3);
 }
 
 /// A process lists a cache directory for dangling temps at most once per

@@ -1,8 +1,9 @@
 //! Pins the flight recorder's zero-cost-when-disabled claim with a
 //! counting global allocator: instrumentation calls on a handle whose
 //! recorder is off must not allocate at all — the field closures may
-//! never be evaluated. One test only, so no concurrent test thread can
-//! pollute the allocation counter.
+//! never be evaluated — and recording into a metric the registry already
+//! holds allocates nothing. One test only, so no concurrent test thread
+//! can pollute the allocation counter.
 
 use dead_data_members::telemetry::{EventClass, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,6 +43,14 @@ fn disabled_recorder_makes_no_allocations() {
         // Warm up any lazy runtime state outside the measured window.
         telemetry.event(EventClass::Deterministic, "warmup", || vec![("i", 0i64.into())]);
         telemetry.metrics(|m| m.hist_record("warmup/h", 1));
+        // Every enabled handle keeps the metrics registry, which
+        // allocates a metric's name on first use only: register the
+        // names recorded below, so the 10,000 recordings into them must
+        // allocate nothing.
+        telemetry.metrics(|m| {
+            m.hist_record("probe/h", 0);
+            m.counter_add("probe/c", 0);
+        });
 
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for i in 0..10_000i64 {

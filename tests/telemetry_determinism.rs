@@ -9,9 +9,10 @@
 
 use dead_data_members::analysis::Engine;
 use dead_data_members::prelude::*;
+use dead_data_members::telemetry::Metric;
 
 /// Runs one source as a one-TU project on `jobs` front-end workers.
-fn run_counters(source: &str, jobs: usize) -> (ProjectPipeline, Counters, ExecStats) {
+fn run_counters(source: &str, jobs: usize) -> (ProjectPipeline, Counters, Telemetry) {
     let telemetry = Telemetry::enabled();
     let run = ProjectPipeline::run(
         &[("input.cpp".to_string(), source.to_string())],
@@ -23,7 +24,7 @@ fn run_counters(source: &str, jobs: usize) -> (ProjectPipeline, Counters, ExecSt
         &telemetry,
     )
     .expect("pipeline");
-    (run, telemetry.counters(), telemetry.stats())
+    (run, telemetry.counters(), telemetry)
 }
 
 #[test]
@@ -92,16 +93,16 @@ fn explain_is_byte_identical_across_engines() {
     }
 }
 
-/// The execution stats record how the engine ran: one front-end job for
-/// one TU, the bodies it walked, the summaries it replayed, and one
-/// fixpoint and one scan.
+/// The metrics record how the engine ran: the summaries it replayed and
+/// the rounds of its fixpoint (one round-delta observation per round).
 #[test]
 fn stats_record_engine_and_fastpath_routing() {
     let source = dead_data_members::benchmarks::suite()[0].source;
-    let (_, _, stats) = run_counters(source, 1);
-    assert_eq!(stats.jobs, 1, "one TU has one front-end job");
-    assert!(stats.bodies_walked > 0);
-    assert!(stats.summary_replays > 0);
-    assert!(stats.callgraph_rounds > 0);
-    assert_eq!(stats.scan_rounds, 1);
+    let (_, _, telemetry) = run_counters(source, 1);
+    let metrics = telemetry.metrics_snapshot();
+    assert!(metrics.counter("summary/replays") > 0);
+    match metrics.get("callgraph/round_delta_fns") {
+        Some(Metric::Histogram(rounds)) => assert!(rounds.count() > 0),
+        other => panic!("callgraph/round_delta_fns is not a histogram: {other:?}"),
+    }
 }

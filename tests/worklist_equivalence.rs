@@ -18,6 +18,7 @@ use dead_data_members::benchmarks::generator::{
     generate, generate_scale, GeneratorConfig, ScaleConfig,
 };
 use dead_data_members::prelude::*;
+use dead_data_members::telemetry::FieldValue;
 use ddm_bench::suite_analysis_config;
 
 // ---------------------------------------------------------------------------
@@ -246,6 +247,25 @@ fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
     }
 }
 
+/// The per-round delta sizes of a run's fixpoint, in round order: the
+/// `delta_fns` of its deterministic `cg_round` events.
+fn round_deltas(telemetry: &Telemetry) -> Vec<i64> {
+    telemetry
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "cg_round")
+        .map(|e| {
+            e.fields
+                .iter()
+                .find_map(|(key, value)| match value {
+                    FieldValue::Int(d) if *key == "delta_fns" => Some(*d),
+                    _ => None,
+                })
+                .expect("cg_round carries delta_fns")
+        })
+        .collect()
+}
+
 /// Two paths produce a fixpoint's worklist telemetry: a fresh solve and
 /// a snapshot warm start that replays the stored schedule. Both must
 /// give a cacheless run's counters and per-round delta sizes, at any
@@ -255,7 +275,7 @@ fn worklist_telemetry_is_identical_across_engines_and_jobs() {
     for b in dead_data_members::benchmarks::suite() {
         let name = b.name;
         let inputs = vec![(format!("{name}.cpp"), b.source.to_string())];
-        let telemetry = Telemetry::enabled();
+        let telemetry = Telemetry::recording();
         ProjectPipeline::run(
             &inputs,
             suite_analysis_config(),
@@ -267,7 +287,7 @@ fn worklist_telemetry_is_identical_across_engines_and_jobs() {
         )
         .unwrap_or_else(|e| panic!("{name}: {e}"));
         let counters = telemetry.counters();
-        let deltas = telemetry.stats().cg_round_deltas;
+        let deltas = round_deltas(&telemetry);
         assert!(
             counters.cg_worklist_pops > 0,
             "{name}: the fixpoint must pop work"
@@ -276,7 +296,7 @@ fn worklist_telemetry_is_identical_across_engines_and_jobs() {
         let cache = std::env::temp_dir().join(format!("ddm-wl-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache);
         for (jobs, state) in [(1, "cold"), (8, "replayed")] {
-            let telemetry = Telemetry::enabled();
+            let telemetry = Telemetry::recording();
             ProjectPipeline::run(
                 &inputs,
                 suite_analysis_config(),
@@ -287,9 +307,8 @@ fn worklist_telemetry_is_identical_across_engines_and_jobs() {
                 &telemetry,
             )
             .unwrap_or_else(|e| panic!("{name}: {state}: {e}"));
-            let stats = telemetry.stats();
             assert_eq!(
-                stats.snapshot_reused_fns > 0,
+                telemetry.counter("snapshot/reused_fns") > 0,
                 state == "replayed",
                 "{name}: {state} run took the wrong fixpoint path"
             );
@@ -299,7 +318,8 @@ fn worklist_telemetry_is_identical_across_engines_and_jobs() {
                 "{name}: counters diverged ({state}, jobs={jobs})"
             );
             assert_eq!(
-                stats.cg_round_deltas, deltas,
+                round_deltas(&telemetry),
+                deltas,
                 "{name}: per-round delta sizes diverged ({state}, jobs={jobs})"
             );
         }

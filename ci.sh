@@ -86,8 +86,7 @@ python3 - /tmp/ddm_ci_trace.json "$trace_src"/*.cpp <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 spans = [(e["name"], e["tid"]) for e in events
-         if e.get("ph") == "X" and e["name"].startswith("tu ")
-         and not e["name"].startswith("tu front end")]
+         if e.get("ph") == "X" and e["name"].startswith("tu ")]
 files = sys.argv[2:]
 assert len(spans) == len(files), f"want one tu span per TU, got {spans}"
 for f in files:
@@ -240,8 +239,8 @@ cargo run --release -p ddm-bench --bin bench_incremental -- --smoke --json > /de
 test -s BENCH_incremental_smoke.json
 
 echo "== bench suite smoke (non-gating on time) =="
-cargo run --release -p ddm-bench --bin bench_suite -- --json --samples 3 > /dev/null
-test -s BENCH_suite.json
+cargo run --release -p ddm-bench --bin bench_suite -- --smoke --json > /dev/null
+test -s BENCH_suite_smoke.json
 
 echo "== scale bench smoke (gating: wall-clock ceiling and depth exponents enforced in-binary) =="
 cargo run --release -p ddm-bench --bin bench_scale -- --smoke --json > /dev/null
@@ -340,8 +339,10 @@ echo "== bench report: counter-baseline regression gate (hard-fail on drift) =="
 # Recomputes the 11 suite programs' deterministic counters in-process
 # and diffs them against the committed golden baselines; timings are
 # warn-only on this 1-CPU host. Runs after the smokes so every family
-# has a readable report file.
+# has a readable report file; `--smoke` compares the smoke files these
+# runs just wrote, not the committed full ones.
 cargo run --release -p ddm-bench --bin bench_report -- --check --smoke --validate
-rm -f BENCH_fuzz_smoke.json BENCH_incremental_smoke.json BENCH_scale_smoke.json
+rm -f BENCH_fuzz_smoke.json BENCH_incremental_smoke.json BENCH_scale_smoke.json \
+    BENCH_suite_smoke.json
 
 echo "ci.sh: all gates passed"

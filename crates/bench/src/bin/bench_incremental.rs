@@ -16,9 +16,10 @@
 //!   incremental number, k = N the change-everything floor.
 //!
 //! Warm runs must also produce the byte-identical report to a cold run —
-//! the cache may only change wall-clock, never output. A per-phase
-//! breakdown (front end / link / call graph / liveness) of a warm
-//! 1-changed run is summed from the pipeline's phase spans.
+//! the cache may only change wall-clock, never output. A warm 1-changed
+//! run's breakdown reports each pipeline stage's span (probe, front end,
+//! link, solve, publish, assemble), the run's wall-clock and the part of
+//! it no stage covers.
 //!
 //! ```text
 //! bench_incremental [--json] [--samples N] [--smoke]
@@ -56,40 +57,27 @@ struct ProjectConfig {
     fns_per_tu: usize,
 }
 
-/// One warm 1-changed run's per-phase wall-clock, summed from the
-/// pipeline's lane-0 spans.
-#[derive(Default)]
-struct PhaseBreakdown {
-    frontend_ns: u64,
-    link_ns: u64,
-    callgraph_ns: u64,
-    liveness_ns: u64,
-}
-
-impl PhaseBreakdown {
-    /// Sums the spans that time each phase: the cache probe and the
-    /// per-TU front end, the link, the call graph, and the liveness scan
-    /// (a solved scan with its union post-pass, or the replay from the
-    /// snapshot). Spans nested inside them are not counted again.
-    fn of(telemetry: &Telemetry) -> PhaseBreakdown {
-        let mut phases = PhaseBreakdown::default();
-        for span in telemetry.spans().iter().filter(|s| s.lane == LANE_MAIN) {
-            let name = span.name.as_str();
-            let phase = if name.starts_with("cache probe") || name.starts_with("tu front end") {
-                &mut phases.frontend_ns
-            } else if name.starts_with("link (") {
-                &mut phases.link_ns
-            } else if name == "callgraph" {
-                &mut phases.callgraph_ns
-            } else if name.starts_with("liveness ") || name == "union post-pass" {
-                &mut phases.liveness_ns
-            } else {
-                continue;
-            };
-            *phase += span.dur_ns;
+/// A warm 1-changed run's breakdown as `(key, ns)` pairs: one per
+/// top-level lane-0 span, in pipeline order (the span's name up to its
+/// parenthesized counts, snake-cased, then `_ns`: `front end (1 of 24
+/// TUs)` is `front_end_ns`), then the run's `wall_ns` and the
+/// `unattributed_ns` no stage covers. Spans nested inside a stage are
+/// not counted again.
+fn stage_breakdown(telemetry: &Telemetry, wall: Duration) -> Vec<(String, u64)> {
+    let mut phases: Vec<(String, u64)> = Vec::new();
+    let mut end = 0;
+    for span in telemetry.spans().iter().filter(|s| s.lane == LANE_MAIN) {
+        if span.start_ns >= end {
+            end = span.start_ns + span.dur_ns;
+            let name = span.name.split(" (").next().unwrap_or_default();
+            phases.push((format!("{}_ns", name.replace(' ', "_")), span.dur_ns));
         }
-        phases
     }
+    let wall = wall.as_nanos() as u64;
+    let staged: u64 = phases.iter().map(|&(_, ns)| ns).sum();
+    phases.push(("wall_ns".to_string(), wall));
+    phases.push(("unattributed_ns".to_string(), wall.saturating_sub(staged)));
+    phases
 }
 
 struct SizeResult {
@@ -100,7 +88,7 @@ struct SizeResult {
     warm: Duration,
     /// `(k, wall-clock)` for the k-of-N changed axis, ascending in k.
     k_changed: Vec<(usize, Duration)>,
-    phases: PhaseBreakdown,
+    phases: Vec<(String, u64)>,
 }
 
 impl SizeResult {
@@ -332,9 +320,13 @@ fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeRes
         edition += 1;
         run(&edit_k(edition, 1), &cache, &Telemetry::disabled());
         edition += 1;
+        let edited = edit_k(edition, 1);
         let tel = Telemetry::enabled();
-        run(&edit_k(edition, 1), &cache, &tel);
-        PhaseBreakdown::of(&tel)
+        let started = Instant::now();
+        let result = run(&edited, &cache, &tel);
+        let wall = started.elapsed();
+        drop(result);
+        stage_breakdown(&tel, wall)
     };
 
     let _ = std::fs::remove_dir_all(&cache);
@@ -387,12 +379,11 @@ fn render_json(results: &[SizeResult], samples: usize) -> String {
                 r.cold.as_secs_f64() / d.as_secs_f64().max(f64::EPSILON),
             );
         }
-        let _ = write!(
-            out,
-            "],\n     \
-             \"one_changed_phases\": {{\"frontend_ns\": {}, \"link_ns\": {}, \"callgraph_ns\": {}, \"liveness_ns\": {}}}}}",
-            r.phases.frontend_ns, r.phases.link_ns, r.phases.callgraph_ns, r.phases.liveness_ns,
-        );
+        out.push_str("],\n     \"one_changed_phases\": {");
+        for (j, (key, ns)) in r.phases.iter().enumerate() {
+            let _ = write!(out, "{}\"{key}\": {ns}", if j == 0 { "" } else { ", " });
+        }
+        out.push_str("}}");
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n");

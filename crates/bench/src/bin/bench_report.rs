@@ -21,8 +21,9 @@
 //!
 //! `--write-baseline` captures `BENCH_baselines.json` (recomputed
 //! counters + the normalized timings of whatever BENCH_*.json files are
-//! present). `--check` is the CI gate; `--smoke` lets it fall back to
-//! the `*_smoke.json` variants and skip absent families. `--record`
+//! present). `--check` is the CI gate; `--smoke` makes it read each
+//! family's `*_smoke.json` variant first, the files a CI run just wrote,
+//! and skip absent families. `--record`
 //! appends one history line per family with a readable file. Exit code
 //! 1 means a gate failed, 2 a usage error.
 
@@ -39,11 +40,10 @@ const BASELINE_SCHEMA: &str = "ddm-bench-baselines/1";
 /// Warn when a timing drifts past this ratio (either direction).
 const TIMING_WARN_RATIO: f64 = 1.5;
 
-/// `(family, full file, smoke fallback)` — the smoke fallback is what
-/// the CI drivers write; an empty string means the family has no smoke
-/// variant.
+/// `(family, full file, smoke file)` — the smoke file is what the CI
+/// drivers write.
 const FAMILIES: &[(&str, &str, &str)] = &[
-    ("suite", "BENCH_suite.json", ""),
+    ("suite", "BENCH_suite.json", "BENCH_suite_smoke.json"),
     ("scale", "BENCH_scale.json", "BENCH_scale_smoke.json"),
     (
         "incremental",
@@ -79,7 +79,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--smoke",
         "",
-        "allow *_smoke.json fallbacks and skip families with no file (CI mode)",
+        "read *_smoke.json files first and skip families with no file (CI mode)",
     ),
     (
         "--baselines",
@@ -182,14 +182,15 @@ struct FamilyFile {
     tree: Value,
 }
 
-/// Loads the freshest readable file for `family` (full first, then the
-/// smoke variant when `allow_smoke`).
-fn load_family(family: &'static str, allow_smoke: bool) -> Option<Result<FamilyFile, String>> {
+/// Loads the readable file for `family`: the full file, or under
+/// `smoke` the smoke file a CI run just wrote, then the full file.
+fn load_family(family: &'static str, smoke: bool) -> Option<Result<FamilyFile, String>> {
     let (_, full, smoke_path) = FAMILIES.iter().find(|(f, _, _)| *f == family)?;
-    let mut candidates = vec![(*full, false)];
-    if allow_smoke && !smoke_path.is_empty() {
-        candidates.push((*smoke_path, true));
-    }
+    let candidates = if smoke {
+        vec![(*smoke_path, true), (*full, false)]
+    } else {
+        vec![(*full, false)]
+    };
     for (path, smoke) in candidates {
         let Ok(text) = std::fs::read_to_string(path) else {
             continue;
@@ -539,7 +540,7 @@ fn validate_tree(opts: &Options) -> Vec<String> {
         if check_file(Path::new(full)) {
             seen += 1;
         }
-        if !smoke.is_empty() && check_file(Path::new(smoke)) {
+        if check_file(Path::new(smoke)) {
             seen += 1;
         }
     }

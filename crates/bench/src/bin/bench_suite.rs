@@ -3,13 +3,14 @@
 //! run), the call-graph worklist replay, and the liveness replay.
 //!
 //! ```text
-//! bench_suite [--json] [--samples N]
+//! bench_suite [--json] [--samples N] [--smoke]
 //! ```
 //!
-//! `--json` additionally writes `BENCH_suite.json` (machine-readable,
-//! consumed by `ci.sh` as a smoke check). Timings are minima over `N`
-//! samples (default 9) — the least noisy estimator for deterministic
-//! CPU-bound work.
+//! `--json` additionally writes `BENCH_suite.json` (machine-readable).
+//! Timings are minima over `N` samples (default 9) — the least noisy
+//! estimator for deterministic CPU-bound work. `--smoke` takes 3
+//! samples and writes `BENCH_suite_smoke.json` instead, so a CI run
+//! leaves the committed file alone.
 
 use ddm_bench::{capture_counters, host_meta_json, suite_analysis_config, timing::interleaved_min};
 use ddm_callgraph::{CallGraph, CallGraphOptions};
@@ -117,13 +118,14 @@ fn render_json(rows: &[Row], samples: usize) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
+    let smoke = args.iter().any(|a| a == "--smoke");
     let samples = args
         .iter()
         .position(|a| a == "--samples")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or(9);
+        .unwrap_or(if smoke { 3 } else { 9 });
 
     let mut rows = Vec::new();
     for b in ddm_benchmarks::suite() {
@@ -163,8 +165,12 @@ fn main() {
     );
 
     if json {
-        let path = "BENCH_suite.json";
-        std::fs::write(path, render_json(&rows, samples)).expect("write BENCH_suite.json");
+        let path = if smoke {
+            "BENCH_suite_smoke.json"
+        } else {
+            "BENCH_suite.json"
+        };
+        std::fs::write(path, render_json(&rows, samples)).expect("write suite JSON");
         println!("wrote {path}");
     }
 }

@@ -17,7 +17,7 @@
 //! the `MarkAllContainedMembers` expansion and the union fixpoint.
 
 use crate::liveness::{LiveReason, Liveness, Origin};
-use crate::snapshot::AnalysisSnapshot;
+use crate::snapshot::StoredFixpoint;
 use ddm_callgraph::{replay_schedule, Algorithm, CallGraph, CallGraphOptions, CgSchedule};
 use ddm_cppfront::ast::ClassKind;
 use ddm_hierarchy::{
@@ -191,16 +191,15 @@ pub(crate) struct Solved {
 /// and event. The call graph and the scan each run under their own
 /// span, which times them.
 ///
-/// With `stored` — a snapshot whose fixpoint the caller proved
+/// With `stored` — a fixpoint the snapshot's reuse gate proved
 /// unaffected by the edit — the call graph and the scan are replayed
-/// from it, telemetry included, instead of solved; a stored graph that
-/// does not fit `program` falls back to a fresh solve.
+/// from it, telemetry included, instead of solved.
 pub(crate) fn solve(
     program: &Program,
     summary: &ProgramSummary,
     config: &AnalysisConfig,
     algorithm: Algorithm,
-    stored: Option<&AnalysisSnapshot>,
+    stored: Option<StoredFixpoint>,
     telemetry: &Telemetry,
 ) -> Result<Solved, TypeError> {
     let cg_options = CallGraphOptions {
@@ -213,10 +212,9 @@ pub(crate) fn solve(
         ..CallGraphOptions::default()
     };
     let analysis = DeadMemberAnalysis::new(program, config.clone());
-    let replay = stored.and_then(|snap| replay_fixpoint(program, summary, snap, telemetry));
-    let replayed = replay.is_some();
-    let (callgraph, schedule, liveness, scan_counters) = match replay {
-        Some(fixpoint) => fixpoint,
+    let replayed = stored.is_some();
+    let (callgraph, schedule, liveness, scan_counters) = match stored {
+        Some(stored) => replay_fixpoint(summary, stored, telemetry),
         None => {
             let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
             let (callgraph, schedule) =
@@ -304,46 +302,26 @@ pub(crate) fn solve(
     })
 }
 
-/// Replays `snap`'s converged call graph and liveness scan, re-emitting
-/// their telemetry exactly as a fresh solve would have. `None`, after a
-/// `snapshot_rejected` event, when the stored graph does not fit
-/// `program` — structurally impossible after the caller's reuse gate.
+/// Replays a stored fixpoint's call graph and liveness scan,
+/// re-emitting their telemetry exactly as a fresh solve would have.
 fn replay_fixpoint(
-    program: &Program,
     summary: &ProgramSummary,
-    snap: &AnalysisSnapshot,
+    stored: StoredFixpoint,
     telemetry: &Telemetry,
-) -> Option<(CallGraph, CgSchedule, Liveness, Counters)> {
+) -> (CallGraph, CgSchedule, Liveness, Counters) {
     let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-    let graph = CallGraph::from_parts(
-        snap.callgraph.clone(),
-        program.function_count(),
-        program.class_count(),
-    );
-    let callgraph = match graph {
-        Ok(callgraph) => callgraph,
-        Err(reason) => {
-            drop(cg_span);
-            telemetry.event(EventClass::Observational, "snapshot_rejected", || {
-                vec![("reason", reason.as_str().into())]
-            });
-            return None;
-        }
-    };
-    replay_schedule(&callgraph, &snap.schedule, telemetry);
+    replay_schedule(&stored.callgraph, &stored.schedule, telemetry);
     drop(cg_span);
 
-    let live_span = telemetry.span(LANE_MAIN, || "liveness from snapshot".to_string());
-    let liveness = Liveness::from_parts(&snap.liveness, Some(summary.member_index().clone()));
-    let counters = snap.liveness_counters;
+    let _live_span = telemetry.span(LANE_MAIN, || "liveness from snapshot".to_string());
+    let liveness = Liveness::from_parts(&stored.liveness, Some(summary.member_index().clone()));
     // The scan a fresh solve would run replays the globals and each
     // reachable function once.
-    let replays = 1 + callgraph.reachable_count() as u64;
+    let replays = 1 + stored.callgraph.reachable_count() as u64;
     telemetry.metrics(|m| m.counter_add("summary/replays", replays));
-    emit_liveness_events(telemetry, &counters);
-    telemetry.add_counters(&counters);
-    drop(live_span);
-    Some((callgraph, snap.schedule.clone(), liveness, counters))
+    emit_liveness_events(telemetry, &stored.counters);
+    telemetry.add_counters(&stored.counters);
+    (stored.callgraph, stored.schedule, liveness, stored.counters)
 }
 
 /// Flight-recorder tail of the solve: the final classification verdict

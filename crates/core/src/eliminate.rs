@@ -20,7 +20,8 @@
 use crate::liveness::Liveness;
 use crate::project::ProjectPipeline;
 use ddm_cppfront::ast::{
-    Block, Expr, ExprKind, LocalInit, Stmt, StmtKind, TranslationUnit, Type, TypeKind,
+    Block, Expr, ExprKind, Stmt, StmtChild, StmtChildMut, StmtKind, TranslationUnit, Type,
+    TypeKind, UnaryOp,
 };
 use ddm_cppfront::{parse, print_unit};
 use ddm_hierarchy::{MemberRef, Program};
@@ -253,79 +254,33 @@ impl Scan {
             self.non_member_names.insert(p.name.clone());
         }
         if let Some(body) = &f.body {
-            self.block(body);
-        }
-    }
-
-    fn block(&mut self, b: &Block) {
-        for s in &b.stmts {
-            self.stmt(s);
+            for s in &body.stmts {
+                self.stmt(s);
+            }
         }
     }
 
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
-            StmtKind::Expr(e) => {
-                // A statement-level assignment's own store is fine; its
-                // sub-expressions are scanned in expression position.
-                if let ExprKind::Assign { lhs, rhs, .. } = &e.kind {
-                    self.expr_skip_store_target(lhs);
-                    self.expr(rhs);
-                } else {
-                    self.expr(e);
-                }
+            // A statement-level assignment's own store is fine; its
+            // sub-expressions are scanned in expression position.
+            StmtKind::Expr(Expr {
+                kind: ExprKind::Assign { lhs, rhs, .. },
+                ..
+            }) => {
+                self.expr_skip_store_target(lhs);
+                self.expr(rhs);
+                return;
             }
             StmtKind::Decl(d) => {
                 self.non_member_names.insert(d.name.clone());
-                match &d.init {
-                    LocalInit::Default => {}
-                    LocalInit::Expr(e) => self.expr(e),
-                    LocalInit::Ctor(args) => args.iter().for_each(|a| self.expr(a)),
-                }
             }
-            StmtKind::If { cond, then, els } => {
-                self.expr(cond);
-                self.stmt(then);
-                if let Some(e) = els {
-                    self.stmt(e);
-                }
-            }
-            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-                self.expr(cond);
-                self.stmt(body);
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.stmt(i);
-                }
-                if let Some(c) = cond {
-                    self.expr(c);
-                }
-                if let Some(st) = step {
-                    self.expr(st);
-                }
-                self.stmt(body);
-            }
-            StmtKind::Switch { scrutinee, arms } => {
-                self.expr(scrutinee);
-                for arm in arms {
-                    if let Some(v) = &arm.value {
-                        self.expr(v);
-                    }
-                    for st in &arm.stmts {
-                        self.stmt(st);
-                    }
-                }
-            }
-            StmtKind::Return(Some(e)) => self.expr(e),
-            StmtKind::Block(b) => self.block(b),
             _ => {}
         }
+        s.each_child(|child| match child {
+            StmtChild::Stmt(s) => self.stmt(s),
+            StmtChild::Expr(e) => self.expr(e),
+        });
     }
 
     /// Scans the target of a statement-level store: the final member
@@ -335,10 +290,7 @@ impl Scan {
         match &lhs.kind {
             ExprKind::Member { base, .. } => self.expr(base),
             ExprKind::Ident(_) => {}
-            other => {
-                let _ = other;
-                self.expr(lhs);
-            }
+            _ => self.expr(lhs),
         }
     }
 
@@ -423,33 +375,22 @@ fn default_expr(ty: &Type) -> Option<Expr> {
 /// True when evaluating `e` has no side effects.
 fn is_pure(e: &Expr) -> bool {
     match &e.kind {
-        ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::BoolLit(_)
-        | ExprKind::CharLit(_)
-        | ExprKind::StrLit(_)
-        | ExprKind::Null
-        | ExprKind::This
-        | ExprKind::Ident(_)
-        | ExprKind::SizeofType(_)
-        | ExprKind::PtrToMember { .. } => true,
-        ExprKind::Member { base, .. } => is_pure(base),
-        ExprKind::Index { base, index } => is_pure(base) && is_pure(index),
-        ExprKind::Unary { op, expr } => {
-            use ddm_cppfront::ast::UnaryOp;
-            !matches!(op, UnaryOp::PreInc | UnaryOp::PreDec) && is_pure(expr)
+        ExprKind::Unary {
+            op: UnaryOp::PreInc | UnaryOp::PreDec,
+            ..
         }
-        ExprKind::Binary { lhs, rhs, .. } => is_pure(lhs) && is_pure(rhs),
-        ExprKind::Cond { cond, then, els } => is_pure(cond) && is_pure(then) && is_pure(els),
-        ExprKind::Cast { expr, .. } => is_pure(expr),
-        ExprKind::SizeofExpr(_) => true,
-        ExprKind::PtrMemApply { base, ptr, .. } => is_pure(base) && is_pure(ptr),
-        ExprKind::Comma { lhs, rhs } => is_pure(lhs) && is_pure(rhs),
-        ExprKind::Postfix { .. }
+        | ExprKind::Postfix { .. }
         | ExprKind::Assign { .. }
         | ExprKind::Call { .. }
         | ExprKind::New { .. }
         | ExprKind::Delete { .. } => false,
+        // `sizeof` never evaluates its operand.
+        ExprKind::SizeofExpr(_) => true,
+        _ => {
+            let mut pure = true;
+            e.each_child(|child| pure = pure && is_pure(child));
+            pure
+        }
     }
 }
 
@@ -507,56 +448,10 @@ fn rewrite_stmt(s: &mut Stmt, eliminable: &HashMap<String, Expr>) {
             }
         }
     }
-    match &mut s.kind {
-        StmtKind::Expr(e) => rewrite_expr(e, eliminable),
-        StmtKind::Decl(d) => match &mut d.init {
-            LocalInit::Default => {}
-            LocalInit::Expr(e) => rewrite_expr(e, eliminable),
-            LocalInit::Ctor(args) => args.iter_mut().for_each(|a| rewrite_expr(a, eliminable)),
-        },
-        StmtKind::If { cond, then, els } => {
-            rewrite_expr(cond, eliminable);
-            rewrite_stmt(then, eliminable);
-            if let Some(e) = els {
-                rewrite_stmt(e, eliminable);
-            }
-        }
-        StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-            rewrite_expr(cond, eliminable);
-            rewrite_stmt(body, eliminable);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                rewrite_stmt(i, eliminable);
-            }
-            if let Some(c) = cond {
-                rewrite_expr(c, eliminable);
-            }
-            if let Some(st) = step {
-                rewrite_expr(st, eliminable);
-            }
-            rewrite_stmt(body, eliminable);
-        }
-        StmtKind::Switch { scrutinee, arms } => {
-            rewrite_expr(scrutinee, eliminable);
-            for arm in arms {
-                if let Some(v) = &mut arm.value {
-                    rewrite_expr(v, eliminable);
-                }
-                for st in &mut arm.stmts {
-                    rewrite_stmt(st, eliminable);
-                }
-            }
-        }
-        StmtKind::Return(Some(e)) => rewrite_expr(e, eliminable),
-        StmtKind::Block(b) => rewrite_block(b, eliminable),
-        _ => {}
-    }
+    s.each_child_mut(|child| match child {
+        StmtChildMut::Stmt(s) => rewrite_stmt(s, eliminable),
+        StmtChildMut::Expr(e) => rewrite_expr(e, eliminable),
+    });
 }
 
 /// Replaces remaining accesses to eliminated members (which only occur
@@ -587,51 +482,7 @@ fn rewrite_expr(e: &mut Expr, eliminable: &HashMap<String, Expr>) {
             return;
         }
     }
-    mutate_children(e, |child| rewrite_expr(child, eliminable));
-}
-
-fn mutate_children(e: &mut Expr, mut f: impl FnMut(&mut Expr)) {
-    match &mut e.kind {
-        ExprKind::Member { base, .. } => f(base),
-        ExprKind::Index { base, index } => {
-            f(base);
-            f(index);
-        }
-        ExprKind::Call { callee, args } => {
-            f(callee);
-            args.iter_mut().for_each(f);
-        }
-        ExprKind::Unary { expr, .. }
-        | ExprKind::Postfix { expr, .. }
-        | ExprKind::SizeofExpr(expr) => f(expr),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Comma { lhs, rhs } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Assign { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Cond { cond, then, els } => {
-            f(cond);
-            f(then);
-            f(els);
-        }
-        ExprKind::Cast { expr, .. } | ExprKind::Delete { expr, .. } => f(expr),
-        ExprKind::New {
-            args, array_len, ..
-        } => {
-            args.iter_mut().for_each(&mut f);
-            if let Some(len) = array_len {
-                f(len);
-            }
-        }
-        ExprKind::PtrMemApply { base, ptr, .. } => {
-            f(base);
-            f(ptr);
-        }
-        _ => {}
-    }
+    e.each_child_mut(|child| rewrite_expr(child, eliminable));
 }
 
 #[cfg(test)]

@@ -40,9 +40,10 @@ pub use epoch::{EpochCell, EpochSnapshot};
 pub use explain::{explain, witness_path, ExplainError};
 pub use liveness::{LiveReason, Liveness, LivenessParts, Origin};
 pub use pipeline::{Engine, PipelineError};
-pub use project::{config_fingerprint, front_end, ProjectError, ProjectPipeline};
+pub use project::{front_end, ProjectError, ProjectPipeline};
 pub use report::{render_analysis, ClassReport, Report};
 pub use serve::{serve, ServeOptions};
 pub use snapshot::{
-    snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE, SNAPSHOT_FORMAT_VERSION,
+    config_fingerprint, snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE,
+    SNAPSHOT_FORMAT_VERSION,
 };

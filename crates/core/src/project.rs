@@ -1,44 +1,52 @@
 //! The analysis pipeline, with incremental re-analysis.
 //!
-//! [`ProjectPipeline`] accepts N named sources, runs the per-TU front
-//! end ([`front_end`]: parse → model → walk-once summary → [`TuModule`]
-//! extraction) on up to `jobs` worker threads, one TU at a time per
-//! worker, links the modules into one program ([`ddm_hierarchy::link()`]),
-//! and drives the delta-fixpoint call graph and liveness over the linked
-//! result on the calling thread. The artifacts are bit-identical for
-//! every worker count. A single source is a one-TU project
-//! ([`ProjectPipeline::from_source`]); with one worker the front end
-//! runs on the calling thread too.
+//! [`ProjectPipeline`] accepts N named sources and runs them through six
+//! stages, each under one top-level span on the calling thread's lane,
+//! which also covers dropping what only that stage used:
+//!
+//! 1. **probe** — hash every source and, with a cache directory, load
+//!    its snapshot and take each TU's module from it by content hash;
+//! 2. **front end** ([`front_end`]) — parse → model → walk-once summary
+//!    → [`TuModule`] extraction of every TU the probe missed, on up to
+//!    `jobs` worker threads;
+//! 3. **link** — diff the modules against an eligible snapshot, link
+//!    them into one program ([`ddm_hierarchy::link()`]), free the per-TU
+//!    programs and gate the stored fixpoint;
+//! 4. **solve** — the delta-fixpoint call graph and liveness over the
+//!    linked program, or their replay from the snapshot;
+//! 5. **publish** — replace the snapshot when the run changed anything;
+//! 6. **assemble** — the epoch's source set and the frozen
+//!    [`EpochSnapshot`].
+//!
+//! The artifacts are bit-identical for every worker count. A single
+//! source is a one-TU project ([`ProjectPipeline::from_source`]); with
+//! one worker the front end runs on the calling thread too.
 //!
 //! With a cache directory, the run's modules persist in one file,
-//! [`SNAPSHOT_FILE`](crate::SNAPSHOT_FILE) ([`AnalysisSnapshot`]), keyed by the FNV-1a
-//! content hash of each TU source. A warm run takes the module of every
-//! TU whose text the snapshot holds, re-parses and re-summarizes only
-//! the others, and produces byte-identical reports, `--explain` output,
-//! and deterministic counters versus a cold cacheless run: the linked
-//! model is always assembled from module records, so a summary resolved
-//! from cache cannot drift from one extracted fresh. A successful run
-//! that changed anything replaces the file; a failing one publishes
+//! [`SNAPSHOT_FILE`](crate::SNAPSHOT_FILE)
+//! ([`AnalysisSnapshot`](crate::AnalysisSnapshot)), keyed by the FNV-1a
+//! content hash of each TU source; the [`snapshot`](crate::snapshot)
+//! module owns every rule of the warm start. A warm run re-parses and
+//! re-summarizes only the TUs the file lacks, and produces
+//! byte-identical reports, `--explain` output, and deterministic
+//! counters versus a cold cacheless run: the linked model is always
+//! assembled from module records, so a summary resolved from cache
+//! cannot drift from one extracted fresh. A failing run publishes
 //! nothing.
 
 use crate::analysis::{solve, AnalysisConfig, Solved};
 use crate::epoch::EpochSnapshot;
-use crate::liveness::Liveness;
 use crate::pipeline::{Engine, PipelineError};
-use crate::report::Report;
-use crate::snapshot::{
-    module_fingerprint, snapshot_fingerprint, sweep_dangling_temps, AnalysisSnapshot,
-};
-use ddm_callgraph::{Algorithm, CallGraph};
+use crate::snapshot::{Cache, StoredFixpoint};
+use ddm_callgraph::Algorithm;
 use ddm_cppfront::{DeclMemo, SourceMap, SourceSet};
 use ddm_hierarchy::{
-    fnv1a64_each, hash_hex, link_delta_ref, link_with, ClassId, FuncId, LinkDelta, LinkError,
-    LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
+    fnv1a64_each, link_with, LinkError, LinkedProgram, Program, ProgramSummary, TuModule,
 };
-use ddm_telemetry::{EventClass, Telemetry, LANE_MAIN};
-use std::collections::{HashMap, HashSet};
+use ddm_telemetry::{Telemetry, LANE_MAIN};
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,12 +87,11 @@ impl Error for ProjectError {
 
 /// A completed analysis run over one or more translation units.
 ///
-/// Since the epoch refactor this is a thin handle over an immutable
-/// [`EpochSnapshot`] behind an `Arc`: one-shot callers keep the same
-/// accessor surface they always had, while serve mode takes the
-/// snapshot itself ([`ProjectPipeline::snapshot`]) and publishes it
-/// from the builder thread to the protocol thread that answers
-/// queries.
+/// A thin handle over an immutable [`EpochSnapshot`] behind an `Arc`:
+/// it dereferences to the snapshot, whose accessors one-shot callers
+/// use, while serve mode takes the snapshot itself
+/// ([`ProjectPipeline::snapshot`]) and publishes it from the builder
+/// thread to the protocol thread that answers queries.
 ///
 /// # Examples
 ///
@@ -103,15 +110,12 @@ pub struct ProjectPipeline {
     snapshot: Arc<EpochSnapshot>,
 }
 
-/// The per-TU summary configuration, part of the snapshot's
-/// [`module_fingerprint`]. Only configuration that changes what a
-/// *per-TU summary* contains belongs here (today: whether §3.1
-/// points-to refinement ran, which is implied by the call-graph
-/// algorithm). Options that act at link time or later — `sizeof`
-/// policy, down-cast policy, library classes — deliberately do not
-/// invalidate cached modules.
-pub fn config_fingerprint(algorithm: Algorithm) -> String {
-    format!("v1;refine={}", u8::from(algorithm == Algorithm::Pta))
+impl Deref for ProjectPipeline {
+    type Target = EpochSnapshot;
+
+    fn deref(&self) -> &EpochSnapshot {
+        &self.snapshot
+    }
 }
 
 /// The file name a single-source run gives its one TU, which its
@@ -124,57 +128,6 @@ const SOURCE_NAME: &str = "<source>";
 /// a spawned thread's 2 MiB default would overflow on deep recursion
 /// (a long flat expression) sooner.
 pub(crate) const ANALYSIS_STACK_BYTES: usize = 8 << 20;
-
-/// Decides whether the persisted fixpoint can be replayed verbatim over
-/// the freshly linked program, given the summary diff of the edit.
-///
-/// The argument (see DESIGN.md §5i): unchanged TUs contribute records
-/// identical to the snapshot's. A stable class space means every class,
-/// method, member, and dispatch-table id is preserved, and the root set
-/// (which depends only on `main` and the library-class virtual
-/// overrides) is preserved too — provided `main` itself did not appear.
-/// Free-function names are globally unique, so matching each stored
-/// reachable function's display name at its stored id proves the id
-/// assignment of the whole reachable region survived; requiring that no
-/// reachable name was edited or removed proves each replayed summary is
-/// the one the fixpoint converged over. By induction on the worklist
-/// rounds the new reachable closure, its schedule, and the liveness
-/// facts it derives equal the stored ones exactly. Everything outside
-/// the reachable region (added, removed, or edited unreachable
-/// functions) can, by definition, never be pulled in: its only entry
-/// points are calls from reachable functions, all of which are
-/// unchanged.
-fn fixpoint_reusable(snap: &AnalysisSnapshot, delta: &LinkDelta, program: &Program) -> bool {
-    if !delta.class_space_stable() {
-        return false;
-    }
-    if snap.class_count as usize != program.class_count()
-        || snap.function_count as usize > program.function_count()
-    {
-        return false;
-    }
-    let named = |list: &[String], name: &str| {
-        list.binary_search_by(|n| n.as_str().cmp(name)).is_ok()
-    };
-    // A newly appearing `main` would change the root set without ever
-    // being named by the stored reachable region.
-    if named(&delta.fns_added, "main") {
-        return false;
-    }
-    for (id, name) in &snap.reachable_names {
-        let id = *id as usize;
-        if id >= program.function_count() {
-            return false;
-        }
-        if named(&delta.fns_changed, name) || named(&delta.fns_removed, name) {
-            return false;
-        }
-        if program.func_display_name(FuncId::from_index(id)) != *name {
-            return false;
-        }
-    }
-    true
-}
 
 /// The per-TU front end: parse → model → walk-once summary →
 /// [`TuModule`] extraction of each TU `todo` names (ascending indices
@@ -195,9 +148,6 @@ pub fn front_end(
     jobs: usize,
     telemetry: &Telemetry,
 ) -> Result<Vec<(TuModule, Program, SourceMap)>, ProjectError> {
-    let _front = telemetry.span(LANE_MAIN, || {
-        format!("tu front end ({} of {} TUs)", todo.len(), inputs.len())
-    });
     let refine = algorithm == Algorithm::Pta;
     let workers = jobs.max(1).min(todo.len().max(1));
     let memo = DeclMemo::new();
@@ -268,6 +218,140 @@ pub fn front_end(
         .collect()
 }
 
+/// The probe stage: hashes each source once (for its cache key and for
+/// the module its front end extracts), then takes each TU's module from
+/// the cache directory's snapshot. Returns the hashes, each TU's served
+/// module (`None`: a miss) and the run's cache side.
+fn probe<'d>(
+    inputs: &[(String, String)],
+    config: &AnalysisConfig,
+    algorithm: Algorithm,
+    cache: Option<&'d Path>,
+    telemetry: &Telemetry,
+) -> (Vec<u64>, Vec<Option<TuModule>>, Option<Cache<'d>>) {
+    let _probe = telemetry.span(LANE_MAIN, || format!("probe ({} TUs)", inputs.len()));
+    let hashes = {
+        let _hash = telemetry.span(LANE_MAIN, || "hash".to_string());
+        let sources: Vec<&[u8]> = inputs.iter().map(|(_, s)| s.as_bytes()).collect();
+        fnv1a64_each(&sources)
+    };
+    let (served, cache) = Cache::probe(cache, config, algorithm, inputs, &hashes, telemetry);
+    (hashes, served, cache)
+}
+
+/// The front end's hand-off: every TU's module, and the program and
+/// source map of each TU it parsed.
+struct Built {
+    modules: Vec<TuModule>,
+    parsed: Vec<Option<Program>>,
+    maps: Vec<Option<SourceMap>>,
+}
+
+/// The front-end stage: [`front_end`] over every TU the probe missed.
+fn build(
+    inputs: &[(String, String)],
+    mut served: Vec<Option<TuModule>>,
+    hashes: &[u64],
+    algorithm: Algorithm,
+    jobs: usize,
+    telemetry: &Telemetry,
+) -> Result<Built, ProjectError> {
+    let n = served.len();
+    let todo: Vec<usize> = (0..n).filter(|&i| served[i].is_none()).collect();
+    let _front = telemetry.span(LANE_MAIN, || {
+        format!("front end ({} of {n} TUs)", todo.len())
+    });
+    let fresh = front_end(inputs, &todo, hashes, algorithm, jobs, telemetry)?;
+    let mut parsed: Vec<Option<Program>> = (0..n).map(|_| None).collect();
+    let mut maps: Vec<Option<SourceMap>> = (0..n).map(|_| None).collect();
+    for (&i, (module, program, map)) in todo.iter().zip(fresh) {
+        served[i] = Some(module);
+        parsed[i] = Some(program);
+        maps[i] = Some(map);
+    }
+    drop(todo);
+    Ok(Built {
+        modules: served
+            .into_iter()
+            .map(|m| m.expect("every TU has a module"))
+            .collect(),
+        parsed,
+        maps,
+    })
+}
+
+/// The link stage: the summary diff against an eligible snapshot, the
+/// link, and the reuse gate's verdict on the stored fixpoint. The
+/// per-TU programs die here, once the linked program took their bodies.
+fn link(
+    modules: &[TuModule],
+    parsed: Vec<Option<Program>>,
+    mut cache: Option<&mut Cache<'_>>,
+    algorithm: Algorithm,
+    telemetry: &Telemetry,
+) -> Result<(LinkedProgram, Option<StoredFixpoint>), ProjectError> {
+    let _link = telemetry.span(LANE_MAIN, || format!("link ({} TUs)", modules.len()));
+    if let Some(cache) = &mut cache {
+        cache.diff(modules, telemetry);
+    }
+    let linked = link_with(modules, &parsed, telemetry).map_err(ProjectError::Link)?;
+
+    #[cfg(debug_assertions)]
+    if parsed.iter().all(Option::is_some) {
+        // A cold link must resolve to exactly the summary a fresh walk
+        // of the linked program would extract; the cache layer then
+        // inherits this identity byte for byte.
+        let refine = algorithm == Algorithm::Pta;
+        let fresh = ProgramSummary::build(linked.program(), refine, 1);
+        for i in 0..linked.program().function_count() {
+            let fid = ddm_hierarchy::FuncId::from_index(i);
+            debug_assert_eq!(
+                linked.summary().function(fid).ok(),
+                fresh.function(fid).ok(),
+                "linked summary diverged from a fresh walk (fn {i})"
+            );
+        }
+        debug_assert_eq!(linked.summary().globals().ok(), fresh.globals().ok());
+    }
+    drop(parsed);
+
+    let stored =
+        cache.and_then(|cache| cache.reusable_fixpoint(linked.program(), algorithm, telemetry));
+    Ok((linked, stored))
+}
+
+/// The assemble stage: the epoch's source set — the front end's maps
+/// move in, and only TUs the cache served get a new one — and the
+/// frozen snapshot.
+fn assemble(
+    inputs: &[(String, String)],
+    maps: Vec<Option<SourceMap>>,
+    linked: LinkedProgram,
+    solved: Solved,
+    config: AnalysisConfig,
+    epoch: u64,
+    telemetry: &Telemetry,
+) -> Arc<EpochSnapshot> {
+    let _assemble = telemetry.span(LANE_MAIN, || "assemble".to_string());
+    let mut sources = SourceSet::new();
+    for ((file, source), map) in inputs.iter().zip(maps) {
+        sources.push(map.unwrap_or_else(|| SourceMap::new(file.clone(), source.clone())));
+    }
+    // The schedule only feeds the publish.
+    drop(solved.schedule);
+    Arc::new(EpochSnapshot {
+        epoch,
+        sources,
+        files: inputs.iter().map(|(f, _)| f.clone()).collect(),
+        linked,
+        callgraph: solved.callgraph,
+        liveness: solved.liveness,
+        used: solved.used,
+        config,
+        counters: telemetry.counters(),
+    })
+}
+
 impl ProjectPipeline {
     /// Analyses one source with the default configuration (RTA call
     /// graph, conservative `sizeof`, conservative down-casts).
@@ -311,12 +395,13 @@ impl ProjectPipeline {
     /// liveness) always run on the calling thread.
     ///
     /// `cache_dir`, when set, enables the persistent cache file
-    /// ([`AnalysisSnapshot`]): each TU's module is looked up there by
-    /// content hash before the per-TU front end runs, and a successful
-    /// run that changed anything replaces the file. Cache I/O is
-    /// best-effort — an unreadable, corrupt, version-mismatched, or
-    /// fingerprint-mismatched snapshot counts as an invalidation of every
-    /// TU, which is recomputed (and the file replaced), never trusted.
+    /// ([`AnalysisSnapshot`](crate::AnalysisSnapshot)): each TU's module
+    /// is looked up there by content hash before the per-TU front end
+    /// runs, and a successful run that changed anything replaces the
+    /// file. Cache I/O is best-effort — an unreadable, corrupt,
+    /// version-mismatched, or fingerprint-mismatched snapshot counts as an
+    /// invalidation of every TU, which is recomputed (and the file
+    /// replaced), never trusted.
     ///
     /// `engine` is ignored: [`Engine`] has one variant. The argument
     /// stays so that existing callers, the repository benchmark among
@@ -362,361 +447,41 @@ impl ProjectPipeline {
         telemetry: &Telemetry,
         epoch: u64,
     ) -> Result<Arc<EpochSnapshot>, ProjectError> {
-        let n = inputs.len();
-
-        // --- Cache probe: content-hash every input and take each TU's
-        // module from the snapshot by hash, wherever it sits there. ---
-        let snap_fingerprint = snapshot_fingerprint(&config, algorithm);
-        let mut invalidations = 0u64;
-        let mut snapshot: Option<AnalysisSnapshot> = None;
-        let probe = telemetry.span(LANE_MAIN, || format!("cache probe ({n} TUs)"));
-        // Each source is hashed once per run: for its cache key, and for
-        // the module its front end extracts.
-        let hashes = {
-            let _hash = telemetry.span(LANE_MAIN, || "hash".to_string());
-            let sources: Vec<&[u8]> = inputs.iter().map(|(_, s)| s.as_bytes()).collect();
-            fnv1a64_each(&sources)
-        };
-        if let Some(dir) = cache {
-            sweep_dangling_temps(dir, telemetry);
-            // Snapshot outcomes differ cold vs warm, so every snapshot
-            // event is obs class, like the probe events.
-            match AnalysisSnapshot::load(dir, &module_fingerprint(algorithm)) {
-                Ok(snap) => {
-                    let same_tus = snap.source_hashes.len() == n;
-                    let fixpoint = match (snap.fingerprint == snap_fingerprint, same_tus) {
-                        (false, _) => "config_fingerprint",
-                        (true, false) => "tu_count",
-                        (true, true) => "eligible",
-                    };
-                    telemetry.event(EventClass::Observational, "snapshot_loaded", || {
-                        vec![
-                            ("tus", snap.source_hashes.len().into()),
-                            ("functions", u64::from(snap.function_count).into()),
-                            ("fixpoint", fixpoint.into()),
-                        ]
-                    });
-                    snapshot = Some(snap);
+        let (hashes, served, mut cache) = probe(inputs, &config, algorithm, cache, telemetry);
+        let Built {
+            modules,
+            parsed,
+            maps,
+        } = build(inputs, served, &hashes, algorithm, jobs, telemetry)?;
+        let (linked, stored) = link(&modules, parsed, cache.as_mut(), algorithm, telemetry)?;
+        let mut solved = {
+            let _solve = telemetry.span(LANE_MAIN, || "solve".to_string());
+            let (program, summary) = (linked.program(), linked.summary());
+            solve(program, summary, &config, algorithm, stored, telemetry).map_err(|error| {
+                let file = linked.locate_error(&error).map(|t| inputs[t].0.clone());
+                ProjectError::Tu {
+                    file: file.unwrap_or_else(|| "<linked program>".to_string()),
+                    error: PipelineError::Type(error),
                 }
-                // A plainly absent snapshot is the ordinary cold case,
-                // not worth an event.
-                Err(reason) if reason == "missing" => {}
-                Err(reason) => {
-                    invalidations = n as u64;
-                    telemetry.event(EventClass::Observational, "snapshot_rejected", || {
-                        vec![("reason", reason.as_str().into())]
-                    });
-                }
-            }
-        }
-        // The snapshot's stored modules, moved out of the envelope: a TU
-        // whose text sits at the same position takes its module (not
-        // cloned), leaving `Some` behind exactly where the text changed —
-        // the previous-side modules the summary diff needs. A TU whose
-        // text sits elsewhere, or twice, gets a clone: slot `j` still
-        // holds its module, or moved it to an earlier TU `j`. Keyed by
-        // content, not by path, so the same bytes under a new name hit.
-        let mut snap_modules: Vec<Option<TuModule>> = snapshot
-            .as_mut()
-            .map(|snap| {
-                std::mem::take(&mut snap.modules)
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let snap_hashes = snapshot.as_ref().map_or(&[][..], |s| &s.source_hashes[..]);
-        let by_hash: HashMap<u64, usize> = snap_hashes
-            .iter()
-            .enumerate()
-            .map(|(j, &h)| (h, j))
-            .collect();
-        let mut modules: Vec<Option<TuModule>> = Vec::with_capacity(n);
-        let mut hits = 0u64;
-        for (i, ((file, _), &hash)) in inputs.iter().zip(&hashes).enumerate() {
-            let mut module = if snap_hashes.get(i) == Some(&hash) {
-                snap_modules[i].take()
-            } else {
-                by_hash
-                    .get(&hash)
-                    .and_then(|&j| snap_modules[j].clone().or_else(|| modules[j].clone()))
-            };
-            if let Some(module) = &mut module {
-                module.file = file.clone();
-                hits += 1;
-            }
-            // Probe outcomes differ cold vs warm, so every probe event is
-            // obs class.
-            if cache.is_some() {
-                let event = if module.is_some() {
-                    "tu_cache_hit"
-                } else {
-                    "tu_cache_miss"
-                };
-                telemetry.event(EventClass::Observational, event, || {
-                    vec![
-                        ("file", file.as_str().into()),
-                        ("hash", hash_hex(hash).into()),
-                    ]
-                });
-            }
-            modules.push(module);
-        }
-        drop(probe);
-        if cache.is_some() {
-            telemetry.metrics(|m| {
-                m.counter_add("cache/hits", hits);
-                m.counter_add("cache/invalidations", invalidations);
-            });
-        }
-
-        // --- Per-TU front end for the TUs the cache missed. ---
-        let todo: Vec<usize> = (0..n).filter(|&i| modules[i].is_none()).collect();
-        let mut parsed: Vec<Option<Program>> = (0..n).map(|_| None).collect();
-        let mut maps: Vec<Option<SourceMap>> = (0..n).map(|_| None).collect();
-        let fresh = front_end(inputs, &todo, &hashes, algorithm, jobs, telemetry)?;
-        for (&i, (module, program, map)) in todo.iter().zip(fresh) {
-            modules[i] = Some(module);
-            parsed[i] = Some(program);
-            maps[i] = Some(map);
-        }
-        let mut modules: Vec<TuModule> = modules
-            .into_iter()
-            .map(|m| m.expect("every TU has a module after the front end"))
-            .collect();
-
-        // The stored fixpoint is a candidate only under the same TU list
-        // length and the whole configuration; otherwise the snapshot
-        // served modules alone.
-        let snapshot = snapshot
-            .filter(|snap| snap.fingerprint == snap_fingerprint && snap.source_hashes.len() == n);
-
-        // --- Summary diff vs the snapshot, over borrowed module lists.
-        // An unchanged TU's previous side is the current module itself
-        // (content-identical by hash), so nothing is cloned and a
-        // content-identical TU under a new name is not a change; a
-        // changed TU's previous side is the module left behind in
-        // `snap_modules`. The delta drives the fixpoint-reuse gate
-        // below. ---
-        let delta: Option<LinkDelta> = snapshot.as_ref().map(|_| {
-            let previous: Vec<&TuModule> = snap_modules
-                .iter()
-                .enumerate()
-                .map(|(i, old)| old.as_ref().unwrap_or(&modules[i]))
-                .collect();
-            link_delta_ref(&previous, &modules)
-        });
-        if let Some(delta) = &delta {
-            telemetry.event(EventClass::Observational, "link_delta", || {
-                vec![
-                    ("tus_changed", delta.tus_changed.len().into()),
-                    ("fns_added", delta.fns_added.len().into()),
-                    ("fns_removed", delta.fns_removed.len().into()),
-                    ("fns_changed", delta.fns_changed.len().into()),
-                    (
-                        "classes_changed",
-                        (delta.classes_added.len()
-                            + delta.classes_removed.len()
-                            + delta.classes_changed.len())
-                        .into(),
-                    ),
-                    (
-                        "class_space_stable",
-                        u64::from(delta.class_space_stable()).into(),
-                    ),
-                ]
-            });
-        }
-
-        // --- Link. ---
-        let link_span = telemetry.span(LANE_MAIN, || format!("link ({} TUs)", modules.len()));
-        let linked = link_with(&modules, &parsed, telemetry).map_err(ProjectError::Link)?;
-        drop(link_span);
-
-        #[cfg(debug_assertions)]
-        if hits == 0 {
-            // A cold link must resolve to exactly the summary a fresh
-            // walk of the linked program would extract; the cache layer
-            // then inherits this identity byte for byte.
-            let refine = algorithm == Algorithm::Pta;
-            let fresh = ProgramSummary::build(linked.program(), refine, 1);
-            for i in 0..linked.program().function_count() {
-                let fid = ddm_hierarchy::FuncId::from_index(i);
-                debug_assert_eq!(
-                    linked.summary().function(fid).ok(),
-                    fresh.function(fid).ok(),
-                    "linked summary diverged from a fresh walk (fn {i})"
-                );
-            }
-            debug_assert_eq!(linked.summary().globals().ok(), fresh.globals().ok());
-        }
-
-        // --- Whole-program phases on the linked model. ---
-        let program = linked.program();
-        let attribute = |e: TypeError| -> ProjectError {
-            let file = linked
-                .locate_error(&e)
-                .map(|t| modules[t].file.clone())
-                .unwrap_or_else(|| "<linked program>".to_string());
-            ProjectError::Tu {
-                file,
-                error: PipelineError::Type(e),
-            }
+            })?
         };
-        // --- Fixpoint-reuse gate: with a snapshot in hand and a summary
-        // diff that provably cannot perturb the converged fixpoint, the
-        // stored call graph and liveness are replayed instead of re-run.
-        // `Everything` builds no schedule (and is trivial to rebuild),
-        // so it never replays. ---
-        let reusable = match (&snapshot, &delta) {
-            (Some(snap), Some(delta)) if algorithm != Algorithm::Everything => {
-                fixpoint_reusable(snap, delta, program)
-            }
-            _ => false,
-        };
-        if let Some(delta) = &delta {
-            let frontier = delta.frontier_len();
-            let total = program.function_count();
-            telemetry.event(EventClass::Observational, "fixpoint_invalidate", || {
-                vec![
-                    ("frontier_fns", frontier.into()),
-                    ("total_fns", total.into()),
-                    ("reused", u64::from(reusable).into()),
-                ]
-            });
-        }
-
-        let stored = snapshot.as_ref().filter(|_| reusable);
-        let Solved {
-            callgraph,
-            schedule,
-            liveness,
-            scan_counters,
-            used,
-            replayed,
-        } = solve(program, linked.summary(), &config, algorithm, stored, telemetry)
-            .map_err(attribute)?;
-
-        if cache.is_some() {
-            telemetry.metrics(|m| {
-                m.counter_add("snapshot/warm_starts", u64::from(snapshot.is_some()));
-                let reused = if replayed {
-                    callgraph.reachable_count()
-                } else {
-                    0
-                };
-                m.counter_add("snapshot/reused_fns", reused as u64);
-                let frontier = delta.as_ref().map_or(0, LinkDelta::frontier_len);
-                m.counter_add("snapshot/frontier_fns", frontier as u64);
-            });
-        }
-        // --- Snapshot write-back (best-effort, atomic). Skipped when
-        // nothing changed and the fixpoint was replayed: the published
-        // snapshot is already byte-identical to what we would write. ---
-        if let Some(dir) = cache {
-            let unchanged = delta.as_ref().is_some_and(|d| d.is_empty());
-            if !(unchanged && replayed) {
-                let _snap_span = telemetry.span(LANE_MAIN, || "snapshot write".to_string());
-                let snap = AnalysisSnapshot {
-                    fingerprint: snap_fingerprint,
-                    source_hashes: hashes,
-                    summary_bytes: vec![0; n],
-                    // The module list is dead after this point, so the
-                    // snapshot takes it instead of cloning it.
-                    modules: std::mem::take(&mut modules),
-                    reachable_names: callgraph
-                        .reachable()
-                        .map(|f| (f.index() as u32, program.func_display_name(f)))
-                        .collect(),
-                    class_count: program.class_count() as u32,
-                    function_count: program.function_count() as u32,
-                    callgraph: callgraph.to_parts(),
-                    schedule,
-                    liveness: liveness.to_parts(),
-                    liveness_counters: scan_counters,
-                };
-                let _ = std::fs::create_dir_all(dir);
-                snap.save(dir);
-                telemetry.event(EventClass::Observational, "snapshot_publish", || {
-                    vec![
-                        ("tus", snap.source_hashes.len().into()),
-                        ("functions", u64::from(snap.function_count).into()),
-                    ]
-                });
-            }
-        }
-
-        // The front end's maps move in; only TUs the cache served get
-        // a new one.
-        let mut sources = SourceSet::new();
         {
-            let _assemble = telemetry.span(LANE_MAIN, || "assemble".to_string());
-            for ((file, source), map) in inputs.iter().zip(maps) {
-                sources.push(map.unwrap_or_else(|| SourceMap::new(file.clone(), source.clone())));
+            let _publish = telemetry.span(LANE_MAIN, || "publish".to_string());
+            match cache {
+                Some(cache) => {
+                    cache.publish(hashes, modules, linked.program(), &mut solved, telemetry);
+                }
+                None => drop((hashes, modules)),
             }
         }
-        Ok(Arc::new(EpochSnapshot {
-            epoch,
-            sources,
-            files: inputs.iter().map(|(f, _)| f.clone()).collect(),
-            linked,
-            callgraph,
-            liveness,
-            used,
-            config,
-            counters: telemetry.counters(),
-        }))
+        let snapshot = assemble(inputs, maps, linked, solved, config, epoch, telemetry);
+        Ok(snapshot)
     }
 
     /// A shared handle to the underlying immutable snapshot (a refcount
     /// bump — this is what serve-mode readers clone per query).
     pub fn snapshot(&self) -> Arc<EpochSnapshot> {
         Arc::clone(&self.snapshot)
-    }
-
-    /// The per-TU source maps, in input order.
-    pub fn sources(&self) -> &SourceSet {
-        self.snapshot.sources()
-    }
-
-    /// The input file names, in input order.
-    pub fn files(&self) -> &[String] {
-        self.snapshot.files()
-    }
-
-    /// The linked whole-program view with its per-TU provenance.
-    pub fn linked(&self) -> &LinkedProgram {
-        self.snapshot.linked()
-    }
-
-    /// The linked program model.
-    pub fn program(&self) -> &Program {
-        self.snapshot.program()
-    }
-
-    /// The call graph that scoped the analysis.
-    pub fn callgraph(&self) -> &CallGraph {
-        self.snapshot.callgraph()
-    }
-
-    /// The per-member classification.
-    pub fn liveness(&self) -> &Liveness {
-        self.snapshot.liveness()
-    }
-
-    /// The used-class set.
-    pub fn used(&self) -> &HashSet<ClassId> {
-        self.snapshot.used()
-    }
-
-    /// The configuration the run used.
-    pub fn config(&self) -> &AnalysisConfig {
-        self.snapshot.config()
-    }
-
-    /// Builds the report over the linked program.
-    pub fn report(&self) -> Report {
-        self.snapshot.report()
     }
 }
 
@@ -857,6 +622,102 @@ public:
             format!("{:?}", cold_tel.counters().rows()),
             "deterministic counters must not see the cache"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The top-level lane-0 spans of a run, in order, each with the
+    /// names of the lane-0 spans nested inside it.
+    fn stages(telemetry: &Telemetry) -> Vec<(String, Vec<String>)> {
+        let mut stages: Vec<(String, u64, Vec<String>)> = Vec::new();
+        for span in telemetry
+            .spans()
+            .into_iter()
+            .filter(|s| s.lane == LANE_MAIN)
+        {
+            match stages.last_mut() {
+                Some((_, end, children)) if span.start_ns < *end => children.push(span.name),
+                _ => stages.push((span.name, span.start_ns + span.dur_ns, Vec::new())),
+            }
+        }
+        stages
+            .into_iter()
+            .map(|(name, _, children)| (name, children))
+            .collect()
+    }
+
+    #[test]
+    fn each_stage_runs_under_one_top_level_span_in_every_cache_state() {
+        let dir = std::env::temp_dir().join(format!("ddm-proj-stages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut inputs = inputs();
+        inputs.push((
+            "util.cpp".to_string(),
+            format!("{HEADER}int helper() {{ return 1; }}"),
+        ));
+        let mut edited = inputs.clone();
+        edited[1].1.push_str("\nint pad() { return 7; }\n");
+        let watched = [
+            "hash",
+            "snapshot read",
+            "snapshot decode",
+            "link delta",
+            "snapshot encode",
+            "snapshot save",
+        ];
+        // (mode, inputs, cache, TUs the front end runs, whether a
+        // snapshot file is read, whether the fixpoint is eligible,
+        // whether publish writes)
+        let cache = Some(dir.as_path());
+        let modes = [
+            ("cacheless", &inputs, None, 3, false, false, false),
+            ("cold", &inputs, cache, 3, false, false, true),
+            ("warm", &inputs, cache, 0, true, true, false),
+            ("1-changed", &edited, cache, 1, true, true, true),
+        ];
+        for (mode, inputs, cache, parsed, read, eligible, writes) in modes {
+            let telemetry = Telemetry::enabled();
+            ProjectPipeline::run(
+                inputs,
+                AnalysisConfig::default(),
+                Algorithm::Rta,
+                1,
+                Engine::Summary,
+                cache,
+                &telemetry,
+            )
+            .unwrap();
+            let stages = stages(&telemetry);
+            let names: Vec<&str> = stages.iter().map(|(name, _)| name.as_str()).collect();
+            let front = format!("front end ({parsed} of 3 TUs)");
+            let stage_names = ["probe (3 TUs)", &front, "link (3 TUs)"];
+            let stage_names = [&stage_names[..], &["solve", "publish", "assemble"]].concat();
+            assert_eq!(names, stage_names, "{mode}");
+            let children = |stage: usize| -> Vec<&str> {
+                stages[stage]
+                    .1
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|name| watched.contains(name))
+                    .collect()
+            };
+            let probe: &[&str] = if read {
+                &["hash", "snapshot read", "snapshot decode"]
+            } else {
+                &["hash"]
+            };
+            assert_eq!(children(0), probe, "{mode}: probe");
+            assert!(children(1).is_empty(), "{mode}: front end");
+            let delta: &[&str] = if eligible { &["link delta"] } else { &[] };
+            assert_eq!(children(2), delta, "{mode}: link");
+            assert!(children(3).is_empty(), "{mode}: solve");
+            let publish: &[&str] = if writes {
+                &["snapshot encode", "snapshot save"]
+            } else {
+                &[]
+            };
+            assert_eq!(children(4), publish, "{mode}: publish");
+            assert!(stages[5].1.is_empty(), "{mode}: assemble");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,14 +1,16 @@
-//! The cache file: one `analysis.snap` per cache directory.
+//! The cache file and the warm-start rules: one `analysis.snap` per
+//! cache directory.
 //!
 //! An [`AnalysisSnapshot`] holds the binary module of every TU of the
 //! last successful run, keyed by source hash, with the converged
 //! call-graph fixpoint, its deterministic schedule and the liveness
-//! classification. A warm run takes each TU's module from it by source
-//! hash, wherever the TU sits, and — under the same TU list and
-//! configuration, when the summary diff proves the fixpoint unaffected —
-//! replays the stored schedule, emitting a deterministic event, counter
-//! and metric stream byte-identical to a cold run. The directory holds
-//! one generation: each run that changes anything replaces the file.
+//! classification. A run reaches it through one `Cache`, which owns the
+//! warm-start rules: the probe serves each TU's module by source hash
+//! and decides once whether the stored fixpoint is eligible (the whole
+//! [`snapshot_fingerprint`], the same TU count); after the link, the
+//! reuse gate replays it when the summary diff proves it unaffected,
+//! with telemetry byte-identical to a cold run; the publish replaces
+//! the file unless nothing changed and the fixpoint was replayed.
 //!
 //! The file is sealed with [`ddm_hierarchy::binmod`]'s `seal`/`open`
 //! (magic, format version, word-wise FNV-1a checksum) around one
@@ -19,17 +21,17 @@
 //! rejection makes the run recompute every TU. The snapshot is
 //! advisory, never trusted.
 
-use crate::analysis::AnalysisConfig;
+use crate::analysis::{AnalysisConfig, Solved};
 use crate::liveness::{LiveReason, LivenessParts, Origin};
-use crate::project::config_fingerprint;
-use ddm_callgraph::{Algorithm, CallGraphParts, CgRound, CgSchedule};
+use ddm_callgraph::{Algorithm, CallGraph, CallGraphParts, CgRound, CgSchedule};
 use ddm_hierarchy::binmod::{open, seal};
 use ddm_hierarchy::{
-    decode_modules, encode_modules, ByteReader, ByteWriter, ClassId, FuncId, MemberRef, Reject,
-    TuModule, BINMOD_FORMAT_VERSION,
+    decode_modules, encode_modules, hash_hex, link_delta_ref, ByteReader, ByteWriter, ClassId,
+    FuncId, LinkDelta, MemberRef, Program, Reject, TuModule, BINMOD_FORMAT_VERSION,
 };
-use ddm_telemetry::{Counters, EventClass, Histogram, Telemetry};
+use ddm_telemetry::{Counters, EventClass, Histogram, Telemetry, LANE_MAIN};
 use std::collections::HashMap;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
@@ -48,6 +50,16 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// The 8-byte magic at the start of every snapshot file.
 const MAGIC: &[u8; 8] = b"DDMSNAP\0";
+
+/// The per-TU summary configuration, part of the [`module_fingerprint`].
+/// Only configuration that changes what a *per-TU summary* contains
+/// belongs here (today: whether §3.1 points-to refinement ran, which is
+/// implied by the call-graph algorithm). Options that act at link time
+/// or later — `sizeof` policy, down-cast policy, library classes —
+/// deliberately do not invalidate cached modules.
+pub fn config_fingerprint(algorithm: Algorithm) -> String {
+    format!("v1;refine={}", u8::from(algorithm == Algorithm::Pta))
+}
 
 /// The part of a [`snapshot_fingerprint`] that keys the stored modules:
 /// both format versions and the per-TU summary configuration
@@ -515,17 +527,27 @@ impl AnalysisSnapshot {
     /// Loads the snapshot in `dir` and checks it against `key`: a whole
     /// [`snapshot_fingerprint`], or its [`module_fingerprint`] part,
     /// which accepts any link-time options. Every module must pass
-    /// [`TuModule::validate`] and carry its slot's source hash.
+    /// [`TuModule::validate`] and carry its slot's source hash. Reading
+    /// the file and decoding it run under their own spans, `snapshot
+    /// read` and `snapshot decode`.
     ///
     /// # Errors
     ///
     /// The rejection reason: `corrupt`, `version_skew`, a structural
     /// decode failure, or `config_fingerprint`; `missing` when there is
     /// no snapshot file (the common cold case).
-    pub fn load(dir: &Path, key: &str) -> Result<AnalysisSnapshot, String> {
-        let bytes =
-            std::fs::read(dir.join(SNAPSHOT_FILE)).map_err(|_| "missing".to_string())?;
+    pub fn load(dir: &Path, key: &str, telemetry: &Telemetry) -> Result<AnalysisSnapshot, String> {
+        let missing = |_| "missing".to_string();
+        let file = std::fs::File::open(dir.join(SNAPSHOT_FILE)).map_err(missing)?;
+        let bytes = {
+            let _read = telemetry.span(LANE_MAIN, || "snapshot read".to_string());
+            let (mut file, mut bytes) = (file, Vec::new());
+            file.read_to_end(&mut bytes).map_err(missing)?;
+            bytes
+        };
+        let _decode = telemetry.span(LANE_MAIN, || "snapshot decode".to_string());
         let snap = AnalysisSnapshot::decode(&bytes)?;
+        drop(bytes);
         let keyed = snap
             .fingerprint
             .strip_prefix(key)
@@ -546,18 +568,339 @@ impl AnalysisSnapshot {
         }
         Ok(snap)
     }
+}
 
-    /// Atomically publishes the snapshot into `dir` as [`SNAPSHOT_FILE`]
-    /// (temp, then rename). Readers observe either no snapshot, the
-    /// previous one, or this one — never a torn file. Best-effort like
-    /// all cache I/O; a failure just means the next run recomputes.
-    pub fn save(&self, dir: &Path) {
-        publish(dir, SNAPSHOT_FILE, &self.encode());
+/// The cache side of one run, from the probe to the publish.
+pub(crate) struct Cache<'d> {
+    dir: &'d Path,
+    /// The run's [`snapshot_fingerprint`].
+    fingerprint: String,
+    /// The loaded snapshot while its fixpoint is eligible, its modules
+    /// moved out; the reuse gate takes it.
+    eligible: Option<AnalysisSnapshot>,
+    /// An eligible snapshot's modules the probe left in place: the
+    /// previous side of the summary diff where a TU's text changed.
+    previous: Vec<Option<TuModule>>,
+    /// The summary diff against an eligible snapshot.
+    delta: Option<LinkDelta>,
+}
+
+impl<'d> Cache<'d> {
+    /// The probe's cache side, with a cache directory: sweeps it, loads
+    /// its snapshot, decides once whether the stored fixpoint is eligible
+    /// (the whole fingerprint and the same TU count), and serves each TU
+    /// the stored module with its source hash (`hashes[i]`), wherever it
+    /// sits: moved out of the TU's own slot, cloned from any other, so a
+    /// renamed, moved or repeated text hits too. Returns each TU's
+    /// served module (`None`: a miss) and the cache.
+    pub(crate) fn probe(
+        dir: Option<&'d Path>,
+        config: &AnalysisConfig,
+        algorithm: Algorithm,
+        inputs: &[(String, String)],
+        hashes: &[u64],
+        telemetry: &Telemetry,
+    ) -> (Vec<Option<TuModule>>, Option<Cache<'d>>) {
+        let Some(dir) = dir else {
+            return (inputs.iter().map(|_| None).collect(), None);
+        };
+        sweep_dangling_temps(dir, telemetry);
+        let n = inputs.len();
+        let fingerprint = snapshot_fingerprint(config, algorithm);
+        let (mut eligible, mut invalidations) = (false, 0u64);
+        // Snapshot and probe outcomes differ cold vs warm, so every
+        // event here is obs class.
+        let key = module_fingerprint(algorithm);
+        let mut snapshot = match AnalysisSnapshot::load(dir, &key, telemetry) {
+            Ok(snap) => {
+                let same_tus = snap.source_hashes.len() == n;
+                let fixpoint = match (snap.fingerprint == fingerprint, same_tus) {
+                    (false, _) => "config_fingerprint",
+                    (true, false) => "tu_count",
+                    (true, true) => "eligible",
+                };
+                eligible = fixpoint == "eligible";
+                telemetry.event(EventClass::Observational, "snapshot_loaded", || {
+                    vec![
+                        ("tus", snap.source_hashes.len().into()),
+                        ("functions", u64::from(snap.function_count).into()),
+                        ("fixpoint", fixpoint.into()),
+                    ]
+                });
+                Some(snap)
+            }
+            // A plainly absent snapshot is the ordinary cold case, not
+            // worth an event.
+            Err(reason) if reason == "missing" => None,
+            Err(reason) => {
+                invalidations = n as u64;
+                telemetry.event(EventClass::Observational, "snapshot_rejected", || {
+                    vec![("reason", reason.as_str().into())]
+                });
+                None
+            }
+        };
+        // Slot `j` keeps its module until TU `j` takes it; a TU whose
+        // text sits at another slot clones it from there, or from TU `j`
+        // if that took it already.
+        let mut stored: Vec<Option<TuModule>> = snapshot
+            .as_mut()
+            .map(|snap| {
+                std::mem::take(&mut snap.modules)
+                    .into_iter()
+                    .map(Some)
+                    .collect()
+            })
+            .unwrap_or_default();
+        let stored_hashes = snapshot.as_ref().map_or(&[][..], |s| &s.source_hashes[..]);
+        let by_hash: HashMap<u64, usize> = stored_hashes
+            .iter()
+            .enumerate()
+            .map(|(j, &h)| (h, j))
+            .collect();
+        let mut served: Vec<Option<TuModule>> = Vec::with_capacity(n);
+        for (i, ((file, _), &hash)) in inputs.iter().zip(hashes).enumerate() {
+            let mut module = if stored_hashes.get(i) == Some(&hash) {
+                stored[i].take()
+            } else {
+                by_hash
+                    .get(&hash)
+                    .and_then(|&j| stored[j].clone().or_else(|| served[j].clone()))
+            };
+            if let Some(module) = &mut module {
+                module.file = file.clone();
+            }
+            let event = if module.is_some() {
+                "tu_cache_hit"
+            } else {
+                "tu_cache_miss"
+            };
+            telemetry.event(EventClass::Observational, event, || {
+                vec![
+                    ("file", file.as_str().into()),
+                    ("hash", hash_hex(hash).into()),
+                ]
+            });
+            served.push(module);
+        }
+        let hits = served.iter().filter(|m| m.is_some()).count() as u64;
+        telemetry.metrics(|m| {
+            m.counter_add("cache/hits", hits);
+            m.counter_add("cache/invalidations", invalidations);
+        });
+        let cache = Cache {
+            dir,
+            fingerprint,
+            eligible: snapshot.filter(|_| eligible),
+            previous: if eligible { stored } else { Vec::new() },
+            delta: None,
+        };
+        (served, Some(cache))
+    }
+
+    /// The summary diff of the run's `modules` against an eligible
+    /// snapshot's, under a `link delta` span. An unchanged TU's previous
+    /// side is the run's module itself (content-identical by hash), so
+    /// nothing is cloned and the same text under a new name is no change.
+    pub(crate) fn diff(&mut self, modules: &[TuModule], telemetry: &Telemetry) {
+        if self.eligible.is_none() {
+            return;
+        }
+        let _delta = telemetry.span(LANE_MAIN, || "link delta".to_string());
+        let previous = std::mem::take(&mut self.previous);
+        let old: Vec<&TuModule> = previous
+            .iter()
+            .zip(modules)
+            .map(|(old, new)| old.as_ref().unwrap_or(new))
+            .collect();
+        let delta = link_delta_ref(&old, modules);
+        telemetry.event(EventClass::Observational, "link_delta", || {
+            vec![
+                ("tus_changed", delta.tus_changed.len().into()),
+                ("fns_added", delta.fns_added.len().into()),
+                ("fns_removed", delta.fns_removed.len().into()),
+                ("fns_changed", delta.fns_changed.len().into()),
+                (
+                    "classes_changed",
+                    (delta.classes_added.len()
+                        + delta.classes_removed.len()
+                        + delta.classes_changed.len())
+                    .into(),
+                ),
+                (
+                    "class_space_stable",
+                    u64::from(delta.class_space_stable()).into(),
+                ),
+            ]
+        });
+        self.delta = Some(delta);
+    }
+
+    /// The reuse gate, once the diffed modules are linked into `program`:
+    /// the eligible snapshot's fixpoint, its call graph rebuilt over
+    /// `program`, when the diff cannot perturb it ([`fixpoint_reusable`]).
+    /// `Everything` builds no schedule, so it never replays. A stored
+    /// graph that does not fit `program` is rejected, and the run solves
+    /// afresh.
+    pub(crate) fn reusable_fixpoint(
+        &mut self,
+        program: &Program,
+        algorithm: Algorithm,
+        telemetry: &Telemetry,
+    ) -> Option<StoredFixpoint> {
+        let (snap, delta) = (self.eligible.take()?, self.delta.as_ref()?);
+        let reusable =
+            algorithm != Algorithm::Everything && fixpoint_reusable(&snap, delta, program);
+        let (frontier, total) = (delta.frontier_len(), program.function_count());
+        telemetry.event(EventClass::Observational, "fixpoint_invalidate", || {
+            vec![
+                ("frontier_fns", frontier.into()),
+                ("total_fns", total.into()),
+                ("reused", u64::from(reusable).into()),
+            ]
+        });
+        if !reusable {
+            return None;
+        }
+        match CallGraph::from_parts(snap.callgraph, total, program.class_count()) {
+            Ok(callgraph) => Some(StoredFixpoint {
+                callgraph,
+                schedule: snap.schedule,
+                liveness: snap.liveness,
+                counters: snap.liveness_counters,
+            }),
+            Err(reason) => {
+                telemetry.event(EventClass::Observational, "snapshot_rejected", || {
+                    vec![("reason", reason.as_str().into())]
+                });
+                None
+            }
+        }
+    }
+
+    /// The publish stage's cache side: records the warm start's
+    /// metrics, then replaces the file with the run's snapshot unless
+    /// nothing changed and the fixpoint was replayed, when the file
+    /// already holds those bytes.
+    pub(crate) fn publish(
+        self,
+        hashes: Vec<u64>,
+        modules: Vec<TuModule>,
+        program: &Program,
+        solved: &mut Solved,
+        telemetry: &Telemetry,
+    ) {
+        let callgraph = &solved.callgraph;
+        telemetry.metrics(|m| {
+            m.counter_add("snapshot/warm_starts", u64::from(self.delta.is_some()));
+            let reused = if solved.replayed {
+                callgraph.reachable_count()
+            } else {
+                0
+            };
+            m.counter_add("snapshot/reused_fns", reused as u64);
+            let frontier = self.delta.as_ref().map_or(0, LinkDelta::frontier_len);
+            m.counter_add("snapshot/frontier_fns", frontier as u64);
+        });
+        if solved.replayed && self.delta.is_some_and(|d| d.is_empty()) {
+            return;
+        }
+        let snap = AnalysisSnapshot {
+            fingerprint: self.fingerprint,
+            summary_bytes: vec![0; hashes.len()],
+            source_hashes: hashes,
+            modules,
+            reachable_names: callgraph
+                .reachable()
+                .map(|f| (f.index() as u32, program.func_display_name(f)))
+                .collect(),
+            class_count: program.class_count() as u32,
+            function_count: program.function_count() as u32,
+            callgraph: callgraph.to_parts(),
+            schedule: std::mem::take(&mut solved.schedule),
+            liveness: solved.liveness.to_parts(),
+            liveness_counters: solved.scan_counters,
+        };
+        let image = {
+            let _encode = telemetry.span(LANE_MAIN, || "snapshot encode".to_string());
+            snap.encode()
+        };
+        {
+            let _save = telemetry.span(LANE_MAIN, || "snapshot save".to_string());
+            let _ = std::fs::create_dir_all(self.dir);
+            replace_file(self.dir, SNAPSHOT_FILE, &image);
+        }
+        telemetry.event(EventClass::Observational, "snapshot_publish", || {
+            vec![
+                ("tus", snap.source_hashes.len().into()),
+                ("functions", u64::from(snap.function_count).into()),
+            ]
+        });
     }
 }
 
+/// A stored fixpoint the reuse gate let through: the call graph rebuilt
+/// over the freshly linked program, with the schedule, classification
+/// and scan counters it converged with. The solve replays it.
+pub(crate) struct StoredFixpoint {
+    pub(crate) callgraph: CallGraph,
+    pub(crate) schedule: CgSchedule,
+    pub(crate) liveness: LivenessParts,
+    pub(crate) counters: Counters,
+}
+
+/// Decides whether the persisted fixpoint can be replayed verbatim over
+/// the freshly linked program, given the summary diff of the edit.
+///
+/// The argument (see DESIGN.md §5i): unchanged TUs contribute records
+/// identical to the snapshot's. A stable class space means every class,
+/// method, member, and dispatch-table id is preserved, and the root set
+/// (which depends only on `main` and the library-class virtual
+/// overrides) is preserved too — provided `main` itself did not appear.
+/// Free-function names are globally unique, so matching each stored
+/// reachable function's display name at its stored id proves the id
+/// assignment of the whole reachable region survived; requiring that no
+/// reachable name was edited or removed proves each replayed summary is
+/// the one the fixpoint converged over. By induction on the worklist
+/// rounds the new reachable closure, its schedule, and the liveness
+/// facts it derives equal the stored ones exactly. Everything outside
+/// the reachable region (added, removed, or edited unreachable
+/// functions) can, by definition, never be pulled in: its only entry
+/// points are calls from reachable functions, all of which are
+/// unchanged.
+fn fixpoint_reusable(snap: &AnalysisSnapshot, delta: &LinkDelta, program: &Program) -> bool {
+    if !delta.class_space_stable() {
+        return false;
+    }
+    if snap.class_count as usize != program.class_count()
+        || snap.function_count as usize > program.function_count()
+    {
+        return false;
+    }
+    let named =
+        |list: &[String], name: &str| list.binary_search_by(|n| n.as_str().cmp(name)).is_ok();
+    // A newly appearing `main` would change the root set without ever
+    // being named by the stored reachable region.
+    if named(&delta.fns_added, "main") {
+        return false;
+    }
+    for (id, name) in &snap.reachable_names {
+        let id = *id as usize;
+        if id >= program.function_count() {
+            return false;
+        }
+        if named(&delta.fns_changed, name) || named(&delta.fns_removed, name) {
+            return false;
+        }
+        if program.func_display_name(FuncId::from_index(id)) != *name {
+            return false;
+        }
+    }
+    true
+}
+
 /// Whether the `DDM_CACHE_FAULT` environment variable (read once per
-/// process) selects the crash-injection point `point` of [`publish`]:
+/// process) selects the crash-injection point `point` of [`replace_file`]:
 /// `kill-mid-write` aborts after writing half of the image to its temp
 /// file (a torn temp, never a torn final), `kill-pre-rename` after
 /// writing all of it, before the rename. Torture tests use these to
@@ -578,7 +921,7 @@ fn fault(point: &str) -> bool {
 /// a dangling temp, which [`sweep_dangling_temps`] removes on a later
 /// open. Best-effort like all cache I/O: any failure simply means the
 /// file is recomputed next time.
-fn publish(dir: &Path, name: &str, image: &[u8]) {
+fn replace_file(dir: &Path, name: &str, image: &[u8]) {
     let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
     let written = (|| -> std::io::Result<()> {
         use std::io::Write as _;
@@ -624,7 +967,7 @@ const TEMP_SWEEP_MIN_AGE: Duration = Duration::from_secs(60);
 /// This keeps a `ddm serve` rebuild from paying for a listing each
 /// time, however many files an older version left in the directory;
 /// every `ddm` run is a new process and sweeps on open.
-pub(crate) fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
+fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
     static LISTED: OnceLock<Mutex<HashMap<PathBuf, Instant>>> = OnceLock::new();
     {
         let mut listed = LISTED
@@ -800,15 +1143,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         assert_eq!(
-            AnalysisSnapshot::load(&dir, "snap-test").unwrap_err(),
+            AnalysisSnapshot::load(&dir, "snap-test", &Telemetry::disabled()).unwrap_err(),
             "missing"
         );
         let snap = sample_snapshot();
-        snap.save(&dir);
-        let back = AnalysisSnapshot::load(&dir, "snap-test").expect("load");
+        replace_file(&dir, SNAPSHOT_FILE, &snap.encode());
+        let back = AnalysisSnapshot::load(&dir, "snap-test", &Telemetry::disabled()).expect("load");
         assert_eq!(back, snap);
         assert_eq!(
-            AnalysisSnapshot::load(&dir, "other-config").unwrap_err(),
+            AnalysisSnapshot::load(&dir, "other-config", &Telemetry::disabled()).unwrap_err(),
             "config_fingerprint"
         );
         // No temp left behind after a clean publish.
@@ -829,14 +1172,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut snap = sample_snapshot();
         snap.fingerprint = "mods;algo=1".to_string();
-        snap.save(&dir);
-        assert!(AnalysisSnapshot::load(&dir, "mods;algo=1").is_ok());
+        replace_file(&dir, SNAPSHOT_FILE, &snap.encode());
+        assert!(AnalysisSnapshot::load(&dir, "mods;algo=1", &Telemetry::disabled()).is_ok());
         assert!(
-            AnalysisSnapshot::load(&dir, "mods").is_ok(),
+            AnalysisSnapshot::load(&dir, "mods", &Telemetry::disabled()).is_ok(),
             "the module part"
         );
         assert_eq!(
-            AnalysisSnapshot::load(&dir, "mod").unwrap_err(),
+            AnalysisSnapshot::load(&dir, "mod", &Telemetry::disabled()).unwrap_err(),
             "config_fingerprint",
             "a prefix that is not a whole part"
         );
@@ -858,9 +1201,9 @@ mod tests {
         for (k, damage) in damages.into_iter().enumerate() {
             let mut bad = snap.clone();
             damage(&mut bad);
-            bad.save(&dir);
+            replace_file(&dir, SNAPSHOT_FILE, &bad.encode());
             assert_eq!(
-                AnalysisSnapshot::load(&dir, "mods").unwrap_err(),
+                AnalysisSnapshot::load(&dir, "mods", &Telemetry::disabled()).unwrap_err(),
                 "corrupt",
                 "{k}"
             );

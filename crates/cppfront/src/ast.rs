@@ -303,6 +303,91 @@ pub struct Stmt {
     pub span: Span,
 }
 
+/// A direct child of a statement, as [`Stmt::each_child`] yields it.
+#[derive(Debug, Clone, Copy)]
+pub enum StmtChild<'a> {
+    /// A nested statement.
+    Stmt(&'a Stmt),
+    /// An expression the statement evaluates.
+    Expr(&'a Expr),
+}
+
+/// A direct child of a statement, as [`Stmt::each_child_mut`] yields it.
+#[derive(Debug)]
+pub enum StmtChildMut<'a> {
+    /// A nested statement.
+    Stmt(&'a mut Stmt),
+    /// An expression the statement evaluates.
+    Expr(&'a mut Expr),
+}
+
+/// Matches `$stmt` by shared or (with a trailing `mut`) mutable
+/// reference and passes each direct child to `$f`, wrapped in `$child`
+/// (`StmtChild` or `StmtChildMut`): the one definition of the statement
+/// child order.
+macro_rules! stmt_children {
+    ($stmt:expr, $f:ident, $child:ident, $iter:ident $(, $mut:tt)?) => {{
+        use $child::{Expr as E, Stmt as S};
+        match & $($mut)? $stmt.kind {
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => $f(E(e)),
+            StmtKind::Decl(d) => match & $($mut)? d.init {
+                LocalInit::Default => {}
+                LocalInit::Expr(e) => $f(E(e)),
+                LocalInit::Ctor(args) => args.$iter().for_each(|a| $f(E(a))),
+            },
+            StmtKind::If { cond, then, els } => {
+                $f(E(cond));
+                $f(S(then));
+                if let Some(els) = els {
+                    $f(S(els));
+                }
+            }
+            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
+                $f(E(cond));
+                $f(S(body));
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                if let Some(init) = init {
+                    $f(S(init));
+                }
+                cond.$iter().chain(step).for_each(|e| $f(E(e)));
+                $f(S(body));
+            }
+            StmtKind::Switch { scrutinee, arms } => {
+                $f(E(scrutinee));
+                for arm in arms {
+                    if let Some(value) = & $($mut)? arm.value {
+                        $f(E(value));
+                    }
+                    arm.stmts.$iter().for_each(|s| $f(S(s)));
+                }
+            }
+            StmtKind::Block(b) => b.stmts.$iter().for_each(|s| $f(S(s))),
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue | StmtKind::Empty => {}
+        }
+    }};
+}
+
+impl Stmt {
+    /// Calls `f` on each direct child statement and expression in
+    /// source order, except that `do … while` yields its condition
+    /// before its body; a `switch` arm yields its `case` value before
+    /// its statements, and a block its statements.
+    pub fn each_child(&self, mut f: impl FnMut(StmtChild<'_>)) {
+        stmt_children!(self, f, StmtChild, iter)
+    }
+
+    /// [`Stmt::each_child`] over mutable children, in the same order.
+    pub fn each_child_mut(&mut self, mut f: impl FnMut(StmtChildMut<'_>)) {
+        stmt_children!(self, f, StmtChildMut, iter_mut, mut)
+    }
+}
+
 /// Statement kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
@@ -409,52 +494,48 @@ pub struct Expr {
     pub span: Span,
 }
 
-impl Expr {
-    /// Creates an expression node.
-    pub fn new(kind: ExprKind, span: Span) -> Self {
-        Expr { kind, span }
-    }
-
-    /// Calls `f` on each direct child expression, left to right in
-    /// source order.
-    pub fn each_child(&self, mut f: impl FnMut(&Expr)) {
-        match &self.kind {
-            ExprKind::Member { base, .. } => f(base),
+/// Matches `$expr` by shared or (with a trailing `mut`) mutable
+/// reference and passes each direct child to `$f`: the one definition
+/// of the expression child order.
+macro_rules! expr_children {
+    ($expr:expr, $f:ident, $iter:ident $(, $mut:tt)?) => {
+        match & $($mut)? $expr.kind {
+            ExprKind::Member { base, .. } => $f(base),
             ExprKind::Index { base, index } => {
-                f(base);
-                f(index);
+                $f(base);
+                $f(index);
             }
             ExprKind::Call { callee, args } => {
-                f(callee);
-                args.iter().for_each(f);
+                $f(callee);
+                args.$iter().for_each($f);
             }
             ExprKind::Unary { expr, .. }
             | ExprKind::Postfix { expr, .. }
             | ExprKind::SizeofExpr(expr)
             | ExprKind::Cast { expr, .. }
-            | ExprKind::Delete { expr, .. } => f(expr),
+            | ExprKind::Delete { expr, .. } => $f(expr),
             ExprKind::Binary { lhs, rhs, .. }
             | ExprKind::Comma { lhs, rhs }
             | ExprKind::Assign { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
+                $f(lhs);
+                $f(rhs);
             }
             ExprKind::Cond { cond, then, els } => {
-                f(cond);
-                f(then);
-                f(els);
+                $f(cond);
+                $f(then);
+                $f(els);
             }
             ExprKind::New {
                 args, array_len, ..
             } => {
-                args.iter().for_each(&mut f);
+                args.$iter().for_each(&mut $f);
                 if let Some(len) = array_len {
-                    f(len);
+                    $f(len);
                 }
             }
             ExprKind::PtrMemApply { base, ptr, .. } => {
-                f(base);
-                f(ptr);
+                $f(base);
+                $f(ptr);
             }
             ExprKind::IntLit(_)
             | ExprKind::FloatLit(_)
@@ -467,6 +548,24 @@ impl Expr {
             | ExprKind::SizeofType(_)
             | ExprKind::PtrToMember { .. } => {}
         }
+    };
+}
+
+impl Expr {
+    /// Creates an expression node.
+    pub fn new(kind: ExprKind, span: Span) -> Self {
+        Expr { kind, span }
+    }
+
+    /// Calls `f` on each direct child expression, left to right in
+    /// source order.
+    pub fn each_child(&self, mut f: impl FnMut(&Expr)) {
+        expr_children!(self, f, iter)
+    }
+
+    /// [`Expr::each_child`] over mutable children, in the same order.
+    pub fn each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        expr_children!(self, f, iter_mut, mut)
     }
 }
 

@@ -678,6 +678,13 @@ fn class_winners<'a>(
     map
 }
 
+/// Record equality that skips the field-by-field comparison when both
+/// sides are the same record: a warm start diffs every unchanged TU's
+/// module, class winner and function provider against itself.
+fn same<T: PartialEq>(a: &T, b: &T) -> bool {
+    std::ptr::eq(a, b) || a == b
+}
+
 /// Computes the [`LinkDelta`] between the previous run's module list
 /// and the current one. Input order is the TU order handed to
 /// [`link`]; both lists may differ in length (TUs added or dropped).
@@ -703,7 +710,7 @@ pub fn link_delta_ref(old: &[&TuModule], new: &[TuModule]) -> LinkDelta {
     let positions = old.len().max(new.len());
     for t in 0..positions {
         match (old.get(t), new.get(t)) {
-            (Some(a), Some(b)) if **a == *b => {}
+            (Some(a), Some(b)) if same(*a, b) => {}
             (Some(a), Some(b)) => {
                 delta.tus_changed.push(t);
                 if a.enums != b.enums
@@ -726,7 +733,9 @@ pub fn link_delta_ref(old: &[&TuModule], new: &[TuModule]) -> LinkDelta {
     for (name, rec) in &old_classes {
         match new_classes.get(name) {
             None => delta.classes_removed.push((*name).to_string()),
-            Some(new_rec) if new_rec != rec => delta.classes_changed.push((*name).to_string()),
+            Some(new_rec) if !same(*new_rec, *rec) => {
+                delta.classes_changed.push((*name).to_string())
+            }
             Some(_) => {}
         }
     }
@@ -740,7 +749,7 @@ pub fn link_delta_ref(old: &[&TuModule], new: &[TuModule]) -> LinkDelta {
     for (name, rec) in &old_fns {
         match new_fns.get(name) {
             None => delta.fns_removed.push((*name).to_string()),
-            Some(new_rec) if new_rec != rec => delta.fns_changed.push((*name).to_string()),
+            Some(new_rec) if !same(*new_rec, *rec) => delta.fns_changed.push((*name).to_string()),
             Some(_) => {}
         }
     }

@@ -21,7 +21,7 @@
 //!   locals and globals is exactly the dynamic class.
 
 use ddm_cppfront::ast::{
-    Block, Expr, ExprKind, LocalInit, Stmt, StmtKind, Type, TypeKind, UnaryOp,
+    Expr, ExprKind, LocalInit, Stmt, StmtChild, StmtKind, Type, TypeKind, UnaryOp,
 };
 use crate::ids::{ClassId, FuncId};
 use crate::model::Program;
@@ -56,7 +56,9 @@ pub fn local_pointees(program: &Program, func: FuncId, var: &str) -> Option<BTre
     for p in &info.params {
         facts.poisoned.insert(p.name.clone());
     }
-    collect_block(program, body, &mut facts);
+    for s in &body.stmts {
+        collect_stmt(program, s, &mut facts);
+    }
     let mut visiting = HashSet::new();
     resolve(program, &facts, var, &mut visiting)
 }
@@ -135,80 +137,28 @@ fn class_of_type(program: &Program, ty: &Type) -> Option<ClassId> {
     }
 }
 
-fn collect_block(program: &Program, b: &Block, facts: &mut FunctionFacts) {
-    for s in &b.stmts {
-        collect_stmt(program, s, facts);
-    }
-}
-
 fn collect_stmt(program: &Program, s: &Stmt, facts: &mut FunctionFacts) {
-    match &s.kind {
-        StmtKind::Decl(d) => {
-            if !facts.declared.insert(d.name.clone()) {
-                facts.redeclared.insert(d.name.clone());
-            }
-            if let TypeKind::Named(n) = &d.ty.kind {
-                if let Some(class) = program.class_by_name(n) {
-                    facts.object_locals.insert(d.name.clone(), class);
-                }
-            }
-            match &d.init {
-                LocalInit::Default => {}
-                LocalInit::Expr(e) => {
-                    facts
-                        .assignments
-                        .entry(d.name.clone())
-                        .or_default()
-                        .push(e.clone());
-                    collect_expr(e, facts);
-                }
-                LocalInit::Ctor(args) => args.iter().for_each(|a| collect_expr(a, facts)),
+    if let StmtKind::Decl(d) = &s.kind {
+        if !facts.declared.insert(d.name.clone()) {
+            facts.redeclared.insert(d.name.clone());
+        }
+        if let TypeKind::Named(n) = &d.ty.kind {
+            if let Some(class) = program.class_by_name(n) {
+                facts.object_locals.insert(d.name.clone(), class);
             }
         }
-        StmtKind::Expr(e) => collect_expr(e, facts),
-        StmtKind::If { cond, then, els } => {
-            collect_expr(cond, facts);
-            collect_stmt(program, then, facts);
-            if let Some(e) = els {
-                collect_stmt(program, e, facts);
-            }
+        if let LocalInit::Expr(e) = &d.init {
+            facts
+                .assignments
+                .entry(d.name.clone())
+                .or_default()
+                .push(e.clone());
         }
-        StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-            collect_expr(cond, facts);
-            collect_stmt(program, body, facts);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                collect_stmt(program, i, facts);
-            }
-            if let Some(c) = cond {
-                collect_expr(c, facts);
-            }
-            if let Some(st) = step {
-                collect_expr(st, facts);
-            }
-            collect_stmt(program, body, facts);
-        }
-        StmtKind::Switch { scrutinee, arms } => {
-            collect_expr(scrutinee, facts);
-            for arm in arms {
-                if let Some(v) = &arm.value {
-                    collect_expr(v, facts);
-                }
-                for st in &arm.stmts {
-                    collect_stmt(program, st, facts);
-                }
-            }
-        }
-        StmtKind::Return(Some(e)) => collect_expr(e, facts),
-        StmtKind::Block(b) => collect_block(program, b, facts),
-        _ => {}
     }
+    s.each_child(|child| match child {
+        StmtChild::Stmt(s) => collect_stmt(program, s, facts),
+        StmtChild::Expr(e) => collect_expr(e, facts),
+    });
 }
 
 fn collect_expr(e: &Expr, facts: &mut FunctionFacts) {

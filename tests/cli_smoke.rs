@@ -246,7 +246,7 @@ fn trace_out_writes_valid_chrome_json_with_worker_lanes() {
         .filter_map(|e| {
             let name = e.get("name")?.as_str()?;
             let tid = e.get("tid")?.as_f64()?;
-            (name.starts_with("tu ") && !name.starts_with("tu front end")).then_some((name, tid))
+            name.starts_with("tu ").then_some((name, tid))
         })
         .collect();
     for file in &files {

@@ -98,7 +98,11 @@ fn shared(
         Some(dir),
         &Telemetry::disabled(),
     );
-    let published = AnalysisSnapshot::load(dir, &snapshot_fingerprint(&config, algorithm));
+    let published = AnalysisSnapshot::load(
+        dir,
+        &snapshot_fingerprint(&config, algorithm),
+        &Telemetry::disabled(),
+    );
     let outcome = match run {
         Ok(_) => Ok(published
             .expect("a successful cold run publishes its snapshot")

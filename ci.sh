@@ -176,6 +176,19 @@ test -n "$frontier" && test -n "$total" && test "$frontier" -lt "$total"
 rm -rf /tmp/ddm_ci_incr /tmp/ddm_ci_incr_src /tmp/ddm_ci_incr_cold.out \
     /tmp/ddm_ci_incr_warm.out /tmp/ddm_ci_incr.ndjson
 
+echo "== the published analysis.snap is deterministic (--jobs 1 vs 8, rta and pta) =="
+# Concurrent writers of one analysis must publish identical bytes, so
+# the file a cold run writes may not depend on how many workers parsed.
+for algo in rta pta; do
+    for jobs in 1 8; do
+        rm -rf "/tmp/ddm_ci_det_$jobs"
+        cargo run --release --bin ddm -- crates/benchmarks/programs/multi/*.cpp \
+            --callgraph "$algo" --jobs "$jobs" --cache-dir "/tmp/ddm_ci_det_$jobs" > /dev/null
+    done
+    cmp /tmp/ddm_ci_det_1/analysis.snap /tmp/ddm_ci_det_8/analysis.snap
+done
+rm -rf /tmp/ddm_ci_det_1 /tmp/ddm_ci_det_8
+
 echo "== declaration sharing: isolated front end, 12 TUs repeating one header =="
 # Each top-level declaration text is parsed once per run and shared by
 # every TU that repeats it. The oracle compares every fuzz shape's

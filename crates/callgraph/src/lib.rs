@@ -35,8 +35,8 @@
 //! edge rows frozen into a CSR adjacency.
 
 use ddm_hierarchy::{
-    resolve_ctor, CgStep, ClassBitSet, ClassId, FnSummary, FuncBitSet, FuncId, Program,
-    ProgramSummary, TypeError,
+    resolve_ctor, wire_enum, wire_record, CgStep, ClassBitSet, ClassId, FnSummary, FuncBitSet,
+    FuncId, Program, ProgramSummary, TypeError,
 };
 use ddm_telemetry::{Counters, EventClass, Histogram, Telemetry, LANE_MAIN};
 use std::cmp::Reverse;
@@ -142,6 +142,21 @@ pub struct CallGraphParts {
     pub edge_targets: Vec<FuncId>,
 }
 
+// The snapshot layouts of the fixpoint. `Algorithm`'s tags also spell
+// the `algo=` part of the snapshot fingerprint.
+wire_enum! {
+    Algorithm { 0 => Everything, 1 => Cha, 2 => Rta, 3 => Pta }
+}
+wire_record! {
+    CgRound { delta_fns, pops, drains }
+    CgSchedule {
+        rounds, pops, drains, parked, dispatch_candidates, replays, interned_symbols, arena_bytes,
+    }
+    CallGraphParts {
+        algorithm, reachable, instantiated, address_taken, edge_offsets, edge_targets,
+    }
+}
+
 /// The computed call graph, frozen into dense index-keyed storage:
 /// sorted id vectors for the reachable/instantiated/address-taken sets
 /// (with bitsets retained for O(1) membership) and a CSR adjacency for
@@ -234,13 +249,15 @@ impl CallGraph {
             Ok(())
         })?;
 
+        // Taken before the debug-build sweep, which replays every summary
+        // again and must leave no trace in what the run reports or stores.
+        let schedule = state.schedule(replays);
         #[cfg(debug_assertions)]
         verify_full_sweep(&mut state, |st, fid| {
             replay_summary(st, Some(fid), summary.function(fid)?, false);
             Ok(())
         })?;
 
-        let schedule = state.schedule(replays);
         let graph = state.freeze(options.algorithm);
         replay_schedule(&graph, &schedule, telemetry);
         Ok((graph, schedule))

@@ -214,7 +214,7 @@ pub(crate) fn solve(
     let analysis = DeadMemberAnalysis::new(program, config.clone());
     let replayed = stored.is_some();
     let (callgraph, schedule, liveness, scan_counters) = match stored {
-        Some(stored) => replay_fixpoint(summary, stored, telemetry),
+        Some(stored) => replay_fixpoint(program, summary, stored, telemetry),
         None => {
             let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
             let (callgraph, schedule) =
@@ -305,12 +305,20 @@ pub(crate) fn solve(
 /// Replays a stored fixpoint's call graph and liveness scan,
 /// re-emitting their telemetry exactly as a fresh solve would have.
 fn replay_fixpoint(
+    program: &Program,
     summary: &ProgramSummary,
     stored: StoredFixpoint,
     telemetry: &Telemetry,
 ) -> (CallGraph, CgSchedule, Liveness, Counters) {
     let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
     replay_schedule(&stored.callgraph, &stored.schedule, telemetry);
+    // The stored interner gauges describe the program the fixpoint was
+    // solved over; the replay reports the linked program's own.
+    let interner = program.interner();
+    telemetry.metrics(|m| {
+        m.gauge_set("callgraph/interned_symbols", interner.len() as i64);
+        m.gauge_set("callgraph/arena_bytes", interner.arena_bytes() as i64);
+    });
     drop(cg_span);
 
     let _live_span = telemetry.span(LANE_MAIN, || "liveness from snapshot".to_string());

@@ -15,21 +15,26 @@
 //! The file is sealed with [`ddm_hierarchy::binmod`]'s `seal`/`open`
 //! (magic, format version, word-wise FNV-1a checksum) around one
 //! deterministic payload, so concurrent writers of one analysis publish
-//! byte-identical files. Publication is atomic (temp, then rename), and
-//! `DDM_CACHE_FAULT` injects crashes into it. [`AnalysisSnapshot::load`]
+//! byte-identical files. The payload is the [`Wire`] layout of the
+//! snapshot, declared once below as a field list like every record it
+//! holds (the liveness parts here, the fixpoint's in `ddm-callgraph`,
+//! the modules' in `ddm-hierarchy`); its modules go through the class
+//! table of [`encode_modules`], and decoding rejects a type nested
+//! deeper than the parser builds. Publication is atomic (temp, then
+//! rename), and `DDM_CACHE_FAULT` injects crashes into it. [`AnalysisSnapshot::load`]
 //! checks the envelope, the configuration and every module; any
 //! rejection makes the run recompute every TU. The snapshot is
 //! advisory, never trusted.
 
 use crate::analysis::{AnalysisConfig, Solved};
 use crate::liveness::{LiveReason, LivenessParts, Origin};
-use ddm_callgraph::{Algorithm, CallGraph, CallGraphParts, CgRound, CgSchedule};
+use ddm_callgraph::{Algorithm, CallGraph, CallGraphParts, CgSchedule};
 use ddm_hierarchy::binmod::{open, seal};
 use ddm_hierarchy::{
-    decode_modules, encode_modules, hash_hex, link_delta_ref, ByteReader, ByteWriter, ClassId,
-    FuncId, LinkDelta, MemberRef, Program, Reject, TuModule, BINMOD_FORMAT_VERSION,
+    decode_modules, encode_modules, hash_hex, link_delta_ref, wire_enum, wire_record, ByteReader,
+    ByteWriter, FuncId, LinkDelta, Program, Reject, TuModule, Wire, BINMOD_FORMAT_VERSION,
 };
-use ddm_telemetry::{Counters, EventClass, Histogram, Telemetry, LANE_MAIN};
+use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashMap;
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
@@ -83,211 +88,25 @@ pub fn module_fingerprint(algorithm: Algorithm) -> String {
 pub fn snapshot_fingerprint(config: &AnalysisConfig, algorithm: Algorithm) -> String {
     let mut libs: Vec<&str> = config.library_classes.iter().map(String::as_str).collect();
     libs.sort_unstable();
+    // `algo=` is the algorithm's tag in the snapshot layout.
+    let mut algo = ByteWriter::new();
+    algorithm.put(&mut algo);
     format!(
         "{};algo={};sizeof={:?};downcast={};libs={}",
         module_fingerprint(algorithm),
-        algorithm_tag(algorithm),
+        algo.bytes()[0],
         config.sizeof_policy,
         u8::from(config.assume_safe_downcasts),
         libs.join(",")
     )
 }
 
-fn algorithm_tag(a: Algorithm) -> u8 {
-    match a {
-        Algorithm::Everything => 0,
-        Algorithm::Cha => 1,
-        Algorithm::Rta => 2,
-        Algorithm::Pta => 3,
+wire_enum! {
+    LiveReason {
+        0 => Read, 1 => AddressTaken, 2 => PointerToMember, 3 => UnsafeCast,
+        4 => UnionPropagation, 5 => VolatileWrite, 6 => Sizeof,
     }
-}
-
-fn algorithm_from_tag(t: u8) -> Result<Algorithm, String> {
-    Ok(match t {
-        0 => Algorithm::Everything,
-        1 => Algorithm::Cha,
-        2 => Algorithm::Rta,
-        3 => Algorithm::Pta,
-        _ => return Err(format!("unknown algorithm tag {t}")),
-    })
-}
-
-fn live_reason_tag(r: LiveReason) -> u8 {
-    match r {
-        LiveReason::Read => 0,
-        LiveReason::AddressTaken => 1,
-        LiveReason::PointerToMember => 2,
-        LiveReason::UnsafeCast => 3,
-        LiveReason::UnionPropagation => 4,
-        LiveReason::VolatileWrite => 5,
-        LiveReason::Sizeof => 6,
-    }
-}
-
-fn live_reason_from_tag(t: u8) -> Result<LiveReason, String> {
-    Ok(match t {
-        0 => LiveReason::Read,
-        1 => LiveReason::AddressTaken,
-        2 => LiveReason::PointerToMember,
-        3 => LiveReason::UnsafeCast,
-        4 => LiveReason::UnionPropagation,
-        5 => LiveReason::VolatileWrite,
-        6 => LiveReason::Sizeof,
-        _ => return Err(format!("unknown live-reason tag {t}")),
-    })
-}
-
-fn put_member(w: &mut ByteWriter, m: MemberRef) {
-    w.put_u32(m.class.index() as u32);
-    w.put_u32(m.index);
-}
-
-fn get_member(r: &mut ByteReader) -> Result<MemberRef, String> {
-    let class = ClassId::from_index(r.get_u32()? as usize);
-    let index = r.get_u32()? as usize;
-    Ok(MemberRef::new(class, index))
-}
-
-fn put_opt_func(w: &mut ByteWriter, f: Option<FuncId>) {
-    match f {
-        Some(f) => {
-            w.put_bool(true);
-            w.put_u32(f.index() as u32);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn get_opt_func(r: &mut ByteReader) -> Result<Option<FuncId>, String> {
-    Ok(if r.get_bool()? {
-        Some(FuncId::from_index(r.get_u32()? as usize))
-    } else {
-        None
-    })
-}
-
-fn put_origin(w: &mut ByteWriter, o: Origin) {
-    match o {
-        Origin::Access { func } => {
-            w.put_u8(0);
-            put_opt_func(w, func);
-        }
-        Origin::MarkAll { func, root } => {
-            w.put_u8(1);
-            put_opt_func(w, func);
-            w.put_u32(root.index() as u32);
-        }
-        Origin::Union { root, via } => {
-            w.put_u8(2);
-            w.put_u32(root.index() as u32);
-            put_member(w, via);
-        }
-    }
-}
-
-fn get_origin(r: &mut ByteReader) -> Result<Origin, String> {
-    Ok(match r.get_u8()? {
-        0 => Origin::Access {
-            func: get_opt_func(r)?,
-        },
-        1 => Origin::MarkAll {
-            func: get_opt_func(r)?,
-            root: ClassId::from_index(r.get_u32()? as usize),
-        },
-        2 => Origin::Union {
-            root: ClassId::from_index(r.get_u32()? as usize),
-            via: get_member(r)?,
-        },
-        t => return Err(format!("unknown origin tag {t}")),
-    })
-}
-
-fn put_func_ids(w: &mut ByteWriter, ids: &[FuncId]) {
-    w.put_len(ids.len());
-    for &f in ids {
-        w.put_u32(f.index() as u32);
-    }
-}
-
-fn get_func_ids(r: &mut ByteReader) -> Result<Vec<FuncId>, String> {
-    let n = r.get_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(FuncId::from_index(r.get_u32()? as usize));
-    }
-    Ok(out)
-}
-
-fn put_histogram(w: &mut ByteWriter, h: &Histogram) {
-    let (buckets, count, sum) = h.to_parts();
-    w.put_len(buckets.len());
-    for (k, c) in buckets {
-        w.put_u32(k as u32);
-        w.put_u64(c);
-    }
-    w.put_u64(count);
-    w.put_u64(sum);
-}
-
-fn get_histogram(r: &mut ByteReader) -> Result<Histogram, String> {
-    let n = r.get_len()?;
-    let mut buckets = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = r.get_u32()? as usize;
-        let c = r.get_u64()?;
-        buckets.push((k, c));
-    }
-    let count = r.get_u64()?;
-    let sum = r.get_u64()?;
-    Histogram::from_parts(&buckets, count, sum)
-}
-
-fn put_counters(w: &mut ByteWriter, c: &Counters) {
-    let rows = c.rows();
-    w.put_len(rows.len());
-    for (_, v) in rows {
-        w.put_u64(v);
-    }
-}
-
-fn get_counters(r: &mut ByteReader) -> Result<Counters, String> {
-    let mut c = Counters::default();
-    let n = r.get_len()?;
-    let expected = c.rows().len();
-    if n != expected {
-        return Err(format!("counters row count {n}, expected {expected}"));
-    }
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(r.get_u64()?);
-    }
-    // Assign in rows() order; the slot list below must mirror it.
-    let slots: [&mut u64; 16] = [
-        &mut c.reachable_functions,
-        &mut c.callgraph_edges,
-        &mut c.instantiated_classes,
-        &mut c.cg_worklist_pops,
-        &mut c.cg_ready_drains,
-        &mut c.scan_reads,
-        &mut c.scan_address_taken,
-        &mut c.scan_ptr_to_member,
-        &mut c.scan_volatile_writes,
-        &mut c.markall_triggers,
-        &mut c.markall_classes_expanded,
-        &mut c.union_rounds,
-        &mut c.union_classes_livened,
-        &mut c.members_live,
-        &mut c.members_dead,
-        &mut c.members_unclassifiable,
-    ];
-    for (slot, v) in slots.into_iter().zip(values) {
-        *slot = v;
-    }
-    debug_assert_eq!(
-        c.rows().iter().map(|&(k, _)| k).collect::<Vec<_>>(),
-        Counters::default().rows().iter().map(|&(k, _)| k).collect::<Vec<_>>(),
-    );
-    Ok(c)
+    Origin { 0 => Access { func }, 1 => MarkAll { func, root }, 2 => Union { root, via } }
 }
 
 /// Everything a warm run needs to reproduce a converged analysis
@@ -335,71 +154,23 @@ pub struct AnalysisSnapshot {
     pub liveness_counters: Counters,
 }
 
+// The payload of `analysis.snap`; its modules go through the class table.
+wire_record! {
+    LivenessParts { live, unclassifiable, origins }
+    AnalysisSnapshot {
+        fingerprint, source_hashes, summary_bytes,
+        modules with encode_modules, decode_modules,
+        reachable_names, class_count, function_count, callgraph, schedule, liveness,
+        liveness_counters,
+    }
+}
+
 impl AnalysisSnapshot {
     /// Serializes the snapshot into its complete file image (envelope +
     /// payload). Deterministic: equal snapshots encode to equal bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_str(&self.fingerprint);
-        w.put_len(self.source_hashes.len());
-        for &h in &self.source_hashes {
-            w.put_u64(h);
-        }
-        w.put_len(self.summary_bytes.len());
-        for &b in &self.summary_bytes {
-            w.put_u64(b);
-        }
-        encode_modules(&self.modules, &mut w);
-        w.put_len(self.reachable_names.len());
-        for (id, name) in &self.reachable_names {
-            w.put_u32(*id);
-            w.put_str(name);
-        }
-        w.put_u32(self.class_count);
-        w.put_u32(self.function_count);
-
-        w.put_u8(algorithm_tag(self.callgraph.algorithm));
-        put_func_ids(&mut w, &self.callgraph.reachable);
-        w.put_len(self.callgraph.instantiated.len());
-        for &c in &self.callgraph.instantiated {
-            w.put_u32(c.index() as u32);
-        }
-        put_func_ids(&mut w, &self.callgraph.address_taken);
-        w.put_len(self.callgraph.edge_offsets.len());
-        for &o in &self.callgraph.edge_offsets {
-            w.put_u32(o);
-        }
-        put_func_ids(&mut w, &self.callgraph.edge_targets);
-
-        w.put_len(self.schedule.rounds.len());
-        for r in &self.schedule.rounds {
-            w.put_u64(r.delta_fns);
-            w.put_u64(r.pops);
-            w.put_u64(r.drains);
-        }
-        w.put_u64(self.schedule.pops);
-        w.put_u64(self.schedule.drains);
-        w.put_u64(self.schedule.parked);
-        put_histogram(&mut w, &self.schedule.dispatch_candidates);
-        w.put_u64(self.schedule.replays);
-        w.put_u64(self.schedule.interned_symbols);
-        w.put_u64(self.schedule.arena_bytes);
-
-        w.put_len(self.liveness.live.len());
-        for &(m, r) in &self.liveness.live {
-            put_member(&mut w, m);
-            w.put_u8(live_reason_tag(r));
-        }
-        w.put_len(self.liveness.unclassifiable.len());
-        for &m in &self.liveness.unclassifiable {
-            put_member(&mut w, m);
-        }
-        w.put_len(self.liveness.origins.len());
-        for &(m, o) in &self.liveness.origins {
-            put_member(&mut w, m);
-            put_origin(&mut w, o);
-        }
-        put_counters(&mut w, &self.liveness_counters);
+        self.put(&mut w);
         seal(MAGIC, SNAPSHOT_FORMAT_VERSION, w.bytes())
     }
 
@@ -415,113 +186,11 @@ impl AnalysisSnapshot {
         let payload =
             open(MAGIC, SNAPSHOT_FORMAT_VERSION, bytes).map_err(|reject| reject.to_string())?;
         let mut r = ByteReader::new(payload);
-        let fingerprint = r.get_str()?;
-        let n = r.get_len()?;
-        let mut source_hashes = Vec::with_capacity(n);
-        for _ in 0..n {
-            source_hashes.push(r.get_u64()?);
-        }
-        let n = r.get_len()?;
-        let mut summary_bytes = Vec::with_capacity(n);
-        for _ in 0..n {
-            summary_bytes.push(r.get_u64()?);
-        }
-        let modules = decode_modules(&mut r)?;
-        let n = r.get_len()?;
-        let mut reachable_names = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = r.get_u32()?;
-            let name = r.get_str()?;
-            reachable_names.push((id, name));
-        }
-        let class_count = r.get_u32()?;
-        let function_count = r.get_u32()?;
-
-        let algorithm = algorithm_from_tag(r.get_u8()?)?;
-        let reachable = get_func_ids(&mut r)?;
-        let n = r.get_len()?;
-        let mut instantiated = Vec::with_capacity(n);
-        for _ in 0..n {
-            instantiated.push(ClassId::from_index(r.get_u32()? as usize));
-        }
-        let address_taken = get_func_ids(&mut r)?;
-        let n = r.get_len()?;
-        let mut edge_offsets = Vec::with_capacity(n);
-        for _ in 0..n {
-            edge_offsets.push(r.get_u32()?);
-        }
-        let edge_targets = get_func_ids(&mut r)?;
-        let callgraph = CallGraphParts {
-            algorithm,
-            reachable,
-            instantiated,
-            address_taken,
-            edge_offsets,
-            edge_targets,
-        };
-
-        let n = r.get_len()?;
-        let mut rounds = Vec::with_capacity(n);
-        for _ in 0..n {
-            rounds.push(CgRound {
-                delta_fns: r.get_u64()?,
-                pops: r.get_u64()?,
-                drains: r.get_u64()?,
-            });
-        }
-        let schedule = CgSchedule {
-            rounds,
-            pops: r.get_u64()?,
-            drains: r.get_u64()?,
-            parked: r.get_u64()?,
-            dispatch_candidates: get_histogram(&mut r)?,
-            replays: r.get_u64()?,
-            interned_symbols: r.get_u64()?,
-            arena_bytes: r.get_u64()?,
-        };
-
-        let n = r.get_len()?;
-        let mut live = Vec::with_capacity(n);
-        for _ in 0..n {
-            let m = get_member(&mut r)?;
-            let reason = live_reason_from_tag(r.get_u8()?)?;
-            live.push((m, reason));
-        }
-        let n = r.get_len()?;
-        let mut unclassifiable = Vec::with_capacity(n);
-        for _ in 0..n {
-            unclassifiable.push(get_member(&mut r)?);
-        }
-        let n = r.get_len()?;
-        let mut origins = Vec::with_capacity(n);
-        for _ in 0..n {
-            let m = get_member(&mut r)?;
-            let o = get_origin(&mut r)?;
-            origins.push((m, o));
-        }
-        let liveness = LivenessParts {
-            live,
-            unclassifiable,
-            origins,
-        };
-        let liveness_counters = get_counters(&mut r)?;
+        let snap = AnalysisSnapshot::get(&mut r)?;
         if !r.is_at_end() {
             return Err("trailing bytes after payload".to_string());
         }
-
-        Ok(AnalysisSnapshot {
-            fingerprint,
-            source_hashes,
-            summary_bytes,
-            modules,
-            reachable_names,
-            class_count,
-            function_count,
-            callgraph,
-            schedule,
-            liveness,
-            liveness_counters,
-        })
+        Ok(snap)
     }
 
     /// Loads the snapshot in `dir` and checks it against `key`: a whole
@@ -1012,8 +681,11 @@ fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::liveness::{LiveReason, Origin};
+    use ddm_callgraph::CgRound;
     use ddm_cppfront::{parse, SourceMap};
-    use ddm_hierarchy::{Program, ProgramSummary};
+    use ddm_hierarchy::{ClassId, MemberRef, Program, ProgramSummary};
+    use ddm_telemetry::Histogram;
 
     fn sample_snapshot() -> AnalysisSnapshot {
         let src = "class A { public: int x; int y; };\n\

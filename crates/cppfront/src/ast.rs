@@ -888,6 +888,22 @@ impl Type {
         Type::plain(TypeKind::Reference(Box::new(self)))
     }
 
+    /// Derivation levels along the deepest path: one per pointer,
+    /// reference, array, function and member-pointer wrapper.
+    pub(crate) fn depth(&self) -> usize {
+        match &self.kind {
+            TypeKind::Pointer(of)
+            | TypeKind::Reference(of)
+            | TypeKind::Array(of, _)
+            | TypeKind::MemberPointer { pointee: of, .. } => 1 + of.depth(),
+            TypeKind::Function(f) => {
+                let params = f.params.iter().map(Type::depth);
+                1 + params.fold(f.ret.depth(), usize::max)
+            }
+            _ => 0,
+        }
+    }
+
     /// The class name if this is a (possibly qualified) named type.
     pub fn named(&self) -> Option<&str> {
         match &self.kind {

@@ -766,6 +766,21 @@ impl<'a> Parser<'a> {
         result
     }
 
+    /// Charges one more derivation level (`*`, `&`, `C::*`, `[N]`, or the
+    /// function or pointer of a function-pointer declarator) to a type
+    /// with `levels` already, on top of the current nesting: each
+    /// recursive pass over a type descends one frame per level.
+    fn derive(&self, levels: &mut usize) -> Result<(), ParseError> {
+        if self.depth + *levels >= MAX_NESTING_DEPTH {
+            return Err(ParseError::new(
+                ParseErrorKind::NestingTooDeep(MAX_NESTING_DEPTH),
+                self.span(),
+            ));
+        }
+        *levels += 1;
+        Ok(())
+    }
+
     // ----- token helpers -------------------------------------------------
 
     fn peek(&self) -> &TokenKind<'a> {
@@ -1406,8 +1421,10 @@ impl<'a> Parser<'a> {
             }
         }
         // Pointer / reference / member-pointer suffixes.
+        let mut levels = 0;
         loop {
             if self.at_punct(Punct::Star) {
+                self.derive(&mut levels)?;
                 self.bump();
                 let inner = Type {
                     kind,
@@ -1428,6 +1445,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             } else if self.at_punct(Punct::Amp) {
+                self.derive(&mut levels)?;
                 self.bump();
                 let inner = Type {
                     kind,
@@ -1443,6 +1461,7 @@ impl<'a> Parser<'a> {
                     && self.peek_at(2).is_punct(Punct::Star)
                 {
                     let cls = cls.to_string();
+                    self.derive(&mut levels)?;
                     self.bump();
                     self.bump();
                     self.bump();
@@ -1486,8 +1505,12 @@ impl<'a> Parser<'a> {
         &mut self,
         base: Type,
     ) -> Result<(Option<String>, Type, bool), ParseError> {
-        // Function pointer declarator: `RET (*name)(params)`.
+        let mut levels = base.depth();
+        // Function pointer declarator: `RET (*name)(params)`, a pointer
+        // to a function returning `base`.
         if self.at_punct(Punct::LParen) && self.peek_at(1).is_punct(Punct::Star) {
+            self.derive(&mut levels)?;
+            self.derive(&mut levels)?;
             self.bump();
             self.bump();
             let name = match *self.peek() {
@@ -1498,27 +1521,8 @@ impl<'a> Parser<'a> {
                 _ => None,
             };
             self.expect_punct(Punct::RParen)?;
-            self.expect_punct(Punct::LParen)?;
-            let mut params = Vec::new();
-            if !self.at_punct(Punct::RParen) {
-                if self.at_keyword(Keyword::Void) && self.peek_at(1).is_punct(Punct::RParen) {
-                    self.bump();
-                } else {
-                    loop {
-                        let pty = self.parse_type()?;
-                        // Parameter names inside function-pointer types are
-                        // allowed and ignored.
-                        if let TokenKind::Ident(_) = self.peek() {
-                            self.bump();
-                        }
-                        params.push(pty);
-                        if !self.eat_punct(Punct::Comma) {
-                            break;
-                        }
-                    }
-                }
-            }
-            self.expect_punct(Punct::RParen)?;
+            // The parameter types sit inside the function and the pointer.
+            let params = self.nested(|p| p.nested(Self::parse_fn_ptr_params))?;
             let fn_ty = Type::plain(TypeKind::Function(Box::new(FnType { ret: base, params })));
             return Ok((name, fn_ty.pointer_to(), true));
         }
@@ -1531,6 +1535,7 @@ impl<'a> Parser<'a> {
         };
         let mut ty = base;
         while self.at_punct(Punct::LBracket) {
+            self.derive(&mut levels)?;
             self.bump();
             let len = match self.bump() {
                 TokenKind::IntLit(v) if v >= 0 => v as usize,
@@ -1540,6 +1545,33 @@ impl<'a> Parser<'a> {
             ty = Type::plain(TypeKind::Array(Box::new(ty), len));
         }
         Ok((name, ty, false))
+    }
+
+    /// The parenthesised parameter types of a function-pointer
+    /// declarator.
+    fn parse_fn_ptr_params(&mut self) -> Result<Vec<Type>, ParseError> {
+        self.expect_punct(Punct::LParen)?;
+        let mut params = Vec::new();
+        if !self.at_punct(Punct::RParen) {
+            if self.at_keyword(Keyword::Void) && self.peek_at(1).is_punct(Punct::RParen) {
+                self.bump();
+            } else {
+                loop {
+                    let pty = self.parse_type()?;
+                    // Parameter names inside function-pointer types are
+                    // allowed and ignored.
+                    if let TokenKind::Ident(_) = self.peek() {
+                        self.bump();
+                    }
+                    params.push(pty);
+                    if !self.eat_punct(Punct::Comma) {
+                        break;
+                    }
+                }
+            }
+        }
+        self.expect_punct(Punct::RParen)?;
+        Ok(params)
     }
 
     // ----- statements ------------------------------------------------------

@@ -1,9 +1,15 @@
-//! Compact binary codec for [`TuModule`]s, and the sealed envelope of
-//! the cache file (`analysis.snap`).
+//! The binary layouts of the cache, and the sealed envelope of the
+//! cache file (`analysis.snap`).
 //!
-//! This is the only serialization of a module. Fields are
-//! length-prefixed, integers little-endian and fixed-width, and each
-//! enum variant is one tag byte.
+//! Every persisted type has one [`Wire`] layout, a field list
+//! ([`wire_record!`](crate::wire_record)) or a tag table
+//! ([`wire_enum!`](crate::wire_enum)) from which both its encoder and
+//! its decoder are generated. `Type`, `TypeError`, `Histogram` and the
+//! class table of [`encode_modules`] are not field lists and are
+//! written by hand, each commented with why. Decoders defend against
+//! structural nonsense (truncation, bad tags, non-UTF-8) and against
+//! depth: a [`Type`] deeper than the parser's [`MAX_NESTING_DEPTH`] is
+//! `corrupt`, so no cache file can overflow the stack of a later pass.
 //!
 //! [`seal`] frames a payload as magic, format version and a word-wise
 //! FNV-1a checksum; [`open`] checks all three and names what failed as
@@ -13,9 +19,7 @@
 //! hash, the structure, that no bytes trail and [`TuModule::validate`].
 //! Entries serve only [`TuModule::to_json`]/[`TuModule::from_json`],
 //! which carry one as hex for the repository benchmark's traced
-//! replica, and tests; no cache file holds them. The module
-//! decoders themselves only defend against structural nonsense
-//! (truncation, bad tags, non-UTF-8).
+//! replica, and tests; no cache file holds them.
 //!
 //! Encoding is deterministic: a module encodes to the same bytes on
 //! every run (all containers are ordered `Vec`s), which is what lets
@@ -23,12 +27,14 @@
 
 use crate::module::{
     ClassRecord, EnumRecord, FreeFnRecord, GlobalRecord, MemberRecord, MethodRecord, SymCgStep,
-    SymFnSummary, SymFunc, SymLiveStep, SymMember, SymResult, TuModule,
+    SymFnSummary, SymFunc, SymLiveStep, SymMember, TuModule,
 };
+use crate::summary::{MarkAllCause, MemberAccessKind};
 use crate::typewalk::{TypeError, TypeErrorKind};
-use crate::LookupError;
+use crate::{ClassId, FuncId, LookupError, MemberRef};
 use ddm_cppfront::ast::{ClassKind, FnType, FunctionKind, Type, TypeKind};
-use ddm_cppfront::Span;
+use ddm_cppfront::{Span, MAX_NESTING_DEPTH};
+use ddm_telemetry::{Counters, Histogram};
 use std::fmt;
 use std::sync::Arc;
 
@@ -122,13 +128,13 @@ pub fn open<'a>(magic: &[u8; 8], version: u32, image: &'a [u8]) -> Result<&'a [u
 }
 
 /// Seals one module as an entry: the configuration `fingerprint`, the
-/// module's source hash, then [`encode_module`]. The inverse of
-/// [`decode_entry`].
+/// module's source hash, then the module's [`Wire`] layout. The inverse
+/// of [`decode_entry`].
 pub fn encode_entry(m: &TuModule, fingerprint: &str) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_str(fingerprint);
     w.put_u64(m.source_hash);
-    encode_module(m, &mut w);
+    m.put(&mut w);
     seal(ENTRY_MAGIC, BINMOD_FORMAT_VERSION, w.bytes())
 }
 
@@ -149,7 +155,7 @@ pub fn decode_entry(image: &[u8], fingerprint: &str, source_hash: u64) -> Result
     if r.get_u64().map_err(|_| Reject::Corrupt)? != source_hash {
         return Err(Reject::SourceHash);
     }
-    match decode_module(&mut r) {
+    match TuModule::get(&mut r) {
         Ok(m) if r.is_at_end() && m.source_hash == source_hash && m.validate().is_ok() => Ok(m),
         _ => Err(Reject::Corrupt),
     }
@@ -314,19 +320,473 @@ impl<'a> ByteReader<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Module encoding
+// Layouts
 // ---------------------------------------------------------------------
 
-/// Serializes one module into `w`. The inverse of [`decode_module`].
-pub fn encode_module(m: &TuModule, w: &mut ByteWriter) {
-    w.put_str(&m.file);
-    w.put_u64(m.source_hash);
-    w.put_len(m.classes.len());
-    for c in &m.classes {
-        encode_class(c, w);
-    }
-    encode_module_tail(m, w);
+/// The one layout of a persisted type: how a value is written to a
+/// cache file and read back. Integers are little-endian and
+/// fixed-width; a `Vec` is its `u32` length, then its elements; an
+/// `Option` is a tag byte (0 `None`, 1 `Some`) before the value, a
+/// `Result` a tag byte (0 `Ok`, 1 `Err`), a pair its two halves, and an
+/// `Arc` its value.
+pub trait Wire: Sized {
+    /// Appends the value's bytes to `w`.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Reads a value that [`Wire::put`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// Any structural failure: truncation, a bad tag, non-UTF-8 text, a
+    /// length beyond the remaining bytes.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String>;
 }
+
+macro_rules! wire_primitive {
+    ($($ty:ty => $put:ident, $get:ident;)*) => {
+        $(
+            impl Wire for $ty {
+                fn put(&self, w: &mut ByteWriter) {
+                    w.$put(*self);
+                }
+                fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+                    r.$get()
+                }
+            }
+        )*
+    };
+}
+
+wire_primitive! {
+    u8 => put_u8, get_u8;
+    bool => put_bool, get_bool;
+    u32 => put_u32, get_u32;
+    u64 => put_u64, get_u64;
+    i64 => put_i64, get_i64;
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_str(self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        r.get_str()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_len(self.len());
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let n = r.get_len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            None => w.put_u8(0),
+            Some(v) => {
+                w.put_u8(1);
+                v.put(w);
+            }
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        match r.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            tag => Err(format!("bad Option tag {tag}")),
+        }
+    }
+}
+
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            Ok(v) => {
+                w.put_u8(0);
+                v.put(w);
+            }
+            Err(e) => {
+                w.put_u8(1);
+                e.put(w);
+            }
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        match r.get_u8()? {
+            0 => Ok(Ok(T::get(r)?)),
+            1 => Ok(Err(E::get(r)?)),
+            tag => Err(format!("bad Result tag {tag}")),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let a = A::get(r)?;
+        Ok((a, B::get(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        T::put(self, w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        T::get(r).map(Arc::new)
+    }
+}
+
+/// Declares records' [`Wire`] layouts: each record's fields, in the
+/// order they are written. Both directions name every field without
+/// `..`, so a field added to the type and not to its layout does not
+/// compile.
+///
+/// `Record { a, b }` lays out a struct with named fields, `Id(raw)` a
+/// tuple struct. A field may name its own codec with
+/// `field with put_fn, get_fn`, where `put_fn(&field, &mut ByteWriter)`
+/// and `get_fn(&mut ByteReader) -> Result<_, String>`.
+#[macro_export]
+macro_rules! wire_record {
+    () => {};
+    ($ty:ident { $($field:ident $(with $put:path, $get:path)?),* $(,)? } $($rest:tt)*) => {
+        impl $crate::binmod::Wire for $ty {
+            fn put(&self, w: &mut $crate::binmod::ByteWriter) {
+                let $ty { $($field),* } = self;
+                $($crate::wire_field!(put $field, w $(, $put)?);)*
+            }
+            fn get(r: &mut $crate::binmod::ByteReader<'_>) -> Result<Self, String> {
+                $(let $field = $crate::wire_field!(get r $(, $get)?);)*
+                Ok($ty { $($field),* })
+            }
+        }
+        $crate::wire_record! { $($rest)* }
+    };
+    ($ty:ident ( $($field:ident),* ) $($rest:tt)*) => {
+        impl $crate::binmod::Wire for $ty {
+            fn put(&self, w: &mut $crate::binmod::ByteWriter) {
+                let $ty($($field),*) = self;
+                $($crate::binmod::Wire::put($field, w);)*
+            }
+            fn get(r: &mut $crate::binmod::ByteReader<'_>) -> Result<Self, String> {
+                $(let $field = $crate::binmod::Wire::get(r)?;)*
+                Ok($ty($($field),*))
+            }
+        }
+        $crate::wire_record! { $($rest)* }
+    };
+}
+
+/// One field of a [`wire_record!`](crate::wire_record), through its
+/// [`Wire`] impl or the codec the record names.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! wire_field {
+    (put $field:ident, $w:ident) => {
+        $crate::binmod::Wire::put($field, $w)
+    };
+    (put $field:ident, $w:ident, $put:path) => {
+        $put($field, $w)
+    };
+    (get $r:ident) => {
+        $crate::binmod::Wire::get($r)?
+    };
+    (get $r:ident, $get:path) => {
+        $get($r)?
+    };
+}
+
+/// Declares enums' [`Wire`] layouts as tag tables: each variant's tag
+/// byte, then its fields in the listed order. Unit variants are a bare
+/// name, tuple variants `Name(a, b)`, struct variants `Name { a, b }`.
+/// Every variant must be listed, or `put` does not compile; a tag
+/// outside the table is a decode error.
+#[macro_export]
+macro_rules! wire_enum {
+    () => {};
+    ($ty:ident { $($tag:literal => $variant:ident $(($($tf:ident),*))? $({$($sf:ident),*})?),* $(,)? } $($rest:tt)*) => {
+        impl $crate::binmod::Wire for $ty {
+            fn put(&self, w: &mut $crate::binmod::ByteWriter) {
+                match self {
+                    $($ty::$variant $(($($tf),*))? $({$($sf),*})? => {
+                        w.put_u8($tag);
+                        $($($crate::binmod::Wire::put($tf, w);)*)?
+                        $($($crate::binmod::Wire::put($sf, w);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut $crate::binmod::ByteReader<'_>) -> Result<Self, String> {
+                Ok(match r.get_u8()? {
+                    $($tag => {
+                        $($(let $tf = $crate::binmod::Wire::get(r)?;)*)?
+                        $($(let $sf = $crate::binmod::Wire::get(r)?;)*)?
+                        $ty::$variant $(($($tf),*))? $({$($sf),*})?
+                    })*
+                    tag => return Err(format!(concat!("bad ", stringify!($ty), " tag {}"), tag)),
+                })
+            }
+        }
+        $crate::wire_enum! { $($rest)* }
+    };
+}
+
+wire_record! {
+    ClassId(raw)
+    FuncId(raw)
+    MemberRef { class, index }
+    Span { lo, hi }
+    SymMember { class, index }
+    SymFnSummary { live_steps, cg_steps }
+    MemberRecord { name, ty, is_volatile }
+    MethodRecord {
+        name, kind, is_virtual, arity, has_body, body_fp, has_inits, line, col, summary,
+    }
+    ClassRecord { name, kind, bases, members, methods, line, col }
+    EnumRecord { name, variants, line, col }
+    GlobalRecord { name, ty, line, col }
+    FreeFnRecord { name, arity, has_body, body_fp, line, col, summary }
+    TuModule { file, source_hash, classes, enums, globals, free_fns, globals_summary }
+}
+
+wire_enum! {
+    ClassKind { 0 => Class, 1 => Struct, 2 => Union }
+    FunctionKind { 0 => Free, 1 => Method, 2 => Constructor, 3 => Destructor }
+    MemberAccessKind { 0 => Read, 1 => AddressTaken, 2 => PointerToMember, 3 => VolatileWrite }
+    MarkAllCause { 0 => UnsafeCast, 1 => UnsafeDowncast, 2 => Sizeof }
+    SymFunc { 0 => Free(name), 1 => Method { class, index } }
+    SymLiveStep { 0 => Access { member, kind }, 1 => MarkAll { class, cause } }
+    SymCgStep {
+        0 => Call(f),
+        1 => VirtualCall { decl, receiver, refined },
+        2 => FnPointerCall,
+        3 => TakeAddress(f),
+        4 => Instantiate { class, ctor },
+        5 => Delete { class },
+    }
+}
+
+/// A `Type` is its kind's tag byte, a qualifier byte (bit 0 `const`,
+/// bit 1 `volatile`), then the kind's payload. Written by hand for two
+/// reasons: the qualifiers sit between a kind's tag and its payload,
+/// and decoding bounds the derivation depth. Each pointer, reference,
+/// array, function and member-pointer level counts one, and a type
+/// deeper than [`MAX_NESTING_DEPTH`] levels, which the parser never
+/// builds, is `corrupt`: every recursive pass over it (resolution,
+/// clone, drop, encode) could overflow the stack.
+impl Wire for Type {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(match &self.kind {
+            TypeKind::Void => 0,
+            TypeKind::Bool => 1,
+            TypeKind::Char => 2,
+            TypeKind::Short => 3,
+            TypeKind::Int => 4,
+            TypeKind::Long => 5,
+            TypeKind::Float => 6,
+            TypeKind::Double => 7,
+            TypeKind::Named(_) => 8,
+            TypeKind::Pointer(_) => 9,
+            TypeKind::Reference(_) => 10,
+            TypeKind::Array(..) => 11,
+            TypeKind::Function(_) => 12,
+            TypeKind::MemberPointer { .. } => 13,
+        });
+        w.put_u8(u8::from(self.is_const) | (u8::from(self.is_volatile) << 1));
+        match &self.kind {
+            TypeKind::Named(n) => n.put(w),
+            TypeKind::Pointer(inner) | TypeKind::Reference(inner) => inner.put(w),
+            TypeKind::Array(inner, n) => {
+                inner.put(w);
+                w.put_u64(*n as u64);
+            }
+            TypeKind::Function(ft) => {
+                ft.ret.put(w);
+                ft.params.put(w);
+            }
+            TypeKind::MemberPointer { class, pointee } => {
+                class.put(w);
+                pointee.put(w);
+            }
+            _ => {}
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        get_type(r, MAX_NESTING_DEPTH)
+    }
+}
+
+/// Reads a type that may derive `levels` more levels.
+fn get_type(r: &mut ByteReader<'_>, levels: usize) -> Result<Type, String> {
+    let tag = r.get_u8()?;
+    let flags = r.get_u8()?;
+    if flags > 3 {
+        return Err(format!("bad type qualifier flags {flags}"));
+    }
+    let inner = |r: &mut ByteReader<'_>| match levels.checked_sub(1) {
+        Some(levels) => get_type(r, levels),
+        None => Err(Reject::Corrupt.to_string()),
+    };
+    let kind = match tag {
+        0 => TypeKind::Void,
+        1 => TypeKind::Bool,
+        2 => TypeKind::Char,
+        3 => TypeKind::Short,
+        4 => TypeKind::Int,
+        5 => TypeKind::Long,
+        6 => TypeKind::Float,
+        7 => TypeKind::Double,
+        8 => TypeKind::Named(r.get_str()?),
+        9 => TypeKind::Pointer(Box::new(inner(r)?)),
+        10 => TypeKind::Reference(Box::new(inner(r)?)),
+        11 => {
+            let of = inner(r)?;
+            let n = usize::try_from(r.get_u64()?)
+                .map_err(|_| "array length out of range".to_string())?;
+            TypeKind::Array(Box::new(of), n)
+        }
+        12 => {
+            let ret = inner(r)?;
+            let n = r.get_len()?;
+            let mut params = Vec::with_capacity(n);
+            for _ in 0..n {
+                params.push(inner(r)?);
+            }
+            TypeKind::Function(Box::new(FnType { ret, params }))
+        }
+        13 => TypeKind::MemberPointer {
+            class: r.get_str()?,
+            pointee: Box::new(inner(r)?),
+        },
+        other => return Err(format!("bad type tag {other}")),
+    };
+    Ok(Type {
+        kind,
+        is_const: flags & 1 != 0,
+        is_volatile: flags & 2 != 0,
+    })
+}
+
+/// A `TypeError` is its kind's tag and text, then its span. Written by
+/// hand because a failed member lookup is flattened into the kind's own
+/// tag table: `Lookup(NotFound)` is tag 4 and `Lookup(Ambiguous)` tag 5,
+/// each followed by the class and the member name.
+impl Wire for TypeError {
+    fn put(&self, w: &mut ByteWriter) {
+        let (tag, texts): (u8, [Option<&String>; 2]) = match self.kind() {
+            TypeErrorKind::UnknownIdent(n) => (0, [Some(n), None]),
+            TypeErrorKind::NotAClass(t) => (1, [Some(t), None]),
+            TypeErrorKind::NotAPointer(t) => (2, [Some(t), None]),
+            TypeErrorKind::NotCallable(t) => (3, [Some(t), None]),
+            TypeErrorKind::Lookup(LookupError::NotFound { class, name }) => {
+                (4, [Some(class), Some(name)])
+            }
+            TypeErrorKind::Lookup(LookupError::Ambiguous { class, name }) => {
+                (5, [Some(class), Some(name)])
+            }
+            TypeErrorKind::ThisOutsideMethod => (6, [None, None]),
+            TypeErrorKind::UnknownQualifier(q) => (7, [Some(q), None]),
+        };
+        w.put_u8(tag);
+        for text in texts.into_iter().flatten() {
+            text.put(w);
+        }
+        self.span().put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let kind = match r.get_u8()? {
+            0 => TypeErrorKind::UnknownIdent(r.get_str()?),
+            1 => TypeErrorKind::NotAClass(r.get_str()?),
+            2 => TypeErrorKind::NotAPointer(r.get_str()?),
+            3 => TypeErrorKind::NotCallable(r.get_str()?),
+            4 => TypeErrorKind::Lookup(LookupError::NotFound {
+                class: r.get_str()?,
+                name: r.get_str()?,
+            }),
+            5 => TypeErrorKind::Lookup(LookupError::Ambiguous {
+                class: r.get_str()?,
+                name: r.get_str()?,
+            }),
+            6 => TypeErrorKind::ThisOutsideMethod,
+            7 => TypeErrorKind::UnknownQualifier(r.get_str()?),
+            other => return Err(format!("bad TypeError tag {other}")),
+        };
+        Ok(TypeError::from_parts(kind, Span::get(r)?))
+    }
+}
+
+/// A `Histogram` is its non-empty buckets as `(index: u32, count: u64)`
+/// pairs, then its count and its sum. Written by hand because the value
+/// holds all 65 buckets and the layout only the non-empty ones, and
+/// because decoding checks the buckets against the count.
+impl Wire for Histogram {
+    fn put(&self, w: &mut ByteWriter) {
+        let buckets = self.nonzero_buckets();
+        w.put_len(buckets.len());
+        for (k, c) in buckets {
+            w.put_u32(k as u32);
+            w.put_u64(c);
+        }
+        w.put_u64(self.count());
+        w.put_u64(self.sum());
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let n = r.get_len()?;
+        let mut buckets = Vec::with_capacity(n);
+        for _ in 0..n {
+            let k = r.get_u32()? as usize;
+            buckets.push((k, r.get_u64()?));
+        }
+        let count = r.get_u64()?;
+        Histogram::from_parts(&buckets, count, r.get_u64()?)
+    }
+}
+
+/// `Counters` are the values of [`Counters::rows`] as a `Vec<u64>`; a
+/// list of any other length is rejected.
+impl Wire for Counters {
+    fn put(&self, w: &mut ByteWriter) {
+        let rows = self.rows();
+        w.put_len(rows.len());
+        for (_, v) in rows {
+            w.put_u64(v);
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let mut counters = Counters::default();
+        let mut rows = counters.rows_mut();
+        let n = r.get_len()?;
+        if n != rows.len() {
+            return Err(format!("counters row count {n}, expected {}", rows.len()));
+        }
+        for (_, v) in &mut rows {
+            **v = r.get_u64()?;
+        }
+        Ok(counters)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The class table
+// ---------------------------------------------------------------------
 
 /// Serializes a whole module list with cross-TU class-record
 /// deduplication: each distinct class record (by encoded bytes) is
@@ -337,6 +797,10 @@ pub fn encode_module(m: &TuModule, w: &mut ByteWriter) {
 /// read and rewrite on every incremental run. The inverse of
 /// [`decode_modules`]. Deterministic: the table is in first-appearance
 /// order.
+///
+/// Written by hand, beside the [`TuModule`] layout it follows field for
+/// field: each module's classes are `u32` table indices here, and the
+/// table is deduplicated by bytes and by `Arc` pointer.
 pub fn encode_modules(modules: &[TuModule], w: &mut ByteWriter) {
     let mut index: std::collections::HashMap<Vec<u8>, u32> = std::collections::HashMap::new();
     // Records decoded from a snapshot share one `Arc` per distinct
@@ -355,7 +819,7 @@ pub fn encode_modules(modules: &[TuModule], w: &mut ByteWriter) {
                 continue;
             }
             let mut cw = ByteWriter::new();
-            encode_class(c, &mut cw);
+            c.put(&mut cw);
             let blob = cw.into_bytes();
             let next = blobs.len() as u32;
             let id = match index.entry(blob) {
@@ -377,13 +841,13 @@ pub fn encode_modules(modules: &[TuModule], w: &mut ByteWriter) {
     }
     w.put_len(modules.len());
     for (m, ids) in modules.iter().zip(&refs) {
-        w.put_str(&m.file);
-        w.put_u64(m.source_hash);
-        w.put_len(ids.len());
-        for &id in ids {
-            w.put_u32(id);
-        }
-        encode_module_tail(m, w);
+        m.file.put(w);
+        m.source_hash.put(w);
+        ids.put(w);
+        m.enums.put(w);
+        m.globals.put(w);
+        m.free_fns.put(w);
+        m.globals_summary.put(w);
     }
 }
 
@@ -394,588 +858,41 @@ pub fn encode_modules(modules: &[TuModule], w: &mut ByteWriter) {
 /// Any structural failure, including a class-table index out of range
 /// or a table entry with trailing bytes.
 pub fn decode_modules(r: &mut ByteReader<'_>) -> Result<Vec<TuModule>, String> {
-    let table: Vec<Arc<ClassRecord>> = (0..r.get_len()?)
-        .map(|_| {
-            let blob = r.get_blob()?;
-            let mut cr = ByteReader::new(blob);
-            let class = decode_class(&mut cr)?;
-            if !cr.is_at_end() {
-                return Err("trailing bytes in class-table entry".to_string());
-            }
-            Ok(Arc::new(class))
-        })
-        .collect::<Result<_, _>>()?;
+    let n = r.get_len()?;
+    let mut table = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut cr = ByteReader::new(r.get_blob()?);
+        let class = ClassRecord::get(&mut cr)?;
+        if !cr.is_at_end() {
+            return Err("trailing bytes in class-table entry".to_string());
+        }
+        table.push(Arc::new(class));
+    }
     let n = r.get_len()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let file = r.get_str()?;
-        let source_hash = r.get_u64()?;
-        let classes = (0..r.get_len()?)
-            .map(|_| {
-                let id = r.get_u32()? as usize;
-                table
-                    .get(id)
-                    .cloned()
-                    .ok_or_else(|| format!("class-table index {id} out of range"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let (enums, globals, free_fns, globals_summary) = decode_module_tail(r)?;
+        let file = String::get(r)?;
+        let source_hash = u64::get(r)?;
+        let n = r.get_len()?;
+        let mut classes = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = r.get_u32()? as usize;
+            let class = table
+                .get(id)
+                .ok_or_else(|| format!("class-table index {id} out of range"))?;
+            classes.push(Arc::clone(class));
+        }
         out.push(TuModule {
             file,
             source_hash,
             classes,
-            enums,
-            globals,
-            free_fns,
-            globals_summary,
+            enums: Wire::get(r)?,
+            globals: Wire::get(r)?,
+            free_fns: Wire::get(r)?,
+            globals_summary: Wire::get(r)?,
         });
     }
     Ok(out)
-}
-
-/// Everything in a module after the class records.
-fn encode_module_tail(m: &TuModule, w: &mut ByteWriter) {
-    w.put_len(m.enums.len());
-    for e in &m.enums {
-        w.put_str(&e.name);
-        w.put_len(e.variants.len());
-        for (name, value) in &e.variants {
-            w.put_str(name);
-            w.put_i64(*value);
-        }
-        w.put_u32(e.line);
-        w.put_u32(e.col);
-    }
-    w.put_len(m.globals.len());
-    for g in &m.globals {
-        w.put_str(&g.name);
-        encode_type(&g.ty, w);
-        w.put_u32(g.line);
-        w.put_u32(g.col);
-    }
-    w.put_len(m.free_fns.len());
-    for f in &m.free_fns {
-        w.put_str(&f.name);
-        w.put_u32(f.arity);
-        w.put_bool(f.has_body);
-        w.put_u64(f.body_fp);
-        w.put_u32(f.line);
-        w.put_u32(f.col);
-        encode_sym_result(&f.summary, w);
-    }
-    encode_sym_result(&m.globals_summary, w);
-}
-
-/// Deserializes one module from `r`.
-///
-/// # Errors
-///
-/// Any structural failure (truncation, bad tag, non-UTF-8). Envelope
-/// and integrity checks are the container's: [`decode_entry`] or the
-/// snapshot.
-pub fn decode_module(r: &mut ByteReader<'_>) -> Result<TuModule, String> {
-    let file = r.get_str()?;
-    let source_hash = r.get_u64()?;
-    let classes = (0..r.get_len()?)
-        .map(|_| decode_class(r).map(Arc::new))
-        .collect::<Result<Vec<_>, _>>()?;
-    let (enums, globals, free_fns, globals_summary) = decode_module_tail(r)?;
-    Ok(TuModule {
-        file,
-        source_hash,
-        classes,
-        enums,
-        globals,
-        free_fns,
-        globals_summary,
-    })
-}
-
-type ModuleTail = (
-    Vec<EnumRecord>,
-    Vec<GlobalRecord>,
-    Vec<FreeFnRecord>,
-    SymResult,
-);
-
-fn decode_module_tail(r: &mut ByteReader<'_>) -> Result<ModuleTail, String> {
-    let enums = (0..r.get_len()?)
-        .map(|_| {
-            let name = r.get_str()?;
-            let variants = (0..r.get_len()?)
-                .map(|_| Ok::<_, String>((r.get_str()?, r.get_i64()?)))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok::<_, String>(EnumRecord {
-                name,
-                variants,
-                line: r.get_u32()?,
-                col: r.get_u32()?,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let globals = (0..r.get_len()?)
-        .map(|_| {
-            Ok::<_, String>(GlobalRecord {
-                name: r.get_str()?,
-                ty: decode_type(r)?,
-                line: r.get_u32()?,
-                col: r.get_u32()?,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let free_fns = (0..r.get_len()?)
-        .map(|_| {
-            Ok::<_, String>(FreeFnRecord {
-                name: r.get_str()?,
-                arity: r.get_u32()?,
-                has_body: r.get_bool()?,
-                body_fp: r.get_u64()?,
-                line: r.get_u32()?,
-                col: r.get_u32()?,
-                summary: decode_sym_result(r)?,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let globals_summary = decode_sym_result(r)?;
-    Ok((enums, globals, free_fns, globals_summary))
-}
-
-fn encode_class(c: &ClassRecord, w: &mut ByteWriter) {
-    w.put_str(&c.name);
-    w.put_u8(match c.kind {
-        ClassKind::Class => 0,
-        ClassKind::Struct => 1,
-        ClassKind::Union => 2,
-    });
-    w.put_len(c.bases.len());
-    for (name, is_virtual) in &c.bases {
-        w.put_str(name);
-        w.put_bool(*is_virtual);
-    }
-    w.put_len(c.members.len());
-    for m in &c.members {
-        w.put_str(&m.name);
-        encode_type(&m.ty, w);
-        w.put_bool(m.is_volatile);
-    }
-    w.put_len(c.methods.len());
-    for m in &c.methods {
-        w.put_str(&m.name);
-        w.put_u8(fn_kind_tag(m.kind));
-        w.put_bool(m.is_virtual);
-        w.put_u32(m.arity);
-        w.put_bool(m.has_body);
-        w.put_u64(m.body_fp);
-        w.put_bool(m.has_inits);
-        w.put_u32(m.line);
-        w.put_u32(m.col);
-        encode_sym_result(&m.summary, w);
-    }
-    w.put_u32(c.line);
-    w.put_u32(c.col);
-}
-
-fn decode_class(r: &mut ByteReader<'_>) -> Result<ClassRecord, String> {
-    let name = r.get_str()?;
-    let kind = match r.get_u8()? {
-        0 => ClassKind::Class,
-        1 => ClassKind::Struct,
-        2 => ClassKind::Union,
-        other => return Err(format!("bad class kind tag {other}")),
-    };
-    let bases = (0..r.get_len()?)
-        .map(|_| Ok::<_, String>((r.get_str()?, r.get_bool()?)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let members = (0..r.get_len()?)
-        .map(|_| {
-            Ok::<_, String>(MemberRecord {
-                name: r.get_str()?,
-                ty: decode_type(r)?,
-                is_volatile: r.get_bool()?,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let methods = (0..r.get_len()?)
-        .map(|_| {
-            Ok::<_, String>(MethodRecord {
-                name: r.get_str()?,
-                kind: fn_kind_from_tag(r.get_u8()?)?,
-                is_virtual: r.get_bool()?,
-                arity: r.get_u32()?,
-                has_body: r.get_bool()?,
-                body_fp: r.get_u64()?,
-                has_inits: r.get_bool()?,
-                line: r.get_u32()?,
-                col: r.get_u32()?,
-                summary: decode_sym_result(r)?,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ClassRecord {
-        name,
-        kind,
-        bases,
-        members,
-        methods,
-        line: r.get_u32()?,
-        col: r.get_u32()?,
-    })
-}
-
-fn fn_kind_tag(kind: FunctionKind) -> u8 {
-    match kind {
-        FunctionKind::Free => 0,
-        FunctionKind::Method => 1,
-        FunctionKind::Constructor => 2,
-        FunctionKind::Destructor => 3,
-    }
-}
-
-fn fn_kind_from_tag(tag: u8) -> Result<FunctionKind, String> {
-    match tag {
-        0 => Ok(FunctionKind::Free),
-        1 => Ok(FunctionKind::Method),
-        2 => Ok(FunctionKind::Constructor),
-        3 => Ok(FunctionKind::Destructor),
-        other => Err(format!("bad function kind tag {other}")),
-    }
-}
-
-fn encode_type(ty: &Type, w: &mut ByteWriter) {
-    let flags = u8::from(ty.is_const) | (u8::from(ty.is_volatile) << 1);
-    match &ty.kind {
-        TypeKind::Void => w.put_u8(0),
-        TypeKind::Bool => w.put_u8(1),
-        TypeKind::Char => w.put_u8(2),
-        TypeKind::Short => w.put_u8(3),
-        TypeKind::Int => w.put_u8(4),
-        TypeKind::Long => w.put_u8(5),
-        TypeKind::Float => w.put_u8(6),
-        TypeKind::Double => w.put_u8(7),
-        TypeKind::Named(_) => w.put_u8(8),
-        TypeKind::Pointer(_) => w.put_u8(9),
-        TypeKind::Reference(_) => w.put_u8(10),
-        TypeKind::Array(..) => w.put_u8(11),
-        TypeKind::Function(_) => w.put_u8(12),
-        TypeKind::MemberPointer { .. } => w.put_u8(13),
-    }
-    w.put_u8(flags);
-    match &ty.kind {
-        TypeKind::Named(n) => w.put_str(n),
-        TypeKind::Pointer(inner) | TypeKind::Reference(inner) => encode_type(inner, w),
-        TypeKind::Array(inner, n) => {
-            encode_type(inner, w);
-            w.put_u64(*n as u64);
-        }
-        TypeKind::Function(ft) => {
-            encode_type(&ft.ret, w);
-            w.put_len(ft.params.len());
-            for p in &ft.params {
-                encode_type(p, w);
-            }
-        }
-        TypeKind::MemberPointer { class, pointee } => {
-            w.put_str(class);
-            encode_type(pointee, w);
-        }
-        _ => {}
-    }
-}
-
-fn decode_type(r: &mut ByteReader<'_>) -> Result<Type, String> {
-    let tag = r.get_u8()?;
-    let flags = r.get_u8()?;
-    if flags > 3 {
-        return Err(format!("bad type qualifier flags {flags}"));
-    }
-    let kind = match tag {
-        0 => TypeKind::Void,
-        1 => TypeKind::Bool,
-        2 => TypeKind::Char,
-        3 => TypeKind::Short,
-        4 => TypeKind::Int,
-        5 => TypeKind::Long,
-        6 => TypeKind::Float,
-        7 => TypeKind::Double,
-        8 => TypeKind::Named(r.get_str()?),
-        9 => TypeKind::Pointer(Box::new(decode_type(r)?)),
-        10 => TypeKind::Reference(Box::new(decode_type(r)?)),
-        11 => {
-            let inner = decode_type(r)?;
-            let n = usize::try_from(r.get_u64()?)
-                .map_err(|_| "array length out of range".to_string())?;
-            TypeKind::Array(Box::new(inner), n)
-        }
-        12 => {
-            let ret = decode_type(r)?;
-            let params = (0..r.get_len()?)
-                .map(|_| decode_type(r))
-                .collect::<Result<Vec<_>, _>>()?;
-            TypeKind::Function(Box::new(FnType { ret, params }))
-        }
-        13 => TypeKind::MemberPointer {
-            class: r.get_str()?,
-            pointee: Box::new(decode_type(r)?),
-        },
-        other => return Err(format!("bad type tag {other}")),
-    };
-    Ok(Type {
-        kind,
-        is_const: flags & 1 != 0,
-        is_volatile: flags & 2 != 0,
-    })
-}
-
-fn encode_sym_func(f: &SymFunc, w: &mut ByteWriter) {
-    match f {
-        SymFunc::Free(name) => {
-            w.put_u8(0);
-            w.put_str(name);
-        }
-        SymFunc::Method { class, index } => {
-            w.put_u8(1);
-            w.put_str(class);
-            w.put_u32(*index);
-        }
-    }
-}
-
-fn decode_sym_func(r: &mut ByteReader<'_>) -> Result<SymFunc, String> {
-    match r.get_u8()? {
-        0 => Ok(SymFunc::Free(r.get_str()?)),
-        1 => Ok(SymFunc::Method {
-            class: r.get_str()?,
-            index: r.get_u32()?,
-        }),
-        other => Err(format!("bad function-ref tag {other}")),
-    }
-}
-
-fn encode_sym_result(res: &SymResult, w: &mut ByteWriter) {
-    match res {
-        Ok(summary) => {
-            w.put_u8(0);
-            w.put_len(summary.live_steps.len());
-            for step in &summary.live_steps {
-                match step {
-                    SymLiveStep::Access { member, kind } => {
-                        w.put_u8(0);
-                        w.put_str(&member.class);
-                        w.put_u32(member.index);
-                        w.put_u8(match kind {
-                            crate::summary::MemberAccessKind::Read => 0,
-                            crate::summary::MemberAccessKind::AddressTaken => 1,
-                            crate::summary::MemberAccessKind::PointerToMember => 2,
-                            crate::summary::MemberAccessKind::VolatileWrite => 3,
-                        });
-                    }
-                    SymLiveStep::MarkAll { class, cause } => {
-                        w.put_u8(1);
-                        w.put_str(class);
-                        w.put_u8(match cause {
-                            crate::summary::MarkAllCause::UnsafeCast => 0,
-                            crate::summary::MarkAllCause::UnsafeDowncast => 1,
-                            crate::summary::MarkAllCause::Sizeof => 2,
-                        });
-                    }
-                }
-            }
-            w.put_len(summary.cg_steps.len());
-            for step in &summary.cg_steps {
-                match step {
-                    SymCgStep::Call(f) => {
-                        w.put_u8(0);
-                        encode_sym_func(f, w);
-                    }
-                    SymCgStep::VirtualCall {
-                        decl,
-                        receiver,
-                        refined,
-                    } => {
-                        w.put_u8(1);
-                        encode_sym_func(decl, w);
-                        w.put_str(receiver);
-                        match refined {
-                            None => w.put_u8(0),
-                            Some(fs) => {
-                                w.put_u8(1);
-                                w.put_len(fs.len());
-                                for f in fs {
-                                    encode_sym_func(f, w);
-                                }
-                            }
-                        }
-                    }
-                    SymCgStep::FnPointerCall => w.put_u8(2),
-                    SymCgStep::TakeAddress(f) => {
-                        w.put_u8(3);
-                        encode_sym_func(f, w);
-                    }
-                    SymCgStep::Instantiate { class, ctor } => {
-                        w.put_u8(4);
-                        w.put_str(class);
-                        match ctor {
-                            None => w.put_u8(0),
-                            Some(c) => {
-                                w.put_u8(1);
-                                encode_sym_func(c, w);
-                            }
-                        }
-                    }
-                    SymCgStep::Delete { class } => {
-                        w.put_u8(5);
-                        w.put_str(class);
-                    }
-                }
-            }
-        }
-        Err(e) => {
-            w.put_u8(1);
-            encode_type_error(e, w);
-        }
-    }
-}
-
-fn decode_sym_result(r: &mut ByteReader<'_>) -> Result<SymResult, String> {
-    match r.get_u8()? {
-        0 => {
-            let live_steps = (0..r.get_len()?)
-                .map(|_| match r.get_u8()? {
-                    0 => {
-                        let member = SymMember {
-                            class: r.get_str()?,
-                            index: r.get_u32()?,
-                        };
-                        let kind = match r.get_u8()? {
-                            0 => crate::summary::MemberAccessKind::Read,
-                            1 => crate::summary::MemberAccessKind::AddressTaken,
-                            2 => crate::summary::MemberAccessKind::PointerToMember,
-                            3 => crate::summary::MemberAccessKind::VolatileWrite,
-                            other => return Err(format!("bad access kind tag {other}")),
-                        };
-                        Ok(SymLiveStep::Access { member, kind })
-                    }
-                    1 => {
-                        let class = r.get_str()?;
-                        let cause = match r.get_u8()? {
-                            0 => crate::summary::MarkAllCause::UnsafeCast,
-                            1 => crate::summary::MarkAllCause::UnsafeDowncast,
-                            2 => crate::summary::MarkAllCause::Sizeof,
-                            other => return Err(format!("bad mark-all cause tag {other}")),
-                        };
-                        Ok(SymLiveStep::MarkAll { class, cause })
-                    }
-                    other => Err(format!("bad live-step tag {other}")),
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let cg_steps = (0..r.get_len()?)
-                .map(|_| match r.get_u8()? {
-                    0 => Ok(SymCgStep::Call(decode_sym_func(r)?)),
-                    1 => {
-                        let decl = decode_sym_func(r)?;
-                        let receiver = r.get_str()?;
-                        let refined = match r.get_u8()? {
-                            0 => None,
-                            1 => Some(
-                                (0..r.get_len()?)
-                                    .map(|_| decode_sym_func(r))
-                                    .collect::<Result<Vec<_>, _>>()?,
-                            ),
-                            other => return Err(format!("bad refined tag {other}")),
-                        };
-                        Ok(SymCgStep::VirtualCall {
-                            decl,
-                            receiver,
-                            refined,
-                        })
-                    }
-                    2 => Ok(SymCgStep::FnPointerCall),
-                    3 => Ok(SymCgStep::TakeAddress(decode_sym_func(r)?)),
-                    4 => {
-                        let class = r.get_str()?;
-                        let ctor = match r.get_u8()? {
-                            0 => None,
-                            1 => Some(decode_sym_func(r)?),
-                            other => return Err(format!("bad ctor tag {other}")),
-                        };
-                        Ok(SymCgStep::Instantiate { class, ctor })
-                    }
-                    5 => Ok(SymCgStep::Delete {
-                        class: r.get_str()?,
-                    }),
-                    other => Err(format!("bad cg-step tag {other}")),
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(Ok(SymFnSummary {
-                live_steps,
-                cg_steps,
-            }))
-        }
-        1 => Ok(Err(decode_type_error(r)?)),
-        other => Err(format!("bad summary-result tag {other}")),
-    }
-}
-
-fn encode_type_error(e: &TypeError, w: &mut ByteWriter) {
-    match e.kind() {
-        TypeErrorKind::UnknownIdent(n) => {
-            w.put_u8(0);
-            w.put_str(n);
-        }
-        TypeErrorKind::NotAClass(t) => {
-            w.put_u8(1);
-            w.put_str(t);
-        }
-        TypeErrorKind::NotAPointer(t) => {
-            w.put_u8(2);
-            w.put_str(t);
-        }
-        TypeErrorKind::NotCallable(t) => {
-            w.put_u8(3);
-            w.put_str(t);
-        }
-        TypeErrorKind::Lookup(LookupError::NotFound { class, name }) => {
-            w.put_u8(4);
-            w.put_str(class);
-            w.put_str(name);
-        }
-        TypeErrorKind::Lookup(LookupError::Ambiguous { class, name }) => {
-            w.put_u8(5);
-            w.put_str(class);
-            w.put_str(name);
-        }
-        TypeErrorKind::ThisOutsideMethod => w.put_u8(6),
-        TypeErrorKind::UnknownQualifier(q) => {
-            w.put_u8(7);
-            w.put_str(q);
-        }
-    }
-    let span = e.span();
-    w.put_u32(span.lo);
-    w.put_u32(span.hi);
-}
-
-fn decode_type_error(r: &mut ByteReader<'_>) -> Result<TypeError, String> {
-    let kind = match r.get_u8()? {
-        0 => TypeErrorKind::UnknownIdent(r.get_str()?),
-        1 => TypeErrorKind::NotAClass(r.get_str()?),
-        2 => TypeErrorKind::NotAPointer(r.get_str()?),
-        3 => TypeErrorKind::NotCallable(r.get_str()?),
-        4 => TypeErrorKind::Lookup(LookupError::NotFound {
-            class: r.get_str()?,
-            name: r.get_str()?,
-        }),
-        5 => TypeErrorKind::Lookup(LookupError::Ambiguous {
-            class: r.get_str()?,
-            name: r.get_str()?,
-        }),
-        6 => TypeErrorKind::ThisOutsideMethod,
-        7 => TypeErrorKind::UnknownQualifier(r.get_str()?),
-        other => return Err(format!("bad type-error tag {other}")),
-    };
-    let lo = r.get_u32()?;
-    let hi = r.get_u32()?;
-    Ok(TypeError::from_parts(kind, Span::new(lo, hi)))
 }
 
 #[cfg(test)]
@@ -1017,15 +934,19 @@ int fleet = helper();
         TuModule::extract(&tu, &program, &summary, &map)
     }
 
+    fn encode(m: &TuModule) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        m.put(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn binary_roundtrip_is_identity() {
         for refine in [false, true] {
             let m = extract(SRC, refine);
-            let mut w = ByteWriter::new();
-            encode_module(&m, &mut w);
-            let bytes = w.into_bytes();
+            let bytes = encode(&m);
             let mut r = ByteReader::new(&bytes);
-            let back = decode_module(&mut r).expect("decode");
+            let back = TuModule::get(&mut r).expect("decode");
             assert!(r.is_at_end(), "trailing bytes after module");
             assert_eq!(back, m, "refine={refine}");
         }
@@ -1059,14 +980,7 @@ int fleet = helper();
 
         // The shared class is stored once, so the list encodes in far
         // less than the sum of its standalone modules.
-        let standalone: usize = mods
-            .iter()
-            .map(|m| {
-                let mut w = ByteWriter::new();
-                encode_module(m, &mut w);
-                w.into_bytes().len()
-            })
-            .sum();
+        let standalone: usize = mods.iter().map(|m| encode(m).len()).sum();
         assert!(
             bytes.len() < standalone - standalone / 3,
             "dedup saved too little: list {} vs standalone sum {standalone}",
@@ -1093,33 +1007,23 @@ int fleet = helper();
             false,
         );
         assert!(m.free_fns[0].summary.is_err(), "fixture must carry an error");
-        let mut w = ByteWriter::new();
-        encode_module(&m, &mut w);
-        let bytes = w.into_bytes();
-        let back = decode_module(&mut ByteReader::new(&bytes)).expect("decode");
+        let bytes = encode(&m);
+        let back = TuModule::get(&mut ByteReader::new(&bytes)).expect("decode");
         assert_eq!(back, m);
     }
 
     #[test]
     fn encoding_is_deterministic() {
         let m = extract(SRC, false);
-        let encode = |m: &TuModule| {
-            let mut w = ByteWriter::new();
-            encode_module(m, &mut w);
-            w.into_bytes()
-        };
         assert_eq!(encode(&m), encode(&m.clone()));
     }
 
     #[test]
     fn truncation_is_rejected_not_panicked() {
-        let m = extract(SRC, false);
-        let mut w = ByteWriter::new();
-        encode_module(&m, &mut w);
-        let bytes = w.into_bytes();
+        let bytes = encode(&extract(SRC, false));
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                decode_module(&mut ByteReader::new(&bytes[..cut])).is_err(),
+                TuModule::get(&mut ByteReader::new(&bytes[..cut])).is_err(),
                 "cut at {cut} must fail"
             );
         }
@@ -1130,13 +1034,10 @@ int fleet = helper();
         // A single out-of-range enum tag anywhere in the stream fails
         // decoding (the checksum normally catches this first; the codec
         // is the second line of defense).
-        let m = extract(SRC, false);
-        let mut w = ByteWriter::new();
-        encode_module(&m, &mut w);
-        let mut bytes = w.into_bytes();
+        let mut bytes = encode(&extract(SRC, false));
         let last = bytes.len() - 1;
         bytes[last] = 0xEE;
-        assert!(decode_module(&mut ByteReader::new(&bytes)).is_err());
+        assert!(TuModule::get(&mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]

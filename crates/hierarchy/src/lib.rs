@@ -39,8 +39,8 @@ pub mod summary;
 pub mod typewalk;
 
 pub use binmod::{
-    decode_entry, decode_module, decode_modules, encode_entry, encode_module, encode_modules,
-    ByteReader, ByteWriter, Reject, BINMOD_FORMAT_VERSION,
+    decode_entry, decode_modules, encode_entry, encode_modules, ByteReader, ByteWriter, Reject,
+    Wire, BINMOD_FORMAT_VERSION,
 };
 pub use bitset::{ClassBitSet, DenseBitSet, FuncBitSet};
 pub use ids::{ClassId, FuncId, MemberRef};

@@ -83,9 +83,7 @@ impl TypeError {
         TypeError { kind, span }
     }
 
-    /// Reassembles a `TypeError` from its parts. Used by the persistent
-    /// summary cache, which serializes errors recorded in per-TU
-    /// summaries and must reconstruct them bit-identically on a warm run.
+    /// Reassembles a `TypeError` from its parts, as the cache decoder does.
     pub fn from_parts(kind: TypeErrorKind, span: Span) -> Self {
         TypeError { kind, span }
     }

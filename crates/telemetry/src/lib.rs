@@ -43,51 +43,81 @@ use std::time::Instant;
 /// (front-end worker index + 1).
 pub const LANE_MAIN: u32 = 0;
 
-/// Deterministic event counts: identical for every `--jobs` value and
-/// cache state on the same input and configuration.
-///
-/// Scan counters count *marking attempts* (events the paper's rules
-/// fire on), not fresh marks.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counters {
-    /// Functions reachable in the call graph.
-    pub reachable_functions: u64,
-    /// Resolved call edges.
-    pub callgraph_edges: u64,
-    /// Classes in the instantiated set.
-    pub instantiated_classes: u64,
-    /// Call-graph delta-worklist pops (first processings + readied-site
-    /// drain slots). A snapshot warm start replays the stored schedule,
-    /// so the count is jobs- and cache-independent.
-    pub cg_worklist_pops: u64,
-    /// Widened dispatch edges drained from readied sites after their
-    /// receiver classes became instantiated.
-    pub cg_ready_drains: u64,
-    /// Member reads the scan marked live for.
-    pub scan_reads: u64,
-    /// Address-taken member accesses.
-    pub scan_address_taken: u64,
-    /// `&Z::m` pointer-to-member expressions.
-    pub scan_ptr_to_member: u64,
-    /// Stores to volatile members.
-    pub scan_volatile_writes: u64,
-    /// `MarkAllContainedMembers` triggers that fired after resolving the
-    /// configuration gates (unsafe casts, down-cast policy, sizeof policy).
-    pub markall_triggers: u64,
-    /// Distinct classes expanded by `MarkAllContainedMembers` before the
-    /// union post-pass (the merged visited set).
-    pub markall_classes_expanded: u64,
-    /// Union-propagation fixpoint rounds (including the final,
-    /// nothing-changed round).
-    pub union_rounds: u64,
-    /// Classes the union post-pass expanded.
-    pub union_classes_livened: u64,
-    /// Final classification: live / dead / unclassifiable members.
-    pub members_live: u64,
-    /// Members classified dead.
-    pub members_dead: u64,
-    /// Members of library classes (§3.3), unclassifiable.
-    pub members_unclassifiable: u64,
+/// Declares [`Counters`] from its one field list: the struct, and its
+/// rows in declaration order, read-only and mutable.
+macro_rules! counters {
+    ($(#[$meta:meta])* pub struct Counters { $($(#[$field_meta:meta])* pub $field:ident: u64,)* }) => {
+        $(#[$meta])*
+        pub struct Counters {
+            $($(#[$field_meta])* pub $field: u64,)*
+        }
+
+        /// How many fields [`Counters`] has.
+        const COUNTER_ROWS: usize = [$(stringify!($field)),*].len();
+
+        impl Counters {
+            /// Stable (key, value) view, in rendering order. The keys
+            /// double as JSON field names in `BENCH_suite.json`, and the
+            /// snapshot stores the values in this order.
+            pub fn rows(&self) -> [(&'static str, u64); COUNTER_ROWS] {
+                [$((stringify!($field), self.$field),)*]
+            }
+
+            /// The rows of [`Counters::rows`], each value mutable.
+            pub fn rows_mut(&mut self) -> [(&'static str, &mut u64); COUNTER_ROWS] {
+                [$((stringify!($field), &mut self.$field),)*]
+            }
+        }
+    };
+}
+
+counters! {
+    /// Deterministic event counts: identical for every `--jobs` value and
+    /// cache state on the same input and configuration.
+    ///
+    /// Scan counters count *marking attempts* (events the paper's rules
+    /// fire on), not fresh marks.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct Counters {
+        /// Functions reachable in the call graph.
+        pub reachable_functions: u64,
+        /// Resolved call edges.
+        pub callgraph_edges: u64,
+        /// Classes in the instantiated set.
+        pub instantiated_classes: u64,
+        /// Call-graph delta-worklist pops (first processings + readied-site
+        /// drain slots). A snapshot warm start replays the stored schedule,
+        /// so the count is jobs- and cache-independent.
+        pub cg_worklist_pops: u64,
+        /// Widened dispatch edges drained from readied sites after their
+        /// receiver classes became instantiated.
+        pub cg_ready_drains: u64,
+        /// Member reads the scan marked live for.
+        pub scan_reads: u64,
+        /// Address-taken member accesses.
+        pub scan_address_taken: u64,
+        /// `&Z::m` pointer-to-member expressions.
+        pub scan_ptr_to_member: u64,
+        /// Stores to volatile members.
+        pub scan_volatile_writes: u64,
+        /// `MarkAllContainedMembers` triggers that fired after resolving the
+        /// configuration gates (unsafe casts, down-cast policy, sizeof policy).
+        pub markall_triggers: u64,
+        /// Distinct classes expanded by `MarkAllContainedMembers` before the
+        /// union post-pass (the merged visited set).
+        pub markall_classes_expanded: u64,
+        /// Union-propagation fixpoint rounds (including the final,
+        /// nothing-changed round).
+        pub union_rounds: u64,
+        /// Classes the union post-pass expanded.
+        pub union_classes_livened: u64,
+        /// Final classification: live / dead / unclassifiable members.
+        pub members_live: u64,
+        /// Members classified dead.
+        pub members_dead: u64,
+        /// Members of library classes (§3.3), unclassifiable.
+        pub members_unclassifiable: u64,
+    }
 }
 
 impl Counters {
@@ -100,29 +130,6 @@ impl Counters {
         }
     }
 
-    /// Stable (key, value) view, in rendering order. The keys double as
-    /// JSON field names in `BENCH_suite.json`.
-    pub fn rows(&self) -> [(&'static str, u64); 16] {
-        [
-            ("reachable_functions", self.reachable_functions),
-            ("callgraph_edges", self.callgraph_edges),
-            ("instantiated_classes", self.instantiated_classes),
-            ("cg_worklist_pops", self.cg_worklist_pops),
-            ("cg_ready_drains", self.cg_ready_drains),
-            ("scan_reads", self.scan_reads),
-            ("scan_address_taken", self.scan_address_taken),
-            ("scan_ptr_to_member", self.scan_ptr_to_member),
-            ("scan_volatile_writes", self.scan_volatile_writes),
-            ("markall_triggers", self.markall_triggers),
-            ("markall_classes_expanded", self.markall_classes_expanded),
-            ("union_rounds", self.union_rounds),
-            ("union_classes_livened", self.union_classes_livened),
-            ("members_live", self.members_live),
-            ("members_dead", self.members_dead),
-            ("members_unclassifiable", self.members_unclassifiable),
-        ]
-    }
-
     /// Renders the counters as the aligned key/value rows printed under
     /// the `== deterministic counters ==` heading of `--stats`. The
     /// serve-mode `stats` query renders through the same helper, so the
@@ -133,30 +140,6 @@ impl Counters {
             out.push_str(&format!("{key:<44} {value:>12}\n"));
         }
         out
-    }
-
-    fn rows_mut(&mut self) -> [(&'static str, &mut u64); 16] {
-        [
-            ("reachable_functions", &mut self.reachable_functions),
-            ("callgraph_edges", &mut self.callgraph_edges),
-            ("instantiated_classes", &mut self.instantiated_classes),
-            ("cg_worklist_pops", &mut self.cg_worklist_pops),
-            ("cg_ready_drains", &mut self.cg_ready_drains),
-            ("scan_reads", &mut self.scan_reads),
-            ("scan_address_taken", &mut self.scan_address_taken),
-            ("scan_ptr_to_member", &mut self.scan_ptr_to_member),
-            ("scan_volatile_writes", &mut self.scan_volatile_writes),
-            ("markall_triggers", &mut self.markall_triggers),
-            (
-                "markall_classes_expanded",
-                &mut self.markall_classes_expanded,
-            ),
-            ("union_rounds", &mut self.union_rounds),
-            ("union_classes_livened", &mut self.union_classes_livened),
-            ("members_live", &mut self.members_live),
-            ("members_dead", &mut self.members_dead),
-            ("members_unclassifiable", &mut self.members_unclassifiable),
-        ]
     }
 }
 

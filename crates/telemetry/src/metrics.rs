@@ -83,20 +83,15 @@ impl Histogram {
             .collect()
     }
 
-    /// Decomposes the histogram into `(nonzero buckets, count, sum)` for
-    /// external serialization (the analysis snapshot stores dispatch
-    /// histograms this way).
-    pub fn to_parts(&self) -> (Vec<(usize, u64)>, u64, u64) {
-        (self.nonzero_buckets(), self.total, self.sum)
-    }
-
-    /// Rebuilds a histogram from [`Histogram::to_parts`] output.
+    /// Rebuilds a histogram from its [`Histogram::nonzero_buckets`],
+    /// [`Histogram::count`] and [`Histogram::sum`] (the analysis snapshot
+    /// stores dispatch histograms this way).
     ///
     /// # Errors
     ///
-    /// Rejects out-of-range bucket indices and a `count` that disagrees
-    /// with the bucket counts, so a corrupt snapshot cannot smuggle in an
-    /// inconsistent distribution.
+    /// Rejects out-of-range bucket indices, counts that overflow, and a
+    /// `count` that disagrees with the bucket counts, so a corrupt
+    /// snapshot cannot smuggle in an inconsistent distribution.
     pub fn from_parts(
         buckets: &[(usize, u64)],
         count: u64,
@@ -108,12 +103,13 @@ impl Histogram {
             sum,
         };
         let mut total = 0u64;
+        let overflow = || "histogram bucket counts overflow".to_string();
         for &(k, c) in buckets {
             if k >= HISTOGRAM_BUCKETS {
                 return Err(format!("histogram bucket {k} out of range"));
             }
-            h.counts[k] += c;
-            total += c;
+            h.counts[k] = h.counts[k].checked_add(c).ok_or_else(overflow)?;
+            total = total.checked_add(c).ok_or_else(overflow)?;
         }
         if total != count {
             return Err(format!(
@@ -293,6 +289,23 @@ mod tests {
         b.record(3);
         a.merge(&b);
         assert_eq!(a.nonzero_buckets(), vec![(0, 1), (1, 1), (2, 2), (4, 1)]);
+    }
+
+    #[test]
+    fn from_parts_rejects_inconsistent_or_overflowing_buckets() {
+        let mut h = Histogram::default();
+        h.record(3);
+        h.record(900);
+        let back = Histogram::from_parts(&h.nonzero_buckets(), h.count(), h.sum());
+        assert_eq!(back, Ok(h));
+        for (buckets, count) in [
+            (vec![(HISTOGRAM_BUCKETS, 1)], 1),
+            (vec![(1, 2)], 1),
+            (vec![(1, u64::MAX), (2, 1)], 0),
+            (vec![(1, u64::MAX), (1, 1)], 0),
+        ] {
+            assert!(Histogram::from_parts(&buckets, count, 0).is_err(), "{buckets:?}");
+        }
     }
 
     #[test]

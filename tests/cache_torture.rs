@@ -9,11 +9,18 @@
 //! edit publishes leaves the previous snapshot to serve the unchanged
 //! TUs, and a rejected snapshot (torn, version skew) makes the run
 //! recompute every TU. The decoders reject every truncation and bit flip
-//! of a real snapshot and of a real module entry.
+//! of a real snapshot and of a real module entry, and the structural
+//! decoders behind the checksum take any resealed byte mutation, or a
+//! type nested past the parser's limit, without panicking.
 
-use dead_data_members::analysis::{config_fingerprint, AnalysisSnapshot};
+use dead_data_members::analysis::{
+    config_fingerprint, snapshot_fingerprint, AnalysisConfig, AnalysisSnapshot,
+};
 use dead_data_members::callgraph::Algorithm;
-use dead_data_members::hierarchy::{decode_entry, encode_entry, Reject};
+use dead_data_members::cppfront::ast::{Type, TypeKind};
+use dead_data_members::hierarchy::binmod::{open, seal};
+use dead_data_members::hierarchy::{decode_entry, encode_entry, GlobalRecord, Reject};
+use dead_data_members::telemetry::Telemetry;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -474,4 +481,113 @@ fn every_truncation_and_bit_flip_of_a_real_entry_is_rejected() {
         assert_eq!(got, Some(want(bit / 8)), "entry bit {bit} flipped");
         mutant[bit / 8] ^= 1 << (bit % 8);
     }
+}
+
+/// `image` with its sealed payload replaced by `edit(payload)` and
+/// sealed again under the same magic and version, so the checksum
+/// passes and the structural decoder sees the edit.
+fn reseal(image: &[u8], edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    let magic: [u8; 8] = image[..8].try_into().expect("magic");
+    let version = u32::from_le_bytes(image[8..12].try_into().expect("version"));
+    let payload = open(&magic, version, image).expect("a sealed image");
+    seal(&magic, version, &edit(payload))
+}
+
+/// Every byte of the real snapshot's payload and of a real module
+/// entry's payload, set to two other values and resealed so the
+/// checksum passes, reaches the structural decoders: each mutant
+/// decodes to a value or to a typed error, and none panics.
+#[test]
+fn every_resealed_byte_mutation_decodes_or_is_rejected_without_panicking() {
+    let scratch = Scratch::new("reseal-mutate");
+    let out = run(Some(&scratch.0), None);
+    assert!(out.status.success(), "{out:?}");
+    let snapshot = std::fs::read(scratch.0.join("analysis.snap")).expect("read snapshot");
+    let snap = AnalysisSnapshot::decode(&snapshot).expect("the real snapshot decodes");
+    let module = &snap.modules[0];
+    let fingerprint = config_fingerprint(Algorithm::Rta);
+    let entry = encode_entry(module, &fingerprint);
+    // The payload follows the 20-byte seal header.
+    let mutants = |image: &[u8]| {
+        (0..image.len() - 20).flat_map(|byte| [0x01u8, 0xFF].map(|mask| (byte, mask)))
+    };
+    let mut decoded = 0;
+    for (byte, mask) in mutants(&snapshot) {
+        let mutant = reseal(&snapshot, |payload| {
+            let mut payload = payload.to_vec();
+            payload[byte] ^= mask;
+            payload
+        });
+        decoded += usize::from(AnalysisSnapshot::decode(&mutant).is_ok());
+    }
+    for (byte, mask) in mutants(&entry) {
+        let mutant = reseal(&entry, |payload| {
+            let mut payload = payload.to_vec();
+            payload[byte] ^= mask;
+            payload
+        });
+        let _ = decode_entry(&mutant, &fingerprint, module.source_hash);
+    }
+    // Some mutants change only a value (a count, a line), not the shape.
+    assert!(decoded > 0);
+}
+
+/// A resealed payload whose global's type nests a pointer 100,000
+/// levels deep, far past anything the parser builds, is `corrupt` to
+/// both decoders instead of overflowing their stack, and a run over a
+/// cache directory holding it recomputes every TU.
+#[test]
+fn a_resealed_type_nested_past_the_parser_limit_is_corrupt() {
+    const MARKER: &str = "DeepTypeMarker";
+    let scratch = Scratch::new("deep-type");
+    let cacheless = run(None, None);
+    assert!(cacheless.status.success(), "{cacheless:?}");
+    let out = run(Some(&scratch.0), None);
+    assert!(out.status.success(), "{out:?}");
+    let path = scratch.0.join("analysis.snap");
+    let mut snap = AnalysisSnapshot::decode(&std::fs::read(&path).expect("read snapshot"))
+        .expect("the real snapshot decodes");
+    // A global typed `MARKER`, whose layout (tag 8, no qualifiers, the
+    // name) the payload edit replaces by 100,000 pointers to `int`.
+    snap.modules[0].globals.push(GlobalRecord {
+        name: "deep".to_string(),
+        ty: Type::plain(TypeKind::Named(MARKER.to_string())),
+        line: 1,
+        col: 1,
+    });
+    let deepen = |payload: &[u8]| {
+        let len = (MARKER.len() as u32).to_le_bytes();
+        let marker = [&[8u8, 0][..], &len, MARKER.as_bytes()].concat();
+        let at = payload
+            .windows(marker.len())
+            .position(|w| w == marker)
+            .expect("the marker type in the payload");
+        let mut deep = payload[..at].to_vec();
+        deep.extend([9u8, 0].repeat(100_000));
+        deep.extend([4u8, 0]);
+        deep.extend(&payload[at + marker.len()..]);
+        deep
+    };
+
+    let image = reseal(&snap.encode(), deepen);
+    assert_eq!(AnalysisSnapshot::decode(&image).unwrap_err(), "corrupt");
+    std::fs::write(&path, &image).expect("write the deep snapshot");
+    let key = snapshot_fingerprint(&AnalysisConfig::default(), Algorithm::Rta);
+    assert_eq!(
+        AnalysisSnapshot::load(&scratch.0, &key, &Telemetry::disabled()).unwrap_err(),
+        "corrupt"
+    );
+    let recovered = run_files(&multi_fixture(), Some(&scratch.0), None, &["--stats"]);
+    assert!(recovered.status.success(), "{recovered:?}");
+    assert_eq!(recovered.stdout, cacheless.stdout);
+    assert_eq!(stat(&recovered, "cache/invalidations"), 3);
+    assert_eq!(stat(&recovered, "frontend/tus"), 3);
+
+    let module = &snap.modules[0];
+    let fingerprint = config_fingerprint(Algorithm::Rta);
+    let entry = reseal(&encode_entry(module, &fingerprint), deepen);
+    assert_eq!(
+        decode_entry(&entry, &fingerprint, module.source_hash),
+        Err(Reject::Corrupt)
+    );
 }

@@ -275,6 +275,38 @@ fn the_stats_view_reads_the_registry_on_every_run_shape() {
     }
 }
 
+/// A replayed fixpoint reports the interner gauges of the program it
+/// linked, not those stored with the fixpoint: after three unreachable
+/// functions are appended to one TU, the warm run replays the stored
+/// fixpoint and its `callgraph/interned_symbols` and
+/// `callgraph/arena_bytes` equal a cacheless run's over the same files.
+#[test]
+fn a_replayed_fixpoint_reports_the_linked_programs_interner_gauges() {
+    let scratch = Scratch::new("interner-gauges");
+    let inputs = inputs();
+    run(&inputs, 1, Some(scratch.path()), &Telemetry::enabled());
+    let mut edited = inputs.clone();
+    edited[2].1.push_str(
+        "\nint pad1() { return 1; }\nint pad2() { return 2; }\nint pad3() { return 3; }\n",
+    );
+    let gauges = |tel: &Telemetry| {
+        let metrics = tel.metrics_snapshot();
+        ["callgraph/interned_symbols", "callgraph/arena_bytes"]
+            .map(|name| metrics.get(name).cloned())
+    };
+    let warm = Telemetry::enabled();
+    run(&edited, 1, Some(scratch.path()), &warm);
+    assert_eq!(
+        warm.counter("snapshot/reused_fns"),
+        8,
+        "the edit replays the fixpoint"
+    );
+    let cacheless = Telemetry::enabled();
+    run(&edited, 1, None, &cacheless);
+    assert!(gauges(&cacheless).iter().all(Option::is_some));
+    assert_eq!(gauges(&warm), gauges(&cacheless));
+}
+
 /// Replaces the published snapshot by `damage(snapshot image)`, then
 /// asserts that a warm run rejects it for `reason`, recomputes every
 /// TU with the cold artifacts, and publishes the cold run's snapshot

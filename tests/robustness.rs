@@ -100,6 +100,133 @@ fn deep_nesting_is_a_typed_parse_error_not_a_stack_overflow() {
     }
 }
 
+/// A class whose member `p` is `int` behind `levels` pointer
+/// declarators, each one derivation level.
+fn deep_pointer_member(levels: usize) -> String {
+    format!(
+        "class A {{ public: int {}p; int x; }};\nint main() {{ A a; a.x = 1; return a.x; }}\n",
+        "*".repeat(levels)
+    )
+}
+
+#[test]
+fn a_type_past_the_nesting_limit_is_a_typed_error_in_every_cli_mode() {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("ddm-robust-deep-type-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let deep = dir.join("deep.cpp");
+    std::fs::write(&deep, deep_pointer_member(100_000)).expect("write deep.cpp");
+    let good = dir.join("good.cpp");
+    std::fs::write(&good, deep_pointer_member(2)).expect("write good.cpp");
+    let deep = deep.to_string_lossy().into_owned();
+    let good = good.to_string_lossy().into_owned();
+    let cache = dir.join("cache").to_string_lossy().into_owned();
+    let ddm = || Command::new(env!("CARGO_BIN_EXE_ddm"));
+    let typed = "parse error: nesting exceeds the maximum depth of 256";
+
+    for args in [
+        vec![deep.as_str()],
+        vec![deep.as_str(), "--cache-dir", cache.as_str()],
+    ] {
+        let out = ddm().args(&args).output().expect("run ddm");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(typed), "{args:?}: {stderr}");
+    }
+
+    let mut daemon = ddm()
+        .args(["serve", "--cache-dir", cache.as_str()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ddm serve");
+    let analyze = |file: &str| {
+        format!(
+            "{{\"cmd\":\"analyze\",\"files\":[\"{}\"]}}\n",
+            json::escape(file)
+        )
+    };
+    let requests =
+        [analyze(&deep), analyze(&good), analyze(&deep)].concat() + "{\"cmd\":\"shutdown\"}\n";
+    daemon
+        .stdin
+        .take()
+        .expect("daemon stdin")
+        .write_all(requests.as_bytes())
+        .expect("write requests");
+    let out = daemon.wait_with_output().expect("wait for ddm serve");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "serve: {:?}\n{stdout}", out.status);
+    let responses: Vec<json::Value> = stdout
+        .lines()
+        .map(|l| json::parse(l).expect("response json"))
+        .collect();
+    assert_eq!(responses.len(), 4, "{stdout}");
+    for failed in [0, 2] {
+        let r = &responses[failed];
+        assert_eq!(
+            r.get("error").and_then(|v| v.as_str()),
+            Some("analysis"),
+            "{}",
+            r.render()
+        );
+        let message = r
+            .get("message")
+            .and_then(|v| v.as_str())
+            .unwrap_or_default();
+        assert!(message.contains(typed), "{message}");
+    }
+    assert_eq!(
+        responses[1].get("ok").and_then(|v| v.as_bool()),
+        Some(true),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_type_at_the_nesting_limit_analyses_cold_and_warm() {
+    use dead_data_members::cppfront::MAX_NESTING_DEPTH;
+    use std::process::Command;
+
+    let dir = std::env::temp_dir().join(format!("ddm-robust-limit-type-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let file = dir.join("limit.cpp");
+    std::fs::write(&file, deep_pointer_member(MAX_NESTING_DEPTH)).expect("write limit.cpp");
+    let cache = dir.join("cache");
+    let hits = |out: &std::process::Output| {
+        String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .find_map(|l| l.strip_prefix("cache/hits")?.trim().parse::<u64>().ok())
+            .expect("a cache/hits row")
+    };
+    let run = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_ddm"))
+            .arg(&file)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .arg("--stats")
+            .output()
+            .expect("run ddm");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let (cold, warm) = (run(), run());
+    assert_eq!((hits(&cold), hits(&warm)), (0, 1));
+    assert_eq!(cold.stdout, warm.stdout);
+    assert!(String::from_utf8_lossy(&warm.stdout).contains("DEAD p"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `int main() { return 1+1+…+1; }` with `terms` terms: a left-deep
 /// chain that the recursive passes descend one frame per term.
 fn flat_sum(terms: usize) -> String {

@@ -247,6 +247,12 @@ echo "== fuzz smoke (gating: fixed seed block, wall-clock ceiling enforced in-bi
 cargo run --release -p ddm-bench --bin bench_fuzz -- --smoke --json > /dev/null
 test -s BENCH_fuzz_smoke.json
 
+echo "== bench harness: stage and child rows in every cache state =="
+# The one timing harness every bench driver goes through
+# (ddm_bench::timing); its unit tests check the rows' structure, never a
+# timing.
+cargo test --release -p ddm-bench --lib
+
 echo "== incremental bench smoke (gating: wall-clock ceiling enforced in-binary) =="
 cargo run --release -p ddm-bench --bin bench_incremental -- --smoke --json > /dev/null
 test -s BENCH_incremental_smoke.json
@@ -255,7 +261,7 @@ echo "== bench suite smoke (non-gating on time) =="
 cargo run --release -p ddm-bench --bin bench_suite -- --smoke --json > /dev/null
 test -s BENCH_suite_smoke.json
 
-echo "== scale bench smoke (gating: wall-clock ceiling and depth exponents enforced in-binary) =="
+echo "== scale bench smoke (gating: wall-clock ceiling, summary and call-graph exponents on the ladder and depth axes, enforced in-binary) =="
 cargo run --release -p ddm-bench --bin bench_scale -- --smoke --json > /dev/null
 test -s BENCH_scale_smoke.json
 
@@ -357,5 +363,10 @@ echo "== bench report: counter-baseline regression gate (hard-fail on drift) =="
 cargo run --release -p ddm-bench --bin bench_report -- --check --smoke --validate
 rm -f BENCH_fuzz_smoke.json BENCH_incremental_smoke.json BENCH_scale_smoke.json \
     BENCH_suite_smoke.json
+
+echo "== non-test Rust lines (printed, not gated) =="
+# Non-blank lines of git-tracked .rs files under crates/ and src/, each
+# file up to its first line-initial #[cfg(test)].
+git ls-files 'crates/*.rs' 'src/*.rs' | xargs awk 'FNR==1{skip=0} /^#\[cfg\(test\)\]/{skip=1} !skip && NF{c++} END{print c}'
 
 echo "ci.sh: all gates passed"

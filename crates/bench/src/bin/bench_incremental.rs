@@ -3,49 +3,68 @@
 //! front end has no preprocessor) and contributes its own free
 //! functions, called from the driver TU through cross-TU prototypes.
 //!
-//! For each project size the driver times the scenarios against the
-//! persistent cache file (`analysis.snap`):
+//! For each project size the driver times five cases against the
+//! persistent cache file (`analysis.snap`), in this order each round:
 //!
-//! * **cold** — empty cache: every TU is parsed and summarized, and the
-//!   snapshot is published;
-//! * **warm** — populated cache: zero TUs are parsed or summarized
+//! * **cold** — empty cache (emptied before each sample, untimed): every
+//!   TU is parsed and summarized, and the snapshot is published;
+//! * **warm** — the cache cold left: zero TUs are parsed or summarized
 //!   (asserted in-binary), and the snapshot replays the fixpoint;
-//! * **k-of-N changed** for k ∈ {1, N/4, N} — k TUs' contents are
-//!   modified before each run, so exactly k TUs miss and are
-//!   recomputed while the other N−k hit; k = 1 is the headline
-//!   incremental number, k = N the change-everything floor.
+//! * **one / quarter / all changed** — k of N TUs' contents are
+//!   modified before each run (untimed), for k = 1, N/4 and N, so exactly
+//!   k TUs miss and are recomputed while the other N−k hit; k = 1 is the
+//!   headline incremental number, k = N the change-everything floor.
 //!
 //! Warm runs must also produce the byte-identical report to a cold run —
-//! the cache may only change wall-clock, never output. A warm 1-changed
-//! run's breakdown reports each pipeline stage's span (probe, front end,
-//! link, solve, publish, assemble), the run's wall-clock and the part of
-//! it no stage covers.
+//! the cache may only change wall-clock, never output. Every case is
+//! timed through the [`timing`] harness, so its `<case>_phases` rows —
+//! each pipeline stage's span (probe, front end, link, solve, publish,
+//! assemble), the child spans, the report, the drop, the wall clock and
+//! the unattributed rest — come from the timed samples themselves, and
+//! its headline `<case>_ns` is its `wall_ns`. Each row's exponent against
+//! the project's function count is fitted between adjacent sizes,
+//! ungated.
 //!
 //! ```text
 //! bench_incremental [--json] [--samples N] [--smoke]
 //! ```
 //!
-//! Every time is a minimum over at least 15 rounds (`--samples` raises
-//! it), and each round runs every scenario of a size once, in turn
-//! ([`timing::interleaved_min`]). `--json` writes
-//! `BENCH_incremental.json`. `--smoke` asserts the 1-changed speedup
-//! grows monotonely with project size and fails if the sweep exceeds a
-//! wall-clock ceiling — the CI gate.
+//! Every case takes at least 15 samples (`--samples` raises it; see
+//! [`timing::time_runs`]), and each round runs every case of a size
+//! once, in turn.
+//! `--json` writes `BENCH_incremental.json`. `--smoke` asserts the
+//! 1-changed speedup grows monotonely with project size and fails if the
+//! sweep exceeds a wall-clock ceiling — the CI gate.
 
-use ddm_bench::{host_meta_json, timing};
-use ddm_callgraph::Algorithm;
-use ddm_core::{AnalysisConfig, Engine, ProjectPipeline};
-use ddm_telemetry::{Telemetry, LANE_MAIN};
+use ddm_bench::host_meta_json;
+use ddm_bench::timing::{self, Case, Timing};
+use ddm_core::AnalysisConfig;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for `--smoke` (generation + all three scenarios).
+/// Wall-clock ceiling for `--smoke` (generation + every case).
 const SMOKE_CEILING: Duration = Duration::from_secs(30);
 
-/// Fewest measured rounds behind every minimum, `--smoke` included:
-/// minima over 5 samples did not repeat on a shared host.
+/// Fewest measured rounds behind every case, `--smoke` included: 5
+/// samples did not repeat on a shared host.
 const MIN_ROUNDS: usize = 15;
+
+/// The cases, in the order a round runs them. After the warm case each
+/// k-set contains the smaller ones, and the cache holds the last run's
+/// editions, so every changed case misses exactly its own k TUs.
+const CASES: [&str; 5] = [
+    "cold",
+    "warm",
+    "one_changed",
+    "quarter_changed",
+    "all_changed",
+];
+
+/// How many of `tus` TUs case `case` summarizes: every TU cold, none
+/// warm, and each changed case the k TUs it edits before each run.
+fn misses(case: usize, tus: usize) -> usize {
+    [tus, 0, 1, (tus / 4).max(1), tus][case]
+}
 
 #[derive(Clone, Copy)]
 struct ProjectConfig {
@@ -57,56 +76,24 @@ struct ProjectConfig {
     fns_per_tu: usize,
 }
 
-/// A warm 1-changed run's breakdown as `(key, ns)` pairs: one per
-/// top-level lane-0 span, in pipeline order (the span's name up to its
-/// parenthesized counts, snake-cased, then `_ns`: `front end (1 of 24
-/// TUs)` is `front_end_ns`), then the run's `wall_ns` and the
-/// `unattributed_ns` no stage covers. Spans nested inside a stage are
-/// not counted again.
-fn stage_breakdown(telemetry: &Telemetry, wall: Duration) -> Vec<(String, u64)> {
-    let mut phases: Vec<(String, u64)> = Vec::new();
-    let mut end = 0;
-    for span in telemetry.spans().iter().filter(|s| s.lane == LANE_MAIN) {
-        if span.start_ns >= end {
-            end = span.start_ns + span.dur_ns;
-            let name = span.name.split(" (").next().unwrap_or_default();
-            phases.push((format!("{}_ns", name.replace(' ', "_")), span.dur_ns));
-        }
-    }
-    let wall = wall.as_nanos() as u64;
-    let staged: u64 = phases.iter().map(|&(_, ns)| ns).sum();
-    phases.push(("wall_ns".to_string(), wall));
-    phases.push(("unattributed_ns".to_string(), wall.saturating_sub(staged)));
-    phases
-}
-
 struct SizeResult {
     name: &'static str,
     config: ProjectConfig,
-    functions: usize,
-    cold: Duration,
-    warm: Duration,
-    /// `(k, wall-clock)` for the k-of-N changed axis, ascending in k.
-    k_changed: Vec<(usize, Duration)>,
-    phases: Vec<(String, u64)>,
+    /// One timing per entry of [`CASES`].
+    cases: Vec<Timing>,
 }
 
 impl SizeResult {
-    /// The headline k = 1 time (`k_axis` starts with 1).
-    fn one_changed(&self) -> Duration {
-        self.k_changed[0].1
+    /// How much faster case `case` ran than cold.
+    fn speedup(&self, case: usize) -> f64 {
+        let cold = self.cases[0].ns("wall") as f64;
+        cold / self.cases[case].ns("wall").max(1) as f64
     }
 
+    /// The headline k = 1 speedup.
     fn one_changed_speedup(&self) -> f64 {
-        self.cold.as_secs_f64() / self.one_changed().as_secs_f64().max(f64::EPSILON)
+        self.speedup(2)
     }
-}
-
-/// The change-set sizes measured per project: 1, N/4, and N.
-fn k_axis(tus: usize) -> Vec<usize> {
-    let mut ks = vec![1, (tus / 4).max(1), tus];
-    ks.dedup();
-    ks
 }
 
 fn sizes() -> Vec<(&'static str, ProjectConfig)> {
@@ -208,136 +195,71 @@ fn generate_project(config: &ProjectConfig) -> Vec<(String, String)> {
     inputs
 }
 
-fn run(inputs: &[(String, String)], cache: &Path, telemetry: &Telemetry) -> ProjectPipeline {
-    ProjectPipeline::run(
-        inputs,
-        AnalysisConfig::default(),
-        Algorithm::Rta,
-        1,
-        Engine::Summary,
-        Some(cache),
-        telemetry,
-    )
-    .expect("project run")
+/// `inputs` with an unreachable padding function appended to k TUs: the
+/// analysed behaviour stays identical while k content hashes change.
+/// For k < N the driver TU is left alone; k = N edits every TU. Each
+/// edition's padding is unique, so every edited TU misses after any
+/// earlier run.
+fn edit(inputs: &[(String, String)], edition: usize, k: usize) -> Vec<(String, String)> {
+    let targets = if k < inputs.len() {
+        1..k + 1
+    } else {
+        0..inputs.len()
+    };
+    let mut edited = inputs.to_vec();
+    for i in targets {
+        edited[i].1 = format!(
+            "{}int pad_t{i}_e{edition}() {{ return {edition}; }}\n",
+            inputs[i].1
+        );
+    }
+    edited
 }
 
 fn measure(name: &'static str, config: ProjectConfig, samples: usize) -> SizeResult {
     let inputs = generate_project(&config);
-    let cache = std::env::temp_dir().join(format!(
-        "ddm-bench-incr-{}-{name}",
-        std::process::id()
-    ));
+    let tus = inputs.len();
+    let cache = std::env::temp_dir().join(format!("ddm-bench-incr-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache);
-
-    // Correctness first: a warm run reuses every module and reproduces
-    // the cold report byte for byte.
-    let cold_tel = Telemetry::enabled();
-    let cold_report = run(&inputs, &cache, &cold_tel).report().to_string();
-    assert_eq!(cold_tel.counter("frontend/tus"), inputs.len() as u64);
-    let warm_tel = Telemetry::enabled();
-    let warm_report = run(&inputs, &cache, &warm_tel).report().to_string();
-    assert_eq!(
-        warm_tel.counter("frontend/tus"),
-        0,
-        "{name}: warm run re-summarized"
-    );
-    assert_eq!(warm_tel.counter("cache/hits"), inputs.len() as u64);
-    assert_eq!(warm_report, cold_report, "{name}: warm report drifted");
-    let functions = {
-        let p = run(&inputs, &cache, &Telemetry::disabled());
-        p.program().function_count()
-    };
-
-    // k-of-N changed: give k TUs per-run-unique content so exactly k
-    // TUs miss in every run (an unreachable padding function keeps the
-    // analysed behaviour identical while changing the content hash).
-    // For k < N the driver TU is left alone; k = N edits every TU. The
-    // cache holds the last run's generation, and every k-set contains
-    // the smaller ones, so each k run misses exactly its own k TUs after
-    // the run before it.
-    let mut edition = 0usize;
-    let edit_k = |edition: usize, k: usize| -> Vec<(String, String)> {
-        let mut edited = inputs.clone();
-        let targets: Vec<usize> = if k < inputs.len() {
-            (1..=k).collect()
-        } else {
-            (0..inputs.len()).collect()
-        };
-        for &i in &targets {
-            edited[i].1 = format!(
-                "{}int pad_t{i}_e{edition}() {{ return {edition}; }}\n",
-                inputs[i].1
-            );
-        }
-        edited
-    };
-    let ks = k_axis(inputs.len());
-    // Correctness outside the timed region: an instrumented run per k,
-    // in the order the rounds below take, proves exactly k TUs miss and
-    // N-k hit.
-    for &k in &ks {
-        edition += 1;
-        let tel = Telemetry::enabled();
-        run(&edit_k(edition, k), &cache, &tel);
-        assert_eq!(
-            tel.counter("frontend/tus"),
-            k as u64,
-            "{name}: expected exactly {k} misses"
-        );
-        assert_eq!(tel.counter("cache/hits"), (inputs.len() - k) as u64);
-    }
-
-    // One round runs cold (the cache emptied first), warm (over the
-    // cache cold left) and each k in turn; every time is the minimum
-    // over the rounds. The edited inputs are rendered up front, in the
-    // order the rounds take them, so the timed region holds the analysis
-    // alone.
-    let mut editions = (0..(samples + 2) * ks.len())
-        .map(|e| edit_k(edition + 1 + e, ks[e % ks.len()]))
-        .collect::<Vec<_>>()
-        .into_iter();
-    edition += (samples + 2) * ks.len();
-    let times = timing::interleaved_min(2 + ks.len(), samples, |case| {
+    let mut cases: Vec<Case> = CASES
+        .iter()
+        .map(|_| Case {
+            inputs: inputs.clone(),
+            config: AnalysisConfig::default(),
+            cache: Some(cache.clone()),
+        })
+        .collect();
+    let mut edition = 0;
+    let timings = timing::time_runs(&mut cases, samples, |case, run| {
         if case == 0 {
             let _ = std::fs::remove_dir_all(&cache);
+        } else if case >= 2 {
+            edition += 1;
+            run.inputs = edit(&inputs, edition, misses(case, tus));
         }
-        let edited = if case < 2 { None } else { editions.next() };
-        run(
-            edited.as_ref().unwrap_or(&inputs),
-            &cache,
-            &Telemetry::disabled(),
-        )
     });
-    let (cold, warm) = (times[0], times[1]);
-    let k_changed: Vec<(usize, Duration)> =
-        ks.iter().copied().zip(times[2..].iter().copied()).collect();
-
-    // Per-phase breakdown of one more (untimed) warm 1-changed run.
-    // The k = N pass above left every TU edited, so first re-establish
-    // a fully warm snapshot; otherwise the measured run would take the
-    // N-changed path and the breakdown would not describe 1-changed.
-    let phases = {
-        edition += 1;
-        run(&edit_k(edition, 1), &cache, &Telemetry::disabled());
-        edition += 1;
-        let edited = edit_k(edition, 1);
-        let tel = Telemetry::enabled();
-        let started = Instant::now();
-        let result = run(&edited, &cache, &tel);
-        let wall = started.elapsed();
-        drop(result);
-        stage_breakdown(&tel, wall)
-    };
-
     let _ = std::fs::remove_dir_all(&cache);
+
+    // Each case's fastest run hit and missed exactly as its case says,
+    // and the warm run reproduced the cold report byte for byte.
+    for (case, t) in timings.iter().enumerate() {
+        let misses = misses(case, tus);
+        assert_eq!(
+            t.telemetry.counter("frontend/tus"),
+            misses as u64,
+            "{name} {}: expected exactly {misses} TUs summarized",
+            CASES[case]
+        );
+        assert_eq!(t.telemetry.counter("cache/hits"), (tus - misses) as u64);
+    }
+    assert_eq!(
+        timings[1].report, timings[0].report,
+        "{name}: warm report drifted"
+    );
     SizeResult {
         name,
         config,
-        functions,
-        cold,
-        warm,
-        k_changed,
-        phases,
+        cases: timings,
     }
 }
 
@@ -354,40 +276,52 @@ fn render_json(results: &[SizeResult], samples: usize) -> String {
         let c = &r.config;
         let _ = write!(
             out,
-            "    {{\"name\": \"{}\", \"tus\": {}, \"classes\": {}, \"fns_per_tu\": {}, \"functions\": {},\n     \
-             \"cold_ns\": {}, \"warm_ns\": {}, \"one_changed_ns\": {},\n     \
-             \"warm_speedup\": {:.2}, \"one_changed_speedup\": {:.2},\n     \
-             \"k_changed\": [",
-            r.name,
-            c.tus,
-            c.classes,
-            c.fns_per_tu,
-            r.functions,
-            r.cold.as_nanos(),
-            r.warm.as_nanos(),
-            r.one_changed().as_nanos(),
-            r.cold.as_secs_f64() / r.warm.as_secs_f64().max(f64::EPSILON),
-            r.one_changed_speedup(),
+            "    {{\"name\": \"{}\", \"tus\": {}, \"classes\": {}, \"fns_per_tu\": {}, \"functions\": {},\n     ",
+            r.name, c.tus, c.classes, c.fns_per_tu, r.cases[0].functions,
         );
-        for (j, (k, d)) in r.k_changed.iter().enumerate() {
+        let headline: Vec<String> = CASES
+            .iter()
+            .zip(&r.cases)
+            .map(|(case, t)| format!("\"{case}_ns\": {}", t.ns("wall")))
+            .collect();
+        let _ = write!(out, "{},\n     ", headline.join(", "));
+        let speedups: Vec<String> = CASES
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(case, name)| format!("\"{name}_speedup\": {:.2}", r.speedup(case)))
+            .collect();
+        let _ = write!(out, "{}", speedups.join(", "));
+        for (case, t) in CASES.iter().zip(&r.cases) {
             let _ = write!(
                 out,
-                "{}{{\"k\": {}, \"ns\": {}, \"speedup\": {:.2}}}",
-                if j == 0 { "" } else { ", " },
-                k,
-                d.as_nanos(),
-                r.cold.as_secs_f64() / d.as_secs_f64().max(f64::EPSILON),
+                ",\n     \"{case}_phases\": {{{}}}",
+                timing::rows_json(&t.rows)
             );
         }
-        out.push_str("],\n     \"one_changed_phases\": {");
-        for (j, (key, ns)) in r.phases.iter().enumerate() {
-            let _ = write!(out, "{}\"{key}\": {ns}", if j == 0 { "" } else { ", " });
-        }
-        out.push_str("}}");
+        out.push('}');
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
+    out.push_str("  ],\n  \"exponents\": [\n");
+    for (i, w) in results.windows(2).enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"from\": \"{}\", \"to\": \"{}\"",
+            w[0].name, w[1].name
+        );
+        for (case, name) in CASES.iter().enumerate() {
+            let (a, b) = (&w[0].cases[case], &w[1].cases[case]);
+            let fit = timing::exponents((a.functions, a), (b.functions, b));
+            let _ = write!(
+                out,
+                ",\n     \"{name}\": {{{}}}",
+                timing::exponents_json(&fit)
+            );
+        }
+        out.push('}');
+        out.push_str(if i + 2 < results.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -415,17 +349,25 @@ fn main() {
         "size", "tus", "funcs", "cold", "warm", "1-of-N changed", "warm x", "1chg x"
     );
     for r in &results {
+        let wall = |case: usize| Duration::from_nanos(r.cases[case].ns("wall"));
         println!(
             "{:<8} {:>5} {:>8} {:>14.1?} {:>14.1?} {:>16.1?} {:>8.2} {:>8.2}",
             r.name,
             r.config.tus,
-            r.functions,
-            r.cold,
-            r.warm,
-            r.one_changed(),
-            r.cold.as_secs_f64() / r.warm.as_secs_f64().max(f64::EPSILON),
+            r.cases[0].functions,
+            wall(0),
+            wall(1),
+            wall(2),
+            r.speedup(1),
             r.one_changed_speedup(),
         );
+    }
+    let names: Vec<&str> = results.iter().map(|r| r.name).collect();
+    let functions: Vec<usize> = results.iter().map(|r| r.cases[0].functions).collect();
+    for (case, name) in CASES.iter().enumerate() {
+        let timings: Vec<&Timing> = results.iter().map(|r| &r.cases[case]).collect();
+        println!();
+        timing::print_table(name, &names, &timings, Some(&functions));
     }
 
     if json {

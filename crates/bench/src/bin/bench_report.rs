@@ -210,79 +210,35 @@ fn load_family(family: &'static str, smoke: bool) -> Option<Result<FamilyFile, S
 }
 
 /// Flattens one family's report into `(metric, value)` rows — the one
-/// schema every family shares. Timing metrics end in `_ns`/`_ms`; the
-/// rest are counts and ratios.
+/// schema every family shares. Each point — a named object in one of the
+/// report's arrays: a ladder size, an axis point, a suite program, an
+/// incremental project — gives every numeric member as `<name>_<key>`,
+/// and every numeric member of a `<case>_phases` object in it (an
+/// incremental case's rows) as `<name>_<case>_<row>`. A report's own
+/// numeric members other than `samples` (a setting, kept beside the
+/// metrics in each history line) fold under their own keys. Timing
+/// metrics end in `_ns`/`_ms`; the rest are counts and ratios.
 fn normalize(file: &FamilyFile) -> Vec<(String, Value)> {
+    let number = |v: &Value| matches!(v, Value::Int(_) | Value::Num(_));
     let mut metrics = Vec::new();
-    let t = &file.tree;
-    match file.family {
-        "suite" => {
-            if let Some(totals) = t.get("totals").and_then(Value::as_obj) {
-                for (k, v) in totals {
-                    metrics.push((k.clone(), v.clone()));
-                }
-            }
+    for (key, v) in file.tree.as_obj().unwrap_or(&[]) {
+        if number(v) && key != "samples" {
+            metrics.push((key.clone(), v.clone()));
         }
-        "scale" => {
-            for size in t.get("sizes").and_then(Value::as_arr).unwrap_or(&[]) {
-                let Some(name) = size.get("name").and_then(Value::as_str) else {
-                    continue;
-                };
-                for key in ["callgraph_ns", "rounds", "worklist_pops", "ready_drains"] {
-                    if let Some(v) = size.get(key) {
-                        metrics.push((format!("{name}_{key}"), v.clone()));
-                    }
-                }
-            }
-            for depth in t.get("depth_axis").and_then(Value::as_arr).unwrap_or(&[]) {
-                let Some(name) = depth.get("name").and_then(Value::as_str) else {
-                    continue;
-                };
-                for key in ["parse_ns", "model_ns", "summary_ns", "callgraph_ns"] {
-                    if let Some(v) = depth.get(key) {
-                        metrics.push((format!("{name}_{key}"), v.clone()));
+        for point in v.as_arr().unwrap_or(&[]) {
+            let Some(name) = point.get("name").and_then(Value::as_str) else {
+                continue;
+            };
+            for (key, v) in point.as_obj().unwrap_or(&[]) {
+                if number(v) {
+                    metrics.push((format!("{name}_{key}"), v.clone()));
+                } else if let Some(case) = key.strip_suffix("_phases") {
+                    for (row, v) in v.as_obj().unwrap_or(&[]).iter().filter(|(_, v)| number(v)) {
+                        metrics.push((format!("{name}_{case}_{row}"), v.clone()));
                     }
                 }
             }
         }
-        "incremental" => {
-            for size in t.get("sizes").and_then(Value::as_arr).unwrap_or(&[]) {
-                let Some(name) = size.get("name").and_then(Value::as_str) else {
-                    continue;
-                };
-                for key in [
-                    "cold_ns",
-                    "warm_ns",
-                    "one_changed_ns",
-                    "warm_speedup",
-                    "one_changed_speedup",
-                ] {
-                    if let Some(v) = size.get(key) {
-                        metrics.push((format!("{name}_{key}"), v.clone()));
-                    }
-                }
-                for entry in size.get("k_changed").and_then(Value::as_arr).unwrap_or(&[]) {
-                    if let (Some(k), Some(ns)) =
-                        (entry.get("k").and_then(Value::as_f64), entry.get("ns"))
-                    {
-                        metrics.push((format!("{name}_k{}_changed_ns", k as u64), ns.clone()));
-                    }
-                }
-                if let Some(phases) = size.get("one_changed_phases").and_then(Value::as_obj) {
-                    for (key, v) in phases {
-                        metrics.push((format!("{name}_one_changed_{key}"), v.clone()));
-                    }
-                }
-            }
-        }
-        "fuzz" => {
-            for key in ["cases", "full_matrix_cases", "error_outcome_cases", "divergences", "elapsed_ms"] {
-                if let Some(v) = t.get(key) {
-                    metrics.push((key.to_string(), v.clone()));
-                }
-            }
-        }
-        _ => unreachable!("unknown family"),
     }
     metrics
 }

@@ -1,30 +1,26 @@
-//! Scaling benchmark for the delta-driven call-graph fixpoint and for
-//! each layer of the analysis.
+//! Scaling benchmark of every stage of the analysis.
 //!
-//! The ladder axis runs generated programs far beyond the paper suite's
-//! 31 functions (up to ~131k), with deep virtual hierarchies and long
-//! call ladders that force the fixpoint through dozens of park/release
-//! rounds. For each size the driver times call-graph construction from
-//! source (summary extraction plus the worklist replay), captures the
-//! delta-worklist telemetry (rounds, per-round delta sizes, worklist
-//! pops, readied-site drains), and fits the scaling exponent between
-//! consecutive sizes:
-//! `ln(t2/t1) / ln(n2/n1)`. A full-set round sweep is Θ(rounds × n); the
-//! delta worklist pops each function once and the interned dense hot
-//! loops do no per-pop hashing, so the exponent stays near 1. The ladder
-//! grows by adding *chains* (independent hierarchies) at a fixed depth
-//! and rung count, so per-chain work is constant and the ideal exponent
-//! is exactly 1 — any superlinearity is the engine's own.
+//! Every point is one program analysed by `ProjectPipeline::run` through
+//! the [`timing`] harness: each top-level stage span (probe, front end,
+//! link, solve, publish, assemble), each child span (parse, model,
+//! summary, extract, callgraph, liveness), the run's wall clock, the
+//! report, the drop of the result and the unattributed rest, from its
+//! interleaved samples ([`timing::time_runs`]). Between adjacent points
+//! the driver fits every row's exponent `ln(t2/t1) / ln(x2/x1)` against
+//! the swept quantity `x`:
 //!
-//! Three per-layer axes time parse, model, summary extraction
-//! (`ProgramSummary::build`), the call-graph fixpoint
-//! (`CallGraph::build_from_summary_schedule`) and the liveness replay
-//! (`DeadMemberAnalysis::run_summary_counted`) each on its own, and fit each
-//! layer's exponent against the swept quantity:
-//!
+//! * `ladder` runs generated programs far beyond the paper suite's 31
+//!   functions (up to ~131k), with deep virtual hierarchies and long call
+//!   ladders that force the delta-driven call-graph fixpoint through
+//!   dozens of park/release rounds, against the function count. The
+//!   ladder grows by adding *chains* (independent hierarchies) at a fixed
+//!   depth and rung count, so per-chain work is constant and the ideal
+//!   exponent is exactly 1 — any superlinearity is the engine's own. Each
+//!   size also reports the fixpoint's rounds, per-round delta sizes,
+//!   worklist pops and readied-site drains, read off its run's telemetry;
 //! * `depth` grows one chain's depth (64, 128, 256), so every dispatch
 //!   table grows with it; the exponent is against depth and shows which
-//!   layer a superlinear member lookup lands in;
+//!   stage a superlinear member lookup lands in;
 //! * `n` sweeps statements per method (2 → 128) at 8 classes — the `N`
 //!   of the paper's `O(N + C×M)` (§3.4); the exponent is against source
 //!   bytes;
@@ -38,66 +34,138 @@
 //! ```
 //!
 //! `--json` writes `BENCH_scale.json`. `--smoke` runs the two smallest
-//! ladder sizes and the depths 64 and 128, and fails on a
-//! wall-clock ceiling, a ladder scaling exponent above
-//! [`SMOKE_EXPONENT_CEILING`], or a summary-extraction or call-graph
-//! depth exponent above [`SMOKE_DEPTH_EXPONENT_CEILING`] — the CI gates.
-//! The `n` and `cxm` axes are measured, never gated. Every size and
-//! every axis point is timed as the minimum over at least
-//! [`LAYER_MIN_SAMPLES`] interleaved samples; each ladder size is timed
-//! right after an untimed run of itself, never right after a bigger
-//! size.
+//! ladder sizes and the depths 64 and 128, and fails on a wall-clock
+//! ceiling or on a `summary` or `callgraph` exponent above
+//! [`SMOKE_EXPONENT_CEILING`] on the ladder or the depth axis — the CI
+//! gates. Every other row, and the `n` and `cxm` axes, are measured and
+//! never gated. Every point takes at least [`LAYER_MIN_SAMPLES`]
+//! interleaved samples, each right after an untimed run of the same
+//! program, never right after a bigger one.
 
-use ddm_bench::{host_meta_json, timing::interleaved_min};
+use ddm_bench::host_meta_json;
+use ddm_bench::timing::{self, Case, Timing};
 use ddm_benchmarks::generator::{
     generate, generate_scale, scale_function_count, GeneratorConfig, ScaleConfig,
 };
-use ddm_callgraph::{CallGraph, CallGraphOptions};
-use ddm_core::{AnalysisConfig, DeadMemberAnalysis};
-use ddm_hierarchy::{Program, ProgramSummary};
-use ddm_telemetry::Telemetry;
+use ddm_core::AnalysisConfig;
+use ddm_telemetry::{Metric, Telemetry};
 use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for `--smoke` (generation + parse + call graph,
-/// two ladder sizes, and every per-layer axis).
+/// Wall-clock ceiling for `--smoke` (generation, two ladder sizes, and
+/// every axis).
 const SMOKE_CEILING: Duration = Duration::from_secs(30);
 
-/// `--smoke` fails if any adjacent-size scaling exponent exceeds this.
-/// The committed full sweep stays under 1.25; 1.4 leaves headroom for
-/// small-size noise while still catching a quadratic regression (~2)
-/// immediately.
+/// `--smoke` fails if the `summary` or `callgraph` row grows faster than
+/// this power of the ladder's function count or of chain depth. Over 30
+/// smoke runs, small → medium on the ladder read 0.87–1.21 for the
+/// summary and 0.93–1.37 for the call graph; a quadratic regression
+/// reads about 2. Each of a chain's dispatch tables costs O(depth), and
+/// every class-hierarchy query the two layers make is linear in the
+/// hierarchy, so from depth 64 to 128 both read at most 0.82. A query per
+/// method that walks the whole chain measures about 1.6 (the call-graph
+/// roots' library scan did), the all-pairs hiding filter of member lookup
+/// about 2.4. Other rows are not gated: on the same runs the ladder's
+/// link read up to 1.48, the report 1.57, publish 1.38 and the drop 1.42,
+/// so a gate on them would flake.
 const SMOKE_EXPONENT_CEILING: f64 = 1.4;
 
-/// `--smoke` fails if summary extraction or the call graph grows faster
-/// than this power of chain depth. Each of the chain's dispatch tables
-/// costs O(depth), and every class-hierarchy query the two layers make
-/// is linear in the hierarchy, so from depth 64 to 128 the summary
-/// measures about 0.5 and the call graph 0.7–0.9. A query per method
-/// that walks the whole chain measures about 1.6 (the call-graph roots'
-/// library scan did), the all-pairs hiding filter of member lookup
-/// about 2.4.
-const SMOKE_DEPTH_EXPONENT_CEILING: f64 = 1.4;
+/// The rows `--smoke` gates on the ladder and the depth axis.
+const GATED_ROWS: [&str; 2] = ["summary", "callgraph"];
 
-/// Minimum samples per ladder size and per layer on the per-layer axes:
-/// the small ladder size and each layer of the smaller programs take a
-/// few milliseconds or less, where a single sample is too noisy to gate.
+/// Minimum samples per point: the small ladder size and the smaller
+/// axis programs take a few milliseconds or less, where a single sample
+/// is too noisy to gate.
 const LAYER_MIN_SAMPLES: usize = 15;
 
-struct SizeResult {
-    name: &'static str,
-    config: ScaleConfig,
-    functions: usize,
-    callgraph: Duration,
-    rounds: u64,
-    worklist_pops: u64,
-    ready_drains: u64,
-    deltas: Vec<u64>,
+/// One timed program.
+struct Point {
+    name: String,
+    /// The swept quantity the exponents are fitted against.
+    x: usize,
+    /// The generator configuration, rendered as a JSON object.
+    config: String,
+    timing: Timing,
+    /// The ladder's fixpoint schedule: `(key, count)`.
+    counts: Vec<(&'static str, u64)>,
 }
 
-/// The ladder sizes: chains quadruple while depth, methods, and rungs
-/// stay fixed, so function count quadruples with per-chain work held
+/// An axis: its JSON key (`<key>_axis`, `<key>_exponents`), what its
+/// `x` counts, and its points in sweep order.
+struct Axis {
+    key: &'static str,
+    x_label: &'static str,
+    points: Vec<Point>,
+}
+
+impl Axis {
+    /// Each row's exponent between each pair of adjacent points.
+    fn exponents(&self) -> Vec<(&str, &str, [Option<f64>; 16])> {
+        self.points
+            .windows(2)
+            .map(|w| {
+                let fit = timing::exponents((w[0].x, &w[0].timing), (w[1].x, &w[1].timing));
+                (w[0].name.as_str(), w[1].name.as_str(), fit)
+            })
+            .collect()
+    }
+
+    /// The largest exponent of `row` over adjacent pairs; infinite if one
+    /// is undefined, so a missing span fails a gate.
+    fn worst(&self, row: &str) -> f64 {
+        self.exponents()
+            .iter()
+            .map(|(_, _, fit)| fit[timing::row(row)].unwrap_or(f64::INFINITY))
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+}
+
+/// Times one single-file program per `(name, x, config JSON, source)`,
+/// the programs interleaved, each sample right after an untimed run of
+/// its own program ([`timing::warm_up`]).
+fn measure(
+    key: &'static str,
+    x_label: &'static str,
+    programs: Vec<(String, usize, String, String)>,
+    samples: usize,
+) -> Axis {
+    let mut cases: Vec<Case> = programs
+        .iter()
+        .map(|(name, _, _, source)| Case {
+            inputs: vec![(format!("{name}.cpp"), source.clone())],
+            config: AnalysisConfig::default(),
+            cache: None,
+        })
+        .collect();
+    let timings = timing::time_runs(&mut cases, samples.max(LAYER_MIN_SAMPLES), timing::warm_up);
+    let points = programs
+        .into_iter()
+        .zip(timings)
+        .map(|((name, x, config, _), timing)| Point {
+            name,
+            x,
+            config,
+            timing,
+            counts: Vec::new(),
+        })
+        .collect();
+    Axis {
+        key,
+        x_label,
+        points,
+    }
+}
+
+fn scale_config_json(c: &ScaleConfig) -> String {
+    format!(
+        "{{\"chains\": {}, \"depth\": {}, \"methods_per_class\": {}, \"members_per_class\": {}, \"rungs\": {}}}",
+        c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
+    )
+}
+
+/// The ladder: chains quadruple while depth, methods, and rungs stay
+/// fixed, so function count quadruples with per-chain work held
 /// constant. `huge` crosses 100k functions.
-fn sizes(smoke: bool) -> Vec<(&'static str, ScaleConfig)> {
+fn ladder(smoke: bool, samples: usize) -> Axis {
     let at = |chains| ScaleConfig {
         chains,
         depth: 16,
@@ -105,163 +173,89 @@ fn sizes(smoke: bool) -> Vec<(&'static str, ScaleConfig)> {
         members_per_class: 3,
         rungs: 64,
     };
-    let mut v = vec![("small", at(16)), ("medium", at(64))];
+    let mut sizes = vec![("small", at(16)), ("medium", at(64))];
     if !smoke {
-        v.push(("large", at(256)));
-        v.push(("huge", at(1024)));
+        sizes.push(("large", at(256)));
+        sizes.push(("huge", at(1024)));
     }
-    v
-}
-
-/// Times the call graph of each ladder size, the sizes interleaved (see
-/// [`interleaved_min`]), and captures its worklist schedule once. Each
-/// size is timed right after an untimed run of the same size, so no
-/// size is measured in the wake of a bigger one.
-fn measure_ladder(sizes: Vec<(&'static str, ScaleConfig)>, samples: usize) -> Vec<SizeResult> {
-    let programs: Vec<Program> = sizes
+    let programs = sizes
         .iter()
-        .map(|(_, config)| {
-            let src = generate_scale(config, 42);
-            let tu = ddm_cppfront::parse(&src).expect("scale program parses");
-            let program = Program::build(&tu).expect("scale program resolves");
-            assert_eq!(program.function_count(), scale_function_count(config));
-            program
-        })
-        .collect();
-    let options = CallGraphOptions::default();
-    let quiet = Telemetry::disabled();
-    let build = |program: &Program| {
-        let summary = ProgramSummary::build(program, false, 1);
-        CallGraph::build_from_summary_schedule(program, &summary, &options, &quiet).unwrap()
-    };
-    // Case 2i warms size i up; case 2i + 1 times it.
-    let times = interleaved_min(2 * programs.len(), samples.max(LAYER_MIN_SAMPLES), |case| {
-        build(&programs[case / 2])
-    });
-    sizes
-        .into_iter()
-        .zip(&programs)
-        .zip(times.into_iter().skip(1).step_by(2))
-        .map(|(((name, config), program), callgraph)| {
-            let (_, schedule) = build(program);
-            SizeResult {
-                name,
-                config,
-                functions: program.function_count(),
-                callgraph,
-                rounds: schedule.rounds.len() as u64,
-                worklist_pops: schedule.pops,
-                ready_drains: schedule.drains,
-                deltas: schedule.rounds.iter().map(|r| r.delta_fns).collect(),
-            }
-        })
-        .collect()
-}
-
-/// The layers every per-layer axis times, in pipeline order.
-const LAYERS: [&str; 5] = ["parse", "model", "summary", "callgraph", "liveness"];
-
-/// One generated program on a per-layer axis.
-struct LayerPoint {
-    name: String,
-    /// The swept quantity the exponents are fitted against.
-    x: usize,
-    functions: usize,
-    /// The generator configuration, rendered as a JSON object.
-    config: String,
-    /// Minimum time per layer, in [`LAYERS`] order.
-    layers: [Duration; 5],
-}
-
-/// A per-layer axis: its JSON key (`<key>_axis`, `<key>_exponents`) and
-/// what its `x` counts.
-struct Axis {
-    key: &'static str,
-    x_label: &'static str,
-    points: Vec<LayerPoint>,
-}
-
-/// Times each layer of each source on its own, the sources interleaved:
-/// `(function count, per-layer minimum)` per source.
-fn measure_layers(sources: &[String], samples: usize) -> Vec<(usize, [Duration; 5])> {
-    let samples = samples.max(LAYER_MIN_SAMPLES);
-    let tus: Vec<_> = sources
-        .iter()
-        .map(|src| ddm_cppfront::parse(src).expect("axis program parses"))
-        .collect();
-    let programs: Vec<Program> = tus
-        .iter()
-        .map(|tu| Program::build(tu).expect("axis program resolves"))
-        .collect();
-    let summaries: Vec<ProgramSummary> = programs
-        .iter()
-        .map(|p| ProgramSummary::build(p, false, 1))
-        .collect();
-    let options = CallGraphOptions::default();
-    let quiet = Telemetry::disabled();
-    let build = |i: usize| {
-        CallGraph::build_from_summary_schedule(&programs[i], &summaries[i], &options, &quiet)
-            .expect("axis graph")
-    };
-    let graphs: Vec<CallGraph> = (0..sources.len()).map(|i| build(i).0).collect();
-    let n = sources.len();
-    let parse = interleaved_min(n, samples, |i| ddm_cppfront::parse(&sources[i]));
-    let model = interleaved_min(n, samples, |i| Program::build(&tus[i]));
-    let summary = interleaved_min(n, samples, |i| {
-        ProgramSummary::build(&programs[i], false, 1)
-    });
-    let callgraph = interleaved_min(n, samples, build);
-    let liveness = interleaved_min(n, samples, |i| {
-        DeadMemberAnalysis::new(&programs[i], AnalysisConfig::default()).run_summary_counted(
-            &summaries[i],
-            &graphs[i],
-            &quiet,
-        )
-    });
-    (0..n)
-        .map(|i| {
+        .map(|(name, c)| {
+            let x = scale_function_count(c);
             (
-                programs[i].function_count(),
-                [parse[i], model[i], summary[i], callgraph[i], liveness[i]],
+                name.to_string(),
+                x,
+                scale_config_json(c),
+                generate_scale(c, 42),
             )
         })
-        .collect()
+        .collect();
+    let mut axis = measure("ladder", "functions", programs, samples);
+    for p in &mut axis.points {
+        assert_eq!(p.timing.functions, p.x, "{}: function count", p.name);
+        p.counts = schedule(&p.timing.telemetry);
+    }
+    axis
+}
+
+/// The fixpoint's schedule as the ladder reports it, read off a run's
+/// telemetry: the round count and delta sum are the
+/// `callgraph/round_delta_fns` histogram's, the largest delta is the
+/// largest `callgraph replay delta R (N fns)` span's `N`, and the pops
+/// and drains are deterministic counters.
+fn schedule(telemetry: &Telemetry) -> Vec<(&'static str, u64)> {
+    let counters = telemetry.counters();
+    let (rounds, delta_sum) = match telemetry
+        .metrics_snapshot()
+        .get("callgraph/round_delta_fns")
+    {
+        Some(Metric::Histogram(h)) => (h.count(), h.sum()),
+        _ => (0, 0),
+    };
+    let delta_max = telemetry
+        .spans()
+        .iter()
+        .filter_map(|s| {
+            let (_, fns) = s
+                .name
+                .strip_prefix("callgraph replay delta ")?
+                .split_once(" (")?;
+            fns.strip_suffix(" fns)")?.parse::<u64>().ok()
+        })
+        .max()
+        .unwrap_or(0);
+    vec![
+        ("rounds", rounds),
+        ("worklist_pops", counters.cg_worklist_pops),
+        ("ready_drains", counters.cg_ready_drains),
+        ("delta_sum", delta_sum),
+        ("delta_max", delta_max),
+    ]
 }
 
 /// One chain per depth, in the `deep_dispatch` shape of the repository
 /// benchmark (two virtual methods, 48 ladder rungs).
 fn depth_axis(smoke: bool, samples: usize) -> Axis {
     let depths: &[usize] = if smoke { &[64, 128] } else { &[64, 128, 256] };
-    let configs: Vec<ScaleConfig> = depths
+    let programs = depths
         .iter()
-        .map(|&depth| ScaleConfig {
-            chains: 1,
-            depth,
-            methods_per_class: 2,
-            members_per_class: 3,
-            rungs: 48,
+        .map(|&depth| {
+            let c = ScaleConfig {
+                chains: 1,
+                depth,
+                methods_per_class: 2,
+                members_per_class: 3,
+                rungs: 48,
+            };
+            (
+                format!("depth{depth}"),
+                depth,
+                scale_config_json(&c),
+                generate_scale(&c, 42),
+            )
         })
         .collect();
-    let sources: Vec<String> = configs.iter().map(|c| generate_scale(c, 42)).collect();
-    let points = measure_layers(&sources, samples)
-        .into_iter()
-        .zip(&configs)
-        .map(|((functions, layers), c)| LayerPoint {
-            name: format!("depth{}", c.depth),
-            x: c.depth,
-            functions,
-            config: format!(
-                "{{\"chains\": {}, \"depth\": {}, \"methods_per_class\": {}, \"members_per_class\": {}, \"rungs\": {}}}",
-                c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
-            ),
-            layers,
-        })
-        .collect();
-    Axis {
-        key: "depth",
-        x_label: "depth",
-        points,
-    }
+    measure("depth", "depth", programs, samples)
 }
 
 /// A §3.4 axis over the base generator: one program per configuration,
@@ -274,26 +268,18 @@ fn generator_axis(
     x_of: impl Fn(&str, &GeneratorConfig) -> usize,
     samples: usize,
 ) -> Axis {
-    let sources: Vec<String> = configs.iter().map(|(_, c)| generate(c, seed)).collect();
-    let points = measure_layers(&sources, samples)
-        .into_iter()
-        .zip(configs.iter().zip(&sources))
-        .map(|((functions, layers), ((swept, c), src))| LayerPoint {
-            name: format!("{key}{swept}"),
-            x: x_of(src, c),
-            functions,
-            config: format!(
+    let programs = configs
+        .iter()
+        .map(|(swept, c)| {
+            let src = generate(c, seed);
+            let config = format!(
                 "{{\"classes\": {}, \"members_per_class\": {}, \"methods_per_class\": {}, \"stmts_per_method\": {}, \"objects_in_main\": {}, \"seed\": {seed}}}",
                 c.classes, c.members_per_class, c.methods_per_class, c.stmts_per_method, c.objects_in_main
-            ),
-            layers,
+            );
+            (format!("{key}{swept}"), x_of(&src, c), config, src)
         })
         .collect();
-    Axis {
-        key,
-        x_label,
-        points,
-    }
+    measure(key, x_label, programs, samples)
 }
 
 /// `N`: statements per method swept at a fixed class count.
@@ -337,48 +323,20 @@ fn cxm_axis(samples: usize) -> Axis {
     generator_axis("cxm", "classes", &configs, 13, |_, c| c.classes, samples)
 }
 
-/// Per-layer exponents against `x` between adjacent points.
-fn axis_exponents(axis: &Axis) -> Vec<(&str, &str, [f64; 5])> {
-    axis.points
-        .windows(2)
-        .map(|w| {
-            let per_layer = std::array::from_fn(|l| {
-                exponent((w[0].x, w[0].layers[l]), (w[1].x, w[1].layers[l]))
-            });
-            (w[0].name.as_str(), w[1].name.as_str(), per_layer)
-        })
-        .collect()
-}
-
-/// The call-graph scaling exponent between two adjacent ladder sizes.
-fn ladder_exponent(w: &[SizeResult]) -> f64 {
-    exponent(
-        (w[0].functions, w[0].callgraph),
-        (w[1].functions, w[1].callgraph),
-    )
-}
-
-/// log(t2/t1) / log(n2/n1): the empirical scaling exponent between two
-/// measurements.
-fn exponent(small: (usize, Duration), large: (usize, Duration)) -> f64 {
-    let dt = (large.1.as_secs_f64() / small.1.as_secs_f64().max(f64::EPSILON)).ln();
-    let dn = (large.0 as f64 / small.0 as f64).ln();
-    dt / dn
-}
-
 fn render_axis(out: &mut String, axis: &Axis) {
     out.push_str(&format!(",\n  \"{}_axis\": [\n", axis.key));
     for (i, p) in axis.points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"x\": {}, \"functions\": {}, \"config\": {},\n     ",
-            p.name, p.x, p.functions, p.config
+            "    {{\"name\": \"{}\", \"x\": {}, \"functions\": {}, \"config\": {},\n     {}",
+            p.name,
+            p.x,
+            p.timing.functions,
+            p.config,
+            timing::rows_json(&p.timing.rows)
         ));
-        let layers: Vec<String> = LAYERS
-            .iter()
-            .zip(p.layers)
-            .map(|(layer, t)| format!("\"{layer}_ns\": {}", t.as_nanos()))
-            .collect();
-        out.push_str(&layers.join(", "));
+        for (key, n) in &p.counts {
+            out.push_str(&format!(", \"{key}\": {n}"));
+        }
         out.push_str(if i + 1 < axis.points.len() {
             "},\n"
         } else {
@@ -386,62 +344,24 @@ fn render_axis(out: &mut String, axis: &Axis) {
         });
     }
     out.push_str(&format!("  ],\n  \"{}_exponents\": [\n", axis.key));
-    let exponents = axis_exponents(axis);
-    for (i, (from, to, per_layer)) in exponents.iter().enumerate() {
-        let layers: Vec<String> = LAYERS
-            .iter()
-            .zip(per_layer)
-            .map(|(layer, e)| format!("\"{layer}\": {e:.3}"))
-            .collect();
+    let exponents = axis.exponents();
+    for (i, (from, to, fit)) in exponents.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"from\": \"{from}\", \"to\": \"{to}\", {}}}{}",
-            layers.join(", "),
+            timing::exponents_json(fit),
             if i + 1 < exponents.len() { ",\n" } else { "\n" }
         ));
     }
     out.push_str("  ]");
 }
 
-fn render_json(results: &[SizeResult], axes: &[Axis], samples: usize) -> String {
+fn render_json(axes: &[Axis], samples: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"suite\": \"ddm-benchmarks scale generator\",\n");
     out.push_str("  \"algorithm\": \"rta\",\n");
     out.push_str(&format!("  \"samples\": {samples},\n"));
-    out.push_str(&format!("  \"host\": {},\n", host_meta_json()));
-    out.push_str("  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let c = &r.config;
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"functions\": {}, \"config\": {{\"chains\": {}, \"depth\": {}, \"methods_per_class\": {}, \"members_per_class\": {}, \"rungs\": {}}},\n",
-            r.name, r.functions, c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
-        ));
-        out.push_str(&format!(
-            "     \"callgraph_ns\": {},\n",
-            r.callgraph.as_nanos()
-        ));
-        let max_delta = r.deltas.iter().copied().max().unwrap_or(0);
-        let sum_delta: u64 = r.deltas.iter().sum();
-        out.push_str(&format!(
-            "     \"rounds\": {}, \"worklist_pops\": {}, \"ready_drains\": {}, \"delta_sum\": {sum_delta}, \"delta_max\": {max_delta}}}",
-            r.rounds, r.worklist_pops, r.ready_drains
-        ));
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    if results.len() >= 2 {
-        out.push_str(",\n  \"scaling_exponents\": [\n");
-        for (i, w) in results.windows(2).enumerate() {
-            out.push_str(&format!(
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"callgraph\": {:.3}}}{}",
-                w[0].name,
-                w[1].name,
-                ladder_exponent(w),
-                if i + 2 < results.len() { ",\n" } else { "\n" }
-            ));
-        }
-        out.push_str("  ]");
-    }
+    out.push_str(&format!("  \"host\": {}", host_meta_json()));
     for axis in axes {
         render_axis(&mut out, axis);
     }
@@ -450,22 +370,23 @@ fn render_json(results: &[SizeResult], axes: &[Axis], samples: usize) -> String 
 }
 
 fn print_axis(axis: &Axis) {
-    println!(
-        "\n{:<10} {:>12} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        axis.key, axis.x_label, "funcs", "parse", "model", "summary", "callgraph", "liveness"
+    let names: Vec<&str> = axis.points.iter().map(|p| p.name.as_str()).collect();
+    let timings: Vec<&Timing> = axis.points.iter().map(|p| &p.timing).collect();
+    let xs: Vec<usize> = axis.points.iter().map(|p| p.x).collect();
+    println!();
+    timing::print_table(
+        &format!("{} ({})", axis.key, axis.x_label),
+        &names,
+        &timings,
+        Some(&xs),
     );
-    for p in &axis.points {
-        let [parse, model, summary, callgraph, liveness] = p.layers;
-        println!(
-            "{:<10} {:>12} {:>8} {parse:>12.1?} {model:>12.1?} {summary:>12.1?} {callgraph:>12.1?} {liveness:>12.1?}",
-            p.name, p.x, p.functions
-        );
-    }
-    for (from, to, [parse, model, summary, callgraph, liveness]) in axis_exponents(axis) {
-        println!(
-            "{} exponent {from} -> {to}: parse {parse:.3}, model {model:.3}, summary {summary:.3}, callgraph {callgraph:.3}, liveness {liveness:.3}",
-            axis.key
-        );
+    for p in axis.points.iter().filter(|p| !p.counts.is_empty()) {
+        let counts: Vec<String> = p
+            .counts
+            .iter()
+            .map(|(key, n)| format!("{key} {n}"))
+            .collect();
+        println!("{}: {}", p.name, counts.join(", "));
     }
 }
 
@@ -482,45 +403,15 @@ fn main() {
         .unwrap_or(if smoke { 1 } else { 3 });
 
     let started = Instant::now();
-    let results = measure_ladder(sizes(smoke), samples);
     let axes = [
+        ladder(smoke, samples),
         depth_axis(smoke, samples),
         n_axis(samples),
         cxm_axis(samples),
     ];
-
-    println!(
-        "{:<8} {:>8} {:>8} {:>12} {:>9} {:>9}",
-        "size", "funcs", "rounds", "callgraph", "pops", "drains"
-    );
-    for r in &results {
-        println!(
-            "{:<8} {:>8} {:>8} {:>12.1?} {:>9} {:>9}",
-            r.name, r.functions, r.rounds, r.callgraph, r.worklist_pops, r.ready_drains
-        );
-    }
-    let mut worst_exponent: f64 = 0.0;
-    for w in results.windows(2) {
-        let e = ladder_exponent(w);
-        worst_exponent = worst_exponent.max(e);
-        println!(
-            "exponent {} -> {}: {e:.3}  (full-sweep baseline ~2)",
-            w[0].name, w[1].name,
-        );
-    }
     for axis in &axes {
         print_axis(axis);
     }
-    // The summary and call-graph layers are the third and fourth in
-    // `LAYERS`.
-    let depth_exponents = axis_exponents(&axes[0]);
-    let worst_depth = |layer: usize| {
-        depth_exponents
-            .iter()
-            .map(|(_, _, per_layer)| per_layer[layer])
-            .fold(0.0_f64, f64::max)
-    };
-    let (worst_extraction, worst_callgraph) = (worst_depth(2), worst_depth(3));
 
     if json {
         // The smoke run measures the two smallest sizes only — keep it
@@ -531,7 +422,7 @@ fn main() {
             "BENCH_scale.json"
         };
         let samples = samples.max(LAYER_MIN_SAMPLES);
-        std::fs::write(path, render_json(&results, &axes, samples)).expect("write scale JSON");
+        std::fs::write(path, render_json(&axes, samples)).expect("write scale JSON");
         println!("wrote {path}");
     }
 
@@ -541,21 +432,23 @@ fn main() {
             elapsed < SMOKE_CEILING,
             "scale smoke exceeded its wall-clock ceiling: {elapsed:.1?} >= {SMOKE_CEILING:?}"
         );
-        assert!(
-            worst_exponent <= SMOKE_EXPONENT_CEILING,
-            "scaling exponent regressed: {worst_exponent:.3} > {SMOKE_EXPONENT_CEILING}"
-        );
-        for (layer, worst) in [
-            ("summary extraction", worst_extraction),
-            ("the call graph", worst_callgraph),
-        ] {
-            assert!(
-                worst <= SMOKE_DEPTH_EXPONENT_CEILING,
-                "{layer} grows as depth^{worst:.3} > depth^{SMOKE_DEPTH_EXPONENT_CEILING}"
-            );
+        let mut worst = Vec::new();
+        for axis in &axes[..2] {
+            for row in GATED_ROWS {
+                let e = axis.worst(row);
+                assert!(
+                    e <= SMOKE_EXPONENT_CEILING,
+                    "{row} grows as {}^{e:.3} > {}^{SMOKE_EXPONENT_CEILING} on the {} axis",
+                    axis.x_label,
+                    axis.x_label,
+                    axis.key
+                );
+                worst.push(format!("{} {row} {e:.3}", axis.key));
+            }
         }
         println!(
-            "smoke OK in {elapsed:.1?} (ceiling {SMOKE_CEILING:?}, worst exponent {worst_exponent:.3}, extraction depth exponent {worst_extraction:.3}, call-graph depth exponent {worst_callgraph:.3})"
+            "smoke OK in {elapsed:.1?} (ceiling {SMOKE_CEILING:?}, worst exponents: {})",
+            worst.join(", ")
         );
     }
 }

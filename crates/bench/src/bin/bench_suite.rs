@@ -1,69 +1,27 @@
-//! Per-program wall time of each analysis layer over the whole
-//! benchmark suite: summary extraction (the only AST traversal of a
-//! run), the call-graph worklist replay, and the liveness replay.
+//! Per-program time of every stage of the analysis over the whole
+//! benchmark suite: each program is one `ProjectPipeline::run` through
+//! the [`timing`] harness, so its rows are the product's stage spans
+//! (probe, front end, link, solve, publish, assemble), their children
+//! (parse, model, summary extraction — the only AST traversal of a run —
+//! module extraction, the call-graph worklist replay, the liveness
+//! replay), the wall clock, the report, the drop of the result and the
+//! unattributed rest.
 //!
 //! ```text
 //! bench_suite [--json] [--samples N] [--smoke]
 //! ```
 //!
-//! `--json` additionally writes `BENCH_suite.json` (machine-readable).
-//! Timings are minima over `N` samples (default 9) — the least noisy
-//! estimator for deterministic CPU-bound work. `--smoke` takes 3
-//! samples and writes `BENCH_suite_smoke.json` instead, so a CI run
-//! leaves the committed file alone.
+//! `--json` additionally writes `BENCH_suite.json` (machine-readable):
+//! each program's rows and deterministic counters, and every row summed
+//! over the suite. Each program takes `N` interleaved samples (default
+//! 9, see [`timing::time_runs`]), each right after an untimed run of the
+//! same program. `--smoke` takes 3 samples and writes
+//! `BENCH_suite_smoke.json` instead, so a CI run leaves the committed
+//! file alone.
 
-use ddm_bench::{capture_counters, host_meta_json, suite_analysis_config, timing::interleaved_min};
-use ddm_callgraph::{CallGraph, CallGraphOptions};
-use ddm_core::DeadMemberAnalysis;
-use ddm_hierarchy::{Program, ProgramSummary};
-use ddm_telemetry::{Counters, Telemetry};
+use ddm_bench::timing::{self, Case, Timing};
+use ddm_bench::{host_meta_json, suite_analysis_config};
 use std::time::Duration;
-
-struct Cell {
-    extraction: Duration,
-    callgraph: Duration,
-    analysis: Duration,
-}
-
-impl Cell {
-    fn total(&self) -> Duration {
-        self.extraction + self.callgraph + self.analysis
-    }
-}
-
-struct Row {
-    name: &'static str,
-    functions: usize,
-    cell: Cell,
-    /// Deterministic analysis counters: one capture per program is
-    /// exact, not sampled.
-    counters: Counters,
-}
-
-fn measure(program: &Program, samples: usize) -> Cell {
-    let options = CallGraphOptions::default();
-    let analysis = DeadMemberAnalysis::new(program, suite_analysis_config());
-    let quiet = Telemetry::disabled();
-    let extraction = interleaved_min(1, samples, |_| ProgramSummary::build(program, false, 1))[0];
-    let summary = ProgramSummary::build(program, false, 1);
-    let build = || CallGraph::build_from_summary_schedule(program, &summary, &options, &quiet);
-    let callgraph = interleaved_min(1, samples, |_| build().unwrap())[0];
-    let (graph, _) = build().unwrap();
-    let analysis = interleaved_min(1, samples, |_| {
-        analysis
-            .run_summary_counted(&summary, &graph, &quiet)
-            .unwrap()
-    })[0];
-    Cell {
-        extraction,
-        callgraph,
-        analysis,
-    }
-}
-
-fn total_for(rows: &[Row], layer: fn(&Cell) -> Duration) -> Duration {
-    rows.iter().map(|r| layer(&r.cell)).sum()
-}
 
 fn json_escape_free(name: &str) -> &str {
     // Benchmark names are ASCII identifiers; assert rather than escape.
@@ -75,7 +33,12 @@ fn json_escape_free(name: &str) -> &str {
     name
 }
 
-fn render_json(rows: &[Row], samples: usize) -> String {
+/// Every row summed over the programs.
+fn totals(timings: &[Timing]) -> [u64; 16] {
+    std::array::from_fn(|r| timings.iter().map(|t| t.rows[r]).sum())
+}
+
+fn render_json(names: &[&str], timings: &[Timing], samples: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"suite\": \"ddm-benchmarks\",\n");
@@ -83,34 +46,28 @@ fn render_json(rows: &[Row], samples: usize) -> String {
     out.push_str(&format!("  \"samples\": {samples},\n"));
     out.push_str(&format!("  \"host\": {},\n", host_meta_json()));
     out.push_str("  \"programs\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let c = &row.cell;
+    for (i, (name, t)) in names.iter().zip(timings).enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"functions\": {}, \"extraction_ns\": {}, \"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}, \"counters\": {{",
-            json_escape_free(row.name),
-            row.functions,
-            c.extraction.as_nanos(),
-            c.callgraph.as_nanos(),
-            c.analysis.as_nanos(),
-            c.total().as_nanos()
+            "    {{\"name\": \"{}\", \"functions\": {}, {}, \"counters\": {{",
+            json_escape_free(name),
+            t.functions,
+            timing::rows_json(&t.rows)
         ));
-        let counters: Vec<String> = row
-            .counters
+        let counters: Vec<String> = t
+            .telemetry
+            .counters()
             .rows()
             .iter()
             .map(|(key, value)| format!("\"{key}\": {value}"))
             .collect();
         out.push_str(&counters.join(", "));
         out.push_str("}}");
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+        out.push_str(if i + 1 < timings.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"totals\": {{\n    \"extraction_ns\": {}, \"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}\n  }}\n}}\n",
-        total_for(rows, |c| c.extraction).as_nanos(),
-        total_for(rows, |c| c.callgraph).as_nanos(),
-        total_for(rows, |c| c.analysis).as_nanos(),
-        total_for(rows, Cell::total).as_nanos()
+        "  \"totals\": {{\n    {}\n  }}\n}}\n",
+        timing::rows_json(&totals(timings))
     ));
     out
 }
@@ -127,42 +84,26 @@ fn main() {
         .filter(|&n| n >= 1)
         .unwrap_or(if smoke { 3 } else { 9 });
 
-    let mut rows = Vec::new();
-    for b in ddm_benchmarks::suite() {
-        let tu = ddm_cppfront::parse(b.source).unwrap();
-        let program = Program::build(&tu).unwrap();
-        let cell = measure(&program, samples);
-        rows.push(Row {
-            name: b.name,
-            functions: program.functions().count(),
-            cell,
-            counters: capture_counters(b.source),
-        });
-    }
+    let suite = ddm_benchmarks::suite();
+    let mut cases: Vec<Case> = suite
+        .iter()
+        .map(|b| Case {
+            inputs: vec![(format!("{}.cpp", b.name), b.source.to_string())],
+            config: suite_analysis_config(),
+            cache: None,
+        })
+        .collect();
+    let timings = timing::time_runs(&mut cases, samples, timing::warm_up);
+    let names: Vec<&str> = suite.iter().map(|b| b.name).collect();
 
-    println!(
-        "{:<12} {:>6}  {:>12} {:>12} {:>12} {:>12}",
-        "program", "funcs", "extract", "callgraph", "scan", "total"
-    );
-    for row in &rows {
-        let c = &row.cell;
-        println!(
-            "{:<12} {:>6}  {:>12.1?} {:>12.1?} {:>12.1?} {:>12.1?}",
-            row.name,
-            row.functions,
-            c.extraction,
-            c.callgraph,
-            c.analysis,
-            c.total()
-        );
-    }
-    println!(
-        "total: {:.1?} (extraction {:.1?}, call graph {:.1?}, scan {:.1?})",
-        total_for(&rows, Cell::total),
-        total_for(&rows, |c| c.extraction),
-        total_for(&rows, |c| c.callgraph),
-        total_for(&rows, |c| c.analysis)
-    );
+    let refs: Vec<&Timing> = timings.iter().collect();
+    timing::print_table("program", &names, &refs, None);
+    let totals: Vec<String> = timing::ROWS
+        .iter()
+        .zip(totals(&timings))
+        .map(|(row, ns)| format!("{row} {:.1?}", Duration::from_nanos(ns)))
+        .collect();
+    println!("total: {}", totals.join(", "));
 
     if json {
         let path = if smoke {
@@ -170,7 +111,7 @@ fn main() {
         } else {
             "BENCH_suite.json"
         };
-        std::fs::write(path, render_json(&rows, samples)).expect("write suite JSON");
+        std::fs::write(path, render_json(&names, &timings, samples)).expect("write suite JSON");
         println!("wrote {path}");
     }
 }

@@ -196,7 +196,9 @@ echo "== declaration sharing: isolated front end, 12 TUs repeating one header ==
 # repeat one header after comments of different lengths and line
 # counts: stdout, the det stream and the metrics must not depend on
 # --jobs, the header must really be shared, and a warm re-run must
-# invalidate nothing and print the same report.
+# invalidate nothing and print the same report. The header starts at 4
+# distinct lines, so 12 - 4 = 8 TUs take their class records from an
+# earlier TU with the same type prefix.
 cargo test --release --test decl_sharing
 share_src=/tmp/ddm_ci_share_src
 share_tmp=/tmp/ddm_ci_share
@@ -228,6 +230,8 @@ import json, sys
 metrics = {m["name"]: m for m in json.load(open(sys.argv[1]))["metrics"]}
 shared = metrics["frontend/decls_shared"]["value"]
 assert shared > 0, f"no declaration was shared: {metrics['frontend/decls']}"
+prefix = metrics["frontend/prefix_shared_tus"]["value"]
+assert prefix == 8, f"{prefix} TUs shared a type prefix, expected 8"
 PY
 cargo run --release --bin ddm -- "$share_src"/*.cpp --cache-dir "$share_tmp/cache" \
     > /dev/null

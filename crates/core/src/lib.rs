@@ -29,6 +29,7 @@ pub mod epoch;
 pub mod explain;
 pub mod liveness;
 pub mod pipeline;
+mod prefix;
 pub mod project;
 pub mod report;
 pub mod serve;

@@ -37,6 +37,7 @@
 use crate::analysis::{solve, AnalysisConfig, Solved};
 use crate::epoch::EpochSnapshot;
 use crate::pipeline::{Engine, PipelineError};
+use crate::prefix::{PrefixKey, Prefixes};
 use crate::snapshot::{Cache, StoredFixpoint};
 use ddm_callgraph::Algorithm;
 use ddm_cppfront::{DeclMemo, SourceMap, SourceSet};
@@ -134,8 +135,11 @@ pub(crate) const ANALYSIS_STACK_BYTES: usize = 8 << 20;
 /// into `inputs`; `hashes[i]` is the FNV-1a hash of source `i`), in
 /// `todo` order. Up to `jobs` workers share one [`DeclMemo`], so each
 /// top-level item text (under one set of type names) is parsed once;
-/// one worker runs on the calling thread. The result does not depend
-/// on the worker count.
+/// one worker runs on the calling thread. With two or more TUs, a TU
+/// whose type prefix (its classes and enums, all before its first free
+/// function) another TU parsed alike at the same positions takes that
+/// TU's class records and walks only its free functions (DESIGN §5k).
+/// The result does not depend on the worker count.
 ///
 /// # Errors
 ///
@@ -151,8 +155,10 @@ pub fn front_end(
     let refine = algorithm == Algorithm::Pta;
     let workers = jobs.max(1).min(todo.len().max(1));
     let memo = DeclMemo::new();
+    let prefixes = (todo.len() > 1).then(Prefixes::default);
     let next = AtomicUsize::new(0);
-    type TuOutcome = Result<(TuModule, Program, SourceMap), PipelineError>;
+    // Each TU's module, program and source map, and its prefix entry.
+    type TuOutcome = Result<(TuModule, Program, SourceMap, Option<usize>), PipelineError>;
     let slots: Vec<Mutex<Option<TuOutcome>>> = todo.iter().map(|_| Mutex::new(None)).collect();
     let work = |lane: u32| loop {
         let n = next.fetch_add(1, Ordering::Relaxed);
@@ -171,14 +177,35 @@ pub fn front_end(
                 let _model = layer("model");
                 Program::build(&unit)?
             };
-            let summary = {
+            let new_map = || SourceMap::new(file.clone(), source.clone());
+            let (summary, prefix, shared, map) = {
                 let _summary = layer("summary");
-                ProgramSummary::build(&program, refine, 1)
+                // The key needs line/col, so a run that keys TUs makes
+                // the source map (and its line index) here.
+                let map = prefixes.is_some().then(new_map);
+                let prefix = (prefixes.as_ref().zip(map.as_ref()))
+                    .and_then(|(table, map)| Some((table, PrefixKey::of(&unit, map)?)));
+                let shared = prefix
+                    .as_ref()
+                    .and_then(|(table, key)| table.take(key, &unit));
+                let summary = match shared {
+                    Some(_) => ProgramSummary::build_free_functions(&program, refine),
+                    None => ProgramSummary::build(&program, refine, 1),
+                };
+                (summary, prefix, shared, map)
             };
             let _extract = layer("extract");
-            let map = SourceMap::new(file.clone(), source.clone());
-            let module = TuModule::extract_hashed(&unit, &program, &summary, &map, hashes[i]);
-            Ok((module, program, map))
+            let map = map.unwrap_or_else(new_map);
+            let (entry, classes) = shared.unzip();
+            let module =
+                TuModule::extract_hashed(&unit, &program, &summary, &map, hashes[i], classes);
+            let entry = match prefix {
+                Some((table, key)) if entry.is_none() => {
+                    Some(table.publish(key, &unit, source, &module))
+                }
+                _ => entry,
+            };
+            Ok((module, program, map, entry))
         })();
         *slots[n].lock().expect("tu slot poisoned") = Some(outcome);
     };
@@ -198,22 +225,32 @@ pub fn front_end(
         });
     }
 
-    telemetry.metrics(|m| {
-        let (decls, shared) = memo.decl_counts();
-        m.counter_add("frontend/tus", todo.len() as u64);
-        m.counter_add("frontend/decls", decls);
-        m.counter_add("frontend/decls_shared", shared);
-    });
-    todo.iter()
-        .zip(slots)
-        .map(|(&i, slot)| {
+    let outcomes: Vec<TuOutcome> = slots
+        .into_iter()
+        .map(|slot| {
             slot.into_inner()
                 .expect("tu slot poisoned")
                 .expect("every TU is analysed exactly once")
-                .map_err(|error| ProjectError::Tu {
-                    file: inputs[i].0.clone(),
-                    error,
-                })
+        })
+        .collect();
+    telemetry.metrics(|m| {
+        let (decls, shared) = memo.decl_counts();
+        let prefix_shared = prefixes.as_ref().map_or(0, |table| {
+            table.shared_tus(outcomes.iter().flatten().map(|tu| (tu.3, &tu.0)))
+        });
+        m.counter_add("frontend/tus", todo.len() as u64);
+        m.counter_add("frontend/decls", decls);
+        m.counter_add("frontend/decls_shared", shared);
+        m.counter_add("frontend/prefix_shared_tus", prefix_shared);
+    });
+    todo.iter()
+        .zip(outcomes)
+        .map(|(&i, outcome)| match outcome {
+            Ok((module, program, map, _)) => Ok((module, program, map)),
+            Err(error) => Err(ProjectError::Tu {
+                file: inputs[i].0.clone(),
+                error,
+            }),
         })
         .collect()
 }

@@ -26,7 +26,7 @@ use crate::typewalk::TypeError;
 use ddm_cppfront::ast::{CtorInit, Param, Type};
 use ddm_cppfront::Span;
 use ddm_telemetry::{EventClass, Telemetry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -189,7 +189,9 @@ pub fn link_with(
                     class_order.push((t, c));
                 }
                 Some(&(ft, fc)) => {
-                    if fc.odr_eq(c) {
+                    // TUs that share a type prefix, and modules decoded
+                    // from one snapshot, hold the kept record itself.
+                    if std::ptr::eq(fc, c) || fc.odr_eq(c) {
                         telemetry.event(EventClass::Deterministic, "odr_class_merge", || {
                             vec![
                                 ("class", c.name.as_str().into()),
@@ -639,16 +641,19 @@ impl LinkDelta {
     }
 }
 
-/// The per-name record a free function links to: the definition when
-/// one exists, else the first prototype (mirrors `FreeMerge::provider`,
-/// without conflict handling — delta computation is observational).
+/// The per-name record a free function among `names` links to: the
+/// definition when one exists, else the first prototype (mirrors
+/// `FreeMerge::provider`, without conflict handling — delta computation
+/// is observational).
 fn free_providers<'a>(
     modules: impl IntoIterator<Item = &'a TuModule>,
+    names: &HashSet<&str>,
 ) -> std::collections::BTreeMap<&'a str, &'a FreeFnRecord> {
     let mut map: std::collections::BTreeMap<&str, &FreeFnRecord> =
         std::collections::BTreeMap::new();
     for m in modules {
-        for f in &m.free_fns {
+        let named = m.free_fns.iter().filter(|f| names.contains(f.name.as_str()));
+        for f in named {
             match map.get(f.name.as_str()) {
                 None => {
                     map.insert(&f.name, f);
@@ -663,14 +668,15 @@ fn free_providers<'a>(
     map
 }
 
-/// First-appearance class records by name (the record the ODR merge
-/// keeps).
+/// First-appearance class records among `names`, by name (the record
+/// the ODR merge keeps).
 fn class_winners<'a>(
     modules: impl IntoIterator<Item = &'a TuModule>,
+    names: &HashSet<&str>,
 ) -> std::collections::BTreeMap<&'a str, &'a ClassRecord> {
     let mut map: std::collections::BTreeMap<&str, &ClassRecord> = std::collections::BTreeMap::new();
     for m in modules {
-        for c in &m.classes {
+        for c in m.classes.iter().filter(|c| names.contains(c.name.as_str())) {
             let c: &ClassRecord = c;
             map.entry(&c.name).or_insert(c);
         }
@@ -728,8 +734,22 @@ pub fn link_delta_ref(old: &[&TuModule], new: &[TuModule]) -> LinkDelta {
         return delta;
     }
 
-    let (old_classes, new_classes) =
-        (class_winners(old.iter().copied()), class_winners(new));
+    // Only a name that a changed TU has, before or after, can change
+    // its winner or provider: every other name first appears in the
+    // same unchanged modules on both sides.
+    let changed = delta
+        .tus_changed
+        .iter()
+        .flat_map(|&t| old.get(t).copied().into_iter().chain(new.get(t)));
+    let (mut class_names, mut fn_names) = (HashSet::new(), HashSet::new());
+    for m in changed {
+        class_names.extend(m.classes.iter().map(|c| c.name.as_str()));
+        fn_names.extend(m.free_fns.iter().map(|f| f.name.as_str()));
+    }
+    let (old_classes, new_classes) = (
+        class_winners(old.iter().copied(), &class_names),
+        class_winners(new, &class_names),
+    );
     for (name, rec) in &old_classes {
         match new_classes.get(name) {
             None => delta.classes_removed.push((*name).to_string()),
@@ -745,7 +765,10 @@ pub fn link_delta_ref(old: &[&TuModule], new: &[TuModule]) -> LinkDelta {
         }
     }
 
-    let (old_fns, new_fns) = (free_providers(old.iter().copied()), free_providers(new));
+    let (old_fns, new_fns) = (
+        free_providers(old.iter().copied(), &fn_names),
+        free_providers(new, &fn_names),
+    );
     for (name, rec) in &old_fns {
         match new_fns.get(name) {
             None => delta.fns_removed.push((*name).to_string()),

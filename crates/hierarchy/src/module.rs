@@ -297,68 +297,75 @@ impl TuModule {
         map: &SourceMap,
     ) -> TuModule {
         let source_hash = fnv1a64(map.source().as_bytes());
-        Self::extract_hashed(tu, program, summary, map, source_hash)
+        Self::extract_hashed(tu, program, summary, map, source_hash, None)
     }
 
     /// [`TuModule::extract`] for a caller that already hashed the source:
-    /// `source_hash` is `fnv1a64` of `map`'s text.
+    /// `source_hash` is `fnv1a64` of `map`'s text. `classes`, when given,
+    /// are the class records another TU of the run extracted, equal to
+    /// the ones this TU's program and summary give; they are taken as
+    /// they are and no method summary is read, so `summary` may come from
+    /// [`ProgramSummary::build_free_functions`].
     pub fn extract_hashed(
         tu: &TranslationUnit,
         program: &Program,
         summary: &ProgramSummary,
         map: &SourceMap,
         source_hash: u64,
+        classes: Option<Vec<Arc<ClassRecord>>>,
     ) -> TuModule {
         let loc = |span: ddm_cppfront::Span| {
             let lc = map.lookup(span.lo);
             (lc.line, lc.col)
         };
-        let classes = program
-            .classes()
-            .map(|(_, info)| {
-                let (line, col) = loc(info.span);
-                Arc::new(ClassRecord {
-                    name: info.name.clone(),
-                    kind: info.kind,
-                    bases: info
-                        .bases
-                        .iter()
-                        .map(|b| (program.class(b.id).name.clone(), b.is_virtual))
-                        .collect(),
-                    members: info
-                        .members
-                        .iter()
-                        .map(|m| MemberRecord {
-                            name: m.name.clone(),
-                            ty: m.ty.clone(),
-                            is_volatile: m.is_volatile,
-                        })
-                        .collect(),
-                    methods: info
-                        .methods
-                        .iter()
-                        .map(|&fid| {
-                            let f = program.function(fid);
-                            let (line, col) = loc(f.span);
-                            MethodRecord {
-                                name: f.name.clone(),
-                                kind: f.kind,
-                                is_virtual: f.is_virtual,
-                                arity: f.params.len() as u32,
-                                has_body: f.body.is_some(),
-                                body_fp: f.fp,
-                                has_inits: !f.inits.is_empty(),
-                                line,
-                                col,
-                                summary: sym_result(program, summary.function(fid)),
-                            }
-                        })
-                        .collect(),
-                    line,
-                    col,
+        let classes = classes.unwrap_or_else(|| {
+            program
+                .classes()
+                .map(|(_, info)| {
+                    let (line, col) = loc(info.span);
+                    Arc::new(ClassRecord {
+                        name: info.name.clone(),
+                        kind: info.kind,
+                        bases: info
+                            .bases
+                            .iter()
+                            .map(|b| (program.class(b.id).name.clone(), b.is_virtual))
+                            .collect(),
+                        members: info
+                            .members
+                            .iter()
+                            .map(|m| MemberRecord {
+                                name: m.name.clone(),
+                                ty: m.ty.clone(),
+                                is_volatile: m.is_volatile,
+                            })
+                            .collect(),
+                        methods: info
+                            .methods
+                            .iter()
+                            .map(|&fid| {
+                                let f = program.function(fid);
+                                let (line, col) = loc(f.span);
+                                MethodRecord {
+                                    name: f.name.clone(),
+                                    kind: f.kind,
+                                    is_virtual: f.is_virtual,
+                                    arity: f.params.len() as u32,
+                                    has_body: f.body.is_some(),
+                                    body_fp: f.fp,
+                                    has_inits: !f.inits.is_empty(),
+                                    line,
+                                    col,
+                                    summary: sym_result(program, summary.function(fid)),
+                                }
+                            })
+                            .collect(),
+                        line,
+                        col,
+                    })
                 })
-            })
-            .collect();
+                .collect()
+        });
         let free_fns = program
             .functions()
             .filter(|(_, f)| f.class.is_none())

@@ -420,10 +420,30 @@ impl ProgramSummary {
     /// parameter stays until the repository benchmark, which passes it,
     /// is next changed.
     pub fn build(program: &Program, refine_receivers: bool, _jobs: usize) -> ProgramSummary {
-        let n = program.function_count();
+        Self::build_some(program, refine_receivers, true)
+    }
+
+    /// [`ProgramSummary::build`] for a TU whose class records another TU
+    /// of the run already extracted: walks only the free functions and
+    /// the global initializers, and every method's summary reads as
+    /// empty. Its one reader is
+    /// [`TuModule::extract_hashed`](crate::TuModule::extract_hashed)
+    /// given those records, which hold the method summaries.
+    pub fn build_free_functions(program: &Program, refine_receivers: bool) -> ProgramSummary {
+        Self::build_some(program, refine_receivers, false)
+    }
+
+    fn build_some(program: &Program, refine_receivers: bool, methods: bool) -> ProgramSummary {
         let lookup = MemberLookup::new(program);
-        let functions: Vec<Result<FnSummary, TypeError>> = (0..n)
-            .map(|i| extract_function(program, &lookup, FuncId::from_index(i), refine_receivers))
+        let functions: Vec<Result<FnSummary, TypeError>> = program
+            .functions()
+            .map(|(fid, f)| {
+                if methods || f.class.is_none() {
+                    extract_function(program, &lookup, fid, refine_receivers)
+                } else {
+                    Ok(FnSummary::default())
+                }
+            })
             .collect();
         let mut ex = Extractor::new(program, &lookup, None, false);
         let globals = walk_globals(program, &lookup, &mut ex).map(|()| ex.out);

@@ -10,14 +10,14 @@
 //! also checked against the text its function's span covers.
 
 use ddm_bench::fuzz::case_for_seed_in;
-use ddm_benchmarks::generator::{generate_fuzz, FUZZ_SHAPES};
+use ddm_benchmarks::generator::{generate_fuzz, FuzzShape, FUZZ_SHAPES};
 use ddm_callgraph::Algorithm;
 use ddm_core::{
     front_end, snapshot_fingerprint, AnalysisConfig, AnalysisSnapshot, Engine, PipelineError,
     ProjectError, ProjectPipeline,
 };
 use ddm_cppfront::{parse, DeclMemo, ParseError, SourceMap, Span, TranslationUnit};
-use ddm_hierarchy::{fnv1a64, link, Program, ProgramSummary, TuModule};
+use ddm_hierarchy::{fnv1a64, link, ClassRecord, Program, ProgramSummary, TuModule};
 use ddm_telemetry::{Metric, Telemetry};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -685,4 +685,180 @@ fn every_function_fingerprint_covers_its_own_text() {
         checked += assert_fingerprints_cover_their_text(&file.0, std::slice::from_ref(&file));
     }
     assert!(checked > 500, "only {checked} functions checked");
+}
+
+// ---------------------------------------------------------------------
+// Shared type prefixes
+//
+// A TU whose classes and enums all end before its first free function
+// takes its class records from the first TU of the run whose prefix has
+// the same parse (the same memo `Arc`s) at the same lines and columns
+// (DESIGN §5k). Each case below puts TUs where a looser rule would give
+// one TU another's records: the isolated front end must still agree,
+// at every worker count, in both TU orders, under RTA and PTA.
+// ---------------------------------------------------------------------
+
+/// Runs `files` through [`assert_matches_isolated`] in both orders,
+/// under RTA and PTA.
+fn assert_prefix_case_matches_isolated(label: &str, files: &[(String, String)]) {
+    for algorithm in [Algorithm::Rta, Algorithm::Pta] {
+        for (order, files) in [("", files.to_vec()), ("-reversed", reversed(files))] {
+            assert_matches_isolated(&format!("{label}{order}-{algorithm:?}"), &files, algorithm);
+        }
+    }
+}
+
+/// The prefix-sharing hazards: a label and its TUs. Where a prefix
+/// method resolves in some TUs and not in others, a TU that does not
+/// resolve it sits between two that do: the link keeps the first TU's
+/// record in either order, and a debug build checks that it equals a
+/// fresh walk of the linked program, where the name resolves.
+fn prefix_hazards() -> Vec<(&'static str, Vec<(String, String)>)> {
+    let calls = "class C { public: int v; int m() { return helper() + v; } };\n";
+    let reads = "class C { public: int v; int m() { return v + counter; } };\n";
+    let ool = "class Acc {\npublic:\n    int total;\n    int add(int v);\n    int get() { return total; }\n};\n";
+    let ghost = "class A { public: int x; int bad(A a) { return a.ghost; } };\n";
+    let enums = |e: &str| {
+        format!(
+            "enum Mode {{ {e} }};\nclass C {{ public: int v; int m() {{ return v + On; }} }};\n"
+        )
+    };
+    let method =
+        "class C { public: int v; int get() { return v; } int use() { return get(); } };\n";
+    vec![
+        (
+            // In b.cpp the forward declaration makes `X` a type name, so
+            // `X * y;` declares a local: no `X` or `y` read there.
+            "forward-declaration",
+            inputs(&[
+                ("a.cpp", "class C { public: int X; int y; int m() { X * y; return 0; } };\nint main() { C c; return c.m(); }\n".to_string()),
+                ("b.cpp", "class C { public: int X; int y; int m() { X * y; return 0; } };\nclass X;\nint g() { C c; return c.m(); }\n".to_string()),
+            ]),
+        ),
+        (
+            // `helper` resolves in a.cpp and c.cpp, not in b.cpp.
+            "free-function-after-the-prefix",
+            inputs(&[
+                ("a.cpp", format!("{calls}int helper() {{ return 1; }}\nint main() {{ C c; return c.m(); }}\n")),
+                ("b.cpp", format!("{calls}int other() {{ C c; return c.v; }}\n")),
+                ("c.cpp", format!("{calls}int helper() {{ return 1; }}\nint third() {{ C c; return c.m(); }}\n")),
+            ]),
+        ),
+        (
+            "out-of-line-in-one-tu",
+            inputs(&[
+                ("a.cpp", format!("{ool}int Acc::add(int v) {{ total = total + v; return total; }}\nint main() {{ Acc x; return x.add(2); }}\n")),
+                ("b.cpp", format!("{ool}int other() {{ Acc y; return y.get(); }}\n")),
+                ("c.cpp", format!("{ool}int third() {{ Acc z; return z.get(); }}\n")),
+            ]),
+        ),
+        (
+            // `counter` resolves as a global in a.cpp and c.cpp only,
+            // which then fail to link.
+            "global-after-the-prefix",
+            inputs(&[
+                ("a.cpp", format!("{reads}int counter = 3;\nint main() {{ C c; return c.m(); }}\n")),
+                ("b.cpp", format!("{reads}int other() {{ return 1; }}\n")),
+                ("c.cpp", format!("{reads}int counter = 3;\nint third() {{ return 2; }}\n")),
+            ]),
+        ),
+        (
+            "one-prefix-at-other-positions",
+            inputs(&[
+                ("a.cpp", format!("{HEADER}int main() {{ Derived d; return d.get(); }}\n")),
+                ("b.cpp", format!("\n{HEADER}int other() {{ Base b; return b.b; }}\n")),
+                ("c.cpp", format!("/* x */ {HEADER}int third() {{ Base b; return b.a; }}\n")),
+                ("d.cpp", format!("/* y */ {HEADER}int fourth() {{ Base b; return b.a; }}\n")),
+            ]),
+        ),
+        (
+            // Equal lines and columns, other byte offsets: the stored
+            // error of each TU carries its own span.
+            "walk-fails-in-every-tu",
+            inputs(&[
+                ("a.cpp", format!("// a\n{ghost}int main() {{ A a; return a.x; }}\n")),
+                ("b.cpp", format!("// bbbb\n{ghost}int other() {{ A a; return a.x; }}\n")),
+                ("c.cpp", format!("// cccccccc\n{ghost}int third() {{ A a; return a.x; }}\n")),
+            ]),
+        ),
+        (
+            // One class text under one type-name set in every TU, but
+            // `On` is no enumerator of c.cpp's `Mode`.
+            "enumerator-read-by-a-method",
+            inputs(&[
+                ("a.cpp", format!("{}int main() {{ C c; return c.m(); }}\n", enums("Off, On"))),
+                ("b.cpp", format!("{}int other() {{ C c; return c.m(); }}\n", enums("Off, On"))),
+                ("c.cpp", format!("{}int third() {{ C c; return c.v; }}\n", enums("Off, Dim"))),
+            ]),
+        ),
+        (
+            "free-function-named-like-a-method",
+            inputs(&[
+                ("a.cpp", format!("{method}int get() {{ return 7; }}\nint main() {{ C c; return c.use() + get(); }}\n")),
+                ("b.cpp", format!("{method}int other() {{ C c; return c.use(); }}\n")),
+                ("c.cpp", format!("{method}int third() {{ C c; return c.use(); }}\n")),
+            ]),
+        ),
+    ]
+}
+
+#[test]
+fn prefix_hazards_match_the_isolated_front_end() {
+    for (label, files) in prefix_hazards() {
+        assert_prefix_case_matches_isolated(label, &files);
+    }
+}
+
+/// The modules and the `frontend/prefix_shared_tus` count of a cold
+/// front end over every TU of `files` at `--jobs 1`.
+fn front_end_at_jobs_1(files: &[(String, String)], algorithm: Algorithm) -> (Vec<TuModule>, u64) {
+    let telemetry = Telemetry::enabled();
+    let all: Vec<usize> = (0..files.len()).collect();
+    let hashes: Vec<u64> = files.iter().map(|(_, s)| fnv1a64(s.as_bytes())).collect();
+    let modules = front_end(files, &all, &hashes, algorithm, 1, &telemetry)
+        .expect("the front end runs")
+        .into_iter()
+        .map(|(module, _, _)| module)
+        .collect();
+    let shared = match telemetry
+        .metrics_snapshot()
+        .get("frontend/prefix_shared_tus")
+    {
+        Some(Metric::Counter(n)) => *n,
+        other => panic!("frontend/prefix_shared_tus is not a counter: {other:?}"),
+    };
+    (modules, shared)
+}
+
+/// Whether every class record of `a` is the very record of `b`.
+fn same_records(a: &TuModule, b: &TuModule) -> bool {
+    let pairs = a.classes.iter().zip(&b.classes);
+    a.classes.len() == b.classes.len() && pairs.into_iter().all(|(x, y)| Arc::ptr_eq(x, y))
+}
+
+#[test]
+fn tus_that_repeat_a_header_share_its_class_records() {
+    let mut case = case_for_seed_in(0, &[FuzzShape::Benign]);
+    case.config.tus = 24;
+    let files = generate_fuzz(&case.config, 0);
+    let (modules, shared) = front_end_at_jobs_1(&files, case.algorithm);
+    assert!(!modules[0].classes.is_empty());
+    for (t, module) in modules.iter().enumerate() {
+        assert!(same_records(module, &modules[0]), "benign tu {t}");
+    }
+    assert_eq!(shared, 23);
+
+    // TU 0's header starts two lines higher than the others'.
+    let mut case = case_for_seed_in(0, &[FuzzShape::OdrBenignDrift]);
+    case.config.tus = 24;
+    let files = generate_fuzz(&case.config, 0);
+    let (modules, shared) = front_end_at_jobs_1(&files, case.algorithm);
+    for (t, module) in modules.iter().enumerate().skip(2) {
+        assert!(same_records(module, &modules[1]), "drift tu {t}");
+    }
+    for (t, module) in modules.iter().enumerate().skip(1) {
+        let shares = |c: &Arc<ClassRecord>| module.classes.iter().any(|d| Arc::ptr_eq(c, d));
+        assert!(!modules[0].classes.iter().any(shares), "drift tu {t}");
+    }
+    assert_eq!(shared, 22);
 }
